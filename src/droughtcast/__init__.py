@@ -3,7 +3,7 @@ scores, with the full experiment harness (ablations, cross-validation,
 location transfer, introspection)."""
 
 from .autodiff import RngState, Tensor, backward, grad_check
-from .data import Sample, build_samples, load_statics, load_timeseries
+from .data import SampleSet, build_samples, load_statics, load_timeseries
 from .metrics import MetricsReport, evaluate, paired_t_test
 from .model import AblationConfig, HybridModel, ModelConfig
 from .training import LrSchedule, TrainRunConfig, fit, load_checkpoint, save_checkpoint
@@ -17,7 +17,7 @@ __all__ = [
     "MetricsReport",
     "ModelConfig",
     "RngState",
-    "Sample",
+    "SampleSet",
     "Tensor",
     "TrainRunConfig",
     "backward",

@@ -26,7 +26,6 @@ from .errors import ConfigError, EmptySequenceError, NumericError, ShapeError
 __all__ = [
     "Tensor",
     "RngState",
-    "elementwise",
     "add",
     "sub",
     "mul",
@@ -364,26 +363,6 @@ def dropout(a: Tensor, p: float, training: bool, rng: "RngState") -> Tensor:
             _accumulate(a, g * keep)
 
     return _result(a.data * keep, (a,), _bw)
-
-
-_ELEMENTWISE = {
-    "add": (add, 2), "sub": (sub, 2), "mul": (mul, 2), "scale": (scale, 2),
-    "sigmoid": (sigmoid, 1), "tanh": (tanh, 1), "relu": (relu, 1),
-}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by op kind; binary kinds follow the broadcast rule above."""
-    if kind not in _ELEMENTWISE:
-        raise ConfigError(f"unknown elementwise kind {kind!r}")
-    fn, arity = _ELEMENTWISE[kind]
-    if arity == 2:
-        if b is None:
-            raise ShapeError(f"{kind} needs a second operand")
-        return fn(a, b)
-    if b is not None:
-        raise ShapeError(f"{kind} is unary")
-    return fn(a)
 
 
 def sum_all(a: Tensor) -> Tensor:

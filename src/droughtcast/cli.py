@@ -86,7 +86,8 @@ def _require_file(cfg: RunConfig, section: str, key: str) -> Path:
     return path
 
 
-def _build_sets(cfg: RunConfig) -> tuple[list, list, list, list[str], dp.CategoricalEncoder, list[str]]:
+def _build_sets(cfg: RunConfig) -> tuple[dp.SampleSet, dp.SampleSet, dp.SampleSet, list[str],
+                                          dp.CategoricalEncoder, list[str]]:
     ts_path = _require_file(cfg, "data", "timeseries")
     statics_path = _require_file(cfg, "data", "statics")
     categorical = cfg.get_list("data", "categorical_columns")
@@ -98,7 +99,7 @@ def _build_sets(cfg: RunConfig) -> tuple[list, list, list, list[str], dp.Categor
     statics, encoder = dp.load_statics(statics_path, categorical)
     channel_names = dp.channel_names_of(ts_path)
 
-    def build_from(path: Path) -> list:
+    def build_from(path: Path) -> dp.SampleSet:
         series = dp.load_timeseries(path, max_gap_days=max_gap, report=messages)
         samples, report = dp.build_samples(series, statics, window_days=window,
                                            target_phase=phase)
@@ -109,13 +110,14 @@ def _build_sets(cfg: RunConfig) -> tuple[list, list, list, list[str], dp.Categor
     val_raw = cfg.get("data", "timeseries_val")
     test_raw = cfg.get("data", "timeseries_test")
     if val_raw or test_raw:
-        val = build_from(_require_file(cfg, "data", "timeseries_val")) if val_raw else []
-        test = build_from(_require_file(cfg, "data", "timeseries_test")) if test_raw else []
+        val = build_from(_require_file(cfg, "data", "timeseries_val")) if val_raw else train[:0]
+        test = build_from(_require_file(cfg, "data", "timeseries_test")) if test_raw else train[:0]
     else:
-        train, val, test = dp.split_fractions(
-            train, cfg.get_float("data", "val_fraction"),
+        split = dp.split_fractions(
+            len(train), cfg.get_float("data", "val_fraction"),
             cfg.get_float("data", "test_fraction"), seed=cfg.seed,
         )
+        train, val, test = (train[index] for index in split)
         messages.append(f"random split: {len(train)} train / {len(val)} val / {len(test)} test")
     return train, val, test, messages, encoder, channel_names
 
@@ -140,7 +142,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_sets(cfg: RunConfig) -> tuple[list, list, list, dp.CategoricalEncoder]:
+def _load_sets(cfg: RunConfig) -> tuple[dp.SampleSet, dp.SampleSet, dp.SampleSet,
+                                         dp.CategoricalEncoder]:
     ingest = _ingest_dir(cfg)
     train = dp.load_samples(ingest / "train.samples")
     val = dp.load_samples(ingest / "val.samples")
@@ -149,10 +152,10 @@ def _load_sets(cfg: RunConfig) -> tuple[list, list, list, dp.CategoricalEncoder]
     return train, val, test, encoder
 
 
-def _model_config(cfg: RunConfig, sample, encoder: dp.CategoricalEncoder) -> ModelConfig:
+def _model_config(cfg: RunConfig, samples, encoder: dp.CategoricalEncoder) -> ModelConfig:
     return ModelConfig(
-        input_channels=sample.x.shape[1],
-        numeric_static_count=sample.s_n.size,
+        input_channels=samples.x.shape[2],
+        numeric_static_count=samples.s_n.shape[1],
         categorical_vocab_sizes=encoder.vocab_sizes,
         lstm_layers=cfg.get_int("model", "lstm_layers"),
         hidden_size=cfg.get_int("model", "hidden_size"),
@@ -201,7 +204,7 @@ def cmd_train(cfg: RunConfig) -> int:
     train, val, _, encoder = _load_sets(cfg)
     if not train:
         raise DataError("no training samples in the ingest cache")
-    model = HybridModel.build(_model_config(cfg, train[0], encoder), _ablation(cfg), cfg.seed)
+    model = HybridModel.build(_model_config(cfg, train, encoder), _ablation(cfg), cfg.seed)
     run = _train_run(cfg, cfg.seed, out)
     model, history = fit(model, train, val, run, _schedule(cfg, len(train)))
     (out / "history.csv").write_text(history_csv(history))
@@ -234,7 +237,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     train, val, test, encoder = _load_sets(cfg)
     if not train or not test:
         raise DataError("ablation needs train and test samples in the cache")
-    base_config = _model_config(cfg, train[0], encoder)
+    base_config = _model_config(cfg, train, encoder)
     summary_lines = ["setting,static,timeseries,attention,mae,rmse,f1"]
     weekly_header = ["setting"]
     for w in range(1, 7):
@@ -264,7 +267,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 def _cv_for(cfg: RunConfig, samples, ablation: AblationConfig, encoder,
             folds: int, epochs: int | None) -> FoldResults:
-    base_config = _model_config(cfg, samples[0], encoder)
+    base_config = _model_config(cfg, samples, encoder)
 
     def builder(fold_seed: int) -> HybridModel:
         return HybridModel.build(base_config, ablation, fold_seed)
@@ -318,7 +321,7 @@ def cmd_locexp(cfg: RunConfig) -> int:
     states = cfg.get_list("locexp", "states")
     if not states:
         raise ConfigError("[locexp] states must list at least one FIPS prefix")
-    base_config = _model_config(cfg, train[0], encoder)
+    base_config = _model_config(cfg, train, encoder)
 
     def train_model(samples, val_samples, seed):
         model = HybridModel.build(base_config, _ablation(cfg), seed)
@@ -330,9 +333,9 @@ def cmd_locexp(cfg: RunConfig) -> int:
     agnostic = {}
     agnostic_model = train_model(train, val, cfg.seed)
     for i, state in enumerate(states):
-        state_train = dp.filter_by_state(train, [state])
-        state_val = dp.filter_by_state(val, [state])
-        state_test = dp.filter_by_state(test, [state])
+        state_train, state_val, state_test = (
+            samples[dp.filter_by_state(samples.fips, [state])] for samples in (train, val, test)
+        )
         if not state_train or not state_test:
             raise DataError(f"state prefix {state!r} has no train or test samples")
         state_model = train_model(state_train, state_val, cfg.seed + 100 * (i + 1))
@@ -410,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="run configuration file (ini-style sections)")
     parser.add_argument("--seed", type=int, help="run seed (overrides [run] seed)")
     parser.add_argument("--out", help="output directory (overrides [run] out)")
-    parser.add_argument("--threads", type=int, help="worker-thread cap (overrides [run] threads)")
     parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override any config key; repeatable")
     parser.add_argument("command", choices=sorted(COMMANDS), help="experiment stage to run")
@@ -425,10 +427,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides[("run", "seed")] = str(args.seed)
         if args.out is not None:
             overrides[("run", "out")] = args.out
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            overrides[("run", "threads")] = str(args.threads)
         cfg = load_config(args.config, overrides)
         _ = cfg.seed  # fail fast when no seed was provided
         return COMMANDS[args.command](cfg)

@@ -69,7 +69,6 @@ CONFIG_KEYS: dict[str, dict[str, tuple[str, str]]] = {
     "run": {
         "seed": ("", "run seed (mandatory, via file or --seed)"),
         "out": ("", "output directory; empty = timestamped directory under ./runs"),
-        "threads": ("1", "worker-thread cap (execution is currently serial)"),
     },
 }
 

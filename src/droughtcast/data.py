@@ -7,19 +7,27 @@ county per calendar day (``date`` is YYYY-MM-DD, an empty ``score`` cell
 means no assessment was released that day).  Static-features CSV: header
 ``fips,<feature...>``; a configured subset of the feature columns is
 treated as categorical and dictionary-encoded (code 0 is reserved for
-labels unseen at fit time).
+labels unseen at fit time).  A malformed cell or row raises
+``SchemaError`` naming the file, line and column.
 
 A sample is built for every score-bearing date with a full look-back
 window (the preceding ``window_days`` days plus the same days one year
 earlier, doubling the channel count) and a full six-week score future.
 Candidates lacking either are dropped and counted, never fatal.
+
+Samples travel as one :class:`SampleSet` of column arrays: the normalizer,
+the splits (index arrays), the binary cache and mini-batching all work on
+whole columns.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import math
 import struct
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -50,14 +58,73 @@ class StaticFeatures:
     categorical: np.ndarray  # (f_d,) integer codes
 
 
-@dataclass
-class Sample:
-    fips: str
-    anchor_date: date
-    x: np.ndarray  # (T, 2M): current-year channels then previous-year channels
-    s_n: np.ndarray
-    s_d: np.ndarray
-    y: np.ndarray  # (6,)
+@dataclass(eq=False)
+class SampleSet:
+    """N samples as column arrays; row i of every column is sample i.
+
+    Indexing by a slice or an index array selects rows; ``a + b``
+    concatenates two sets.
+    """
+
+    x: np.ndarray  # (N, T, 2M): current-year channels then previous-year channels
+    s_n: np.ndarray  # (N, f_n)
+    s_d: np.ndarray  # (N, f_d) int64 codes
+    y: np.ndarray  # (N, 6)
+    fips: np.ndarray  # (N,) str
+    anchor: np.ndarray  # (N,) datetime64[D]
+
+    def __post_init__(self):
+        if len({column.shape[0] for column in self._columns()}) != 1:
+            raise DataError("sample columns differ in length")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.x, self.s_n, self.s_d, self.y, self.fips, self.anchor
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, index) -> "SampleSet":
+        if isinstance(index, (int, np.integer)):
+            raise TypeError("index a SampleSet with a slice or an index array")
+        return SampleSet(*(column[index] for column in self._columns()))
+
+    def __add__(self, other: "SampleSet") -> "SampleSet":
+        return SampleSet(*(np.concatenate([a, b])
+                           for a, b in zip(self._columns(), other._columns())))
+
+
+def _write_csv(path, rows: list[list[str]]) -> None:
+    """UTF-8 csv with "\\n" line ends.  The csv module quotes only the
+    characters of its line terminator, so a row with a carriage return in
+    a cell ends in "\\r\\n" instead, which gets that cell quoted."""
+    buf = io.StringIO()
+    plain = csv.writer(buf, lineterminator="\n")
+    crlf = csv.writer(buf, lineterminator="\r\n")
+    for row in rows:
+        (crlf if any("\r" in cell for cell in row) else plain).writerow(row)
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+
+
+def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of the header and then each non-blank row of a
+    UTF-8 CSV, read as a stream; an unreadable or empty file, or a row
+    whose cell count differs from the header's, raises ``error``."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file")
+            yield reader.line_num, header
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise error(f"{path}: line {reader.line_num} has {len(row)} cells, "
+                                f"the header has {len(header)}")
+                yield reader.line_num, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise error(f"{path}: unreadable CSV: {exc}") from None
 
 
 @dataclass
@@ -84,21 +151,24 @@ class CategoricalEncoder:
         raise DataError(f"code {code} not present in column {column!r}")
 
     def save(self, path) -> None:
-        lines = ["column,label,code"]
+        rows = [["column", "label", "code"]]
         for column in self.columns:
             for label, code in sorted(self.label_to_code[column].items(), key=lambda kv: kv[1]):
-                lines.append(f"{column},{label},{code}")
-        Path(path).write_text("\n".join(lines) + "\n")
+                rows.append([column, label, str(code)])
+        _write_csv(path, rows)
 
     @classmethod
     def load(cls, path, numeric_columns: list[str] | None = None) -> "CategoricalEncoder":
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0] != "column,label,code":
+        rows = _csv_rows(Path(path), FormatError)
+        if next(rows)[1] != ["column", "label", "code"]:
             raise FormatError(f"{path}: not a categorical dictionary file")
         mapping: dict[str, dict[str, int]] = {}
-        for line in lines[1:]:
-            column, label, code = line.split(",", 2)
-            mapping.setdefault(column, {})[label] = int(code)
+        for _, (column, label, code) in rows:
+            try:
+                mapping.setdefault(column, {})[label] = int(code)
+            except ValueError:
+                raise FormatError(f"{path}: code {code!r} of {column}={label!r} "
+                                  f"is not an integer") from None
         return cls(list(mapping), numeric_columns or [], mapping)
 
 
@@ -107,6 +177,14 @@ def _parse_date(text: str) -> date:
         return date.fromisoformat(text)
     except ValueError as exc:
         raise SchemaError(f"bad date {text!r}: {exc}") from None
+
+
+def _cell_float(text: str, path: Path, line: int, column: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise SchemaError(f"{path}: line {line}, column {column!r}: "
+                          f"{text!r} is not a number") from None
 
 
 def _interpolate_column(values: np.ndarray, present: np.ndarray, max_gap: int,
@@ -141,30 +219,24 @@ def load_timeseries(path, max_gap_days: int = 14,
     ``max_gap_days`` are dropped and reported.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        required = {"fips", "date", "score"}
-        missing = required - set(header)
-        if missing:
-            raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-        fips_col = header.index("fips")
-        date_col = header.index("date")
-        score_col = header.index("score")
-        channel_cols = [i for i, name in enumerate(header)
-                        if i not in (fips_col, date_col, score_col)]
-        channel_names = [header[i] for i in channel_cols]
+    lines = _csv_rows(path, SchemaError)
+    _, header = next(lines)
+    required = {"fips", "date", "score"}
+    missing = required - set(header)
+    if missing:
+        raise SchemaError(f"{path}: missing columns {sorted(missing)}")
+    fips_col = header.index("fips")
+    date_col = header.index("date")
+    score_col = header.index("score")
+    channel_cols = [i for i, name in enumerate(header)
+                    if i not in (fips_col, date_col, score_col)]
+    channel_names = [header[i] for i in channel_cols]
 
-        rows: dict[str, list[tuple[date, list[str], str]]] = {}
-        for row in reader:
-            if not row:
-                continue
-            rows.setdefault(row[fips_col], []).append(
-                (_parse_date(row[date_col]), [row[i] for i in channel_cols], row[score_col])
-            )
+    rows: dict[str, list[tuple[date, list[str], str, int]]] = {}
+    for line, row in lines:
+        rows.setdefault(row[fips_col], []).append(
+            (_parse_date(row[date_col]), [row[i] for i in channel_cols], row[score_col], line)
+        )
 
     series: dict[str, CountyTimeSeries] = {}
     for fips, entries in rows.items():
@@ -176,16 +248,22 @@ def load_timeseries(path, max_gap_days: int = 14,
             if (cur - prev).days != 1:
                 raise DataError(f"county {fips}: gap between {prev} and {cur}")
 
-        raw = np.full((len(entries), len(channel_cols)), np.nan)
-        present = np.zeros_like(raw, dtype=bool)
+        try:
+            raw = np.array([[float(cell) if cell else np.nan for cell in cells]
+                            for _, cells, _, _ in entries], dtype=np.float64)
+        except ValueError:
+            for _, cells, _, line in entries:  # find and name the bad cell
+                for cell, name in zip(cells, channel_names):
+                    if cell:
+                        _cell_float(cell, path, line, name)
+            raise
+        present = ~np.isnan(raw)
+        for r, c in zip(*np.nonzero(~present)):  # a "nan" cell is present
+            present[r, c] = entries[r][1][c] != ""
         scores: dict[date, float] = {}
-        for r, (day, cells, score_text) in enumerate(entries):
-            for c, cell in enumerate(cells):
-                if cell != "":
-                    raw[r, c] = float(cell)
-                    present[r, c] = True
+        for day, _, score_text, line in entries:
             if score_text != "":
-                score = float(score_text)
+                score = _cell_float(score_text, path, line, "score")
                 if not SCORE_MIN <= score <= SCORE_MAX:
                     raise DataError(f"county {fips}: score {score} outside [0, 5] at {day}")
                 scores[day] = score
@@ -220,28 +298,24 @@ def load_statics(path, categorical_columns: list[str],
     """Parse the static-features CSV; returns per-county features plus the
     label dictionary used for encoding (fit here unless one is supplied)."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if "fips" not in header:
-            raise SchemaError(f"{path}: missing fips column")
-        missing = set(categorical_columns) - set(header)
-        if missing:
-            raise SchemaError(f"{path}: categorical columns {sorted(missing)} not present")
-        fips_col = header.index("fips")
-        cat_cols = [header.index(c) for c in categorical_columns]
-        num_names = [name for i, name in enumerate(header)
-                     if i != fips_col and i not in cat_cols]
-        num_cols = [header.index(c) for c in num_names]
-        rows = [row for row in reader if row]
+    rows = _csv_rows(path, SchemaError)
+    _, header = next(rows)
+    rows = list(rows)
+    if "fips" not in header:
+        raise SchemaError(f"{path}: missing fips column")
+    missing = set(categorical_columns) - set(header)
+    if missing:
+        raise SchemaError(f"{path}: categorical columns {sorted(missing)} not present")
+    fips_col = header.index("fips")
+    cat_cols = [header.index(c) for c in categorical_columns]
+    num_names = [name for i, name in enumerate(header)
+                 if i != fips_col and i not in cat_cols]
+    num_cols = [header.index(c) for c in num_names]
 
     if encoder is None:
         label_to_code: dict[str, dict[str, int]] = {}
         for name, col in zip(categorical_columns, cat_cols):
-            labels = sorted({row[col] for row in rows})
+            labels = sorted({row[col] for _, row in rows})
             label_to_code[name] = {label: i + 1 for i, label in enumerate(labels)}
         encoder = CategoricalEncoder(list(categorical_columns), num_names, label_to_code)
     elif list(categorical_columns) != encoder.columns:
@@ -251,11 +325,11 @@ def load_statics(path, categorical_columns: list[str],
         )
 
     statics: dict[str, StaticFeatures] = {}
-    for row in rows:
+    for line, row in rows:
         fips = row[fips_col]
         if fips in statics:
             raise DataError(f"duplicate statics row for county {fips}")
-        numeric = np.array([float(row[i]) for i in num_cols])
+        numeric = np.array([_cell_float(row[i], path, line, header[i]) for i in num_cols])
         codes = np.array(
             [encoder.encode(name, row[col]) for name, col in zip(categorical_columns, cat_cols)],
             dtype=np.int64,
@@ -288,44 +362,54 @@ def build_samples(series: dict[str, CountyTimeSeries],
                   statics: dict[str, StaticFeatures],
                   window_days: int = WINDOW_DAYS,
                   target_phase: str = "anchor",
-                  ) -> tuple[list[Sample], BuildReport]:
+                  ) -> tuple[SampleSet, BuildReport]:
     """One candidate per score-bearing date; the window covers the
     ``window_days`` days before the anchor (exclusive) plus the same
-    calendar days shifted back one year.
+    calendar days shifted back one year.  Samples are ordered by county,
+    then anchor date.
 
     ``target_phase``: "anchor" takes the anchor's own score as week 1;
     "next" starts the six targets at the following release.
     """
     if target_phase not in ("anchor", "next"):
         raise ConfigError(f"target_phase must be 'anchor' or 'next', got {target_phase!r}")
-    samples: list[Sample] = []
+    if not series:
+        raise DataError("no county time series to build samples from")
     report = BuildReport()
-    history_needed = window_days + YEAR_SHIFT_DAYS
+    first_target = 0 if target_phase == "anchor" else 1
+    daily = []  # every county's measurements, stacked in FIPS order
+    offset = 0  # row of the current county's first day in that stack
+    columns = []  # per county: each kept anchor's row in the stack, then s_n .. anchor
     for fips in sorted(series):
         county = series[fips]
         if fips not in statics:
             raise DataError(f"county {fips} has time series but no static features")
-        static = statics[fips]
-        index_of = {d: i for i, d in enumerate(county.dates)}
         score_dates = sorted(county.scores)
-        for pos, anchor in enumerate(score_dates):
-            start = pos if target_phase == "anchor" else pos + 1
-            targets = score_dates[start:start + TARGET_WEEKS]
-            if len(targets) < TARGET_WEEKS:
-                report.dropped_missing_future += 1
-                continue
-            ti = index_of[anchor]
-            if ti < history_needed:
-                report.dropped_missing_history += 1
-                continue
-            current = county.measurements[ti - window_days:ti, :]
-            previous = county.measurements[ti - window_days - YEAR_SHIFT_DAYS:ti - YEAR_SHIFT_DAYS, :]
-            x = np.concatenate([current, previous], axis=1)
-            y = np.array([county.scores[d] for d in targets])
-            samples.append(Sample(fips, anchor, x, static.numeric.copy(),
-                                  static.categorical.copy(), y))
-            report.built += 1
-    return samples, report
+        rows = np.array([(d - county.dates[0]).days for d in score_dates], dtype=np.int64)
+        scores = np.array([county.scores[d] for d in score_dates], dtype=np.float64)
+        has_future = np.arange(rows.size) + first_target + TARGET_WEEKS <= rows.size
+        has_history = rows >= window_days + YEAR_SHIFT_DAYS
+        report.dropped_missing_future += int((~has_future).sum())
+        report.dropped_missing_history += int((has_future & ~has_history).sum())
+        keep = np.flatnonzero(has_future & has_history)
+        columns.append((
+            offset + rows[keep],
+            np.tile(statics[fips].numeric, (keep.size, 1)),
+            np.tile(statics[fips].categorical, (keep.size, 1)),
+            scores[keep[:, None] + first_target + np.arange(TARGET_WEEKS)],
+            np.full(keep.size, fips),
+            np.datetime64(county.dates[0], "D") + rows[keep],
+        ))
+        daily.append(county.measurements)
+        offset += len(county.measurements)
+    anchor_rows, s_n, s_d, y, fips_column, anchor = (
+        np.concatenate(pieces) for pieces in zip(*columns))
+    # history checks keep every window, and its year-earlier copy, inside one county
+    window = anchor_rows[:, None] + np.arange(-window_days, 0)
+    stack = np.concatenate(daily)
+    x = np.concatenate([stack[window], stack[window - YEAR_SHIFT_DAYS]], axis=2)
+    report.built = len(anchor_rows)
+    return SampleSet(x, s_n, s_d, y, fips_column, anchor), report
 
 
 @dataclass
@@ -343,172 +427,152 @@ class Normalizer:
     static_mean: np.ndarray
     static_std: np.ndarray
 
-    def apply(self, samples: list[Sample]) -> list[Sample]:
-        out = []
+    def apply(self, samples: SampleSet) -> SampleSet:
+        n, steps, width = samples.x.shape
         channels = len(self.channel_names)
-        for s in samples:
-            if s.x.shape[1] != 2 * channels:
-                raise DataError(
-                    f"sample has {s.x.shape[1]} columns, normalizer expects {2 * channels}"
-                )
-            x = s.x.copy()
-            for block in (slice(0, channels), slice(channels, 2 * channels)):
-                x[:, block] = (x[:, block] - self.channel_mean) / self.channel_std
-            s_n = (s.s_n - self.static_mean) / self.static_std
-            out.append(Sample(s.fips, s.anchor_date, x, s_n, s.s_d.copy(), s.y.copy()))
-        return out
-
-    def invert_timeseries(self, x: np.ndarray) -> np.ndarray:
-        channels = len(self.channel_names)
-        out = x.copy()
-        for block in (slice(0, channels), slice(channels, 2 * channels)):
-            out[:, block] = out[:, block] * self.channel_std + self.channel_mean
-        return out
+        if width != 2 * channels:
+            raise DataError(f"samples have {width} columns, normalizer expects {2 * channels}")
+        # (N, T, 2, M): the current- and previous-year blocks share statistics
+        blocks = samples.x.reshape(n, steps, 2, channels)
+        x = ((blocks - self.channel_mean) / self.channel_std).reshape(n, steps, width)
+        s_n = (samples.s_n - self.static_mean) / self.static_std
+        return SampleSet(x, s_n, samples.s_d, samples.y, samples.fips, samples.anchor)
 
     def save(self, path) -> None:
-        lines = ["channel,mean,std"]
+        rows = [["channel", "mean", "std"]]
         for name, m, s in zip(self.channel_names, self.channel_mean, self.channel_std):
-            lines.append(f"ts.{name},{float(m)!r},{float(s)!r}")
+            rows.append([f"ts.{name}", repr(float(m)), repr(float(s))])
         for name, m, s in zip(self.static_names, self.static_mean, self.static_std):
-            lines.append(f"static.{name},{float(m)!r},{float(s)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+            rows.append([f"static.{name}", repr(float(m)), repr(float(s))])
+        _write_csv(path, rows)
 
     @classmethod
     def load(cls, path) -> "Normalizer":
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0] != "channel,mean,std":
+        rows = _csv_rows(Path(path), FormatError)
+        if next(rows)[1] != ["channel", "mean", "std"]:
             raise FormatError(f"{path}: not a normalizer stats file")
-        ts, st = [], []
-        for line in lines[1:]:
-            name, mean, std = line.split(",")
-            (ts if name.startswith("ts.") else st).append(
-                (name.split(".", 1)[1], float(mean), float(std))
-            )
-        return cls(
-            [n for n, _, _ in ts],
-            np.array([m for _, m, _ in ts]),
-            np.array([s for _, _, s in ts]),
-            [n for n, _, _ in st],
-            np.array([m for _, m, _ in st]),
-            np.array([s for _, _, s in st]),
-        )
+        stats: dict[str, list[tuple[str, float, float]]] = {"ts": [], "static": []}
+        for _, (name, mean, std) in rows:
+            prefix, _, short = name.partition(".")
+            try:
+                stats[prefix].append((short, float(mean), float(std)))
+            except (KeyError, ValueError):
+                raise FormatError(f"{path}: bad statistics row {[name, mean, std]}") from None
+        columns = []
+        for entries in stats.values():  # ts, then static
+            columns += [[name for name, _, _ in entries], np.array([m for _, m, _ in entries]),
+                        np.array([s for _, _, s in entries])]
+        return cls(*columns)
 
 
-def fit_normalizer(samples: list[Sample],
+def fit_normalizer(samples: SampleSet,
                    channel_names: list[str] | None = None,
                    static_names: list[str] | None = None) -> Normalizer:
-    if not samples:
+    if not len(samples):
         raise DataError("cannot fit a normalizer on an empty sample set")
-    channels = samples[0].x.shape[1] // 2
+    channels = samples.x.shape[2] // 2
     channel_names = channel_names or [f"chan{i}" for i in range(channels)]
-    static_names = static_names or [f"static{i}" for i in range(samples[0].s_n.size)]
+    static_names = static_names or [f"static{i}" for i in range(samples.s_n.shape[1])]
 
+    # each sample's current-year rows, then its previous-year rows
     pooled = np.concatenate(
-        [np.concatenate([s.x[:, :channels], s.x[:, channels:]], axis=0) for s in samples]
-    )
+        [samples.x[:, :, :channels], samples.x[:, :, channels:]], axis=1
+    ).reshape(-1, channels)
     mean = pooled.mean(axis=0)
     std = pooled.std(axis=0)
     std[std == 0.0] = 1.0
 
-    if samples[0].s_n.size:
-        stat = np.stack([s.s_n for s in samples])
-        s_mean = stat.mean(axis=0)
-        s_std = stat.std(axis=0)
-        s_std[s_std == 0.0] = 1.0
-    else:
-        s_mean = np.zeros(0)
-        s_std = np.ones(0)
+    s_mean = samples.s_n.mean(axis=0)
+    s_std = samples.s_n.std(axis=0)
+    s_std[s_std == 0.0] = 1.0
     return Normalizer(channel_names, mean, std, static_names, s_mean, s_std)
 
 
-def filter_by_state(samples: list[Sample], state_prefixes: list[str]) -> list[Sample]:
-    """Keep samples whose FIPS starts with any of the 2-character prefixes."""
-    kept = [s for s in samples if any(s.fips.startswith(p) for p in state_prefixes)]
-    if not kept:
+def filter_by_state(fips: np.ndarray, state_prefixes: list[str]) -> np.ndarray:
+    """Indices, in order, of the FIPS codes that start with any of the
+    2-character prefixes."""
+    kept = np.flatnonzero([code.startswith(tuple(state_prefixes)) for code in fips.tolist()])
+    if not kept.size:
         warnings.warn(f"state filter {state_prefixes} matched no samples", stacklevel=2)
     return kept
 
 
-def kfold_split(samples: list[Sample], k: int = 5,
-                seed: int = 0) -> list[tuple[list[Sample], list[Sample]]]:
-    """Seeded shuffle into k folds; each (train, validation) pair uses one
-    fold as validation, and the validation folds partition the samples."""
+def kfold_split(n: int, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded shuffle of ``range(n)`` into k folds; each (train, validation)
+    index pair uses one fold as validation, and the validation folds
+    partition the samples."""
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
-    if k > len(samples):
-        raise ConfigError(f"k={k} exceeds the {len(samples)} available samples")
-    order = RngState(seed).split("kfold").permutation(len(samples))
+    if k > n:
+        raise ConfigError(f"k={k} exceeds the {n} available samples")
+    order = RngState(seed).split("kfold").permutation(n)
     folds = np.array_split(order, k)
-    pairs = []
-    for i in range(k):
-        val_idx = set(folds[i].tolist())
-        train = [samples[j] for j in order if j not in val_idx]
-        val = [samples[j] for j in folds[i]]
-        pairs.append((train, val))
-    return pairs
+    return [(np.concatenate(folds[:i] + folds[i + 1:]), folds[i]) for i in range(k)]
 
 
-_CACHE_MAGIC = b"HMSAMP1"
-
-
-def save_samples(samples: list[Sample], path) -> None:
-    """Binary sample cache; little-endian, deterministic bytes."""
-    chunks = [_CACHE_MAGIC, struct.pack("<I", len(samples))]
-    for s in samples:
-        fips = s.fips.encode()
-        iso = s.anchor_date.isoformat().encode()
-        chunks.append(struct.pack("<I", len(fips)))
-        chunks.append(fips)
-        chunks.append(struct.pack("<I", len(iso)))
-        chunks.append(iso)
-        chunks.append(struct.pack("<IIII", s.x.shape[0], s.x.shape[1], s.s_n.size, s.s_d.size))
-        chunks.append(np.ascontiguousarray(s.x, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(s.s_n, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(s.s_d, dtype="<i8").tobytes())
-        chunks.append(np.ascontiguousarray(s.y, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
-
-
-def load_samples(path) -> list[Sample]:
-    blob = Path(path).read_bytes()
-    if blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad sample-cache magic")
-    view = memoryview(blob)
-    offset = len(_CACHE_MAGIC)
-
-    def take(n: int) -> memoryview:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"{path}: truncated sample cache")
-        piece = view[offset:offset + n]
-        offset += n
-        return piece
-
-    (count,) = struct.unpack("<I", take(4))
-    samples = []
-    for _ in range(count):
-        (n,) = struct.unpack("<I", take(4))
-        fips = bytes(take(n)).decode()
-        (n,) = struct.unpack("<I", take(4))
-        anchor = date.fromisoformat(bytes(take(n)).decode())
-        t, m2, fn, fd = struct.unpack("<IIII", take(16))
-        x = np.frombuffer(take(t * m2 * 8), dtype="<f8").reshape(t, m2).copy()
-        s_n = np.frombuffer(take(fn * 8), dtype="<f8").copy()
-        s_d = np.frombuffer(take(fd * 8), dtype="<i8").copy()
-        y = np.frombuffer(take(6 * 8), dtype="<f8").copy()
-        samples.append(Sample(fips, anchor, x, s_n, s_d, y))
-    return samples
-
-
-def split_fractions(samples: list[Sample], val_fraction: float, test_fraction: float,
-                    seed: int) -> tuple[list[Sample], list[Sample], list[Sample]]:
-    """Seeded random split used when no explicit validation/test files exist."""
+def split_fractions(n: int, val_fraction: float, test_fraction: float,
+                    seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded random (train, val, test) index split of ``range(n)``, used
+    when no explicit validation/test files exist."""
     if val_fraction < 0 or test_fraction < 0 or val_fraction + test_fraction >= 1:
         raise ConfigError("val/test fractions must be nonnegative and sum below 1")
-    order = RngState(seed).split("holdout").permutation(len(samples))
-    n_val = int(round(len(samples) * val_fraction))
-    n_test = int(round(len(samples) * test_fraction))
-    val = [samples[i] for i in order[:n_val]]
-    test = [samples[i] for i in order[n_val:n_val + n_test]]
-    train = [samples[i] for i in order[n_val + n_test:]]
-    return train, val, test
+    order = RngState(seed).split("holdout").permutation(n)
+    n_val = int(round(n * val_fraction))
+    n_test = int(round(n * test_fraction))
+    return order[n_val + n_test:], order[:n_val], order[n_val:n_val + n_test]
+
+
+_CACHE_MAGIC = b"HMSAMP2"
+# magic, a pad byte, then N, T, 2M, f_n, f_d and the FIPS width in
+# characters: 56 bytes, so every column after it starts 8-byte aligned
+_CACHE_HEADER = struct.Struct("<7sx6Q")
+
+
+def _cache_layout(n: int, steps: int, width: int, f_n: int, f_d: int,
+                  chars: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(dtype, shape) of each cached column, in file order: x, s_n, s_d, y,
+    anchor as days since 1970-01-01, FIPS as UTF-32 of fixed width >= 1."""
+    return [("<f8", (n, steps, width)), ("<f8", (n, f_n)), ("<i8", (n, f_d)),
+            ("<f8", (n, TARGET_WEEKS)), ("<i8", (n,)), (f"<U{max(chars, 1)}", (n,))]
+
+
+def save_samples(samples: SampleSet, path) -> None:
+    """Binary sample cache; little-endian, deterministic bytes."""
+    chars = np.asarray(samples.fips, dtype=str).dtype.itemsize // 4
+    header = (*samples.x.shape, samples.s_n.shape[1], samples.s_d.shape[1], chars)
+    columns = (samples.x, samples.s_n, samples.s_d, samples.y,
+               samples.anchor.astype("datetime64[D]").view(np.int64), samples.fips)
+    with Path(path).open("wb") as fh:
+        fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, *header))
+        for column, (dtype, _) in zip(columns, _cache_layout(*header)):
+            fh.write(np.ascontiguousarray(column, dtype=dtype))
+
+
+def load_samples(path) -> SampleSet:
+    """Read a cache written by :func:`save_samples`; the columns are views
+    into one writable buffer."""
+    path = Path(path)
+    blob = bytearray(path.stat().st_size)
+    with path.open("rb") as fh:
+        fh.readinto(blob)
+    if blob[:len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+        if blob.startswith(b"HMSAMP"):
+            raise FormatError(f"{path}: sample-cache version {bytes(blob[:7]).decode()!r} is "
+                              f"not supported (expected {_CACHE_MAGIC.decode()}); "
+                              f"re-run ingest")
+        raise FormatError(f"{path}: bad sample-cache magic")
+    if len(blob) < _CACHE_HEADER.size:
+        raise FormatError(f"{path}: truncated sample cache")
+    layout = _cache_layout(*_CACHE_HEADER.unpack_from(blob)[1:])
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
+    expected = _CACHE_HEADER.size + sum(sizes)
+    if len(blob) != expected:
+        problem = "truncated" if len(blob) < expected else "trailing bytes in"
+        raise FormatError(f"{path}: {problem} sample cache")
+    columns = []
+    offset = _CACHE_HEADER.size
+    for (dtype, shape), size in zip(layout, sizes):
+        columns.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
+        offset += size
+    x, s_n, s_d, y, days, fips = columns
+    return SampleSet(x, s_n, s_d, y, fips, days.view("datetime64[D]"))

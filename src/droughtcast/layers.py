@@ -113,11 +113,6 @@ class AffineLayer:
         return {"weight": self.weight, "bias": self.bias}
 
 
-def ffnn_reduce(layer: AffineLayer, concat_embeddings: Tensor) -> Tensor:
-    """Map the concatenated embedding vector down to the reduced width."""
-    return layer(concat_embeddings)
-
-
 @dataclass
 class LstmGates:
     """One layer's gate parameters: input (i), forget (f), candidate (g),
@@ -227,20 +222,6 @@ def lstm_states(stack: LstmStack, xs: list[Tensor], rng: RngState | None,
     return seq
 
 
-def lstm_forward(stack: LstmStack, x: Tensor, rng: RngState | None = None,
-                 training: bool = False) -> Tensor:
-    """Hidden states ``(T, h)`` of the top layer for one ``(T, M')`` sequence."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"expected a (T, channels) sequence, got {x.shape}")
-    if x.shape[0] == 0:
-        raise EmptySequenceError("LSTM received an empty sequence")
-    steps = [slice_tensor(x, [(t, t + 1)]) for t in range(x.shape[0])]
-    hidden = lstm_states(stack, steps, rng, training)
-    return concat(hidden, axis=0)
-
-
 @dataclass
 class AttentionHead:
     """Scalar score per time step followed by softmax pooling."""
@@ -325,7 +306,3 @@ class Mlp:
             for name, t in layer.parameters().items():
                 out[f"layer{i}.{name}"] = t
         return out
-
-
-def mlp_forward(mlp: Mlp, x: Tensor) -> Tensor:
-    return mlp(x)

@@ -219,8 +219,7 @@ def evaluate(model: HybridModel, samples, batch_size: int = 256) -> MetricsRepor
     preds = []
     targets = []
     for i in range(0, len(samples), batch_size):
-        chunk = samples[i:i + batch_size]
-        batch = batch_from_samples(chunk)
+        batch = batch_from_samples(samples[i:i + batch_size])
         preds.append(model.forward(batch, training=False).predictions.data)
         targets.append(batch.y)
     return report_from_predictions(np.concatenate(preds), np.concatenate(targets))
@@ -357,11 +356,11 @@ def cross_validate(samples, k, model_builder, trainer, seed: int = 0) -> FoldRes
     from .data import kfold_split
 
     folds = []
-    for i, (train, val) in enumerate(kfold_split(samples, k=k, seed=seed)):
+    for i, (train, val) in enumerate(kfold_split(len(samples), k=k, seed=seed)):
         fold_seed = seed + 1000 * (i + 1)
         model = model_builder(fold_seed)
-        trainer(model, train, val, fold_seed)
-        report = evaluate(model, val)
+        trainer(model, samples[train], samples[val], fold_seed)
+        report = evaluate(model, samples[val])
         folds.append({"mae": report.mae, "rmse": report.rmse, "f1": report.f1})
     return FoldResults(["mae", "rmse", "f1"], folds)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import RngState, Tensor, backward
-from .data import Sample
+from .data import SampleSet
 from .errors import ConfigError, FormatError, NumericError
 from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig
 
@@ -75,16 +75,11 @@ class LrSchedule:
         return self.base_lr + (self.max_lr - self.base_lr) * tri
 
 
-def lr_at(schedule: LrSchedule, step: int) -> float:
-    return schedule.lr_at(step)
-
-
 @dataclass
 class TrainRunConfig:
     batch_size: int = 128
     epochs: int = 9
     seed: int = 0
-    shuffle: bool = True
     weight_decay: float = 0.01
     loss: str = "mse"
     selection: str = "best"  # best validation MAE, or "last" epoch
@@ -119,33 +114,22 @@ def history_csv(history: list[HistoryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def batch_from_samples(samples: list[Sample]) -> Batch:
-    return Batch(
-        x=np.stack([s.x for s in samples]),
-        s_n=np.stack([s.s_n for s in samples]),
-        s_d=np.stack([s.s_d for s in samples]),
-        y=np.stack([s.y for s in samples]),
-    )
+def batch_from_samples(samples: SampleSet) -> Batch:
+    return Batch(x=samples.x, s_n=samples.s_n, s_d=samples.s_d, y=samples.y)
 
 
-def _iter_batches(samples: list[Sample], batch_size: int, order) -> list[list[Sample]]:
-    ordered = [samples[i] for i in order]
-    return [ordered[i:i + batch_size] for i in range(0, len(ordered), batch_size)]
-
-
-def validation_mae(model: HybridModel, samples: list[Sample], batch_size: int = 256) -> float:
+def validation_mae(model: HybridModel, samples: SampleSet, batch_size: int = 256) -> float:
     total = 0.0
     count = 0
     for i in range(0, len(samples), batch_size):
-        chunk = samples[i:i + batch_size]
-        batch = batch_from_samples(chunk)
+        batch = batch_from_samples(samples[i:i + batch_size])
         preds = model.forward(batch, training=False).predictions.data
         total += np.abs(preds - batch.y).sum()
         count += batch.y.size
-    return total / count if count else float("nan")
+    return float(total / count) if count else float("nan")
 
 
-def fit(model: HybridModel, train_samples: list[Sample], val_samples: list[Sample],
+def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
         run: TrainRunConfig, schedule: LrSchedule) -> tuple[HybridModel, list[HistoryRow]]:
     """Train in place; returns the selected model plus the per-epoch history.
 
@@ -167,14 +151,11 @@ def fit(model: HybridModel, train_samples: list[Sample], val_samples: list[Sampl
 
     global_step = 0
     for epoch in range(run.epochs):
-        order = (
-            root.split(f"shuffle:{epoch}").permutation(len(train_samples))
-            if run.shuffle else np.arange(len(train_samples))
-        )
+        order = root.split(f"shuffle:{epoch}").permutation(len(train_samples))
         epoch_loss = 0.0
         seen = 0
-        for bi, chunk in enumerate(_iter_batches(train_samples, run.batch_size, order)):
-            batch = batch_from_samples(chunk)
+        for bi, start in enumerate(range(0, len(order), run.batch_size)):
+            batch = batch_from_samples(train_samples[order[start:start + run.batch_size]])
             rng = root.split(f"dropout:{epoch}:{bi}")
             out = model.forward(batch, training=True, rng=rng)
             loss = loss_fn(out.predictions, batch.y)
@@ -187,8 +168,8 @@ def fit(model: HybridModel, train_samples: list[Sample], val_samples: list[Sampl
             model.zero_grad()
             backward(loss)
             adamw_step(model.named_parameters(), state, schedule.lr_at(global_step))
-            epoch_loss += value * len(chunk)
-            seen += len(chunk)
+            epoch_loss += value * batch.size
+            seen += batch.size
             global_step += 1
 
         val_mae = validation_mae(model, val_samples) if val_samples else float("nan")

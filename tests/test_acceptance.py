@@ -2,7 +2,6 @@
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import time
-from datetime import date
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from conftest import series_fixture, statics_fixture
 from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.cli import main as cli_main
-from droughtcast.data import Sample, build_samples, split_fractions
+from droughtcast.data import SampleSet, build_samples, split_fractions
 from droughtcast.introspection import conditional_affinities, row_perplexity, tsne
 from droughtcast.layers import AttentionHead, attend
 from droughtcast.metrics import (
@@ -135,14 +134,15 @@ def _linear_samples(n=32, t=8, m2=4, f_n=2, seed=0):
     rng = RngState(seed)
     w_x = rng.uniform(-1, 1, (m2, 6))
     w_s = rng.uniform(-1, 1, (f_n, 6))
-    out = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         x = rng.uniform(-1, 1, (t, m2))
         s_n = rng.uniform(-1, 1, f_n)
         s_d = rng.integers(0, 3, 2).astype(np.int64)
-        y = 2.5 + x.mean(axis=0) @ w_x + s_n @ w_s
-        out.append(Sample(f"19{i:03d}", date(2020, 1, 1), x, s_n, s_d, y))
-    return out
+        rows.append((x, s_n, s_d, 2.5 + x.mean(axis=0) @ w_x + s_n @ w_s))
+    x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
+    return SampleSet(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
+                     np.full(n, np.datetime64("2020-01-01", "D")))
 
 
 def test_criterion_05_overfit_sanity():
@@ -170,7 +170,8 @@ def test_criterion_06_ablation_harness(tmp_path):
     series = load_timeseries(ts_path)
     statics, encoder = load_statics(statics_path, ["soil_quality", "texture"])
     samples, _ = build_samples(series, statics, window_days=15)
-    train, val, test = split_fractions(samples, 0.2, 0.2, seed=42)
+    train, val, test = (samples[index] for index in split_fractions(len(samples), 0.2, 0.2,
+                                                                    seed=42))
 
     config = ModelConfig(
         input_channels=4, numeric_static_count=2, categorical_vocab_sizes=encoder.vocab_sizes,
@@ -252,20 +253,18 @@ def test_criterion_08_pipeline_leakage():
         idx = (anchor - series.dates[0]).days
         series.measurements[idx:, :] = sentinel
         samples, _ = build_samples({"19001": series}, statics)
-        for sample in samples:
-            if sample.anchor_date == anchor and (sample.x == sentinel).any():
-                ok = False
+        if (samples.x[samples.anchor == np.datetime64(anchor)] == sentinel).any():
+            ok = False
         series.measurements[:] = 0.0
 
     t_idx = np.arange(days, dtype=float)
     series2 = series_fixture(days=days, values=np.stack([t_idx, -t_idx], axis=1),
                              score_every=7, first_score_day=545)
     samples, _ = build_samples({"19001": series2}, statics)
-    for sample in samples:
-        if not np.array_equal(sample.x[:, 2], sample.x[:, 0] - 365):
-            ok = False
-        if not np.array_equal(sample.x[:, 3], sample.x[:, 1] + 365):
-            ok = False
+    if not np.array_equal(samples.x[:, :, 2], samples.x[:, :, 0] - 365):
+        ok = False
+    if not np.array_equal(samples.x[:, :, 3], samples.x[:, :, 1] + 365):
+        ok = False
     _report(8, "no anchor/future leakage; previous-year channels shift exactly 365 days", ok)
 
 

@@ -272,20 +272,6 @@ def test_mean_all():
     assert mean_all(Tensor([1.0, 2.0, 3.0])).item() == 2.0
 
 
-def test_elementwise_dispatch():
-    np.testing.assert_array_equal(
-        ad.elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data, [4.0, 6.0]
-    )
-    np.testing.assert_array_equal(ad.elementwise("scale", Tensor([2.0]), 3.0).data, [6.0])
-    assert ad.elementwise("sigmoid", Tensor([0.0])).data[0] == 0.5
-    with pytest.raises(ConfigError):
-        ad.elementwise("pow", Tensor([1.0]), Tensor([2.0]))
-    with pytest.raises(ShapeError):
-        ad.elementwise("mul", Tensor([1.0]))
-    with pytest.raises(ShapeError):
-        ad.elementwise("tanh", Tensor([1.0]), Tensor([2.0]))
-
-
 def test_rng_bit_identical_streams():
     a = RngState(42)
     b = RngState(42)

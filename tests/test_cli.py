@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import droughtcast
 from droughtcast.cli import main
+from droughtcast.data import CategoricalEncoder
 from droughtcast.synthetic import make_dataset
 
 BASE_CONFIG = """
@@ -179,17 +185,63 @@ def test_help_documents_config_keys(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     for needle in ("hidden_size = 490", "max_lr = 7e-5", "epochs = 9",
-                   "batch_size = 128", "embed_dropout = 0.4", "perplexity = 100",
-                   "--threads"):
+                   "batch_size = 128", "embed_dropout = 0.4", "perplexity = 100"):
         assert needle in text
+    assert "threads" not in text
 
 
-def test_threads_flag_validated(dataset, tmp_path):
-    assert main(["--config", str(dataset), "--out", str(tmp_path),
-                 "--threads", "0", "ingest"]) == 2
-    out2 = tmp_path / "ok"
-    assert main(["--config", str(dataset), "--out", str(out2),
-                 "--threads", "2", "ingest"]) == 0
+def test_history_cells_parse_as_floats(trained):
+    _, out = trained
+    rows = (out / "train" / "history.csv").read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m droughtcast`` in a fresh interpreter."""
+    src = str(Path(droughtcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "droughtcast", *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def _corrupt_line(path: Path, out: Path, edit) -> Path:
+    """Copy of a CSV with its first data row passed through ``edit``."""
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(edit(lines[1].split(",")))
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("statics", lambda cells: cells[:1] + ["high"] + cells[2:], "line 2, column 'elevation'"),
+    ("statics", lambda cells: cells[:-1], "line 2 has 4 cells"),
+    ("timeseries", lambda cells: cells[:2] + ["wet"] + cells[3:], "line 2, column 'chan0'"),
+    ("timeseries", lambda cells: cells[:-1], "line 2 has 4 cells"),
+    ("timeseries", lambda cells: cells[:-1] + ["high"], "line 2, column 'score'"),
+])
+def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, edit, message):
+    bad = _corrupt_line(dataset.parent / f"{key}.csv", tmp_path / f"{key}.csv", edit)
+    result = run_module("--config", str(dataset), "--out", str(tmp_path / "out"),
+                        "--set", f"data.{key}={bad}", "ingest")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"{bad}: {message}" in result.stderr
+
+
+def test_label_with_comma_survives_ingest_and_train(dataset, tmp_path):
+    quoted = _corrupt_line(dataset.parent / "statics.csv", tmp_path / "statics.csv",
+                           lambda cells: cells[:-1] + ['"loam, sandy"'])
+    out = tmp_path / "out"
+    argv = ["--config", str(dataset), "--out", str(out), "--set", f"data.statics={quoted}",
+            "--set", "train.epochs=1"]
+    assert main(argv + ["ingest"]) == 0
+    encoder = CategoricalEncoder.load(out / "ingest" / "categories.csv")
+    assert "loam, sandy" in encoder.label_to_code["texture"]
+    assert main(argv + ["train"]) == 0
 
 
 def test_train_and_eval_reproduce_byte_for_byte(dataset, tmp_path):

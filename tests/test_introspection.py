@@ -1,11 +1,10 @@
 import xml.etree.ElementTree as ET
-from datetime import date
 
 import numpy as np
 import pytest
 
 from droughtcast.autodiff import RngState
-from droughtcast.data import CategoricalEncoder, Sample, StaticFeatures
+from droughtcast.data import CategoricalEncoder, SampleSet, StaticFeatures
 from droughtcast.errors import ConfigError, DataError
 from droughtcast.introspection import (
     collect_attention,
@@ -30,14 +29,14 @@ def small_model(seed=0, **overrides):
 
 def small_samples(n=6, t=10, seed=0):
     rng = RngState(seed)
-    return [
-        Sample(
-            f"19{i:03d}", date(2020, 1, 1),
-            rng.uniform(-1, 1, (t, 4)), rng.uniform(-1, 1, 2),
-            rng.integers(0, 3, 2).astype(np.int64), rng.uniform(0, 5, 6),
-        )
-        for i in range(n)
+    rows = [
+        (rng.uniform(-1, 1, (t, 4)), rng.uniform(-1, 1, 2),
+         rng.integers(0, 3, 2).astype(np.int64), rng.uniform(0, 5, 6))
+        for _ in range(n)
     ]
+    x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
+    return SampleSet(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
+                     np.full(n, np.datetime64("2020-01-01", "D")))
 
 
 def test_uniform_attention_profile_when_scores_constant():

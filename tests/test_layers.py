@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtcast.autodiff import RngState, Tensor, backward, grad_check, sum_all
+from droughtcast.autodiff import RngState, Tensor, backward, concat, grad_check, sum_all
 from droughtcast.errors import EmptySequenceError, ShapeError
 from droughtcast.layers import (
     AffineLayer,
@@ -14,15 +14,20 @@ from droughtcast.layers import (
     attend,
     attend_batched,
     embed,
-    ffnn_reduce,
-    lstm_forward,
     lstm_states,
-    mlp_forward,
 )
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm_sequence(stack, x):
+    """Top-layer hidden states ``(T, h)`` of one ``(T, in)`` sequence: the
+    production batched path at B=1."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    steps = [Tensor(x.data[t:t + 1]) for t in range(x.shape[0])]
+    return concat(lstm_states(stack, steps, None, training=False), axis=0)
 
 
 def test_embed_lookup_identity():
@@ -56,13 +61,13 @@ def test_concatenated_feature_embeddings_have_expected_width():
 def test_ffnn_reduce_zero_weights():
     layer = AffineLayer(Tensor(np.zeros((2, 6)), requires_grad=True),
                         Tensor(np.zeros(2), requires_grad=True), activation="relu")
-    out = ffnn_reduce(layer, Tensor(np.ones(6)))
+    out = layer(Tensor(np.ones(6)))
     np.testing.assert_array_equal(out.data, [0.0, 0.0])
 
 
 def test_ffnn_reduce_hand_case():
     layer = AffineLayer(Tensor([[1.0, 1.0]]), Tensor([0.0]), activation="relu")
-    out = ffnn_reduce(layer, Tensor([-1.0, 3.0]))
+    out = layer(Tensor([-1.0, 3.0]))
     np.testing.assert_array_equal(out.data, [2.0])
 
 
@@ -83,7 +88,7 @@ def test_lstm_all_zero_parameters_is_fixed_point():
     stack = LstmStack.init(2, 3, 4, RngState(0))
     for t in stack.parameters().values():
         t.data[...] = 0.0
-    out = lstm_forward(stack, Tensor(np.random.default_rng(0).normal(size=(5, 3))))
+    out = lstm_sequence(stack, np.random.default_rng(0).normal(size=(5, 3)))
     np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
 
 
@@ -96,7 +101,7 @@ def test_lstm_single_step_matches_hand_evaluation():
     for name, v in vals.items():
         getattr(stack.layers[0], name).data[...] = v
     x = 0.8
-    out = lstm_forward(stack, Tensor([[x]]))
+    out = lstm_sequence(stack, Tensor([[x]]))
 
     i = _sigmoid(vals["w_i"] * x + vals["b_i"])
     f = _sigmoid(vals["w_f"] * x + vals["b_f"])
@@ -110,14 +115,14 @@ def test_lstm_single_step_matches_hand_evaluation():
 def test_lstm_hidden_states_bounded():
     stack = LstmStack.init(2, 4, 6, RngState(5))
     x = Tensor(RngState(6).uniform(-10, 10, (20, 4)))
-    out = lstm_forward(stack, x)
+    out = lstm_sequence(stack, x)
     assert np.abs(out.data).max() < 1.0
 
 
 def test_lstm_rejects_empty_sequence():
     stack = LstmStack.init(1, 2, 3, RngState(0))
     with pytest.raises(EmptySequenceError):
-        lstm_forward(stack, Tensor(np.zeros((0, 2))))
+        lstm_states(stack, [], None, training=False)
 
 
 def test_lstm_batched_matches_per_sample():
@@ -127,7 +132,7 @@ def test_lstm_batched_matches_per_sample():
     steps = [Tensor(x_batch[:, t, :]) for t in range(6)]
     batched = lstm_states(stack, steps, None, training=False)
     for b in range(4):
-        single = lstm_forward(stack, Tensor(x_batch[b]))
+        single = lstm_sequence(stack, x_batch[b])
         stacked = np.stack([h.data[b] for h in batched])
         np.testing.assert_allclose(stacked, single.data, atol=1e-12)
 
@@ -221,14 +226,14 @@ def test_mlp_zero_final_weights_returns_bias():
     mlp = Mlp.init(5, 8, 6, 2, RngState(7))
     mlp.layers[-1].weight.data[...] = 0.0
     mlp.layers[-1].bias.data[...] = np.arange(6.0)
-    out = mlp_forward(mlp, Tensor(np.ones(5)))
+    out = mlp(Tensor(np.ones(5)))
     np.testing.assert_array_equal(out.data, np.arange(6.0))
 
 
 def test_mlp_output_width_is_six():
     for in_size in (3, 12, 40):
         mlp = Mlp.init(in_size, 16, 6, 2, RngState(1))
-        assert mlp_forward(mlp, Tensor(np.zeros(in_size))).shape == (6,)
+        assert mlp(Tensor(np.zeros(in_size))).shape == (6,)
 
 
 def test_mlp_gradient():
@@ -240,6 +245,7 @@ def test_mlp_gradient():
 
 def test_lstm_gradients_pass_check_at_small_dims():
     stack = LstmStack.init(2, 2, 3, RngState(50))
-    x = Tensor(RngState(51).uniform(-1, 1, (4, 2)))
-    report = grad_check(lambda: sum_all(lstm_forward(stack, x)), stack.parameters(), tolerance=1e-4)
+    x = RngState(51).uniform(-1, 1, (4, 2))
+    report = grad_check(lambda: sum_all(lstm_sequence(stack, x)), stack.parameters(),
+                        tolerance=1e-4)
     assert report.ok, report.per_input

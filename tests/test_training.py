@@ -1,12 +1,10 @@
-from datetime import date
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droughtcast.autodiff import RngState, Tensor
-from droughtcast.data import Sample
+from droughtcast.data import SampleSet
 from droughtcast.errors import ConfigError, DataError, FormatError, NumericError
 from droughtcast.model import AblationConfig, Batch, HybridModel, ModelConfig
 from droughtcast.training import (
@@ -18,7 +16,6 @@ from droughtcast.training import (
     fit,
     history_csv,
     load_checkpoint,
-    lr_at,
     save_checkpoint,
 )
 
@@ -27,14 +24,15 @@ def make_linear_samples(n=32, t=8, m2=4, f_n=2, seed=0):
     rng = RngState(seed)
     w_x = rng.uniform(-1, 1, (m2, 6))
     w_s = rng.uniform(-1, 1, (f_n, 6))
-    samples = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         x = rng.uniform(-1, 1, (t, m2))
         s_n = rng.uniform(-1, 1, f_n)
         s_d = rng.integers(0, 3, 2).astype(np.int64)
-        y = 2.5 + x.mean(axis=0) @ w_x + s_n @ w_s
-        samples.append(Sample(f"19{i:03d}", date(2020, 1, 1), x, s_n, s_d, y))
-    return samples
+        rows.append((x, s_n, s_d, 2.5 + x.mean(axis=0) @ w_x + s_n @ w_s))
+    x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
+    return SampleSet(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
+                     np.full(n, np.datetime64("2020-01-01", "D")))
 
 
 def overfit_config(**overrides):
@@ -110,10 +108,10 @@ def test_adamw_nan_gradient_names_parameter():
 
 def test_lr_schedule_shape():
     sched = LrSchedule(base_lr=1e-5, max_lr=1e-4, cycle_length=100)
-    assert lr_at(sched, 0) == 1e-5
-    assert lr_at(sched, 50) == 1e-4
-    assert lr_at(sched, 100) == 1e-5
-    assert lr_at(sched, 175) == lr_at(sched, 75)
+    assert sched.lr_at(0) == 1e-5
+    assert sched.lr_at(50) == 1e-4
+    assert sched.lr_at(100) == 1e-5
+    assert sched.lr_at(175) == sched.lr_at(75)
 
 
 def test_lr_schedule_validation():
@@ -127,10 +125,10 @@ def test_lr_schedule_validation():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_lr_schedule_bounded_and_continuous(step):
     sched = LrSchedule(base_lr=1e-5, max_lr=1e-4, cycle_length=40)
-    lr = lr_at(sched, step)
+    lr = sched.lr_at(step)
     assert 1e-5 - 1e-18 <= lr <= 1e-4 + 1e-18
     slope_bound = 2 * (sched.max_lr - sched.base_lr) / sched.cycle_length
-    assert abs(lr_at(sched, step + 1) - lr) <= slope_bound + 1e-18
+    assert abs(sched.lr_at(step + 1) - lr) <= slope_bound + 1e-18
 
 
 def test_overfit_tiny_linear_dataset():
@@ -222,6 +220,6 @@ def test_divergence_aborts_with_numeric_error(tmp_path):
     run = TrainRunConfig(batch_size=8, epochs=3, seed=33, checkpoint_dir=str(tmp_path))
     sched = LrSchedule(base_lr=1e-3, max_lr=1e-3, cycle_length=10)
     # poison the inputs after the first epoch via a NaN target
-    samples[0].y[0] = np.nan
+    samples.y[0, 0] = np.nan
     with pytest.raises(NumericError, match="diverged"):
         fit(model, samples, [], run, sched)
