@@ -2,8 +2,9 @@
 
 Subcommands: ingest, train, eval, ablate, cv, locexp, introspect.  Every
 command is a pure function of (config, input files, seed): artifacts land
-under the --out directory (or a timestamped directory under ./runs) with
-the resolved configuration echoed alongside them.
+in ``<out>/<command>/`` (``--out``, default ``runs``) with the resolved
+configuration echoed alongside them, and each later command reads what
+the earlier ones wrote under the same ``<out>``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 error.
@@ -12,9 +13,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from datetime import datetime, timezone
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import data as dp
 from .config import RunConfig, config_help_text, load_config
@@ -29,6 +32,7 @@ from .errors import (
 )
 from .introspection import collect_attention, emit_figures, export_embeddings, tsne
 from .metrics import (
+    WEEKLY_COLUMNS,
     FoldResults,
     cross_validate,
     evaluate,
@@ -54,23 +58,19 @@ ABLATION_SETTINGS = [
 ]
 
 
-def _out_root(cfg: RunConfig, command: str) -> Path:
-    out = cfg.get("run", "out")
-    if out:
-        return Path(out)
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    return Path("runs") / f"{stamp}-{command}"
+def _out_root(cfg: RunConfig) -> Path:
+    return Path(cfg.get("run", "out"))
 
 
 def _command_dir(cfg: RunConfig, command: str) -> Path:
-    path = _out_root(cfg, command) / command
+    path = _out_root(cfg) / command
     path.mkdir(parents=True, exist_ok=True)
     (path / "resolved_config.ini").write_text(cfg.render())
     return path
 
 
 def _ingest_dir(cfg: RunConfig) -> Path:
-    path = _out_root(cfg, "ingest") / "ingest"
+    path = _out_root(cfg) / "ingest"
     if not (path / "train.samples").exists():
         raise DataError(f"no ingested dataset under {path}; run `ingest` first")
     return path
@@ -142,57 +142,47 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_sets(cfg: RunConfig) -> tuple[dp.SampleSet, dp.SampleSet, dp.SampleSet,
-                                         dp.CategoricalEncoder]:
-    ingest = _ingest_dir(cfg)
-    train = dp.load_samples(ingest / "train.samples")
-    val = dp.load_samples(ingest / "val.samples")
-    test = dp.load_samples(ingest / "test.samples")
-    encoder = dp.CategoricalEncoder.load(ingest / "categories.csv")
-    return train, val, test, encoder
+def _load_sets(ingest: Path, *names: str) -> list[dp.SampleSet]:
+    """The named sample caches (``train``, ``val``, ``test``) of an ingest
+    directory, in order."""
+    return [dp.load_samples(ingest / f"{name}.samples") for name in names]
 
 
-def _model_config(cfg: RunConfig, samples, encoder: dp.CategoricalEncoder) -> ModelConfig:
-    return ModelConfig(
-        input_channels=samples.x.shape[2],
-        numeric_static_count=samples.s_n.shape[1],
-        categorical_vocab_sizes=encoder.vocab_sizes,
-        lstm_layers=cfg.get_int("model", "lstm_layers"),
-        hidden_size=cfg.get_int("model", "hidden_size"),
-        embed_dim=cfg.get_int("model", "embed_dim"),
-        reduced_dim=cfg.get_int("model", "reduced_dim"),
-        mlp_layers=cfg.get_int("model", "mlp_layers"),
-        mlp_hidden=cfg.get_int("model", "mlp_hidden"),
-        dropout=cfg.get_float("model", "dropout"),
-        embed_dropout=cfg.get_float("model", "embed_dropout"),
-    )
+def _load_model(cfg: RunConfig) -> HybridModel:
+    path = _out_root(cfg) / "train" / "model.ckpt"
+    if not path.exists():
+        raise DataError(f"no trained checkpoint at {path}; run `train` first")
+    return load_checkpoint(path)
 
 
-def _ablation(cfg: RunConfig, prefix: str = "") -> AblationConfig:
-    return AblationConfig(
-        use_static=cfg.get_bool("ablation" if not prefix else "cv", f"{prefix}use_static"),
-        use_timeseries=cfg.get_bool("ablation" if not prefix else "cv", f"{prefix}use_timeseries"),
-        use_attention=cfg.get_bool("ablation" if not prefix else "cv", f"{prefix}use_attention"),
-    )
+def _from_section(cfg: RunConfig, cls, section: str, prefix: str = "", **given):
+    """A ``cls`` from ``given`` plus, for each other field, the
+    ``[section]`` key ``prefix + field name`` parsed by the field's
+    annotation; a field with no such key keeps its default."""
+    kinds = get_type_hints(cls)
+    values = {f.name: cfg.get_as(section, prefix + f.name, kinds[f.name]) for f in fields(cls)
+              if f.name not in given and prefix + f.name in cfg.values[section]}
+    return cls(**values, **given)
+
+
+def _model_config(cfg: RunConfig, ingest: Path, samples: dp.SampleSet) -> ModelConfig:
+    """``[model]`` sized to the ingested samples and label dictionary."""
+    vocab_sizes = dp.CategoricalEncoder.load(ingest / "categories.csv").vocab_sizes
+    return _from_section(cfg, ModelConfig, "model", input_channels=samples.x.shape[2],
+                         numeric_static_count=samples.s_n.shape[1],
+                         categorical_vocab_sizes=vocab_sizes)
 
 
 def _train_run(cfg: RunConfig, seed: int, checkpoint_dir: Path | None,
                epochs: int | None = None) -> TrainRunConfig:
-    return TrainRunConfig(
-        batch_size=cfg.get_int("train", "batch_size"),
-        epochs=epochs if epochs is not None else cfg.get_int("train", "epochs"),
-        seed=seed,
-        weight_decay=cfg.get_float("train", "weight_decay"),
-        loss=cfg.get("train", "loss"),
-        selection=cfg.get("train", "selection"),
-        checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-    )
+    given = {"epochs": epochs} if epochs is not None else {}
+    return _from_section(cfg, TrainRunConfig, "train", seed=seed, **given,
+                         checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None)
 
 
 def _schedule(cfg: RunConfig, n_train: int) -> LrSchedule:
     max_lr = cfg.get_float("train", "max_lr")
-    base_raw = cfg.get("train", "base_lr")
-    base_lr = float(base_raw) if base_raw else max_lr / 10.0
+    base_lr = cfg.get_float("train", "base_lr") if cfg.get("train", "base_lr") else max_lr / 10.0
     batch = cfg.get_int("train", "batch_size")
     steps_per_epoch = max(1, -(-n_train // batch))
     cycle = max(2, cfg.get_int("train", "cycle_epochs") * steps_per_epoch)
@@ -201,10 +191,12 @@ def _schedule(cfg: RunConfig, n_train: int) -> LrSchedule:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "train")
-    train, val, _, encoder = _load_sets(cfg)
+    ingest = _ingest_dir(cfg)
+    train, val = _load_sets(ingest, "train", "val")
     if not train:
         raise DataError("no training samples in the ingest cache")
-    model = HybridModel.build(_model_config(cfg, train, encoder), _ablation(cfg), cfg.seed)
+    model = HybridModel.build(_model_config(cfg, ingest, train),
+                              _from_section(cfg, AblationConfig, "ablation"), cfg.seed)
     run = _train_run(cfg, cfg.seed, out)
     model, history = fit(model, train, val, run, _schedule(cfg, len(train)))
     (out / "history.csv").write_text(history_csv(history))
@@ -217,14 +209,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "eval")
-    _, _, test, _ = _load_sets(cfg)
+    (test,) = _load_sets(_ingest_dir(cfg), "test")
     if not test:
         raise DataError("no test samples in the ingest cache")
-    model_path = _out_root(cfg, "train") / "train" / "model.ckpt"
-    if not model_path.exists():
-        raise DataError(f"no trained checkpoint at {model_path}; run `train` first")
-    model = load_checkpoint(model_path)
-    report = evaluate(model, test)
+    report = evaluate(_load_model(cfg), test)
     (out / "weekly.csv").write_text(report.weekly_csv())
     (out / "summary.csv").write_text(report.summary_csv())
     (out / "report.txt").write_text(report.render_text())
@@ -234,15 +222,13 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_ablate(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "ablate")
-    train, val, test, encoder = _load_sets(cfg)
+    ingest = _ingest_dir(cfg)
+    train, val, test = _load_sets(ingest, "train", "val", "test")
     if not train or not test:
         raise DataError("ablation needs train and test samples in the cache")
-    base_config = _model_config(cfg, train, encoder)
-    summary_lines = ["setting,static,timeseries,attention,mae,rmse,f1"]
-    weekly_header = ["setting"]
-    for w in range(1, 7):
-        weekly_header += [f"week{w}_mae", f"week{w}_f1"]
-    weekly_lines = [",".join(weekly_header)]
+    base_config = _model_config(cfg, ingest, train)
+    summary = [["setting", "static", "timeseries", "attention", "mae", "rmse", "f1"]]
+    weekly = [["setting", *WEEKLY_COLUMNS]]
 
     for i, ablation in enumerate(ABLATION_SETTINGS):
         model = HybridModel.build(base_config, ablation, cfg.seed + i)
@@ -250,25 +236,18 @@ def cmd_ablate(cfg: RunConfig) -> int:
         model, _ = fit(model, train, val, run, _schedule(cfg, len(train)))
         report = evaluate(model, test)
         label = ablation.label()
-        summary_lines.append(
-            f"{label},{ablation.use_static},{ablation.use_timeseries},"
-            f"{ablation.use_attention},{report.mae!r},{report.rmse!r},{report.f1!r}"
-        )
-        cells = [label]
-        for w in range(6):
-            cells += [repr(report.weekly_mae[w]), repr(report.weekly_f1[w])]
-        weekly_lines.append(",".join(cells))
+        summary.append([label, ablation.use_static, ablation.use_timeseries,
+                        ablation.use_attention, report.mae, report.rmse, report.f1])
+        weekly.append([label, *report.weekly_cells()])
         print(f"{label}: MAE {report.mae:.3f}  RMSE {report.rmse:.3f}  F1 {report.f1:.1f}")
 
-    (out / "ablation_summary.csv").write_text("\n".join(summary_lines) + "\n")
-    (out / "ablation_weekly.csv").write_text("\n".join(weekly_lines) + "\n")
+    dp.write_csv(out / "ablation_summary.csv", summary)
+    dp.write_csv(out / "ablation_weekly.csv", weekly)
     return 0
 
 
-def _cv_for(cfg: RunConfig, samples, ablation: AblationConfig, encoder,
+def _cv_for(cfg: RunConfig, samples, base_config: ModelConfig, ablation: AblationConfig,
             folds: int, epochs: int | None) -> FoldResults:
-    base_config = _model_config(cfg, samples, encoder)
-
     def builder(fold_seed: int) -> HybridModel:
         return HybridModel.build(base_config, ablation, fold_seed)
 
@@ -281,21 +260,24 @@ def _cv_for(cfg: RunConfig, samples, ablation: AblationConfig, encoder,
 
 def cmd_cv(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "cv")
-    train, val, _, encoder = _load_sets(cfg)
+    ingest = _ingest_dir(cfg)
+    train, val = _load_sets(ingest, "train", "val")
     pool = train + val
+    base_config = _model_config(cfg, ingest, pool)
     folds = cfg.get_int("cv", "folds")
-    epochs_raw = cfg.get("cv", "epochs")
-    epochs = int(epochs_raw) if epochs_raw else None
+    epochs = cfg.get_int("cv", "epochs") if cfg.get("cv", "epochs") else None
 
-    primary = _cv_for(cfg, pool, _ablation(cfg), encoder, folds, epochs)
-    baseline = _cv_for(cfg, pool, _ablation(cfg, prefix="baseline_"), encoder, folds, epochs)
+    primary = _cv_for(cfg, pool, base_config, _from_section(cfg, AblationConfig, "ablation"),
+                      folds, epochs)
+    baseline = _cv_for(cfg, pool, base_config,
+                       _from_section(cfg, AblationConfig, "cv", "baseline_"), folds, epochs)
 
     (out / "cv_folds_primary.csv").write_text(primary.folds_csv())
     (out / "cv_summary_primary.csv").write_text(primary.summary_csv())
     (out / "cv_folds_baseline.csv").write_text(baseline.folds_csv())
     (out / "cv_summary_baseline.csv").write_text(baseline.summary_csv())
 
-    lines = ["metric,mean_difference,t,df,p"]
+    rows = [["metric", "mean_difference", "t", "df", "p"]]
     for metric in primary.metric_names:
         try:
             result = paired_t_test(
@@ -303,28 +285,27 @@ def cmd_cv(cfg: RunConfig) -> int:
                 [fold[metric] for fold in primary.folds],
             )
         except DegenerateTestError:
-            lines.append(f"{metric},0.0,nan,{folds - 1},nan")
+            rows.append([metric, 0.0, math.nan, folds - 1, math.nan])
             print(f"paired t-test on {metric}: degenerate (tied folds)")
             continue
-        lines.append(
-            f"{metric},{result.mean_difference!r},{result.t_stat!r},"
-            f"{result.df},{result.p_value!r}"
-        )
+        rows.append([metric, result.mean_difference, result.t_stat, result.df, result.p_value])
         print(f"paired t-test on {metric}: t={result.t_stat:.3f} p={result.p_value:.4f}")
-    (out / "paired_tests.csv").write_text("\n".join(lines) + "\n")
+    dp.write_csv(out / "paired_tests.csv", rows)
     return 0
 
 
 def cmd_locexp(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "locexp")
-    train, val, test, encoder = _load_sets(cfg)
+    ingest = _ingest_dir(cfg)
+    train, val, test = _load_sets(ingest, "train", "val", "test")
     states = cfg.get_list("locexp", "states")
     if not states:
         raise ConfigError("[locexp] states must list at least one FIPS prefix")
-    base_config = _model_config(cfg, train, encoder)
+    base_config = _model_config(cfg, ingest, train)
+    ablation = _from_section(cfg, AblationConfig, "ablation")
 
     def train_model(samples, val_samples, seed):
-        model = HybridModel.build(base_config, _ablation(cfg), seed)
+        model = HybridModel.build(base_config, ablation, seed)
         run = _train_run(cfg, seed, None)
         model, _ = fit(model, samples, val_samples, run, _schedule(cfg, len(samples)))
         return model
@@ -353,12 +334,9 @@ def cmd_locexp(cfg: RunConfig) -> int:
 
 def cmd_introspect(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "introspect")
-    _, _, test, _ = _load_sets(cfg)
     ingest = _ingest_dir(cfg)
-    model_path = _out_root(cfg, "train") / "train" / "model.ckpt"
-    if not model_path.exists():
-        raise DataError(f"no trained checkpoint at {model_path}; run `train` first")
-    model = load_checkpoint(model_path)
+    (test,) = _load_sets(ingest, "test")
+    model = _load_model(cfg)
     if not test:
         raise DataError("no test samples in the ingest cache")
 

@@ -68,9 +68,34 @@ CONFIG_KEYS: dict[str, dict[str, tuple[str, str]]] = {
     },
     "run": {
         "seed": ("", "run seed (mandatory, via file or --seed)"),
-        "out": ("", "output directory; empty = timestamped directory under ./runs"),
+        "out": ("runs", "output directory shared by every command"),
     },
 }
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def parse_as(kind, raw: str):
+    """``raw`` parsed as ``kind``: ``int``, ``float``, ``bool`` (true/1/yes
+    or false/0/no, any case), ``str``, or ``list[int]`` (comma-separated,
+    empty items skipped).  Raises ``ValueError`` when it does not parse."""
+    if kind is bool:
+        lowered = raw.lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if kind == list[int]:
+        return [int(item) for item in raw.split(",") if item.strip()]
+    return kind(raw)
+
+
+def format_value(value) -> str:
+    """Text that :func:`parse_as` reads back: a list comma-joined, any
+    other value with ``str`` (for an int, float or bool, its ``repr``)."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 @dataclass
@@ -80,27 +105,21 @@ class RunConfig:
     def get(self, section: str, key: str) -> str:
         return self.values[section][key]
 
-    def get_int(self, section: str, key: str) -> int:
+    def get_as(self, section: str, key: str, kind):
+        """The value parsed by :func:`parse_as`; a ``ConfigError`` when it
+        does not parse."""
         raw = self.get(section, key)
         try:
-            return int(raw)
+            return parse_as(kind, raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
+            raise ConfigError(f"[{section}] {key} must be {_KIND_NAMES[kind]}, "
+                              f"got {raw!r}") from None
+
+    def get_int(self, section: str, key: str) -> int:
+        return self.get_as(section, key, int)
 
     def get_float(self, section: str, key: str) -> float:
-        raw = self.get(section, key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
-
-    def get_bool(self, section: str, key: str) -> bool:
-        raw = self.get(section, key).lower()
-        if raw in ("true", "1", "yes"):
-            return True
-        if raw in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
+        return self.get_as(section, key, float)
 
     def get_list(self, section: str, key: str) -> list[str]:
         raw = self.get(section, key)

@@ -7,8 +7,9 @@ county per calendar day (``date`` is YYYY-MM-DD, an empty ``score`` cell
 means no assessment was released that day).  Static-features CSV: header
 ``fips,<feature...>``; a configured subset of the feature columns is
 treated as categorical and dictionary-encoded (code 0 is reserved for
-labels unseen at fit time).  A malformed cell or row raises
-``SchemaError`` naming the file, line and column.
+labels unseen at fit time).  Every non-empty numeric cell must be a finite
+number (an empty channel cell is a missing measurement); a malformed cell
+or row raises ``SchemaError`` naming the file, line and column.
 
 A sample is built for every score-bearing date with a full look-back
 window (the preceding ``window_days`` days plus the same days one year
@@ -93,16 +94,22 @@ class SampleSet:
                            for a, b in zip(self._columns(), other._columns())))
 
 
-def _write_csv(path, rows: list[list[str]]) -> None:
-    """UTF-8 csv with "\\n" line ends.  The csv module quotes only the
-    characters of its line terminator, so a row with a carriage return in
-    a cell ends in "\\r\\n" instead, which gets that cell quoted."""
+def csv_text(rows) -> str:
+    """Rows as CSV text with "\\n" line ends; a non-text cell is written
+    with ``str``.  The csv module quotes only the characters of its line
+    terminator, so a row with a carriage return in a cell ends in "\\r\\n"
+    instead, which gets that cell quoted."""
     buf = io.StringIO()
     plain = csv.writer(buf, lineterminator="\n")
     crlf = csv.writer(buf, lineterminator="\r\n")
     for row in rows:
-        (crlf if any("\r" in cell for cell in row) else plain).writerow(row)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+        (crlf if any("\r" in str(cell) for cell in row) else plain).writerow(row)
+    return buf.getvalue()
+
+
+def write_csv(path, rows) -> None:
+    """:func:`csv_text` of the rows as a UTF-8 file."""
+    Path(path).write_text(csv_text(rows), encoding="utf-8", newline="")
 
 
 def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[str]]]:
@@ -155,7 +162,7 @@ class CategoricalEncoder:
         for column in self.columns:
             for label, code in sorted(self.label_to_code[column].items(), key=lambda kv: kv[1]):
                 rows.append([column, label, str(code)])
-        _write_csv(path, rows)
+        write_csv(path, rows)
 
     @classmethod
     def load(cls, path, numeric_columns: list[str] | None = None) -> "CategoricalEncoder":
@@ -181,10 +188,13 @@ def _parse_date(text: str) -> date:
 
 def _cell_float(text: str, path: Path, line: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise SchemaError(f"{path}: line {line}, column {column!r}: "
-                          f"{text!r} is not a number") from None
+                          f"{text!r} is not a finite number")
+    return value
 
 
 def _interpolate_column(values: np.ndarray, present: np.ndarray, max_gap: int,
@@ -257,9 +267,11 @@ def load_timeseries(path, max_gap_days: int = 14,
                     if cell:
                         _cell_float(cell, path, line, name)
             raise
+        for r, c in zip(*np.nonzero(~np.isfinite(raw))):  # only an empty cell is missing
+            _, cells, _, line = entries[r]
+            if cells[c]:
+                _cell_float(cells[c], path, line, channel_names[c])
         present = ~np.isnan(raw)
-        for r, c in zip(*np.nonzero(~present)):  # a "nan" cell is present
-            present[r, c] = entries[r][1][c] != ""
         scores: dict[date, float] = {}
         for day, _, score_text, line in entries:
             if score_text != "":
@@ -444,7 +456,7 @@ class Normalizer:
             rows.append([f"ts.{name}", repr(float(m)), repr(float(s))])
         for name, m, s in zip(self.static_names, self.static_mean, self.static_std):
             rows.append([f"static.{name}", repr(float(m)), repr(float(s))])
-        _write_csv(path, rows)
+        write_csv(path, rows)
 
     @classmethod
     def load(cls, path) -> "Normalizer":

@@ -12,6 +12,7 @@ approximation is used.
 
 from __future__ import annotations
 
+import html
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import RngState
-from .data import CategoricalEncoder, StaticFeatures
+from .data import CategoricalEncoder, StaticFeatures, csv_text, write_csv
 from .errors import ConfigError, DataError, IoError
 from .model import HybridModel
 from .training import batch_from_samples
@@ -40,13 +41,9 @@ class AttentionProfile:
     degenerate: bool = False
 
     def to_csv(self) -> str:
-        lines = ["day,mean,ci_low,ci_high,n"]
-        for i, day in enumerate(self.day_offsets):
-            lines.append(
-                f"{day},{float(self.mean[i])!r},{float(self.ci_low[i])!r},"
-                f"{float(self.ci_high[i])!r},{self.n}"
-            )
-        return "\n".join(lines) + "\n"
+        columns = (self.mean.tolist(), self.ci_low.tolist(), self.ci_high.tolist())
+        return csv_text([["day", "mean", "ci_low", "ci_high", "n"]]
+                        + [[day, *cells, self.n] for day, *cells in zip(self.day_offsets, *columns)])
 
 
 def collect_attention(model: HybridModel, samples, batch_size: int = 256) -> AttentionProfile:
@@ -90,16 +87,6 @@ class EmbeddingExport:
     vectors: np.ndarray  # (C, z')
     label_columns: list[str]
     labels: dict[str, list[str]]
-
-    def to_csv(self) -> str:
-        dims = self.vectors.shape[1]
-        header = ["fips"] + [f"e{i}" for i in range(dims)] + self.label_columns
-        lines = [",".join(header)]
-        for r, fips in enumerate(self.fips):
-            cells = [fips] + [repr(float(v)) for v in self.vectors[r]]
-            cells += [self.labels[c][r] for c in self.label_columns]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
 
 def export_embeddings(model: HybridModel, statics: dict[str, StaticFeatures],
@@ -249,7 +236,7 @@ def _svg_document(body: list[str], width: int, height: int, title: str) -> str:
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
-        f"<title>{title}</title>\n"
+        f"<title>{html.escape(title, quote=False)}</title>\n"
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
         + "\n".join(body)
         + "\n</svg>\n"
@@ -279,7 +266,7 @@ def scatter_svg(coords: np.ndarray, categories: list[str], title: str,
         body.append(f'<circle cx="{width - pad - 90}" cy="{y}" r="4" fill="{color[cat]}"/>')
         body.append(
             f'<text x="{width - pad - 80}" y="{y + 4}" font-size="12" '
-            f'font-family="sans-serif">{cat}</text>'
+            f'font-family="sans-serif">{html.escape(cat, quote=False)}</text>'
         )
     return _svg_document(body, width, height, title)
 
@@ -322,19 +309,17 @@ def emit_figures(profile: AttentionProfile, tsne_result: TsneResult,
         paths["attention_csv"].write_text(profile.to_csv())
 
         color_column = color_column or (export.label_columns[0] if export.label_columns else None)
-        header = ["fips", "x", "y"] + export.label_columns
-        lines = [",".join(header)]
-        for i, fips in enumerate(export.fips):
-            cells = [fips, repr(float(tsne_result.coords[i, 0])), repr(float(tsne_result.coords[i, 1]))]
-            cells += [export.labels[c][i] for c in export.label_columns]
-            lines.append(",".join(cells))
+        labels = [export.labels[c] for c in export.label_columns]
         paths["tsne_csv"] = out_dir / "tsne.csv"
-        paths["tsne_csv"].write_text("\n".join(lines) + "\n")
+        write_csv(paths["tsne_csv"], [["fips", "x", "y", *export.label_columns]]
+                  + [[fips, *xy, *row] for fips, xy, *row
+                     in zip(export.fips, tsne_result.coords.tolist(), *labels)])
 
         categories = export.labels[color_column] if color_column else ["all"] * len(export.fips)
         paths["tsne_svg"] = out_dir / "tsne.svg"
         paths["tsne_svg"].write_text(
-            scatter_svg(tsne_result.coords, categories, f"embedding projection by {color_column}")
+            scatter_svg(tsne_result.coords, categories, f"embedding projection by {color_column}"),
+            encoding="utf-8",
         )
         paths["attention_svg"] = out_dir / "attention_profile.svg"
         paths["attention_svg"].write_text(profile_svg(profile))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import csv_text
 from .errors import (
     DataError,
     DegenerateTestError,
@@ -26,6 +27,9 @@ from .model import FORECAST_WEEKS, HybridModel
 from .training import batch_from_samples
 
 N_CATEGORIES = 6
+# the per-week columns of the wide CSVs, in the order of MetricsReport.weekly_cells
+WEEKLY_COLUMNS = [f"week{w}_{metric}" for w in range(1, FORECAST_WEEKS + 1)
+                  for metric in ("mae", "f1")]
 
 
 def _select_week(pred: np.ndarray, target: np.ndarray, week: int | None):
@@ -163,16 +167,16 @@ class MetricsReport:
     sample_count: int
 
     def weekly_csv(self) -> str:
-        lines = ["week,mae,f1"]
-        for w in range(FORECAST_WEEKS):
-            lines.append(f"{w + 1},{self.weekly_mae[w]!r},{self.weekly_f1[w]!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text([["week", "mae", "f1"],
+                         *zip(range(1, FORECAST_WEEKS + 1), self.weekly_mae, self.weekly_f1)])
 
     def summary_csv(self) -> str:
-        return (
-            "mae,rmse,f1,roc_auc,samples\n"
-            f"{self.mae!r},{self.rmse!r},{self.f1!r},{self.roc_auc!r},{self.sample_count}\n"
-        )
+        return csv_text([["mae", "rmse", "f1", "roc_auc", "samples"],
+                         [self.mae, self.rmse, self.f1, self.roc_auc, self.sample_count]])
+
+    def weekly_cells(self) -> list[float]:
+        """MAE then F1 of week 1, then of week 2, and so on."""
+        return [value for week in zip(self.weekly_mae, self.weekly_f1) for value in week]
 
     def render_text(self) -> str:
         lines = [f"{'week':>6} {'MAE':>8} {'F1':>7}"]
@@ -326,17 +330,13 @@ class FoldResults:
             }
 
     def folds_csv(self) -> str:
-        lines = ["fold," + ",".join(self.metric_names)]
-        for i, fold in enumerate(self.folds, start=1):
-            lines.append(f"{i}," + ",".join(repr(fold[n]) for n in self.metric_names))
-        return "\n".join(lines) + "\n"
+        return csv_text([["fold", *self.metric_names]]
+                        + [[i, *(fold[n] for n in self.metric_names)]
+                           for i, fold in enumerate(self.folds, start=1)])
 
     def summary_csv(self) -> str:
-        lines = ["metric,mean,std"]
-        for name in self.metric_names:
-            mean, std = self.summary[name]
-            lines.append(f"{name},{mean!r},{std!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text([["metric", "mean", "std"]]
+                        + [[name, *self.summary[name]] for name in self.metric_names])
 
 
 def summarize_folds(values) -> tuple[float, float]:
@@ -415,35 +415,24 @@ class LocationExperimentReport:
                         per_state[s] = float("nan")
                 self.improvements[name] = (per_state, float(np.mean(list(per_state.values()))))
 
+    def _runs(self) -> list[tuple[str, str, MetricsReport]]:
+        """(train, eval, report): each state-specific model, then the model
+        trained on all states, evaluated per state."""
+        return ([(s, s, self.specific[s]) for s in self.states]
+                + [("all", s, self.agnostic[s]) for s in self.states])
+
     def weekly_csv(self) -> str:
-        header = ["train,eval"]
-        for w in range(1, FORECAST_WEEKS + 1):
-            header.append(f"week{w}_mae,week{w}_f1")
-        lines = [",".join(header)]
-        for scope, reports in (("specific", self.specific), ("all", self.agnostic)):
-            for s in self.states:
-                r = reports[s]
-                cells = [scope if scope == "all" else s, s]
-                for w in range(FORECAST_WEEKS):
-                    cells.extend([repr(r.weekly_mae[w]), repr(r.weekly_f1[w])])
-                lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text([["train", "eval", *WEEKLY_COLUMNS]]
+                        + [[train, s, *r.weekly_cells()] for train, s, r in self._runs()])
 
     def summary_csv(self) -> str:
-        lines = ["train,eval,mae,rmse,f1"]
-        for scope, reports in (("specific", self.specific), ("all", self.agnostic)):
-            for s in self.states:
-                r = reports[s]
-                train = s if scope == "specific" else "all"
-                lines.append(f"{train},{s},{r.mae!r},{r.rmse!r},{r.f1!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text([["train", "eval", "mae", "rmse", "f1"]]
+                        + [[train, s, r.mae, r.rmse, r.f1] for train, s, r in self._runs()])
 
     def improvements_csv(self) -> str:
-        lines = ["definition," + ",".join(self.states) + ",average"]
-        for name, (per_state, avg) in self.improvements.items():
-            cells = [name] + [repr(per_state[s]) for s in self.states] + [repr(avg)]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text([["definition", *self.states, "average"]]
+                        + [[name, *(per_state[s] for s in self.states), avg]
+                           for name, (per_state, avg) in self.improvements.items()])
 
 
 def location_experiment_report(specific: dict[str, MetricsReport],

@@ -2,21 +2,24 @@
 learning-rate schedule, seeded mini-batching, and binary checkpoints.
 
 Checkpoint format (little-endian): magic ``HMCKPT1``, uint32 length +
-UTF-8 config text (``key=value`` lines for the model and ablation
-configs), uint32 tensor count, then per tensor uint32 name length, name
-bytes, uint32 rank, uint32 dims, float64 payload.
+UTF-8 config text (one ``model.<field>=`` or ``ablation.<field>=`` line
+per field of ``ModelConfig`` and ``AblationConfig``, then ``seed=``),
+uint32 tensor count, then per tensor uint32 name length, name bytes,
+uint32 rank, uint32 dims, float64 payload.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .autodiff import RngState, Tensor, backward
-from .data import SampleSet
+from .config import format_value, parse_as
+from .data import SampleSet, csv_text
 from .errors import ConfigError, FormatError, NumericError
 from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig
 
@@ -106,12 +109,7 @@ class HistoryRow:
 
 
 def history_csv(history: list[HistoryRow]) -> str:
-    lines = ["epoch,step,lr,train_loss,val_mae"]
-    for row in history:
-        lines.append(
-            f"{row.epoch},{row.step},{row.lr!r},{row.train_loss!r},{row.val_mae!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text([[f.name for f in fields(HistoryRow)]] + [astuple(row) for row in history])
 
 
 def batch_from_samples(samples: SampleSet) -> Batch:
@@ -194,60 +192,41 @@ def _restore(model: HybridModel, params: dict[str, np.ndarray]) -> None:
 
 
 _CKPT_MAGIC = b"HMCKPT1"
+_HEADER_SECTIONS = {"model": ModelConfig, "ablation": AblationConfig}
 
 
 def _config_text(model: HybridModel) -> str:
-    c = model.config
-    a = model.ablation
-    lines = [
-        f"model.input_channels={c.input_channels}",
-        f"model.numeric_static_count={c.numeric_static_count}",
-        "model.categorical_vocab_sizes=" + ",".join(str(v) for v in c.categorical_vocab_sizes),
-        f"model.lstm_layers={c.lstm_layers}",
-        f"model.hidden_size={c.hidden_size}",
-        f"model.embed_dim={c.embed_dim}",
-        f"model.reduced_dim={c.reduced_dim}",
-        f"model.mlp_layers={c.mlp_layers}",
-        f"model.mlp_hidden={c.mlp_hidden}",
-        f"model.dropout={c.dropout!r}",
-        f"model.embed_dropout={c.embed_dropout!r}",
-        f"ablation.use_static={a.use_static}",
-        f"ablation.use_timeseries={a.use_timeseries}",
-        f"ablation.use_attention={a.use_attention}",
-        f"seed={model.seed}",
-    ]
+    """``section.field=value`` per config field, then ``seed=``."""
+    lines = [f"{section}.{f.name}={format_value(getattr(config, f.name))}"
+             for section, config in zip(_HEADER_SECTIONS, (model.config, model.ablation))
+             for f in fields(config)]
+    lines.append(f"seed={model.seed}")
     return "\n".join(lines)
 
 
-def _parse_config_text(text: str) -> tuple[ModelConfig, AblationConfig, int]:
-    kv = {}
-    for line in text.splitlines():
-        key, _, value = line.partition("=")
-        kv[key] = value
+def _parse_config_text(blob: bytes) -> tuple[ModelConfig, AblationConfig, int]:
+    """Inverse of :func:`_config_text`; each value is parsed by its field's
+    annotation.  A missing key, a bad value or non-UTF-8 bytes raise
+    ``FormatError``; the configs' own checks raise ``ConfigError``."""
     try:
-        vocab = [int(v) for v in kv["model.categorical_vocab_sizes"].split(",") if v]
-        config = ModelConfig(
-            input_channels=int(kv["model.input_channels"]),
-            numeric_static_count=int(kv["model.numeric_static_count"]),
-            categorical_vocab_sizes=vocab,
-            lstm_layers=int(kv["model.lstm_layers"]),
-            hidden_size=int(kv["model.hidden_size"]),
-            embed_dim=int(kv["model.embed_dim"]),
-            reduced_dim=int(kv["model.reduced_dim"]),
-            mlp_layers=int(kv["model.mlp_layers"]),
-            mlp_hidden=int(kv["model.mlp_hidden"]),
-            dropout=float(kv["model.dropout"]),
-            embed_dropout=float(kv["model.embed_dropout"]),
-        )
-        ablation = AblationConfig(
-            use_static=kv["ablation.use_static"] == "True",
-            use_timeseries=kv["ablation.use_timeseries"] == "True",
-            use_attention=kv["ablation.use_attention"] == "True",
-        )
-        seed = int(kv["seed"])
-    except KeyError as exc:
-        raise FormatError(f"checkpoint config missing {exc}") from None
-    return config, ablation, seed
+        kv = dict(line.partition("=")[::2] for line in blob.decode().splitlines())
+    except UnicodeDecodeError:
+        raise FormatError("not UTF-8") from None
+
+    def value(key: str, kind):
+        if key not in kv:
+            raise FormatError(f"missing {key!r}")
+        try:
+            return parse_as(kind, kv[key])
+        except ValueError as exc:
+            raise FormatError(f"{key}={kv[key]!r}: {exc}") from None
+
+    configs = []
+    for section, cls in _HEADER_SECTIONS.items():
+        kinds = get_type_hints(cls)
+        configs.append(cls(**{f.name: value(f"{section}.{f.name}", kinds[f.name])
+                              for f in fields(cls)}))
+    return configs[0], configs[1], value("seed", int)
 
 
 def save_checkpoint(model: HybridModel, path) -> None:
@@ -285,15 +264,18 @@ def load_checkpoint(path) -> HybridModel:
         return piece
 
     (config_len,) = struct.unpack("<I", take(4))
-    config, ablation, seed = _parse_config_text(bytes(take(config_len)).decode())
-    model = HybridModel.build(config, ablation, seed)
+    header = bytes(take(config_len))
+    try:
+        model = HybridModel.build(*_parse_config_text(header))
+    except (ConfigError, FormatError) as exc:
+        raise FormatError(f"{path}: checkpoint config: {exc}") from None
     params = model.named_parameters()
     (count,) = struct.unpack("<I", take(4))
     if count != len(params):
         raise FormatError(f"{path}: expected {len(params)} tensors, found {count}")
     for _ in range(count):
         (n,) = struct.unpack("<I", take(4))
-        name = bytes(take(n)).decode()
+        name = bytes(take(n)).decode(errors="replace")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         payload = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)

@@ -1,15 +1,21 @@
+import csv
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import droughtcast
 from droughtcast.cli import main
+from droughtcast.config import CONFIG_KEYS, parse_as
 from droughtcast.data import CategoricalEncoder
+from droughtcast.model import AblationConfig, ModelConfig
 from droughtcast.synthetic import make_dataset
+from droughtcast.training import TrainRunConfig
 
 BASE_CONFIG = """
 [data]
@@ -94,6 +100,13 @@ def test_unknown_config_key_exits_2(dataset, tmp_path):
 
 def test_missing_seed_exits_2(tmp_path):
     assert main(["--out", str(tmp_path), "ingest"]) == 2
+
+
+def test_commands_chain_under_the_default_out(dataset, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for command in ("ingest", "train", "eval"):
+        assert main(["--config", str(dataset), "--set", "train.epochs=1", command]) == 0, command
+    assert (tmp_path / "runs" / "eval" / "summary.csv").exists()
 
 
 def test_eval_before_train_exits_3(ingested):
@@ -190,6 +203,18 @@ def test_help_documents_config_keys(capsys):
     assert "threads" not in text
 
 
+@pytest.mark.parametrize("section, cls", [
+    ("model", ModelConfig), ("ablation", AblationConfig), ("train", TrainRunConfig),
+])
+def test_config_key_defaults_equal_dataclass_defaults(section, cls):
+    kinds = get_type_hints(cls)
+    named = [f for f in fields(cls) if f.name in CONFIG_KEYS[section]]
+    assert named
+    for f in named:
+        default, _ = CONFIG_KEYS[section][f.name]
+        assert parse_as(kinds[f.name], default) == f.default, f.name
+
+
 def test_history_cells_parse_as_floats(trained):
     _, out = trained
     rows = (out / "train" / "history.csv").read_text().splitlines()[1:]
@@ -222,6 +247,12 @@ def _corrupt_line(path: Path, out: Path, edit) -> Path:
     ("timeseries", lambda cells: cells[:2] + ["wet"] + cells[3:], "line 2, column 'chan0'"),
     ("timeseries", lambda cells: cells[:-1], "line 2 has 4 cells"),
     ("timeseries", lambda cells: cells[:-1] + ["high"], "line 2, column 'score'"),
+    ("statics", lambda cells: cells[:1] + ["nan"] + cells[2:],
+     "line 2, column 'elevation': 'nan' is not a finite number"),
+    ("timeseries", lambda cells: cells[:2] + ["nan"] + cells[3:],
+     "line 2, column 'chan0': 'nan' is not a finite number"),
+    ("timeseries", lambda cells: cells[:3] + ["-inf"] + cells[4:],
+     "line 2, column 'chan1': '-inf' is not a finite number"),
 ])
 def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, edit, message):
     bad = _corrupt_line(dataset.parent / f"{key}.csv", tmp_path / f"{key}.csv", edit)
@@ -233,15 +264,25 @@ def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, ed
 
 
 def test_label_with_comma_survives_ingest_and_train(dataset, tmp_path):
+    label = "loam, sandy & <silt>"
     quoted = _corrupt_line(dataset.parent / "statics.csv", tmp_path / "statics.csv",
-                           lambda cells: cells[:-1] + ['"loam, sandy"'])
+                           lambda cells: cells[:-1] + [f'"{label}"'])
     out = tmp_path / "out"
     argv = ["--config", str(dataset), "--out", str(out), "--set", f"data.statics={quoted}",
-            "--set", "train.epochs=1"]
+            "--set", "train.epochs=1", "--set", "introspect.color_column=texture"]
     assert main(argv + ["ingest"]) == 0
     encoder = CategoricalEncoder.load(out / "ingest" / "categories.csv")
-    assert "loam, sandy" in encoder.label_to_code["texture"]
+    assert label in encoder.label_to_code["texture"]
     assert main(argv + ["train"]) == 0
+    assert main(argv + ["introspect"]) == 0
+    with (out / "introspect" / "tsne.csv").open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 6
+    assert all(len(row) == len(header) for row in rows)
+    assert label in [row[header.index("texture")] for row in rows]
+    legend = [text.text for text in ET.parse(out / "introspect" / "tsne.svg").iter()
+              if text.tag.endswith("text")]
+    assert label in legend
 
 
 def test_train_and_eval_reproduce_byte_for_byte(dataset, tmp_path):

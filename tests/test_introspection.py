@@ -107,7 +107,6 @@ def test_export_embeddings_one_row_per_county():
     assert export.fips == sorted(statics)
     assert export.vectors.shape == (5, 2)
     assert set(export.labels) == {"soil_quality", "texture"}
-    assert "fips,e0,e1,soil_quality,texture" in export.to_csv().splitlines()[0]
 
 
 def test_export_embeddings_identical_codes_identical_vectors():

@@ -1,6 +1,9 @@
+import itertools
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from droughtcast.autodiff import RngState, Tensor
@@ -192,15 +195,89 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_truncation_detected(tmp_path):
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=1)
+    tiny = overfit_config(input_channels=2, numeric_static_count=1, categorical_vocab_sizes=[2],
+                          lstm_layers=1, hidden_size=1, embed_dim=2, reduced_dim=1,
+                          mlp_layers=1, mlp_hidden=1)
+    model = HybridModel.build(tiny, AblationConfig(), seed=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    (tmp_path / "cut.ckpt").write_bytes(path.read_bytes()[:-9])
-    with pytest.raises(FormatError):
-        load_checkpoint(tmp_path / "cut.ckpt")
-    (tmp_path / "junk.ckpt").write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut)
+    for extra in (b"\0", b"\xff" * 9):
+        cut.write_bytes(blob + extra)
+        with pytest.raises(FormatError, match="trailing bytes"):
+            load_checkpoint(cut)
+    (tmp_path / "junk.ckpt").write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "junk.ckpt")
+
+
+def _edit_header(blob: bytes, edit) -> bytes:
+    """A checkpoint whose config text is passed through ``edit``."""
+    start = len(b"HMCKPT1")
+    (length,) = struct.unpack_from("<I", blob, start)
+    header = edit(blob[start + 4:start + 4 + length])
+    return blob[:start] + struct.pack("<I", len(header)) + header + blob[start + 4 + length:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.replace(b"hidden_size=12", b"hidden_size=x"), "model.hidden_size='x'"),
+    (lambda h: h.replace(b"vocab_sizes=3,3", b"vocab_sizes=3,z"), "vocab_sizes='3,z'"),
+    (lambda h: h.replace(b"use_static=True", b"use_static=maybe"), "use_static='maybe'"),
+    (lambda h: h.replace(b"model.dropout=0.0\n", b""), "missing 'model.dropout'"),
+    (lambda h: h.replace(b"hidden_size=12", b"hidden_size=0"), "hidden_size must be positive"),
+    (lambda h: h + b"\xff", "not UTF-8"),
+])
+def test_corrupt_checkpoint_header_raises_format_error(tmp_path, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(HybridModel.build(overfit_config(), AblationConfig(), seed=3), path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_edit_header(path.read_bytes(), edit))
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(bad)
+
+
+@st.composite
+def model_configs(draw):
+    embed_dim = draw(st.integers(2, 5))
+    fraction = st.floats(0.0, 1.0, exclude_max=True)
+    return ModelConfig(
+        input_channels=2 * draw(st.integers(1, 3)),
+        numeric_static_count=draw(st.integers(0, 3)),
+        categorical_vocab_sizes=draw(st.lists(st.integers(1, 6), max_size=3)),
+        lstm_layers=draw(st.integers(1, 2)),
+        hidden_size=draw(st.integers(1, 4)),
+        embed_dim=embed_dim,
+        reduced_dim=draw(st.integers(1, embed_dim - 1)),
+        mlp_layers=draw(st.integers(1, 3)),
+        mlp_hidden=draw(st.integers(1, 4)),
+        dropout=draw(fraction),
+        embed_dropout=draw(fraction),
+    )
+
+
+VALID_ABLATIONS = [AblationConfig(*flags) for flags in itertools.product([True, False], repeat=3)
+                   if (flags[0] or flags[1]) and (flags[1] or not flags[2])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=model_configs(), ablation=st.sampled_from(VALID_ABLATIONS),
+       seed=st.integers(0, 2 ** 31))
+def test_checkpoint_round_trips_any_config(tmp_path_factory, config, ablation, seed):
+    try:
+        model = HybridModel.build(config, ablation, seed)
+    except ConfigError:  # the static path alone with no static inputs
+        assume(False)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert (loaded.config, loaded.ablation, loaded.seed) == (config, ablation, seed)
+    for name, tensor in model.named_parameters().items():
+        np.testing.assert_array_equal(loaded.named_parameters()[name].data, tensor.data)
 
 
 def test_checkpoint_preserves_ablation_contract(tmp_path):
