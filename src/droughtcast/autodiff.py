@@ -16,6 +16,7 @@ addition) and an ``(n, 1)`` column over the columns of an ``(n, m)`` tensor
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
 
@@ -37,6 +38,8 @@ __all__ = [
     "transpose",
     "reshape",
     "softmax",
+    "weighted_sum",
+    "lstm",
     "concat",
     "slice_tensor",
     "gather_rows",
@@ -44,6 +47,7 @@ __all__ = [
     "sum_all",
     "mean_all",
     "backward",
+    "no_grad",
     "grad_check",
     "GradCheckReport",
 ]
@@ -114,9 +118,26 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
+_recording = True  # cleared inside ``no_grad``
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: results carry no parents, so an
+    inference pass keeps no activations for a backward pass.  The previous
+    state is restored on exit, also when the block raises."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -216,17 +237,15 @@ def _unary(a: Tensor, fwd, deriv) -> Tensor:
     return _result(out_data, (a,), _bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    def _fwd(x):
-        # split by sign to keep exp() in range
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-|x|) never overflows; 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
-    return _unary(a, _fwd, lambda x, y: y * (1.0 - y))
+
+def sigmoid(a: Tensor) -> Tensor:
+    return _unary(a, _sigmoid, lambda x, y: y * (1.0 - y))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -252,15 +271,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data, (a, b), _bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
+def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Permute the axes as ``np.transpose`` does (reversed by default)."""
+    inverse = None if axes is None else tuple(np.argsort(axes))
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g.T)
+            _accumulate(a, g.transpose(inverse))
 
-    return _result(a.data.T.copy(), (a,), _bw)
+    return _result(a.data.transpose(axes).copy(), (a,), _bw)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -287,6 +306,89 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             _accumulate(a, out_data * (g - inner))
 
     return _result(out_data, (a,), _bw)
+
+
+def weighted_sum(weights: Tensor, values: Tensor) -> Tensor:
+    """Per-row weighted sum over the middle axis: ``(B, T)`` weights and
+    ``(B, T, h)`` values give ``(B, h)``."""
+    if weights.data.ndim != 2 or values.data.ndim != 3 or values.shape[:2] != weights.shape:
+        raise ShapeError(f"cannot weight {values.shape} values by {weights.shape}")
+    out_data = np.matmul(weights.data[:, None, :], values.data)[:, 0]
+
+    def _bw(g):
+        if weights.requires_grad:
+            _accumulate(weights, np.matmul(values.data, g[:, :, None])[:, :, 0])
+        if values.requires_grad:
+            _accumulate(values, weights.data[:, :, None] * g[:, None, :])
+
+    return _result(out_data, (weights, values), _bw)
+
+
+def lstm(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One LSTM layer over a time-major ``(T, B, in)`` sequence, from zero
+    hidden and cell states; returns the hidden state of every step,
+    ``(T, B, H)``.
+
+    ``w (in + H, 4H)`` stacks the input rows over the recurrent rows, and
+    its columns (like those of ``b (4H,)``) hold the input, forget,
+    candidate and output gates in that order.  The input projection of all
+    steps is one GEMM before the time loop (Appleyard et al. 2016,
+    arXiv:1604.01946).  The layer is one tape node: its backward runs
+    backpropagation through time over the saved gate activations and cell
+    states, then forms the weight gradient from two GEMMs over all ``T*B``
+    rows.
+    """
+    steps, batch, n_in = x.shape
+    hidden = b.shape[0] // 4
+    if w.shape != (n_in + hidden, 4 * hidden) or b.shape != (4 * hidden,):
+        raise ShapeError(f"LSTM weights {w.shape} and bias {b.shape} do not fit {n_in} inputs")
+    w_x, w_h = w.data[:n_in], w.data[n_in:]
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    # gates[t] holds step t's input projection, then its gate activations
+    gates = (x.data.reshape(steps * batch, n_in) @ w_x).reshape(steps, batch, 4 * hidden)
+    # hs[t + 1] and cs[t + 1] are step t's hidden and cell state; index 0 is the zero start
+    hs = np.zeros((steps + 1, batch, hidden))
+    cs = np.zeros((steps + 1, batch, hidden))
+    for t in range(steps):
+        z = gates[t]
+        z += hs[t] @ w_h
+        z += b.data
+        z[:, :g_.start] = _sigmoid(z[:, :g_.start])
+        z[:, o_] = _sigmoid(z[:, o_])
+        np.tanh(z[:, g_], out=z[:, g_])
+        np.add(z[:, f_] * cs[t], z[:, i_] * z[:, g_], out=cs[t + 1])
+        np.multiply(z[:, o_], np.tanh(cs[t + 1]), out=hs[t + 1])
+
+    def _bw(grad):
+        tanh_c = np.tanh(cs[1:])
+        out_gate = gates[:, :, o_]
+        dc_from_h = out_gate * (1.0 - tanh_c * tanh_c)
+        # local derivatives of the activations, scaled in place into dz
+        dz = 1.0 - gates
+        dz *= gates
+        dz[:, :, g_] = 1.0 - gates[:, :, g_] * gates[:, :, g_]
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            a, d = gates[t], dz[t]
+            dh += grad[t]
+            dc += dh * dc_from_h[t]
+            d[:, i_] *= dc * a[:, g_]
+            d[:, f_] *= dc * cs[t]
+            d[:, g_] *= dc * a[:, i_]
+            d[:, o_] *= dh * tanh_c[t]
+            dc *= a[:, f_]
+            dh = d @ w_h.T
+        dz = dz.reshape(steps * batch, 4 * hidden)
+        if w.requires_grad:
+            _accumulate(w, np.concatenate([x.data.reshape(steps * batch, n_in).T @ dz,
+                                           hs[:-1].reshape(steps * batch, hidden).T @ dz]))
+        if b.requires_grad:
+            _accumulate(b, dz.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, (dz @ w_x.T).reshape(x.shape))
+
+    return _result(hs[1:], (x, w, b), _bw)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

@@ -70,9 +70,13 @@ def _command_dir(cfg: RunConfig, command: str) -> Path:
 
 
 def _ingest_dir(cfg: RunConfig) -> Path:
-    path = _out_root(cfg) / "ingest"
-    if not (path / "train.samples").exists():
-        raise DataError(f"no ingested dataset under {path}; run `ingest` first")
+    return _out_root(cfg) / "ingest"
+
+
+def _ingest_file(ingest: Path, name: str) -> Path:
+    path = ingest / name
+    if not path.exists():
+        raise DataError(f"missing ingest artifact {path}; run `ingest` first")
     return path
 
 
@@ -145,7 +149,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def _load_sets(ingest: Path, *names: str) -> list[dp.SampleSet]:
     """The named sample caches (``train``, ``val``, ``test``) of an ingest
     directory, in order."""
-    return [dp.load_samples(ingest / f"{name}.samples") for name in names]
+    return [dp.load_samples(_ingest_file(ingest, f"{name}.samples")) for name in names]
 
 
 def _load_model(cfg: RunConfig) -> HybridModel:
@@ -167,7 +171,7 @@ def _from_section(cfg: RunConfig, cls, section: str, prefix: str = "", **given):
 
 def _model_config(cfg: RunConfig, ingest: Path, samples: dp.SampleSet) -> ModelConfig:
     """``[model]`` sized to the ingested samples and label dictionary."""
-    vocab_sizes = dp.CategoricalEncoder.load(ingest / "categories.csv").vocab_sizes
+    vocab_sizes = dp.CategoricalEncoder.load(_ingest_file(ingest, "categories.csv")).vocab_sizes
     return _from_section(cfg, ModelConfig, "model", input_channels=samples.x.shape[2],
                          numeric_static_count=samples.s_n.shape[1],
                          categorical_vocab_sizes=vocab_sizes)
@@ -341,7 +345,7 @@ def cmd_introspect(cfg: RunConfig) -> int:
         raise DataError("no test samples in the ingest cache")
 
     categorical = cfg.get_list("data", "categorical_columns")
-    encoder = dp.CategoricalEncoder.load(ingest / "categories.csv")
+    encoder = dp.CategoricalEncoder.load(_ingest_file(ingest, "categories.csv"))
     statics, _ = dp.load_statics(_require_file(cfg, "data", "statics"), categorical,
                                  encoder=encoder)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import RngState
+from .autodiff import RngState, no_grad
 from .data import CategoricalEncoder, StaticFeatures, csv_text, write_csv
 from .errors import ConfigError, DataError, IoError
 from .model import HybridModel
@@ -54,10 +54,10 @@ def collect_attention(model: HybridModel, samples, batch_size: int = 256) -> Att
     if not samples:
         raise DataError("no samples to profile")
     weights = []
-    for i in range(0, len(samples), batch_size):
-        batch = batch_from_samples(samples[i:i + batch_size])
-        out = model.forward(batch, training=False)
-        weights.append(out.attention.data)
+    with no_grad():
+        for i in range(0, len(samples), batch_size):
+            batch = batch_from_samples(samples[i:i + batch_size])
+            weights.append(model.forward(batch, training=False).attention.data)
     alpha = np.concatenate(weights)  # (N, T)
     n, t = alpha.shape
     mean = alpha.mean(axis=0)
@@ -95,7 +95,8 @@ def export_embeddings(model: HybridModel, statics: dict[str, StaticFeatures],
         raise ConfigError("model was built without the categorical static path")
     fips = sorted(statics)
     codes = np.stack([statics[f].categorical for f in fips])
-    vectors = model.reduced_static_embedding(codes).data
+    with no_grad():
+        vectors = model.reduced_static_embedding(codes).data
     labels = {
         column: [encoder.decode(column, int(codes[r, j])) for r in range(len(fips))]
         for j, column in enumerate(encoder.columns)

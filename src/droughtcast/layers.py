@@ -16,18 +16,16 @@ from .autodiff import (
     RngState,
     Tensor,
     add,
-    concat,
     dropout,
     gather_rows,
+    lstm,
     matmul,
-    mul,
     relu,
     reshape,
-    sigmoid,
-    slice_tensor,
     softmax,
     tanh,
     transpose,
+    weighted_sum,
 )
 from .errors import ConfigError, EmptySequenceError, ShapeError
 
@@ -114,39 +112,28 @@ class AffineLayer:
 
 
 @dataclass
-class LstmGates:
-    """One layer's gate parameters: input (i), forget (f), candidate (g),
-    output (o); ``w_*`` act on the layer input, ``u_*`` on the previous
-    hidden state."""
+class LstmLayer:
+    """One layer's packed parameters: ``w (in + H, 4H)`` acts on the layer
+    input stacked over the previous hidden state, and the columns of ``w``
+    and ``b (4H,)`` hold the input (i), forget (f), candidate (g) and
+    output (o) gates in that order."""
 
-    w_i: Tensor
-    w_f: Tensor
-    w_g: Tensor
-    w_o: Tensor
-    u_i: Tensor
-    u_f: Tensor
-    u_g: Tensor
-    u_o: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_g: Tensor
-    b_o: Tensor
+    w: Tensor
+    b: Tensor
 
     @classmethod
-    def init(cls, in_size: int, hidden: int, rng: RngState) -> "LstmGates":
-        kw = {}
-        for gate in "ifgo":
-            kw[f"w_{gate}"] = _uniform_param(rng, (hidden, in_size), in_size)
-            kw[f"u_{gate}"] = _uniform_param(rng, (hidden, hidden), hidden)
-            kw[f"b_{gate}"] = _uniform_param(rng, (hidden,), hidden)
-        return cls(**kw)
+    def init(cls, in_size: int, hidden: int, rng: RngState) -> "LstmLayer":
+        w = np.empty((in_size + hidden, 4 * hidden))
+        b = np.empty(4 * hidden)
+        for k in range(4):  # per gate: input weights, recurrent weights, bias
+            cols = slice(k * hidden, (k + 1) * hidden)
+            w[:in_size, cols] = _uniform_param(rng, (hidden, in_size), in_size).data.T
+            w[in_size:, cols] = _uniform_param(rng, (hidden, hidden), hidden).data.T
+            b[cols] = _uniform_param(rng, (hidden,), hidden).data
+        return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
     def parameters(self) -> dict[str, Tensor]:
-        return {name: getattr(self, name) for name in (
-            "w_i", "w_f", "w_g", "w_o",
-            "u_i", "u_f", "u_g", "u_o",
-            "b_i", "b_f", "b_g", "b_o",
-        )}
+        return {"w": self.w, "b": self.b}
 
 
 @dataclass
@@ -154,7 +141,7 @@ class LstmStack:
     num_layers: int
     input_size: int
     hidden_size: int
-    layers: list[LstmGates]
+    layers: list[LstmLayer]
     dropout_p: float = 0.0
 
     @classmethod
@@ -163,7 +150,7 @@ class LstmStack:
         if num_layers < 1:
             raise ConfigError("LSTM needs at least one layer")
         layers = [
-            LstmGates.init(input_size if i == 0 else hidden_size, hidden_size, rng.split(f"lstm{i}"))
+            LstmLayer.init(input_size if i == 0 else hidden_size, hidden_size, rng.split(f"lstm{i}"))
             for i in range(num_layers)
         ]
         return cls(num_layers, input_size, hidden_size, layers, dropout_p)
@@ -176,50 +163,27 @@ class LstmStack:
         return out
 
 
-def _cell_step(gates: LstmGates, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-               wt: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    # wt caches transposed weights so each forward transposes once, not per step
-    i = sigmoid(add(add(matmul(x_t, wt["w_i"]), matmul(h_prev, wt["u_i"])), gates.b_i))
-    f = sigmoid(add(add(matmul(x_t, wt["w_f"]), matmul(h_prev, wt["u_f"])), gates.b_f))
-    g = tanh(add(add(matmul(x_t, wt["w_g"]), matmul(h_prev, wt["u_g"])), gates.b_g))
-    o = sigmoid(add(add(matmul(x_t, wt["w_o"]), matmul(h_prev, wt["u_o"])), gates.b_o))
-    c_t = add(mul(f, c_prev), mul(i, g))
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
+def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState | None,
+                training: bool) -> Tensor:
+    """Run the stack over a ``(B, T, in)`` window and return the top layer's
+    hidden state at every step, ``(B, T, h)``.
 
-
-def lstm_states(stack: LstmStack, xs: list[Tensor], rng: RngState | None,
-                training: bool) -> list[Tensor]:
-    """Run the stack over a list of per-step ``(B, in)`` tensors and return
-    the top layer's hidden state at every step.
-
-    Initial hidden/cell states are zero; inter-layer dropout applies to the
-    whole lower-layer sequence in training mode.
+    Initial hidden/cell states are zero.  The sequence travels time-major
+    between layers, so in training mode the inter-layer dropout mask is T
+    successive ``(B, h)`` draws from the layer's stream.
     """
-    if not xs:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != stack.input_size:
+        raise ShapeError(f"LSTM expects (B, T, {stack.input_size}) windows, got {x.shape}")
+    if x.shape[1] == 0:
         raise EmptySequenceError("LSTM received an empty sequence")
-    if xs[0].shape[1] != stack.input_size:
-        raise ShapeError(
-            f"LSTM expects {stack.input_size} input channels, got {xs[0].shape[1]}"
-        )
-    batch = xs[0].shape[0]
-    seq = xs
-    for li, gates in enumerate(stack.layers):
-        wt = {
-            name: transpose(getattr(gates, name))
-            for name in ("w_i", "w_f", "w_g", "w_o", "u_i", "u_f", "u_g", "u_o")
-        }
-        h = Tensor(np.zeros((batch, stack.hidden_size)))
-        c = Tensor(np.zeros((batch, stack.hidden_size)))
-        outputs = []
-        for x_t in seq:
-            h, c = _cell_step(gates, x_t, h, c, wt)
-            outputs.append(h)
+    seq = Tensor(x.transpose(1, 0, 2).copy())
+    for li, layer in enumerate(stack.layers):
+        seq = lstm(seq, layer.w, layer.b)
         if training and stack.dropout_p > 0 and li < stack.num_layers - 1:
             drop_rng = (rng or RngState(0)).split(f"lstm_dropout{li}")
-            outputs = [dropout(h_t, stack.dropout_p, True, drop_rng) for h_t in outputs]
-        seq = outputs
-    return seq
+            seq = dropout(seq, stack.dropout_p, True, drop_rng)
+    return transpose(seq, (1, 0, 2))
 
 
 @dataclass
@@ -256,20 +220,18 @@ def attend(head: AttentionHead, hidden: Tensor) -> tuple[Tensor, Tensor]:
     return reshape(context, (hidden.shape[1],)), reshape(alpha_row, (steps,))
 
 
-def attend_batched(head: AttentionHead, hidden_steps: list[Tensor]) -> tuple[Tensor, Tensor]:
-    """Batched attention over per-step ``(B, h)`` tensors.
+def attend_batched(head: AttentionHead, hidden: Tensor) -> tuple[Tensor, Tensor]:
+    """Batched attention over ``(B, T, h)`` hidden states: one score GEMM
+    over all ``B*T`` states, a softmax per row and one weighted sum.
 
     Returns ``(context (B, h), weights (B, T))``.
     """
-    if not hidden_steps:
+    batch, steps, width = hidden.shape
+    if steps == 0:
         raise EmptySequenceError("attention over an empty sequence")
-    scores = concat([head.score_layer(h_t) for h_t in hidden_steps], axis=1)  # (B, T)
-    alpha = softmax(scores, axis=1)
-    context = None
-    for t, h_t in enumerate(hidden_steps):
-        weighted = mul(slice_tensor(alpha, [(0, alpha.shape[0]), (t, t + 1)]), h_t)
-        context = weighted if context is None else add(context, weighted)
-    return context, alpha
+    scores = head.score_layer(reshape(hidden, (batch * steps, width)))  # (B*T, 1)
+    alpha = softmax(reshape(scores, (batch, steps)), axis=1)
+    return weighted_sum(alpha, hidden), alpha
 
 
 @dataclass

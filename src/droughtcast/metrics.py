@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import no_grad
 from .data import csv_text
 from .errors import (
     DataError,
@@ -222,10 +223,11 @@ def evaluate(model: HybridModel, samples, batch_size: int = 256) -> MetricsRepor
         raise DataError("cannot evaluate on an empty sample set")
     preds = []
     targets = []
-    for i in range(0, len(samples), batch_size):
-        batch = batch_from_samples(samples[i:i + batch_size])
-        preds.append(model.forward(batch, training=False).predictions.data)
-        targets.append(batch.y)
+    with no_grad():
+        for i in range(0, len(samples), batch_size):
+            batch = batch_from_samples(samples[i:i + batch_size])
+            preds.append(model.forward(batch, training=False).predictions.data)
+            targets.append(batch.y)
     return report_from_predictions(np.concatenate(preds), np.concatenate(targets))
 
 

@@ -21,7 +21,9 @@ from .autodiff import (
     mean_all,
     mul,
     relu,
+    reshape,
     scale,
+    slice_tensor,
     sub,
 )
 from .errors import ConfigError, DataError, ShapeError
@@ -227,12 +229,13 @@ class HybridModel:
             x = np.asarray(batch.x, dtype=np.float64)
             if x.ndim != 3 or x.shape[2] != self.config.input_channels:
                 raise ShapeError(f"expected (B, T, {self.config.input_channels}) windows, got {x.shape}")
-            steps = [Tensor(x[:, t, :]) for t in range(x.shape[1])]
-            hidden = lstm_states(self.lstm, steps, rng, training)
+            hidden = lstm_states(self.lstm, x, rng, training)  # (B, T, h)
             if self.attention is not None:
                 context, alpha = attend_batched(self.attention, hidden)
                 pieces.append(context)
-            pieces.append(hidden[-1])
+            batch_size, steps, width = hidden.shape
+            last = slice_tensor(hidden, [(0, batch_size), (steps - 1, steps)])
+            pieces.append(reshape(last, (batch_size, width)))
 
         if self.ablation.use_static:
             reduced, static_pieces = self._static_vector(batch, training, rng)

@@ -1,7 +1,7 @@
 """Optimization loop: decoupled-weight-decay Adam, a triangular cyclical
 learning-rate schedule, seeded mini-batching, and binary checkpoints.
 
-Checkpoint format (little-endian): magic ``HMCKPT1``, uint32 length +
+Checkpoint format (little-endian): magic ``HMCKPT2``, uint32 length +
 UTF-8 config text (one ``model.<field>=`` or ``ablation.<field>=`` line
 per field of ``ModelConfig`` and ``AblationConfig``, then ``seed=``),
 uint32 tensor count, then per tensor uint32 name length, name bytes,
@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .autodiff import RngState, Tensor, backward
+from .autodiff import RngState, Tensor, backward, no_grad
 from .config import format_value, parse_as
 from .data import SampleSet, csv_text
 from .errors import ConfigError, FormatError, NumericError
@@ -119,11 +119,12 @@ def batch_from_samples(samples: SampleSet) -> Batch:
 def validation_mae(model: HybridModel, samples: SampleSet, batch_size: int = 256) -> float:
     total = 0.0
     count = 0
-    for i in range(0, len(samples), batch_size):
-        batch = batch_from_samples(samples[i:i + batch_size])
-        preds = model.forward(batch, training=False).predictions.data
-        total += np.abs(preds - batch.y).sum()
-        count += batch.y.size
+    with no_grad():
+        for i in range(0, len(samples), batch_size):
+            batch = batch_from_samples(samples[i:i + batch_size])
+            preds = model.forward(batch, training=False).predictions.data
+            total += np.abs(preds - batch.y).sum()
+            count += batch.y.size
     return float(total / count) if count else float("nan")
 
 
@@ -191,7 +192,7 @@ def _restore(model: HybridModel, params: dict[str, np.ndarray]) -> None:
         t.data[...] = params[name]
 
 
-_CKPT_MAGIC = b"HMCKPT1"
+_CKPT_MAGIC = b"HMCKPT2"
 _HEADER_SECTIONS = {"model": ModelConfig, "ablation": AblationConfig}
 
 
@@ -251,6 +252,9 @@ def save_checkpoint(model: HybridModel, path) -> None:
 def load_checkpoint(path) -> HybridModel:
     blob = Path(path).read_bytes()
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        if blob.startswith(b"HMCKPT"):
+            raise FormatError(f"{path}: checkpoint version {blob[:7].decode(errors='replace')!r} "
+                              f"is not supported (expected {_CKPT_MAGIC.decode()}); retrain the model")
         raise FormatError(f"{path}: bad checkpoint magic")
     view = memoryview(blob)
     offset = len(_CKPT_MAGIC)

@@ -15,6 +15,7 @@ from droughtcast.autodiff import (
     matmul,
     mean_all,
     mul,
+    no_grad,
     reshape,
     sigmoid,
     slice_tensor,
@@ -33,6 +34,43 @@ def test_add_direct():
 
 def test_sigmoid_at_zero():
     assert sigmoid(Tensor([0.0])).data[0] == 0.5
+
+
+def _masked_sigmoid(x):
+    """The sign-split formula the kernel replaced, kept as its reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    edges = np.array([0.0, -0.0, 700.0, -700.0, 800.0, -800.0, 1e-300, -1e-300, np.nan])
+    x = np.concatenate([edges, np.random.default_rng(0).normal(0.0, 3.0, 10_000)])
+    with np.errstate(over="ignore"):
+        expected = _masked_sigmoid(x)
+    got = sigmoid(Tensor(x)).data
+    nan = np.isnan(x)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+    assert np.isnan(got[nan]).all()  # NaN stays NaN; its sign bit carries nothing
+
+
+def test_no_grad_records_nothing_and_restores_state():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        inside = mul(a, a)
+        with no_grad():
+            pass
+        still_inside = mul(a, a)
+    assert inside._parents == () and not inside.requires_grad
+    assert still_inside._parents == ()
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    after = mul(a, a)
+    assert after._parents == (a, a) and after.requires_grad
 
 
 def test_tanh_gradient_at_zero_is_one():

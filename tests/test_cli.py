@@ -263,6 +263,20 @@ def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, ed
     assert f"{bad}: {message}" in result.stderr
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("eval", "test.samples"),
+    ("train", "categories.csv"),
+])
+def test_missing_ingest_artifact_exits_3_without_traceback(dataset, tmp_path, command, artifact):
+    out = tmp_path / "out"
+    assert main(["--config", str(dataset), "--out", str(out), "ingest"]) == 0
+    (out / "ingest" / artifact).unlink()
+    result = run_module("--config", str(dataset), "--out", str(out), command)
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"{out / 'ingest' / artifact}; run `ingest` first" in result.stderr
+
+
 def test_label_with_comma_survives_ingest_and_train(dataset, tmp_path):
     label = "loam, sandy & <silt>"
     quoted = _corrupt_line(dataset.parent / "statics.csv", tmp_path / "statics.csv",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtcast.autodiff import RngState, Tensor, backward, concat, grad_check, sum_all
+from droughtcast.autodiff import RngState, Tensor, backward, grad_check, lstm, reshape, sum_all
 from droughtcast.errors import EmptySequenceError, ShapeError
 from droughtcast.layers import (
     AffineLayer,
@@ -25,9 +25,8 @@ def _sigmoid(x):
 def lstm_sequence(stack, x):
     """Top-layer hidden states ``(T, h)`` of one ``(T, in)`` sequence: the
     production batched path at B=1."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    steps = [Tensor(x.data[t:t + 1]) for t in range(x.shape[0])]
-    return concat(lstm_states(stack, steps, None, training=False), axis=0)
+    x = x.data if isinstance(x, Tensor) else np.asarray(x)
+    return reshape(lstm_states(stack, x[None], None, training=False), (x.shape[0], -1))
 
 
 def test_embed_lookup_identity():
@@ -98,8 +97,10 @@ def test_lstm_single_step_matches_hand_evaluation():
             "w_f": -0.2, "u_f": 0.4, "b_f": 0.2,
             "w_g": 0.7, "u_g": -0.5, "b_g": -0.1,
             "w_o": 0.6, "u_o": 0.2, "b_o": 0.3}
-    for name, v in vals.items():
-        getattr(stack.layers[0], name).data[...] = v
+    layer = stack.layers[0]
+    for k, gate in enumerate("ifgo"):  # packed columns; row 0 input, row 1 recurrent
+        layer.w.data[:, k] = [vals[f"w_{gate}"], vals[f"u_{gate}"]]
+        layer.b.data[k] = vals[f"b_{gate}"]
     x = 0.8
     out = lstm_sequence(stack, Tensor([[x]]))
 
@@ -122,19 +123,17 @@ def test_lstm_hidden_states_bounded():
 def test_lstm_rejects_empty_sequence():
     stack = LstmStack.init(1, 2, 3, RngState(0))
     with pytest.raises(EmptySequenceError):
-        lstm_states(stack, [], None, training=False)
+        lstm_states(stack, np.zeros((1, 0, 2)), None, training=False)
 
 
 def test_lstm_batched_matches_per_sample():
     stack = LstmStack.init(2, 3, 5, RngState(8))
     rng = RngState(9)
     x_batch = rng.uniform(-1, 1, (4, 6, 3))
-    steps = [Tensor(x_batch[:, t, :]) for t in range(6)]
-    batched = lstm_states(stack, steps, None, training=False)
+    batched = lstm_states(stack, x_batch, None, training=False)
     for b in range(4):
         single = lstm_sequence(stack, x_batch[b])
-        stacked = np.stack([h.data[b] for h in batched])
-        np.testing.assert_allclose(stacked, single.data, atol=1e-12)
+        np.testing.assert_allclose(batched.data[b], single.data, atol=1e-12)
 
 
 def test_attend_identical_states_gives_uniform_weights():
@@ -202,8 +201,7 @@ def test_attend_batched_matches_per_sample():
     head = AttentionHead.init(4, RngState(20))
     rng = RngState(21)
     h = rng.uniform(-1, 1, (3, 5, 4))
-    steps = [Tensor(h[:, t, :]) for t in range(5)]
-    context_b, alpha_b = attend_batched(head, steps)
+    context_b, alpha_b = attend_batched(head, Tensor(h))
     for b in range(3):
         context, alpha = attend(head, Tensor(h[b]))
         np.testing.assert_allclose(context_b.data[b], context.data, atol=1e-12)
@@ -249,3 +247,30 @@ def test_lstm_gradients_pass_check_at_small_dims():
     report = grad_check(lambda: sum_all(lstm_sequence(stack, x)), stack.parameters(),
                         tolerance=1e-4)
     assert report.ok, report.per_input
+
+
+def test_lstm_init_packs_per_gate_draws_in_order():
+    in_size, hidden = 3, 2
+    layer = LstmStack.init(1, in_size, hidden, RngState(4)).layers[0]
+    rng = RngState(4).split("lstm0")
+    for k in range(4):
+        cols = slice(k * hidden, (k + 1) * hidden)
+        bound_in, bound_h = np.sqrt(1.0 / in_size), np.sqrt(1.0 / hidden)
+        np.testing.assert_array_equal(layer.w.data[:in_size, cols],
+                                      rng.uniform(-bound_in, bound_in, (hidden, in_size)).T)
+        np.testing.assert_array_equal(layer.w.data[in_size:, cols],
+                                      rng.uniform(-bound_h, bound_h, (hidden, hidden)).T)
+        np.testing.assert_array_equal(layer.b.data[cols], rng.uniform(-bound_h, bound_h, hidden))
+
+
+def test_lstm_dropout_mask_is_successive_per_step_draws():
+    steps, batch, hidden, p = 4, 3, 5, 0.5
+    stack = LstmStack.init(2, 2, hidden, RngState(60), dropout_p=p)
+    x = RngState(61).uniform(-1, 1, (batch, steps, 2))
+    out = lstm_states(stack, x, RngState(62), training=True)
+
+    stream = RngState(62).split("lstm_dropout0")
+    mask = np.stack([(stream.random((batch, hidden)) >= p) / (1.0 - p) for _ in range(steps)])
+    lower = lstm(Tensor(x.transpose(1, 0, 2)), stack.layers[0].w, stack.layers[0].b)
+    upper = lstm(Tensor(lower.data * mask), stack.layers[1].w, stack.layers[1].b)
+    np.testing.assert_array_equal(out.data, upper.data.transpose(1, 0, 2))

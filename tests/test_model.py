@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from droughtcast.autodiff import RngState, Tensor, grad_check
+from droughtcast.data import SampleSet
+from droughtcast.metrics import evaluate
 from droughtcast.errors import ConfigError, DataError, ShapeError
 from droughtcast.model import (
     AblationConfig,
@@ -11,6 +13,7 @@ from droughtcast.model import (
     mae_loss,
     mse_loss,
 )
+from droughtcast.training import validation_mae
 
 
 def tiny_config(**overrides):
@@ -216,3 +219,46 @@ def test_full_model_gradients_match_finite_differences():
 
     report = grad_check(fn, model.named_parameters(), step=1e-5, tolerance=1e-4)
     assert report.ok, report.failures
+
+
+def _tape_size(root):
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_training_tape_size_does_not_grow_with_window_length():
+    config = tiny_config(dropout=0.1, embed_dropout=0.4)
+    model = HybridModel.build(config, AblationConfig(), seed=3)
+    sizes = [
+        _tape_size(model.forward(tiny_batch(b=3, t=t, seed=4, config=config), training=True,
+                                 rng=RngState(5)).predictions)
+        for t in (5, 50)
+    ]
+    assert sizes[0] == sizes[1]
+
+
+def test_eval_callers_record_no_tape(monkeypatch):
+    model = HybridModel.build(tiny_config(), AblationConfig(), seed=6)
+    outputs = []
+    forward = HybridModel.forward
+
+    def spy(self, *args, **kwargs):
+        outputs.append(forward(self, *args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(HybridModel, "forward", spy)
+    batch = tiny_batch(b=4, t=6, seed=7)
+    samples = SampleSet(batch.x, batch.s_n, batch.s_d, batch.y, np.array(["19001"] * 4),
+                        np.full(4, np.datetime64("2020-01-01", "D")))
+    evaluate(model, samples)
+    validation_mae(model, samples)
+    assert len(outputs) == 2
+    for out in outputs:
+        assert out.predictions._parents == () and not out.predictions.requires_grad
+        assert out.attention._parents == ()
+    assert model.forward(batch, training=True, rng=RngState(8)).predictions._parents

@@ -218,10 +218,19 @@ def test_checkpoint_truncation_detected(tmp_path):
 
 def _edit_header(blob: bytes, edit) -> bytes:
     """A checkpoint whose config text is passed through ``edit``."""
-    start = len(b"HMCKPT1")
+    start = len(b"HMCKPT2")
     (length,) = struct.unpack_from("<I", blob, start)
     header = edit(blob[start + 4:start + 4 + length])
     return blob[:start] + struct.pack("<I", len(header)) + header + blob[start + 4 + length:]
+
+
+def test_version_1_checkpoint_names_version_and_asks_to_retrain(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(HybridModel.build(overfit_config(), AblationConfig(), seed=3), path)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(b"HMCKPT1" + path.read_bytes()[len(b"HMCKPT2"):])
+    with pytest.raises(FormatError, match="'HMCKPT1' is not supported .*HMCKPT2.*retrain"):
+        load_checkpoint(old)
 
 
 @pytest.mark.parametrize("edit, message", [
