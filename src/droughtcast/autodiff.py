@@ -4,14 +4,13 @@ A :class:`Tensor` wraps a ``numpy`` array plus an optional tape entry
 (parent references and a backward closure).  Every operation in this module
 records the minimal information needed to push gradients back to its
 inputs; :func:`backward` replays the tape in reverse topological order and
-accumulates into ``Tensor.grad``.  The tape is per-forward-pass: by default
-``backward`` releases parent references afterwards, so graphs are not
-retained across steps and higher-order derivatives are not supported.
+accumulates into ``Tensor.grad``.  The tape is per-forward-pass: ``backward``
+releases parent references afterwards, so graphs are not retained across
+steps and higher-order derivatives are not supported.
 
-Binary elementwise ops accept equal shapes plus two broadcast forms that
-the model needs: a trailing 1-D vector over the rows of a 2-D tensor (bias
-addition) and an ``(n, 1)`` column over the columns of an ``(n, m)`` tensor
-(per-row scalar weighting).  Anything else raises ``ShapeError``.
+Binary elementwise ops take two tensors of equal shape, or a tensor and
+then a 1-D vector that matches its trailing axis (bias addition).
+Anything else raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "sigmoid",
-    "tanh",
     "relu",
     "matmul",
     "transpose",
@@ -69,49 +66,13 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """Copy of the values with no tape attachment."""
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self, free_graph: bool = True) -> None:
-        backward(self, free_graph=free_graph)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    # Operator sugar; the named functions below do the real work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -151,49 +112,23 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Invert broadcasting by summing gradient over the expanded axes."""
+    """Invert broadcasting by summing gradient over the leading axes."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
     return g
 
 
 def _check_broadcast(a: Tensor, b: Tensor) -> None:
     if a.shape == b.shape:
         return
-    # trailing row vector over a 2-D (or higher) tensor
+    # a trailing 1-D vector over a 2-D (or higher) tensor
     if b.data.ndim == 1 and a.data.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        return
-    if a.data.ndim == 1 and b.data.ndim >= 2 and b.shape[-1] == a.shape[0]:
-        return
-    # column vector over the columns of a matrix
-    if (
-        a.data.ndim == 2
-        and b.data.ndim == 2
-        and b.shape == (a.shape[0], 1)
-        or b.data.ndim == 2
-        and a.data.ndim == 2
-        and a.shape == (b.shape[0], 1)
-    ):
         return
     raise ShapeError(f"shapes {a.shape} and {b.shape} do not broadcast")
 
 
-def _as_operand(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (int, float, np.floating, np.integer, np.ndarray)):
-        return Tensor(x)
-    raise TypeError(f"cannot operate on {type(x).__name__}")
-
-
-def _binary(a, b, fwd, bwd_a, bwd_b) -> Tensor:
-    a = _as_operand(a)
-    b = _as_operand(b)
-    if a.data.ndim > 0 and b.data.ndim > 0:
-        _check_broadcast(a, b)
+def _binary(a: Tensor, b: Tensor, fwd, bwd_a, bwd_b) -> Tensor:
+    _check_broadcast(a, b)
     out_data = fwd(a.data, b.data)
 
     def _bw(g):
@@ -205,15 +140,15 @@ def _binary(a, b, fwd, bwd_a, bwd_b) -> Tensor:
     return _result(out_data, (a, b), _bw)
 
 
-def add(a, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a, b) -> Tensor:
+def sub(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
 
 
-def mul(a, b) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
@@ -227,14 +162,12 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(a.data * c, (a,), _bw)
 
 
-def _unary(a: Tensor, fwd, deriv) -> Tensor:
-    out_data = fwd(a.data)
-
+def relu(a: Tensor) -> Tensor:
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g * deriv(a.data, out_data))
+            _accumulate(a, g * (a.data > 0.0))
 
-    return _result(out_data, (a,), _bw)
+    return _result(np.maximum(a.data, 0.0), (a,), _bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -242,18 +175,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return _unary(a, _sigmoid, lambda x, y: y * (1.0 - y))
-
-
-def tanh(a: Tensor) -> Tensor:
-    return _unary(a, np.tanh, lambda x, y: 1.0 - y * y)
-
-
-def relu(a: Tensor) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -501,12 +422,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor, free_graph: bool = True) -> None:
+def backward(root: Tensor) -> None:
     """Populate ``grad`` on every reachable requires_grad tensor.
 
-    ``root`` must be scalar (size 1).  Fan-in accumulates with ``+=``.  With
-    ``free_graph`` the tape is released afterwards so intermediate results
-    can be collected.
+    ``root`` must be scalar (size 1).  Fan-in accumulates with ``+=``.  The
+    tape is released afterwards so intermediate results can be collected.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -516,10 +436,9 @@ def backward(root: Tensor, free_graph: bool = True) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    if free_graph:
-        for node in order:
-            node._parents = ()
-            node._backward = None
+    for node in order:
+        node._parents = ()
+        node._backward = None
 
 
 class RngState:

@@ -346,6 +346,10 @@ def cmd_introspect(cfg: RunConfig) -> int:
 
     categorical = cfg.get_list("data", "categorical_columns")
     encoder = dp.CategoricalEncoder.load(_ingest_file(ingest, "categories.csv"))
+    color = cfg.get("introspect", "color_column") or None
+    if color is not None and color not in encoder.columns:
+        raise ConfigError(f"[introspect] color_column {color!r} is not a categorical column; "
+                          f"choose one of {', '.join(encoder.columns) or '(none)'}")
     statics, _ = dp.load_statics(_require_file(cfg, "data", "statics"), categorical,
                                  encoder=encoder)
 
@@ -357,7 +361,6 @@ def cmd_introspect(cfg: RunConfig) -> int:
         iterations=cfg.get_int("introspect", "iterations"),
         seed=cfg.seed,
     )
-    color = cfg.get("introspect", "color_column") or None
     paths = emit_figures(profile, projection, export, out, color_column=color)
     print(f"wrote {len(paths)} introspection artifacts -> {out}")
     return 0

@@ -299,8 +299,7 @@ def load_timeseries(path, max_gap_days: int = 14,
 
 
 def channel_names_of(path) -> list[str]:
-    with Path(path).open(newline="") as fh:
-        header = next(csv.reader(fh))
+    _, header = next(_csv_rows(Path(path), SchemaError))
     return [name for name in header if name not in ("fips", "date", "score")]
 
 
@@ -385,6 +384,8 @@ def build_samples(series: dict[str, CountyTimeSeries],
     """
     if target_phase not in ("anchor", "next"):
         raise ConfigError(f"target_phase must be 'anchor' or 'next', got {target_phase!r}")
+    if window_days < 1:
+        raise ConfigError(f"window_days must be at least 1, got {window_days}")
     if not series:
         raise DataError("no county time series to build samples from")
     report = BuildReport()

@@ -23,7 +23,8 @@ from .autodiff import RngState, no_grad
 from .data import CategoricalEncoder, StaticFeatures, csv_text, write_csv
 from .errors import ConfigError, DataError, IoError
 from .model import HybridModel
-from .training import batch_from_samples
+# batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
+from .training import batch_from_samples, predict  # noqa: F401
 
 Z95 = 1.96  # normal-approximation 95% interval
 
@@ -46,19 +47,12 @@ class AttentionProfile:
                         + [[day, *cells, self.n] for day, *cells in zip(self.day_offsets, *columns)])
 
 
-def collect_attention(model: HybridModel, samples, batch_size: int = 256) -> AttentionProfile:
+def collect_attention(model: HybridModel, samples) -> AttentionProfile:
     """Run the sample set through the model and profile the attention mass
     placed on each day of the look-back window."""
     if model.attention is None:
         raise ConfigError("model was built without the attention path")
-    if not samples:
-        raise DataError("no samples to profile")
-    weights = []
-    with no_grad():
-        for i in range(0, len(samples), batch_size):
-            batch = batch_from_samples(samples[i:i + batch_size])
-            weights.append(model.forward(batch, training=False).attention.data)
-    alpha = np.concatenate(weights)  # (N, T)
+    alpha = predict(model, samples)[1]  # (N, T)
     n, t = alpha.shape
     mean = alpha.mean(axis=0)
     if n > 1:
@@ -170,10 +164,16 @@ def row_perplexity(p_row: np.ndarray) -> float:
     return float(np.exp(-(p_row[nz] * np.log(p_row[nz])).sum()))
 
 
-def tsne(points, perplexity: float = 100.0, iterations: int = 1000,
-         seed: int = 0, early_exaggeration: float = 12.0,
-         exaggeration_iters: int = 250) -> TsneResult:
+EARLY_EXAGGERATION = 12.0  # affinity multiplier for the first EXAGGERATION_ITERS iterations
+EXAGGERATION_ITERS = 250
+
+
+def tsne(points, perplexity: float = 100.0, iterations: int = 1000, seed: int = 0) -> TsneResult:
     """Exact t-SNE to two dimensions."""
+    if iterations < 1:
+        raise ConfigError(f"t-SNE needs at least one iteration, got {iterations}")
+    if not perplexity > 0:
+        raise ConfigError(f"t-SNE perplexity must be positive, got {perplexity}")
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n < 4:
@@ -202,7 +202,7 @@ def tsne(points, perplexity: float = 100.0, iterations: int = 1000,
     kl_trace: list[float] = []
 
     for it in range(iterations):
-        p_eff = p * early_exaggeration if it < exaggeration_iters else p
+        p_eff = p * EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else p
         d2_low = _pairwise_sq_dists(y)
         inv = 1.0 / (1.0 + d2_low)
         np.fill_diagonal(inv, 0.0)
@@ -212,7 +212,7 @@ def tsne(points, perplexity: float = 100.0, iterations: int = 1000,
         coeff = (p_eff - q) * inv
         grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ y)
 
-        momentum = 0.5 if it < exaggeration_iters else 0.8
+        momentum = 0.5 if it < EXAGGERATION_ITERS else 0.8
         velocity = momentum * velocity - lr * grad
         y = y + velocity
         y = y - y.mean(axis=0)
@@ -249,9 +249,8 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: floa
     return out_lo + (values - lo) / span * (out_hi - out_lo)
 
 
-def scatter_svg(coords: np.ndarray, categories: list[str], title: str,
-                width: int = 640, height: int = 480) -> str:
-    pad = 40
+def scatter_svg(coords: np.ndarray, categories: list[str], title: str) -> str:
+    width, height, pad = 640, 480, 40
     xs = _scale(coords[:, 0], coords[:, 0].min(), coords[:, 0].max(), pad, width - pad)
     ys = _scale(coords[:, 1], coords[:, 1].min(), coords[:, 1].max(), height - pad, pad)
     order = sorted(set(categories))
@@ -272,9 +271,8 @@ def scatter_svg(coords: np.ndarray, categories: list[str], title: str,
     return _svg_document(body, width, height, title)
 
 
-def profile_svg(profile: AttentionProfile, title: str = "mean attention weight per day",
-                width: int = 720, height: int = 360) -> str:
-    pad = 45
+def profile_svg(profile: AttentionProfile) -> str:
+    width, height, pad = 720, 360, 45
     days = np.asarray(profile.day_offsets, dtype=float)
     lo = min(float(profile.ci_low.min()), 0.0)
     hi = float(profile.ci_high.max()) * 1.05
@@ -295,7 +293,7 @@ def profile_svg(profile: AttentionProfile, title: str = "mean attention weight p
         f'<text x="{width // 2}" y="{height - 8}" font-size="12" font-family="sans-serif" '
         f'text-anchor="middle">day offset</text>',
     ]
-    return _svg_document(body, width, height, title)
+    return _svg_document(body, width, height, "mean attention weight per day")
 
 
 def emit_figures(profile: AttentionProfile, tsne_result: TsneResult,

@@ -23,13 +23,12 @@ from .autodiff import (
     relu,
     reshape,
     softmax,
-    tanh,
     transpose,
     weighted_sum,
 )
 from .errors import ConfigError, EmptySequenceError, ShapeError
 
-_ACTIVATIONS = {"none": None, "relu": relu, "tanh": tanh}
+_ACTIVATIONS = {"none": None, "relu": relu}
 
 
 def _uniform_param(rng: RngState, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -54,12 +53,8 @@ class EmbeddingTable:
 
 
 def embed(table: EmbeddingTable, codes) -> Tensor:
-    """Look up rows for integer codes; gradient flows only into taken rows."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.size and codes.max() >= table.vocab_size:
-        raise IndexError(
-            f"code {int(codes.max())} outside vocab of size {table.vocab_size}"
-        )
+    """Look up rows for integer codes; gradient flows only into taken rows,
+    and a code outside the table raises ``IndexError``."""
     return gather_rows(table.weights, codes)
 
 
@@ -89,22 +84,14 @@ class AffineLayer:
     def in_size(self) -> int:
         return self.weight.shape[1]
 
-    @property
-    def out_size(self) -> int:
-        return self.weight.shape[0]
-
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.data.ndim == 1
-        if squeeze:
-            x = reshape(x, (1, x.shape[0]))
-        if x.shape[1] != self.in_size:
-            raise ShapeError(f"affine expects {self.in_size} inputs, got {x.shape[1]}")
+        """``(B, in)`` rows to ``(B, out)``."""
+        if x.data.ndim != 2 or x.shape[1] != self.in_size:
+            raise ShapeError(f"affine expects (B, {self.in_size}) inputs, got {x.shape}")
         out = add(matmul(x, transpose(self.weight)), self.bias)
         act = _ACTIVATIONS[self.activation]
         if act is not None:
             out = act(out)
-        if squeeze:
-            out = reshape(out, (self.out_size,))
         return out
 
     def parameters(self) -> dict[str, Tensor]:
@@ -252,10 +239,6 @@ class Mlp:
             for i in range(num_layers)
         ]
         return cls(layers)
-
-    @property
-    def in_size(self) -> int:
-        return self.layers[0].in_size
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:

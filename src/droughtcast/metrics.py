@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import no_grad
 from .data import csv_text
 from .errors import (
     DataError,
@@ -25,7 +24,8 @@ from .errors import (
     UndefinedMetricError,
 )
 from .model import FORECAST_WEEKS, HybridModel
-from .training import batch_from_samples
+# batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
+from .training import batch_from_samples, predict  # noqa: F401
 
 N_CATEGORIES = 6
 # the per-week columns of the wide CSVs, in the order of MetricsReport.weekly_cells
@@ -58,21 +58,13 @@ def rmse(pred, target, week: int | None = None) -> float:
     return float(np.sqrt(((pred - target) ** 2).mean()))
 
 
-def score_to_category(score: float, mode: str = "round") -> int:
-    """Map a continuous drought score to an intensity category 0..5."""
-    if isinstance(score, (np.ndarray, list)):
-        return np.array([score_to_category(s, mode) for s in np.ravel(score)], dtype=np.int64)
-    if math.isnan(score):
+def score_to_category(scores) -> np.ndarray:
+    """Map continuous drought scores to intensity categories 0..5 (round
+    half up, then clamp), keeping their shape."""
+    scores = np.asarray(scores, dtype=float)
+    if np.isnan(scores).any():
         raise NumericError("cannot categorize NaN score")
-    if mode == "round":
-        cat = math.floor(score + 0.5)
-    elif mode == "floor":
-        cat = math.floor(score)
-    elif mode == "ceil":
-        cat = math.ceil(score)
-    else:
-        raise DataError(f"unknown category mode {mode!r}")
-    return int(min(max(cat, 0), N_CATEGORIES - 1))
+    return np.clip(np.floor(scores + 0.5), 0, N_CATEGORIES - 1).astype(np.int64)
 
 
 def macro_f1(pred_categories, target_categories, classes=range(N_CATEGORIES)) -> float:
@@ -198,10 +190,7 @@ def report_from_predictions(pred, target) -> MetricsReport:
     weekly_mae = [mae(pred, target, week=w) for w in range(1, FORECAST_WEEKS + 1)]
     pred_cats = score_to_category(pred)
     target_cats = score_to_category(target)
-    weekly_f1 = [
-        macro_f1(pred_cats.reshape(pred.shape)[:, w], target_cats.reshape(pred.shape)[:, w])
-        for w in range(FORECAST_WEEKS)
-    ]
+    weekly_f1 = [macro_f1(pred_cats[:, w], target_cats[:, w]) for w in range(FORECAST_WEEKS)]
     try:
         auc = roc_auc_weighted(membership_scores(pred), target_cats)
     except UndefinedMetricError:
@@ -217,18 +206,10 @@ def report_from_predictions(pred, target) -> MetricsReport:
     )
 
 
-def evaluate(model: HybridModel, samples, batch_size: int = 256) -> MetricsReport:
-    """Eval-mode forward over the sample set, then the full report."""
-    if not samples:
-        raise DataError("cannot evaluate on an empty sample set")
-    preds = []
-    targets = []
-    with no_grad():
-        for i in range(0, len(samples), batch_size):
-            batch = batch_from_samples(samples[i:i + batch_size])
-            preds.append(model.forward(batch, training=False).predictions.data)
-            targets.append(batch.y)
-    return report_from_predictions(np.concatenate(preds), np.concatenate(targets))
+def evaluate(model: HybridModel, samples) -> MetricsReport:
+    """:func:`~droughtcast.training.predict` over the sample set, then the
+    full report."""
+    return report_from_predictions(predict(model, samples)[0], samples.y)
 
 
 # Student-t distribution, implemented directly so significance results do

@@ -16,6 +16,7 @@ import numpy as np
 from .autodiff import (
     RngState,
     Tensor,
+    add,
     concat,
     dropout,
     mean_all,
@@ -270,7 +271,7 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
     diff = sub(pred, target)
-    return mean_all(relu(diff) + relu(scale(diff, -1.0)))
+    return mean_all(add(relu(diff), relu(scale(diff, -1.0))))
 
 
 LOSSES = {"mse": mse_loss, "mae": mae_loss}

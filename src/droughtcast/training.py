@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import RngState, Tensor, backward, no_grad
 from .config import format_value, parse_as
 from .data import SampleSet, csv_text
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig
 
 
@@ -116,16 +116,34 @@ def batch_from_samples(samples: SampleSet) -> Batch:
     return Batch(x=samples.x, s_n=samples.s_n, s_d=samples.s_d, y=samples.y)
 
 
-def validation_mae(model: HybridModel, samples: SampleSet, batch_size: int = 256) -> float:
-    total = 0.0
-    count = 0
+PREDICT_BLOCK = 256  # rows per eval-mode forward
+
+
+def predict(model: HybridModel, samples: SampleSet) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eval-mode forward over the sample set, ``PREDICT_BLOCK`` rows at a
+    time and recording no tape.
+
+    Returns ``(predictions (N, 6), attention (N, T))``; the attention is
+    ``None`` when the model has no attention path.
+    """
+    if not samples:
+        raise DataError("no samples to predict")
+    predictions, attention = [], []
     with no_grad():
-        for i in range(0, len(samples), batch_size):
-            batch = batch_from_samples(samples[i:i + batch_size])
-            preds = model.forward(batch, training=False).predictions.data
-            total += np.abs(preds - batch.y).sum()
-            count += batch.y.size
-    return float(total / count) if count else float("nan")
+        for i in range(0, len(samples), PREDICT_BLOCK):
+            out = model.forward(batch_from_samples(samples[i:i + PREDICT_BLOCK]), training=False)
+            predictions.append(out.predictions.data)
+            if out.attention is not None:
+                attention.append(out.attention.data)
+    return np.concatenate(predictions), (np.concatenate(attention) if attention else None)
+
+
+def validation_mae(model: HybridModel, samples: SampleSet) -> float:
+    errors = np.abs(predict(model, samples)[0] - samples.y)
+    # summed one block at a time: a single pairwise sum over all rows rounds
+    # differently and would change the last bits of seeded histories
+    total = sum(errors[i:i + PREDICT_BLOCK].sum() for i in range(0, len(errors), PREDICT_BLOCK))
+    return float(total / errors.size)
 
 
 def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,

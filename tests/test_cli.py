@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -261,6 +262,30 @@ def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, ed
     assert result.returncode == 3, result.stderr
     assert "Traceback" not in result.stderr
     assert f"{bad}: {message}" in result.stderr
+
+
+@pytest.mark.parametrize("command, setting, code, message", [
+    ("ingest", "data.timeseries={empty}", 3, "{empty}: empty file"),
+    ("ingest", "data.window_days=0", 2, "window_days must be at least 1, got 0"),
+    ("introspect", "introspect.iterations=0", 2, "t-SNE needs at least one iteration, got 0"),
+    ("introspect", "introspect.perplexity=0", 2, "t-SNE perplexity must be positive, got 0.0"),
+    ("introspect", "introspect.color_column=elevation", 2,
+     "color_column 'elevation' is not a categorical column; choose one of soil_quality, texture"),
+])
+def test_bad_input_or_setting_exits_with_its_code_without_traceback(trained, tmp_path, command,
+                                                                     setting, code, message):
+    config, trained_out = trained
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "out"
+    if command == "introspect":
+        for stage in ("ingest", "train"):
+            shutil.copytree(trained_out / stage, out / stage)
+    result = run_module("--config", str(config), "--out", str(out),
+                        "--set", setting.format(empty=empty), command)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    assert message.format(empty=empty) in result.stderr
 
 
 @pytest.mark.parametrize("command, artifact", [

@@ -46,6 +46,8 @@ def test_embed_rejects_out_of_vocab():
     table = EmbeddingTable.init(4, 2, RngState(0))
     with pytest.raises(IndexError):
         embed(table, [4])
+    with pytest.raises(IndexError):
+        embed(table, [-1])
 
 
 def test_concatenated_feature_embeddings_have_expected_width():
@@ -60,20 +62,20 @@ def test_concatenated_feature_embeddings_have_expected_width():
 def test_ffnn_reduce_zero_weights():
     layer = AffineLayer(Tensor(np.zeros((2, 6)), requires_grad=True),
                         Tensor(np.zeros(2), requires_grad=True), activation="relu")
-    out = layer(Tensor(np.ones(6)))
-    np.testing.assert_array_equal(out.data, [0.0, 0.0])
+    out = layer(Tensor(np.ones((1, 6))))
+    np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
 
 def test_ffnn_reduce_hand_case():
     layer = AffineLayer(Tensor([[1.0, 1.0]]), Tensor([0.0]), activation="relu")
-    out = layer(Tensor([-1.0, 3.0]))
-    np.testing.assert_array_equal(out.data, [2.0])
+    out = layer(Tensor([[-1.0, 3.0]]))
+    np.testing.assert_array_equal(out.data, [[2.0]])
 
 
 def test_ffnn_reduce_gradient():
     f_d, z, z_red = 3, 4, 2
     layer = AffineLayer.init(f_d * z, z_red, RngState(3), activation="relu")
-    x = Tensor(RngState(4).uniform(-1, 1, f_d * z))
+    x = Tensor(RngState(4).uniform(-1, 1, (1, f_d * z)))
     report = grad_check(lambda: sum_all(layer(x)), layer.parameters(), tolerance=1e-6)
     assert report.ok, report.per_input
 
@@ -81,6 +83,13 @@ def test_ffnn_reduce_gradient():
 def test_affine_bias_shape_guard():
     with pytest.raises(ShapeError):
         AffineLayer(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+
+
+def test_affine_rejects_inputs_that_are_not_rows():
+    layer = AffineLayer(Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+    for shape in ((2,), (1, 3), (1, 1, 2)):
+        with pytest.raises(ShapeError):
+            layer(Tensor(np.zeros(shape)))
 
 
 def test_lstm_all_zero_parameters_is_fixed_point():
@@ -224,19 +233,19 @@ def test_mlp_zero_final_weights_returns_bias():
     mlp = Mlp.init(5, 8, 6, 2, RngState(7))
     mlp.layers[-1].weight.data[...] = 0.0
     mlp.layers[-1].bias.data[...] = np.arange(6.0)
-    out = mlp(Tensor(np.ones(5)))
-    np.testing.assert_array_equal(out.data, np.arange(6.0))
+    out = mlp(Tensor(np.ones((1, 5))))
+    np.testing.assert_array_equal(out.data, [np.arange(6.0)])
 
 
 def test_mlp_output_width_is_six():
     for in_size in (3, 12, 40):
         mlp = Mlp.init(in_size, 16, 6, 2, RngState(1))
-        assert mlp(Tensor(np.zeros(in_size))).shape == (6,)
+        assert mlp(Tensor(np.zeros((1, in_size)))).shape == (1, 6)
 
 
 def test_mlp_gradient():
     mlp = Mlp.init(12, 6, 6, 2, RngState(40))
-    x = Tensor(RngState(41).uniform(-1, 1, 12))
+    x = Tensor(RngState(41).uniform(-1, 1, (1, 12)))
     report = grad_check(lambda: sum_all(mlp(x)), mlp.parameters(), tolerance=1e-6)
     assert report.ok, report.per_input
 

@@ -81,10 +81,11 @@ def test_score_to_category_rules():
     assert score_to_category(1.5) == 2  # round half up
     assert score_to_category(5.7) == 5  # clamp
     assert score_to_category(-0.4) == 0
-    assert score_to_category(1.5, mode="floor") == 1
-    assert score_to_category(1.2, mode="ceil") == 2
+    np.testing.assert_array_equal(score_to_category([[0.49, 0.5], [np.inf, -3.0]]), [[0, 1], [5, 0]])
     with pytest.raises(NumericError):
         score_to_category(float("nan"))
+    with pytest.raises(NumericError):
+        score_to_category([1.0, float("nan")])
 
 
 def test_macro_f1_perfect():

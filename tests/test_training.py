@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from droughtcast import training
 from droughtcast.autodiff import RngState, Tensor
 from droughtcast.data import SampleSet
 from droughtcast.errors import ConfigError, DataError, FormatError, NumericError
@@ -19,7 +20,9 @@ from droughtcast.training import (
     fit,
     history_csv,
     load_checkpoint,
+    predict,
     save_checkpoint,
+    validation_mae,
 )
 
 
@@ -176,6 +179,21 @@ def test_fit_tracks_best_validation(tmp_path):
     assert (tmp_path / "best.ckpt").exists()
     assert (tmp_path / "final.ckpt").exists()
     assert len(history) == 5
+
+
+def test_predict_joins_blocks_into_one_pass(monkeypatch):
+    samples = make_linear_samples(n=7, seed=23)
+    model = HybridModel.build(overfit_config(), AblationConfig(), seed=24)
+    whole = model.forward(batch_from_samples(samples))
+    monkeypatch.setattr(training, "PREDICT_BLOCK", 3)
+    predictions, attention = predict(model, samples)
+    np.testing.assert_allclose(predictions, whole.predictions.data, atol=1e-12)
+    np.testing.assert_allclose(attention, whole.attention.data, atol=1e-12)
+    assert validation_mae(model, samples) == pytest.approx(np.abs(predictions - samples.y).mean())
+    no_attention = HybridModel.build(overfit_config(), AblationConfig(use_attention=False), seed=24)
+    assert predict(no_attention, samples)[1] is None
+    with pytest.raises(DataError):
+        predict(model, samples[:0])
 
 
 def test_checkpoint_round_trip(tmp_path):
