@@ -2,7 +2,7 @@
 scores, with the full experiment harness (ablations, cross-validation,
 location transfer, introspection)."""
 
-from .autodiff import RngState, Tensor, backward, grad_check
+from .autodiff import RngState, Tensor, grad_check
 from .data import SampleSet, build_samples, load_statics, load_timeseries
 from .metrics import MetricsReport, evaluate, paired_t_test
 from .model import AblationConfig, HybridModel, ModelConfig
@@ -20,7 +20,6 @@ __all__ = [
     "SampleSet",
     "Tensor",
     "TrainRunConfig",
-    "backward",
     "build_samples",
     "evaluate",
     "fit",

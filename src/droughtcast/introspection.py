@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import RngState, no_grad
+from .autodiff import RngState
 from .data import CategoricalEncoder, StaticFeatures, csv_text, write_csv
 from .errors import ConfigError, DataError, IoError
 from .model import HybridModel
@@ -89,8 +89,7 @@ def export_embeddings(model: HybridModel, statics: dict[str, StaticFeatures],
         raise ConfigError("model was built without the categorical static path")
     fips = sorted(statics)
     codes = np.stack([statics[f].categorical for f in fips])
-    with no_grad():
-        vectors = model.reduced_static_embedding(codes).data
+    vectors = model.reduced_static_embedding(codes)
     labels = {
         column: [encoder.decode(column, int(codes[r, j])) for r in range(len(fips))]
         for j, column in enumerate(encoder.columns)
@@ -296,7 +295,7 @@ def profile_svg(profile: AttentionProfile) -> str:
     return _svg_document(body, width, height, "mean attention weight per day")
 
 
-def emit_figures(profile: AttentionProfile, tsne_result: TsneResult,
+def emit_figures(profile: AttentionProfile, projection: TsneResult,
                  export: EmbeddingExport, out_dir, color_column: str | None = None) -> dict[str, Path]:
     """Write attention/tsne CSVs plus SVG renderings; returns path map."""
     out_dir = Path(out_dir)
@@ -312,12 +311,12 @@ def emit_figures(profile: AttentionProfile, tsne_result: TsneResult,
         paths["tsne_csv"] = out_dir / "tsne.csv"
         write_csv(paths["tsne_csv"], [["fips", "x", "y", *export.label_columns]]
                   + [[fips, *xy, *row] for fips, xy, *row
-                     in zip(export.fips, tsne_result.coords.tolist(), *labels)])
+                     in zip(export.fips, projection.coords.tolist(), *labels)])
 
         categories = export.labels[color_column] if color_column else ["all"] * len(export.fips)
         paths["tsne_svg"] = out_dir / "tsne.svg"
         paths["tsne_svg"].write_text(
-            scatter_svg(tsne_result.coords, categories, f"embedding projection by {color_column}"),
+            scatter_svg(projection.coords, categories, f"embedding projection by {color_column}"),
             encoding="utf-8",
         )
         paths["attention_svg"] = out_dir / "attention_profile.svg"

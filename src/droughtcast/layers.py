@@ -1,6 +1,14 @@
 """Parameterized layers: embedding tables, affine/FFNN blocks, a stacked
 LSTM, and scalar-score attention pooling over hidden states.
 
+Each layer's forward returns its output together with a cache, and its
+``backward`` takes the gradient of that output plus the cache, sets the
+``grad`` of the layer's parameters and returns the gradient of its input.
+Seeded training is reproducible bit for bit, and BLAS rounds the same
+product differently for different operand layouts, so the layouts here are
+fixed: a contiguous copy of ``W.T`` in the affine forward, ``(x.T @ g).T``
+for its weight gradient, and ``np.add.at`` for embedding rows.
+
 All parameters are initialized uniformly in ``±sqrt(1/fan_in)`` from the
 run seed, which keeps initial activations bounded without any assumptions
 about input scale.
@@ -12,28 +20,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    RngState,
-    Tensor,
-    add,
-    dropout,
-    gather_rows,
-    lstm,
-    matmul,
-    relu,
-    reshape,
-    softmax,
-    transpose,
-    weighted_sum,
-)
-from .errors import ConfigError, EmptySequenceError, ShapeError
-
-_ACTIVATIONS = {"none": None, "relu": relu}
+from .autodiff import RngState, Tensor, lstm_backward, lstm_forward
+from .errors import ConfigError, EmptySequenceError, NumericError
 
 
 def _uniform_param(rng: RngState, shape: tuple[int, ...], fan_in: int) -> Tensor:
     bound = float(np.sqrt(1.0 / max(fan_in, 1)))
-    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, shape))
+
+
+def dropout(x: np.ndarray, p: float, training: bool,
+            rng: RngState) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout: zero with probability ``p``, scale survivors by
+    1/(1-p).  Returns the output and the mask that scales the gradient on
+    the way back, or ``x`` itself and ``None`` when nothing is dropped."""
+    if not training or p == 0.0:
+        return x, None
+    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
+    return x * mask, mask
 
 
 @dataclass
@@ -51,48 +55,48 @@ class EmbeddingTable:
             raise ConfigError(f"bad embedding table size {vocab_size}x{dim}")
         return cls(vocab_size, dim, _uniform_param(rng, (vocab_size, dim), dim))
 
+    def backward(self, grad: np.ndarray, codes: np.ndarray) -> None:
+        """Gradient of the rows :func:`embed` took for ``codes``: a code
+        taken twice receives both rows' gradients."""
+        self.weights.grad = np.zeros_like(self.weights.data)
+        np.add.at(self.weights.grad, codes, grad)
 
-def embed(table: EmbeddingTable, codes) -> Tensor:
-    """Look up rows for integer codes; gradient flows only into taken rows,
-    and a code outside the table raises ``IndexError``."""
-    return gather_rows(table.weights, codes)
+
+def embed(table: EmbeddingTable, codes: np.ndarray) -> np.ndarray:
+    """Rows of the table for integer codes, which the caller has checked
+    lie in ``[0, vocab_size)``."""
+    return table.weights.data[codes]
 
 
 @dataclass
 class AffineLayer:
     weight: Tensor  # (out, in)
     bias: Tensor  # (out,)
-    activation: str = "none"
-
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise ShapeError(
-                f"bias {self.bias.shape} does not match weight rows {self.weight.shape}"
-            )
+    relu: bool = False
 
     @classmethod
-    def init(cls, in_size: int, out_size: int, rng: RngState, activation: str = "none") -> "AffineLayer":
+    def init(cls, in_size: int, out_size: int, rng: RngState, relu: bool = False) -> "AffineLayer":
         return cls(
             weight=_uniform_param(rng, (out_size, in_size), in_size),
             bias=_uniform_param(rng, (out_size,), in_size),
-            activation=activation,
+            relu=relu,
         )
 
-    @property
-    def in_size(self) -> int:
-        return self.weight.shape[1]
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """``(B, in)`` rows to ``(B, out)``, plus the cache for :meth:`backward`."""
+        w_t = self.weight.data.T.copy()  # contiguous: see the module docstring
+        out = x @ w_t + self.bias.data
+        if self.relu:
+            out = np.maximum(out, 0.0)
+        return out, (x, w_t, out)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        """``(B, in)`` rows to ``(B, out)``."""
-        if x.data.ndim != 2 or x.shape[1] != self.in_size:
-            raise ShapeError(f"affine expects (B, {self.in_size}) inputs, got {x.shape}")
-        out = add(matmul(x, transpose(self.weight)), self.bias)
-        act = _ACTIVATIONS[self.activation]
-        if act is not None:
-            out = act(out)
-        return out
+    def backward(self, grad: np.ndarray, cache: tuple) -> np.ndarray:
+        x, w_t, out = cache
+        if self.relu:
+            grad = grad * (out > 0.0)
+        self.bias.grad = grad.sum(axis=0)
+        self.weight.grad = (x.T @ grad).T
+        return grad @ w_t.T
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
@@ -117,7 +121,7 @@ class LstmLayer:
             w[:in_size, cols] = _uniform_param(rng, (hidden, in_size), in_size).data.T
             w[in_size:, cols] = _uniform_param(rng, (hidden, hidden), hidden).data.T
             b[cols] = _uniform_param(rng, (hidden,), hidden).data
-        return cls(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        return cls(Tensor(w), Tensor(b))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w": self.w, "b": self.b}
@@ -149,28 +153,39 @@ class LstmStack:
                 out[f"layer{i}.{name}"] = t
         return out
 
+    def backward(self, grad: np.ndarray, cache: list) -> None:
+        """Parameter gradients from the gradient of :func:`lstm_states`'
+        output ``(B, T, h)``.  Consumes ``cache`` top layer first, so each
+        layer's activations are freed once its backward is done."""
+        grad = grad.transpose(1, 0, 2)
+        for li in range(self.num_layers - 1, -1, -1):
+            layer_cache, mask = cache.pop()
+            if mask is not None:
+                grad = grad * mask
+            layer = self.layers[li]
+            layer.w.grad, layer.b.grad, grad = lstm_backward(grad, layer_cache, li > 0)
 
-def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState | None,
-                training: bool) -> Tensor:
-    """Run the stack over a ``(B, T, in)`` window and return the top layer's
-    hidden state at every step, ``(B, T, h)``.
+
+def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
+                training: bool) -> tuple[np.ndarray, list | None]:
+    """Run the stack over a ``(B, T, in)`` window.  Returns the top layer's
+    hidden state at every step, ``(B, T, h)``, and in training mode the
+    cache for :meth:`LstmStack.backward` (``None`` otherwise).
 
     Initial hidden/cell states are zero.  The sequence travels time-major
     between layers, so in training mode the inter-layer dropout mask is T
     successive ``(B, h)`` draws from the layer's stream.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != stack.input_size:
-        raise ShapeError(f"LSTM expects (B, T, {stack.input_size}) windows, got {x.shape}")
     if x.shape[1] == 0:
         raise EmptySequenceError("LSTM received an empty sequence")
-    seq = Tensor(x.transpose(1, 0, 2).copy())
+    seq = x.transpose(1, 0, 2).copy()
+    cache = []
     for li, layer in enumerate(stack.layers):
-        seq = lstm(seq, layer.w, layer.b)
-        if training and stack.dropout_p > 0 and li < stack.num_layers - 1:
-            drop_rng = (rng or RngState(0)).split(f"lstm_dropout{li}")
-            seq = dropout(seq, stack.dropout_p, True, drop_rng)
-    return transpose(seq, (1, 0, 2))
+        seq, layer_cache = lstm_forward(seq, layer.w.data, layer.b.data, training)
+        p = stack.dropout_p if li < stack.num_layers - 1 else 0.0
+        seq, mask = dropout(seq, p, training, rng.split(f"lstm_dropout{li}"))
+        cache.append((layer_cache, mask))
+    return seq.transpose(1, 0, 2).copy(), (cache if training else None)
 
 
 @dataclass
@@ -186,39 +201,36 @@ class AttentionHead:
     def parameters(self) -> dict[str, Tensor]:
         return {f"score.{k}": v for k, v in self.score_layer.parameters().items()}
 
-
-def attend(head: AttentionHead, hidden: Tensor) -> tuple[Tensor, Tensor]:
-    """Pool ``(T, h)`` hidden states into a context vector.
-
-    Returns ``(context, weights)`` where ``weights`` is the softmax of the
-    per-step scalar scores and ``context`` their weighted sum: a convex
-    combination of the hidden states.
-    """
-    if not isinstance(hidden, Tensor):
-        hidden = Tensor(hidden)
-    if hidden.data.ndim != 2:
-        raise ShapeError(f"expected (T, h) hidden states, got {hidden.shape}")
-    steps = hidden.shape[0]
-    if steps == 0:
-        raise EmptySequenceError("attention over an empty sequence")
-    scores = head.score_layer(hidden)  # (T, 1)
-    alpha_row = softmax(reshape(scores, (1, steps)), axis=1)
-    context = matmul(alpha_row, hidden)  # (1, h)
-    return reshape(context, (hidden.shape[1],)), reshape(alpha_row, (steps,))
+    def backward(self, grad: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """From the context gradient ``(B, h)``: the hidden-state gradient
+        through the weighted sum, and through the scores, each ``(B, T, h)``."""
+        hidden, alpha, score_cache = cache
+        g_alpha = np.matmul(hidden, grad[:, :, None])[:, :, 0]
+        through_sum = alpha[:, :, None] * grad[:, None, :]
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
+        through_scores = self.score_layer.backward(g_scores.reshape(-1, 1), score_cache)
+        return through_sum, through_scores.reshape(hidden.shape)
 
 
-def attend_batched(head: AttentionHead, hidden: Tensor) -> tuple[Tensor, Tensor]:
+def attend_batched(head: AttentionHead,
+                   hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Batched attention over ``(B, T, h)`` hidden states: one score GEMM
     over all ``B*T`` states, a softmax per row and one weighted sum.
 
-    Returns ``(context (B, h), weights (B, T))``.
+    Returns ``(context (B, h), weights (B, T), cache)``; the weights are a
+    convex combination, so each context lies in its rows' hull.
     """
     batch, steps, width = hidden.shape
     if steps == 0:
         raise EmptySequenceError("attention over an empty sequence")
-    scores = head.score_layer(reshape(hidden, (batch * steps, width)))  # (B*T, 1)
-    alpha = softmax(reshape(scores, (batch, steps)), axis=1)
-    return weighted_sum(alpha, hidden), alpha
+    scores, score_cache = head.score_layer(hidden.reshape(batch * steps, width))
+    scores = scores.reshape(batch, steps)
+    if np.isnan(scores).any():
+        raise NumericError("softmax received NaN input")
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = ex / ex.sum(axis=1, keepdims=True)
+    context = np.matmul(alpha[:, None, :], hidden)[:, 0]
+    return context, alpha, (hidden, alpha, score_cache)
 
 
 @dataclass
@@ -234,16 +246,22 @@ class Mlp:
             raise ConfigError("MLP needs at least one layer")
         sizes = [in_size] + [hidden_size] * (num_layers - 1) + [out_size]
         layers = [
-            AffineLayer.init(sizes[i], sizes[i + 1], rng.split(f"mlp{i}"),
-                             activation="relu" if i < num_layers - 1 else "none")
+            AffineLayer.init(sizes[i], sizes[i + 1], rng.split(f"mlp{i}"), relu=i < num_layers - 1)
             for i in range(num_layers)
         ]
         return cls(layers)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        cache = []
         for layer in self.layers:
-            x = layer(x)
-        return x
+            x, layer_cache = layer(x)
+            cache.append(layer_cache)
+        return x, cache
+
+    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+        for layer, layer_cache in zip(reversed(self.layers), reversed(cache)):
+            grad = layer.backward(grad, layer_cache)
+        return grad
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}

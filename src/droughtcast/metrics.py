@@ -371,13 +371,18 @@ class LocationExperimentReport:
 
     ``improvements`` holds, per candidate definition, the per-state relative
     improvement of agnostic training plus its average; the average is
-    definition-dependent, so every candidate is labeled and reported.
+    definition-dependent, so every candidate is labeled and reported.  A
+    relative improvement over a zero baseline is undefined (``None``), and
+    so is the average of a row holding one.  Each definition also has an
+    ``<definition>_abs`` row: agnostic minus specific, per state and on
+    average, which is defined for every baseline.
     """
 
     states: list[str]
     specific: dict[str, MetricsReport]
     agnostic: dict[str, MetricsReport]
-    improvements: dict[str, tuple[dict[str, float], float]] = field(default_factory=dict)
+    improvements: dict[str, tuple[dict[str, float | None], float | None]] = field(
+        default_factory=dict)
 
     def __post_init__(self):
         if not self.improvements:
@@ -388,15 +393,18 @@ class LocationExperimentReport:
                 "week_avg_f1": (lambda r: float(np.mean(r.weekly_f1)), "higher"),
             }
             for name, (getter, better) in defs.items():
-                per_state = {}
+                relative, absolute = {}, {}
                 for s in self.states:
+                    base, candidate = getter(self.specific[s]), getter(self.agnostic[s])
                     try:
-                        per_state[s] = relative_improvement(
-                            getter(self.specific[s]), getter(self.agnostic[s]), better
-                        )
+                        relative[s] = relative_improvement(base, candidate, better)
                     except DataError:  # zero baseline: improvement undefined
-                        per_state[s] = float("nan")
-                self.improvements[name] = (per_state, float(np.mean(list(per_state.values()))))
+                        relative[s] = None
+                    absolute[s] = candidate - base
+                for key, per_state in ((name, relative), (f"{name}_abs", absolute)):
+                    values = list(per_state.values())
+                    average = None if None in values else float(np.mean(values))
+                    self.improvements[key] = (per_state, average)
 
     def _runs(self) -> list[tuple[str, str, MetricsReport]]:
         """(train, eval, report): each state-specific model, then the model
@@ -413,9 +421,10 @@ class LocationExperimentReport:
                         + [[train, s, r.mae, r.rmse, r.f1] for train, s, r in self._runs()])
 
     def improvements_csv(self) -> str:
+        rows = [[name, *(per_state[s] for s in self.states), avg]
+                for name, (per_state, avg) in self.improvements.items()]
         return csv_text([["definition", *self.states, "average"]]
-                        + [[name, *(per_state[s] for s in self.states), avg]
-                           for name, (per_state, avg) in self.improvements.items()])
+                        + [["undefined" if cell is None else cell for cell in row] for row in rows])
 
 
 def location_experiment_report(specific: dict[str, MetricsReport],

@@ -13,20 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    RngState,
-    Tensor,
-    add,
-    concat,
-    dropout,
-    mean_all,
-    mul,
-    relu,
-    reshape,
-    scale,
-    slice_tensor,
-    sub,
-)
+from .autodiff import RngState, Tensor
 from .errors import ConfigError, DataError, ShapeError
 from .layers import (
     AffineLayer,
@@ -35,6 +22,7 @@ from .layers import (
     LstmStack,
     Mlp,
     attend_batched,
+    dropout,
     embed,
     lstm_states,
 )
@@ -72,6 +60,9 @@ class ModelConfig:
             raise ConfigError("input_channels must be even (current + previous-year)")
         if any(v < 1 for v in self.categorical_vocab_sizes):
             raise ConfigError("vocab sizes must be positive")
+        for name in ("dropout", "embed_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass
@@ -117,9 +108,10 @@ class Batch:
 
 @dataclass
 class BatchOutput:
-    predictions: Tensor  # (B, 6)
-    attention: Tensor | None  # (B, T) when the attention path is active
-    reduced_static: Tensor | None  # (B, z') when the static path is active
+    predictions: np.ndarray  # (B, 6)
+    attention: np.ndarray | None  # (B, T) when the attention path is active
+    reduced_static: np.ndarray | None  # (B, z') when the static path is active
+    cache: dict | None = None  # what HybridModel.backward reads; training mode only
 
 
 class HybridModel:
@@ -129,6 +121,7 @@ class HybridModel:
         self.config = config
         self.ablation = ablation
         self.seed = int(seed)
+        self.source = "model"  # how input-mismatch errors name it; a checkpoint path once loaded
         rng = RngState(self.seed).split("init")
 
         self.embeddings: list[EmbeddingTable] = []
@@ -146,7 +139,7 @@ class HybridModel:
                     len(self.embeddings) * config.embed_dim,
                     config.reduced_dim,
                     rng.split("reducer"),
-                    activation="relu",
+                    relu=True,
                 )
         if ablation.use_timeseries:
             self.lstm = LstmStack.init(
@@ -192,86 +185,129 @@ class HybridModel:
             params[f"mlp.{name}"] = t
         return params
 
-    def zero_grad(self) -> None:
-        for t in self.named_parameters().values():
-            t.zero_grad()
+    def _mismatch(self, what: str) -> DataError:
+        return DataError(f"{self.source} does not fit these samples: {what}; "
+                         "retrain it on the current ingest")
 
-    def _static_vector(self, batch: Batch, training: bool, rng: RngState):
-        pieces: list[Tensor] = []
-        reduced = None
-        if self.embeddings:
-            if batch.s_d is None:
-                raise DataError("batch lacks categorical static features")
-            if batch.s_d.shape[1] != len(self.embeddings):
-                raise DataError(
-                    f"expected {len(self.embeddings)} categorical features, got {batch.s_d.shape[1]}"
-                )
-            rows = [embed(table, batch.s_d[:, j]) for j, table in enumerate(self.embeddings)]
-            merged = concat(rows, axis=1)
-            merged = dropout(merged, self.config.embed_dropout, training, rng.split("embed_drop"))
-            reduced = self.reducer(merged)
-            pieces.append(reduced)
-        if self.config.numeric_static_count:
-            if batch.s_n is None:
-                raise DataError("batch lacks numeric static features")
-            pieces.append(Tensor(np.asarray(batch.s_n, dtype=np.float64)))
-        return reduced, pieces
+    def _embedded(self, s_d: np.ndarray | None) -> np.ndarray:
+        """The embedding rows of ``(B, f_d)`` categorical codes, side by side."""
+        if s_d is None:
+            raise DataError("batch lacks categorical static features")
+        if s_d.shape[1] != len(self.embeddings):
+            raise self._mismatch(f"expected {len(self.embeddings)} categorical features, "
+                                 f"got {s_d.shape[1]}")
+        for j, table in enumerate(self.embeddings):
+            low, high = s_d[:, j].min(), s_d[:, j].max()
+            if low < 0 or high >= table.vocab_size:
+                raise self._mismatch(f"categorical feature {j} has codes {low}..{high}, "
+                                     f"expected 0..{table.vocab_size - 1}")
+        return np.concatenate([embed(table, s_d[:, j]) for j, table in enumerate(self.embeddings)],
+                              axis=1)
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: RngState | None = None) -> BatchOutput:
+        """Predictions for a batch.  In training mode dropout is active and
+        the output carries the cache :meth:`backward` reads."""
         rng = rng or RngState(self.seed).split("forward")
-        pieces: list[Tensor] = []
+        cache: dict = {"s_d": batch.s_d}
+        pieces: list[np.ndarray] = []
         alpha = None
         reduced = None
 
-        if self.ablation.use_timeseries:
+        if self.lstm is not None:
             if batch.x is None:
                 raise DataError("batch lacks the time-series window")
             x = np.asarray(batch.x, dtype=np.float64)
             if x.ndim != 3 or x.shape[2] != self.config.input_channels:
-                raise ShapeError(f"expected (B, T, {self.config.input_channels}) windows, got {x.shape}")
-            hidden = lstm_states(self.lstm, x, rng, training)  # (B, T, h)
+                raise self._mismatch(f"expected (B, T, {self.config.input_channels}) windows, "
+                                     f"got {x.shape}")
+            hidden, cache["lstm"] = lstm_states(self.lstm, x, rng, training)  # (B, T, h)
+            cache["hidden_shape"] = hidden.shape
             if self.attention is not None:
-                context, alpha = attend_batched(self.attention, hidden)
+                context, alpha, cache["attention"] = attend_batched(self.attention, hidden)
                 pieces.append(context)
-            batch_size, steps, width = hidden.shape
-            last = slice_tensor(hidden, [(0, batch_size), (steps - 1, steps)])
-            pieces.append(reshape(last, (batch_size, width)))
+            pieces.append(hidden[:, -1])
 
-        if self.ablation.use_static:
-            reduced, static_pieces = self._static_vector(batch, training, rng)
-            pieces.extend(static_pieces)
+        if self.embeddings:
+            merged, cache["embed_mask"] = dropout(self._embedded(batch.s_d),
+                                                  self.config.embed_dropout, training,
+                                                  rng.split("embed_drop"))
+            reduced, cache["reducer"] = self.reducer(merged)
+            pieces.append(reduced)
+        if self.ablation.use_static and self.config.numeric_static_count:
+            if batch.s_n is None:
+                raise DataError("batch lacks numeric static features")
+            if batch.s_n.shape[1] != self.config.numeric_static_count:
+                raise self._mismatch(f"expected {self.config.numeric_static_count} numeric "
+                                     f"static features, got {batch.s_n.shape[1]}")
+            pieces.append(np.asarray(batch.s_n, dtype=np.float64))
 
-        fused = concat(pieces, axis=1) if len(pieces) > 1 else pieces[0]
-        fused = dropout(fused, self.config.dropout, training, rng.split("fuse_drop"))
-        predictions = self.mlp(fused)
-        return BatchOutput(predictions=predictions, attention=alpha, reduced_static=reduced)
+        cache["widths"] = [piece.shape[1] for piece in pieces]
+        fused, cache["fuse_mask"] = dropout(np.concatenate(pieces, axis=1), self.config.dropout,
+                                            training, rng.split("fuse_drop"))
+        predictions, cache["mlp"] = self.mlp(fused)
+        return BatchOutput(predictions, alpha, reduced, cache if training else None)
 
-    def reduced_static_embedding(self, s_d: np.ndarray) -> Tensor:
+    def backward(self, out: BatchOutput, grad: np.ndarray) -> None:
+        """Set every parameter's ``grad`` from ``grad``, the loss gradient
+        with respect to the predictions of the training forward ``out``.
+
+        Each parameter is used once per forward, so each gradient follows
+        one chain of layer backwards.  Only the top LSTM states have more
+        than one consumer, and the order their gradients add up in fixes
+        the bits of seeded training: the last step, the attention's
+        weighted sum, then its scores."""
+        cache, out.cache = out.cache, None  # consumed: the activations go with this call
+        grad = self.mlp.backward(grad, cache["mlp"])
+        if cache["fuse_mask"] is not None:
+            grad = grad * cache["fuse_mask"]
+        pieces = iter(np.split(grad, np.cumsum(cache["widths"])[:-1], axis=1))
+        if self.lstm is not None:
+            g_context = next(pieces) if self.attention is not None else None
+            g_hidden = np.zeros(cache["hidden_shape"])
+            g_hidden[:, -1] += next(pieces)
+            if g_context is not None:
+                through_sum, through_scores = self.attention.backward(g_context,
+                                                                      cache.pop("attention"))
+                g_hidden += through_sum
+                g_hidden += through_scores
+            self.lstm.backward(g_hidden, cache.pop("lstm"))
+        if self.embeddings:
+            grad = self.reducer.backward(next(pieces), cache["reducer"])
+            if cache["embed_mask"] is not None:
+                grad = grad * cache["embed_mask"]
+            for j, (table, g) in enumerate(zip(self.embeddings,
+                                               np.split(grad, len(self.embeddings), axis=1))):
+                table.backward(g, cache["s_d"][:, j])
+
+    def reduced_static_embedding(self, s_d: np.ndarray) -> np.ndarray:
         """Reduced embedding vector for categorical codes only (eval mode)."""
         if not self.embeddings:
             raise ConfigError("model was built without the categorical static path")
-        s_d = np.asarray(s_d, dtype=np.int64)
-        rows = [embed(table, s_d[:, j]) for j, table in enumerate(self.embeddings)]
-        return self.reducer(concat(rows, axis=1))
+        return self.reducer(self._embedded(np.asarray(s_d, dtype=np.int64)))[0]
 
 
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error pooled over every sample and forecast week."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
+def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
-    diff = sub(pred, target)
-    return mean_all(mul(diff, diff))
 
 
-def mae_loss(pred: Tensor, target) -> Tensor:
-    """Mean absolute error; |d| built as relu(d) + relu(-d)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
-    diff = sub(pred, target)
-    return mean_all(add(relu(diff), relu(scale(diff, -1.0))))
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error pooled over every sample and forecast week, and
+    its gradient with respect to ``pred``."""
+    _check_shapes(pred, target)
+    diff = pred - target
+    scale = 1.0 / diff.size
+    return float((diff * diff).sum() * scale), (scale * diff) * 2.0
+
+
+def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean absolute error, and its gradient with respect to ``pred``
+    (taken as 0 where the error is 0)."""
+    _check_shapes(pred, target)
+    diff = pred - target
+    scale = 1.0 / diff.size
+    return float(np.abs(diff).sum() * scale), scale * (diff > 0.0) - scale * (diff < 0.0)
 
 
 LOSSES = {"mse": mse_loss, "mae": mae_loss}

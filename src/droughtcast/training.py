@@ -1,6 +1,12 @@
 """Optimization loop: decoupled-weight-decay Adam, a triangular cyclical
 learning-rate schedule, seeded mini-batching, and binary checkpoints.
 
+Each training step runs the model's forward in training mode, the loss,
+which returns its value and its gradient with respect to the predictions,
+then :meth:`HybridModel.backward`, which sets every parameter's ``grad``
+for the AdamW update.  Inference runs the forward in eval mode, which
+keeps no caches for a backward pass.
+
 Checkpoint format (little-endian): magic ``HMCKPT2``, uint32 length +
 UTF-8 config text (one ``model.<field>=`` or ``ablation.<field>=`` line
 per field of ``ModelConfig`` and ``AblationConfig``, then ``seed=``),
@@ -17,7 +23,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .autodiff import RngState, Tensor, backward, no_grad
+from .autodiff import RngState, Tensor
 from .config import format_value, parse_as
 from .data import SampleSet, csv_text
 from .errors import ConfigError, DataError, FormatError, NumericError
@@ -44,8 +50,6 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float) -> N
     t = state.step_count
     for name, p in params.items():
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
         if np.isnan(g).any() or np.isinf(g).any():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
@@ -116,12 +120,15 @@ def batch_from_samples(samples: SampleSet) -> Batch:
     return Batch(x=samples.x, s_n=samples.s_n, s_d=samples.s_d, y=samples.y)
 
 
+# fit calls backward through this module's namespace, where perfbench/tracing.py times it
+backward = HybridModel.backward
+
 PREDICT_BLOCK = 256  # rows per eval-mode forward
 
 
 def predict(model: HybridModel, samples: SampleSet) -> tuple[np.ndarray, np.ndarray | None]:
     """Eval-mode forward over the sample set, ``PREDICT_BLOCK`` rows at a
-    time and recording no tape.
+    time.
 
     Returns ``(predictions (N, 6), attention (N, T))``; the attention is
     ``None`` when the model has no attention path.
@@ -129,12 +136,11 @@ def predict(model: HybridModel, samples: SampleSet) -> tuple[np.ndarray, np.ndar
     if not samples:
         raise DataError("no samples to predict")
     predictions, attention = [], []
-    with no_grad():
-        for i in range(0, len(samples), PREDICT_BLOCK):
-            out = model.forward(batch_from_samples(samples[i:i + PREDICT_BLOCK]), training=False)
-            predictions.append(out.predictions.data)
-            if out.attention is not None:
-                attention.append(out.attention.data)
+    for i in range(0, len(samples), PREDICT_BLOCK):
+        out = model.forward(batch_from_samples(samples[i:i + PREDICT_BLOCK]), training=False)
+        predictions.append(out.predictions)
+        if out.attention is not None:
+            attention.append(out.attention)
     return np.concatenate(predictions), (np.concatenate(attention) if attention else None)
 
 
@@ -175,15 +181,13 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
             batch = batch_from_samples(train_samples[order[start:start + run.batch_size]])
             rng = root.split(f"dropout:{epoch}:{bi}")
             out = model.forward(batch, training=True, rng=rng)
-            loss = loss_fn(out.predictions, batch.y)
-            value = loss.item()
+            value, grad = loss_fn(out.predictions, batch.y)
             if not np.isfinite(value):
                 if ckpt_dir and best_params is not None:
                     _restore(model, best_params)
                     save_checkpoint(model, ckpt_dir / "best.ckpt")
                 raise NumericError(f"training diverged at epoch {epoch}, batch {bi}")
-            model.zero_grad()
-            backward(loss)
+            backward(model, out, grad)
             adamw_step(model.named_parameters(), state, schedule.lr_at(global_step))
             epoch_loss += value * batch.size
             seen += batch.size
@@ -291,6 +295,7 @@ def load_checkpoint(path) -> HybridModel:
         model = HybridModel.build(*_parse_config_text(header))
     except (ConfigError, FormatError) as exc:
         raise FormatError(f"{path}: checkpoint config: {exc}") from None
+    model.source = f"checkpoint {path}"
     params = model.named_parameters()
     (count,) = struct.unpack("<I", take(4))
     if count != len(params):

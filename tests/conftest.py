@@ -23,6 +23,19 @@ def statics_fixture(fips="19001", numeric=(100.0, 3.0), codes=(1, 2)):
     return StaticFeatures(fips, np.array(numeric, dtype=float), np.array(codes, dtype=np.int64))
 
 
+def attend_reference(head, hidden):
+    """Per-sample attention over ``(T, h)`` hidden states in plain numpy, the
+    reference for ``layers.attend_batched``: linear scores from the head's
+    score layer, a max-shifted softmax over the ``T`` scores, then
+    ``alpha @ hidden``.  Returns ``(context (h,), weights (T,))``."""
+    hidden = np.asarray(hidden, dtype=float)
+    layer = head.score_layer
+    scores = hidden @ layer.weight.data[0] + layer.bias.data[0]
+    ex = np.exp(scores - scores.max())
+    alpha = ex / ex.sum()
+    return alpha @ hidden, alpha
+
+
 def write_timeseries_csv(path, rows, channels=("chan0", "chan1")):
     """rows: list of (fips, iso_date, cell_values, score_text)."""
     lines = ["fips,date," + ",".join(channels) + ",score"]

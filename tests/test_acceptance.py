@@ -6,12 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import series_fixture, statics_fixture
+from conftest import attend_reference, series_fixture, statics_fixture
 from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.cli import main as cli_main
 from droughtcast.data import SampleSet, build_samples, split_fractions
 from droughtcast.introspection import conditional_affinities, row_perplexity, tsne
-from droughtcast.layers import AttentionHead, attend
+from droughtcast.layers import AttentionHead, attend_batched
 from droughtcast.metrics import (
     binary_auc,
     claim_consistent,
@@ -65,7 +65,9 @@ def test_criterion_01_full_model_gradients():
     def loss_fn():
         # recreating the stream freezes every dropout mask across calls
         out = model.forward(batch, training=True, rng=RngState(777))
-        return mse_loss(out.predictions, batch.y)
+        value, grad = mse_loss(out.predictions, batch.y)
+        model.backward(out, grad)
+        return value
 
     report = grad_check(loss_fn, model.named_parameters(), step=1e-5, tolerance=1e-4)
     elapsed = time.monotonic() - started
@@ -81,13 +83,16 @@ def test_criterion_02_attention_invariants():
         t = int(rng.integers(1, 13, ()))
         h = rng.uniform(-3, 3, (t, 4))
         head = AttentionHead.init(4, head_rng.split(i))
-        context, alpha = attend(head, Tensor(h))
-        worst_sum = max(worst_sum, abs(float(alpha.data.sum()) - 1.0))
-        assert (context.data >= h.min(axis=0) - 1e-12).all()
-        assert (context.data <= h.max(axis=0) + 1e-12).all()
+        (context,), (alpha,), _ = attend_batched(head, h[None])
+        ref_context, ref_alpha = attend_reference(head, h)
+        np.testing.assert_allclose(context, ref_context, atol=1e-12)
+        np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12)
+        worst_sum = max(worst_sum, abs(float(alpha.sum()) - 1.0))
+        assert (context >= h.min(axis=0) - 1e-12).all()
+        assert (context <= h.max(axis=0) + 1e-12).all()
         head.score_layer.bias.data[...] += float(rng.uniform(-50, 50, ()))
-        _, shifted = attend(head, Tensor(h))
-        np.testing.assert_allclose(shifted.data, alpha.data, atol=1e-12)
+        _, (shifted,), _ = attend_batched(head, h[None])
+        np.testing.assert_allclose(shifted, alpha, atol=1e-12)
     _report(2, "attention simplex/shift/convexity invariants", worst_sum <= 1e-12,
             f"max |sum(alpha)-1| = {worst_sum:.2e}")
 
@@ -198,16 +203,16 @@ def test_criterion_06_ablation_harness(tmp_path):
 
     batch = batch_from_samples(test[:4])
     statics_only = models["static"]
-    base = statics_only.forward(batch).predictions.data
+    base = statics_only.forward(batch).predictions
     scrambled = Batch(x=RngState(99).uniform(-5, 5, batch.x.shape), s_n=batch.s_n,
                       s_d=batch.s_d, y=batch.y)
-    statics_invariant = np.array_equal(statics_only.forward(scrambled).predictions.data, base)
+    statics_invariant = np.array_equal(statics_only.forward(scrambled).predictions, base)
 
     ts_only = models["ts"]
-    base_ts = ts_only.forward(batch).predictions.data
+    base_ts = ts_only.forward(batch).predictions
     scrambled_statics = Batch(x=batch.x, s_n=batch.s_n * 0 + 9.0,
                               s_d=np.zeros_like(batch.s_d), y=batch.y)
-    ts_invariant = np.array_equal(ts_only.forward(scrambled_statics).predictions.data, base_ts)
+    ts_invariant = np.array_equal(ts_only.forward(scrambled_statics).predictions, base_ts)
 
     ok = len(reports) == 5 and statics_invariant and ts_invariant
     _report(6, "all five ablation settings run end-to-end with path invariances", ok,
@@ -351,7 +356,7 @@ def test_criterion_10_determinism(tmp_path):
 
 def test_criterion_11_optimizer_identities():
     start = np.array([2.0, -1.5])
-    p = Tensor(start.copy(), requires_grad=True)
+    p = Tensor(start.copy())
     state = OptimizerState(weight_decay=0.01)
     expected = start.copy()
     n = 40
@@ -363,7 +368,7 @@ def test_criterion_11_optimizer_identities():
         p.data, start * (1 - 0.05 * 0.01) ** n, rtol=1e-12
     )
 
-    q = Tensor(np.array([1.0]), requires_grad=True)
+    q = Tensor(np.array([1.0]))
     q_state = OptimizerState(weight_decay=0.0)
     theta, m, v = 1.0, 0.0, 0.0
     recurrence_ok = True

@@ -176,7 +176,7 @@ def test_locexp_emits_six_result_rows(trained):
     assert trains == ["19", "30", "40", "all", "all", "all"]
     improvements = (out / "locexp" / "location_improvements.csv").read_text().splitlines()
     assert improvements[0] == "definition,19,30,40,average"
-    assert len(improvements) == 5
+    assert len(improvements) == 9  # header + 4 relative + 4 absolute definitions
 
 
 def test_introspect_emits_figures(trained):
@@ -286,6 +286,52 @@ def test_bad_input_or_setting_exits_with_its_code_without_traceback(trained, tmp
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
     assert message.format(empty=empty) in result.stderr
+
+
+def _three_channels(root: Path) -> dict[str, Path]:
+    ts, _ = make_dataset(root, n_counties=6, days=560, channels=3, seed=3)
+    return {"timeseries": ts}
+
+
+def _edit_statics(root: Path, edit) -> dict[str, Path]:
+    """A copy of the fixture's statics with each row's cells passed through
+    ``edit(row index, cells)``."""
+    _, statics = make_dataset(root, n_counties=6, days=560, channels=2, seed=3)
+    lines = statics.read_text().splitlines()
+    statics.write_text("\n".join(",".join(edit(i, line.split(","))) for i, line in
+                                 enumerate(lines)) + "\n")
+    return {"statics": statics}
+
+
+STALE_INGESTS = {
+    "three_channels": (_three_channels, "expected (B, T, 4) windows, got"),
+    "extra_numeric_static": (
+        lambda root: _edit_statics(root, lambda i, cells: cells[:3] + [
+            "aspect" if i == 0 else str(i)] + cells[3:]),
+        "expected 2 numeric static features, got 3"),
+    "more_texture_labels": (
+        lambda root: _edit_statics(root, lambda i, cells: cells[:-1] + [
+            "texture" if i == 0 else f"texture{i}"]),
+        "categorical feature 1 has codes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_INGESTS))
+@pytest.mark.parametrize("command", ["eval", "introspect"])
+def test_checkpoint_from_an_older_ingest_exits_3_without_traceback(trained, tmp_path, command,
+                                                                   case):
+    config, trained_out = trained
+    make_inputs, message = STALE_INGESTS[case]
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "train", out / "train")
+    overrides = [f"--set=data.{key}={path}" for key, path in make_inputs(tmp_path / "data").items()]
+    assert main(["--config", str(config), "--out", str(out), *overrides, "ingest"]) == 0
+    result = run_module("--config", str(config), "--out", str(out), *overrides, command)
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    checkpoint = out / "train" / "model.ckpt"
+    assert f"data error: checkpoint {checkpoint} does not fit these samples: " in result.stderr
+    assert message in result.stderr
 
 
 @pytest.mark.parametrize("command, artifact", [

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from conftest import attend_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtcast.autodiff import RngState, Tensor, backward, grad_check, lstm, reshape, sum_all
-from droughtcast.errors import EmptySequenceError, ShapeError
+from droughtcast.autodiff import RngState, Tensor, grad_check, lstm_backward, lstm_forward
+from droughtcast.errors import EmptySequenceError, NumericError
 from droughtcast.layers import (
     AffineLayer,
     AttentionHead,
     EmbeddingTable,
     LstmStack,
     Mlp,
-    attend,
     attend_batched,
+    dropout,
     embed,
     lstm_states,
 )
@@ -25,71 +26,99 @@ def _sigmoid(x):
 def lstm_sequence(stack, x):
     """Top-layer hidden states ``(T, h)`` of one ``(T, in)`` sequence: the
     production batched path at B=1."""
-    x = x.data if isinstance(x, Tensor) else np.asarray(x)
-    return reshape(lstm_states(stack, x[None], None, training=False), (x.shape[0], -1))
+    return lstm_states(stack, np.asarray(x)[None], RngState(0), training=False)[0][0]
+
+
+def attend(head, hidden):
+    """``(context (h,), weights (T,))`` of one ``(T, h)`` sequence from
+    ``attend_batched`` at B=1, checked against the per-sample reference."""
+    context, alpha, _ = attend_batched(head, np.asarray(hidden, dtype=float)[None])
+    ref_context, ref_alpha = attend_reference(head, hidden)
+    np.testing.assert_allclose(context[0], ref_context, atol=1e-12)
+    np.testing.assert_allclose(alpha[0], ref_alpha, atol=1e-12)
+    return context[0], alpha[0]
+
+
+def sum_with_backward(forward, backward):
+    """A scalar loss for ``grad_check``: the sum of ``forward()``'s output,
+    whose gradient of ones goes through ``backward(grad, cache)``."""
+    def fn():
+        out, cache = forward()
+        backward(np.ones_like(out), cache)
+        return out.sum()
+
+    return fn
 
 
 def test_embed_lookup_identity():
-    table = EmbeddingTable(3, 3, Tensor(np.eye(3), requires_grad=True))
-    np.testing.assert_array_equal(embed(table, [2]).data, [[0.0, 0.0, 1.0]])
+    table = EmbeddingTable(3, 3, Tensor(np.eye(3)))
+    np.testing.assert_array_equal(embed(table, np.array([2])), [[0.0, 0.0, 1.0]])
 
 
 def test_embed_repeated_code_gradient():
-    table = EmbeddingTable(3, 2, Tensor(np.zeros((3, 2)), requires_grad=True))
-    backward(sum_all(embed(table, [1, 1])))
+    table = EmbeddingTable(3, 2, Tensor(np.zeros((3, 2))))
+    table.backward(np.ones((2, 2)), np.array([1, 1]))
     expected = np.zeros((3, 2))
     expected[1] = 2.0
     np.testing.assert_array_equal(table.weights.grad, expected)
-
-
-def test_embed_rejects_out_of_vocab():
-    table = EmbeddingTable.init(4, 2, RngState(0))
-    with pytest.raises(IndexError):
-        embed(table, [4])
-    with pytest.raises(IndexError):
-        embed(table, [-1])
 
 
 def test_concatenated_feature_embeddings_have_expected_width():
     rng = RngState(1)
     z = 5
     tables = [EmbeddingTable.init(4, z, rng.split(i)) for i in range(3)]
-    rows = [embed(t, [1]) for t in tables]
-    total = np.concatenate([r.data for r in rows], axis=1)
+    rows = [embed(t, np.array([1])) for t in tables]
+    total = np.concatenate(rows, axis=1)
     assert total.shape == (1, 3 * z)
 
 
 def test_ffnn_reduce_zero_weights():
-    layer = AffineLayer(Tensor(np.zeros((2, 6)), requires_grad=True),
-                        Tensor(np.zeros(2), requires_grad=True), activation="relu")
-    out = layer(Tensor(np.ones((1, 6))))
-    np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
+    layer = AffineLayer(Tensor(np.zeros((2, 6))), Tensor(np.zeros(2)), relu=True)
+    out, _ = layer(np.ones((1, 6)))
+    np.testing.assert_array_equal(out, [[0.0, 0.0]])
 
 
 def test_ffnn_reduce_hand_case():
-    layer = AffineLayer(Tensor([[1.0, 1.0]]), Tensor([0.0]), activation="relu")
-    out = layer(Tensor([[-1.0, 3.0]]))
-    np.testing.assert_array_equal(out.data, [[2.0]])
+    layer = AffineLayer(Tensor([[1.0, 1.0]]), Tensor([0.0]), relu=True)
+    out, _ = layer(np.array([[-1.0, 3.0]]))
+    np.testing.assert_array_equal(out, [[2.0]])
 
 
 def test_ffnn_reduce_gradient():
     f_d, z, z_red = 3, 4, 2
-    layer = AffineLayer.init(f_d * z, z_red, RngState(3), activation="relu")
-    x = Tensor(RngState(4).uniform(-1, 1, (1, f_d * z)))
-    report = grad_check(lambda: sum_all(layer(x)), layer.parameters(), tolerance=1e-6)
+    layer = AffineLayer.init(f_d * z, z_red, RngState(3), relu=True)
+    x = RngState(4).uniform(-1, 1, (1, f_d * z))
+    report = grad_check(sum_with_backward(lambda: layer(x), layer.backward), layer.parameters(),
+                        tolerance=1e-6)
     assert report.ok, report.per_input
 
 
-def test_affine_bias_shape_guard():
-    with pytest.raises(ShapeError):
-        AffineLayer(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+def test_affine_input_gradient_matches_finite_differences():
+    layer = AffineLayer.init(4, 3, RngState(5), relu=True)
+    x = Tensor(RngState(6).uniform(-1, 1, (2, 4)))
+
+    def fn():
+        out, cache = layer(x.data)
+        x.grad = layer.backward(np.ones_like(out), cache)
+        return out.sum()
+
+    report = grad_check(fn, {"x": x}, tolerance=1e-6)
+    assert report.ok, report.per_input
 
 
-def test_affine_rejects_inputs_that_are_not_rows():
-    layer = AffineLayer(Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
-    for shape in ((2,), (1, 3), (1, 1, 2)):
-        with pytest.raises(ShapeError):
-            layer(Tensor(np.zeros(shape)))
+def test_dropout_identity_cases():
+    x = np.ones(8)
+    for p, training in ((0.0, True), (0.7, False)):
+        out, mask = dropout(x, p, training, RngState(3))
+        assert out is x and mask is None
+
+
+def test_dropout_preserves_mean_and_is_reproducible():
+    x = np.ones(100_000)
+    out, mask = dropout(x, 0.5, True, RngState(11))
+    assert abs(out.mean() - 1.0) < 0.02
+    np.testing.assert_array_equal(out, dropout(x, 0.5, True, RngState(11))[0])
+    np.testing.assert_array_equal(mask, out)  # the mask that scales the gradient back
 
 
 def test_lstm_all_zero_parameters_is_fixed_point():
@@ -97,7 +126,7 @@ def test_lstm_all_zero_parameters_is_fixed_point():
     for t in stack.parameters().values():
         t.data[...] = 0.0
     out = lstm_sequence(stack, np.random.default_rng(0).normal(size=(5, 3)))
-    np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
+    np.testing.assert_array_equal(out, np.zeros((5, 4)))
 
 
 def test_lstm_single_step_matches_hand_evaluation():
@@ -111,7 +140,7 @@ def test_lstm_single_step_matches_hand_evaluation():
         layer.w.data[:, k] = [vals[f"w_{gate}"], vals[f"u_{gate}"]]
         layer.b.data[k] = vals[f"b_{gate}"]
     x = 0.8
-    out = lstm_sequence(stack, Tensor([[x]]))
+    out = lstm_sequence(stack, [[x]])
 
     i = _sigmoid(vals["w_i"] * x + vals["b_i"])
     f = _sigmoid(vals["w_f"] * x + vals["b_f"])
@@ -119,66 +148,71 @@ def test_lstm_single_step_matches_hand_evaluation():
     o = _sigmoid(vals["w_o"] * x + vals["b_o"])
     c = f * 0.0 + i * g
     h = o * np.tanh(c)
-    np.testing.assert_allclose(out.data, [[h]], atol=1e-15)
+    np.testing.assert_allclose(out, [[h]], atol=1e-15)
 
 
 def test_lstm_hidden_states_bounded():
     stack = LstmStack.init(2, 4, 6, RngState(5))
-    x = Tensor(RngState(6).uniform(-10, 10, (20, 4)))
-    out = lstm_sequence(stack, x)
-    assert np.abs(out.data).max() < 1.0
+    out = lstm_sequence(stack, RngState(6).uniform(-10, 10, (20, 4)))
+    assert np.abs(out).max() < 1.0
 
 
 def test_lstm_rejects_empty_sequence():
     stack = LstmStack.init(1, 2, 3, RngState(0))
     with pytest.raises(EmptySequenceError):
-        lstm_states(stack, np.zeros((1, 0, 2)), None, training=False)
+        lstm_states(stack, np.zeros((1, 0, 2)), RngState(0), training=False)
 
 
 def test_lstm_batched_matches_per_sample():
     stack = LstmStack.init(2, 3, 5, RngState(8))
     rng = RngState(9)
     x_batch = rng.uniform(-1, 1, (4, 6, 3))
-    batched = lstm_states(stack, x_batch, None, training=False)
+    batched, _ = lstm_states(stack, x_batch, RngState(0), training=False)
     for b in range(4):
         single = lstm_sequence(stack, x_batch[b])
-        np.testing.assert_allclose(batched.data[b], single.data, atol=1e-12)
+        np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
 
 def test_attend_identical_states_gives_uniform_weights():
     head = AttentionHead.init(3, RngState(2))
     row = np.array([0.3, -0.2, 0.9])
-    context, alpha = attend(head, Tensor(np.tile(row, (5, 1))))
-    np.testing.assert_allclose(alpha.data, np.full(5, 0.2), atol=1e-12)
-    np.testing.assert_allclose(context.data, row, atol=1e-12)
+    context, alpha = attend(head, np.tile(row, (5, 1)))
+    np.testing.assert_allclose(alpha, np.full(5, 0.2), atol=1e-12)
+    np.testing.assert_allclose(context, row, atol=1e-12)
 
 
 def test_attend_single_step():
     head = AttentionHead.init(2, RngState(3))
-    context, alpha = attend(head, Tensor([[1.5, -0.5]]))
-    np.testing.assert_array_equal(alpha.data, [1.0])
-    np.testing.assert_array_equal(context.data, [1.5, -0.5])
+    context, alpha = attend(head, [[1.5, -0.5]])
+    np.testing.assert_array_equal(alpha, [1.0])
+    np.testing.assert_array_equal(context, [1.5, -0.5])
 
 
 def test_attend_matches_exact_reference():
     head = AttentionHead(AffineLayer(Tensor([[1.0]]), Tensor([0.0])))
     h = np.array([[0.1], [0.2], [0.3]])
-    context, alpha = attend(head, Tensor(h))
+    context, alpha = attend(head, h)
     scores = h[:, 0]
     expected_alpha = np.exp(scores - scores.max())
     expected_alpha /= expected_alpha.sum()
-    np.testing.assert_allclose(alpha.data, expected_alpha, atol=1e-15)
-    np.testing.assert_allclose(context.data, [(expected_alpha * scores).sum()], atol=1e-15)
+    np.testing.assert_allclose(alpha, expected_alpha, atol=1e-15)
+    np.testing.assert_allclose(context, [(expected_alpha * scores).sum()], atol=1e-15)
 
 
 def test_attend_score_offset_invariance():
     rng = RngState(12)
-    h = Tensor(rng.uniform(-1, 1, (7, 4)))
+    h = rng.uniform(-1, 1, (7, 4))
     head = AttentionHead.init(4, RngState(13))
     _, alpha = attend(head, h)
     head.score_layer.bias.data[...] += 100.0
     _, alpha_shifted = attend(head, h)
-    np.testing.assert_allclose(alpha_shifted.data, alpha.data, atol=1e-12)
+    np.testing.assert_allclose(alpha_shifted, alpha, atol=1e-12)
+
+
+def test_attention_rejects_nan_scores():
+    head = AttentionHead.init(2, RngState(14))
+    with pytest.raises(NumericError):
+        attend(head, [[np.nan, 0.0], [0.0, 1.0]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,10 +221,10 @@ def test_attend_is_convex_combination(steps, seed):
     rng = RngState(seed)
     h = rng.uniform(-3, 3, (steps, 4))
     head = AttentionHead.init(4, rng.split("head"))
-    context, alpha = attend(head, Tensor(h))
-    assert abs(alpha.data.sum() - 1.0) <= 1e-12
-    assert (context.data >= h.min(axis=0) - 1e-12).all()
-    assert (context.data <= h.max(axis=0) + 1e-12).all()
+    context, alpha = attend(head, h)
+    assert abs(alpha.sum() - 1.0) <= 1e-12
+    assert (context >= h.min(axis=0) - 1e-12).all()
+    assert (context <= h.max(axis=0) + 1e-12).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,33 +233,62 @@ def test_attend_permutation_equivariance(steps, seed):
     rng = RngState(seed)
     h = rng.uniform(-2, 2, (steps, 3))
     head = AttentionHead.init(3, rng.split("head"))
-    _, alpha = attend(head, Tensor(h))
+    _, alpha = attend(head, h)
     perm = rng.permutation(steps)
-    _, alpha_perm = attend(head, Tensor(h[perm]))
-    np.testing.assert_allclose(alpha_perm.data, alpha.data[perm], atol=1e-12)
-    assert abs(alpha_perm.data.sum() - 1.0) <= 1e-12
+    _, alpha_perm = attend(head, h[perm])
+    np.testing.assert_allclose(alpha_perm, alpha[perm], atol=1e-12)
+    assert abs(alpha_perm.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=12),
+       st.floats(min_value=-30, max_value=30))
+def test_attention_softmax_simplex_and_shift_invariance(values, offset):
+    # a one-feature head with unit weight and zero bias: the scores are the values
+    head = AttentionHead(AffineLayer(Tensor([[1.0]]), Tensor([0.0])))
+    x = np.asarray(values)[:, None]
+    _, base = attend(head, x)
+    assert abs(base.sum() - 1.0) <= 1e-12
+    assert (base > 0).all()
+    _, shifted = attend(head, x + offset)
+    np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
 def test_attend_batched_matches_per_sample():
     head = AttentionHead.init(4, RngState(20))
     rng = RngState(21)
     h = rng.uniform(-1, 1, (3, 5, 4))
-    context_b, alpha_b = attend_batched(head, Tensor(h))
+    context_b, alpha_b, _ = attend_batched(head, h)
     for b in range(3):
-        context, alpha = attend(head, Tensor(h[b]))
-        np.testing.assert_allclose(context_b.data[b], context.data, atol=1e-12)
-        np.testing.assert_allclose(alpha_b.data[b], alpha.data, atol=1e-12)
+        context, alpha = attend_reference(head, h[b])
+        np.testing.assert_allclose(context_b[b], context, atol=1e-12)
+        np.testing.assert_allclose(alpha_b[b], alpha, atol=1e-12)
 
 
 def test_attention_gradients_pass_check():
     head = AttentionHead.init(3, RngState(30))
-    h = Tensor(RngState(31).uniform(-1, 1, (4, 3)))
+    h = RngState(31).uniform(-1, 1, (2, 4, 3))
+
+    def forward():
+        context, _, cache = attend_batched(head, h)
+        return context, cache
+
+    report = grad_check(sum_with_backward(forward, head.backward), head.parameters(),
+                        tolerance=1e-4)
+    assert report.ok, report.per_input
+
+
+def test_attention_hidden_gradient_matches_finite_differences():
+    head = AttentionHead.init(3, RngState(32))
+    h = Tensor(RngState(33).uniform(-1, 1, (2, 4, 3)))
 
     def fn():
-        context, _ = attend(head, h)
-        return sum_all(context)
+        context, _, cache = attend_batched(head, h.data)
+        through_sum, through_scores = head.backward(np.ones_like(context), cache)
+        h.grad = through_sum + through_scores
+        return context.sum()
 
-    report = grad_check(fn, head.parameters(), tolerance=1e-4)
+    report = grad_check(fn, {"hidden": h}, tolerance=1e-6)
     assert report.ok, report.per_input
 
 
@@ -233,28 +296,72 @@ def test_mlp_zero_final_weights_returns_bias():
     mlp = Mlp.init(5, 8, 6, 2, RngState(7))
     mlp.layers[-1].weight.data[...] = 0.0
     mlp.layers[-1].bias.data[...] = np.arange(6.0)
-    out = mlp(Tensor(np.ones((1, 5))))
-    np.testing.assert_array_equal(out.data, [np.arange(6.0)])
+    out, _ = mlp(np.ones((1, 5)))
+    np.testing.assert_array_equal(out, [np.arange(6.0)])
 
 
 def test_mlp_output_width_is_six():
     for in_size in (3, 12, 40):
         mlp = Mlp.init(in_size, 16, 6, 2, RngState(1))
-        assert mlp(Tensor(np.zeros((1, in_size)))).shape == (1, 6)
+        assert mlp(np.zeros((1, in_size)))[0].shape == (1, 6)
 
 
 def test_mlp_gradient():
     mlp = Mlp.init(12, 6, 6, 2, RngState(40))
-    x = Tensor(RngState(41).uniform(-1, 1, (1, 12)))
-    report = grad_check(lambda: sum_all(mlp(x)), mlp.parameters(), tolerance=1e-6)
+    x = RngState(41).uniform(-1, 1, (1, 12))
+    report = grad_check(sum_with_backward(lambda: mlp(x), mlp.backward), mlp.parameters(),
+                        tolerance=1e-6)
     assert report.ok, report.per_input
 
 
+def test_mlp_input_gradient_matches_finite_differences():
+    mlp = Mlp.init(5, 6, 3, 2, RngState(42))
+    x = Tensor(RngState(43).uniform(-1, 1, (2, 5)))
+
+    def fn():
+        out, cache = mlp(x.data)
+        x.grad = mlp.backward(np.ones_like(out), cache)
+        return out.sum()
+
+    report = grad_check(fn, {"x": x}, tolerance=1e-6)
+    assert report.ok, report.per_input
+
+
+def test_embedding_gradient_passes_check_with_repeated_codes():
+    table = EmbeddingTable.init(4, 3, RngState(44))
+    codes = np.array([2, 0, 2, 3])
+    weights = RngState(45).uniform(-1, 1, (4, 3))
+
+    def fn():
+        table.backward(weights, codes)
+        return float((embed(table, codes) * weights).sum())
+
+    report = grad_check(fn, {"weights": table.weights}, tolerance=1e-6)
+    assert report.ok, report.per_input
+    assert not table.weights.grad[1].any()  # a code never taken gets no gradient
+
+
 def test_lstm_gradients_pass_check_at_small_dims():
-    stack = LstmStack.init(2, 2, 3, RngState(50))
-    x = RngState(51).uniform(-1, 1, (4, 2))
-    report = grad_check(lambda: sum_all(lstm_sequence(stack, x)), stack.parameters(),
+    # a frozen inter-layer dropout mask: the stream is recreated on every call
+    stack = LstmStack.init(2, 2, 3, RngState(50), dropout_p=0.3)
+    x = RngState(51).uniform(-1, 1, (2, 4, 2))
+    forward = lambda: lstm_states(stack, x, RngState(52), training=True)
+    report = grad_check(sum_with_backward(forward, stack.backward), stack.parameters(),
                         tolerance=1e-4)
+    assert report.ok, report.per_input
+
+
+def test_lstm_input_gradient_matches_finite_differences():
+    stack = LstmStack.init(1, 2, 3, RngState(53))
+    layer = stack.layers[0]
+    x = Tensor(RngState(54).uniform(-1, 1, (4, 2, 2)))
+
+    def fn():
+        out, cache = lstm_forward(x.data, layer.w.data, layer.b.data, training=True)
+        *_, x.grad = lstm_backward(np.ones_like(out), cache, input_grad=True)
+        return out.sum()
+
+    report = grad_check(fn, {"x": x}, tolerance=1e-4)
     assert report.ok, report.per_input
 
 
@@ -276,10 +383,11 @@ def test_lstm_dropout_mask_is_successive_per_step_draws():
     steps, batch, hidden, p = 4, 3, 5, 0.5
     stack = LstmStack.init(2, 2, hidden, RngState(60), dropout_p=p)
     x = RngState(61).uniform(-1, 1, (batch, steps, 2))
-    out = lstm_states(stack, x, RngState(62), training=True)
+    out, _ = lstm_states(stack, x, RngState(62), training=True)
 
     stream = RngState(62).split("lstm_dropout0")
     mask = np.stack([(stream.random((batch, hidden)) >= p) / (1.0 - p) for _ in range(steps)])
-    lower = lstm(Tensor(x.transpose(1, 0, 2)), stack.layers[0].w, stack.layers[0].b)
-    upper = lstm(Tensor(lower.data * mask), stack.layers[1].w, stack.layers[1].b)
-    np.testing.assert_array_equal(out.data, upper.data.transpose(1, 0, 2))
+    (w0, b0), (w1, b1) = ((layer.w.data, layer.b.data) for layer in stack.layers)
+    lower, _ = lstm_forward(x.transpose(1, 0, 2).copy(), w0, b0, training=False)
+    upper, _ = lstm_forward(lower * mask, w1, b1, training=False)
+    np.testing.assert_array_equal(out, upper.transpose(1, 0, 2))

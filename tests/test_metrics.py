@@ -319,7 +319,13 @@ def test_location_report_reference_improvements():
     assert abs(per_state["OK"] - 6.66) < 0.01
     assert abs(avg - 4.55) < 0.01
 
-    assert set(report.improvements) == {"test_mae", "test_f1", "week_avg_mae", "week_avg_f1"}
+    per_state, avg = report.improvements["test_mae_abs"]
+    assert per_state == {"IA": 0.166 - 0.201, "MT": 0.200 - 0.301, "OK": 0.218 - 0.278}
+    assert abs(avg - (-0.065333)) < 1e-6
+
+    definitions = ["test_mae", "test_f1", "week_avg_mae", "week_avg_f1"]
+    assert list(report.improvements) == [key for name in definitions
+                                         for key in (name, f"{name}_abs")]
     assert report.summary_csv().count("\n") == 7
     assert report.weekly_csv().splitlines()[0].startswith("train,eval,week1_mae")
 
@@ -330,6 +336,18 @@ def test_location_report_identical_results_zero_improvement():
     for per_state, avg in out.improvements.values():
         assert avg == 0.0
         assert all(v == 0.0 for v in per_state.values())
+
+
+def test_location_report_zero_baseline_is_undefined_next_to_its_difference():
+    specific = {"IA": _stub_report(0.3, 0.0), "MT": _stub_report(0.4, 50.0)}
+    agnostic = {"IA": _stub_report(0.2, 40.0), "MT": _stub_report(0.2, 55.0)}
+    report = location_experiment_report(specific, agnostic)
+    assert report.improvements["test_f1"] == ({"IA": None, "MT": 10.0}, None)
+    assert report.improvements["test_f1_abs"] == ({"IA": 40.0, "MT": 5.0}, 22.5)
+    rows = {row.split(",")[0]: row for row in report.improvements_csv().splitlines()}
+    assert rows["test_f1"] == "test_f1,undefined,10.0,undefined"
+    assert rows["test_f1_abs"] == "test_f1_abs,40.0,5.0,22.5"
+    assert "undefined" not in rows["test_mae"]
 
 
 def test_location_report_missing_pair():

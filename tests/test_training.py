@@ -52,7 +52,7 @@ def overfit_config(**overrides):
 
 
 def test_adamw_zero_gradient_no_decay_is_identity():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    p = Tensor(np.array([1.0, -2.0]))
     p.grad = np.zeros(2)
     state = OptimizerState(weight_decay=0.0)
     adamw_step({"p": p}, state, lr=0.1)
@@ -60,7 +60,7 @@ def test_adamw_zero_gradient_no_decay_is_identity():
 
 
 def test_adamw_decoupled_decay_identity():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    p = Tensor(np.array([1.0, -2.0]))
     p.grad = np.zeros(2)
     state = OptimizerState(weight_decay=0.01)
     adamw_step({"p": p}, state, lr=0.1)
@@ -69,7 +69,7 @@ def test_adamw_decoupled_decay_identity():
 
 def test_adamw_decay_compounds_exactly():
     start = np.array([3.0])
-    p = Tensor(start.copy(), requires_grad=True)
+    p = Tensor(start.copy())
     state = OptimizerState(weight_decay=0.01)
     n = 25
     expected = start.copy()
@@ -84,7 +84,7 @@ def test_adamw_decay_compounds_exactly():
 
 
 def test_adamw_matches_hand_rolled_recurrence():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = Tensor(np.array([1.0]))
     state = OptimizerState(weight_decay=0.0)
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
 
@@ -99,14 +99,14 @@ def test_adamw_matches_hand_rolled_recurrence():
 
 
 def test_adamw_zero_lr_is_identity():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = Tensor(np.array([1.0]))
     p.grad = np.array([5.0])
     adamw_step({"p": p}, OptimizerState(), lr=0.0)
     np.testing.assert_array_equal(p.data, [1.0])
 
 
 def test_adamw_nan_gradient_names_parameter():
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = Tensor(np.array([1.0]))
     p.grad = np.array([np.nan])
     with pytest.raises(NumericError, match="lstm.w"):
         adamw_step({"lstm.w": p}, OptimizerState(), lr=0.1)
@@ -187,8 +187,8 @@ def test_predict_joins_blocks_into_one_pass(monkeypatch):
     whole = model.forward(batch_from_samples(samples))
     monkeypatch.setattr(training, "PREDICT_BLOCK", 3)
     predictions, attention = predict(model, samples)
-    np.testing.assert_allclose(predictions, whole.predictions.data, atol=1e-12)
-    np.testing.assert_allclose(attention, whole.attention.data, atol=1e-12)
+    np.testing.assert_allclose(predictions, whole.predictions, atol=1e-12)
+    np.testing.assert_allclose(attention, whole.attention, atol=1e-12)
     assert validation_mae(model, samples) == pytest.approx(np.abs(predictions - samples.y).mean())
     no_attention = HybridModel.build(overfit_config(), AblationConfig(use_attention=False), seed=24)
     assert predict(no_attention, samples)[1] is None
@@ -201,12 +201,12 @@ def test_checkpoint_round_trip(tmp_path):
     model = HybridModel.build(config, AblationConfig(), seed=21)
     samples = make_linear_samples(n=4, seed=22)
     batch = batch_from_samples(samples)
-    before = model.forward(batch).predictions.data
+    before = model.forward(batch).predictions
 
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    after = loaded.forward(batch).predictions.data
+    after = loaded.forward(batch).predictions
     np.testing.assert_array_equal(before, after)
     assert loaded.config == model.config
     assert loaded.ablation == model.ablation
