@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateTestError,
-    DroughtcastError,
     IoError,
     NumericError,
     SchemaError,
@@ -33,7 +32,6 @@ from .errors import (
 from .introspection import collect_attention, emit_figures, export_embeddings, tsne
 from .metrics import (
     WEEKLY_COLUMNS,
-    FoldResults,
     cross_validate,
     evaluate,
     location_experiment_report,
@@ -41,6 +39,7 @@ from .metrics import (
 )
 from .model import AblationConfig, HybridModel, ModelConfig
 from .training import (
+    HistoryRow,
     LrSchedule,
     TrainRunConfig,
     fit,
@@ -177,13 +176,6 @@ def _model_config(cfg: RunConfig, ingest: Path, samples: dp.SampleSet) -> ModelC
                          categorical_vocab_sizes=vocab_sizes)
 
 
-def _train_run(cfg: RunConfig, seed: int, checkpoint_dir: Path | None,
-               epochs: int | None = None) -> TrainRunConfig:
-    given = {"epochs": epochs} if epochs is not None else {}
-    return _from_section(cfg, TrainRunConfig, "train", seed=seed, **given,
-                         checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None)
-
-
 def _schedule(cfg: RunConfig, n_train: int) -> LrSchedule:
     max_lr = cfg.get_float("train", "max_lr")
     base_lr = cfg.get_float("train", "base_lr") if cfg.get("train", "base_lr") else max_lr / 10.0
@@ -193,16 +185,28 @@ def _schedule(cfg: RunConfig, n_train: int) -> LrSchedule:
     return LrSchedule(base_lr=base_lr, max_lr=max_lr, cycle_length=cycle)
 
 
+def _trained(cfg: RunConfig, config: ModelConfig, ablation: AblationConfig, seed: int,
+             train: dp.SampleSet, val: dp.SampleSet, epochs: int | None = None,
+             out: Path | None = None) -> tuple[HybridModel, list[HistoryRow]]:
+    """A model built from ``seed`` and fitted under ``[train]``, and its
+    history; ``epochs`` overrides the epoch count, and the checkpoints go
+    to ``out``."""
+    model = HybridModel.build(config, ablation, seed)
+    given = {"epochs": epochs} if epochs is not None else {}
+    run = _from_section(cfg, TrainRunConfig, "train", seed=seed, **given,
+                        checkpoint_dir=str(out) if out else None)
+    return fit(model, train, val, run, _schedule(cfg, len(train)))
+
+
 def cmd_train(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "train")
     ingest = _ingest_dir(cfg)
     train, val = _load_sets(ingest, "train", "val")
     if not train:
         raise DataError("no training samples in the ingest cache")
-    model = HybridModel.build(_model_config(cfg, ingest, train),
-                              _from_section(cfg, AblationConfig, "ablation"), cfg.seed)
-    run = _train_run(cfg, cfg.seed, out)
-    model, history = fit(model, train, val, run, _schedule(cfg, len(train)))
+    model, history = _trained(cfg, _model_config(cfg, ingest, train),
+                              _from_section(cfg, AblationConfig, "ablation"), cfg.seed,
+                              train, val, out=out)
     (out / "history.csv").write_text(history_csv(history))
     save_checkpoint(model, out / "model.ckpt")
     print(f"trained {model.ablation.label()} model: "
@@ -235,9 +239,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     weekly = [["setting", *WEEKLY_COLUMNS]]
 
     for i, ablation in enumerate(ABLATION_SETTINGS):
-        model = HybridModel.build(base_config, ablation, cfg.seed + i)
-        run = _train_run(cfg, cfg.seed + i, None)
-        model, _ = fit(model, train, val, run, _schedule(cfg, len(train)))
+        model, _ = _trained(cfg, base_config, ablation, cfg.seed + i, train, val)
         report = evaluate(model, test)
         label = ablation.label()
         summary.append([label, ablation.use_static, ablation.use_timeseries,
@@ -250,18 +252,6 @@ def cmd_ablate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cv_for(cfg: RunConfig, samples, base_config: ModelConfig, ablation: AblationConfig,
-            folds: int, epochs: int | None) -> FoldResults:
-    def builder(fold_seed: int) -> HybridModel:
-        return HybridModel.build(base_config, ablation, fold_seed)
-
-    def trainer(model, train, val, fold_seed):
-        run = _train_run(cfg, fold_seed, None, epochs=epochs)
-        fit(model, train, val, run, _schedule(cfg, len(train)))
-
-    return cross_validate(samples, folds, builder, trainer, seed=cfg.seed)
-
-
 def cmd_cv(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "cv")
     ingest = _ingest_dir(cfg)
@@ -271,10 +261,12 @@ def cmd_cv(cfg: RunConfig) -> int:
     folds = cfg.get_int("cv", "folds")
     epochs = cfg.get_int("cv", "epochs") if cfg.get("cv", "epochs") else None
 
-    primary = _cv_for(cfg, pool, base_config, _from_section(cfg, AblationConfig, "ablation"),
-                      folds, epochs)
-    baseline = _cv_for(cfg, pool, base_config,
-                       _from_section(cfg, AblationConfig, "cv", "baseline_"), folds, epochs)
+    def folds_of(ablation):
+        return cross_validate(pool, folds, lambda train, val, seed: _trained(
+            cfg, base_config, ablation, seed, train, val, epochs)[0], seed=cfg.seed)
+
+    primary = folds_of(_from_section(cfg, AblationConfig, "ablation"))
+    baseline = folds_of(_from_section(cfg, AblationConfig, "cv", "baseline_"))
 
     (out / "cv_folds_primary.csv").write_text(primary.folds_csv())
     (out / "cv_summary_primary.csv").write_text(primary.summary_csv())
@@ -308,22 +300,17 @@ def cmd_locexp(cfg: RunConfig) -> int:
     base_config = _model_config(cfg, ingest, train)
     ablation = _from_section(cfg, AblationConfig, "ablation")
 
-    def train_model(samples, val_samples, seed):
-        model = HybridModel.build(base_config, ablation, seed)
-        run = _train_run(cfg, seed, None)
-        model, _ = fit(model, samples, val_samples, run, _schedule(cfg, len(samples)))
-        return model
-
     specific = {}
     agnostic = {}
-    agnostic_model = train_model(train, val, cfg.seed)
+    agnostic_model = _trained(cfg, base_config, ablation, cfg.seed, train, val)[0]
     for i, state in enumerate(states):
         state_train, state_val, state_test = (
             samples[dp.filter_by_state(samples.fips, [state])] for samples in (train, val, test)
         )
         if not state_train or not state_test:
             raise DataError(f"state prefix {state!r} has no train or test samples")
-        state_model = train_model(state_train, state_val, cfg.seed + 100 * (i + 1))
+        state_model = _trained(cfg, base_config, ablation, cfg.seed + 100 * (i + 1),
+                               state_train, state_val)[0]
         specific[state] = evaluate(state_model, state_test)
         agnostic[state] = evaluate(agnostic_model, state_test)
         print(f"state {state}: specific MAE {specific[state].mae:.3f}, "
@@ -424,9 +411,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, IoError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except DroughtcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

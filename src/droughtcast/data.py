@@ -459,24 +459,6 @@ class Normalizer:
             rows.append([f"static.{name}", repr(float(m)), repr(float(s))])
         write_csv(path, rows)
 
-    @classmethod
-    def load(cls, path) -> "Normalizer":
-        rows = _csv_rows(Path(path), FormatError)
-        if next(rows)[1] != ["channel", "mean", "std"]:
-            raise FormatError(f"{path}: not a normalizer stats file")
-        stats: dict[str, list[tuple[str, float, float]]] = {"ts": [], "static": []}
-        for _, (name, mean, std) in rows:
-            prefix, _, short = name.partition(".")
-            try:
-                stats[prefix].append((short, float(mean), float(std)))
-            except (KeyError, ValueError):
-                raise FormatError(f"{path}: bad statistics row {[name, mean, std]}") from None
-        columns = []
-        for entries in stats.values():  # ts, then static
-            columns += [[name for name, _, _ in entries], np.array([m for _, m, _ in entries]),
-                        np.array([s for _, _, s in entries])]
-        return cls(*columns)
-
 
 def fit_normalizer(samples: SampleSet,
                    channel_names: list[str] | None = None,

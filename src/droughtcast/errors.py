@@ -1,8 +1,9 @@
 """Exception hierarchy shared by every droughtcast module.
 
-The CLI maps these onto process exit codes, so new error types should
-subclass one of the three broad families below (config / data / numeric)
-rather than raising bare exceptions.
+Every error is one of four families, which the CLI maps onto process exit
+codes: ``ConfigError`` 2, ``DataError`` 3, ``NumericError`` 4 and
+``IoError`` 3.  A new error type subclasses one of them rather than
+``DroughtcastError`` itself or a bare exception.
 """
 
 
@@ -12,10 +13,6 @@ class DroughtcastError(Exception):
 
 class ConfigError(DroughtcastError):
     """Invalid configuration value or combination."""
-
-
-class ShapeError(DroughtcastError):
-    """Tensor shapes incompatible with the requested operation."""
 
 
 class NumericError(DroughtcastError):
@@ -32,10 +29,6 @@ class SchemaError(DataError):
 
 class FormatError(DataError):
     """A binary artifact (checkpoint, cache) failed magic/structure checks."""
-
-
-class EmptySequenceError(DataError):
-    """A sequence operation received zero time steps."""
 
 
 class UndefinedMetricError(DataError):

@@ -85,8 +85,6 @@ class EmbeddingExport:
 
 def export_embeddings(model: HybridModel, statics: dict[str, StaticFeatures],
                       encoder: CategoricalEncoder) -> EmbeddingExport:
-    if not model.embeddings:
-        raise ConfigError("model was built without the categorical static path")
     fips = sorted(statics)
     codes = np.stack([statics[f].categorical for f in fips])
     vectors = model.reduced_static_embedding(codes)
@@ -156,11 +154,6 @@ def conditional_affinities(points: np.ndarray, perplexity: float) -> tuple[np.nd
         p[i], betas[i] = _search_beta(d2[i], i, target)
     sigmas = np.sqrt(1.0 / (2.0 * betas))
     return p, sigmas
-
-
-def row_perplexity(p_row: np.ndarray) -> float:
-    nz = p_row > 0
-    return float(np.exp(-(p_row[nz] * np.log(p_row[nz])).sum()))
 
 
 EARLY_EXAGGERATION = 12.0  # affinity multiplier for the first EXAGGERATION_ITERS iterations

@@ -11,7 +11,8 @@ for its weight gradient, and ``np.add.at`` for embedding rows.
 
 All parameters are initialized uniformly in ``±sqrt(1/fan_in)`` from the
 run seed, which keeps initial activations bounded without any assumptions
-about input scale.
+about input scale.  Sizes and inputs arrive checked: ``ModelConfig``
+checks the sizes, and ``HybridModel.check`` the sample set (``T >= 1``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import RngState, Tensor, lstm_backward, lstm_forward
-from .errors import ConfigError, EmptySequenceError, NumericError
+from .errors import NumericError
 
 
 def _uniform_param(rng: RngState, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -51,8 +52,6 @@ class EmbeddingTable:
 
     @classmethod
     def init(cls, vocab_size: int, dim: int, rng: RngState) -> "EmbeddingTable":
-        if vocab_size < 1 or dim < 1:
-            raise ConfigError(f"bad embedding table size {vocab_size}x{dim}")
         return cls(vocab_size, dim, _uniform_param(rng, (vocab_size, dim), dim))
 
     def backward(self, grad: np.ndarray, codes: np.ndarray) -> None:
@@ -138,8 +137,6 @@ class LstmStack:
     @classmethod
     def init(cls, num_layers: int, input_size: int, hidden_size: int,
              rng: RngState, dropout_p: float = 0.0) -> "LstmStack":
-        if num_layers < 1:
-            raise ConfigError("LSTM needs at least one layer")
         layers = [
             LstmLayer.init(input_size if i == 0 else hidden_size, hidden_size, rng.split(f"lstm{i}"))
             for i in range(num_layers)
@@ -176,8 +173,6 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
     between layers, so in training mode the inter-layer dropout mask is T
     successive ``(B, h)`` draws from the layer's stream.
     """
-    if x.shape[1] == 0:
-        raise EmptySequenceError("LSTM received an empty sequence")
     seq = x.transpose(1, 0, 2).copy()
     cache = []
     for li, layer in enumerate(stack.layers):
@@ -221,8 +216,6 @@ def attend_batched(head: AttentionHead,
     convex combination, so each context lies in its rows' hull.
     """
     batch, steps, width = hidden.shape
-    if steps == 0:
-        raise EmptySequenceError("attention over an empty sequence")
     scores, score_cache = head.score_layer(hidden.reshape(batch * steps, width))
     scores = scores.reshape(batch, steps)
     if np.isnan(scores).any():
@@ -242,8 +235,6 @@ class Mlp:
     @classmethod
     def init(cls, in_size: int, hidden_size: int, out_size: int, num_layers: int,
              rng: RngState) -> "Mlp":
-        if num_layers < 1:
-            raise ConfigError("MLP needs at least one layer")
         sizes = [in_size] + [hidden_size] * (num_layers - 1) + [out_size]
         layers = [
             AffineLayer.init(sizes[i], sizes[i + 1], rng.split(f"mlp{i}"), relu=i < num_layers - 1)

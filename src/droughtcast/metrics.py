@@ -93,16 +93,13 @@ def macro_f1(pred_categories, target_categories, classes=range(N_CATEGORIES)) ->
 
 
 def _midrank(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group sharing the mean of its positions."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)] - 1
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -330,20 +327,16 @@ def summarize_folds(values) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def cross_validate(samples, k, model_builder, trainer, seed: int = 0) -> FoldResults:
-    """Train a fresh seeded model per fold and report MAE/RMSE/F1 per fold.
-
-    ``model_builder(fold_seed)`` returns an untrained model;
-    ``trainer(model, train, val, fold_seed)`` trains it in place.
-    """
+def cross_validate(samples, k, train, seed: int = 0) -> FoldResults:
+    """Report MAE/RMSE/F1 per fold of the model that
+    ``train(train_samples, val_samples, fold_seed)`` returns, fresh and
+    seeded per fold."""
     from .data import kfold_split
 
     folds = []
-    for i, (train, val) in enumerate(kfold_split(len(samples), k=k, seed=seed)):
-        fold_seed = seed + 1000 * (i + 1)
-        model = model_builder(fold_seed)
-        trainer(model, samples[train], samples[val], fold_seed)
-        report = evaluate(model, samples[val])
+    for i, (fit_rows, val_rows) in enumerate(kfold_split(len(samples), k=k, seed=seed)):
+        model = train(samples[fit_rows], samples[val_rows], seed + 1000 * (i + 1))
+        report = evaluate(model, samples[val_rows])
         folds.append({"mae": report.mae, "rmse": report.rmse, "f1": report.f1})
     return FoldResults(["mae", "rmse", "f1"], folds)
 
@@ -357,12 +350,6 @@ def relative_improvement(baseline: float, candidate: float, better: str = "lower
     if better == "higher":
         return (candidate - baseline) / baseline * 100.0
     raise DataError(f"better must be 'lower' or 'higher', got {better!r}")
-
-
-def claim_consistent(computed_percent: float, claimed_percent: float,
-                     tolerance_points: float = 0.5) -> bool:
-    """Whether a rounded headline improvement agrees with the computed one."""
-    return abs(computed_percent - claimed_percent) <= tolerance_points
 
 
 @dataclass

@@ -5,6 +5,12 @@ the fused vector producing one score per forecast week.
 Each input path (static features, time series, attention pooling) can be
 switched off independently, which shrinks the fused vector and removes the
 corresponding parameters entirely.
+
+:meth:`HybridModel.check` is the one place where a sample set meets the
+model: every column an enabled path reads must have the width the model
+was built for, windows need at least one step, and codes must lie within
+their embedding table.  ``predict`` and ``fit`` call it once per sample
+set, so the forward, the layers and the losses trust their inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import RngState, Tensor
-from .errors import ConfigError, DataError, ShapeError
+from .data import SampleSet
+from .errors import ConfigError, DataError
 from .layers import (
     AffineLayer,
     AttentionHead,
@@ -90,27 +97,19 @@ class AblationConfig:
 
 @dataclass
 class Batch:
-    """Dense arrays for one mini-batch; fields may be None when a sample
-    set was built without that input."""
+    """Dense arrays for one mini-batch of a sample set that passed
+    :meth:`HybridModel.check`."""
 
-    x: np.ndarray | None  # (B, T, M')
-    s_n: np.ndarray | None  # (B, f_n)
-    s_d: np.ndarray | None  # (B, f_d) integer codes
-    y: np.ndarray | None = None  # (B, 6)
-
-    @property
-    def size(self) -> int:
-        for arr in (self.x, self.s_n, self.s_d, self.y):
-            if arr is not None:
-                return arr.shape[0]
-        raise DataError("empty batch")
+    x: np.ndarray  # (B, T, M')
+    s_n: np.ndarray  # (B, f_n)
+    s_d: np.ndarray  # (B, f_d) integer codes
+    y: np.ndarray  # (B, 6)
 
 
 @dataclass
 class BatchOutput:
     predictions: np.ndarray  # (B, 6)
     attention: np.ndarray | None  # (B, T) when the attention path is active
-    reduced_static: np.ndarray | None  # (B, z') when the static path is active
     cache: dict | None = None  # what HybridModel.backward reads; training mode only
 
 
@@ -189,10 +188,8 @@ class HybridModel:
         return DataError(f"{self.source} does not fit these samples: {what}; "
                          "retrain it on the current ingest")
 
-    def _embedded(self, s_d: np.ndarray | None) -> np.ndarray:
-        """The embedding rows of ``(B, f_d)`` categorical codes, side by side."""
-        if s_d is None:
-            raise DataError("batch lacks categorical static features")
+    def _check_codes(self, s_d: np.ndarray) -> None:
+        """One column of ``s_d`` per embedding table, within its vocabulary."""
         if s_d.shape[1] != len(self.embeddings):
             raise self._mismatch(f"expected {len(self.embeddings)} categorical features, "
                                  f"got {s_d.shape[1]}")
@@ -201,27 +198,40 @@ class HybridModel:
             if low < 0 or high >= table.vocab_size:
                 raise self._mismatch(f"categorical feature {j} has codes {low}..{high}, "
                                      f"expected 0..{table.vocab_size - 1}")
+
+    def check(self, samples: SampleSet) -> None:
+        """Raise ``DataError`` naming :attr:`source` unless the non-empty
+        ``samples`` fit every path this model reads, and hold six targets."""
+        x, s_n = samples.x, samples.s_n
+        if self.lstm is not None and (x.ndim != 3 or x.shape[1] < 1
+                                      or x.shape[2] != self.config.input_channels):
+            raise self._mismatch(f"expected (B, T, {self.config.input_channels}) windows, "
+                                 f"got {x.shape}")
+        if self.ablation.use_static and s_n.shape[1] != self.config.numeric_static_count:
+            raise self._mismatch(f"expected {self.config.numeric_static_count} numeric "
+                                 f"static features, got {s_n.shape[1]}")
+        if self.embeddings:
+            self._check_codes(samples.s_d)
+        if samples.y.shape[1:] != (FORECAST_WEEKS,):
+            raise self._mismatch(f"expected (N, {FORECAST_WEEKS}) targets, got {samples.y.shape}")
+
+    def _embedded(self, s_d: np.ndarray) -> np.ndarray:
+        """The embedding rows of ``(B, f_d)`` categorical codes, side by side."""
         return np.concatenate([embed(table, s_d[:, j]) for j, table in enumerate(self.embeddings)],
                               axis=1)
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: RngState | None = None) -> BatchOutput:
-        """Predictions for a batch.  In training mode dropout is active and
-        the output carries the cache :meth:`backward` reads."""
+        """Predictions for a batch of samples that passed :meth:`check`.  In
+        training mode dropout is active and the output carries the cache
+        :meth:`backward` reads."""
         rng = rng or RngState(self.seed).split("forward")
         cache: dict = {"s_d": batch.s_d}
         pieces: list[np.ndarray] = []
         alpha = None
-        reduced = None
 
         if self.lstm is not None:
-            if batch.x is None:
-                raise DataError("batch lacks the time-series window")
-            x = np.asarray(batch.x, dtype=np.float64)
-            if x.ndim != 3 or x.shape[2] != self.config.input_channels:
-                raise self._mismatch(f"expected (B, T, {self.config.input_channels}) windows, "
-                                     f"got {x.shape}")
-            hidden, cache["lstm"] = lstm_states(self.lstm, x, rng, training)  # (B, T, h)
+            hidden, cache["lstm"] = lstm_states(self.lstm, batch.x, rng, training)  # (B, T, h)
             cache["hidden_shape"] = hidden.shape
             if self.attention is not None:
                 context, alpha, cache["attention"] = attend_batched(self.attention, hidden)
@@ -235,18 +245,13 @@ class HybridModel:
             reduced, cache["reducer"] = self.reducer(merged)
             pieces.append(reduced)
         if self.ablation.use_static and self.config.numeric_static_count:
-            if batch.s_n is None:
-                raise DataError("batch lacks numeric static features")
-            if batch.s_n.shape[1] != self.config.numeric_static_count:
-                raise self._mismatch(f"expected {self.config.numeric_static_count} numeric "
-                                     f"static features, got {batch.s_n.shape[1]}")
-            pieces.append(np.asarray(batch.s_n, dtype=np.float64))
+            pieces.append(batch.s_n)
 
         cache["widths"] = [piece.shape[1] for piece in pieces]
         fused, cache["fuse_mask"] = dropout(np.concatenate(pieces, axis=1), self.config.dropout,
                                             training, rng.split("fuse_drop"))
         predictions, cache["mlp"] = self.mlp(fused)
-        return BatchOutput(predictions, alpha, reduced, cache if training else None)
+        return BatchOutput(predictions, alpha, cache if training else None)
 
     def backward(self, out: BatchOutput, grad: np.ndarray) -> None:
         """Set every parameter's ``grad`` from ``grad``, the loss gradient
@@ -284,18 +289,14 @@ class HybridModel:
         """Reduced embedding vector for categorical codes only (eval mode)."""
         if not self.embeddings:
             raise ConfigError("model was built without the categorical static path")
-        return self.reducer(self._embedded(np.asarray(s_d, dtype=np.int64)))[0]
-
-
-def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
+        s_d = np.asarray(s_d, dtype=np.int64)
+        self._check_codes(s_d)
+        return self.reducer(self._embedded(s_d))[0]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error pooled over every sample and forecast week, and
     its gradient with respect to ``pred``."""
-    _check_shapes(pred, target)
     diff = pred - target
     scale = 1.0 / diff.size
     return float((diff * diff).sum() * scale), (scale * diff) * 2.0
@@ -304,7 +305,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute error, and its gradient with respect to ``pred``
     (taken as 0 where the error is 0)."""
-    _check_shapes(pred, target)
     diff = pred - target
     scale = 1.0 / diff.size
     return float(np.abs(diff).sum() * scale), scale * (diff > 0.0) - scale * (diff < 0.0)

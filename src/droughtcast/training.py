@@ -1,6 +1,9 @@
 """Optimization loop: decoupled-weight-decay Adam, a triangular cyclical
 learning-rate schedule, seeded mini-batching, and binary checkpoints.
 
+``fit`` and ``predict`` check each sample set against the model once
+(:meth:`HybridModel.check`), before the first step or block, so a set the
+model was not built for is a ``DataError`` before any parameter moves.
 Each training step runs the model's forward in training mode, the loss,
 which returns its value and its gradient with respect to the predictions,
 then :meth:`HybridModel.backward`, which sets every parameter's ``grad``
@@ -135,6 +138,7 @@ def predict(model: HybridModel, samples: SampleSet) -> tuple[np.ndarray, np.ndar
     """
     if not samples:
         raise DataError("no samples to predict")
+    model.check(samples)
     predictions, attention = [], []
     for i in range(0, len(samples), PREDICT_BLOCK):
         out = model.forward(batch_from_samples(samples[i:i + PREDICT_BLOCK]), training=False)
@@ -156,12 +160,16 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
         run: TrainRunConfig, schedule: LrSchedule) -> tuple[HybridModel, list[HistoryRow]]:
     """Train in place; returns the selected model plus the per-epoch history.
 
-    Shuffling, dropout, and initialization all derive from ``run.seed``.
-    On divergence (non-finite loss) the last good checkpoint is kept and
-    ``NumericError`` raised.
+    Both sample sets are checked against the model before the first step;
+    ``val_samples`` may be empty.  Shuffling, dropout, and initialization
+    all derive from ``run.seed``.  On divergence (non-finite loss) the last
+    good checkpoint is kept and ``NumericError`` raised.
     """
     if not train_samples:
         raise ConfigError("empty training set")
+    model.check(train_samples)
+    if val_samples:
+        model.check(val_samples)
     loss_fn = LOSSES[run.loss]
     state = OptimizerState(weight_decay=run.weight_decay)
     root = RngState(run.seed)
@@ -189,8 +197,8 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
                 raise NumericError(f"training diverged at epoch {epoch}, batch {bi}")
             backward(model, out, grad)
             adamw_step(model.named_parameters(), state, schedule.lr_at(global_step))
-            epoch_loss += value * batch.size
-            seen += batch.size
+            epoch_loss += value * len(batch.y)
+            seen += len(batch.y)
             global_step += 1
 
         val_mae = validation_mae(model, val_samples) if val_samples else float("nan")

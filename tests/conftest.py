@@ -1,9 +1,10 @@
+import csv
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from droughtcast.data import CountyTimeSeries, StaticFeatures
+from droughtcast.data import CountyTimeSeries, Normalizer, StaticFeatures
 
 
 def series_fixture(fips="19001", days=600, channels=2, score_every=7,
@@ -34,6 +35,41 @@ def attend_reference(head, hidden):
     ex = np.exp(scores - scores.max())
     alpha = ex / ex.sum()
     return alpha @ hidden, alpha
+
+
+def claim_consistent(computed_percent, claimed_percent, tolerance_points=0.5):
+    """Whether a rounded headline improvement agrees with the computed one."""
+    return abs(computed_percent - claimed_percent) <= tolerance_points
+
+
+def row_perplexity(p_row):
+    """exp of the entropy (nats) of one row of conditional affinities."""
+    nz = p_row > 0
+    return float(np.exp(-(p_row[nz] * np.log(p_row[nz])).sum()))
+
+
+def load_normalizer(path):
+    """The ``Normalizer`` that ``Normalizer.save`` wrote to ``path``, read
+    back with the csv module: the reference that the statistics file
+    round-trips."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["channel", "mean", "std"]
+    stats = {"ts": [], "static": []}
+    for name, mean, std in rows:
+        prefix, _, short = name.partition(".")
+        stats[prefix].append((short, float(mean), float(std)))
+    columns = []
+    for entries in stats.values():  # ts, then static
+        columns += [[name for name, _, _ in entries], np.array([m for _, m, _ in entries]),
+                    np.array([s for _, _, s in entries])]
+    return Normalizer(*columns)
+
+
+def midrank_reference(values):
+    """1-based ranks in plain Python: a tie group shares the mean of the
+    positions it spans, ``less + (equal + 1) / 2``."""
+    return [sum(v < x for v in values) + (sum(v == x for v in values) + 1) / 2 for x in values]
 
 
 def write_timeseries_csv(path, rows, channels=("chan0", "chan1")):

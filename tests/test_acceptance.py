@@ -6,15 +6,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import attend_reference, series_fixture, statics_fixture
+from conftest import (
+    attend_reference,
+    claim_consistent,
+    row_perplexity,
+    series_fixture,
+    statics_fixture,
+)
 from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.cli import main as cli_main
 from droughtcast.data import SampleSet, build_samples, split_fractions
-from droughtcast.introspection import conditional_affinities, row_perplexity, tsne
+from droughtcast.introspection import conditional_affinities, tsne
 from droughtcast.layers import AttentionHead, attend_batched
 from droughtcast.metrics import (
     binary_auc,
-    claim_consistent,
     macro_f1,
     mae,
     paired_t_test,

@@ -11,7 +11,8 @@ from typing import get_type_hints
 import pytest
 
 import droughtcast
-from droughtcast.cli import main
+from droughtcast import errors
+from droughtcast.cli import COMMANDS, main
 from droughtcast.config import CONFIG_KEYS, parse_as
 from droughtcast.data import CategoricalEncoder
 from droughtcast.model import AblationConfig, ModelConfig
@@ -101,6 +102,26 @@ def test_unknown_config_key_exits_2(dataset, tmp_path):
 
 def test_missing_seed_exits_2(tmp_path):
     assert main(["--out", str(tmp_path), "ingest"]) == 2
+
+
+EXIT_CODES = {errors.ConfigError: 2, errors.DataError: 3, errors.NumericError: 4,
+              errors.IoError: 3}
+
+
+@pytest.mark.parametrize("error", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.DroughtcastError)
+    and cls is not errors.DroughtcastError
+], ids=lambda cls: cls.__name__)
+def test_every_error_type_exits_with_its_family_code(error, tmp_path, monkeypatch, capsys):
+    (family,) = [family for family in EXIT_CODES if issubclass(error, family)]
+
+    def fails(cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(COMMANDS, "eval", fails)
+    assert main(["--seed", "0", "--out", str(tmp_path), "eval"]) == EXIT_CODES[family]
+    assert capsys.readouterr().err.endswith(": boom\n")
 
 
 def test_commands_chain_under_the_default_out(dataset, tmp_path, monkeypatch):

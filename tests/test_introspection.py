@@ -11,10 +11,11 @@ from droughtcast.introspection import (
     conditional_affinities,
     emit_figures,
     export_embeddings,
-    row_perplexity,
     tsne,
 )
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig
+
+from conftest import row_perplexity
 
 
 def small_model(seed=0, **overrides):

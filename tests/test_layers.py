@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droughtcast.autodiff import RngState, Tensor, grad_check, lstm_backward, lstm_forward
-from droughtcast.errors import EmptySequenceError, NumericError
+from droughtcast.errors import NumericError
 from droughtcast.layers import (
     AffineLayer,
     AttentionHead,
@@ -155,12 +155,6 @@ def test_lstm_hidden_states_bounded():
     stack = LstmStack.init(2, 4, 6, RngState(5))
     out = lstm_sequence(stack, RngState(6).uniform(-10, 10, (20, 4)))
     assert np.abs(out).max() < 1.0
-
-
-def test_lstm_rejects_empty_sequence():
-    stack = LstmStack.init(1, 2, 3, RngState(0))
-    with pytest.raises(EmptySequenceError):
-        lstm_states(stack, np.zeros((1, 0, 2)), RngState(0), training=False)
 
 
 def test_lstm_batched_matches_per_sample():

@@ -12,8 +12,8 @@ from droughtcast.errors import (
 from droughtcast.metrics import (
     FoldResults,
     MetricsReport,
+    _midrank,
     binary_auc,
-    claim_consistent,
     location_experiment_report,
     macro_f1,
     mae,
@@ -27,6 +27,8 @@ from droughtcast.metrics import (
     student_t_two_tailed_p,
     summarize_folds,
 )
+
+from conftest import claim_consistent, midrank_reference
 
 # Reference 5-fold results used across the statistics tests (published
 # benchmark values for the recurrent baseline vs the hybrid forecaster).
@@ -120,6 +122,14 @@ def test_macro_f1_relabeling_invariance(seed, relabel):
 def test_binary_auc_perfect_and_uninformative():
     assert binary_auc([0.1, 0.2, 0.8, 0.9], [False, False, True, True]) == 1.0
     assert binary_auc([0.5, 0.5, 0.5, 0.5], [False, False, True, True]) == 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.floats(-1e6, 1e6)), max_size=80))
+def test_midrank_matches_plain_python_reference(values):
+    """Tie-heavy vectors: the small integers repeat, the floats mostly do not."""
+    ranks = _midrank(np.array(values, dtype=float))
+    assert ranks.tolist() == midrank_reference([float(v) for v in values])
 
 
 def test_binary_auc_one_inversion():

@@ -5,7 +5,7 @@ from droughtcast.autodiff import RngState, grad_check
 from droughtcast.cli import ABLATION_SETTINGS
 from droughtcast.data import SampleSet
 from droughtcast.metrics import evaluate
-from droughtcast.errors import ConfigError, DataError, ShapeError
+from droughtcast.errors import ConfigError, DataError
 from droughtcast.model import (
     AblationConfig,
     Batch,
@@ -14,7 +14,7 @@ from droughtcast.model import (
     mae_loss,
     mse_loss,
 )
-from droughtcast.training import validation_mae
+from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict, validation_mae
 
 
 def tiny_config(**overrides):
@@ -44,6 +44,14 @@ def tiny_batch(b=2, t=5, seed=0, config=None):
         ),
         y=rng.uniform(0, 5, (b, 6)),
     )
+
+
+def tiny_samples(batch, **columns):
+    """The batch as a ``SampleSet``, with any column replaced by ``columns``."""
+    n = len(batch.y)
+    fields = {**vars(batch), "fips": np.array(["19001"] * n),
+              "anchor": np.full(n, np.datetime64("2020-01-01", "D")), **columns}
+    return SampleSet(**fields)
 
 
 def test_fused_width_full_model_defaults():
@@ -89,7 +97,6 @@ def test_forward_shapes_and_attention_simplex():
     assert out.predictions.shape == (2, 6)
     assert out.attention.shape == (2, 5)
     np.testing.assert_allclose(out.attention.sum(axis=1), [1.0, 1.0], atol=1e-12)
-    assert out.reduced_static.shape == (2, 2)
 
 
 def test_statics_only_ignores_time_series():
@@ -127,7 +134,7 @@ def test_timeseries_only_ignores_statics():
     batch.s_d[...] = 0
     second = model.forward(batch).predictions
     np.testing.assert_array_equal(first, second)
-    assert model.forward(batch).reduced_static is None
+    assert model.reducer is None
 
 
 def test_ablated_attention_has_no_attention_parameters():
@@ -148,18 +155,9 @@ def test_batch_permutation_equivariance():
     batch = tiny_batch(b=4, seed=10)
     preds = model.forward(batch).predictions
     perm = [2, 0, 3, 1]
-    permuted = Batch(x=batch.x[perm], s_n=batch.s_n[perm], s_d=batch.s_d[perm])
+    permuted = Batch(x=batch.x[perm], s_n=batch.s_n[perm], s_d=batch.s_d[perm], y=batch.y[perm])
     preds_perm = model.forward(permuted).predictions
     np.testing.assert_allclose(preds_perm, preds[perm], atol=1e-12)
-
-
-def test_missing_batch_field_raises():
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
-    batch = tiny_batch()
-    with pytest.raises(DataError):
-        model.forward(Batch(x=None, s_n=batch.s_n, s_d=batch.s_d))
-    with pytest.raises(DataError):
-        model.forward(Batch(x=batch.x, s_n=batch.s_n, s_d=None))
 
 
 def test_attention_off_equivalence_with_constructed_weights():
@@ -205,11 +203,6 @@ def test_mae_loss_value_and_gradient():
     value, grad = mae_loss(np.zeros((1, 6)), target)
     assert abs(value - 0.5) < 1e-15
     np.testing.assert_array_equal(grad, [[-1 / 6, 1 / 6, 0.0, 0.0, 0.0, 0.0]])
-
-
-def test_loss_shape_guard():
-    with pytest.raises(ShapeError):
-        mse_loss(np.zeros((1, 6)), np.zeros((2, 6)))
 
 
 def test_full_model_gradients_match_finite_differences():
@@ -267,8 +260,7 @@ def test_eval_callers_keep_no_cache(monkeypatch):
 
     monkeypatch.setattr(HybridModel, "forward", spy)
     batch = tiny_batch(b=4, t=6, seed=7)
-    samples = SampleSet(batch.x, batch.s_n, batch.s_d, batch.y, np.array(["19001"] * 4),
-                        np.full(4, np.datetime64("2020-01-01", "D")))
+    samples = tiny_samples(batch)
     evaluate(model, samples)
     validation_mae(model, samples)
     assert len(outputs) == 2
@@ -284,24 +276,66 @@ def test_dropout_rejects_p_of_one(name):
     assert getattr(tiny_config(**{name: 0.0}), name) == 0.0
 
 
-def _stale(batch, **fields):
-    return Batch(**{**vars(batch), **fields})
+STALE_SAMPLES = [
+    pytest.param({"x": np.zeros((2, 5, 6))}, "expected (B, T, 4) windows, got (2, 5, 6)",
+                 id="channels"),
+    pytest.param({"x": np.zeros((2, 0, 4))}, "expected (B, T, 4) windows, got (2, 0, 4)",
+                 id="empty-window"),
+    pytest.param({"s_n": np.zeros((2, 4))}, "expected 3 numeric static features, got 4",
+                 id="numeric"),
+    pytest.param({"s_d": np.array([[0], [1]])}, "expected 2 categorical features, got 1",
+                 id="categorical"),
+    pytest.param({"s_d": np.array([[0, 4], [1, 0]])},
+                 "categorical feature 1 has codes 0..4, expected 0..3", id="code-above"),
+    pytest.param({"s_d": np.array([[-1, 0], [1, 0]])},
+                 "categorical feature 0 has codes -1..1, expected 0..2", id="code-below"),
+    pytest.param({"y": np.zeros((2, 5))}, "expected (N, 6) targets, got (2, 5)", id="targets"),
+]
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda b: _stale(b, x=np.zeros((2, 5, 6))), "expected (B, T, 4) windows, got (2, 5, 6)"),
-    (lambda b: _stale(b, s_n=np.zeros((2, 4))), "expected 3 numeric static features, got 4"),
-    (lambda b: _stale(b, s_d=b.s_d[:, :1]), "expected 2 categorical features, got 1"),
-    (lambda b: _stale(b, s_d=np.array([[0, 4], [1, 0]])),
-     "categorical feature 1 has codes 0..4, expected 0..3"),
-    (lambda b: _stale(b, s_d=np.array([[-1, 0], [1, 0]])),
-     "categorical feature 0 has codes -1..1, expected 0..2"),
-])
-def test_inputs_the_model_was_not_built_for_raise_data_error(edit, message):
+@pytest.mark.parametrize("columns, message", STALE_SAMPLES)
+def test_inputs_the_model_was_not_built_for_raise_data_error(columns, message):
     model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
     with pytest.raises(DataError, match=r"^model does not fit these samples: ") as exc:
-        model.forward(edit(tiny_batch()))
+        predict(model, tiny_samples(tiny_batch(), **columns))
     assert message in str(exc.value)
+
+
+def test_predict_checks_the_sample_set_once(monkeypatch):
+    model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
+    checked = []
+    monkeypatch.setattr(model, "check", checked.append)
+    monkeypatch.setattr("droughtcast.training.PREDICT_BLOCK", 2)
+    samples = tiny_samples(tiny_batch(b=5))
+    assert predict(model, samples)[0].shape == (5, 6)
+    assert checked == [samples]
+
+
+@pytest.mark.parametrize("columns, message", STALE_SAMPLES)
+def test_fit_rejects_a_stale_val_set_before_the_first_step(columns, message):
+    model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
+    before = {name: t.data.copy() for name, t in model.named_parameters().items()}
+    train = tiny_samples(tiny_batch(b=4, seed=1))
+    run = TrainRunConfig(batch_size=2, epochs=1, seed=0)
+    with pytest.raises(DataError, match=r"^model does not fit these samples: ") as exc:
+        fit(model, train, tiny_samples(tiny_batch(), **columns), run, LrSchedule())
+    assert message in str(exc.value)
+    for name, t in model.named_parameters().items():
+        np.testing.assert_array_equal(t.data, before[name])
+
+
+@pytest.mark.parametrize("ablation", ABLATION_SETTINGS, ids=lambda a: a.label())
+def test_check_reads_only_the_enabled_paths(ablation):
+    """A column no enabled path reads may have any width; one that is read
+    may not."""
+    model = HybridModel.build(tiny_config(), ablation, seed=0)
+    batch = tiny_batch()
+    if not ablation.use_timeseries:
+        model.check(tiny_samples(batch, x=np.zeros((2, 0, 7))))
+    if not ablation.use_static:
+        model.check(tiny_samples(batch, s_n=np.zeros((2, 0)), s_d=np.zeros((2, 5), np.int64)))
+    with pytest.raises(DataError):
+        model.check(tiny_samples(batch, y=np.zeros((2, 7))))
 
 
 def test_reduced_static_embedding_rejects_unknown_codes():

@@ -1,4 +1,5 @@
 import itertools
+import re
 import struct
 
 import numpy as np
@@ -10,7 +11,7 @@ from droughtcast import training
 from droughtcast.autodiff import RngState, Tensor
 from droughtcast.data import SampleSet
 from droughtcast.errors import ConfigError, DataError, FormatError, NumericError
-from droughtcast.model import AblationConfig, Batch, HybridModel, ModelConfig
+from droughtcast.model import AblationConfig, HybridModel, ModelConfig
 from droughtcast.training import (
     LrSchedule,
     OptimizerState,
@@ -314,8 +315,12 @@ def test_checkpoint_preserves_ablation_contract(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.ablation == AblationConfig(use_static=False)
-    with pytest.raises(DataError):
-        loaded.forward(Batch(x=None, s_n=None, s_d=None))
+    stale = make_linear_samples(n=4, m2=6)
+    with pytest.raises(DataError, match=re.escape(
+            f"checkpoint {path} does not fit these samples: expected (B, T, 4) windows")):
+        predict(loaded, stale)
+    # the ablated static path reads neither static column, so their widths are free
+    assert predict(loaded, make_linear_samples(n=4, f_n=5))[0].shape == (4, 6)
 
 
 def test_divergence_aborts_with_numeric_error(tmp_path):
