@@ -36,10 +36,14 @@ class Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    # exp(-|x|) never overflows; the numerator is exactly 1 for x >= 0
+    # (1/(1+e^-x)) and e^x below (e^x/(1+e^x)), with no data-dependent
+    # branch, so every bit (±0, ±inf, NaN) matches the two-sided formula
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+PROJECT_STEPS = 16  # steps per input-projection GEMM
 
 
 def lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, training: bool):
@@ -50,28 +54,38 @@ def lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, training: bool):
 
     ``w (in + H, 4H)`` stacks the input rows over the recurrent rows, and
     its columns (like those of ``b (4H,)``) hold the input, forget,
-    candidate and output gates in that order.  The input projection of all
-    steps is one GEMM before the time loop (Appleyard et al. 2016,
-    arXiv:1604.01946).
+    candidate and output gates in that order.  The input projection is
+    hoisted out of the step loop (Appleyard et al. 2016, arXiv:1604.01946)
+    into one GEMM per block of ``PROJECT_STEPS`` steps.  Both modes run the
+    same GEMMs, so their outputs agree bit for bit (a BLAS may round a row
+    differently with the height of the GEMM it is in, so training does not
+    project all ``T`` steps at once); training keeps every step's gate
+    activations and cell state for the backward, while eval reuses one
+    block of gates and two cell states.
     """
     steps, batch, n_in = x.shape
     hidden = b.shape[0] // 4
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    # gates[t] holds step t's input projection, then its gate activations
-    gates = (x.reshape(steps * batch, n_in) @ w[:n_in]).reshape(steps, batch, 4 * hidden)
-    # hs[t + 1] and cs[t + 1] are step t's hidden and cell state; index 0 is the zero start
+    w_x, w_h = w[:n_in], w[n_in:]
+    # a step's row holds its input projection, then its gate activations
+    gates = np.empty((steps if training else min(steps, PROJECT_STEPS), batch, 4 * hidden))
+    # hs[t + 1] is step t's hidden state and hs[0] the zero start; cs is indexed
+    # the same way modulo its length, so eval cycles through two cell states
     hs = np.zeros((steps + 1, batch, hidden))
-    cs = np.zeros((steps + 1, batch, hidden))
-    w_h = w[n_in:]
-    for t in range(steps):
-        z = gates[t]
-        z += hs[t] @ w_h
-        z += b
-        z[:, :g_.start] = _sigmoid(z[:, :g_.start])
-        z[:, o_] = _sigmoid(z[:, o_])
-        np.tanh(z[:, g_], out=z[:, g_])
-        np.add(z[:, f_] * cs[t], z[:, i_] * z[:, g_], out=cs[t + 1])
-        np.multiply(z[:, o_], np.tanh(cs[t + 1]), out=hs[t + 1])
+    cs = np.zeros((steps + 1 if training else 2, batch, hidden))
+    for start in range(0, steps, PROJECT_STEPS):
+        stop = min(start + PROJECT_STEPS, steps)
+        block = gates[start:stop] if training else gates[:stop - start]
+        np.matmul(x[start:stop].reshape(-1, n_in), w_x, out=block.reshape(-1, 4 * hidden))
+        for t, z in enumerate(block, start):
+            z += hs[t] @ w_h
+            z += b
+            z[:, :g_.start] = _sigmoid(z[:, :g_.start])
+            z[:, o_] = _sigmoid(z[:, o_])
+            np.tanh(z[:, g_], out=z[:, g_])
+            c = cs[(t + 1) % len(cs)]
+            np.add(z[:, f_] * cs[t % len(cs)], z[:, i_] * z[:, g_], out=c)
+            np.multiply(z[:, o_], np.tanh(c), out=hs[t + 1])
     return hs[1:], ((x, w, gates, hs, cs) if training else None)
 
 

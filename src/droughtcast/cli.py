@@ -342,12 +342,12 @@ def cmd_introspect(cfg: RunConfig) -> int:
 
     profile = collect_attention(model, test)
     export = export_embeddings(model, statics, encoder)
-    projection = tsne(
-        export.vectors,
-        perplexity=cfg.get_float("introspect", "perplexity"),
-        iterations=cfg.get_int("introspect", "iterations"),
-        seed=cfg.seed,
-    )
+    perplexity = cfg.get_float("introspect", "perplexity")
+    projection = tsne(export.vectors, perplexity=perplexity,
+                      iterations=cfg.get_int("introspect", "iterations"), seed=cfg.seed)
+    if projection.perplexity_used != perplexity:
+        print(f"note: perplexity {perplexity} too large for {len(export.vectors)} points; "
+              f"t-SNE used {projection.perplexity_used:.2f}", file=sys.stderr)
     paths = emit_figures(profile, projection, export, out, color_column=color)
     print(f"wrote {len(paths)} introspection artifacts -> {out}")
     return 0

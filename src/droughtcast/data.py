@@ -27,7 +27,6 @@ import csv
 import io
 import math
 import struct
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date
@@ -485,11 +484,8 @@ def fit_normalizer(samples: SampleSet,
 
 def filter_by_state(fips: np.ndarray, state_prefixes: list[str]) -> np.ndarray:
     """Indices, in order, of the FIPS codes that start with any of the
-    2-character prefixes."""
-    kept = np.flatnonzero([code.startswith(tuple(state_prefixes)) for code in fips.tolist()])
-    if not kept.size:
-        warnings.warn(f"state filter {state_prefixes} matched no samples", stacklevel=2)
-    return kept
+    2-character prefixes; empty when none matches."""
+    return np.flatnonzero([code.startswith(tuple(state_prefixes)) for code in fips.tolist()])
 
 
 def kfold_split(n: int, k: int = 5, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:

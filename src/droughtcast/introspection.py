@@ -13,7 +13,6 @@ approximation is used.
 from __future__ import annotations
 
 import html
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,7 +160,9 @@ EXAGGERATION_ITERS = 250
 
 
 def tsne(points, perplexity: float = 100.0, iterations: int = 1000, seed: int = 0) -> TsneResult:
-    """Exact t-SNE to two dimensions."""
+    """Exact t-SNE to two dimensions.  A perplexity of ``N/3`` or more is
+    lowered to ``(N - 1)/3``; ``perplexity_used`` in the result says which
+    one ran."""
     if iterations < 1:
         raise ConfigError(f"t-SNE needs at least one iteration, got {iterations}")
     if not perplexity > 0:
@@ -171,12 +172,7 @@ def tsne(points, perplexity: float = 100.0, iterations: int = 1000, seed: int = 
     if n < 4:
         raise DataError(f"t-SNE needs at least 4 points, got {n}")
     if n <= 3 * perplexity:
-        reduced = (n - 1) / 3.0
-        warnings.warn(
-            f"perplexity {perplexity} too large for {n} points; using {reduced:.2f}",
-            stacklevel=2,
-        )
-        perplexity = reduced
+        perplexity = (n - 1) / 3.0
 
     rng = RngState(seed)
     d2 = _pairwise_sq_dists(points)

@@ -287,8 +287,8 @@ def test_criterion_09_tsne():
     points = np.concatenate([a, b])
     labels = np.array([0] * n_per + [1] * n_per)
 
-    with pytest.warns(UserWarning, match="perplexity"):
-        result = tsne(points, perplexity=100, iterations=1000, seed=72)
+    result = tsne(points, perplexity=100, iterations=1000, seed=72)
+    assert result.perplexity_used == (len(points) - 1) / 3
 
     coords = result.coords
     d = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)

@@ -1,4 +1,8 @@
+import tracemalloc
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droughtcast import autodiff as ad
 from droughtcast.autodiff import RngState, Tensor, grad_check
@@ -27,6 +31,38 @@ def test_sigmoid_matches_masked_formula_bit_for_bit():
     nan = np.isnan(x)
     np.testing.assert_array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
     assert np.isnan(got[nan]).all()  # NaN stays NaN; its sign bit carries nothing
+
+
+def _lstm_inputs(steps, batch, hidden, n_in, seed):
+    rng = RngState(seed)
+    return (rng.uniform(-2, 2, (steps, batch, n_in)),
+            rng.uniform(-1, 1, (n_in + hidden, 4 * hidden)),
+            rng.uniform(-1, 1, 4 * hidden))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_eval_forward_matches_the_training_forward_bit_for_bit(steps, batch, hidden, n_in, seed):
+    x, w, b = _lstm_inputs(steps, batch, hidden, n_in, seed)
+    eval_h, cache = ad.lstm_forward(x, w, b, training=False)
+    train_h, _ = ad.lstm_forward(x, w, b, training=True)
+    assert cache is None
+    np.testing.assert_array_equal(eval_h.view(np.int64), train_h.view(np.int64))
+
+
+def test_eval_forward_never_holds_the_whole_input_projection():
+    steps, batch, hidden = 180, 64, 64
+    x, w, b = _lstm_inputs(steps, batch, hidden, hidden, seed=0)
+    tracemalloc.start()
+    try:
+        ad.lstm_forward(x, w, b, training=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    projection = steps * batch * 4 * hidden * 8  # the (T, B, 4H) float64 buffer, 23.6 MB
+    assert peak < projection / 2, f"eval forward peaked at {peak / 1e6:.1f} MB"
 
 
 def _square_sum(a, wrong=1.0):

@@ -214,6 +214,17 @@ def test_introspect_emits_figures(trained):
         assert root.tag.endswith("svg")
 
 
+def test_introspect_notes_a_lowered_perplexity_without_a_python_warning(trained, tmp_path):
+    config, trained_out = trained
+    out = tmp_path / "out"
+    for stage in ("ingest", "train"):
+        shutil.copytree(trained_out / stage, out / stage)
+    result = run_module("--config", str(config), "--out", str(out), "introspect")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "note: perplexity 5.0 too large for 6 points; t-SNE used 1.67\n"
+    assert "Warning" not in result.stdout + result.stderr
+
+
 def test_help_documents_config_keys(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -287,8 +287,8 @@ def test_filter_by_state():
     fips = np.array(["19001", "30001", "19002"])
     assert filter_by_state(fips, ["19"]).tolist() == [0, 2]
     assert filter_by_state(fips, ["19", "30"]).tolist() == [0, 1, 2]
-    with pytest.warns(UserWarning):
-        assert filter_by_state(fips, []).size == 0
+    assert filter_by_state(fips, []).size == 0
+    assert filter_by_state(fips, ["48"]).size == 0
 
 
 def test_kfold_partition_and_determinism():

@@ -53,10 +53,10 @@ GOLDEN = {
 }
 
 
-def _samples(n: int, seed: int) -> SampleSet:
+def _samples(n: int, seed: int, steps: int = 6) -> SampleSet:
     rng = RngState(seed)
     return SampleSet(
-        rng.uniform(-1, 1, (n, 6, CONFIG.input_channels)),
+        rng.uniform(-1, 1, (n, steps, CONFIG.input_channels)),
         rng.uniform(-1, 1, (n, CONFIG.numeric_static_count)),
         np.stack([rng.integers(0, v, n) for v in CONFIG.categorical_vocab_sizes], axis=1),
         rng.uniform(0, 5, (n, 6)),
@@ -92,3 +92,23 @@ def test_seeded_training_is_bit_identical_to_the_recorded_run(index):
     digests.append(_digest([("predictions", predictions)]
                            + ([("attention", attention)] if attention is not None else [])))
     assert tuple(digests) == GOLDEN[ablation.label()]
+
+
+# window length T: digest of predict's outputs for 259 rows (two predict
+# blocks) through the untrained two-layer model with every path on; the T
+# straddle the eval forward's 16-step input-projection blocks
+PREDICT_GOLDEN = {
+    1: "4a6301f5a3790bc387a2fb0a34024b11a6346c502352ccfa5f7dd18c0fdcdf8f",
+    15: "0994dd718f5352093178c585f91fa200e64b5474f9704caabfc7cad4e5a3c026",
+    16: "b0270ffc84e0359a2c1b3803e1354712dda0a814646d2b9ada7073dc6352f356",
+    17: "b20efddfb5d49b468d96af70f358ea03c60c3162a7a814c2c28028222af93c04",
+    180: "734d501949de7a8795236e49dba38777af701285c2db86f3694b908a6ee2a83b",
+}
+
+
+@pytest.mark.parametrize("steps", sorted(PREDICT_GOLDEN))
+def test_predict_is_bit_identical_to_the_recorded_run(steps):
+    model = HybridModel.build(CONFIG, ABLATION_SETTINGS[0], seed=5)
+    predictions, attention = predict(model, _samples(259, seed=4, steps=steps))
+    assert _digest([("predictions", predictions), ("attention", attention)]) \
+        == PREDICT_GOLDEN[steps]

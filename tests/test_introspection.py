@@ -145,8 +145,7 @@ def two_cluster_points(n_per=50, dims=6, seed=0):
 
 def test_tsne_separates_two_clusters():
     points, labels = two_cluster_points()
-    with pytest.warns(UserWarning, match="perplexity"):
-        result = tsne(points, perplexity=100, iterations=1000, seed=1)
+    result = tsne(points, perplexity=100, iterations=1000, seed=1)
     coords = result.coords
     assert coords.shape == (100, 2)
     intra = []
