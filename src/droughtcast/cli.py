@@ -89,8 +89,8 @@ def _require_file(cfg: RunConfig, section: str, key: str) -> Path:
     return path
 
 
-def _build_sets(cfg: RunConfig) -> tuple[dp.SampleSet, dp.SampleSet, dp.SampleSet, list[str],
-                                          dp.CategoricalEncoder, list[str]]:
+def cmd_ingest(cfg: RunConfig) -> int:
+    out = _command_dir(cfg, "ingest")
     ts_path = _require_file(cfg, "data", "timeseries")
     statics_path = _require_file(cfg, "data", "statics")
     categorical = cfg.get_list("data", "categorical_columns")
@@ -100,21 +100,24 @@ def _build_sets(cfg: RunConfig) -> tuple[dp.SampleSet, dp.SampleSet, dp.SampleSe
 
     messages: list[str] = []
     statics, encoder = dp.load_statics(statics_path, categorical)
-    channel_names = dp.channel_names_of(ts_path)
 
-    def build_from(path: Path) -> dp.SampleSet:
+    def build_from(path: Path, channel_names: list[str] | None) -> tuple[dp.SampleSet, list[str]]:
+        """Samples of one time-series file and its channel names, which must
+        equal ``channel_names`` when those are given."""
         series = dp.load_timeseries(path, max_gap_days=max_gap, report=messages)
+        if channel_names is not None and series.channel_names != channel_names:
+            raise DataError(f"{path}: channels {series.channel_names} differ from the "
+                            f"training file's {channel_names}")
         samples, report = dp.build_samples(series, statics, window_days=window,
                                            target_phase=phase)
         messages.append(f"{path.name}: {report.describe()}")
-        return samples
+        return samples, series.channel_names
 
-    train = build_from(ts_path)
-    val_raw = cfg.get("data", "timeseries_val")
-    test_raw = cfg.get("data", "timeseries_test")
-    if val_raw or test_raw:
-        val = build_from(_require_file(cfg, "data", "timeseries_val")) if val_raw else train[:0]
-        test = build_from(_require_file(cfg, "data", "timeseries_test")) if test_raw else train[:0]
+    train, channel_names = build_from(ts_path, None)
+    if cfg.get("data", "timeseries_val") or cfg.get("data", "timeseries_test"):
+        val, test = (build_from(_require_file(cfg, "data", key), channel_names)[0]
+                     if cfg.get("data", key) else train[:0]
+                     for key in ("timeseries_val", "timeseries_test"))
     else:
         split = dp.split_fractions(
             len(train), cfg.get_float("data", "val_fraction"),
@@ -122,18 +125,10 @@ def _build_sets(cfg: RunConfig) -> tuple[dp.SampleSet, dp.SampleSet, dp.SampleSe
         )
         train, val, test = (train[index] for index in split)
         messages.append(f"random split: {len(train)} train / {len(val)} val / {len(test)} test")
-    return train, val, test, messages, encoder, channel_names
-
-
-def cmd_ingest(cfg: RunConfig) -> int:
-    out = _command_dir(cfg, "ingest")
-    train, val, test, messages, encoder, channel_names = _build_sets(cfg)
     if not train:
         raise DataError("ingest produced no training samples")
 
-    static_names = encoder.numeric_columns
-    normalizer = dp.fit_normalizer(train, channel_names=channel_names,
-                                   static_names=static_names)
+    normalizer = dp.fit_normalizer(train, channel_names, statics.numeric_names)
     dp.save_samples(normalizer.apply(train), out / "train.samples")
     dp.save_samples(normalizer.apply(val), out / "val.samples")
     dp.save_samples(normalizer.apply(test), out / "test.samples")
@@ -181,7 +176,10 @@ def _schedule(cfg: RunConfig, n_train: int) -> LrSchedule:
     base_lr = cfg.get_float("train", "base_lr") if cfg.get("train", "base_lr") else max_lr / 10.0
     batch = cfg.get_int("train", "batch_size")
     steps_per_epoch = max(1, -(-n_train // batch))
-    cycle = max(2, cfg.get_int("train", "cycle_epochs") * steps_per_epoch)
+    cycle_epochs = cfg.get_int("train", "cycle_epochs")
+    if cycle_epochs < 1:
+        raise ConfigError(f"[train] cycle_epochs must be at least 1, got {cycle_epochs}")
+    cycle = max(2, cycle_epochs * steps_per_epoch)
     return LrSchedule(base_lr=base_lr, max_lr=max_lr, cycle_length=cycle)
 
 

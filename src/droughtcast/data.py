@@ -9,16 +9,20 @@ means no assessment was released that day).  Static-features CSV: header
 treated as categorical and dictionary-encoded (code 0 is reserved for
 labels unseen at fit time).  Every non-empty numeric cell must be a finite
 number (an empty channel cell is a missing measurement); a malformed cell
-or row raises ``SchemaError`` naming the file, line and column.
+or row raises ``SchemaError`` naming the file, line and column, and a
+header that repeats a column name raises it naming the file and the names.
+Files are UTF-8; a leading byte-order mark is ignored.
 
 A sample is built for every score-bearing date with a full look-back
 window (the preceding ``window_days`` days plus the same days one year
 earlier, doubling the channel count) and a full six-week score future.
 Candidates lacking either are dropped and counted, never fatal.
 
-Samples travel as one :class:`SampleSet` of column arrays: the normalizer,
-the splits (index arrays), the binary cache and mini-batching all work on
-whole columns.
+Ingest works on columns from the parse on: one :class:`DailySeries` stacks
+every county's days, one :class:`StaticTable` holds a row per county, and
+:func:`build_samples` gathers one :class:`SampleSet` of column arrays out of
+both with index arithmetic.  The normalizer, the splits (index arrays), the
+binary cache and mini-batching all work on whole columns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import io
 import math
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -43,19 +47,27 @@ TARGET_WEEKS = 6
 SCORE_MIN, SCORE_MAX = 0.0, 5.0
 
 
-@dataclass
-class CountyTimeSeries:
-    fips: str
-    dates: list[date]  # strictly increasing, one-day steps
-    measurements: np.ndarray  # (P, M)
-    scores: dict[date, float] = field(default_factory=dict)
+@dataclass(eq=False)
+class DailySeries:
+    """Every county's days, stacked in FIPS order: county ``c`` owns rows
+    ``start[c]:start[c+1]``, one per calendar day from ``first_day[c]``."""
+
+    channel_names: list[str]
+    fips: np.ndarray  # (C,) str, sorted
+    first_day: np.ndarray  # (C,) datetime64[D]
+    start: np.ndarray  # (C+1,) int64
+    measurements: np.ndarray  # (D, M)
+    scores: np.ndarray  # (D,) NaN on days without an assessment
 
 
-@dataclass
-class StaticFeatures:
-    fips: str
-    numeric: np.ndarray  # (f_n,)
-    categorical: np.ndarray  # (f_d,) integer codes
+@dataclass(eq=False)
+class StaticTable:
+    """One row of static features per county, in FIPS order."""
+
+    fips: np.ndarray  # (C,) str, sorted
+    numeric_names: list[str]
+    numeric: np.ndarray  # (C, f_n)
+    codes: np.ndarray  # (C, f_d) int64 categorical codes
 
 
 @dataclass(eq=False)
@@ -113,14 +125,18 @@ def write_csv(path, rows) -> None:
 
 def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of the header and then each non-blank row of a
-    UTF-8 CSV, read as a stream; an unreadable or empty file, or a row
+    UTF-8 CSV, read as a stream, a leading byte-order mark dropped; an
+    unreadable or empty file, a header naming a column twice, or a row
     whose cell count differs from the header's, raises ``error``."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise error(f"{path}: empty file")
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            if repeated:
+                raise error(f"{path}: header repeats column names {repeated}")
             yield reader.line_num, header
             for row in reader:
                 if not row:
@@ -138,7 +154,6 @@ class CategoricalEncoder:
     """Label <-> dense-code maps for the configured categorical columns."""
 
     columns: list[str]
-    numeric_columns: list[str]
     label_to_code: dict[str, dict[str, int]]
 
     @property
@@ -164,7 +179,7 @@ class CategoricalEncoder:
         write_csv(path, rows)
 
     @classmethod
-    def load(cls, path, numeric_columns: list[str] | None = None) -> "CategoricalEncoder":
+    def load(cls, path) -> "CategoricalEncoder":
         rows = _csv_rows(Path(path), FormatError)
         if next(rows)[1] != ["column", "label", "code"]:
             raise FormatError(f"{path}: not a categorical dictionary file")
@@ -175,7 +190,7 @@ class CategoricalEncoder:
             except ValueError:
                 raise FormatError(f"{path}: code {code!r} of {column}={label!r} "
                                   f"is not an integer") from None
-        return cls(list(mapping), numeric_columns or [], mapping)
+        return cls(list(mapping), mapping)
 
 
 def _parse_date(text: str) -> date:
@@ -220,8 +235,8 @@ def _interpolate_column(values: np.ndarray, present: np.ndarray, max_gap: int,
 
 
 def load_timeseries(path, max_gap_days: int = 14,
-                    report: list[str] | None = None) -> dict[str, CountyTimeSeries]:
-    """Parse the daily time-series CSV into per-county series.
+                    report: list[str] | None = None) -> DailySeries:
+    """Parse the daily time-series CSV into one :class:`DailySeries`.
 
     Channel names and count come from the header; per-county rows must form
     a contiguous daily calendar.  Counties whose measurement gaps exceed
@@ -240,6 +255,8 @@ def load_timeseries(path, max_gap_days: int = 14,
     channel_cols = [i for i, name in enumerate(header)
                     if i not in (fips_col, date_col, score_col)]
     channel_names = [header[i] for i in channel_cols]
+    if not channel_names:
+        raise SchemaError(f"{path}: no measurement channels")
 
     rows: dict[str, list[tuple[date, list[str], str, int]]] = {}
     for line, row in lines:
@@ -247,7 +264,7 @@ def load_timeseries(path, max_gap_days: int = 14,
             (_parse_date(row[date_col]), [row[i] for i in channel_cols], row[score_col], line)
         )
 
-    series: dict[str, CountyTimeSeries] = {}
+    counties: dict[str, tuple[date, np.ndarray, np.ndarray]] = {}  # first day, (P, M), (P,)
     for fips, entries in rows.items():
         entries.sort(key=lambda e: e[0])
         dates = [e[0] for e in entries]
@@ -271,13 +288,13 @@ def load_timeseries(path, max_gap_days: int = 14,
             if cells[c]:
                 _cell_float(cells[c], path, line, channel_names[c])
         present = ~np.isnan(raw)
-        scores: dict[date, float] = {}
-        for day, _, score_text, line in entries:
+        scores = np.full(len(entries), np.nan)
+        for r, (day, _, score_text, line) in enumerate(entries):
             if score_text != "":
                 score = _cell_float(score_text, path, line, "score")
                 if not SCORE_MIN <= score <= SCORE_MAX:
                     raise DataError(f"county {fips}: score {score} outside [0, 5] at {day}")
-                scores[day] = score
+                scores[r] = score
 
         try:
             for c, name in enumerate(channel_names):
@@ -286,26 +303,21 @@ def load_timeseries(path, max_gap_days: int = 14,
             if report is not None:
                 report.append(f"dropped county {fips}: {exc}")
             continue
-        series[fips] = CountyTimeSeries(fips, dates, raw, scores)
+        counties[fips] = (dates[0], raw, scores)
 
-    if not series:
+    if not counties:
         raise DataError(f"{path}: no usable counties")
-    first = next(iter(series.values()))
-    series_channels = first.measurements.shape[1]
-    if series_channels == 0:
-        raise SchemaError(f"{path}: no measurement channels")
-    return series
-
-
-def channel_names_of(path) -> list[str]:
-    _, header = next(_csv_rows(Path(path), SchemaError))
-    return [name for name in header if name not in ("fips", "date", "score")]
+    fips = sorted(counties)
+    first_day, measurements, scores = zip(*(counties[f] for f in fips))
+    return DailySeries(channel_names, np.array(fips), np.array(first_day, dtype="datetime64[D]"),
+                       np.cumsum([0, *(len(s) for s in scores)]),
+                       np.concatenate(measurements), np.concatenate(scores))
 
 
 def load_statics(path, categorical_columns: list[str],
                  encoder: CategoricalEncoder | None = None,
-                 ) -> tuple[dict[str, StaticFeatures], CategoricalEncoder]:
-    """Parse the static-features CSV; returns per-county features plus the
+                 ) -> tuple[StaticTable, CategoricalEncoder]:
+    """Parse the static-features CSV; returns the county table plus the
     label dictionary used for encoding (fit here unless one is supplied)."""
     path = Path(path)
     rows = _csv_rows(path, SchemaError)
@@ -327,27 +339,30 @@ def load_statics(path, categorical_columns: list[str],
         for name, col in zip(categorical_columns, cat_cols):
             labels = sorted({row[col] for _, row in rows})
             label_to_code[name] = {label: i + 1 for i, label in enumerate(labels)}
-        encoder = CategoricalEncoder(list(categorical_columns), num_names, label_to_code)
+        encoder = CategoricalEncoder(list(categorical_columns), label_to_code)
     elif list(categorical_columns) != encoder.columns:
         raise ConfigError(
             f"categorical columns {list(categorical_columns)} do not match the "
             f"fitted dictionary order {encoder.columns}"
         )
-
-    statics: dict[str, StaticFeatures] = {}
-    for line, row in rows:
-        fips = row[fips_col]
-        if fips in statics:
-            raise DataError(f"duplicate statics row for county {fips}")
-        numeric = np.array([_cell_float(row[i], path, line, header[i]) for i in num_cols])
-        codes = np.array(
-            [encoder.encode(name, row[col]) for name, col in zip(categorical_columns, cat_cols)],
-            dtype=np.int64,
-        )
-        statics[fips] = StaticFeatures(fips, numeric, codes)
-    if not statics:
+    if not rows:
         raise DataError(f"{path}: no static rows")
-    return statics, encoder
+
+    seen: set[str] = set()
+    numeric, codes = [], []
+    for line, row in rows:
+        if row[fips_col] in seen:
+            raise DataError(f"duplicate statics row for county {row[fips_col]}")
+        seen.add(row[fips_col])
+        numeric.append([_cell_float(row[i], path, line, header[i]) for i in num_cols])
+        codes.append([encoder.encode(name, row[col])
+                      for name, col in zip(categorical_columns, cat_cols)])
+    fips = np.array([row[fips_col] for _, row in rows])
+    order = np.argsort(fips)
+    table = StaticTable(fips[order], num_names,
+                        np.array(numeric, dtype=np.float64)[order],
+                        np.array(codes, dtype=np.int64)[order])
+    return table, encoder
 
 
 @dataclass
@@ -368,8 +383,7 @@ class BuildReport:
         )
 
 
-def build_samples(series: dict[str, CountyTimeSeries],
-                  statics: dict[str, StaticFeatures],
+def build_samples(series: DailySeries, statics: StaticTable,
                   window_days: int = WINDOW_DAYS,
                   target_phase: str = "anchor",
                   ) -> tuple[SampleSet, BuildReport]:
@@ -385,43 +399,36 @@ def build_samples(series: dict[str, CountyTimeSeries],
         raise ConfigError(f"target_phase must be 'anchor' or 'next', got {target_phase!r}")
     if window_days < 1:
         raise ConfigError(f"window_days must be at least 1, got {window_days}")
-    if not series:
-        raise DataError("no county time series to build samples from")
-    report = BuildReport()
+    unmatched = series.fips[~np.isin(series.fips, statics.fips)]
+    if unmatched.size:
+        raise DataError(f"county {unmatched[0]} has time series but no static features")
+    static_row = np.searchsorted(statics.fips, series.fips)
     first_target = 0 if target_phase == "anchor" else 1
-    daily = []  # every county's measurements, stacked in FIPS order
-    offset = 0  # row of the current county's first day in that stack
-    columns = []  # per county: each kept anchor's row in the stack, then s_n .. anchor
-    for fips in sorted(series):
-        county = series[fips]
-        if fips not in statics:
-            raise DataError(f"county {fips} has time series but no static features")
-        score_dates = sorted(county.scores)
-        rows = np.array([(d - county.dates[0]).days for d in score_dates], dtype=np.int64)
-        scores = np.array([county.scores[d] for d in score_dates], dtype=np.float64)
-        has_future = np.arange(rows.size) + first_target + TARGET_WEEKS <= rows.size
-        has_history = rows >= window_days + YEAR_SHIFT_DAYS
-        report.dropped_missing_future += int((~has_future).sum())
-        report.dropped_missing_history += int((has_future & ~has_history).sum())
-        keep = np.flatnonzero(has_future & has_history)
-        columns.append((
-            offset + rows[keep],
-            np.tile(statics[fips].numeric, (keep.size, 1)),
-            np.tile(statics[fips].categorical, (keep.size, 1)),
-            scores[keep[:, None] + first_target + np.arange(TARGET_WEEKS)],
-            np.full(keep.size, fips),
-            np.datetime64(county.dates[0], "D") + rows[keep],
-        ))
-        daily.append(county.measurements)
-        offset += len(county.measurements)
-    anchor_rows, s_n, s_d, y, fips_column, anchor = (
-        np.concatenate(pieces) for pieces in zip(*columns))
+
+    rows = np.flatnonzero(~np.isnan(series.scores))  # score-bearing days, by county then date
+    county = np.searchsorted(series.start, rows, side="right") - 1
+    # each score's rank among its county's scores, and how many that county has
+    counts = np.bincount(county, minlength=len(series.fips))
+    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[county]
+    day = rows - series.start[county]
+    has_future = rank + first_target + TARGET_WEEKS <= counts[county]
+    has_history = day >= window_days + YEAR_SHIFT_DAYS
+    keep = np.flatnonzero(has_future & has_history)
+    report = BuildReport(built=keep.size,
+                         dropped_missing_history=int((has_future & ~has_history).sum()),
+                         dropped_missing_future=int((~has_future).sum()))
+
     # history checks keep every window, and its year-earlier copy, inside one county
-    window = anchor_rows[:, None] + np.arange(-window_days, 0)
-    stack = np.concatenate(daily)
-    x = np.concatenate([stack[window], stack[window - YEAR_SHIFT_DAYS]], axis=2)
-    report.built = len(anchor_rows)
-    return SampleSet(x, s_n, s_d, y, fips_column, anchor), report
+    window = rows[keep, None] + np.arange(-window_days, 0)
+    x = np.concatenate([series.measurements[window],
+                        series.measurements[window - YEAR_SHIFT_DAYS]], axis=2)
+    # the future check keeps all six targets among the county's own scores
+    y = series.scores[rows[keep[:, None] + first_target + np.arange(TARGET_WEEKS)]]
+    county = county[keep]
+    anchor = series.first_day[county] + day[keep]
+    own = static_row[county]
+    return SampleSet(x, statics.numeric[own], statics.codes[own], y, series.fips[county],
+                     anchor), report
 
 
 @dataclass
@@ -459,14 +466,11 @@ class Normalizer:
         write_csv(path, rows)
 
 
-def fit_normalizer(samples: SampleSet,
-                   channel_names: list[str] | None = None,
-                   static_names: list[str] | None = None) -> Normalizer:
+def fit_normalizer(samples: SampleSet, channel_names: list[str],
+                   static_names: list[str]) -> Normalizer:
     if not len(samples):
         raise DataError("cannot fit a normalizer on an empty sample set")
     channels = samples.x.shape[2] // 2
-    channel_names = channel_names or [f"chan{i}" for i in range(channels)]
-    static_names = static_names or [f"static{i}" for i in range(samples.s_n.shape[1])]
 
     # each sample's current-year rows, then its previous-year rows
     pooled = np.concatenate(

@@ -19,13 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import RngState
-from .data import CategoricalEncoder, StaticFeatures, csv_text, write_csv
+from .data import CategoricalEncoder, StaticTable, csv_text, write_csv
 from .errors import ConfigError, DataError, IoError
 from .model import HybridModel
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
 from .training import batch_from_samples, predict  # noqa: F401
 
 Z95 = 1.96  # normal-approximation 95% interval
+ENTROPY_TOL = 1e-3  # the bandwidth search stops this close (nats) to the target entropy
+BETA_SEARCH_STEPS = 200  # or after this many bisection steps
 
 
 @dataclass
@@ -82,16 +84,13 @@ class EmbeddingExport:
     labels: dict[str, list[str]]
 
 
-def export_embeddings(model: HybridModel, statics: dict[str, StaticFeatures],
+def export_embeddings(model: HybridModel, statics: StaticTable,
                       encoder: CategoricalEncoder) -> EmbeddingExport:
-    fips = sorted(statics)
-    codes = np.stack([statics[f].categorical for f in fips])
-    vectors = model.reduced_static_embedding(codes)
-    labels = {
-        column: [encoder.decode(column, int(codes[r, j])) for r in range(len(fips))]
-        for j, column in enumerate(encoder.columns)
-    }
-    return EmbeddingExport(fips, vectors, list(encoder.columns), labels)
+    codes = statics.codes
+    labels = {column: [encoder.decode(column, code) for code in codes[:, j].tolist()]
+              for j, column in enumerate(encoder.columns)}
+    return EmbeddingExport(statics.fips.tolist(), model.reduced_static_embedding(codes),
+                           list(encoder.columns), labels)
 
 
 @dataclass
@@ -124,12 +123,11 @@ def _conditional_row(d2_row: np.ndarray, beta: float, i: int) -> tuple[np.ndarra
     return p, entropy
 
 
-def _search_beta(d2_row: np.ndarray, i: int, target_entropy: float,
-                 tol: float = 1e-3, max_iter: int = 200) -> tuple[np.ndarray, float]:
+def _search_beta(d2_row: np.ndarray, i: int, target_entropy: float) -> tuple[np.ndarray, float]:
     beta, beta_min, beta_max = 1.0, 0.0, np.inf
     p, entropy = _conditional_row(d2_row, beta, i)
-    for _ in range(max_iter):
-        if abs(entropy - target_entropy) <= tol:
+    for _ in range(BETA_SEARCH_STEPS):
+        if abs(entropy - target_entropy) <= ENTROPY_TOL:
             break
         if entropy > target_entropy:  # too spread out: raise precision
             beta_min = beta

@@ -300,14 +300,11 @@ def paired_t_test(a, b) -> PairedTestResult:
 class FoldResults:
     metric_names: list[str]
     folds: list[dict[str, float]]
-    summary: dict[str, tuple[float, float]] = field(default_factory=dict)
+    summary: dict[str, tuple[float, float]] = field(init=False)
 
     def __post_init__(self):
-        if not self.summary:
-            self.summary = {
-                name: summarize_folds([fold[name] for fold in self.folds])
-                for name in self.metric_names
-            }
+        self.summary = {name: summarize_folds([fold[name] for fold in self.folds])
+                        for name in self.metric_names}
 
     def folds_csv(self) -> str:
         return csv_text([["fold", *self.metric_names]]
@@ -368,30 +365,29 @@ class LocationExperimentReport:
     states: list[str]
     specific: dict[str, MetricsReport]
     agnostic: dict[str, MetricsReport]
-    improvements: dict[str, tuple[dict[str, float | None], float | None]] = field(
-        default_factory=dict)
+    improvements: dict[str, tuple[dict[str, float | None], float | None]] = field(init=False)
 
     def __post_init__(self):
-        if not self.improvements:
-            defs = {
-                "test_mae": (lambda r: r.mae, "lower"),
-                "test_f1": (lambda r: r.f1, "higher"),
-                "week_avg_mae": (lambda r: float(np.mean(r.weekly_mae)), "lower"),
-                "week_avg_f1": (lambda r: float(np.mean(r.weekly_f1)), "higher"),
-            }
-            for name, (getter, better) in defs.items():
-                relative, absolute = {}, {}
-                for s in self.states:
-                    base, candidate = getter(self.specific[s]), getter(self.agnostic[s])
-                    try:
-                        relative[s] = relative_improvement(base, candidate, better)
-                    except DataError:  # zero baseline: improvement undefined
-                        relative[s] = None
-                    absolute[s] = candidate - base
-                for key, per_state in ((name, relative), (f"{name}_abs", absolute)):
-                    values = list(per_state.values())
-                    average = None if None in values else float(np.mean(values))
-                    self.improvements[key] = (per_state, average)
+        self.improvements = {}
+        defs = {
+            "test_mae": (lambda r: r.mae, "lower"),
+            "test_f1": (lambda r: r.f1, "higher"),
+            "week_avg_mae": (lambda r: float(np.mean(r.weekly_mae)), "lower"),
+            "week_avg_f1": (lambda r: float(np.mean(r.weekly_f1)), "higher"),
+        }
+        for name, (getter, better) in defs.items():
+            relative, absolute = {}, {}
+            for s in self.states:
+                base, candidate = getter(self.specific[s]), getter(self.agnostic[s])
+                try:
+                    relative[s] = relative_improvement(base, candidate, better)
+                except DataError:  # zero baseline: improvement undefined
+                    relative[s] = None
+                absolute[s] = candidate - base
+            for key, per_state in ((name, relative), (f"{name}_abs", absolute)):
+                values = list(per_state.values())
+                average = None if None in values else float(np.mean(values))
+                self.improvements[key] = (per_state, average)
 
     def _runs(self) -> list[tuple[str, str, MetricsReport]]:
         """(train, eval, report): each state-specific model, then the model

@@ -33,11 +33,13 @@ from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -58,11 +60,11 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float) -> N
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p.data)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
+        p.data -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * p.data)
 
 
 @dataclass

@@ -4,24 +4,32 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from droughtcast.data import CountyTimeSeries, Normalizer, StaticFeatures
+from droughtcast.data import DailySeries, Normalizer, StaticTable
 
 
 def series_fixture(fips="19001", days=600, channels=2, score_every=7,
                    start=date(2015, 1, 1), values=None, first_score_day=0):
-    dates = [start + timedelta(days=d) for d in range(days)]
+    """One county's ``days`` daily rows from ``start``, scored every
+    ``score_every`` days from ``first_score_day``."""
     if values is None:
         t = np.arange(days, dtype=float)
         values = np.stack([np.sin(t / 30 + c) + 0.01 * t for c in range(channels)], axis=1)
-    scores = {
-        dates[d]: float(np.clip(2.0 + np.sin(d / 50.0), 0, 5))
-        for d in range(first_score_day, days, score_every)
-    }
-    return CountyTimeSeries(fips, dates, values, scores)
+    scores = np.full(days, np.nan)
+    for d in range(first_score_day, days, score_every):
+        scores[d] = float(np.clip(2.0 + np.sin(d / 50.0), 0, 5))
+    return DailySeries([f"chan{c}" for c in range(values.shape[1])], np.array([fips]),
+                       np.array([start], dtype="datetime64[D]"), np.array([0, days]),
+                       values, scores)
+
+
+def scored_days(series):
+    """Row index of every score-bearing day of a series."""
+    return np.flatnonzero(~np.isnan(series.scores))
 
 
 def statics_fixture(fips="19001", numeric=(100.0, 3.0), codes=(1, 2)):
-    return StaticFeatures(fips, np.array(numeric, dtype=float), np.array(codes, dtype=np.int64))
+    return StaticTable(np.array([fips]), [f"static{i}" for i in range(len(numeric))],
+                       np.array([numeric], dtype=float), np.array([codes], dtype=np.int64))
 
 
 def attend_reference(head, hidden):

@@ -10,6 +10,7 @@ from conftest import (
     attend_reference,
     claim_consistent,
     row_perplexity,
+    scored_days,
     series_fixture,
     statics_fixture,
 )
@@ -256,21 +257,20 @@ def test_criterion_08_pipeline_leakage():
     days = 600
     values = np.zeros((days, 2))
     series = series_fixture(days=days, values=values, score_every=7, first_score_day=545)
-    statics = {"19001": statics_fixture()}
+    statics = statics_fixture()
     sentinel = 31337.0
     ok = True
-    for anchor in list(series.scores):
-        idx = (anchor - series.dates[0]).days
+    for idx in scored_days(series):
         series.measurements[idx:, :] = sentinel
-        samples, _ = build_samples({"19001": series}, statics)
-        if (samples.x[samples.anchor == np.datetime64(anchor)] == sentinel).any():
+        samples, _ = build_samples(series, statics)
+        if (samples.x[samples.anchor == series.first_day[0] + idx] == sentinel).any():
             ok = False
         series.measurements[:] = 0.0
 
     t_idx = np.arange(days, dtype=float)
     series2 = series_fixture(days=days, values=np.stack([t_idx, -t_idx], axis=1),
                              score_every=7, first_score_day=545)
-    samples, _ = build_samples({"19001": series2}, statics)
+    samples, _ = build_samples(series2, statics)
     if not np.array_equal(samples.x[:, :, 2], samples.x[:, :, 0] - 365):
         ok = False
     if not np.array_equal(samples.x[:, :, 3], samples.x[:, :, 1] + 365):

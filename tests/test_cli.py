@@ -8,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 import droughtcast
@@ -266,12 +267,16 @@ def run_module(*argv) -> subprocess.CompletedProcess:
                           text=True, env=env, timeout=300)
 
 
+def _rewrite(path: Path, out: Path, edit, encoding: str = "utf-8") -> Path:
+    """Copy of a CSV whose lines, header first, pass through ``edit``."""
+    out.write_text("\n".join(edit(path.read_text().splitlines())) + "\n", encoding=encoding)
+    return out
+
+
 def _corrupt_line(path: Path, out: Path, edit) -> Path:
     """Copy of a CSV with its first data row passed through ``edit``."""
-    lines = path.read_text().splitlines()
-    lines[1] = ",".join(edit(lines[1].split(",")))
-    out.write_text("\n".join(lines) + "\n")
-    return out
+    return _rewrite(path, out, lambda lines: [lines[0], ",".join(edit(lines[1].split(","))),
+                                              *lines[2:]])
 
 
 @pytest.mark.parametrize("key, edit, message", [
@@ -296,9 +301,71 @@ def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, ed
     assert f"{bad}: {message}" in result.stderr
 
 
+@pytest.mark.parametrize("key, header, repeated", [
+    ("statics", "fips,elevation,elevation,soil_quality,texture", "['elevation']"),
+    ("timeseries", "fips,date,chan0,score,score", "['score']"),
+])
+def test_repeated_header_name_exits_3_without_traceback(dataset, tmp_path, key, header,
+                                                        repeated):
+    bad = _rewrite(dataset.parent / f"{key}.csv", tmp_path / f"{key}.csv",
+                   lambda lines: [header, *lines[1:]])
+    result = run_module("--config", str(dataset), "--out", str(tmp_path / "out"),
+                        "--set", f"data.{key}={bad}", "ingest")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"{bad}: header repeats column names {repeated}" in result.stderr
+
+
+def _shuffled_rows(lines: list[str]) -> list[str]:
+    header, *rows = lines
+    return [header, *(rows[i] for i in np.random.default_rng(5).permutation(len(rows)))]
+
+
+@pytest.mark.parametrize("edit, encoding", [
+    (lambda lines: lines, "utf-8-sig"),
+    (_shuffled_rows, "utf-8"),
+], ids=["byte_order_mark", "shuffled_rows"])
+def test_ingest_caches_ignore_a_byte_order_mark_and_the_row_order(ingested, tmp_path, edit,
+                                                                  encoding):
+    config, out = ingested
+    moved = [f"--set=data.{key}="
+             f"{_rewrite(config.parent / f'{key}.csv', tmp_path / f'{key}.csv', edit, encoding)}"
+             for key in ("timeseries", "statics")]
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"), *moved, "ingest"]) == 0
+    for name in ("train.samples", "val.samples", "test.samples", "normalizer.csv",
+                 "categories.csv"):
+        assert ((tmp_path / "out" / "ingest" / name).read_bytes()
+                == (out / "ingest" / name).read_bytes()), name
+
+
+def _renamed_channel(root: Path, source: Path) -> Path:
+    return _rewrite(source, root / "renamed.csv",
+                    lambda lines: [lines[0].replace("chan1", "rain"), *lines[1:]])
+
+
+def _third_channel(root: Path, source: Path) -> Path:
+    return _three_channels(root)["timeseries"]
+
+
+@pytest.mark.parametrize("key, make_file, channels", [
+    ("timeseries_val", _renamed_channel, "['chan0', 'rain']"),
+    ("timeseries_test", _third_channel, "['chan0', 'chan1', 'chan2']"),
+])
+def test_held_out_file_with_other_channels_exits_3(dataset, tmp_path, key, make_file, channels):
+    held_out = make_file(tmp_path, dataset.parent / "timeseries.csv")
+    result = run_module("--config", str(dataset), "--out", str(tmp_path / "out"),
+                        "--set", f"data.{key}={held_out}", "ingest")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert (f"{held_out}: channels {channels} differ from the training file's "
+            f"['chan0', 'chan1']") in result.stderr
+
+
 @pytest.mark.parametrize("command, setting, code, message", [
     ("ingest", "data.timeseries={empty}", 3, "{empty}: empty file"),
     ("ingest", "data.window_days=0", 2, "window_days must be at least 1, got 0"),
+    ("train", "train.cycle_epochs=0", 2, "[train] cycle_epochs must be at least 1, got 0"),
+    ("train", "train.cycle_epochs=-3", 2, "[train] cycle_epochs must be at least 1, got -3"),
     ("introspect", "introspect.iterations=0", 2, "t-SNE needs at least one iteration, got 0"),
     ("introspect", "introspect.perplexity=0", 2, "t-SNE perplexity must be positive, got 0.0"),
     ("introspect", "introspect.color_column=elevation", 2,
@@ -310,7 +377,7 @@ def test_bad_input_or_setting_exits_with_its_code_without_traceback(trained, tmp
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     out = tmp_path / "out"
-    if command == "introspect":
+    if command != "ingest":
         for stage in ("ingest", "train"):
             shutil.copytree(trained_out / stage, out / stage)
     result = run_module("--config", str(config), "--out", str(out),

@@ -22,16 +22,24 @@ from droughtcast.data import (
 from droughtcast.errors import ConfigError, DataError, FormatError, SchemaError
 from droughtcast.synthetic import make_dataset
 
-from conftest import load_normalizer, series_fixture, statics_fixture, write_timeseries_csv
+from conftest import (
+    load_normalizer,
+    scored_days,
+    series_fixture,
+    statics_fixture,
+    write_timeseries_csv,
+)
 
 
 def test_load_timeseries_tiny_fixture(tiny_csv_dataset):
     series = load_timeseries(tiny_csv_dataset)
-    assert set(series) == {"19001", "30002"}
-    assert series["19001"].measurements.shape == (3, 2)
+    assert series.fips.tolist() == ["19001", "30002"]
+    assert series.channel_names == ["chan0", "chan1"]
+    assert series.start.tolist() == [0, 3, 6]
+    assert series.measurements[:3].shape == (3, 2)
     # scored only on the first day; empty cells parse as absent
-    assert list(series["19001"].scores.values()) == [1.5]
-    assert series["19001"].dates[0] == date(2020, 1, 1)
+    assert series.scores[:3][~np.isnan(series.scores[:3])].tolist() == [1.5]
+    assert series.first_day[0] == np.datetime64(date(2020, 1, 1))
 
 
 def test_load_timeseries_missing_column(tmp_path):
@@ -69,7 +77,7 @@ def test_load_timeseries_interpolates_missing_values(tmp_path):
     ]
     p = write_timeseries_csv(tmp_path / "nan.csv", rows)
     series = load_timeseries(p)
-    np.testing.assert_allclose(series["19001"].measurements[:, 0], [0.0, 2.0, 4.0])
+    np.testing.assert_allclose(series.measurements[:, 0], [0.0, 2.0, 4.0])
 
 
 def test_load_timeseries_drops_long_gap_county(tmp_path):
@@ -82,7 +90,7 @@ def test_load_timeseries_drops_long_gap_county(tmp_path):
     p = write_timeseries_csv(tmp_path / "long_gap.csv", rows)
     report = []
     series = load_timeseries(p, report=report)
-    assert set(series) == {"30002"}
+    assert series.fips.tolist() == ["30002"]
     assert len(report) == 1 and "19001" in report[0]
 
 
@@ -102,10 +110,12 @@ def test_load_statics_encoding(tmp_path):
         "40003,300.0,A\n"
     )
     statics, encoder = load_statics(p, ["quality"])
-    assert [statics[f].categorical[0] for f in ("19001", "30002", "40003")] == [1, 2, 1]
+    assert statics.fips.tolist() == ["19001", "30002", "40003"]
+    assert statics.codes[:, 0].tolist() == [1, 2, 1]
     assert encoder.vocab_sizes == [3]
     # f = f_n + f_d
-    assert statics["19001"].numeric.size + statics["19001"].categorical.size == 2
+    assert statics.numeric_names == ["elevation"]
+    assert statics.numeric.shape[1] + statics.codes.shape[1] == 2
 
 
 def test_load_statics_unseen_label_maps_to_zero(tmp_path):
@@ -115,7 +125,7 @@ def test_load_statics_unseen_label_maps_to_zero(tmp_path):
     p2 = tmp_path / "new.csv"
     p2.write_text("fips,quality\n30002,Z\n")
     statics, _ = load_statics(p2, ["quality"], encoder=encoder)
-    assert statics["30002"].categorical[0] == 0
+    assert statics.codes[0, 0] == 0
 
 
 def test_reordered_categorical_columns_rejected(tmp_path):
@@ -141,21 +151,21 @@ def test_build_samples_minimum_history_boundary():
     # scores at exactly the minimum-history anchor and its five successors
     days = 581
     series = series_fixture(days=days, score_every=7, first_score_day=545)
-    statics = {"19001": statics_fixture()}
-    samples, report = build_samples({"19001": series}, statics)
+    statics = statics_fixture()
+    samples, report = build_samples(series, statics)
     assert len(samples) == 1
     assert samples.x.shape == (1, 180, 4)
     assert report.dropped_missing_future == 5
-    assert report.built + report.dropped == len(series.scores)
+    assert report.built + report.dropped == len(scored_days(series))
 
 
 def test_build_samples_missing_week6_target():
     series = series_fixture(days=560, score_every=7, first_score_day=545)
     # only 3 score dates fit in 560 days from day 545
-    statics = {"19001": statics_fixture()}
-    samples, report = build_samples({"19001": series}, statics)
+    statics = statics_fixture()
+    samples, report = build_samples(series, statics)
     assert len(samples) == 0
-    assert report.dropped_missing_future == len(series.scores)
+    assert report.dropped_missing_future == len(scored_days(series))
 
 
 def test_build_samples_previous_year_identity():
@@ -163,10 +173,10 @@ def test_build_samples_previous_year_identity():
     t = np.arange(days, dtype=float)
     values = np.stack([t, 10 * t], axis=1)  # channel value == day index
     series = series_fixture(days=days, values=values, score_every=7, first_score_day=545)
-    statics = {"19001": statics_fixture()}
-    samples, _ = build_samples({"19001": series}, statics)
+    statics = statics_fixture()
+    samples, _ = build_samples(series, statics)
     assert samples
-    anchor_idx = (samples.anchor[0].item() - series.dates[0]).days
+    anchor_idx = (samples.anchor[0] - series.first_day[0]).astype(int)
     x = samples.x[0]
     np.testing.assert_array_equal(x[:, 0], np.arange(anchor_idx - 180, anchor_idx))
     np.testing.assert_array_equal(x[:, 2], x[:, 0] - 365)
@@ -176,21 +186,20 @@ def test_build_samples_never_reads_anchor_or_future():
     days = 600
     values = np.zeros((days, 2))
     series = series_fixture(days=days, values=values, score_every=7, first_score_day=545)
-    statics = {"19001": statics_fixture()}
+    statics = statics_fixture()
     sentinel = 12345.0
-    for s_date in list(series.scores):
-        idx = (s_date - series.dates[0]).days
+    for idx in scored_days(series):
         series.measurements[idx:, :] = sentinel
-        samples, _ = build_samples({"19001": series}, statics)
-        assert not (samples.x[samples.anchor == np.datetime64(s_date)] == sentinel).any()
+        samples, _ = build_samples(series, statics)
+        assert not (samples.x[samples.anchor == series.first_day[0] + idx] == sentinel).any()
         series.measurements[:] = 0.0
 
 
 def test_build_samples_next_phase_shifts_targets():
     series = series_fixture(days=620, score_every=7, first_score_day=540)
-    statics = {"19001": statics_fixture()}
-    anchor_samples, _ = build_samples({"19001": series}, statics, target_phase="anchor")
-    next_samples, _ = build_samples({"19001": series}, statics, target_phase="next")
+    statics = statics_fixture()
+    anchor_samples, _ = build_samples(series, statics, target_phase="anchor")
+    next_samples, _ = build_samples(series, statics, target_phase="next")
     by_date = dict(zip(next_samples.anchor.tolist(), next_samples.y))
     for anchor, y in zip(anchor_samples.anchor.tolist(), anchor_samples.y):
         shifted = by_date.get(anchor)
@@ -201,7 +210,7 @@ def test_build_samples_next_phase_shifts_targets():
 def test_build_samples_missing_statics_is_error():
     series = series_fixture(days=600)
     with pytest.raises(DataError, match="static"):
-        build_samples({"19001": series}, {})
+        build_samples(series, statics_fixture("30002"))
 
 
 def sample_set(x, s_n, s_d=None, y=None, fips=None):
@@ -219,7 +228,7 @@ def sample_set(x, s_n, s_d=None, y=None, fips=None):
 def test_normalizer_two_point_channel():
     x = np.array([[0.0, 5.0, 0.0, 5.0], [2.0, 5.0, 2.0, 5.0]])
     s = sample_set(x[None], np.array([[1.0]]))
-    norm = fit_normalizer(s)
+    norm = fit_normalizer(s, ["chan0", "chan1"], ["elev"])
     out = norm.apply(s)
     np.testing.assert_allclose(out.x[0, :, 0], [-1.0, 1.0])
     # constant channel untouched, std recorded as 1
@@ -230,7 +239,7 @@ def test_normalizer_two_point_channel():
 def test_normalizer_train_stats_and_round_trip():
     rng = np.random.default_rng(0)
     samples = sample_set(rng.normal(2.0, 3.0, (20, 10, 6)), rng.normal(size=(20, 2)))
-    norm = fit_normalizer(samples)
+    norm = fit_normalizer(samples, ["chan0", "chan1", "chan2"], ["elev", "slope"])
     normalized = norm.apply(samples)
     pooled = normalized.x.reshape(20, 10, 2, 3).reshape(-1, 3)
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
@@ -259,7 +268,7 @@ def _per_sample_normalizer(samples):
 def test_columnar_normalizer_matches_per_sample_bit_for_bit():
     rng = np.random.default_rng(4)
     samples = sample_set(rng.normal(3.0, 7.0, (37, 11, 6)), rng.normal(size=(37, 2)))
-    norm = fit_normalizer(samples)
+    norm = fit_normalizer(samples, ["chan0", "chan1", "chan2"], ["elev", "slope"])
     mean, std, x = _per_sample_normalizer(samples)
     np.testing.assert_array_equal(norm.channel_mean, mean)
     np.testing.assert_array_equal(norm.channel_std, std)
@@ -269,7 +278,7 @@ def test_columnar_normalizer_matches_per_sample_bit_for_bit():
 def test_normalizer_save_load(tmp_path):
     x = np.array([[0.0, 5.0, 0.0, 5.0], [2.0, 6.0, 2.0, 6.0]])
     s = sample_set(x[None], np.array([[1.0, 4.0]]))
-    norm = fit_normalizer(s, channel_names=["precip", "temp"], static_names=["elev", "slope"])
+    norm = fit_normalizer(s, ["precip", "temp"], ["elev", "slope"])
     path = tmp_path / "stats.csv"
     norm.save(path)
     loaded = load_normalizer(path)
@@ -280,7 +289,7 @@ def test_normalizer_save_load(tmp_path):
 
 def test_fit_normalizer_empty_is_error():
     with pytest.raises(DataError):
-        fit_normalizer(sample_set(np.zeros((0, 4, 2)), np.zeros((0, 1))))
+        fit_normalizer(sample_set(np.zeros((0, 4, 2)), np.zeros((0, 1))), ["chan0"], ["elev"])
 
 
 def test_filter_by_state():
@@ -425,24 +434,24 @@ def test_build_samples_matches_per_sample_reference(tmp_path):
     for phase in ("anchor", "next"):
         samples, _ = build_samples(series, statics, window_days=20, target_phase=phase)
         rows = []
-        for fips in sorted(series):
-            county = series[fips]
-            index_of = {d: i for i, d in enumerate(county.dates)}
-            dates = sorted(county.scores)
-            for pos, anchor in enumerate(dates):
+        for c, fips in enumerate(series.fips.tolist()):
+            m = series.measurements[series.start[c]:series.start[c + 1]]
+            scores = series.scores[series.start[c]:series.start[c + 1]]
+            days = np.flatnonzero(~np.isnan(scores)).tolist()
+            for pos, ti in enumerate(days):
                 start = pos if phase == "anchor" else pos + 1
-                targets = dates[start:start + 6]
-                ti = index_of[anchor]
+                targets = days[start:start + 6]
                 if len(targets) < 6 or ti < 20 + 365:
                     continue
-                m = county.measurements
                 x = np.concatenate([m[ti - 20:ti], m[ti - 20 - 365:ti - 365]], axis=1)
-                rows.append((fips, anchor, x, [county.scores[d] for d in targets]))
+                anchor = series.first_day[c].item() + timedelta(days=ti)
+                s_n = statics.numeric[statics.fips.tolist().index(fips)]
+                rows.append((fips, anchor, x, [scores[d] for d in targets], s_n))
         assert samples.fips.tolist() == [r[0] for r in rows]
         assert samples.anchor.tolist() == [r[1] for r in rows]
         np.testing.assert_array_equal(samples.x, np.stack([r[2] for r in rows]))
         np.testing.assert_array_equal(samples.y, np.array([r[3] for r in rows]))
-        np.testing.assert_array_equal(samples.s_n[0], statics[rows[0][0]].numeric)
+        np.testing.assert_array_equal(samples.s_n, np.stack([r[4] for r in rows]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -451,7 +460,7 @@ def test_build_samples_matches_per_sample_reference(tmp_path):
 def test_dictionary_and_stats_files_round_trip_any_label(tmp_path_factory, labels, name):
     """Labels and header names with commas, quotes and line breaks survive."""
     tmp = tmp_path_factory.mktemp("rt")
-    encoder = CategoricalEncoder(["texture"], [], {"texture": {
+    encoder = CategoricalEncoder(["texture"], {"texture": {
         label: code for code, label in enumerate(labels, start=1)}})
     encoder.save(tmp / "categories.csv")
     assert CategoricalEncoder.load(tmp / "categories.csv").label_to_code == encoder.label_to_code
@@ -465,7 +474,7 @@ def test_dictionary_and_stats_files_round_trip_any_label(tmp_path_factory, label
 
 
 def test_plain_dictionary_file_bytes_unchanged(tmp_path):
-    encoder = CategoricalEncoder(["soil", "texture"], [], {
+    encoder = CategoricalEncoder(["soil", "texture"], {
         "soil": {"low": 1, "high": 2}, "texture": {"clay": 1}})
     encoder.save(tmp_path / "c.csv")
     assert (tmp_path / "c.csv").read_bytes() == (

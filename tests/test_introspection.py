@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from droughtcast.autodiff import RngState
-from droughtcast.data import CategoricalEncoder, SampleSet, StaticFeatures
+from droughtcast.data import CategoricalEncoder, SampleSet, StaticTable
 from droughtcast.errors import ConfigError, DataError
 from droughtcast.introspection import (
     collect_attention,
@@ -82,7 +82,6 @@ def test_collect_attention_requires_attention_path():
 def _encoder():
     return CategoricalEncoder(
         columns=["soil_quality", "texture"],
-        numeric_columns=["elevation"],
         label_to_code={
             "soil_quality": {"low": 1, "medium": 2},
             "texture": {"clay": 1, "loam": 2, "sand": 3},
@@ -92,20 +91,16 @@ def _encoder():
 
 def _statics(n=5, seed=0):
     rng = RngState(seed)
-    return {
-        f"19{i:03d}": StaticFeatures(
-            f"19{i:03d}", rng.uniform(0, 1, 1),
-            np.array([1 + i % 2, 1 + i % 3], dtype=np.int64),
-        )
-        for i in range(n)
-    }
+    return StaticTable(np.array([f"19{i:03d}" for i in range(n)]), ["elevation"],
+                       rng.uniform(0, 1, (n, 1)),
+                       np.array([[1 + i % 2, 1 + i % 3] for i in range(n)], dtype=np.int64))
 
 
 def test_export_embeddings_one_row_per_county():
     model = small_model(seed=7)
     statics = _statics(n=5)
     export = export_embeddings(model, statics, _encoder())
-    assert export.fips == sorted(statics)
+    assert export.fips == statics.fips.tolist() == sorted(export.fips)
     assert export.vectors.shape == (5, 2)
     assert set(export.labels) == {"soil_quality", "texture"}
 
@@ -113,7 +108,7 @@ def test_export_embeddings_one_row_per_county():
 def test_export_embeddings_identical_codes_identical_vectors():
     model = small_model(seed=8)
     statics = _statics(n=4)
-    statics["19002"].categorical[...] = statics["19000"].categorical
+    statics.codes[2] = statics.codes[0]
     export = export_embeddings(model, statics, _encoder())
     i = export.fips.index("19000")
     j = export.fips.index("19002")
