@@ -34,6 +34,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,59 @@ def write_csv(path, rows) -> None:
     Path(path).write_text(csv_text(rows), encoding="utf-8", newline="")
 
 
+_ARTIFACT_PREFIX = struct.Struct("<7sxQ")  # magic, a pad byte, the header length
+
+
+def write_artifact(path, magic: bytes, header: bytes, arrays) -> None:
+    """Binary artifact: the 7-byte ``magic``, a pad byte, the uint64 header
+    length, the ``header`` zero-padded to 8 bytes, then the bytes of each
+    array in C order, which the caller gives the dtype it will read.  The
+    file is written under a temporary name and renamed into place."""
+    tmp = Path(f"{path}.tmp")
+    with tmp.open("wb") as fh:
+        fh.write(_ARTIFACT_PREFIX.pack(magic, len(header)))
+        fh.write(header + bytes(-len(header) % 8))
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array))
+    tmp.replace(path)
+
+
+def read_artifact(path, magic: bytes, what: str, remedy: str):
+    """The header of a :func:`write_artifact` file and ``read(layout)``,
+    which maps the arrays, given as ``(dtype, shape)`` in file order, to
+    views into one writable buffer.  Another magic, an older version of it
+    (named with the ``remedy``), or a size other than the header and layout
+    imply raise ``FormatError`` naming ``what``."""
+    path = Path(path)
+    blob = bytearray(path.stat().st_size)
+    with path.open("rb") as fh:
+        fh.readinto(blob)
+    if blob[:len(magic)] != magic:
+        if blob.startswith(magic[:-1]):
+            version = bytes(blob[:len(magic)]).decode(errors="replace")
+            raise FormatError(f"{path}: {what} version {version!r} is not "
+                              f"supported (expected {magic.decode()}); {remedy}")
+        raise FormatError(f"{path}: bad {what} magic")
+    length = _ARTIFACT_PREFIX.unpack_from(blob)[1] if len(blob) >= _ARTIFACT_PREFIX.size else 0
+    start = _ARTIFACT_PREFIX.size + length + -length % 8
+    if len(blob) < start:
+        raise FormatError(f"{path}: truncated {what}")
+
+    def read(layout: list[tuple[str, tuple[int, ...]]]) -> list[np.ndarray]:
+        try:
+            sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
+        except TypeError:  # a header too large for a numpy dtype
+            raise FormatError(f"{path}: corrupt {what} header") from None
+        expected = start + sum(sizes)
+        if len(blob) != expected:
+            problem = "truncated" if len(blob) < expected else "trailing bytes in"
+            raise FormatError(f"{path}: {problem} {what}")
+        return [np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
+                for (dtype, shape), offset in zip(layout, accumulate(sizes, initial=start))]
+
+    return bytes(blob[_ARTIFACT_PREFIX.size:_ARTIFACT_PREFIX.size + length]), read
+
+
 def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of the header and then each non-blank row of a
     UTF-8 CSV, read as a stream, a leading byte-order mark dropped; an
@@ -193,11 +247,11 @@ class CategoricalEncoder:
         return cls(list(mapping), mapping)
 
 
-def _parse_date(text: str) -> date:
+def _parse_date(text: str, path: Path, line: int) -> date:
     try:
         return date.fromisoformat(text)
     except ValueError as exc:
-        raise SchemaError(f"bad date {text!r}: {exc}") from None
+        raise SchemaError(f"{path}: line {line}, column 'date': {text!r}: {exc}") from None
 
 
 def _cell_float(text: str, path: Path, line: int, column: str) -> float:
@@ -261,8 +315,8 @@ def load_timeseries(path, max_gap_days: int = 14,
     rows: dict[str, list[tuple[date, list[str], str, int]]] = {}
     for line, row in lines:
         rows.setdefault(row[fips_col], []).append(
-            (_parse_date(row[date_col]), [row[i] for i in channel_cols], row[score_col], line)
-        )
+            (_parse_date(row[date_col], path, line), [row[i] for i in channel_cols],
+             row[score_col], line))
 
     counties: dict[str, tuple[date, np.ndarray, np.ndarray]] = {}  # first day, (P, M), (P,)
     for fips, entries in rows.items():
@@ -418,10 +472,11 @@ def build_samples(series: DailySeries, statics: StaticTable,
                          dropped_missing_history=int((has_future & ~has_history).sum()),
                          dropped_missing_future=int((~has_future).sum()))
 
-    # history checks keep every window, and its year-earlier copy, inside one county
-    window = rows[keep, None] + np.arange(-window_days, 0)
-    x = np.concatenate([series.measurements[window],
-                        series.measurements[window - YEAR_SHIFT_DAYS]], axis=2)
+    # each day's channels beside those of the same day a year earlier; the
+    # history check keeps every window, and its year-earlier copy, inside one county
+    m = series.measurements
+    x = np.concatenate([m, np.roll(m, YEAR_SHIFT_DAYS, axis=0)], axis=1)[
+        rows[keep, None] + np.arange(-window_days, 0)]
     # the future check keeps all six targets among the county's own scores
     y = series.scores[rows[keep[:, None] + first_target + np.arange(TARGET_WEEKS)]]
     county = county[keep]
@@ -509,18 +564,17 @@ def split_fractions(n: int, val_fraction: float, test_fraction: float,
                     seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded random (train, val, test) index split of ``range(n)``, used
     when no explicit validation/test files exist."""
-    if val_fraction < 0 or test_fraction < 0 or val_fraction + test_fraction >= 1:
-        raise ConfigError("val/test fractions must be nonnegative and sum below 1")
+    if not (val_fraction >= 0 and test_fraction >= 0 and val_fraction + test_fraction < 1):
+        raise ConfigError(f"val/test fractions must be nonnegative and sum below 1, "
+                          f"got {val_fraction} and {test_fraction}")
     order = RngState(seed).split("holdout").permutation(n)
     n_val = int(round(n * val_fraction))
     n_test = int(round(n * test_fraction))
     return order[n_val + n_test:], order[:n_val], order[n_val:n_val + n_test]
 
 
-_CACHE_MAGIC = b"HMSAMP2"
-# magic, a pad byte, then N, T, 2M, f_n, f_d and the FIPS width in
-# characters: 56 bytes, so every column after it starts 8-byte aligned
-_CACHE_HEADER = struct.Struct("<7sx6Q")
+_CACHE_MAGIC = b"HMSAMP3"
+_CACHE_HEADER = struct.Struct("<6Q")  # N, T, 2M, f_n, f_d, the FIPS width in characters
 
 
 def _cache_layout(n: int, steps: int, width: int, f_n: int, f_d: int,
@@ -532,42 +586,21 @@ def _cache_layout(n: int, steps: int, width: int, f_n: int, f_d: int,
 
 
 def save_samples(samples: SampleSet, path) -> None:
-    """Binary sample cache; little-endian, deterministic bytes."""
+    """Binary sample cache (:func:`write_artifact`); deterministic bytes."""
     chars = np.asarray(samples.fips, dtype=str).dtype.itemsize // 4
     header = (*samples.x.shape, samples.s_n.shape[1], samples.s_d.shape[1], chars)
     columns = (samples.x, samples.s_n, samples.s_d, samples.y,
                samples.anchor.astype("datetime64[D]").view(np.int64), samples.fips)
-    with Path(path).open("wb") as fh:
-        fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, *header))
-        for column, (dtype, _) in zip(columns, _cache_layout(*header)):
-            fh.write(np.ascontiguousarray(column, dtype=dtype))
+    write_artifact(path, _CACHE_MAGIC, _CACHE_HEADER.pack(*header),
+                   (np.asarray(column, dtype) for column, (dtype, _)
+                    in zip(columns, _cache_layout(*header))))
 
 
 def load_samples(path) -> SampleSet:
     """Read a cache written by :func:`save_samples`; the columns are views
     into one writable buffer."""
-    path = Path(path)
-    blob = bytearray(path.stat().st_size)
-    with path.open("rb") as fh:
-        fh.readinto(blob)
-    if blob[:len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        if blob.startswith(b"HMSAMP"):
-            raise FormatError(f"{path}: sample-cache version {bytes(blob[:7]).decode()!r} is "
-                              f"not supported (expected {_CACHE_MAGIC.decode()}); "
-                              f"re-run ingest")
-        raise FormatError(f"{path}: bad sample-cache magic")
-    if len(blob) < _CACHE_HEADER.size:
-        raise FormatError(f"{path}: truncated sample cache")
-    layout = _cache_layout(*_CACHE_HEADER.unpack_from(blob)[1:])
-    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
-    expected = _CACHE_HEADER.size + sum(sizes)
-    if len(blob) != expected:
-        problem = "truncated" if len(blob) < expected else "trailing bytes in"
-        raise FormatError(f"{path}: {problem} sample cache")
-    columns = []
-    offset = _CACHE_HEADER.size
-    for (dtype, shape), size in zip(layout, sizes):
-        columns.append(np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape))
-        offset += size
-    x, s_n, s_d, y, days, fips = columns
+    header, read = read_artifact(path, _CACHE_MAGIC, "sample cache", "re-run ingest")
+    if len(header) != _CACHE_HEADER.size:
+        raise FormatError(f"{path}: corrupt sample cache header ({len(header)} bytes)")
+    x, s_n, s_d, y, days, fips = read(_cache_layout(*_CACHE_HEADER.unpack(header)))
     return SampleSet(x, s_n, s_d, y, fips, days.view("datetime64[D]"))

@@ -10,16 +10,18 @@ then :meth:`HybridModel.backward`, which sets every parameter's ``grad``
 for the AdamW update.  Inference runs the forward in eval mode, which
 keeps no caches for a backward pass.
 
-Checkpoint format (little-endian): magic ``HMCKPT2``, uint32 length +
-UTF-8 config text (one ``model.<field>=`` or ``ablation.<field>=`` line
-per field of ``ModelConfig`` and ``AblationConfig``, then ``seed=``),
-uint32 tensor count, then per tensor uint32 name length, name bytes,
-uint32 rank, uint32 dims, float64 payload.
+A checkpoint is a :func:`~droughtcast.data.write_artifact` file with magic
+``HMCKPT3``.  Its header is UTF-8 text: one ``model.<field>=`` or
+``ablation.<field>=`` line per field of ``ModelConfig`` and
+``AblationConfig``, then ``seed=``, then ``tensors=`` and the parameter
+names, comma-separated, in :meth:`HybridModel.named_parameters` order.  The
+arrays are those parameters as little-endian float64, with the shapes the
+configs imply.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -28,7 +30,7 @@ import numpy as np
 
 from .autodiff import RngState, Tensor
 from .config import format_value, parse_as
-from .data import SampleSet, csv_text
+from .data import SampleSet, csv_text, read_artifact, write_artifact
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig
 
@@ -76,8 +78,9 @@ class LrSchedule:
     cycle_length: int = 100
 
     def __post_init__(self):
-        if not 0 < self.base_lr <= self.max_lr:
-            raise ConfigError("need 0 < base_lr <= max_lr")
+        if not 0 < self.base_lr <= self.max_lr < math.inf:
+            raise ConfigError(f"need 0 < base_lr <= max_lr < inf, got {self.base_lr}, "
+                              f"{self.max_lr}")
         if self.cycle_length < 2:
             raise ConfigError("cycle_length must be at least 2 steps")
 
@@ -102,6 +105,8 @@ class TrainRunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.selection not in ("best", "last"):
@@ -224,20 +229,21 @@ def _restore(model: HybridModel, params: dict[str, np.ndarray]) -> None:
         t.data[...] = params[name]
 
 
-_CKPT_MAGIC = b"HMCKPT2"
+_CKPT_MAGIC = b"HMCKPT3"
 _HEADER_SECTIONS = {"model": ModelConfig, "ablation": AblationConfig}
 
 
 def _config_text(model: HybridModel) -> str:
-    """``section.field=value`` per config field, then ``seed=``."""
+    """``section.field=value`` per config field, then ``seed=``, then
+    ``tensors=`` and the parameter names in :meth:`named_parameters` order."""
     lines = [f"{section}.{f.name}={format_value(getattr(config, f.name))}"
              for section, config in zip(_HEADER_SECTIONS, (model.config, model.ablation))
              for f in fields(config)]
-    lines.append(f"seed={model.seed}")
+    lines += [f"seed={model.seed}", f"tensors={','.join(model.named_parameters())}"]
     return "\n".join(lines)
 
 
-def _parse_config_text(blob: bytes) -> tuple[ModelConfig, AblationConfig, int]:
+def _parse_config_text(blob: bytes) -> tuple[ModelConfig, AblationConfig, int, list[str]]:
     """Inverse of :func:`_config_text`; each value is parsed by its field's
     annotation.  A missing key, a bad value or non-UTF-8 bytes raise
     ``FormatError``; the configs' own checks raise ``ConfigError``."""
@@ -259,68 +265,28 @@ def _parse_config_text(blob: bytes) -> tuple[ModelConfig, AblationConfig, int]:
         kinds = get_type_hints(cls)
         configs.append(cls(**{f.name: value(f"{section}.{f.name}", kinds[f.name])
                               for f in fields(cls)}))
-    return configs[0], configs[1], value("seed", int)
+    return configs[0], configs[1], value("seed", int), value("tensors", str).split(",")
 
 
 def save_checkpoint(model: HybridModel, path) -> None:
-    """Atomic write (temp file + rename) of configs and parameters."""
-    config = _config_text(model).encode()
-    chunks = [_CKPT_MAGIC, struct.pack("<I", len(config)), config]
-    params = model.named_parameters()
-    chunks.append(struct.pack("<I", len(params)))
-    for name, t in params.items():
-        nb = name.encode()
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", t.data.ndim))
-        chunks.append(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
-        chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(b"".join(chunks))
-    tmp.replace(path)
+    """Configs and parameters as one atomic :func:`write_artifact`."""
+    write_artifact(path, _CKPT_MAGIC, _config_text(model).encode(),
+                   (np.asarray(t.data, "<f8") for t in model.named_parameters().values()))
 
 
 def load_checkpoint(path) -> HybridModel:
-    blob = Path(path).read_bytes()
-    if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        if blob.startswith(b"HMCKPT"):
-            raise FormatError(f"{path}: checkpoint version {blob[:7].decode(errors='replace')!r} "
-                              f"is not supported (expected {_CKPT_MAGIC.decode()}); retrain the model")
-        raise FormatError(f"{path}: bad checkpoint magic")
-    view = memoryview(blob)
-    offset = len(_CKPT_MAGIC)
-
-    def take(n: int) -> memoryview:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"{path}: truncated checkpoint")
-        piece = view[offset:offset + n]
-        offset += n
-        return piece
-
-    (config_len,) = struct.unpack("<I", take(4))
-    header = bytes(take(config_len))
+    header, read = read_artifact(path, _CKPT_MAGIC, "checkpoint", "retrain the model")
     try:
-        model = HybridModel.build(*_parse_config_text(header))
+        config, ablation, seed, names = _parse_config_text(header)
+        model = HybridModel.build(config, ablation, seed)
     except (ConfigError, FormatError) as exc:
         raise FormatError(f"{path}: checkpoint config: {exc}") from None
     model.source = f"checkpoint {path}"
     params = model.named_parameters()
-    (count,) = struct.unpack("<I", take(4))
-    if count != len(params):
-        raise FormatError(f"{path}: expected {len(params)} tensors, found {count}")
-    for _ in range(count):
-        (n,) = struct.unpack("<I", take(4))
-        name = bytes(take(n)).decode(errors="replace")
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        payload = np.frombuffer(take(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
-        if name not in params:
-            raise FormatError(f"{path}: unknown parameter {name!r}")
-        if params[name].data.shape != shape:
-            raise FormatError(f"{path}: shape mismatch for {name!r}")
-        params[name].data[...] = payload
-    if offset != len(blob):
-        raise FormatError(f"{path}: trailing bytes")
+    if names != list(params):
+        raise FormatError(f"{path}: checkpoint tensors {names} differ from the model's "
+                          f"{list(params)}")
+    for t, payload in zip(params.values(),
+                          read([("<f8", t.data.shape) for t in params.values()])):
+        t.data[...] = payload
     return model

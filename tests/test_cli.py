@@ -10,6 +10,8 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import droughtcast
 from droughtcast import errors
@@ -291,6 +293,8 @@ def _corrupt_line(path: Path, out: Path, edit) -> Path:
      "line 2, column 'chan0': 'nan' is not a finite number"),
     ("timeseries", lambda cells: cells[:3] + ["-inf"] + cells[4:],
      "line 2, column 'chan1': '-inf' is not a finite number"),
+    ("timeseries", lambda cells: cells[:1] + ["2015-13-01"] + cells[2:],
+     "line 2, column 'date': '2015-13-01': month must be in 1..12"),
 ])
 def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, edit, message):
     bad = _corrupt_line(dataset.parent / f"{key}.csv", tmp_path / f"{key}.csv", edit)
@@ -361,9 +365,102 @@ def test_held_out_file_with_other_channels_exits_3(dataset, tmp_path, key, make_
             f"['chan0', 'chan1']") in result.stderr
 
 
+# one edit of a desk CSV: (file, kind, row, column, text); row and column
+# are taken modulo the file's size
+MUTATION_KINDS = ("short_row", "cell", "score", "date", "repeat_header", "bom", "crlf",
+                  "held_out")
+MUTATION_TEXTS = ("", "high", "nan", "NaN", "-inf", "1e999", "-1", "7", " 2", "0x10", "é",
+                  "2015-13-01", "2015-02-30", "2015/01/05", "2015-01-01T00:00")
+mutations = st.lists(st.tuples(st.sampled_from(("timeseries", "statics")),
+                               st.sampled_from(MUTATION_KINDS), st.integers(0, 10 ** 6),
+                               st.integers(0, 10), st.sampled_from(MUTATION_TEXTS)),
+                     min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """A three-county dataset small enough to ingest many times."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ts, statics = make_dataset(root, n_counties=3, days=460, channels=2, seed=3)
+    config = root / "run.ini"
+    config.write_text(BASE_CONFIG.format(ts=ts, statics=statics))
+    return config
+
+
+def _mutated_inputs(config: Path, root: Path, edits) -> list[str]:
+    """``--set`` arguments that point ingest at copies of the fixture's CSVs
+    with ``edits`` applied."""
+    files = {key: {"lines": (config.parent / f"{key}.csv").read_text().splitlines(),
+                   "encoding": "utf-8", "newline": "\n"} for key in ("timeseries", "statics")}
+    overrides = []
+    for key, kind, row, col, text in edits:
+        file = files[key]
+        lines = file["lines"]
+        r = 1 + row % (len(lines) - 1)
+        cells = lines[r].split(",")
+        c = col % len(cells)
+        if kind == "short_row":
+            cells = cells[:-1]
+        elif kind == "cell":
+            cells[c] = text
+        elif kind == "score":  # the last column: a time series' score, a categorical static
+            cells[-1] = text
+        elif kind == "date":  # the second column: a time series' date, a numeric static
+            cells[1] = text
+        elif kind == "repeat_header":
+            header = lines[0].split(",")
+            header[c] = header[(c + 1) % len(header)]
+            lines[0] = ",".join(header)
+        elif kind == "bom":
+            file["encoding"] = "utf-8-sig"
+        elif kind == "crlf":
+            file["newline"] = "\r\n"
+        elif kind == "held_out":
+            held_out = root / "held_out.csv"
+            held_out.write_text("\n".join([files["timeseries"]["lines"][0].replace(
+                "chan1", "rain"), *files["timeseries"]["lines"][1:]]) + "\n")
+            overrides.append(f"--set=data.timeseries_val={held_out}")
+        if kind in ("short_row", "cell", "score", "date"):
+            lines[r] = ",".join(cells)
+    for key, file in files.items():
+        path = root / f"{key}.csv"
+        with path.open("w", encoding=file["encoding"], newline="") as fh:
+            fh.write(file["newline"].join(file["lines"]) + file["newline"])
+        overrides.append(f"--set=data.{key}={path}")
+    return overrides
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits=mutations)
+# the malformed inputs that once ended in a traceback or were misread stay as seeds
+@example(edits=[("statics", "repeat_header", 0, 1, "")])
+@example(edits=[("timeseries", "repeat_header", 0, 3, "")])
+@example(edits=[("timeseries", "bom", 0, 0, ""), ("statics", "bom", 0, 0, "")])
+@example(edits=[("timeseries", "held_out", 0, 0, "")])
+@example(edits=[("timeseries", "crlf", 0, 0, ""), ("statics", "crlf", 0, 0, "")])
+@example(edits=[("timeseries", "date", 0, 0, "2015-13-01")])
+@example(edits=[("timeseries", "score", 0, 0, "nan")])
+@example(edits=[("timeseries", "cell", 0, 2, "nan")])
+@example(edits=[("statics", "cell", 0, 1, "high")])
+@example(edits=[("statics", "short_row", 0, 0, "")])
+def test_mutated_csvs_ingest_or_exit_with_an_error_code(fuzz_dataset, tmp_path_factory, edits):
+    root = tmp_path_factory.mktemp("mutated")
+    overrides = _mutated_inputs(fuzz_dataset, root, edits)
+    # an uncaught exception fails the test
+    code = main(["--config", str(fuzz_dataset), "--out", str(root / "out"), *overrides,
+                 "ingest"])
+    assert code in (0, 2, 3, 4)
+
+
 @pytest.mark.parametrize("command, setting, code, message", [
     ("ingest", "data.timeseries={empty}", 3, "{empty}: empty file"),
     ("ingest", "data.window_days=0", 2, "window_days must be at least 1, got 0"),
+    ("ingest", "data.val_fraction=nan", 2,
+     "val/test fractions must be nonnegative and sum below 1, got nan and 0.2"),
+    ("ingest", "data.test_fraction=nan", 2,
+     "val/test fractions must be nonnegative and sum below 1, got 0.2 and nan"),
+    ("train", "train.weight_decay=nan", 2, "weight_decay must be finite and >= 0, got nan"),
+    ("train", "train.max_lr=inf", 2, "need 0 < base_lr <= max_lr < inf, got inf, inf"),
     ("train", "train.cycle_epochs=0", 2, "[train] cycle_epochs must be at least 1, got 0"),
     ("train", "train.cycle_epochs=-3", 2, "[train] cycle_epochs must be at least 1, got -3"),
     ("introspect", "introspect.iterations=0", 2, "t-SNE needs at least one iteration, got 0"),

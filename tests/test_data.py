@@ -1,3 +1,4 @@
+import struct
 from datetime import date, timedelta
 
 import numpy as np
@@ -16,8 +17,10 @@ from droughtcast.data import (
     load_samples,
     load_statics,
     load_timeseries,
+    read_artifact,
     save_samples,
     split_fractions,
+    write_artifact,
 )
 from droughtcast.errors import ConfigError, DataError, FormatError, SchemaError
 from droughtcast.synthetic import make_dataset
@@ -366,7 +369,12 @@ def test_sample_cache_round_trip(tmp_path):
         loaded = load_samples(path)
         _assert_same_set(loaded, samples)
         loaded.y[...] = 1.0  # columns are writable, like freshly built ones
-    assert path.read_bytes().startswith(b"HMSAMP2")
+    blob = path.read_bytes()
+    # magic, pad byte, a 48-byte header of six uint64, then x (N, T, 2M) from byte 64
+    assert blob[:16] == b"HMSAMP3\0" + struct.pack("<Q", 48)
+    assert struct.unpack_from("<6Q", blob, 16) == (5, 3, 4, 2, 1, 6)
+    assert blob[64:64 + 8 * 60] == samples.x.astype("<f8").tobytes()
+    assert sorted(tmp_path.iterdir()) == [path]  # the temporary file was renamed into place
     assert loaded.fips[1] == "19001"
     assert loaded.anchor[0] == np.datetime64("2020-02-03")
 
@@ -392,11 +400,51 @@ def test_sample_cache_truncation_and_trailing_bytes(tmp_path):
             load_samples(bad)
 
 
-def test_sample_cache_version_one_is_named(tmp_path):
-    path = tmp_path / "old.samples"
-    path.write_bytes(b"HMSAMP1" + bytes(4))
-    with pytest.raises(FormatError, match="HMSAMP1"):
-        load_samples(path)
+@pytest.mark.parametrize("version", [b"HMSAMP1", b"HMSAMP2"])
+def test_sample_cache_old_version_is_named(tmp_path, version):
+    path = tmp_path / "c.samples"
+    save_samples(_cache_set(2), path)
+    old = tmp_path / "old.samples"
+    old.write_bytes(version + path.read_bytes()[7:])
+    with pytest.raises(FormatError, match=f"'{version.decode()}' is not supported "
+                                          f".*HMSAMP3.*re-run ingest"):
+        load_samples(old)
+
+
+def _with_cache_header(blob: bytes, header: bytes) -> bytes:
+    """A sample cache with its 48-byte header replaced by ``header``."""
+    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[64:]
+
+
+@pytest.mark.parametrize("header, message", [
+    (struct.pack("<5Q", 2, 3, 4, 2, 1), "corrupt sample cache header \\(40 bytes\\)"),
+    (struct.pack("<7Q", 2, 3, 4, 2, 1, 5, 0), "corrupt sample cache header \\(56 bytes\\)"),
+    (struct.pack("<6Q", 3, 3, 4, 2, 1, 5), "truncated sample cache"),
+    (struct.pack("<6Q", 1, 3, 4, 2, 1, 5), "trailing bytes in sample cache"),
+    (struct.pack("<6Q", 2, 3, 4, 2, 1, 2 ** 40), "corrupt sample cache header"),
+])
+def test_corrupt_sample_cache_header_raises_format_error(tmp_path, header, message):
+    path = tmp_path / "c.samples"
+    save_samples(_cache_set(2), path)
+    bad = tmp_path / "bad.samples"
+    bad.write_bytes(_with_cache_header(path.read_bytes(), header))
+    with pytest.raises(FormatError, match=message):
+        load_samples(bad)
+
+
+def test_artifact_write_that_fails_leaves_the_old_file(tmp_path):
+    path = tmp_path / "a.bin"
+    write_artifact(path, b"TESTFMT", b"old", [np.arange(3.0)])
+
+    def columns():
+        yield np.zeros(3)
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_artifact(path, b"TESTFMT", b"new", columns())
+    header, read = read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
+    assert header == b"old"
+    np.testing.assert_array_equal(read([("<f8", (3,))])[0], np.arange(3.0))
 
 
 def test_sample_set_slicing_and_concatenation():

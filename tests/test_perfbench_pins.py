@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+import droughtcast.cli as cli
+import droughtcast.training as training
 from droughtcast.autodiff import RngState
 from droughtcast.data import SampleSet
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig
@@ -47,3 +49,34 @@ def test_trace_spans_fire_on_a_training_step_and_a_prediction():
         assert totals.get(name, {}).get("calls", 0) >= 1, name
     assert totals["autodiff.backward"]["calls"] == 1
     assert tracer.lstm_flops > 0
+
+
+def test_trace_spans_fire_on_a_cache_and_a_checkpoint_round_trip(tmp_path):
+    """The artifact functions are called through the names the CLI and
+    ``fit`` use, so each round trip fires its span."""
+    tracing = _load_tracing()
+    model = HybridModel.build(ModelConfig(input_channels=2, numeric_static_count=1,
+                                          categorical_vocab_sizes=[3], hidden_size=2,
+                                          embed_dim=2, reduced_dim=1, mlp_hidden=2),
+                              AblationConfig(), seed=0)
+    rng = RngState(1)
+    samples = SampleSet(rng.uniform(-1, 1, (3, 4, 2)), rng.uniform(-1, 1, (3, 1)),
+                        rng.integers(0, 3, (3, 1)), rng.uniform(0, 5, (3, 6)),
+                        np.array(["19001"] * 3), np.full(3, np.datetime64("2020-01-01", "D")))
+    tracer = tracing.Tracer()
+    patcher = tracing.install(tracer)
+    try:
+        cli.dp.save_samples(samples, tmp_path / "test.samples")
+        loaded = cli.dp.load_samples(tmp_path / "test.samples")
+        training.save_checkpoint(model, tmp_path / "fit.ckpt")
+        cli.save_checkpoint(model, tmp_path / "model.ckpt")
+        restored = cli.load_checkpoint(tmp_path / "model.ckpt")
+    finally:
+        patcher.restore()
+    totals = tracer.totals()
+    for name, calls in (("data.save_samples", 1), ("data.load_samples", 1),
+                        ("training.save_checkpoint", 2), ("training.load_checkpoint", 1)):
+        assert totals.get(name, {}).get("calls", 0) == calls, name
+    assert tracer.counts["data.cache_bytes"] == (tmp_path / "test.samples").stat().st_size
+    np.testing.assert_array_equal(loaded.x, samples.x)
+    np.testing.assert_array_equal(predict(restored, samples)[0], predict(model, samples)[0])

@@ -236,19 +236,40 @@ def test_checkpoint_truncation_detected(tmp_path):
 
 
 def _edit_header(blob: bytes, edit) -> bytes:
-    """A checkpoint whose config text is passed through ``edit``."""
-    start = len(b"HMCKPT2")
-    (length,) = struct.unpack_from("<I", blob, start)
-    header = edit(blob[start + 4:start + 4 + length])
-    return blob[:start] + struct.pack("<I", len(header)) + header + blob[start + 4 + length:]
+    """A checkpoint whose config text is passed through ``edit``: the magic
+    and a pad byte, the uint64 text length, the text zero-padded to 8 bytes,
+    then the parameters."""
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    header = edit(blob[16:16 + length])
+    return (blob[:8] + struct.pack("<Q", len(header)) + header + bytes(-len(header) % 8)
+            + blob[16 + length + -length % 8:])
 
 
-def test_version_1_checkpoint_names_version_and_asks_to_retrain(tmp_path):
+def test_checkpoint_layout(tmp_path):
+    model = HybridModel.build(overfit_config(), AblationConfig(), seed=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    assert blob[:8] == b"HMCKPT3\0"
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    text = blob[16:16 + length].decode()
+    assert text == training._config_text(model)
+    assert text.splitlines()[-1] == "tensors=" + ",".join(model.named_parameters())
+    start = 16 + length + -length % 8
+    assert blob[16 + length:start] == bytes(start - 16 - length)
+    assert blob[start:] == b"".join(t.data.astype("<f8").tobytes()
+                                    for t in model.named_parameters().values())
+    assert sorted(tmp_path.iterdir()) == [path]  # the temporary file was renamed into place
+
+
+@pytest.mark.parametrize("version", [b"HMCKPT1", b"HMCKPT2"])
+def test_old_checkpoint_names_version_and_asks_to_retrain(tmp_path, version):
     path = tmp_path / "model.ckpt"
     save_checkpoint(HybridModel.build(overfit_config(), AblationConfig(), seed=3), path)
     old = tmp_path / "old.ckpt"
-    old.write_bytes(b"HMCKPT1" + path.read_bytes()[len(b"HMCKPT2"):])
-    with pytest.raises(FormatError, match="'HMCKPT1' is not supported .*HMCKPT2.*retrain"):
+    old.write_bytes(version + path.read_bytes()[len(b"HMCKPT3"):])
+    with pytest.raises(FormatError, match=f"'{version.decode()}' is not supported "
+                                          f".*HMCKPT3.*retrain"):
         load_checkpoint(old)
 
 
@@ -259,6 +280,10 @@ def test_version_1_checkpoint_names_version_and_asks_to_retrain(tmp_path):
     (lambda h: h.replace(b"model.dropout=0.0\n", b""), "missing 'model.dropout'"),
     (lambda h: h.replace(b"hidden_size=12", b"hidden_size=0"), "hidden_size must be positive"),
     (lambda h: h + b"\xff", "not UTF-8"),
+    (lambda h: h.rpartition(b"\ntensors=")[0], "missing 'tensors'"),
+    (lambda h: h.replace(b"tensors=embed0.weights,", b"tensors="), "tensors .* differ"),
+    (lambda h: h.replace(b"embed0.weights,embed1.weights", b"embed1.weights,embed0.weights"),
+     "tensors .* differ"),
 ])
 def test_corrupt_checkpoint_header_raises_format_error(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
