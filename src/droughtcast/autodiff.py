@@ -4,7 +4,7 @@ random stream, the fused LSTM layer and a finite-difference gradient check.
 Each layer in :mod:`droughtcast.layers` has a forward that returns its
 output plus the cache its backward needs, and
 :meth:`droughtcast.model.HybridModel.backward` calls those backwards in
-reverse order, setting the ``grad`` of every :class:`Tensor`.
+reverse order, filling the ``grad`` of every :class:`Tensor` in place.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "pack",
     "RngState",
     "lstm_forward",
     "lstm_backward",
@@ -26,13 +27,25 @@ __all__ = [
 
 class Tensor:
     """A trainable float64 array plus the gradient of the loss with respect
-    to it, which the backward pass sets."""
+    to it, of the same shape, which the backward pass writes in place."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros(self.data.shape)
+
+
+def pack(tensors: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """``(params, grads)``: the tensors' values in order in one float64 vector,
+    and zeros; each tensor's ``data`` and ``grad`` become views of its slices."""
+    params = np.concatenate([t.data.ravel() for t in tensors.values()])
+    grads, start = np.zeros(params.size), 0
+    for t in tensors.values():
+        shape, stop = t.data.shape, start + t.data.size
+        t.data, t.grad = params[start:stop].reshape(shape), grads[start:stop].reshape(shape)
+        start = stop
+    return params, grads
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -89,12 +102,13 @@ def lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, training: bool):
     return hs[1:], ((x, w, gates, hs, cs) if training else None)
 
 
-def lstm_backward(grad: np.ndarray, cache, input_grad: bool):
+def lstm_backward(grad: np.ndarray, cache, dw: np.ndarray, db: np.ndarray,
+                  input_grad: bool) -> np.ndarray | None:
     """Backpropagation through time over the saved gate activations and
     cell states, given the gradient of every step's hidden state
-    ``(T, B, H)``.  Returns ``(dw, db, dx)``; the weight gradient is two
-    GEMMs over all ``T*B`` rows, and ``dx`` is ``None`` unless
-    ``input_grad``."""
+    ``(T, B, H)``.  Writes the weight gradient into ``dw``, as two GEMMs
+    over all ``T*B`` rows (its input rows, then its recurrent rows), and
+    the bias gradient into ``db``; returns ``dx`` if ``input_grad``."""
     x, w, gates, hs, cs = cache
     steps, batch, n_in = x.shape
     hidden = hs.shape[2]
@@ -120,10 +134,10 @@ def lstm_backward(grad: np.ndarray, cache, input_grad: bool):
         dc *= a[:, f_]
         dh = d @ w_h.T
     dz = dz.reshape(steps * batch, 4 * hidden)
-    dw = np.concatenate([x.reshape(steps * batch, n_in).T @ dz,
-                         hs[:-1].reshape(steps * batch, hidden).T @ dz])
-    dx = (dz @ w_x.T).reshape(x.shape) if input_grad else None
-    return dw, dz.sum(axis=0), dx
+    np.matmul(x.reshape(steps * batch, n_in).T, dz, out=dw[:n_in])
+    np.matmul(hs[:-1].reshape(steps * batch, hidden).T, dz, out=dw[n_in:])
+    dz.sum(axis=0, out=db)
+    return (dz @ w_x.T).reshape(x.shape) if input_grad else None
 
 
 class RngState:
@@ -185,7 +199,7 @@ def grad_check(f, params: dict[str, Tensor], step: float = 1e-5,
                tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients to central differences.
 
-    ``f`` takes no arguments, runs a forward and a backward pass that set
+    ``f`` takes no arguments, runs a forward and a backward pass that write
     the ``grad`` of every tensor in ``params``, and returns the scalar loss.
     It must be deterministic across calls (dropout disabled or its mask
     frozen).

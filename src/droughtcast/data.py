@@ -130,15 +130,19 @@ _ARTIFACT_PREFIX = struct.Struct("<7sxQ")  # magic, a pad byte, the header lengt
 def write_artifact(path, magic: bytes, header: bytes, arrays) -> None:
     """Binary artifact: the 7-byte ``magic``, a pad byte, the uint64 header
     length, the ``header`` zero-padded to 8 bytes, then the bytes of each
-    array in C order, which the caller gives the dtype it will read.  The
-    file is written under a temporary name and renamed into place."""
+    array in C order, which the caller gives the dtype it will read, written
+    to a temporary file that is renamed into place, or removed on failure."""
     tmp = Path(f"{path}.tmp")
-    with tmp.open("wb") as fh:
-        fh.write(_ARTIFACT_PREFIX.pack(magic, len(header)))
-        fh.write(header + bytes(-len(header) % 8))
-        for array in arrays:
-            fh.write(np.ascontiguousarray(array))
-    tmp.replace(path)
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_ARTIFACT_PREFIX.pack(magic, len(header)))
+            fh.write(header + bytes(-len(header) % 8))
+            for array in arrays:
+                fh.write(np.ascontiguousarray(array))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_artifact(path, magic: bytes, what: str, remedy: str):
@@ -321,23 +325,19 @@ def load_timeseries(path, max_gap_days: int = 14,
     counties: dict[str, tuple[date, np.ndarray, np.ndarray]] = {}  # first day, (P, M), (P,)
     for fips, entries in rows.items():
         entries.sort(key=lambda e: e[0])
-        dates = [e[0] for e in entries]
-        for prev, cur in zip(dates, dates[1:]):
-            if cur == prev:
-                raise DataError(f"county {fips}: duplicate date {cur}")
-            if (cur - prev).days != 1:
-                raise DataError(f"county {fips}: gap between {prev} and {cur}")
+        for prev, cur in zip(entries, entries[1:]):
+            if (cur[0] - prev[0]).days != 1:
+                what = "duplicate date" if cur[0] == prev[0] else f"gap between {prev[0]} and"
+                raise DataError(f"{path}: line {cur[3]}: county {fips}: {what} {cur[0]}")
 
         try:
             raw = np.array([[float(cell) if cell else np.nan for cell in cells]
                             for _, cells, _, _ in entries], dtype=np.float64)
-        except ValueError:
-            for _, cells, _, line in entries:  # find and name the bad cell
-                for cell, name in zip(cells, channel_names):
-                    if cell:
-                        _cell_float(cell, path, line, name)
-            raise
-        for r, c in zip(*np.nonzero(~np.isfinite(raw))):  # only an empty cell is missing
+        except ValueError:  # a cell is not a number: the scan of every cell names it
+            suspects = np.ndindex(len(entries), len(channel_names))
+        else:
+            suspects = zip(*np.nonzero(~np.isfinite(raw)))
+        for r, c in suspects:  # only an empty cell is missing
             _, cells, _, line = entries[r]
             if cells[c]:
                 _cell_float(cells[c], path, line, channel_names[c])
@@ -347,7 +347,8 @@ def load_timeseries(path, max_gap_days: int = 14,
             if score_text != "":
                 score = _cell_float(score_text, path, line, "score")
                 if not SCORE_MIN <= score <= SCORE_MAX:
-                    raise DataError(f"county {fips}: score {score} outside [0, 5] at {day}")
+                    raise DataError(f"{path}: line {line}: county {fips}: score {score} "
+                                    f"outside [0, 5] at {day}")
                 scores[r] = score
 
         try:
@@ -357,7 +358,7 @@ def load_timeseries(path, max_gap_days: int = 14,
             if report is not None:
                 report.append(f"dropped county {fips}: {exc}")
             continue
-        counties[fips] = (dates[0], raw, scores)
+        counties[fips] = (entries[0][0], raw, scores)
 
     if not counties:
         raise DataError(f"{path}: no usable counties")

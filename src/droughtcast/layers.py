@@ -2,12 +2,13 @@
 LSTM, and scalar-score attention pooling over hidden states.
 
 Each layer's forward returns its output together with a cache, and its
-``backward`` takes the gradient of that output plus the cache, sets the
-``grad`` of the layer's parameters and returns the gradient of its input.
-Seeded training is reproducible bit for bit, and BLAS rounds the same
-product differently for different operand layouts, so the layouts here are
-fixed: a contiguous copy of ``W.T`` in the affine forward, ``(x.T @ g).T``
-for its weight gradient, and ``np.add.at`` for embedding rows.
+``backward`` takes the gradient of that output plus the cache, fills the
+``grad`` of the layer's parameters in place and returns the gradient of
+its input.  Seeded training is reproducible bit for bit, and BLAS rounds
+the same product differently for different operand layouts, so the
+layouts here are fixed: a contiguous copy of ``W.T`` in the affine
+forward, ``(x.T @ g).T`` for its weight gradient, and ``np.add.at`` for
+embedding rows.
 
 All parameters are initialized uniformly in ``±sqrt(1/fan_in)`` from the
 run seed, which keeps initial activations bounded without any assumptions
@@ -57,7 +58,7 @@ class EmbeddingTable:
     def backward(self, grad: np.ndarray, codes: np.ndarray) -> None:
         """Gradient of the rows :func:`embed` took for ``codes``: a code
         taken twice receives both rows' gradients."""
-        self.weights.grad = np.zeros_like(self.weights.data)
+        self.weights.grad[...] = 0.0
         np.add.at(self.weights.grad, codes, grad)
 
 
@@ -93,8 +94,8 @@ class AffineLayer:
         x, w_t, out = cache
         if self.relu:
             grad = grad * (out > 0.0)
-        self.bias.grad = grad.sum(axis=0)
-        self.weight.grad = (x.T @ grad).T
+        self.bias.grad[...] = grad.sum(axis=0)
+        self.weight.grad[...] = (x.T @ grad).T
         return grad @ w_t.T
 
     def parameters(self) -> dict[str, Tensor]:
@@ -144,23 +145,19 @@ class LstmStack:
         return cls(num_layers, input_size, hidden_size, layers, dropout_p)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.parameters().items():
-                out[f"layer{i}.{name}"] = t
-        return out
+        return {f"layer{i}.{name}": t for i, layer in enumerate(self.layers)
+                for name, t in layer.parameters().items()}
 
     def backward(self, grad: np.ndarray, cache: list) -> None:
         """Parameter gradients from the gradient of :func:`lstm_states`'
         output ``(B, T, h)``.  Consumes ``cache`` top layer first, so each
         layer's activations are freed once its backward is done."""
         grad = grad.transpose(1, 0, 2)
-        for li in range(self.num_layers - 1, -1, -1):
+        for li, layer in reversed(list(enumerate(self.layers))):
             layer_cache, mask = cache.pop()
             if mask is not None:
                 grad = grad * mask
-            layer = self.layers[li]
-            layer.w.grad, layer.b.grad, grad = lstm_backward(grad, layer_cache, li > 0)
+            grad = lstm_backward(grad, layer_cache, layer.w.grad, layer.b.grad, li > 0)
 
 
 def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
@@ -255,8 +252,5 @@ class Mlp:
         return grad
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.parameters().items():
-                out[f"layer{i}.{name}"] = t
-        return out
+        return {f"layer{i}.{name}": t for i, layer in enumerate(self.layers)
+                for name, t in layer.parameters().items()}

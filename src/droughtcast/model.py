@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import RngState, Tensor
+from .autodiff import RngState, Tensor, pack
 from .data import SampleSet
 from .errors import ConfigError, DataError
 from .layers import (
@@ -114,7 +114,8 @@ class BatchOutput:
 
 
 class HybridModel:
-    """Heterogeneous-input forecaster with switchable paths."""
+    """Heterogeneous-input forecaster with switchable paths; each parameter's
+    ``data`` and ``grad`` are views into the vectors ``params`` and ``grads``."""
 
     def __init__(self, config: ModelConfig, ablation: AblationConfig, seed: int):
         self.config = config
@@ -150,6 +151,7 @@ class HybridModel:
 
         self.mlp = Mlp.init(self.fused_width(), config.mlp_hidden, FORECAST_WEEKS,
                             config.mlp_layers, rng.split("mlp"))
+        self.params, self.grads = pack(self.named_parameters())
 
     @classmethod
     def build(cls, config: ModelConfig, ablation: AblationConfig, seed: int) -> "HybridModel":
@@ -168,20 +170,11 @@ class HybridModel:
         return width
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for i, table in enumerate(self.embeddings):
-            params[f"embed{i}.weights"] = table.weights
-        if self.reducer is not None:
-            for name, t in self.reducer.parameters().items():
-                params[f"reducer.{name}"] = t
-        if self.lstm is not None:
-            for name, t in self.lstm.parameters().items():
-                params[f"lstm.{name}"] = t
-        if self.attention is not None:
-            for name, t in self.attention.parameters().items():
-                params[f"attention.{name}"] = t
-        for name, t in self.mlp.parameters().items():
-            params[f"mlp.{name}"] = t
+        params = {f"embed{i}.weights": table.weights for i, table in enumerate(self.embeddings)}
+        for prefix, part in (("reducer", self.reducer), ("lstm", self.lstm),
+                             ("attention", self.attention), ("mlp", self.mlp)):
+            if part is not None:
+                params.update((f"{prefix}.{name}", t) for name, t in part.parameters().items())
         return params
 
     def _mismatch(self, what: str) -> DataError:
@@ -254,8 +247,8 @@ class HybridModel:
         return BatchOutput(predictions, alpha, cache if training else None)
 
     def backward(self, out: BatchOutput, grad: np.ndarray) -> None:
-        """Set every parameter's ``grad`` from ``grad``, the loss gradient
-        with respect to the predictions of the training forward ``out``.
+        """Fill :attr:`grads` from ``grad``, the loss gradient with respect to
+        the predictions of the training forward ``out``.
 
         Each parameter is used once per forward, so each gradient follows
         one chain of layer backwards.  Only the top LSTM states have more

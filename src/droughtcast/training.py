@@ -6,7 +6,7 @@ learning-rate schedule, seeded mini-batching, and binary checkpoints.
 model was not built for is a ``DataError`` before any parameter moves.
 Each training step runs the model's forward in training mode, the loss,
 which returns its value and its gradient with respect to the predictions,
-then :meth:`HybridModel.backward`, which sets every parameter's ``grad``
+then :meth:`HybridModel.backward`, which writes the model's gradient vector
 for the AdamW update.  Inference runs the forward in eval mode, which
 keeps no caches for a backward pass.
 
@@ -15,20 +15,20 @@ A checkpoint is a :func:`~droughtcast.data.write_artifact` file with magic
 ``ablation.<field>=`` line per field of ``ModelConfig`` and
 ``AblationConfig``, then ``seed=``, then ``tensors=`` and the parameter
 names, comma-separated, in :meth:`HybridModel.named_parameters` order.  The
-arrays are those parameters as little-endian float64, with the shapes the
-configs imply.
+one array is the model's parameter vector (those parameters in that order)
+as little-endian float64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .autodiff import RngState, Tensor
+from .autodiff import RngState
 from .config import format_value, parse_as
 from .data import SampleSet, csv_text, read_artifact, write_artifact
 from .errors import ConfigError, DataError, FormatError, NumericError
@@ -44,29 +44,37 @@ ADAM_EPS = 1e-8
 class OptimizerState:
     weight_decay: float = 0.01
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # first and second moments, per parameter vector entry
+    v: np.ndarray | None = None
 
 
-def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float) -> None:
-    """One decoupled-weight-decay Adam update over all parameters.
-
-    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
-    """
+def adamw_step(model: HybridModel, state: OptimizerState, lr: float) -> None:
+    """One decoupled-weight-decay Adam step on ``model.params``, in place,
+    with at most two vector-sized temporaries: theta <- theta - lr * (m_hat
+    / (sqrt(v_hat) + eps) + wd * theta).  A non-finite ``model.grads`` entry
+    raises ``NumericError``, naming its parameter, before anything moves."""
+    theta, g = model.params, model.grads
+    if not np.isfinite(g).all():
+        first = int(np.flatnonzero(~np.isfinite(g))[0])
+        name = next(name for name, t in model.named_parameters().items()
+                    if np.may_share_memory(t.grad, g[first:first + 1]))
+        raise NumericError(f"non-finite gradient for parameter {name!r}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     state.step_count += 1
-    t = state.step_count
-    for name, p in params.items():
-        g = p.grad
-        if np.isnan(g).any() or np.isinf(g).any():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1 - ADAM_BETA1 ** t)
-        v_hat = state.v[name] / (1 - ADAM_BETA2 ** t)
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * p.data)
+    m, v, t = state.m, state.v, state.step_count
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    step = m / (1 - ADAM_BETA1 ** t)  # m_hat
+    root = v / (1 - ADAM_BETA2 ** t)  # v_hat
+    np.sqrt(root, out=root)
+    root += ADAM_EPS
+    step /= root
+    step += np.multiply(state.weight_decay, theta, out=root)
+    step *= lr
+    theta -= step
 
 
 @dataclass
@@ -182,7 +190,7 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
     root = RngState(run.seed)
     history: list[HistoryRow] = []
     best_mae = float("inf")
-    best_params: dict[str, np.ndarray] | None = None
+    best_params: np.ndarray | None = None
     ckpt_dir = Path(run.checkpoint_dir) if run.checkpoint_dir else None
     if ckpt_dir:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -198,12 +206,9 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
             out = model.forward(batch, training=True, rng=rng)
             value, grad = loss_fn(out.predictions, batch.y)
             if not np.isfinite(value):
-                if ckpt_dir and best_params is not None:
-                    _restore(model, best_params)
-                    save_checkpoint(model, ckpt_dir / "best.ckpt")
                 raise NumericError(f"training diverged at epoch {epoch}, batch {bi}")
             backward(model, out, grad)
-            adamw_step(model.named_parameters(), state, schedule.lr_at(global_step))
+            adamw_step(model, state, schedule.lr_at(global_step))
             epoch_loss += value * len(batch.y)
             seen += len(batch.y)
             global_step += 1
@@ -213,20 +218,15 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
                                   epoch_loss / seen, val_mae))
         if val_samples and val_mae < best_mae:
             best_mae = val_mae
-            best_params = {k: t.data.copy() for k, t in model.named_parameters().items()}
+            best_params = model.params.copy()
             if ckpt_dir:
                 save_checkpoint(model, ckpt_dir / "best.ckpt")
 
     if ckpt_dir:
         save_checkpoint(model, ckpt_dir / "final.ckpt")
     if run.selection == "best" and best_params is not None:
-        _restore(model, best_params)
+        np.copyto(model.params, best_params)
     return model, history
-
-
-def _restore(model: HybridModel, params: dict[str, np.ndarray]) -> None:
-    for name, t in model.named_parameters().items():
-        t.data[...] = params[name]
 
 
 _CKPT_MAGIC = b"HMCKPT3"
@@ -269,9 +269,9 @@ def _parse_config_text(blob: bytes) -> tuple[ModelConfig, AblationConfig, int, l
 
 
 def save_checkpoint(model: HybridModel, path) -> None:
-    """Configs and parameters as one atomic :func:`write_artifact`."""
+    """Configs and the parameter vector as one atomic :func:`write_artifact`."""
     write_artifact(path, _CKPT_MAGIC, _config_text(model).encode(),
-                   (np.asarray(t.data, "<f8") for t in model.named_parameters().values()))
+                   [np.asarray(model.params, "<f8")])
 
 
 def load_checkpoint(path) -> HybridModel:
@@ -282,11 +282,8 @@ def load_checkpoint(path) -> HybridModel:
     except (ConfigError, FormatError) as exc:
         raise FormatError(f"{path}: checkpoint config: {exc}") from None
     model.source = f"checkpoint {path}"
-    params = model.named_parameters()
-    if names != list(params):
-        raise FormatError(f"{path}: checkpoint tensors {names} differ from the model's "
-                          f"{list(params)}")
-    for t, payload in zip(params.values(),
-                          read([("<f8", t.data.shape) for t in params.values()])):
-        t.data[...] = payload
+    tensors = list(model.named_parameters())
+    if names != tensors:
+        raise FormatError(f"{path}: checkpoint tensors {names} differ from the model's {tensors}")
+    np.copyto(model.params, read([("<f8", model.params.shape)])[0])
     return model

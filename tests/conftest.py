@@ -4,6 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from droughtcast.autodiff import pack
 from droughtcast.data import DailySeries, Normalizer, StaticTable
 
 
@@ -30,6 +31,19 @@ def scored_days(series):
 def statics_fixture(fips="19001", numeric=(100.0, 3.0), codes=(1, 2)):
     return StaticTable(np.array([fips]), [f"static{i}" for i in range(len(numeric))],
                        np.array([numeric], dtype=float), np.array([codes], dtype=np.int64))
+
+
+class Packed:
+    """Named tensors packed into one parameter vector and one gradient
+    vector the way ``HybridModel`` packs its own: a stand-in model for
+    ``adamw_step``."""
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+        self.params, self.grads = pack(tensors)
+
+    def named_parameters(self):
+        return self.tensors
 
 
 def attend_reference(head, hidden):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    Packed,
     attend_reference,
     claim_consistent,
     row_perplexity,
@@ -362,24 +363,26 @@ def test_criterion_10_determinism(tmp_path):
 def test_criterion_11_optimizer_identities():
     start = np.array([2.0, -1.5])
     p = Tensor(start.copy())
+    model = Packed({"p": p})
     state = OptimizerState(weight_decay=0.01)
     expected = start.copy()
     n = 40
     for _ in range(n):
-        p.grad = np.zeros(2)
-        adamw_step({"p": p}, state, lr=0.05)
+        p.grad[...] = np.zeros(2)
+        adamw_step(model, state, lr=0.05)
         expected = expected - 0.05 * (0.01 * expected)
     decay_exact = np.array_equal(p.data, expected) and np.allclose(
         p.data, start * (1 - 0.05 * 0.01) ** n, rtol=1e-12
     )
 
     q = Tensor(np.array([1.0]))
+    q_model = Packed({"q": q})
     q_state = OptimizerState(weight_decay=0.0)
     theta, m, v = 1.0, 0.0, 0.0
     recurrence_ok = True
     for t in range(1, 4):
-        q.grad = np.ones(1)
-        adamw_step({"q": q}, q_state, lr=0.1)
+        q.grad[...] = np.ones(1)
+        adamw_step(q_model, q_state, lr=0.1)
         m = 0.9 * m + 0.1 * 1.0
         v = 0.999 * v + 0.001 * 1.0
         theta -= 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)

@@ -1,3 +1,4 @@
+import re
 import struct
 from datetime import date, timedelta
 
@@ -58,7 +59,8 @@ def test_load_timeseries_duplicate_date(tmp_path):
         ("19001", "2020-01-01", (1.0, 2.0), ""),
     ]
     p = write_timeseries_csv(tmp_path / "dup.csv", rows)
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=re.escape(
+            f"{p}: line 3: county 19001: duplicate date 2020-01-01")):
         load_timeseries(p)
 
 
@@ -68,7 +70,8 @@ def test_load_timeseries_gapped_dates(tmp_path):
         ("19001", "2020-01-03", (1.0, 2.0), ""),
     ]
     p = write_timeseries_csv(tmp_path / "gap.csv", rows)
-    with pytest.raises(DataError, match="gap"):
+    with pytest.raises(DataError, match=re.escape(
+            f"{p}: line 3: county 19001: gap between 2020-01-01 and 2020-01-03")):
         load_timeseries(p)
 
 
@@ -98,9 +101,10 @@ def test_load_timeseries_drops_long_gap_county(tmp_path):
 
 
 def test_load_timeseries_score_range_guard(tmp_path):
-    rows = [("19001", "2020-01-01", (1.0, 1.0), "5.5")]
+    rows = [("19001", "2020-01-01", (1.0, 1.0), ""), ("19001", "2020-01-02", (1.0, 1.0), "5.5")]
     p = write_timeseries_csv(tmp_path / "range.csv", rows)
-    with pytest.raises(DataError, match="outside"):
+    with pytest.raises(DataError, match=re.escape(
+            f"{p}: line 3: county 19001: score 5.5 outside [0, 5] at 2020-01-02")):
         load_timeseries(p)
 
 
@@ -442,6 +446,7 @@ def test_artifact_write_that_fails_leaves_the_old_file(tmp_path):
 
     with pytest.raises(OSError, match="disk full"):
         write_artifact(path, b"TESTFMT", b"new", columns())
+    assert sorted(tmp_path.iterdir()) == [path]  # the temporary file is gone
     header, read = read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
     assert header == b"old"
     np.testing.assert_array_equal(read([("<f8", (3,))])[0], np.arange(3.0))

@@ -15,7 +15,7 @@ from droughtcast.autodiff import RngState
 from droughtcast.cli import ABLATION_SETTINGS
 from droughtcast.data import SampleSet
 from droughtcast.model import HybridModel, ModelConfig
-from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict
+from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict, save_checkpoint
 
 CONFIG = ModelConfig(
     input_channels=4, numeric_static_count=3, categorical_vocab_sizes=[3, 4],
@@ -112,3 +112,19 @@ def test_predict_is_bit_identical_to_the_recorded_run(steps):
     predictions, attention = predict(model, _samples(259, seed=4, steps=steps))
     assert _digest([("predictions", predictions), ("attention", attention)]) \
         == PREDICT_GOLDEN[steps]
+
+
+# sha256 of the checkpoint file of the model with every path on after three
+# epochs of three mse steps; the second epoch has the best validation MAE, so
+# the file holds the parameters restored from it
+CHECKPOINT_GOLDEN = "d93d3ff481a9f14a93380f1baa1457d488cce64fdd5455eee955b9e7d6bb7969"
+
+
+def test_checkpoint_file_is_bit_identical_to_the_recorded_run(tmp_path):
+    model = HybridModel.build(CONFIG, ABLATION_SETTINGS[0], seed=3)
+    fit(model, _samples(12, seed=1), _samples(5, seed=2),
+        TrainRunConfig(batch_size=4, epochs=3, seed=10),
+        LrSchedule(base_lr=1e-3, max_lr=0.1, cycle_length=4))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_GOLDEN

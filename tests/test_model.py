@@ -237,6 +237,37 @@ def test_gradients_through_every_ablation_and_dropout_mask(ablation):
     assert report.ok, report.failures
 
 
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("ablation", ABLATION_SETTINGS, ids=lambda a: a.label())
+def test_parameters_and_gradients_are_views_that_tile_two_vectors(ablation):
+    """Each parameter's ``data`` and ``grad`` are C-contiguous views into
+    ``params`` and ``grads``, at rising offsets in ``named_parameters``
+    order with no gap or overlap, before and after a backward pass (which
+    writes into the views instead of rebinding them)."""
+    model = HybridModel.build(tiny_config(), ablation, seed=0)
+
+    def assert_tiled(when):
+        for vector, attr in ((model.params, "data"), (model.grads, "grad")):
+            assert vector.dtype == np.float64 and vector.ndim == 1, when
+            offset = 0
+            for name, t in model.named_parameters().items():
+                view = getattr(t, attr)
+                assert view.flags.c_contiguous, (when, name, attr)
+                assert np.shares_memory(view, vector), (when, name, attr)
+                assert _address(view) - _address(vector) == 8 * offset, (when, name, attr)
+                offset += view.size
+            assert offset == vector.size, (when, attr)
+
+    assert_tiled("built")
+    batch = tiny_batch(b=2, t=4, seed=1)
+    out = model.forward(batch, training=True, rng=RngState(2))
+    model.backward(out, mse_loss(out.predictions, batch.y)[1])
+    assert_tiled("after backward")
+
+
 def test_backward_releases_the_training_cache():
     model = HybridModel.build(tiny_config(), AblationConfig(), seed=9)
     batch = tiny_batch(b=2, t=4, seed=10)
@@ -246,7 +277,7 @@ def test_backward_releases_the_training_cache():
     model.backward(out, grad)
     assert out.cache is None
     assert lstm_cache == []  # each layer's activations were popped as its backward ran
-    assert all(t.grad is not None for t in model.named_parameters().values())
+    assert model.grads.any()  # the backward wrote the gradient vector
 
 
 def test_eval_callers_keep_no_cache(monkeypatch):

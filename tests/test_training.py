@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import Packed
 from droughtcast import training
 from droughtcast.autodiff import RngState, Tensor
 from droughtcast.data import SampleSet
@@ -54,29 +55,32 @@ def overfit_config(**overrides):
 
 def test_adamw_zero_gradient_no_decay_is_identity():
     p = Tensor(np.array([1.0, -2.0]))
-    p.grad = np.zeros(2)
+    model = Packed({"p": p})
+    p.grad[...] = np.zeros(2)
     state = OptimizerState(weight_decay=0.0)
-    adamw_step({"p": p}, state, lr=0.1)
+    adamw_step(model, state, lr=0.1)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 
 def test_adamw_decoupled_decay_identity():
     p = Tensor(np.array([1.0, -2.0]))
-    p.grad = np.zeros(2)
+    model = Packed({"p": p})
+    p.grad[...] = np.zeros(2)
     state = OptimizerState(weight_decay=0.01)
-    adamw_step({"p": p}, state, lr=0.1)
+    adamw_step(model, state, lr=0.1)
     np.testing.assert_array_equal(p.data, np.array([1.0, -2.0]) * (1 - 0.001))
 
 
 def test_adamw_decay_compounds_exactly():
     start = np.array([3.0])
     p = Tensor(start.copy())
+    model = Packed({"p": p})
     state = OptimizerState(weight_decay=0.01)
     n = 25
     expected = start.copy()
     for _ in range(n):
-        p.grad = np.zeros(1)
-        adamw_step({"p": p}, state, lr=0.05)
+        p.grad[...] = np.zeros(1)
+        adamw_step(model, state, lr=0.05)
         expected = expected - 0.05 * (0.01 * expected)
     # zero gradients leave the adaptive term exactly zero, so the update is
     # bit-identical to the bare decay recurrence
@@ -86,13 +90,14 @@ def test_adamw_decay_compounds_exactly():
 
 def test_adamw_matches_hand_rolled_recurrence():
     p = Tensor(np.array([1.0]))
+    model = Packed({"p": p})
     state = OptimizerState(weight_decay=0.0)
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
 
     theta, m, v = 1.0, 0.0, 0.0
     for t in range(1, 4):
-        p.grad = np.ones(1)
-        adamw_step({"p": p}, state, lr=lr)
+        p.grad[...] = np.ones(1)
+        adamw_step(model, state, lr=lr)
         m = b1 * m + (1 - b1) * 1.0
         v = b2 * v + (1 - b2) * 1.0
         theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -101,16 +106,37 @@ def test_adamw_matches_hand_rolled_recurrence():
 
 def test_adamw_zero_lr_is_identity():
     p = Tensor(np.array([1.0]))
-    p.grad = np.array([5.0])
-    adamw_step({"p": p}, OptimizerState(), lr=0.0)
+    model = Packed({"p": p})
+    p.grad[...] = np.array([5.0])
+    adamw_step(model, OptimizerState(), lr=0.0)
     np.testing.assert_array_equal(p.data, [1.0])
 
 
 def test_adamw_nan_gradient_names_parameter():
     p = Tensor(np.array([1.0]))
-    p.grad = np.array([np.nan])
+    model = Packed({"lstm.w": p})
+    p.grad[...] = np.array([np.nan])
     with pytest.raises(NumericError, match="lstm.w"):
-        adamw_step({"lstm.w": p}, OptimizerState(), lr=0.1)
+        adamw_step(model, OptimizerState(), lr=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adamw_non_finite_last_gradient_moves_nothing(bad):
+    """The whole gradient is checked before any update: a bad entry in the
+    last parameter leaves the first one, both moments and the step count
+    as they were, after a good step has made them non-trivial."""
+    a, b = Tensor(np.array([1.0, -2.0])), Tensor(np.array([[0.5], [3.0]]))
+    model = Packed({"a": a, "b": b})
+    state = OptimizerState(weight_decay=0.01)
+    model.grads[...] = [0.3, -0.1, 0.2, 0.4]
+    adamw_step(model, state, lr=0.1)
+    before = model.params.copy(), state.m.copy(), state.v.copy()
+    b.grad[1, 0] = bad
+    with pytest.raises(NumericError, match="'b'"):
+        adamw_step(model, state, lr=0.1)
+    for array, expected in zip((model.params, state.m, state.v), before):
+        np.testing.assert_array_equal(array, expected)
+    assert state.step_count == 1
 
 
 def test_lr_schedule_shape():
@@ -257,8 +283,9 @@ def test_checkpoint_layout(tmp_path):
     assert text.splitlines()[-1] == "tensors=" + ",".join(model.named_parameters())
     start = 16 + length + -length % 8
     assert blob[16 + length:start] == bytes(start - 16 - length)
-    assert blob[start:] == b"".join(t.data.astype("<f8").tobytes()
-                                    for t in model.named_parameters().values())
+    # the parameter vector, which is every parameter in header order
+    assert blob[start:] == model.params.astype("<f8").tobytes() == b"".join(
+        t.data.astype("<f8").tobytes() for t in model.named_parameters().values())
     assert sorted(tmp_path.iterdir()) == [path]  # the temporary file was renamed into place
 
 
