@@ -6,8 +6,8 @@ in ``<out>/<command>/`` (``--out``, default ``runs``) with the resolved
 configuration echoed alongside them, and each later command reads what
 the earlier ones wrote under the same ``<out>``.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-error.
+Exit codes: 0 success, 2 configuration error, 3 data error (an input or
+output file that cannot be read or written included), 4 numeric error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateTestError,
-    IoError,
     NumericError,
     SchemaError,
 )
@@ -329,13 +328,12 @@ def cmd_introspect(cfg: RunConfig) -> int:
     if not test:
         raise DataError("no test samples in the ingest cache")
 
-    categorical = cfg.get_list("data", "categorical_columns")
     encoder = dp.CategoricalEncoder.load(_ingest_file(ingest, "categories.csv"))
     color = cfg.get("introspect", "color_column") or None
     if color is not None and color not in encoder.columns:
         raise ConfigError(f"[introspect] color_column {color!r} is not a categorical column; "
                           f"choose one of {', '.join(encoder.columns) or '(none)'}")
-    statics, _ = dp.load_statics(_require_file(cfg, "data", "statics"), categorical,
+    statics, _ = dp.load_statics(_require_file(cfg, "data", "statics"), encoder.columns,
                                  encoder=encoder)
 
     profile = collect_attention(model, test)
@@ -406,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, IoError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -155,11 +155,15 @@ def load_config(path: str | None = None,
     config = default_config()
     if path:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        parser = configparser.ConfigParser()
         try:
-            parser.read(path)
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
         for section in parser.sections():

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -209,50 +210,59 @@ def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[st
 
 @dataclass
 class CategoricalEncoder:
-    """Label <-> dense-code maps for the configured categorical columns."""
+    """The label dictionary: ``labels[column][code - 1]`` is the label of
+    ``code``, so a column's codes are 1..n in order; code 0 stands for a
+    label unseen at fit time."""
 
-    columns: list[str]
-    label_to_code: dict[str, dict[str, int]]
+    labels: dict[str, list[str]]
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.labels)
 
     @property
     def vocab_sizes(self) -> list[int]:
-        return [len(self.label_to_code[c]) + 1 for c in self.columns]
+        return [len(labels) + 1 for labels in self.labels.values()]
 
-    def encode(self, column: str, label: str) -> int:
-        return self.label_to_code[column].get(label, 0)
+    def encode(self, column: str, labels) -> np.ndarray:
+        """int64 codes of a sequence of ``column`` labels; 0 for an unseen label."""
+        code = {label: i for i, label in enumerate(self.labels[column], start=1)}
+        return np.array([code.get(label, 0) for label in labels], dtype=np.int64)
 
     def decode(self, column: str, code: int) -> str:
-        if code == 0:
-            return "<unknown>"
-        for label, c in self.label_to_code[column].items():
-            if c == code:
-                return label
-        raise DataError(f"code {code} not present in column {column!r}")
+        labels = self.labels[column]
+        if not 0 <= code <= len(labels):
+            raise DataError(f"code {code} not present in column {column!r}")
+        return labels[code - 1] if code else "<unknown>"
 
     def save(self, path) -> None:
-        rows = [["column", "label", "code"]]
-        for column in self.columns:
-            for label, code in sorted(self.label_to_code[column].items(), key=lambda kv: kv[1]):
-                rows.append([column, label, str(code)])
-        write_csv(path, rows)
+        write_csv(path, [["column", "label", "code"]]
+                  + [[column, label, str(code)] for column, labels in self.labels.items()
+                     for code, label in enumerate(labels, start=1)])
 
     @classmethod
     def load(cls, path) -> "CategoricalEncoder":
         rows = _csv_rows(Path(path), FormatError)
         if next(rows)[1] != ["column", "label", "code"]:
             raise FormatError(f"{path}: not a categorical dictionary file")
-        mapping: dict[str, dict[str, int]] = {}
-        for _, (column, label, code) in rows:
-            try:
-                mapping.setdefault(column, {})[label] = int(code)
-            except ValueError:
-                raise FormatError(f"{path}: code {code!r} of {column}={label!r} "
-                                  f"is not an integer") from None
-        return cls(list(mapping), mapping)
+        codes: dict[str, dict[str, int]] = {}
+        for line, (column, label, code) in rows:
+            known = codes.setdefault(column, {})
+            if label in known:
+                raise FormatError(f"{path}: line {line}: label {label!r} repeats in "
+                                  f"column {column!r}")
+            if code != str(len(known) + 1):
+                raise FormatError(f"{path}: line {line}: code {code!r} of {column}={label!r} "
+                                  f"is not {len(known) + 1}, the next code of the column")
+            known[label] = len(known) + 1
+        return cls({column: list(known) for column, known in codes.items()})
 
 
 def _parse_date(text: str, path: Path, line: int) -> date:
+    # the shape comes first: from Python 3.11 fromisoformat also reads 20150101 and 2015-W01-4
     try:
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+            raise ValueError("not a YYYY-MM-DD date")
         return date.fromisoformat(text)
     except ValueError as exc:
         raise SchemaError(f"{path}: line {line}, column 'date': {text!r}: {exc}") from None
@@ -317,10 +327,13 @@ def load_timeseries(path, max_gap_days: int = 14,
         raise SchemaError(f"{path}: no measurement channels")
 
     rows: dict[str, list[tuple[date, list[str], str, int]]] = {}
+    days: dict[str, date] = {}  # each distinct date cell is parsed once
     for line, row in lines:
+        text = row[date_col]
+        if text not in days:
+            days[text] = _parse_date(text, path, line)
         rows.setdefault(row[fips_col], []).append(
-            (_parse_date(row[date_col], path, line), [row[i] for i in channel_cols],
-             row[score_col], line))
+            (days[text], [row[i] for i in channel_cols], row[score_col], line))
 
     counties: dict[str, tuple[date, np.ndarray, np.ndarray]] = {}  # first day, (P, M), (P,)
     for fips, entries in rows.items():
@@ -390,11 +403,8 @@ def load_statics(path, categorical_columns: list[str],
     num_cols = [header.index(c) for c in num_names]
 
     if encoder is None:
-        label_to_code: dict[str, dict[str, int]] = {}
-        for name, col in zip(categorical_columns, cat_cols):
-            labels = sorted({row[col] for _, row in rows})
-            label_to_code[name] = {label: i + 1 for i, label in enumerate(labels)}
-        encoder = CategoricalEncoder(list(categorical_columns), label_to_code)
+        encoder = CategoricalEncoder({name: sorted({row[col] for _, row in rows})
+                                      for name, col in zip(categorical_columns, cat_cols)})
     elif list(categorical_columns) != encoder.columns:
         raise ConfigError(
             f"categorical columns {list(categorical_columns)} do not match the "
@@ -403,20 +413,17 @@ def load_statics(path, categorical_columns: list[str],
     if not rows:
         raise DataError(f"{path}: no static rows")
 
-    seen: set[str] = set()
-    numeric, codes = [], []
-    for line, row in rows:
-        if row[fips_col] in seen:
-            raise DataError(f"duplicate statics row for county {row[fips_col]}")
-        seen.add(row[fips_col])
-        numeric.append([_cell_float(row[i], path, line, header[i]) for i in num_cols])
-        codes.append([encoder.encode(name, row[col])
-                      for name, col in zip(categorical_columns, cat_cols)])
     fips = np.array([row[fips_col] for _, row in rows])
-    order = np.argsort(fips)
-    table = StaticTable(fips[order], num_names,
-                        np.array(numeric, dtype=np.float64)[order],
-                        np.array(codes, dtype=np.int64)[order])
+    unique, order = np.unique(fips, return_index=True)  # each county's first row
+    if unique.size < fips.size:
+        r = np.setdiff1d(np.arange(fips.size), order)[0]
+        raise DataError(f"{path}: line {rows[r][0]}: duplicate statics row for county {fips[r]}")
+    numeric = np.array([[_cell_float(row[i], path, line, header[i]) for i in num_cols]
+                        for line, row in rows], dtype=np.float64)
+    codes = np.zeros((len(rows), len(cat_cols)), dtype=np.int64)
+    for j, (name, col) in enumerate(zip(categorical_columns, cat_cols)):
+        codes[:, j] = encoder.encode(name, [row[col] for _, row in rows])
+    table = StaticTable(unique, num_names, numeric[order], codes[order])
     return table, encoder
 
 

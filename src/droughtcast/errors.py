@@ -1,9 +1,10 @@
 """Exception hierarchy shared by every droughtcast module.
 
-Every error is one of four families, which the CLI maps onto process exit
-codes: ``ConfigError`` 2, ``DataError`` 3, ``NumericError`` 4 and
-``IoError`` 3.  A new error type subclasses one of them rather than
-``DroughtcastError`` itself or a bare exception.
+Every error is one of three families, which the CLI maps onto process exit
+codes: ``ConfigError`` 2, ``DataError`` 3 and ``NumericError`` 4.  A new
+error type subclasses one of them rather than ``DroughtcastError`` itself or
+a bare exception.  An ``OSError`` is not wrapped: the CLI exits 3 with its
+message, which names the path.
 """
 
 
@@ -37,7 +38,3 @@ class UndefinedMetricError(DataError):
 
 class DegenerateTestError(DataError):
     """A statistical test has zero variance in its inputs."""
-
-
-class IoError(DroughtcastError):
-    """Filesystem write failure for an output artifact."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import RngState
 from .data import CategoricalEncoder, StaticTable, csv_text, write_csv
-from .errors import ConfigError, DataError, IoError
+from .errors import ConfigError, DataError
 from .model import HybridModel
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
 from .training import batch_from_samples, predict  # noqa: F401
@@ -286,28 +286,25 @@ def emit_figures(profile: AttentionProfile, projection: TsneResult,
                  export: EmbeddingExport, out_dir, color_column: str | None = None) -> dict[str, Path]:
     """Write attention/tsne CSVs plus SVG renderings; returns path map."""
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths = {}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
 
-        paths["attention_csv"] = out_dir / "attention_profile.csv"
-        paths["attention_csv"].write_text(profile.to_csv())
+    paths["attention_csv"] = out_dir / "attention_profile.csv"
+    paths["attention_csv"].write_text(profile.to_csv())
 
-        color_column = color_column or (export.label_columns[0] if export.label_columns else None)
-        labels = [export.labels[c] for c in export.label_columns]
-        paths["tsne_csv"] = out_dir / "tsne.csv"
-        write_csv(paths["tsne_csv"], [["fips", "x", "y", *export.label_columns]]
-                  + [[fips, *xy, *row] for fips, xy, *row
-                     in zip(export.fips, projection.coords.tolist(), *labels)])
+    color_column = color_column or (export.label_columns[0] if export.label_columns else None)
+    labels = [export.labels[c] for c in export.label_columns]
+    paths["tsne_csv"] = out_dir / "tsne.csv"
+    write_csv(paths["tsne_csv"], [["fips", "x", "y", *export.label_columns]]
+              + [[fips, *xy, *row] for fips, xy, *row
+                 in zip(export.fips, projection.coords.tolist(), *labels)])
 
-        categories = export.labels[color_column] if color_column else ["all"] * len(export.fips)
-        paths["tsne_svg"] = out_dir / "tsne.svg"
-        paths["tsne_svg"].write_text(
-            scatter_svg(projection.coords, categories, f"embedding projection by {color_column}"),
-            encoding="utf-8",
-        )
-        paths["attention_svg"] = out_dir / "attention_profile.svg"
-        paths["attention_svg"].write_text(profile_svg(profile))
-        return paths
-    except OSError as exc:
-        raise IoError(f"cannot write figures under {out_dir}: {exc}") from exc
+    categories = export.labels[color_column] if color_column else ["all"] * len(export.fips)
+    paths["tsne_svg"] = out_dir / "tsne.svg"
+    paths["tsne_svg"].write_text(
+        scatter_svg(projection.coords, categories, f"embedding projection by {color_column}"),
+        encoding="utf-8",
+    )
+    paths["attention_svg"] = out_dir / "attention_profile.svg"
+    paths["attention_svg"].write_text(profile_svg(profile))
+    return paths

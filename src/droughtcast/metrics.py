@@ -67,7 +67,7 @@ def score_to_category(scores) -> np.ndarray:
     return np.clip(np.floor(scores + 0.5), 0, N_CATEGORIES - 1).astype(np.int64)
 
 
-def macro_f1(pred_categories, target_categories, classes=range(N_CATEGORIES)) -> float:
+def macro_f1(pred_categories, target_categories) -> float:
     """Unweighted mean of per-class F1, in percent.
 
     Classes absent from both predictions and targets are excluded so the
@@ -80,7 +80,7 @@ def macro_f1(pred_categories, target_categories, classes=range(N_CATEGORIES)) ->
     if pred.shape != target.shape:
         raise DataError("length mismatch")
     scores = []
-    for cls in classes:
+    for cls in range(N_CATEGORIES):
         tp = int(((pred == cls) & (target == cls)).sum())
         fp = int(((pred == cls) & (target != cls)).sum())
         fn = int(((pred != cls) & (target == cls)).sum())
@@ -213,7 +213,7 @@ def evaluate(model: HybridModel, samples) -> MetricsReport:
 # not depend on an external statistics package.
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz), two half-steps a term."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -224,25 +224,17 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise NumericError("incomplete beta continued fraction did not converge")

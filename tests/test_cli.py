@@ -107,15 +107,14 @@ def test_missing_seed_exits_2(tmp_path):
     assert main(["--out", str(tmp_path), "ingest"]) == 2
 
 
-EXIT_CODES = {errors.ConfigError: 2, errors.DataError: 3, errors.NumericError: 4,
-              errors.IoError: 3}
+EXIT_CODES = {errors.ConfigError: 2, errors.DataError: 3, errors.NumericError: 4, OSError: 3}
 
 
 @pytest.mark.parametrize("error", [
     cls for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.DroughtcastError)
     and cls is not errors.DroughtcastError
-], ids=lambda cls: cls.__name__)
+] + [OSError], ids=lambda cls: cls.__name__)
 def test_every_error_type_exits_with_its_family_code(error, tmp_path, monkeypatch, capsys):
     (family,) = [family for family in EXIT_CODES if issubclass(error, family)]
 
@@ -295,6 +294,10 @@ def _corrupt_line(path: Path, out: Path, edit) -> Path:
      "line 2, column 'chan1': '-inf' is not a finite number"),
     ("timeseries", lambda cells: cells[:1] + ["2015-13-01"] + cells[2:],
      "line 2, column 'date': '2015-13-01': month must be in 1..12"),
+    ("timeseries", lambda cells: cells[:1] + ["20150101"] + cells[2:],
+     "line 2, column 'date': '20150101': not a YYYY-MM-DD date"),
+    ("timeseries", lambda cells: cells[:1] + ["2015-W01-4"] + cells[2:],
+     "line 2, column 'date': '2015-W01-4': not a YYYY-MM-DD date"),
 ])
 def test_malformed_csv_cell_exits_3_without_traceback(dataset, tmp_path, key, edit, message):
     bad = _corrupt_line(dataset.parent / f"{key}.csv", tmp_path / f"{key}.csv", edit)
@@ -484,6 +487,48 @@ def test_bad_input_or_setting_exits_with_its_code_without_traceback(trained, tmp
     assert message.format(empty=empty) in result.stderr
 
 
+@pytest.mark.parametrize("write, extra, message", [
+    (None, [], "cannot read config file {path}: No such file or directory"),
+    (lambda path: path.mkdir(), [], "cannot read config file {path}: Is a directory"),
+    (lambda path: path.write_bytes(b"[run]\nout = r\xe9sultats\n"), [],
+     "config file {path} is not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+    (lambda path: path.write_text("seed = 1\n"), [],
+     "cannot parse {path}: File contains no section headers."),
+    (lambda path: path.write_text("[bogus]\nseed = 1\n"), [], "{path}: unknown section [bogus]"),
+    (lambda path: path.write_text("[run]\nbogus = 1\n"), [],
+     "{path}: unknown key 'bogus' in [run]"),
+    (lambda path: path.write_text("[run]\nseed = 5%\n"), [],
+     "[run] seed must be an integer, got '5%'"),
+    (lambda path: path.write_text("[run]\nseed = 1\n"), ["--set", "data.window_days"],
+     "--set expects section.key=value, got 'data.window_days'"),
+], ids=["missing", "directory", "not_utf8", "no_section", "unknown_section", "unknown_key",
+        "percent_sign", "set_without_equals"])
+def test_config_file_or_override_failure_exits_2_without_traceback(tmp_path, write, extra,
+                                                                    message):
+    path = tmp_path / "run.ini"
+    if write is not None:
+        write(path)
+    result = run_module("--config", str(path), "--out", str(tmp_path / "out"), *extra, "ingest")
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"configuration error: {message.format(path=path)}" in result.stderr
+
+
+@pytest.mark.parametrize("arguments, message", [
+    (["--out", "{root}/file/out"], "Not a directory: '{root}/file/out/ingest'"),
+    (["--out", "{root}/out", "--set", "data.timeseries={root}"], "Is a directory: '{root}'"),
+], ids=["out_below_a_file", "directory_as_timeseries"])
+def test_unwritable_output_or_unreadable_input_exits_3_without_traceback(dataset, tmp_path,
+                                                                         arguments, message):
+    (tmp_path / "file").write_text("")
+    result = run_module("--config", str(dataset),
+                        *(argument.format(root=tmp_path) for argument in arguments), "ingest")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "data error: " in result.stderr
+    assert message.format(root=tmp_path) in result.stderr
+
+
 def _three_channels(root: Path) -> dict[str, Path]:
     ts, _ = make_dataset(root, n_counties=6, days=560, channels=3, seed=3)
     return {"timeseries": ts}
@@ -553,7 +598,7 @@ def test_label_with_comma_survives_ingest_and_train(dataset, tmp_path):
             "--set", "train.epochs=1", "--set", "introspect.color_column=texture"]
     assert main(argv + ["ingest"]) == 0
     encoder = CategoricalEncoder.load(out / "ingest" / "categories.csv")
-    assert label in encoder.label_to_code["texture"]
+    assert label in encoder.labels["texture"]
     assert main(argv + ["train"]) == 0
     assert main(argv + ["introspect"]) == 0
     with (out / "introspect" / "tsne.csv").open(newline="", encoding="utf-8") as fh:

@@ -125,6 +125,18 @@ def test_load_statics_encoding(tmp_path):
     assert statics.numeric.shape[1] + statics.codes.shape[1] == 2
 
 
+@pytest.mark.parametrize("rows, line, county", [
+    (["19001,1.0", "30002,2.0", "19001,3.0"], 4, "19001"),
+    (["40003,1.0", "30002,2.0", "30002,3.0", "40003,4.0"], 4, "30002"),
+])
+def test_duplicate_statics_row_names_file_and_later_line(tmp_path, rows, line, county):
+    p = tmp_path / "statics.csv"
+    p.write_text("fips,elevation\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{p}: line {line}: duplicate statics row for county {county}")):
+        load_statics(p, [])
+
+
 def test_load_statics_unseen_label_maps_to_zero(tmp_path):
     p1 = tmp_path / "train.csv"
     p1.write_text("fips,quality\n19001,A\n")
@@ -150,8 +162,8 @@ def test_encoder_round_trips_through_file(tmp_path):
     path = tmp_path / "dict.csv"
     encoder.save(path)
     loaded = CategoricalEncoder.load(path)
-    assert loaded.label_to_code == encoder.label_to_code
-    assert loaded.decode("quality", encoder.encode("quality", "B")) == "B"
+    assert loaded.labels == encoder.labels
+    assert loaded.decode("quality", encoder.encode("quality", ["B"])[0]) == "B"
 
 
 def test_build_samples_minimum_history_boundary():
@@ -513,10 +525,9 @@ def test_build_samples_matches_per_sample_reference(tmp_path):
 def test_dictionary_and_stats_files_round_trip_any_label(tmp_path_factory, labels, name):
     """Labels and header names with commas, quotes and line breaks survive."""
     tmp = tmp_path_factory.mktemp("rt")
-    encoder = CategoricalEncoder(["texture"], {"texture": {
-        label: code for code, label in enumerate(labels, start=1)}})
+    encoder = CategoricalEncoder({"texture": labels})
     encoder.save(tmp / "categories.csv")
-    assert CategoricalEncoder.load(tmp / "categories.csv").label_to_code == encoder.label_to_code
+    assert CategoricalEncoder.load(tmp / "categories.csv").labels == encoder.labels
 
     norm = Normalizer([name], np.array([0.1]), np.array([3.0]), [name + ","],
                       np.array([-2.5]), np.array([1e-300]))
@@ -527,20 +538,42 @@ def test_dictionary_and_stats_files_round_trip_any_label(tmp_path_factory, label
 
 
 def test_plain_dictionary_file_bytes_unchanged(tmp_path):
-    encoder = CategoricalEncoder(["soil", "texture"], {
-        "soil": {"low": 1, "high": 2}, "texture": {"clay": 1}})
+    encoder = CategoricalEncoder({"soil": ["low", "high"], "texture": ["clay"]})
     encoder.save(tmp_path / "c.csv")
     assert (tmp_path / "c.csv").read_bytes() == (
         b"column,label,code\nsoil,low,1\nsoil,high,2\ntexture,clay,1\n")
 
 
-@pytest.mark.parametrize("loader, text", [
-    (CategoricalEncoder.load, "column,label,code\ntexture,loam, sandy,1\n"),  # unquoted comma
-    (CategoricalEncoder.load, "column,label,code\ntexture,loam\n"),
-    (CategoricalEncoder.load, "column,label,code\ntexture,loam,one\n"),
+@pytest.mark.parametrize("loader, text, message", [
+    (CategoricalEncoder.load, "column,label,code\ntexture,loam, sandy,1\n",  # unquoted comma
+     "line 2 has 4 cells"),
+    (CategoricalEncoder.load, "column,label,code\ntexture,loam\n", "line 2 has 2 cells"),
+    (CategoricalEncoder.load, "column,label,code\ntexture,loam,one\n",
+     "line 2: code 'one' of texture='loam' is not 1"),
+    (CategoricalEncoder.load,
+     "column,label,code\ntexture,clay,1\ntexture,loam,1\ntexture,sand,7\nsoil,low,0\n",
+     "line 3: code '1' of texture='loam' is not 2"),
+    (CategoricalEncoder.load, "column,label,code\ntexture,clay,1\ntexture,sand,7\n",
+     "line 3: code '7' of texture='sand' is not 2"),
+    (CategoricalEncoder.load, "column,label,code\nsoil,low,0\n",
+     "line 2: code '0' of soil='low' is not 1"),
+    (CategoricalEncoder.load, "column,label,code\ntexture,clay,1\nsoil,low,1\ntexture,clay,2\n",
+     "line 4: label 'clay' repeats in column 'texture'"),
 ])
-def test_malformed_artifact_rows_raise_format_error(tmp_path, loader, text):
+def test_malformed_artifact_rows_raise_format_error(tmp_path, loader, text, message):
     path = tmp_path / "artifact.csv"
     path.write_text(text)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
         loader(path)
+
+
+def test_dictionary_codes_may_interleave_columns(tmp_path):
+    path = tmp_path / "categories.csv"
+    path.write_text("column,label,code\ntexture,clay,1\nsoil,low,1\ntexture,loam,2\n")
+    encoder = CategoricalEncoder.load(path)
+    assert encoder.labels == {"texture": ["clay", "loam"], "soil": ["low"]}
+    assert encoder.vocab_sizes == [3, 2]
+    assert [encoder.decode("texture", code) for code in (0, 1, 2)] == ["<unknown>", "clay", "loam"]
+    for code in (-1, 3):
+        with pytest.raises(DataError, match=f"code {code} not present in column 'texture'"):
+            encoder.decode("texture", code)

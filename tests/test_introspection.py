@@ -80,13 +80,8 @@ def test_collect_attention_requires_attention_path():
 
 
 def _encoder():
-    return CategoricalEncoder(
-        columns=["soil_quality", "texture"],
-        label_to_code={
-            "soil_quality": {"low": 1, "medium": 2},
-            "texture": {"clay": 1, "loam": 2, "sand": 3},
-        },
-    )
+    return CategoricalEncoder({"soil_quality": ["low", "medium"],
+                               "texture": ["clay", "loam", "sand"]})
 
 
 def _statics(n=5, seed=0):
