@@ -140,7 +140,7 @@ def lstm_backward(grad: np.ndarray, cache, dw: np.ndarray, db: np.ndarray,
     return (dz @ w_x.T).reshape(x.shape) if input_grad else None
 
 
-class RngState:
+class RngState(np.random.Generator):
     """Seeded, splittable random stream (PCG64).
 
     The same seed yields a bit-identical draw sequence; :meth:`split` derives
@@ -148,30 +148,13 @@ class RngState:
     stream layout does not depend on draw order elsewhere in the program.
     """
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
+        super().__init__(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
     def split(self, key) -> "RngState":
         digest = hashlib.sha256(f"{self.seed}:{key}".encode()).digest()
         return RngState(int.from_bytes(digest[:8], "little"))
-
-    def random(self, shape=None) -> np.ndarray:
-        return self._gen.random(shape)
-
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
-
-    def normal(self, loc: float, scale_: float, shape=None) -> np.ndarray:
-        return self._gen.normal(loc, scale_, shape)
-
-    def integers(self, low: int, high: int, shape=None) -> np.ndarray:
-        return self._gen.integers(low, high, shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
 
 @dataclass

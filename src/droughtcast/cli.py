@@ -21,13 +21,7 @@ from typing import get_type_hints
 
 from . import data as dp
 from .config import RunConfig, config_help_text, load_config
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateTestError,
-    NumericError,
-    SchemaError,
-)
+from .errors import ConfigError, DataError, NumericError, SchemaError
 from .introspection import collect_attention, emit_figures, export_embeddings, tsne
 from .metrics import (
     WEEKLY_COLUMNS,
@@ -272,17 +266,12 @@ def cmd_cv(cfg: RunConfig) -> int:
 
     rows = [["metric", "mean_difference", "t", "df", "p"]]
     for metric in primary.metric_names:
-        try:
-            result = paired_t_test(
-                [fold[metric] for fold in baseline.folds],
-                [fold[metric] for fold in primary.folds],
-            )
-        except DegenerateTestError:
-            rows.append([metric, 0.0, math.nan, folds - 1, math.nan])
-            print(f"paired t-test on {metric}: degenerate (tied folds)")
-            continue
+        result = paired_t_test([fold[metric] for fold in baseline.folds],
+                               [fold[metric] for fold in primary.folds])
         rows.append([metric, result.mean_difference, result.t_stat, result.df, result.p_value])
-        print(f"paired t-test on {metric}: t={result.t_stat:.3f} p={result.p_value:.4f}")
+        shown = ("degenerate (tied folds)" if math.isnan(result.t_stat)
+                 else f"t={result.t_stat:.3f} p={result.p_value:.4f}")
+        print(f"paired t-test on {metric}: {shown}")
     dp.write_csv(out / "paired_tests.csv", rows)
     return 0
 

@@ -130,7 +130,10 @@ class RunConfig:
         raw = self.get("run", "seed")
         if raw == "":
             raise ConfigError("a run seed is mandatory (set [run] seed or pass --seed)")
-        return self.get_int("run", "seed")
+        seed = self.get_int("run", "seed")
+        if seed < 0:
+            raise ConfigError(f"[run] seed must be >= 0, got {seed}")
+        return seed
 
     def render(self) -> str:
         lines = []
@@ -153,7 +156,9 @@ def load_config(path: str | None = None,
                 overrides: dict[tuple[str, str], str] | None = None) -> RunConfig:
     """Defaults, then the config file, then explicit overrides."""
     config = default_config()
-    if path:
+    if path == "":
+        raise ConfigError("cannot read config file '': the path is empty")
+    if path is not None:
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
@@ -161,7 +166,8 @@ def load_config(path: str | None = None,
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
-        parser = configparser.ConfigParser(interpolation=None)
+        # no section name is empty, so a [DEFAULT] section is an unknown one below
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             parser.read_string(text, source=str(path))
         except configparser.Error as exc:

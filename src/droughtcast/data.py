@@ -310,6 +310,8 @@ def load_timeseries(path, max_gap_days: int = 14,
     a contiguous daily calendar.  Counties whose measurement gaps exceed
     ``max_gap_days`` are dropped and reported.
     """
+    if max_gap_days < 0:
+        raise ConfigError(f"max_gap_days must be >= 0, got {max_gap_days}")
     path = Path(path)
     lines = _csv_rows(path, SchemaError)
     _, header = next(lines)

@@ -5,6 +5,10 @@ codes: ``ConfigError`` 2, ``DataError`` 3 and ``NumericError`` 4.  A new
 error type subclasses one of them rather than ``DroughtcastError`` itself or
 a bare exception.  An ``OSError`` is not wrapped: the CLI exits 3 with its
 message, which names the path.
+
+A statistic that is undefined on legal input (an AUC over one class, a
+t-test over tied folds, an improvement over a zero baseline) is not an
+error: the function that computes it returns NaN.
 """
 
 
@@ -30,11 +34,3 @@ class SchemaError(DataError):
 
 class FormatError(DataError):
     """A binary artifact (checkpoint, cache) failed magic/structure checks."""
-
-
-class UndefinedMetricError(DataError):
-    """A metric is undefined for the given inputs (e.g. single-class AUC)."""
-
-
-class DegenerateTestError(DataError):
-    """A statistical test has zero variance in its inputs."""

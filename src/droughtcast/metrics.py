@@ -16,13 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import csv_text
-from .errors import (
-    DataError,
-    DegenerateTestError,
-    NumericError,
-    UndefinedMetricError,
-)
+from .data import csv_text, kfold_split
+from .errors import DataError, NumericError
 from .model import FORECAST_WEEKS, HybridModel
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
 from .training import batch_from_samples, predict  # noqa: F401
@@ -33,29 +28,22 @@ WEEKLY_COLUMNS = [f"week{w}_{metric}" for w in range(1, FORECAST_WEEKS + 1)
                   for metric in ("mae", "f1")]
 
 
-def _select_week(pred: np.ndarray, target: np.ndarray, week: int | None):
+def _residual(pred, target) -> np.ndarray:
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise DataError(f"prediction shape {pred.shape} != target shape {target.shape}")
     if pred.size == 0:
         raise DataError("empty inputs")
-    if week is not None:
-        if not 1 <= week <= FORECAST_WEEKS:
-            raise DataError(f"week must be 1..{FORECAST_WEEKS}, got {week}")
-        pred = pred[:, week - 1]
-        target = target[:, week - 1]
-    return pred, target
+    return pred - target
 
 
-def mae(pred, target, week: int | None = None) -> float:
-    pred, target = _select_week(pred, target, week)
-    return float(np.abs(pred - target).mean())
+def mae(pred, target) -> float:
+    return float(np.abs(_residual(pred, target)).mean())
 
 
-def rmse(pred, target, week: int | None = None) -> float:
-    pred, target = _select_week(pred, target, week)
-    return float(np.sqrt(((pred - target) ** 2).mean()))
+def rmse(pred, target) -> float:
+    return float(np.sqrt((_residual(pred, target) ** 2).mean()))
 
 
 def score_to_category(scores) -> np.ndarray:
@@ -104,13 +92,14 @@ def _midrank(values: np.ndarray) -> np.ndarray:
 
 
 def binary_auc(scores, positives) -> float:
-    """Mann-Whitney AUC with midranks for ties, as a fraction in [0, 1]."""
+    """Mann-Whitney AUC with midranks for ties, as a fraction in [0, 1];
+    NaN when either side is empty."""
     scores = np.asarray(scores, dtype=float)
     positives = np.asarray(positives, dtype=bool)
     n_pos = int(positives.sum())
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUC needs both positive and negative examples")
+        return math.nan
     ranks = _midrank(scores)
     rank_sum = ranks[positives].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -129,14 +118,15 @@ def membership_scores(predictions) -> np.ndarray:
 
 
 def roc_auc_weighted(class_scores, target_categories) -> float:
-    """One-vs-rest AUC per present class, support-weighted, in percent."""
+    """One-vs-rest AUC per present class, support-weighted, in percent;
+    NaN when the targets hold fewer than two classes."""
     scores = np.asarray(class_scores, dtype=float)
     target = np.asarray(target_categories, dtype=np.int64).ravel()
     if scores.ndim != 2 or scores.shape[0] != target.size:
         raise DataError(f"class-score matrix {scores.shape} does not match {target.size} targets")
     present = [cls for cls in range(scores.shape[1]) if (target == cls).any()]
     if len(present) < 2:
-        raise UndefinedMetricError("targets contain fewer than two classes")
+        return math.nan
     total = 0.0
     weight_sum = 0
     for cls in present:
@@ -184,21 +174,17 @@ def report_from_predictions(pred, target) -> MetricsReport:
     target = np.asarray(target, dtype=float)
     if pred.ndim != 2 or pred.shape[1] != FORECAST_WEEKS:
         raise DataError(f"expected (N, {FORECAST_WEEKS}) predictions, got {pred.shape}")
-    weekly_mae = [mae(pred, target, week=w) for w in range(1, FORECAST_WEEKS + 1)]
+    weekly_mae = [mae(pred[:, w], target[:, w]) for w in range(FORECAST_WEEKS)]
     pred_cats = score_to_category(pred)
     target_cats = score_to_category(target)
     weekly_f1 = [macro_f1(pred_cats[:, w], target_cats[:, w]) for w in range(FORECAST_WEEKS)]
-    try:
-        auc = roc_auc_weighted(membership_scores(pred), target_cats)
-    except UndefinedMetricError:
-        auc = float("nan")
     return MetricsReport(
         weekly_mae=weekly_mae,
         weekly_f1=weekly_f1,
         mae=mae(pred, target),
         rmse=rmse(pred, target),
         f1=macro_f1(pred_cats, target_cats),
-        roc_auc=auc,
+        roc_auc=roc_auc_weighted(membership_scores(pred), target_cats),
         sample_count=pred.shape[0],
     )
 
@@ -272,7 +258,8 @@ class PairedTestResult:
 
 
 def paired_t_test(a, b) -> PairedTestResult:
-    """Two-tailed paired t-test of matched measurement vectors."""
+    """Two-tailed paired t-test of matched measurement vectors; ``t_stat``
+    and ``p_value`` are NaN when the differences have zero variance."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -283,7 +270,7 @@ def paired_t_test(a, b) -> PairedTestResult:
     d = a - b
     sd = d.std(ddof=1)
     if sd == 0.0:
-        raise DegenerateTestError("differences have zero variance")
+        return PairedTestResult(float(d.mean()), math.nan, k - 1, math.nan)
     t = float(d.mean() / (sd / math.sqrt(k)))
     return PairedTestResult(float(d.mean()), t, k - 1, student_t_two_tailed_p(t, k - 1))
 
@@ -320,8 +307,6 @@ def cross_validate(samples, k, train, seed: int = 0) -> FoldResults:
     """Report MAE/RMSE/F1 per fold of the model that
     ``train(train_samples, val_samples, fold_seed)`` returns, fresh and
     seeded per fold."""
-    from .data import kfold_split
-
     folds = []
     for i, (fit_rows, val_rows) in enumerate(kfold_split(len(samples), k=k, seed=seed)):
         model = train(samples[fit_rows], samples[val_rows], seed + 1000 * (i + 1))
@@ -331,14 +316,14 @@ def cross_validate(samples, k, train, seed: int = 0) -> FoldResults:
 
 
 def relative_improvement(baseline: float, candidate: float, better: str = "lower") -> float:
-    """Percent improvement of candidate over baseline."""
+    """Percent improvement of candidate over baseline; NaN over a zero
+    baseline."""
+    if better not in ("lower", "higher"):
+        raise DataError(f"better must be 'lower' or 'higher', got {better!r}")
     if baseline == 0.0:
-        raise DataError("baseline of zero has no relative improvement")
-    if better == "lower":
-        return (baseline - candidate) / baseline * 100.0
-    if better == "higher":
-        return (candidate - baseline) / baseline * 100.0
-    raise DataError(f"better must be 'lower' or 'higher', got {better!r}")
+        return math.nan
+    gain = baseline - candidate if better == "lower" else candidate - baseline
+    return gain / baseline * 100.0
 
 
 @dataclass
@@ -348,8 +333,8 @@ class LocationExperimentReport:
     ``improvements`` holds, per candidate definition, the per-state relative
     improvement of agnostic training plus its average; the average is
     definition-dependent, so every candidate is labeled and reported.  A
-    relative improvement over a zero baseline is undefined (``None``), and
-    so is the average of a row holding one.  Each definition also has an
+    relative improvement over a zero baseline is undefined (NaN), and so is
+    the average of a row holding one.  Each definition also has an
     ``<definition>_abs`` row: agnostic minus specific, per state and on
     average, which is defined for every baseline.
     """
@@ -357,7 +342,7 @@ class LocationExperimentReport:
     states: list[str]
     specific: dict[str, MetricsReport]
     agnostic: dict[str, MetricsReport]
-    improvements: dict[str, tuple[dict[str, float | None], float | None]] = field(init=False)
+    improvements: dict[str, tuple[dict[str, float], float]] = field(init=False)
 
     def __post_init__(self):
         self.improvements = {}
@@ -371,15 +356,10 @@ class LocationExperimentReport:
             relative, absolute = {}, {}
             for s in self.states:
                 base, candidate = getter(self.specific[s]), getter(self.agnostic[s])
-                try:
-                    relative[s] = relative_improvement(base, candidate, better)
-                except DataError:  # zero baseline: improvement undefined
-                    relative[s] = None
+                relative[s] = relative_improvement(base, candidate, better)
                 absolute[s] = candidate - base
             for key, per_state in ((name, relative), (f"{name}_abs", absolute)):
-                values = list(per_state.values())
-                average = None if None in values else float(np.mean(values))
-                self.improvements[key] = (per_state, average)
+                self.improvements[key] = (per_state, float(np.mean(list(per_state.values()))))
 
     def _runs(self) -> list[tuple[str, str, MetricsReport]]:
         """(train, eval, report): each state-specific model, then the model
@@ -399,7 +379,8 @@ class LocationExperimentReport:
         rows = [[name, *(per_state[s] for s in self.states), avg]
                 for name, (per_state, avg) in self.improvements.items()]
         return csv_text([["definition", *self.states, "average"]]
-                        + [["undefined" if cell is None else cell for cell in row] for row in rows])
+                        + [[name, *("undefined" if math.isnan(cell) else cell for cell in cells)]
+                           for name, *cells in rows])
 
 
 def location_experiment_report(specific: dict[str, MetricsReport],

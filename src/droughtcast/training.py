@@ -265,7 +265,10 @@ def _parse_config_text(blob: bytes) -> tuple[ModelConfig, AblationConfig, int, l
         kinds = get_type_hints(cls)
         configs.append(cls(**{f.name: value(f"{section}.{f.name}", kinds[f.name])
                               for f in fields(cls)}))
-    return configs[0], configs[1], value("seed", int), value("tensors", str).split(",")
+    seed = value("seed", int)
+    if seed < 0:
+        raise FormatError(f"seed={seed}: must be >= 0")
+    return configs[0], configs[1], seed, value("tensors", str).split(",")
 
 
 def save_checkpoint(model: HybridModel, path) -> None:

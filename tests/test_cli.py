@@ -190,6 +190,21 @@ def test_cv_emits_folds_summary_and_paired_tests(trained):
     assert (out / "cv" / "cv_folds_baseline.csv").exists()
 
 
+def test_cv_with_the_baseline_equal_to_the_primary_setting_reports_tied_folds(trained, tmp_path,
+                                                                            capsys):
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "ingest", out / "ingest")
+    same = [f"--set=cv.baseline_{f.name}=true" for f in fields(AblationConfig)]
+    assert run_cli(config, out, "cv", *same) == 0
+    paired = (out / "cv" / "paired_tests.csv").read_text().splitlines()
+    assert paired == ["metric,mean_difference,t,df,p", "mae,0.0,nan,2,nan",
+                      "rmse,0.0,nan,2,nan", "f1,0.0,nan,2,nan"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"paired t-test on {metric}: degenerate (tied folds)"
+                       for metric in ("mae", "rmse", "f1")]
+
+
 def test_locexp_emits_six_result_rows(trained):
     config, out = trained
     assert run_cli(config, out, "locexp") == 0
@@ -458,6 +473,10 @@ def test_mutated_csvs_ingest_or_exit_with_an_error_code(fuzz_dataset, tmp_path_f
 @pytest.mark.parametrize("command, setting, code, message", [
     ("ingest", "data.timeseries={empty}", 3, "{empty}: empty file"),
     ("ingest", "data.window_days=0", 2, "window_days must be at least 1, got 0"),
+    ("ingest", "data.max_gap_days=-1", 2, "max_gap_days must be >= 0, got -1"),
+    ("ingest", "run.seed=-1", 2, "[run] seed must be >= 0, got -1"),
+    ("train", "run.seed=-1", 2, "[run] seed must be >= 0, got -1"),
+    ("eval", "run.seed=-1", 2, "[run] seed must be >= 0, got -1"),
     ("ingest", "data.val_fraction=nan", 2,
      "val/test fractions must be nonnegative and sum below 1, got nan and 0.2"),
     ("ingest", "data.test_fraction=nan", 2,
@@ -495,14 +514,22 @@ def test_bad_input_or_setting_exits_with_its_code_without_traceback(trained, tmp
     (lambda path: path.write_text("seed = 1\n"), [],
      "cannot parse {path}: File contains no section headers."),
     (lambda path: path.write_text("[bogus]\nseed = 1\n"), [], "{path}: unknown section [bogus]"),
+    (lambda path: path.write_text("[DEFAULT]\nseed = 1\n[data]\nwindow_days = 5\n"), [],
+     "{path}: unknown section [DEFAULT]"),
     (lambda path: path.write_text("[run]\nbogus = 1\n"), [],
      "{path}: unknown key 'bogus' in [run]"),
     (lambda path: path.write_text("[run]\nseed = 5%\n"), [],
      "[run] seed must be an integer, got '5%'"),
+    (lambda path: path.write_text("[run]\nseed = -1\n"), [], "[run] seed must be >= 0, got -1"),
+    (lambda path: path.write_text("[run]\nseed = 1\n"), ["--seed", "-1"],
+     "[run] seed must be >= 0, got -1"),
     (lambda path: path.write_text("[run]\nseed = 1\n"), ["--set", "data.window_days"],
      "--set expects section.key=value, got 'data.window_days'"),
-], ids=["missing", "directory", "not_utf8", "no_section", "unknown_section", "unknown_key",
-        "percent_sign", "set_without_equals"])
+    (lambda path: path.write_text("[run]\nseed = 1\n"), ["--config", ""],
+     "cannot read config file '': the path is empty"),
+], ids=["missing", "directory", "not_utf8", "no_section", "unknown_section", "default_section",
+        "unknown_key", "percent_sign", "negative_seed", "negative_seed_flag",
+        "set_without_equals", "empty_path"])
 def test_config_file_or_override_failure_exits_2_without_traceback(tmp_path, write, extra,
                                                                     message):
     path = tmp_path / "run.ini"
@@ -573,6 +600,21 @@ def test_checkpoint_from_an_older_ingest_exits_3_without_traceback(trained, tmp_
     checkpoint = out / "train" / "model.ckpt"
     assert f"data error: checkpoint {checkpoint} does not fit these samples: " in result.stderr
     assert message in result.stderr
+
+
+def test_checkpoint_with_a_negative_seed_exits_3_naming_the_file(trained, tmp_path):
+    config, trained_out = trained
+    out = tmp_path / "out"
+    for stage in ("ingest", "train"):
+        shutil.copytree(trained_out / stage, out / stage)
+    checkpoint = out / "train" / "model.ckpt"
+    blob = checkpoint.read_bytes()
+    assert blob.count(b"\nseed=11\n") == 1  # same length as the edit, so no re-padding
+    checkpoint.write_bytes(blob.replace(b"\nseed=11\n", b"\nseed=-3\n"))
+    result = run_module("--config", str(config), "--out", str(out), "eval")
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"data error: {checkpoint}: checkpoint config: seed=-3: must be >= 0" in result.stderr
 
 
 @pytest.mark.parametrize("command, artifact", [

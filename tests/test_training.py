@@ -306,6 +306,8 @@ def test_old_checkpoint_names_version_and_asks_to_retrain(tmp_path, version):
     (lambda h: h.replace(b"use_static=True", b"use_static=maybe"), "use_static='maybe'"),
     (lambda h: h.replace(b"model.dropout=0.0\n", b""), "missing 'model.dropout'"),
     (lambda h: h.replace(b"hidden_size=12", b"hidden_size=0"), "hidden_size must be positive"),
+    (lambda h: h.replace(b"\nseed=3\n", b"\nseed=-3\n"),
+     r"bad\.ckpt: checkpoint config: seed=-3: must be >= 0"),
     (lambda h: h + b"\xff", "not UTF-8"),
     (lambda h: h.rpartition(b"\ntensors=")[0], "missing 'tensors'"),
     (lambda h: h.replace(b"tensors=embed0.weights,", b"tensors="), "tensors .* differ"),
