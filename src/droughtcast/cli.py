@@ -19,6 +19,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import data as dp
 from .config import RunConfig, config_help_text, load_config
 from .errors import ConfigError, DataError, NumericError, SchemaError
@@ -38,6 +40,7 @@ from .training import (
     fit,
     history_csv,
     load_checkpoint,
+    predict,
     save_checkpoint,
 )
 
@@ -139,11 +142,11 @@ def _load_sets(ingest: Path, *names: str) -> list[dp.SampleSet]:
     return [dp.load_samples(_ingest_file(ingest, f"{name}.samples")) for name in names]
 
 
-def _load_model(cfg: RunConfig) -> HybridModel:
+def _checkpoint(cfg: RunConfig) -> Path:
     path = _out_root(cfg) / "train" / "model.ckpt"
     if not path.exists():
         raise DataError(f"no trained checkpoint at {path}; run `train` first")
-    return load_checkpoint(path)
+    return path
 
 
 def _from_section(cfg: RunConfig, cls, section: str, prefix: str = "", **given):
@@ -208,13 +211,17 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "eval")
-    (test,) = _load_sets(_ingest_dir(cfg), "test")
+    test_path = _ingest_file(_ingest_dir(cfg), "test.samples")
+    test = dp.load_samples(test_path)
     if not test:
         raise DataError("no test samples in the ingest cache")
-    report = evaluate(_load_model(cfg), test)
+    checkpoint = _checkpoint(cfg)
+    report, predictions, attention = evaluate(load_checkpoint(checkpoint), test)
     (out / "weekly.csv").write_text(report.weekly_csv())
     (out / "summary.csv").write_text(report.summary_csv())
     (out / "report.txt").write_text(report.render_text())
+    dp.EvalPredictions(predictions, attention, dp.file_sha256(checkpoint),
+                       dp.file_sha256(test_path)).save(out / "predictions.bin")
     print(report.render_text())
     return 0
 
@@ -231,7 +238,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
     for i, ablation in enumerate(ABLATION_SETTINGS):
         model, _ = _trained(cfg, base_config, ablation, cfg.seed + i, train, val)
-        report = evaluate(model, test)
+        report = evaluate(model, test)[0]
         label = ablation.label()
         summary.append([label, ablation.use_static, ablation.use_timeseries,
                         ablation.use_attention, report.mae, report.rmse, report.f1])
@@ -297,8 +304,8 @@ def cmd_locexp(cfg: RunConfig) -> int:
             raise DataError(f"state prefix {state!r} has no train or test samples")
         state_model = _trained(cfg, base_config, ablation, cfg.seed + 100 * (i + 1),
                                state_train, state_val)[0]
-        specific[state] = evaluate(state_model, state_test)
-        agnostic[state] = evaluate(agnostic_model, state_test)
+        specific[state] = evaluate(state_model, state_test)[0]
+        agnostic[state] = evaluate(agnostic_model, state_test)[0]
         print(f"state {state}: specific MAE {specific[state].mae:.3f}, "
               f"agnostic MAE {agnostic[state].mae:.3f}")
 
@@ -309,13 +316,35 @@ def cmd_locexp(cfg: RunConfig) -> int:
     return 0
 
 
+def _test_attention(cfg: RunConfig, model: HybridModel) -> tuple[np.ndarray, str]:
+    """The attention weights of the checkpoint's ``model`` over the test
+    set, and where they came from: ``eval/predictions.bin`` when it was
+    written for the same checkpoint and test set, else a fresh forward."""
+    test_path = _ingest_file(_ingest_dir(cfg), "test.samples")
+    saved_path = _out_root(cfg) / "eval" / "predictions.bin"
+    if not saved_path.exists():
+        reason = "no eval predictions"
+    else:
+        saved = dp.EvalPredictions.load(saved_path)
+        if (saved.attention is None
+                or saved.checkpoint_sha256 != dp.file_sha256(_checkpoint(cfg))):
+            reason = "another checkpoint"
+        elif saved.samples_sha256 != dp.file_sha256(test_path):
+            reason = "another test set"
+        else:
+            return saved.attention, f"reused {saved_path}"
+    test = dp.load_samples(test_path)
+    if not test:
+        raise DataError("no test samples in the ingest cache")
+    return predict(model, test)[1], f"computed ({reason})"
+
+
 def cmd_introspect(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "introspect")
     ingest = _ingest_dir(cfg)
-    (test,) = _load_sets(ingest, "test")
-    model = _load_model(cfg)
-    if not test:
-        raise DataError("no test samples in the ingest cache")
+    model = load_checkpoint(_checkpoint(cfg))
+    if model.attention is None:
+        raise ConfigError("model was built without the attention path")
 
     encoder = dp.CategoricalEncoder.load(_ingest_file(ingest, "categories.csv"))
     color = cfg.get("introspect", "color_column") or None
@@ -325,7 +354,8 @@ def cmd_introspect(cfg: RunConfig) -> int:
     statics, _ = dp.load_statics(_require_file(cfg, "data", "statics"), encoder.columns,
                                  encoder=encoder)
 
-    profile = collect_attention(model, test)
+    alpha, source = _test_attention(cfg, model)
+    profile = collect_attention(alpha)
     export = export_embeddings(model, statics, encoder)
     perplexity = cfg.get_float("introspect", "perplexity")
     projection = tsne(export.vectors, perplexity=perplexity,
@@ -334,6 +364,7 @@ def cmd_introspect(cfg: RunConfig) -> int:
         print(f"note: perplexity {perplexity} too large for {len(export.vectors)} points; "
               f"t-SNE used {projection.perplexity_used:.2f}", file=sys.stderr)
     paths = emit_figures(profile, projection, export, out, color_column=color)
+    print(f"attention: {source}")
     print(f"wrote {len(paths)} introspection artifacts -> {out}")
     return 0
 

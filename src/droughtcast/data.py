@@ -28,6 +28,7 @@ binary cache and mini-batching all work on whole columns.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import re
@@ -180,6 +181,19 @@ def read_artifact(path, magic: bytes, what: str, remedy: str):
                 for (dtype, shape), offset in zip(layout, accumulate(sizes, initial=start))]
 
     return bytes(blob[_ARTIFACT_PREFIX.size:_ARTIFACT_PREFIX.size + length]), read
+
+
+DIGEST_BLOCK = 1 << 20  # bytes read per update of a file digest
+
+
+def file_sha256(path) -> bytes:
+    """The 32-byte sha256 digest of a file, read ``DIGEST_BLOCK`` bytes at a
+    time, so that no more of the file than one block is held at once."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for block in iter(lambda: fh.read(DIGEST_BLOCK), b""):
+            digest.update(block)
+    return digest.digest()
 
 
 def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[str]]]:
@@ -614,3 +628,41 @@ def load_samples(path) -> SampleSet:
         raise FormatError(f"{path}: corrupt sample cache header ({len(header)} bytes)")
     x, s_n, s_d, y, days, fips = read(_cache_layout(*_CACHE_HEADER.unpack(header)))
     return SampleSet(x, s_n, s_d, y, fips, days.view("datetime64[D]"))
+
+
+_PREDICTIONS_MAGIC = b"HMPRED1"
+_PREDICTIONS_HEADER = struct.Struct("<2Q32s32s")  # N, T, the two sha256 digests
+
+
+@dataclass(eq=False)
+class EvalPredictions:
+    """What the eval-mode forward returned over a test set: ``predictions``
+    (N, 6) and ``attention`` (N, T), ``None`` when the model has no
+    attention path; and the sha256 digests (:func:`file_sha256`) of the
+    checkpoint and of the sample cache it read."""
+
+    predictions: np.ndarray
+    attention: np.ndarray | None
+    checkpoint_sha256: bytes
+    samples_sha256: bytes
+
+    def save(self, path) -> None:
+        """:func:`write_artifact` file: a header of N and T (0 without
+        attention) as uint64 and the two digests, then the predictions and
+        the attention as float64."""
+        arrays = [self.predictions] + ([] if self.attention is None else [self.attention])
+        steps = 0 if self.attention is None else self.attention.shape[1]
+        header = _PREDICTIONS_HEADER.pack(len(self.predictions), steps,
+                                          self.checkpoint_sha256, self.samples_sha256)
+        write_artifact(path, _PREDICTIONS_MAGIC, header,
+                       (np.asarray(array, "<f8") for array in arrays))
+
+    @classmethod
+    def load(cls, path) -> "EvalPredictions":
+        header, read = read_artifact(path, _PREDICTIONS_MAGIC, "eval predictions", "re-run eval")
+        if len(header) != _PREDICTIONS_HEADER.size:
+            raise FormatError(f"{path}: corrupt eval predictions header ({len(header)} bytes)")
+        n, steps, checkpoint, samples = _PREDICTIONS_HEADER.unpack(header)
+        predictions, *attention = read([("<f8", (n, TARGET_WEEKS))]
+                                       + ([("<f8", (n, steps))] if steps else []))
+        return cls(predictions, attention[0] if attention else None, checkpoint, samples)

@@ -23,7 +23,7 @@ from .data import CategoricalEncoder, StaticTable, csv_text, write_csv
 from .errors import ConfigError, DataError
 from .model import HybridModel
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
-from .training import batch_from_samples, predict  # noqa: F401
+from .training import batch_from_samples  # noqa: F401
 
 Z95 = 1.96  # normal-approximation 95% interval
 ENTROPY_TOL = 1e-3  # the bandwidth search stops this close (nats) to the target entropy
@@ -48,12 +48,14 @@ class AttentionProfile:
                         + [[day, *cells, self.n] for day, *cells in zip(self.day_offsets, *columns)])
 
 
-def collect_attention(model: HybridModel, samples) -> AttentionProfile:
-    """Run the sample set through the model and profile the attention mass
-    placed on each day of the look-back window."""
-    if model.attention is None:
+def collect_attention(alpha: np.ndarray | None) -> AttentionProfile:
+    """Profile the attention mass placed on each day of the look-back window
+    from the attention weights (N, T) that
+    :func:`~droughtcast.training.predict` returned over a sample set;
+    ``None``, what it returns for a model without the attention path, is a
+    ``ConfigError``."""
+    if alpha is None:
         raise ConfigError("model was built without the attention path")
-    alpha = predict(model, samples)[1]  # (N, T)
     n, t = alpha.shape
     mean = alpha.mean(axis=0)
     if n > 1:

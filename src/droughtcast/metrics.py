@@ -189,10 +189,12 @@ def report_from_predictions(pred, target) -> MetricsReport:
     )
 
 
-def evaluate(model: HybridModel, samples) -> MetricsReport:
-    """:func:`~droughtcast.training.predict` over the sample set, then the
-    full report."""
-    return report_from_predictions(predict(model, samples)[0], samples.y)
+def evaluate(model: HybridModel, samples) -> tuple[MetricsReport, np.ndarray, np.ndarray | None]:
+    """The full report of :func:`~droughtcast.training.predict` over the
+    sample set, and what ``predict`` returned: the predictions (N, 6) and
+    the attention weights (N, T), ``None`` without the attention path."""
+    predictions, attention = predict(model, samples)
+    return report_from_predictions(predictions, samples.y), predictions, attention
 
 
 # Student-t distribution, implemented directly so significance results do
@@ -257,9 +259,16 @@ class PairedTestResult:
     p_value: float
 
 
+# paired differences whose standard deviation is at most this multiple of the
+# largest input magnitude differ only by the rounding of the inputs
+ROUNDING_SPREAD = 4 * np.finfo(float).eps
+
+
 def paired_t_test(a, b) -> PairedTestResult:
     """Two-tailed paired t-test of matched measurement vectors; ``t_stat``
-    and ``p_value`` are NaN when the differences have zero variance."""
+    and ``p_value`` are NaN when the differences are degenerate: their
+    sample standard deviation is at most ``ROUNDING_SPREAD`` times the
+    largest magnitude in ``a`` or ``b``, rounding of the inputs."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -269,7 +278,7 @@ def paired_t_test(a, b) -> PairedTestResult:
         raise DataError("paired test needs at least two pairs")
     d = a - b
     sd = d.std(ddof=1)
-    if sd == 0.0:
+    if sd <= ROUNDING_SPREAD * max(np.abs(a).max(), np.abs(b).max()):
         return PairedTestResult(float(d.mean()), math.nan, k - 1, math.nan)
     t = float(d.mean() / (sd / math.sqrt(k)))
     return PairedTestResult(float(d.mean()), t, k - 1, student_t_two_tailed_p(t, k - 1))
@@ -310,7 +319,7 @@ def cross_validate(samples, k, train, seed: int = 0) -> FoldResults:
     folds = []
     for i, (fit_rows, val_rows) in enumerate(kfold_split(len(samples), k=k, seed=seed)):
         model = train(samples[fit_rows], samples[val_rows], seed + 1000 * (i + 1))
-        report = evaluate(model, samples[val_rows])
+        report = evaluate(model, samples[val_rows])[0]
         folds.append({"mae": report.mae, "rmse": report.rmse, "f1": report.f1})
     return FoldResults(["mae", "rmse", "f1"], folds)
 

@@ -205,7 +205,7 @@ def test_criterion_06_ablation_harness(tmp_path):
         model = HybridModel.build(config, ablation, seed=50 + i)
         run = TrainRunConfig(batch_size=16, epochs=1, seed=60 + i)
         model, _ = fit(model, train, val, run, LrSchedule(base_lr=1e-3, max_lr=1e-3, cycle_length=10))
-        reports[ablation.label()] = evaluate(model, test)
+        reports[ablation.label()] = evaluate(model, test)[0]
         models[ablation.label()] = model
 
     batch = batch_from_samples(test[:4])

@@ -14,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import droughtcast
+import droughtcast.cli as cli
 from droughtcast import errors
 from droughtcast.cli import COMMANDS, main
 from droughtcast.config import CONFIG_KEYS, parse_as
-from droughtcast.data import CategoricalEncoder
-from droughtcast.model import AblationConfig, ModelConfig
+from droughtcast.data import CategoricalEncoder, EvalPredictions
+from droughtcast.model import AblationConfig, HybridModel, ModelConfig
 from droughtcast.synthetic import make_dataset
-from droughtcast.training import TrainRunConfig
+from droughtcast.training import TrainRunConfig, predict
 
 BASE_CONFIG = """
 [data]
@@ -240,6 +241,112 @@ def test_introspect_notes_a_lowered_perplexity_without_a_python_warning(trained,
     assert result.returncode == 0, result.stderr
     assert result.stderr == "note: perplexity 5.0 too large for 6 points; t-SNE used 1.67\n"
     assert "Warning" not in result.stdout + result.stderr
+
+
+@pytest.fixture(scope="module")
+def evaluated(trained, tmp_path_factory):
+    """A run directory of its own with ``ingest``, ``train`` and ``eval`` done."""
+    config, trained_out = trained
+    out = tmp_path_factory.mktemp("evaluated")
+    for stage in ("ingest", "train"):
+        shutil.copytree(trained_out / stage, out / stage)
+    assert run_cli(config, out, "eval") == 0
+    return config, out
+
+
+def _copy_run(evaluated, out: Path) -> Path:
+    """``out`` holding a copy of the evaluated run; returns its saved predictions."""
+    for stage in ("ingest", "train", "eval"):
+        shutil.copytree(evaluated[1] / stage, out / stage)
+    return out / "eval" / "predictions.bin"
+
+
+def _introspect(config, out, monkeypatch, capsys) -> tuple[list[str], int, bytes]:
+    """``introspect`` in this process: its ``attention:`` lines, the number of
+    ``predict`` calls it made, and the attention profile it wrote."""
+    calls = []
+    monkeypatch.setattr(cli, "predict", lambda *args: calls.append(args) or predict(*args))
+    capsys.readouterr()
+    assert run_cli(config, out, "introspect") == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("attention: ")]
+    return lines, len(calls), (out / "introspect" / "attention_profile.csv").read_bytes()
+
+
+def test_introspect_reuses_the_attention_that_eval_saved(evaluated, tmp_path, monkeypatch,
+                                                          capsys):
+    config, _ = evaluated
+    out = tmp_path / "out"
+    saved = _copy_run(evaluated, out)
+    lines, calls, profile = _introspect(config, out, monkeypatch, capsys)
+    assert (lines, calls) == ([f"attention: reused {saved}"], 0)
+    blob = saved.read_bytes()
+    # a digest byte flipped: the file was written for another checkpoint or test set
+    for offset, reason in ((32, "another checkpoint"), (64, "another test set")):
+        stale = bytearray(blob)
+        stale[offset] ^= 1
+        saved.write_bytes(bytes(stale))
+        assert _introspect(config, out, monkeypatch, capsys) == (
+            [f"attention: computed ({reason})"], 1, profile)
+    saved.unlink()
+    assert _introspect(config, out, monkeypatch, capsys) == (
+        ["attention: computed (no eval predictions)"], 1, profile)
+
+
+@pytest.mark.parametrize("stage, setting, reason", [
+    ("train", "--seed=12", "another checkpoint"),
+    ("ingest", "--set=data.test_fraction=0.3", "another test set"),
+], ids=["retrained", "reingested"])
+def test_introspect_recomputes_after_a_retrain_or_a_reingest(evaluated, tmp_path, monkeypatch,
+                                                             capsys, stage, setting, reason):
+    config, _ = evaluated
+    out = tmp_path / "out"
+    saved = _copy_run(evaluated, out)
+    before = saved.read_bytes()
+    assert run_cli(config, out, stage, setting) == 0
+    lines, calls, profile = _introspect(config, out, monkeypatch, capsys)
+    assert (lines, calls) == ([f"attention: computed ({reason})"], 1)
+    assert saved.read_bytes() == before  # introspect reads the file and never writes it
+    assert run_cli(config, out, "eval") == 0
+    assert _introspect(config, out, monkeypatch, capsys) == (
+        [f"attention: reused {saved}"], 0, profile)
+
+
+def test_introspect_on_a_model_without_attention_exits_2_before_any_forward(
+        ingested, tmp_path, monkeypatch):
+    config, ingested_out = ingested
+    out = tmp_path / "out"
+    shutil.copytree(ingested_out / "ingest", out / "ingest")
+    assert run_cli(config, out, "train", "--set=ablation.use_attention=false") == 0
+    assert run_cli(config, out, "eval") == 0
+    assert EvalPredictions.load(out / "eval" / "predictions.bin").attention is None
+    result = run_module("--config", str(config), "--out", str(out), "introspect")
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "configuration error: model was built without the attention path" in result.stderr
+    touched = []
+    monkeypatch.setattr(HybridModel, "forward", lambda *args, **kwargs: touched.append(args))
+    monkeypatch.setattr(cli.dp, "file_sha256", lambda path: touched.append(path))
+    assert run_cli(config, out, "introspect") == 2
+    assert touched == []
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda blob: blob[:-3], "truncated eval predictions"),
+    (lambda blob: blob + b"\0", "trailing bytes in eval predictions"),
+    (lambda blob: b"HMXXXX1" + blob[7:], "bad eval predictions magic"),
+    (lambda blob: b"HMPRED0" + blob[7:],
+     "eval predictions version 'HMPRED0' is not supported (expected HMPRED1); re-run eval"),
+], ids=["truncated", "trailing_bytes", "bad_magic", "older_version"])
+def test_damaged_eval_predictions_exit_3_naming_the_file(evaluated, tmp_path, capsys, damage,
+                                                         message):
+    config, _ = evaluated
+    out = tmp_path / "out"
+    saved = _copy_run(evaluated, out)
+    saved.write_bytes(damage(saved.read_bytes()))
+    capsys.readouterr()
+    assert run_cli(config, out, "introspect") == 3
+    assert f"data error: {saved}: {message}" in capsys.readouterr().err
 
 
 def test_help_documents_config_keys(capsys):
@@ -663,5 +770,5 @@ def test_train_and_eval_reproduce_byte_for_byte(dataset, tmp_path):
         outs.append(out)
     a, b = outs
     for rel in ("ingest/train.samples", "train/history.csv", "train/model.ckpt",
-                "eval/summary.csv", "eval/weekly.csv"):
+                "eval/summary.csv", "eval/weekly.csv", "eval/predictions.bin"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel

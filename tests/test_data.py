@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 from datetime import date, timedelta
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import droughtcast.data as data
 from droughtcast.data import (
     CategoricalEncoder,
+    EvalPredictions,
     Normalizer,
     SampleSet,
     build_samples,
+    file_sha256,
     filter_by_state,
     fit_normalizer,
     kfold_split,
@@ -446,6 +450,71 @@ def test_corrupt_sample_cache_header_raises_format_error(tmp_path, header, messa
     bad.write_bytes(_with_cache_header(path.read_bytes(), header))
     with pytest.raises(FormatError, match=message):
         load_samples(bad)
+
+
+def _eval_predictions(n, t, seed=0):
+    rng = np.random.default_rng(seed)
+    return EvalPredictions(rng.uniform(0, 5, (n, 6)), rng.dirichlet(np.ones(t), n) if t else None,
+                           bytes(range(32)), bytes(range(32, 64)))
+
+
+@pytest.mark.parametrize("t", [7, 0])
+def test_eval_predictions_round_trip(tmp_path, t):
+    path = tmp_path / "predictions.bin"
+    saved = _eval_predictions(5, t)
+    saved.save(path)
+    loaded = EvalPredictions.load(path)
+    np.testing.assert_array_equal(loaded.predictions, saved.predictions)
+    if t:
+        np.testing.assert_array_equal(loaded.attention, saved.attention)
+    else:
+        assert loaded.attention is None
+    assert (loaded.checkpoint_sha256, loaded.samples_sha256) == (bytes(range(32)),
+                                                                 bytes(range(32, 64)))
+    blob = path.read_bytes()
+    # magic, pad byte, an 80-byte header (N, T, two digests), then the arrays from byte 96
+    assert blob[:16] == b"HMPRED1\0" + struct.pack("<Q", 80)
+    assert blob[16:96] == struct.pack("<2Q", 5, t) + bytes(range(64))
+    arrays = saved.predictions.tobytes() + (saved.attention.tobytes() if t else b"")
+    assert blob[96:] == arrays
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("header, message", [
+    (struct.pack("<2Q", 5, 7) + bytes(56), "corrupt eval predictions header \\(72 bytes\\)"),
+    (struct.pack("<2Q", 5, 7) + bytes(72), "corrupt eval predictions header \\(88 bytes\\)"),
+    (struct.pack("<2Q", 6, 7) + bytes(64), "truncated eval predictions"),
+    (struct.pack("<2Q", 5, 0) + bytes(64), "trailing bytes in eval predictions"),
+])
+def test_corrupt_eval_predictions_header_raises_format_error(tmp_path, header, message):
+    path = tmp_path / "predictions.bin"
+    _eval_predictions(5, 7).save(path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[96:])
+    with pytest.raises(FormatError, match=re.escape(str(bad)) + ": " + message):
+        EvalPredictions.load(bad)
+
+
+@pytest.mark.parametrize("size", [0, 1, 4096, 3 * 4096 + 5])
+def test_file_sha256_reads_in_blocks(tmp_path, monkeypatch, size):
+    """The digest of a file of any length, read one block at a time."""
+    path = tmp_path / "blob.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    expected = hashlib.sha256(path.read_bytes()).digest()
+    monkeypatch.setattr(data, "DIGEST_BLOCK", 4096)
+    reads = []
+    opened = type(path).open
+
+    def spy_open(self, *args, **kwargs):
+        fh = opened(self, *args, **kwargs)
+        read = fh.read
+        fh.read = lambda n=-1: reads.append(n) or read(n)
+        return fh
+
+    monkeypatch.setattr(type(path), "open", spy_open)
+    assert file_sha256(path) == expected
+    assert len(reads) == -(-size // 4096) + 1 and set(reads) == {4096}  # the last one at EOF
 
 
 def test_artifact_write_that_fails_leaves_the_old_file(tmp_path):

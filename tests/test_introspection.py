@@ -14,6 +14,7 @@ from droughtcast.introspection import (
     tsne,
 )
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig
+from droughtcast.training import predict
 
 from conftest import row_perplexity
 
@@ -45,7 +46,7 @@ def test_uniform_attention_profile_when_scores_constant():
     model.attention.score_layer.weight.data[...] = 0.0
     model.attention.score_layer.bias.data[...] = 0.0
     samples = small_samples(n=5, t=10)
-    profile = collect_attention(model, samples)
+    profile = collect_attention(predict(model, samples)[1])
     np.testing.assert_allclose(profile.mean, np.full(10, 0.1), atol=1e-15)
     np.testing.assert_allclose(profile.ci_high - profile.ci_low, 0.0, atol=1e-15)
     assert profile.day_offsets == list(range(-10, 0))
@@ -53,7 +54,7 @@ def test_uniform_attention_profile_when_scores_constant():
 
 def test_attention_profile_day_means_sum_to_one():
     model = small_model(seed=3)
-    profile = collect_attention(model, small_samples(n=8, t=7, seed=4))
+    profile = collect_attention(predict(model, small_samples(n=8, t=7, seed=4))[1])
     assert abs(profile.mean.sum() - 1.0) <= 1e-9
     assert (profile.ci_low <= profile.mean).all()
     assert (profile.mean <= profile.ci_high).all()
@@ -62,7 +63,7 @@ def test_attention_profile_day_means_sum_to_one():
 
 def test_single_sample_profile_is_degenerate():
     model = small_model(seed=5)
-    profile = collect_attention(model, small_samples(n=1, t=6, seed=6))
+    profile = collect_attention(predict(model, small_samples(n=1, t=6, seed=6))[1])
     assert profile.degenerate
     np.testing.assert_array_equal(profile.ci_low, profile.mean)
     np.testing.assert_array_equal(profile.ci_high, profile.mean)
@@ -76,7 +77,7 @@ def test_collect_attention_requires_attention_path():
     )
     model = HybridModel.build(config, AblationConfig(use_attention=False), seed=0)
     with pytest.raises(ConfigError):
-        collect_attention(model, small_samples(n=2))
+        collect_attention(predict(model, small_samples(n=2))[1])
 
 
 def _encoder():
@@ -199,7 +200,7 @@ def test_sigma_monotone_in_perplexity():
 def test_emit_figures_artifacts(tmp_path):
     model = small_model(seed=13)
     samples = small_samples(n=6, t=8, seed=14)
-    profile = collect_attention(model, samples)
+    profile = collect_attention(predict(model, samples)[1])
 
     statics = _statics(n=6, seed=15)
     export = export_embeddings(model, statics, _encoder())

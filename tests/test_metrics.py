@@ -242,6 +242,18 @@ def test_paired_t_test_degenerate():
     tied = paired_t_test([0.3, 0.2], [0.3, 0.2])
     assert (tied.mean_difference, tied.df) == (0.0, 1)
     assert math.isnan(tied.t_stat) and math.isnan(tied.p_value)
+    # differences equal up to the rounding of the inputs: sd 3.3e-17 and 8.2e-15
+    for a, b in (([0.4, 0.5, 0.6], [0.3, 0.4, 0.5]),
+                 ([100.4, 100.5, 100.6], [100.3, 100.4, 100.5])):
+        near = paired_t_test(a, b)
+        assert np.std(np.subtract(a, b), ddof=1) > 0.0
+        assert near.df == 2 and abs(near.mean_difference - 0.1) < 1e-12
+        assert math.isnan(near.t_stat) and math.isnan(near.p_value), (a, b)
+    # a genuine spread, and differences far below 1 that are not rounding, stay tests
+    spread = paired_t_test([0.61, 0.58, 0.66], [0.60, 0.59, 0.62])
+    assert math.isfinite(spread.t_stat) and 0.0 < spread.p_value < 1.0
+    tiny = paired_t_test([1e-20, 3e-20, 0.0], [0.0, 0.0, 0.0])
+    assert math.isfinite(tiny.t_stat) and 0.0 < tiny.p_value < 1.0
 
 
 def test_fold_summaries_reproduce_reference_tables():

@@ -12,6 +12,7 @@ import droughtcast.training as training
 from droughtcast.autodiff import RngState
 from droughtcast.data import SampleSet
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig
+from droughtcast.synthetic import make_dataset
 from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -80,3 +81,52 @@ def test_trace_spans_fire_on_a_cache_and_a_checkpoint_round_trip(tmp_path):
     assert tracer.counts["data.cache_bytes"] == (tmp_path / "test.samples").stat().st_size
     np.testing.assert_array_equal(loaded.x, samples.x)
     np.testing.assert_array_equal(predict(restored, samples)[0], predict(model, samples)[0])
+
+
+RUN_CONFIG = """
+[data]
+timeseries = {ts}
+statics = {statics}
+categorical_columns = soil_quality,texture
+window_days = 20
+[model]
+lstm_layers = 1
+hidden_size = 4
+embed_dim = 3
+reduced_dim = 2
+mlp_hidden = 4
+[train]
+batch_size = 16
+epochs = 1
+[introspect]
+perplexity = 1.5
+iterations = 20
+[run]
+seed = 5
+"""
+
+
+def test_eval_then_introspect_run_one_forward_in_the_eval_span(tmp_path):
+    """``introspect`` after ``eval`` reuses the saved attention: the only
+    eval-mode forwards are those under ``cli.eval``, and the evaluate and
+    collect_attention spans each fire once."""
+    ts, statics = make_dataset(tmp_path / "data", n_counties=4, days=500, channels=2, seed=2)
+    config = tmp_path / "run.ini"
+    config.write_text(RUN_CONFIG.format(ts=ts, statics=statics))
+    argv = ["--config", str(config), "--out", str(tmp_path / "out")]
+    for command in ("ingest", "train"):
+        assert cli.main([*argv, command]) == 0
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    patcher = tracing.install(tracer)
+    try:
+        for command in ("eval", "introspect"):
+            assert cli.main([*argv, command]) == 0
+    finally:
+        patcher.restore()
+    totals = tracer.totals()
+    assert totals["metrics.evaluate"]["calls"] == 1
+    assert totals["introspection.collect_attention"]["calls"] == 1
+    groups = {tracer.spans[span.group].name for span in tracer.spans
+              if span.name == "model.forward_eval"}
+    assert groups == {"cli.eval"}
