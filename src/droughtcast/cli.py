@@ -60,7 +60,7 @@ def _out_root(cfg: RunConfig) -> Path:
 def _command_dir(cfg: RunConfig, command: str) -> Path:
     path = _out_root(cfg) / command
     path.mkdir(parents=True, exist_ok=True)
-    (path / "resolved_config.ini").write_text(cfg.render())
+    dp.write_file(path / "resolved_config.ini", [cfg.render()])
     return path
 
 
@@ -201,7 +201,7 @@ def cmd_train(cfg: RunConfig) -> int:
     model, history = _trained(cfg, _model_config(cfg, ingest, train),
                               _from_section(cfg, AblationConfig, "ablation"), cfg.seed,
                               train, val, out=out)
-    (out / "history.csv").write_text(history_csv(history))
+    dp.write_file(out / "history.csv", [history_csv(history)])
     save_checkpoint(model, out / "model.ckpt")
     print(f"trained {model.ablation.label()} model: "
           f"final train loss {history[-1].train_loss:.4f}, "
@@ -217,9 +217,9 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise DataError("no test samples in the ingest cache")
     checkpoint = _checkpoint(cfg)
     report, predictions, attention = evaluate(load_checkpoint(checkpoint), test)
-    (out / "weekly.csv").write_text(report.weekly_csv())
-    (out / "summary.csv").write_text(report.summary_csv())
-    (out / "report.txt").write_text(report.render_text())
+    dp.write_file(out / "weekly.csv", [report.weekly_csv()])
+    dp.write_file(out / "summary.csv", [report.summary_csv()])
+    dp.write_file(out / "report.txt", [report.render_text()])
     dp.EvalPredictions(predictions, attention, dp.file_sha256(checkpoint),
                        dp.file_sha256(test_path)).save(out / "predictions.bin")
     print(report.render_text())
@@ -245,8 +245,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         weekly.append([label, *report.weekly_cells()])
         print(f"{label}: MAE {report.mae:.3f}  RMSE {report.rmse:.3f}  F1 {report.f1:.1f}")
 
-    dp.write_csv(out / "ablation_summary.csv", summary)
-    dp.write_csv(out / "ablation_weekly.csv", weekly)
+    dp.write_file(out / "ablation_summary.csv", [dp.csv_text(summary)])
+    dp.write_file(out / "ablation_weekly.csv", [dp.csv_text(weekly)])
     return 0
 
 
@@ -266,10 +266,10 @@ def cmd_cv(cfg: RunConfig) -> int:
     primary = folds_of(_from_section(cfg, AblationConfig, "ablation"))
     baseline = folds_of(_from_section(cfg, AblationConfig, "cv", "baseline_"))
 
-    (out / "cv_folds_primary.csv").write_text(primary.folds_csv())
-    (out / "cv_summary_primary.csv").write_text(primary.summary_csv())
-    (out / "cv_folds_baseline.csv").write_text(baseline.folds_csv())
-    (out / "cv_summary_baseline.csv").write_text(baseline.summary_csv())
+    dp.write_file(out / "cv_folds_primary.csv", [primary.folds_csv()])
+    dp.write_file(out / "cv_summary_primary.csv", [primary.summary_csv()])
+    dp.write_file(out / "cv_folds_baseline.csv", [baseline.folds_csv()])
+    dp.write_file(out / "cv_summary_baseline.csv", [baseline.summary_csv()])
 
     rows = [["metric", "mean_difference", "t", "df", "p"]]
     for metric in primary.metric_names:
@@ -279,7 +279,7 @@ def cmd_cv(cfg: RunConfig) -> int:
         shown = ("degenerate (tied folds)" if math.isnan(result.t_stat)
                  else f"t={result.t_stat:.3f} p={result.p_value:.4f}")
         print(f"paired t-test on {metric}: {shown}")
-    dp.write_csv(out / "paired_tests.csv", rows)
+    dp.write_file(out / "paired_tests.csv", [dp.csv_text(rows)])
     return 0
 
 
@@ -310,9 +310,9 @@ def cmd_locexp(cfg: RunConfig) -> int:
               f"agnostic MAE {agnostic[state].mae:.3f}")
 
     report = location_experiment_report(specific, agnostic)
-    (out / "location_weekly.csv").write_text(report.weekly_csv())
-    (out / "location_summary.csv").write_text(report.summary_csv())
-    (out / "location_improvements.csv").write_text(report.improvements_csv())
+    dp.write_file(out / "location_weekly.csv", [report.weekly_csv()])
+    dp.write_file(out / "location_summary.csv", [report.summary_csv()])
+    dp.write_file(out / "location_improvements.csv", [report.improvements_csv()])
     return 0
 
 

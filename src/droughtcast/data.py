@@ -36,7 +36,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -121,30 +121,32 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def write_csv(path, rows) -> None:
-    """:func:`csv_text` of the rows as a UTF-8 file."""
-    Path(path).write_text(csv_text(rows), encoding="utf-8", newline="")
+def write_file(path, chunks) -> None:
+    """The one way the package writes a file: the chunks go to ``<path>.tmp``,
+    which is renamed into place, or removed on failure so that an existing
+    ``path`` is left as it was; a ``str`` chunk as UTF-8 whatever the
+    locale, "\\n" kept as is, and a bytes-like chunk unchanged."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _ARTIFACT_PREFIX = struct.Struct("<7sxQ")  # magic, a pad byte, the header length
 
 
 def write_artifact(path, magic: bytes, header: bytes, arrays) -> None:
-    """Binary artifact: the 7-byte ``magic``, a pad byte, the uint64 header
-    length, the ``header`` zero-padded to 8 bytes, then the bytes of each
-    array in C order, which the caller gives the dtype it will read, written
-    to a temporary file that is renamed into place, or removed on failure."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(_ARTIFACT_PREFIX.pack(magic, len(header)))
-            fh.write(header + bytes(-len(header) % 8))
-            for array in arrays:
-                fh.write(np.ascontiguousarray(array))
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Binary artifact (:func:`write_file`): the 7-byte ``magic``, a pad
+    byte, the uint64 header length, the ``header`` zero-padded to 8 bytes,
+    then the bytes of each array in C order, which the caller gives the
+    dtype it will read."""
+    write_file(path, chain([_ARTIFACT_PREFIX.pack(magic, len(header)), header,
+                            bytes(-len(header) % 8)], map(np.ascontiguousarray, arrays)))
 
 
 def read_artifact(path, magic: bytes, what: str, remedy: str):
@@ -250,9 +252,9 @@ class CategoricalEncoder:
         return labels[code - 1] if code else "<unknown>"
 
     def save(self, path) -> None:
-        write_csv(path, [["column", "label", "code"]]
-                  + [[column, label, str(code)] for column, labels in self.labels.items()
-                     for code, label in enumerate(labels, start=1)])
+        write_file(path, [csv_text([["column", "label", "code"]] + [
+            [column, label, str(code)] for column, labels in self.labels.items()
+            for code, label in enumerate(labels, start=1)])])
 
     @classmethod
     def load(cls, path) -> "CategoricalEncoder":
@@ -542,7 +544,7 @@ class Normalizer:
             rows.append([f"ts.{name}", repr(float(m)), repr(float(s))])
         for name, m, s in zip(self.static_names, self.static_mean, self.static_std):
             rows.append([f"static.{name}", repr(float(m)), repr(float(s))])
-        write_csv(path, rows)
+        write_file(path, [csv_text(rows)])
 
 
 def fit_normalizer(samples: SampleSet, channel_names: list[str],

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import RngState
-from .data import CategoricalEncoder, StaticTable, csv_text, write_csv
+from .data import CategoricalEncoder, StaticTable, csv_text, write_file
 from .errors import ConfigError, DataError
 from .model import HybridModel
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
@@ -32,15 +32,15 @@ BETA_SEARCH_STEPS = 200  # or after this many bisection steps
 
 @dataclass
 class AttentionProfile:
-    """Mean attention weight per look-back day (offset -T..-1) with a 95%
-    confidence band; ``degenerate`` marks n=1 where the band collapses."""
+    """Mean attention weight per look-back day (offset -T..-1) over ``n``
+    samples with a 95% confidence band, which collapses onto the mean at
+    n=1."""
 
     day_offsets: list[int]
     mean: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
     n: int
-    degenerate: bool = False
 
     def to_csv(self) -> str:
         columns = (self.mean.tolist(), self.ci_low.tolist(), self.ci_high.tolist())
@@ -61,28 +61,24 @@ def collect_attention(alpha: np.ndarray | None) -> AttentionProfile:
     if n > 1:
         sd = alpha.std(axis=0, ddof=1)
         half = Z95 * sd / np.sqrt(n)
-        degenerate = False
     else:
         half = np.zeros(t)
-        degenerate = True
     return AttentionProfile(
         day_offsets=list(range(-t, 0)),
         mean=mean,
         ci_low=mean - half,
         ci_high=mean + half,
         n=n,
-        degenerate=degenerate,
     )
 
 
 @dataclass
 class EmbeddingExport:
     """Reduced static-embedding vector per unique county, joined with the
-    human-readable label of each categorical column."""
+    human-readable label of each categorical column, in column order."""
 
     fips: list[str]
     vectors: np.ndarray  # (C, z')
-    label_columns: list[str]
     labels: dict[str, list[str]]
 
 
@@ -91,8 +87,7 @@ def export_embeddings(model: HybridModel, statics: StaticTable,
     codes = statics.codes
     labels = {column: [encoder.decode(column, code) for code in codes[:, j].tolist()]
               for j, column in enumerate(encoder.columns)}
-    return EmbeddingExport(statics.fips.tolist(), model.reduced_static_embedding(codes),
-                           list(encoder.columns), labels)
+    return EmbeddingExport(statics.fips.tolist(), model.reduced_static_embedding(codes), labels)
 
 
 @dataclass
@@ -292,21 +287,18 @@ def emit_figures(profile: AttentionProfile, projection: TsneResult,
     paths = {}
 
     paths["attention_csv"] = out_dir / "attention_profile.csv"
-    paths["attention_csv"].write_text(profile.to_csv())
+    write_file(paths["attention_csv"], [profile.to_csv()])
 
-    color_column = color_column or (export.label_columns[0] if export.label_columns else None)
-    labels = [export.labels[c] for c in export.label_columns]
+    color_column = color_column or next(iter(export.labels), None)
     paths["tsne_csv"] = out_dir / "tsne.csv"
-    write_csv(paths["tsne_csv"], [["fips", "x", "y", *export.label_columns]]
-              + [[fips, *xy, *row] for fips, xy, *row
-                 in zip(export.fips, projection.coords.tolist(), *labels)])
+    write_file(paths["tsne_csv"], [csv_text([["fips", "x", "y", *export.labels]] + [
+        [fips, *xy, *row] for fips, xy, *row
+        in zip(export.fips, projection.coords.tolist(), *export.labels.values())])])
 
     categories = export.labels[color_column] if color_column else ["all"] * len(export.fips)
     paths["tsne_svg"] = out_dir / "tsne.svg"
-    paths["tsne_svg"].write_text(
-        scatter_svg(projection.coords, categories, f"embedding projection by {color_column}"),
-        encoding="utf-8",
-    )
+    write_file(paths["tsne_svg"], [scatter_svg(projection.coords, categories,
+                                               f"embedding projection by {color_column}")])
     paths["attention_svg"] = out_dir / "attention_profile.svg"
-    paths["attention_svg"].write_text(profile_svg(profile))
+    write_file(paths["attention_svg"], [profile_svg(profile)])
     return paths

@@ -48,12 +48,11 @@ class EmbeddingTable:
     unknown/unseen code."""
 
     vocab_size: int
-    dim: int
     weights: Tensor
 
     @classmethod
     def init(cls, vocab_size: int, dim: int, rng: RngState) -> "EmbeddingTable":
-        return cls(vocab_size, dim, _uniform_param(rng, (vocab_size, dim), dim))
+        return cls(vocab_size, _uniform_param(rng, (vocab_size, dim), dim))
 
     def backward(self, grad: np.ndarray, codes: np.ndarray) -> None:
         """Gradient of the rows :func:`embed` took for ``codes``: a code

@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import csv_text, kfold_split
+from .data import TARGET_WEEKS, csv_text, kfold_split
 from .errors import DataError, NumericError
-from .model import FORECAST_WEEKS, HybridModel
+from .model import HybridModel
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
 from .training import batch_from_samples, predict  # noqa: F401
 
 N_CATEGORIES = 6
 # the per-week columns of the wide CSVs, in the order of MetricsReport.weekly_cells
-WEEKLY_COLUMNS = [f"week{w}_{metric}" for w in range(1, FORECAST_WEEKS + 1)
+WEEKLY_COLUMNS = [f"week{w}_{metric}" for w in range(1, TARGET_WEEKS + 1)
                   for metric in ("mae", "f1")]
 
 
@@ -148,7 +148,7 @@ class MetricsReport:
 
     def weekly_csv(self) -> str:
         return csv_text([["week", "mae", "f1"],
-                         *zip(range(1, FORECAST_WEEKS + 1), self.weekly_mae, self.weekly_f1)])
+                         *zip(range(1, TARGET_WEEKS + 1), self.weekly_mae, self.weekly_f1)])
 
     def summary_csv(self) -> str:
         return csv_text([["mae", "rmse", "f1", "roc_auc", "samples"],
@@ -160,7 +160,7 @@ class MetricsReport:
 
     def render_text(self) -> str:
         lines = [f"{'week':>6} {'MAE':>8} {'F1':>7}"]
-        for w in range(FORECAST_WEEKS):
+        for w in range(TARGET_WEEKS):
             lines.append(f"{w + 1:>6} {self.weekly_mae[w]:>8.3f} {self.weekly_f1[w]:>7.1f}")
         lines.append(
             f"pooled MAE {self.mae:.3f}  RMSE {self.rmse:.3f}  "
@@ -172,12 +172,12 @@ class MetricsReport:
 def report_from_predictions(pred, target) -> MetricsReport:
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
-    if pred.ndim != 2 or pred.shape[1] != FORECAST_WEEKS:
-        raise DataError(f"expected (N, {FORECAST_WEEKS}) predictions, got {pred.shape}")
-    weekly_mae = [mae(pred[:, w], target[:, w]) for w in range(FORECAST_WEEKS)]
+    if pred.ndim != 2 or pred.shape[1] != TARGET_WEEKS:
+        raise DataError(f"expected (N, {TARGET_WEEKS}) predictions, got {pred.shape}")
+    weekly_mae = [mae(pred[:, w], target[:, w]) for w in range(TARGET_WEEKS)]
     pred_cats = score_to_category(pred)
     target_cats = score_to_category(target)
-    weekly_f1 = [macro_f1(pred_cats[:, w], target_cats[:, w]) for w in range(FORECAST_WEEKS)]
+    weekly_f1 = [macro_f1(pred_cats[:, w], target_cats[:, w]) for w in range(TARGET_WEEKS)]
     return MetricsReport(
         weekly_mae=weekly_mae,
         weekly_f1=weekly_f1,

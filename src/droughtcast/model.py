@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import RngState, Tensor, pack
-from .data import SampleSet
+from .data import TARGET_WEEKS, SampleSet
 from .errors import ConfigError, DataError
 from .layers import (
     AffineLayer,
@@ -33,8 +33,6 @@ from .layers import (
     embed,
     lstm_states,
 )
-
-FORECAST_WEEKS = 6
 
 
 @dataclass
@@ -149,7 +147,7 @@ class HybridModel:
             if ablation.use_attention:
                 self.attention = AttentionHead.init(config.hidden_size, rng.split("attention"))
 
-        self.mlp = Mlp.init(self.fused_width(), config.mlp_hidden, FORECAST_WEEKS,
+        self.mlp = Mlp.init(self.fused_width(), config.mlp_hidden, TARGET_WEEKS,
                             config.mlp_layers, rng.split("mlp"))
         self.params, self.grads = pack(self.named_parameters())
 
@@ -205,8 +203,8 @@ class HybridModel:
                                  f"static features, got {s_n.shape[1]}")
         if self.embeddings:
             self._check_codes(samples.s_d)
-        if samples.y.shape[1:] != (FORECAST_WEEKS,):
-            raise self._mismatch(f"expected (N, {FORECAST_WEEKS}) targets, got {samples.y.shape}")
+        if samples.y.shape[1:] != (TARGET_WEEKS,):
+            raise self._mismatch(f"expected (N, {TARGET_WEEKS}) targets, got {samples.y.shape}")
 
     def _embedded(self, s_d: np.ndarray) -> np.ndarray:
         """The embedding rows of ``(B, f_d)`` categorical codes, side by side."""

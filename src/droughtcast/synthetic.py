@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import RngState
+from .data import write_file
 
 SOIL_LABELS = ["low", "medium", "high"]
 TEXTURE_LABELS = ["clay", "loam", "sand", "silt"]
@@ -52,7 +53,7 @@ def make_dataset(out_dir, n_counties: int = 6, days: int = 760, channels: int = 
             score_cell = f"{score[d]:.3f}" if d % 7 == 0 else ""
             ts_lines.append(f"{fips},{day.isoformat()},{cells},{score_cell}")
     ts_path = out_dir / "timeseries.csv"
-    ts_path.write_text("\n".join(ts_lines) + "\n")
+    write_file(ts_path, ["\n".join(ts_lines) + "\n"])
 
     static_lines = ["fips,elevation,slope,soil_quality,texture"]
     for fips in fips_codes:
@@ -63,6 +64,6 @@ def make_dataset(out_dir, n_counties: int = 6, days: int = 760, channels: int = 
         texture = TEXTURE_LABELS[int(county_rng.integers(0, len(TEXTURE_LABELS), ()))]
         static_lines.append(f"{fips},{elevation:.2f},{slope:.3f},{soil},{texture}")
     statics_path = out_dir / "statics.csv"
-    statics_path.write_text("\n".join(static_lines) + "\n")
+    write_file(statics_path, ["\n".join(static_lines) + "\n"])
 
     return ts_path, statics_path

@@ -181,7 +181,7 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
     good checkpoint is kept and ``NumericError`` raised.
     """
     if not train_samples:
-        raise ConfigError("empty training set")
+        raise DataError("empty training set")
     model.check(train_samples)
     if val_samples:
         model.check(val_samples)

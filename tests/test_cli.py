@@ -232,6 +232,37 @@ def test_introspect_emits_figures(trained):
         assert root.tag.endswith("svg")
 
 
+BINARY_ARTIFACTS = {".samples", ".ckpt", ".bin"}
+
+
+def test_every_command_writes_utf8_text_under_an_ascii_locale(tmp_path):
+    """A non-ASCII categorical column runs through all seven commands under
+    the C locale with UTF-8 mode off, and every text artifact is UTF-8."""
+    ts, statics = make_dataset(tmp_path / "data", n_counties=6, days=560, channels=2, seed=3)
+    statics.write_text(statics.read_text().replace(",texture", ",textura_ñ", 1),
+                       encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(BASE_CONFIG.format(ts=ts, statics=statics)
+                      .replace(",texture", ",textura_ñ")
+                      .replace("[introspect]\n", "[introspect]\ncolor_column = textura_ñ\n"),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("ingest", "train", "eval", "ablate", "cv", "locexp", "introspect"):
+        result = run_module("--config", str(config), "--out", str(out), command,
+                            PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        assert result.returncode == 0, f"{command}: {result.stderr}"
+    written = sorted(path for path in out.rglob("*") if path.is_file())
+    assert not [path for path in written if path.suffix == ".tmp"]
+    texts = {path: path.read_bytes().decode("utf-8") for path in written
+             if path.suffix not in BINARY_ARTIFACTS}
+    assert len(texts) == 27  # seven resolved configs and 20 tables, reports and figures
+    assert "textura_ñ" in texts[out / "ingest" / "resolved_config.ini"]
+    assert "textura_ñ" in texts[out / "ingest" / "categories.csv"]
+    assert texts[out / "introspect" / "tsne.csv"].startswith(
+        "fips,x,y,soil_quality,textura_ñ\n")
+    assert "embedding projection by textura_ñ" in texts[out / "introspect" / "tsne.svg"]
+
+
 def test_introspect_notes_a_lowered_perplexity_without_a_python_warning(trained, tmp_path):
     config, trained_out = trained
     out = tmp_path / "out"
@@ -381,10 +412,11 @@ def test_history_cells_parse_as_floats(trained):
             float(cell)
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """``python -m droughtcast`` in a fresh interpreter."""
+def run_module(*argv, **environ) -> subprocess.CompletedProcess:
+    """``python -m droughtcast`` in a fresh interpreter, with ``environ``
+    added to its environment."""
     src = str(Path(droughtcast.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "droughtcast", *argv], capture_output=True,
                           text=True, env=env, timeout=300)

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import re
 import struct
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from droughtcast.data import (
     save_samples,
     split_fractions,
     write_artifact,
+    write_file,
 )
 from droughtcast.errors import ConfigError, DataError, FormatError, SchemaError
 from droughtcast.synthetic import make_dataset
@@ -518,6 +521,8 @@ def test_file_sha256_reads_in_blocks(tmp_path, monkeypatch, size):
 
 
 def test_artifact_write_that_fails_leaves_the_old_file(tmp_path):
+    """A binary or a text write that fails part-way leaves the old file and
+    no temporary file."""
     path = tmp_path / "a.bin"
     write_artifact(path, b"TESTFMT", b"old", [np.arange(3.0)])
 
@@ -531,6 +536,76 @@ def test_artifact_write_that_fails_leaves_the_old_file(tmp_path):
     header, read = read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
     assert header == b"old"
     np.testing.assert_array_equal(read([("<f8", (3,))])[0], np.arange(3.0))
+
+    text = tmp_path / "a.csv"
+    write_file(text, ["label\nseñal\n"])
+    with pytest.raises(UnicodeEncodeError):
+        write_file(text, ["label\n", "\ud800\n"])  # a lone surrogate has no UTF-8
+    assert sorted(tmp_path.iterdir()) == [path, text]
+    assert text.read_bytes() == "label\nseñal\n".encode("utf-8")
+
+
+def test_write_file_writes_text_as_utf8_and_bytes_unchanged(tmp_path):
+    """Text is UTF-8 with its line ends kept (the ASCII-locale CLI chain in
+    test_cli covers "whatever the locale"); bytes, arrays included, are
+    written as given."""
+    path = tmp_path / "mixed"
+    write_file(path, ["ñ,a\r\nb\n", b"\x00\xff", np.array([1], "<u2")])
+    assert path.read_bytes() == b"\xc3\xb1,a\r\nb\n\x00\xff\x01\x00"
+
+
+WRITE_METHODS = {"write_text", "write_bytes"}
+
+
+def _write_calls(tree: ast.AST):
+    """(line, what) of every call in ``tree`` that writes a file by other
+    means than ``write_file``: ``write_text``, ``write_bytes``, or an
+    ``open`` whose mode is not a literal without "w", "a", "x" or "+"."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in WRITE_METHODS:
+            yield node.lineno, name
+        elif name == "open":
+            # Path.open(mode) takes the mode first, the builtin open(file, mode) second
+            position = 0 if isinstance(func, ast.Attribute) else 1
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            modes += node.args[position:position + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                yield node.lineno, f"open({ast.unparse(mode)})"
+
+
+def test_write_file_is_the_only_writer_in_the_package():
+    """Every file the package writes goes through ``data.write_file``."""
+    found = []
+    for module in sorted(Path(data.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        if module.name == "data.py":
+            writer = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "write_file")
+            assert list(_write_calls(writer)) != []  # the guard sees its one open
+            tree.body.remove(writer)
+        found += [f"{module.name}:{line}: {what}" for line, what in _write_calls(tree)]
+    assert found == []
+
+
+def test_write_guard_flags_each_way_of_writing():
+    source = """
+path.write_text(text)
+path.write_bytes(blob)
+open(name, "w")
+open(name, mode="ab")
+path.open("r+b")
+path.open(mode)
+open(name)
+path.open("rb")
+open(name, "r", encoding="utf-8")
+"""
+    assert [line for line, _ in _write_calls(ast.parse(source))] == [2, 3, 4, 5, 6, 7]
 
 
 def test_sample_set_slicing_and_concatenation():

@@ -62,9 +62,10 @@ def test_attention_profile_day_means_sum_to_one():
 
 
 def test_single_sample_profile_is_degenerate():
+    """At n=1 the band collapses onto the mean."""
     model = small_model(seed=5)
     profile = collect_attention(predict(model, small_samples(n=1, t=6, seed=6))[1])
-    assert profile.degenerate
+    assert profile.n == 1
     np.testing.assert_array_equal(profile.ci_low, profile.mean)
     np.testing.assert_array_equal(profile.ci_high, profile.mean)
 

@@ -51,12 +51,12 @@ def sum_with_backward(forward, backward):
 
 
 def test_embed_lookup_identity():
-    table = EmbeddingTable(3, 3, Tensor(np.eye(3)))
+    table = EmbeddingTable(3, Tensor(np.eye(3)))
     np.testing.assert_array_equal(embed(table, np.array([2])), [[0.0, 0.0, 1.0]])
 
 
 def test_embed_repeated_code_gradient():
-    table = EmbeddingTable(3, 2, Tensor(np.zeros((3, 2))))
+    table = EmbeddingTable(3, Tensor(np.zeros((3, 2))))
     table.backward(np.ones((2, 2)), np.array([1, 1]))
     expected = np.zeros((3, 2))
     expected[1] = 2.0

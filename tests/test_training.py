@@ -196,6 +196,15 @@ def test_fit_rejects_zero_epochs():
         TrainRunConfig(epochs=0)
 
 
+def test_fit_on_an_empty_training_set_is_a_data_error():
+    """An empty sample set is a DataError (exit 3) in fit, as in predict."""
+    samples = make_linear_samples()
+    model = HybridModel.build(overfit_config(), AblationConfig(), seed=1)
+    with pytest.raises(DataError, match="empty training set"):
+        fit(model, samples[:0], samples, TrainRunConfig(),
+            LrSchedule(base_lr=1e-5, max_lr=1e-4))
+
+
 def test_fit_tracks_best_validation(tmp_path):
     samples = make_linear_samples(n=16, seed=9)
     model = HybridModel.build(overfit_config(), AblationConfig(), seed=11)
