@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "pack",
     "RngState",
     "lstm_forward",
     "lstm_backward",
@@ -27,25 +26,14 @@ __all__ = [
 
 class Tensor:
     """A trainable float64 array plus the gradient of the loss with respect
-    to it, of the same shape, which the backward pass writes in place."""
+    to it, of the same shape, which the backward pass writes in place (a
+    zero array unless ``grad`` is given)."""
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data):
+    def __init__(self, data, grad: np.ndarray | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros(self.data.shape)
-
-
-def pack(tensors: dict[str, Tensor]) -> tuple[np.ndarray, np.ndarray]:
-    """``(params, grads)``: the tensors' values in order in one float64 vector,
-    and zeros; each tensor's ``data`` and ``grad`` become views of its slices."""
-    params = np.concatenate([t.data.ravel() for t in tensors.values()])
-    grads, start = np.zeros(params.size), 0
-    for t in tensors.values():
-        shape, stop = t.data.shape, start + t.data.size
-        t.data, t.grad = params[start:stop].reshape(shape), grads[start:stop].reshape(shape)
-        start = stop
-    return params, grads
+        self.grad = np.zeros(self.data.shape) if grad is None else grad
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,19 +1,19 @@
 """Parameterized layers: embedding tables, affine/FFNN blocks, a stacked
 LSTM, and scalar-score attention pooling over hidden states.
 
-Each layer's forward returns its output together with a cache, and its
+A layer's parameters are views of the model's parameter vector, cut as
+:func:`~droughtcast.model.parameter_layout` says.  Its ``draw(rng)`` fills
+them with initial values, uniform in ``±sqrt(1/fan_in)`` from the run seed,
+which keeps initial activations bounded whatever the input scale.  Each
+layer's forward returns its output together with a cache, and its
 ``backward`` takes the gradient of that output plus the cache, fills the
 ``grad`` of the layer's parameters in place and returns the gradient of
 its input.  Seeded training is reproducible bit for bit, and BLAS rounds
 the same product differently for different operand layouts, so the
 layouts here are fixed: a contiguous copy of ``W.T`` in the affine
 forward, ``(x.T @ g).T`` for its weight gradient, and ``np.add.at`` for
-embedding rows.
-
-All parameters are initialized uniformly in ``±sqrt(1/fan_in)`` from the
-run seed, which keeps initial activations bounded without any assumptions
-about input scale.  Sizes and inputs arrive checked: ``ModelConfig``
-checks the sizes, and ``HybridModel.check`` the sample set (``T >= 1``).
+embedding rows.  Sizes and inputs arrive checked: ``ModelConfig`` checks
+the sizes, and ``HybridModel.check`` the sample set (``T >= 1``).
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .autodiff import RngState, Tensor, lstm_backward, lstm_forward
 from .errors import NumericError
 
 
-def _uniform_param(rng: RngState, shape: tuple[int, ...], fan_in: int) -> Tensor:
+def _uniform(rng: RngState, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = float(np.sqrt(1.0 / max(fan_in, 1)))
-    return Tensor(rng.uniform(-bound, bound, shape))
+    return rng.uniform(-bound, bound, shape)
 
 
 def dropout(x: np.ndarray, p: float, training: bool,
@@ -50,9 +50,8 @@ class EmbeddingTable:
     vocab_size: int
     weights: Tensor
 
-    @classmethod
-    def init(cls, vocab_size: int, dim: int, rng: RngState) -> "EmbeddingTable":
-        return cls(vocab_size, _uniform_param(rng, (vocab_size, dim), dim))
+    def draw(self, rng: RngState) -> None:
+        self.weights.data[...] = _uniform(rng, self.weights.data.shape, self.weights.data.shape[1])
 
     def backward(self, grad: np.ndarray, codes: np.ndarray) -> None:
         """Gradient of the rows :func:`embed` took for ``codes``: a code
@@ -73,13 +72,10 @@ class AffineLayer:
     bias: Tensor  # (out,)
     relu: bool = False
 
-    @classmethod
-    def init(cls, in_size: int, out_size: int, rng: RngState, relu: bool = False) -> "AffineLayer":
-        return cls(
-            weight=_uniform_param(rng, (out_size, in_size), in_size),
-            bias=_uniform_param(rng, (out_size,), in_size),
-            relu=relu,
-        )
+    def draw(self, rng: RngState) -> None:
+        shape = self.weight.data.shape
+        self.weight.data[...] = _uniform(rng, shape, shape[1])
+        self.bias.data[...] = _uniform(rng, shape[:1], shape[1])
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """``(B, in)`` rows to ``(B, out)``, plus the cache for :meth:`backward`."""
@@ -97,9 +93,6 @@ class AffineLayer:
         self.weight.grad[...] = (x.T @ grad).T
         return grad @ w_t.T
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
-
 
 @dataclass
 class LstmLayer:
@@ -111,19 +104,14 @@ class LstmLayer:
     w: Tensor
     b: Tensor
 
-    @classmethod
-    def init(cls, in_size: int, hidden: int, rng: RngState) -> "LstmLayer":
-        w = np.empty((in_size + hidden, 4 * hidden))
-        b = np.empty(4 * hidden)
+    def draw(self, rng: RngState) -> None:
+        w, b, hidden = self.w.data, self.b.data, self.b.data.shape[0] // 4
+        in_size = w.shape[0] - hidden
         for k in range(4):  # per gate: input weights, recurrent weights, bias
             cols = slice(k * hidden, (k + 1) * hidden)
-            w[:in_size, cols] = _uniform_param(rng, (hidden, in_size), in_size).data.T
-            w[in_size:, cols] = _uniform_param(rng, (hidden, hidden), hidden).data.T
-            b[cols] = _uniform_param(rng, (hidden,), hidden).data
-        return cls(Tensor(w), Tensor(b))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
+            w[:in_size, cols] = _uniform(rng, (hidden, in_size), in_size).T
+            w[in_size:, cols] = _uniform(rng, (hidden, hidden), hidden).T
+            b[cols] = _uniform(rng, (hidden,), hidden)
 
 
 @dataclass
@@ -134,18 +122,9 @@ class LstmStack:
     layers: list[LstmLayer]
     dropout_p: float = 0.0
 
-    @classmethod
-    def init(cls, num_layers: int, input_size: int, hidden_size: int,
-             rng: RngState, dropout_p: float = 0.0) -> "LstmStack":
-        layers = [
-            LstmLayer.init(input_size if i == 0 else hidden_size, hidden_size, rng.split(f"lstm{i}"))
-            for i in range(num_layers)
-        ]
-        return cls(num_layers, input_size, hidden_size, layers, dropout_p)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"layer{i}.{name}": t for i, layer in enumerate(self.layers)
-                for name, t in layer.parameters().items()}
+    def draw(self, rng: RngState) -> None:
+        for i, layer in enumerate(self.layers):
+            layer.draw(rng.split(f"lstm{i}"))
 
     def backward(self, grad: np.ndarray, cache: list) -> None:
         """Parameter gradients from the gradient of :func:`lstm_states`'
@@ -185,12 +164,8 @@ class AttentionHead:
 
     score_layer: AffineLayer
 
-    @classmethod
-    def init(cls, hidden_size: int, rng: RngState) -> "AttentionHead":
-        return cls(AffineLayer.init(hidden_size, 1, rng))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"score.{k}": v for k, v in self.score_layer.parameters().items()}
+    def draw(self, rng: RngState) -> None:
+        self.score_layer.draw(rng)
 
     def backward(self, grad: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
         """From the context gradient ``(B, h)``: the hidden-state gradient
@@ -228,15 +203,9 @@ class Mlp:
 
     layers: list[AffineLayer] = field(default_factory=list)
 
-    @classmethod
-    def init(cls, in_size: int, hidden_size: int, out_size: int, num_layers: int,
-             rng: RngState) -> "Mlp":
-        sizes = [in_size] + [hidden_size] * (num_layers - 1) + [out_size]
-        layers = [
-            AffineLayer.init(sizes[i], sizes[i + 1], rng.split(f"mlp{i}"), relu=i < num_layers - 1)
-            for i in range(num_layers)
-        ]
-        return cls(layers)
+    def draw(self, rng: RngState) -> None:
+        for i, layer in enumerate(self.layers):
+            layer.draw(rng.split(f"mlp{i}"))
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         cache = []
@@ -249,7 +218,3 @@ class Mlp:
         for layer, layer_cache in zip(reversed(self.layers), reversed(cache)):
             grad = layer.backward(grad, layer_cache)
         return grad
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"layer{i}.{name}": t for i, layer in enumerate(self.layers)
-                for name, t in layer.parameters().items()}

@@ -4,7 +4,8 @@ the fused vector producing one score per forecast week.
 
 Each input path (static features, time series, attention pooling) can be
 switched off independently, which shrinks the fused vector and removes the
-corresponding parameters entirely.
+corresponding parameters entirely.  :func:`parameter_layout` gives the
+name and shape of each parameter, in the order of the parameter vector.
 
 :meth:`HybridModel.check` is the one place where a sample set meets the
 model: every column an enabled path reads must have the width the model
@@ -15,17 +16,21 @@ set, so the forward, the layers and the losses trust their inputs.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import RngState, Tensor, pack
+from .autodiff import RngState, Tensor
 from .data import TARGET_WEEKS, SampleSet
 from .errors import ConfigError, DataError
 from .layers import (
     AffineLayer,
     AttentionHead,
     EmbeddingTable,
+    LstmLayer,
     LstmStack,
     Mlp,
     attend_batched,
@@ -111,69 +116,103 @@ class BatchOutput:
     cache: dict | None = None  # what HybridModel.backward reads; training mode only
 
 
-class HybridModel:
-    """Heterogeneous-input forecaster with switchable paths; each parameter's
-    ``data`` and ``grad`` are views into the vectors ``params`` and ``grads``."""
+def fused_width(config: ModelConfig, ablation: AblationConfig) -> int:
+    """Width of ``[context, last_hidden, reduced_embeddings, numeric_statics]``."""
+    width = 0
+    if ablation.use_timeseries:
+        width += config.hidden_size * (2 if ablation.use_attention else 1)
+    if ablation.use_static:
+        if config.categorical_vocab_sizes:
+            width += config.reduced_dim
+        width += config.numeric_static_count
+    if width == 0:
+        raise ConfigError("model has no inputs")
+    return width
 
-    def __init__(self, config: ModelConfig, ablation: AblationConfig, seed: int):
+
+def parameter_layout(config: ModelConfig,
+                     ablation: AblationConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of every parameter, in parameter-vector order; lazy,
+    so a reader can stop after a few entries whatever the layer counts say.
+    A model with no inputs raises ``ConfigError`` at the MLP, which is last."""
+    if ablation.use_static:
+        vocab = config.categorical_vocab_sizes
+        for i, size in enumerate(vocab):
+            yield f"embed{i}.weights", (size, config.embed_dim)
+        if vocab:
+            yield "reducer.weight", (config.reduced_dim, len(vocab) * config.embed_dim)
+            yield "reducer.bias", (config.reduced_dim,)
+    if ablation.use_timeseries:
+        hidden = config.hidden_size
+        for i in range(config.lstm_layers):
+            yield f"lstm.layer{i}.w", ((config.input_channels if i == 0 else hidden) + hidden,
+                                       4 * hidden)
+            yield f"lstm.layer{i}.b", (4 * hidden,)
+        if ablation.use_attention:
+            yield "attention.score.weight", (1, hidden)
+            yield "attention.score.bias", (1,)
+    width = fused_width(config, ablation)
+    for i in range(config.mlp_layers):
+        out = TARGET_WEEKS if i == config.mlp_layers - 1 else config.mlp_hidden
+        yield f"mlp.layer{i}.weight", (out, width)
+        yield f"mlp.layer{i}.bias", (out,)
+        width = out
+
+
+class HybridModel:
+    """Heterogeneous-input forecaster with switchable paths.  Each parameter's
+    ``data`` and ``grad`` are views into ``params`` and ``grads``, laid out by
+    :func:`parameter_layout`.  Given ``params`` of the layout's size, the
+    model holds it and draws nothing; otherwise it draws from the seed."""
+
+    def __init__(self, config: ModelConfig, ablation: AblationConfig, seed: int,
+                 params: np.ndarray | None = None):
         self.config = config
         self.ablation = ablation
         self.seed = int(seed)
         self.source = "model"  # how input-mismatch errors name it; a checkpoint path once loaded
-        rng = RngState(self.seed).split("init")
 
-        self.embeddings: list[EmbeddingTable] = []
-        self.reducer: AffineLayer | None = None
-        self.lstm: LstmStack | None = None
-        self.attention: AttentionHead | None = None
+        layout = list(parameter_layout(config, ablation))
+        ends = list(accumulate((math.prod(shape) for _, shape in layout), initial=0))
+        self.params = np.zeros(ends[-1]) if params is None else np.asarray(params, np.float64)
+        self.grads = np.zeros(ends[-1])
+        self._tensors = {name: Tensor(self.params[a:b].reshape(shape),
+                                      self.grads[a:b].reshape(shape))
+                         for (name, shape), a, b in zip(layout, ends, ends[1:])}
+        p = self._tensors
 
-        if ablation.use_static:
-            self.embeddings = [
-                EmbeddingTable.init(v, config.embed_dim, rng.split(f"embed{i}"))
-                for i, v in enumerate(config.categorical_vocab_sizes)
-            ]
-            if self.embeddings:
-                self.reducer = AffineLayer.init(
-                    len(self.embeddings) * config.embed_dim,
-                    config.reduced_dim,
-                    rng.split("reducer"),
-                    relu=True,
-                )
+        def affine(prefix: str, relu: bool = False) -> AffineLayer:
+            return AffineLayer(p[f"{prefix}.weight"], p[f"{prefix}.bias"], relu)
+
+        self.embeddings = [EmbeddingTable(v, p[f"embed{i}.weights"])
+                           for i, v in enumerate(config.categorical_vocab_sizes)
+                           if ablation.use_static]
+        self.reducer = affine("reducer", relu=True) if self.embeddings else None
+        self.lstm = None
         if ablation.use_timeseries:
-            self.lstm = LstmStack.init(
-                config.lstm_layers, config.input_channels, config.hidden_size,
-                rng.split("lstm"), dropout_p=config.dropout,
-            )
-            if ablation.use_attention:
-                self.attention = AttentionHead.init(config.hidden_size, rng.split("attention"))
-
-        self.mlp = Mlp.init(self.fused_width(), config.mlp_hidden, TARGET_WEEKS,
-                            config.mlp_layers, rng.split("mlp"))
-        self.params, self.grads = pack(self.named_parameters())
+            self.lstm = LstmStack(config.lstm_layers, config.input_channels, config.hidden_size,
+                                  [LstmLayer(p[f"lstm.layer{i}.w"], p[f"lstm.layer{i}.b"])
+                                   for i in range(config.lstm_layers)], config.dropout)
+        self.attention = (AttentionHead(affine("attention.score")) if ablation.use_attention
+                          else None)
+        self.mlp = Mlp([affine(f"mlp.layer{i}", relu=i < config.mlp_layers - 1)
+                        for i in range(config.mlp_layers)])
+        if params is None:
+            rng = RngState(self.seed).split("init")
+            for i, table in enumerate(self.embeddings):
+                table.draw(rng.split(f"embed{i}"))
+            for key, part in (("reducer", self.reducer), ("lstm", self.lstm),
+                              ("attention", self.attention), ("mlp", self.mlp)):
+                if part is not None:
+                    part.draw(rng.split(key))
 
     @classmethod
     def build(cls, config: ModelConfig, ablation: AblationConfig, seed: int) -> "HybridModel":
         return cls(config, ablation, seed)
 
-    def fused_width(self) -> int:
-        width = 0
-        if self.ablation.use_timeseries:
-            width += self.config.hidden_size * (2 if self.ablation.use_attention else 1)
-        if self.ablation.use_static:
-            if self.embeddings:
-                width += self.config.reduced_dim
-            width += self.config.numeric_static_count
-        if width == 0:
-            raise ConfigError("model has no inputs")
-        return width
-
     def named_parameters(self) -> dict[str, Tensor]:
-        params = {f"embed{i}.weights": table.weights for i, table in enumerate(self.embeddings)}
-        for prefix, part in (("reducer", self.reducer), ("lstm", self.lstm),
-                             ("attention", self.attention), ("mlp", self.mlp)):
-            if part is not None:
-                params.update((f"{prefix}.{name}", t) for name, t in part.parameters().items())
-        return params
+        """Every parameter by its :func:`parameter_layout` name, in that order."""
+        return self._tensors
 
     def _mismatch(self, what: str) -> DataError:
         return DataError(f"{self.source} does not fit these samples: {what}; "

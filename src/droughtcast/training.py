@@ -14,15 +14,17 @@ A checkpoint is a :func:`~droughtcast.data.write_artifact` file with magic
 ``HMCKPT3``.  Its header is UTF-8 text: one ``model.<field>=`` or
 ``ablation.<field>=`` line per field of ``ModelConfig`` and
 ``AblationConfig``, then ``seed=``, then ``tensors=`` and the parameter
-names, comma-separated, in :meth:`HybridModel.named_parameters` order.  The
-one array is the model's parameter vector (those parameters in that order)
-as little-endian float64.
+names, comma-separated, in :func:`~droughtcast.model.parameter_layout`
+order.  The one array is the model's parameter vector (those parameters in
+that order) as little-endian float64.  A load checks the names and the
+size against that layout before it allocates, and draws no init.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -32,7 +34,7 @@ from .autodiff import RngState
 from .config import format_value, parse_as
 from .data import SampleSet, csv_text, read_artifact, write_artifact
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig
+from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig, parameter_layout
 
 
 ADAM_BETA1 = 0.9
@@ -235,7 +237,7 @@ _HEADER_SECTIONS = {"model": ModelConfig, "ablation": AblationConfig}
 
 def _config_text(model: HybridModel) -> str:
     """``section.field=value`` per config field, then ``seed=``, then
-    ``tensors=`` and the parameter names in :meth:`named_parameters` order."""
+    ``tensors=`` and the parameter names in :func:`parameter_layout` order."""
     lines = [f"{section}.{f.name}={format_value(getattr(config, f.name))}"
              for section, config in zip(_HEADER_SECTIONS, (model.config, model.ablation))
              for f in fields(config)]
@@ -278,15 +280,19 @@ def save_checkpoint(model: HybridModel, path) -> None:
 
 
 def load_checkpoint(path) -> HybridModel:
+    """The model a :func:`save_checkpoint` file holds, built around the
+    vector read from it once its names and size match the layout (walked no
+    further than one entry past the names, whatever the layer counts)."""
     header, read = read_artifact(path, _CKPT_MAGIC, "checkpoint", "retrain the model")
     try:
         config, ablation, seed, names = _parse_config_text(header)
-        model = HybridModel.build(config, ablation, seed)
+        layout = list(islice(parameter_layout(config, ablation), len(names) + 1))
     except (ConfigError, FormatError) as exc:
         raise FormatError(f"{path}: checkpoint config: {exc}") from None
+    expected = [name for name, _ in layout]
+    if names != expected:
+        raise FormatError(f"{path}: checkpoint tensors {names} differ from its config's {expected}")
+    (params,) = read([("<f8", (sum(math.prod(shape) for _, shape in layout),))])
+    model = HybridModel(config, ablation, seed, params)
     model.source = f"checkpoint {path}"
-    tensors = list(model.named_parameters())
-    if names != tensors:
-        raise FormatError(f"{path}: checkpoint tensors {names} differ from the model's {tensors}")
-    np.copyto(model.params, read([("<f8", model.params.shape)])[0])
     return model

@@ -1,11 +1,20 @@
 import csv
+import struct
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from droughtcast.autodiff import pack
+from droughtcast.autodiff import Tensor
 from droughtcast.data import DailySeries, Normalizer, StaticTable
+from droughtcast.layers import (
+    AffineLayer,
+    AttentionHead,
+    EmbeddingTable,
+    LstmLayer,
+    LstmStack,
+    Mlp,
+)
 
 
 def series_fixture(fips="19001", days=600, channels=2, score_every=7,
@@ -35,15 +44,78 @@ def statics_fixture(fips="19001", numeric=(100.0, 3.0), codes=(1, 2)):
 
 class Packed:
     """Named tensors packed into one parameter vector and one gradient
-    vector the way ``HybridModel`` packs its own: a stand-in model for
-    ``adamw_step``."""
+    vector, each tensor's ``data`` and ``grad`` becoming views of its
+    slices, as in ``HybridModel``: a stand-in model for ``adamw_step``."""
 
     def __init__(self, tensors):
         self.tensors = tensors
-        self.params, self.grads = pack(tensors)
+        self.params = np.concatenate([t.data.ravel() for t in tensors.values()])
+        self.grads, start = np.zeros(self.params.size), 0
+        for t in tensors.values():
+            shape, stop = t.data.shape, start + t.data.size
+            t.data = self.params[start:stop].reshape(shape)
+            t.grad = self.grads[start:stop].reshape(shape)
+            start = stop
 
     def named_parameters(self):
         return self.tensors
+
+
+def edit_header(blob: bytes, edit) -> bytes:
+    """A checkpoint whose config text is passed through ``edit``: the magic
+    and a pad byte, the uint64 text length, the text zero-padded to 8 bytes,
+    then the parameters."""
+    (length,) = struct.unpack_from("<Q", blob, 8)
+    header = edit(blob[16:16 + length])
+    return (blob[:8] + struct.pack("<Q", len(header)) + header + bytes(-len(header) % 8)
+            + blob[16 + length + -length % 8:])
+
+
+def drawn(layer, rng):
+    """``layer`` after ``layer.draw(rng)`` has filled its parameters."""
+    layer.draw(rng)
+    return layer
+
+
+def empty(*shape):
+    return Tensor(np.empty(shape))
+
+
+def new_table(vocab_size, dim, rng):
+    return drawn(EmbeddingTable(vocab_size, empty(vocab_size, dim)), rng)
+
+
+def new_affine(in_size, out_size, rng, relu=False):
+    return drawn(AffineLayer(empty(out_size, in_size), empty(out_size), relu), rng)
+
+
+def new_lstm(num_layers, input_size, hidden_size, rng, dropout_p=0.0):
+    layers = [LstmLayer(empty((input_size if i == 0 else hidden_size) + hidden_size,
+                              4 * hidden_size), empty(4 * hidden_size))
+              for i in range(num_layers)]
+    return drawn(LstmStack(num_layers, input_size, hidden_size, layers, dropout_p), rng)
+
+
+def new_head(hidden_size, rng):
+    return drawn(AttentionHead(AffineLayer(empty(1, hidden_size), empty(1))), rng)
+
+
+def new_mlp(in_size, hidden_size, out_size, num_layers, rng):
+    sizes = [in_size] + [hidden_size] * (num_layers - 1) + [out_size]
+    return drawn(Mlp([AffineLayer(empty(sizes[i + 1], sizes[i]), empty(sizes[i + 1]),
+                                  relu=i < num_layers - 1) for i in range(num_layers)]), rng)
+
+
+def tensors(layer, prefix=""):
+    """Every ``Tensor`` a layer holds, by dotted field path (``layers.0.w``)."""
+    if isinstance(layer, Tensor):
+        return {prefix[:-1]: layer}
+    items = enumerate(layer) if isinstance(layer, list) else vars(layer).items()
+    found = {}
+    for key, value in items:
+        if isinstance(value, (Tensor, list)) or hasattr(value, "__dataclass_fields__"):
+            found.update(tensors(value, f"{prefix}{key}."))
+    return found
 
 
 def attend_reference(head, hidden):

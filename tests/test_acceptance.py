@@ -10,6 +10,7 @@ from conftest import (
     Packed,
     attend_reference,
     claim_consistent,
+    new_head,
     row_perplexity,
     scored_days,
     series_fixture,
@@ -19,7 +20,7 @@ from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.cli import main as cli_main
 from droughtcast.data import SampleSet, build_samples, split_fractions
 from droughtcast.introspection import conditional_affinities, tsne
-from droughtcast.layers import AttentionHead, attend_batched
+from droughtcast.layers import attend_batched
 from droughtcast.metrics import (
     binary_auc,
     macro_f1,
@@ -89,7 +90,7 @@ def test_criterion_02_attention_invariants():
     for i in range(1000):
         t = int(rng.integers(1, 13, ()))
         h = rng.uniform(-3, 3, (t, 4))
-        head = AttentionHead.init(4, head_rng.split(i))
+        head = new_head(4, head_rng.split(i))
         (context,), (alpha,), _ = attend_batched(head, h[None])
         ref_context, ref_alpha = attend_reference(head, h)
         np.testing.assert_allclose(context, ref_context, atol=1e-12)

@@ -1,5 +1,7 @@
 import csv
 import os
+import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import edit_header
 import droughtcast
 import droughtcast.cli as cli
 from droughtcast import errors
@@ -412,14 +415,46 @@ def test_history_cells_parse_as_floats(trained):
             float(cell)
 
 
-def run_module(*argv, **environ) -> subprocess.CompletedProcess:
+def run_module(*argv, address_space: int | None = None, timeout: float = 300,
+               **environ) -> subprocess.CompletedProcess:
     """``python -m droughtcast`` in a fresh interpreter, with ``environ``
-    added to its environment."""
+    added to its environment, and its address space limited to
+    ``address_space`` bytes if given."""
     src = str(Path(droughtcast.__file__).resolve().parents[1])
     env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, "-m", "droughtcast", *argv], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=env, timeout=timeout,
+                          preexec_fn=limit if address_space else None)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.hidden_size", "1000000"),
+    ("model.categorical_vocab_sizes", "4,300000000"),
+    ("model.lstm_layers", "100000000"),
+    ("model.mlp_layers", "100000000"),
+])
+def test_eval_of_a_checkpoint_claiming_huge_sizes_exits_3(trained, tmp_path, key, value):
+    """A header that claims terabytes of parameters, or a hundred million
+    layers, is a data error before anything is allocated: under a 4 GiB
+    address-space limit, ``eval`` exits 3 at once, without a traceback."""
+    config, out = trained
+    run = tmp_path / "run"
+    shutil.copytree(out / "ingest", run / "ingest")
+    (run / "train").mkdir()
+    checkpoint = (out / "train" / "model.ckpt").read_bytes()
+    line = re.compile(f"^{re.escape(key)}=.*$".encode(), re.M)
+    edited = edit_header(checkpoint, lambda h: line.sub(f"{key}={value}".encode(), h))
+    assert edited != checkpoint
+    (run / "train" / "model.ckpt").write_bytes(edited)
+    result = run_module("--config", str(config), "--out", str(run), "eval",
+                        address_space=4 << 30, timeout=60)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("data error: ") and "Traceback" not in result.stderr
 
 
 def _rewrite(path: Path, out: Path, edit, encoding: str = "utf-8") -> Path:

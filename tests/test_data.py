@@ -2,6 +2,7 @@ import ast
 import hashlib
 import re
 import struct
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -30,8 +31,10 @@ from droughtcast.data import (
     write_artifact,
     write_file,
 )
-from droughtcast.errors import ConfigError, DataError, FormatError, SchemaError
+from droughtcast.errors import ConfigError, DataError, DroughtcastError, FormatError, SchemaError
+from droughtcast.model import AblationConfig, HybridModel, ModelConfig
 from droughtcast.synthetic import make_dataset
+from droughtcast.training import load_checkpoint, save_checkpoint
 
 from conftest import (
     load_normalizer,
@@ -497,6 +500,56 @@ def test_corrupt_eval_predictions_header_raises_format_error(tmp_path, header, m
     bad.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header + blob[96:])
     with pytest.raises(FormatError, match=re.escape(str(bad)) + ": " + message):
         EvalPredictions.load(bad)
+
+
+LOADERS = {b"HMSAMP3": load_samples, b"HMCKPT3": load_checkpoint,
+           b"HMPRED1": EvalPredictions.load}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A directory holding one ~100 KB file of each binary format, named by
+    its magic."""
+    root = tmp_path_factory.mktemp("artifacts")
+    save_samples(_cache_set(300, t=8), root / "HMSAMP3")
+    config = ModelConfig(input_channels=4, numeric_static_count=2,
+                         categorical_vocab_sizes=[3, 5], lstm_layers=2, hidden_size=16,
+                         embed_dim=4, reduced_dim=2, mlp_layers=2, mlp_hidden=256)
+    save_checkpoint(HybridModel.build(config, AblationConfig(), seed=1), root / "HMCKPT3")
+    _eval_predictions(300, 40).save(root / "HMPRED1")
+    return root
+
+
+# a byte from anywhere, or one that keeps a text header's numbers numbers
+HEADER_BYTES = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(magic=st.sampled_from(sorted(LOADERS)),
+       edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), HEADER_BYTES), max_size=4),
+       length=st.one_of(st.none(), st.integers(0, 2 ** 64 - 1)), shift=st.integers(-16, 16))
+def test_a_mutated_header_loads_or_raises_a_typed_error(artifacts, magic, edits, length, shift):
+    """Header bytes overwritten, and the header length set to any uint64 or
+    moved by up to 16 bytes: the load returns or raises a
+    ``DroughtcastError``, and its allocations peak at a small multiple of
+    the file size, so no header makes it allocate what the file does not
+    hold."""
+    blob = bytearray((artifacts / magic.decode()).read_bytes())
+    (real,) = struct.unpack_from("<Q", blob, 8)
+    for where, value in edits:
+        blob[16 + int(where * real)] = value
+    struct.pack_into("<Q", blob, 8, max(real + shift, 0) if length is None else length)
+    path = artifacts / "mutated"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        LOADERS[magic](path)
+    except DroughtcastError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= 4 * len(blob)
 
 
 @pytest.mark.parametrize("size", [0, 1, 4096, 3 * 4096 + 5])

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from conftest import attend_reference
+from conftest import (
+    attend_reference,
+    new_affine,
+    new_head,
+    new_lstm,
+    new_mlp,
+    new_table,
+    tensors,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +18,6 @@ from droughtcast.layers import (
     AffineLayer,
     AttentionHead,
     EmbeddingTable,
-    LstmStack,
-    Mlp,
     attend_batched,
     dropout,
     embed,
@@ -66,7 +72,7 @@ def test_embed_repeated_code_gradient():
 def test_concatenated_feature_embeddings_have_expected_width():
     rng = RngState(1)
     z = 5
-    tables = [EmbeddingTable.init(4, z, rng.split(i)) for i in range(3)]
+    tables = [new_table(4, z, rng.split(i)) for i in range(3)]
     rows = [embed(t, np.array([1])) for t in tables]
     total = np.concatenate(rows, axis=1)
     assert total.shape == (1, 3 * z)
@@ -86,15 +92,15 @@ def test_ffnn_reduce_hand_case():
 
 def test_ffnn_reduce_gradient():
     f_d, z, z_red = 3, 4, 2
-    layer = AffineLayer.init(f_d * z, z_red, RngState(3), relu=True)
+    layer = new_affine(f_d * z, z_red, RngState(3), relu=True)
     x = RngState(4).uniform(-1, 1, (1, f_d * z))
-    report = grad_check(sum_with_backward(lambda: layer(x), layer.backward), layer.parameters(),
+    report = grad_check(sum_with_backward(lambda: layer(x), layer.backward), tensors(layer),
                         tolerance=1e-6)
     assert report.ok, report.per_input
 
 
 def test_affine_input_gradient_matches_finite_differences():
-    layer = AffineLayer.init(4, 3, RngState(5), relu=True)
+    layer = new_affine(4, 3, RngState(5), relu=True)
     x = Tensor(RngState(6).uniform(-1, 1, (2, 4)))
 
     def fn():
@@ -122,15 +128,15 @@ def test_dropout_preserves_mean_and_is_reproducible():
 
 
 def test_lstm_all_zero_parameters_is_fixed_point():
-    stack = LstmStack.init(2, 3, 4, RngState(0))
-    for t in stack.parameters().values():
+    stack = new_lstm(2, 3, 4, RngState(0))
+    for t in tensors(stack).values():
         t.data[...] = 0.0
     out = lstm_sequence(stack, np.random.default_rng(0).normal(size=(5, 3)))
     np.testing.assert_array_equal(out, np.zeros((5, 4)))
 
 
 def test_lstm_single_step_matches_hand_evaluation():
-    stack = LstmStack.init(1, 1, 1, RngState(0))
+    stack = new_lstm(1, 1, 1, RngState(0))
     vals = {"w_i": 0.5, "u_i": 0.3, "b_i": 0.1,
             "w_f": -0.2, "u_f": 0.4, "b_f": 0.2,
             "w_g": 0.7, "u_g": -0.5, "b_g": -0.1,
@@ -152,13 +158,13 @@ def test_lstm_single_step_matches_hand_evaluation():
 
 
 def test_lstm_hidden_states_bounded():
-    stack = LstmStack.init(2, 4, 6, RngState(5))
+    stack = new_lstm(2, 4, 6, RngState(5))
     out = lstm_sequence(stack, RngState(6).uniform(-10, 10, (20, 4)))
     assert np.abs(out).max() < 1.0
 
 
 def test_lstm_batched_matches_per_sample():
-    stack = LstmStack.init(2, 3, 5, RngState(8))
+    stack = new_lstm(2, 3, 5, RngState(8))
     rng = RngState(9)
     x_batch = rng.uniform(-1, 1, (4, 6, 3))
     batched, _ = lstm_states(stack, x_batch, RngState(0), training=False)
@@ -168,7 +174,7 @@ def test_lstm_batched_matches_per_sample():
 
 
 def test_attend_identical_states_gives_uniform_weights():
-    head = AttentionHead.init(3, RngState(2))
+    head = new_head(3, RngState(2))
     row = np.array([0.3, -0.2, 0.9])
     context, alpha = attend(head, np.tile(row, (5, 1)))
     np.testing.assert_allclose(alpha, np.full(5, 0.2), atol=1e-12)
@@ -176,7 +182,7 @@ def test_attend_identical_states_gives_uniform_weights():
 
 
 def test_attend_single_step():
-    head = AttentionHead.init(2, RngState(3))
+    head = new_head(2, RngState(3))
     context, alpha = attend(head, [[1.5, -0.5]])
     np.testing.assert_array_equal(alpha, [1.0])
     np.testing.assert_array_equal(context, [1.5, -0.5])
@@ -196,7 +202,7 @@ def test_attend_matches_exact_reference():
 def test_attend_score_offset_invariance():
     rng = RngState(12)
     h = rng.uniform(-1, 1, (7, 4))
-    head = AttentionHead.init(4, RngState(13))
+    head = new_head(4, RngState(13))
     _, alpha = attend(head, h)
     head.score_layer.bias.data[...] += 100.0
     _, alpha_shifted = attend(head, h)
@@ -204,7 +210,7 @@ def test_attend_score_offset_invariance():
 
 
 def test_attention_rejects_nan_scores():
-    head = AttentionHead.init(2, RngState(14))
+    head = new_head(2, RngState(14))
     with pytest.raises(NumericError):
         attend(head, [[np.nan, 0.0], [0.0, 1.0]])
 
@@ -214,7 +220,7 @@ def test_attention_rejects_nan_scores():
 def test_attend_is_convex_combination(steps, seed):
     rng = RngState(seed)
     h = rng.uniform(-3, 3, (steps, 4))
-    head = AttentionHead.init(4, rng.split("head"))
+    head = new_head(4, rng.split("head"))
     context, alpha = attend(head, h)
     assert abs(alpha.sum() - 1.0) <= 1e-12
     assert (context >= h.min(axis=0) - 1e-12).all()
@@ -226,7 +232,7 @@ def test_attend_is_convex_combination(steps, seed):
 def test_attend_permutation_equivariance(steps, seed):
     rng = RngState(seed)
     h = rng.uniform(-2, 2, (steps, 3))
-    head = AttentionHead.init(3, rng.split("head"))
+    head = new_head(3, rng.split("head"))
     _, alpha = attend(head, h)
     perm = rng.permutation(steps)
     _, alpha_perm = attend(head, h[perm])
@@ -249,7 +255,7 @@ def test_attention_softmax_simplex_and_shift_invariance(values, offset):
 
 
 def test_attend_batched_matches_per_sample():
-    head = AttentionHead.init(4, RngState(20))
+    head = new_head(4, RngState(20))
     rng = RngState(21)
     h = rng.uniform(-1, 1, (3, 5, 4))
     context_b, alpha_b, _ = attend_batched(head, h)
@@ -260,20 +266,20 @@ def test_attend_batched_matches_per_sample():
 
 
 def test_attention_gradients_pass_check():
-    head = AttentionHead.init(3, RngState(30))
+    head = new_head(3, RngState(30))
     h = RngState(31).uniform(-1, 1, (2, 4, 3))
 
     def forward():
         context, _, cache = attend_batched(head, h)
         return context, cache
 
-    report = grad_check(sum_with_backward(forward, head.backward), head.parameters(),
+    report = grad_check(sum_with_backward(forward, head.backward), tensors(head),
                         tolerance=1e-4)
     assert report.ok, report.per_input
 
 
 def test_attention_hidden_gradient_matches_finite_differences():
-    head = AttentionHead.init(3, RngState(32))
+    head = new_head(3, RngState(32))
     h = Tensor(RngState(33).uniform(-1, 1, (2, 4, 3)))
 
     def fn():
@@ -287,7 +293,7 @@ def test_attention_hidden_gradient_matches_finite_differences():
 
 
 def test_mlp_zero_final_weights_returns_bias():
-    mlp = Mlp.init(5, 8, 6, 2, RngState(7))
+    mlp = new_mlp(5, 8, 6, 2, RngState(7))
     mlp.layers[-1].weight.data[...] = 0.0
     mlp.layers[-1].bias.data[...] = np.arange(6.0)
     out, _ = mlp(np.ones((1, 5)))
@@ -296,20 +302,20 @@ def test_mlp_zero_final_weights_returns_bias():
 
 def test_mlp_output_width_is_six():
     for in_size in (3, 12, 40):
-        mlp = Mlp.init(in_size, 16, 6, 2, RngState(1))
+        mlp = new_mlp(in_size, 16, 6, 2, RngState(1))
         assert mlp(np.zeros((1, in_size)))[0].shape == (1, 6)
 
 
 def test_mlp_gradient():
-    mlp = Mlp.init(12, 6, 6, 2, RngState(40))
+    mlp = new_mlp(12, 6, 6, 2, RngState(40))
     x = RngState(41).uniform(-1, 1, (1, 12))
-    report = grad_check(sum_with_backward(lambda: mlp(x), mlp.backward), mlp.parameters(),
+    report = grad_check(sum_with_backward(lambda: mlp(x), mlp.backward), tensors(mlp),
                         tolerance=1e-6)
     assert report.ok, report.per_input
 
 
 def test_mlp_input_gradient_matches_finite_differences():
-    mlp = Mlp.init(5, 6, 3, 2, RngState(42))
+    mlp = new_mlp(5, 6, 3, 2, RngState(42))
     x = Tensor(RngState(43).uniform(-1, 1, (2, 5)))
 
     def fn():
@@ -322,7 +328,7 @@ def test_mlp_input_gradient_matches_finite_differences():
 
 
 def test_embedding_gradient_passes_check_with_repeated_codes():
-    table = EmbeddingTable.init(4, 3, RngState(44))
+    table = new_table(4, 3, RngState(44))
     codes = np.array([2, 0, 2, 3])
     weights = RngState(45).uniform(-1, 1, (4, 3))
 
@@ -337,16 +343,16 @@ def test_embedding_gradient_passes_check_with_repeated_codes():
 
 def test_lstm_gradients_pass_check_at_small_dims():
     # a frozen inter-layer dropout mask: the stream is recreated on every call
-    stack = LstmStack.init(2, 2, 3, RngState(50), dropout_p=0.3)
+    stack = new_lstm(2, 2, 3, RngState(50), dropout_p=0.3)
     x = RngState(51).uniform(-1, 1, (2, 4, 2))
     forward = lambda: lstm_states(stack, x, RngState(52), training=True)
-    report = grad_check(sum_with_backward(forward, stack.backward), stack.parameters(),
+    report = grad_check(sum_with_backward(forward, stack.backward), tensors(stack),
                         tolerance=1e-4)
     assert report.ok, report.per_input
 
 
 def test_lstm_input_gradient_matches_finite_differences():
-    stack = LstmStack.init(1, 2, 3, RngState(53))
+    stack = new_lstm(1, 2, 3, RngState(53))
     layer = stack.layers[0]
     x = Tensor(RngState(54).uniform(-1, 1, (4, 2, 2)))
 
@@ -362,7 +368,7 @@ def test_lstm_input_gradient_matches_finite_differences():
 
 def test_lstm_init_packs_per_gate_draws_in_order():
     in_size, hidden = 3, 2
-    layer = LstmStack.init(1, in_size, hidden, RngState(4)).layers[0]
+    layer = new_lstm(1, in_size, hidden, RngState(4)).layers[0]
     rng = RngState(4).split("lstm0")
     for k in range(4):
         cols = slice(k * hidden, (k + 1) * hidden)
@@ -376,7 +382,7 @@ def test_lstm_init_packs_per_gate_draws_in_order():
 
 def test_lstm_dropout_mask_is_successive_per_step_draws():
     steps, batch, hidden, p = 4, 3, 5, 0.5
-    stack = LstmStack.init(2, 2, hidden, RngState(60), dropout_p=p)
+    stack = new_lstm(2, 2, hidden, RngState(60), dropout_p=p)
     x = RngState(61).uniform(-1, 1, (batch, steps, 2))
     out, _ = lstm_states(stack, x, RngState(62), training=True)
 

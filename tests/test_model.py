@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import droughtcast.model
 from droughtcast.autodiff import RngState, grad_check
 from droughtcast.cli import ABLATION_SETTINGS
 from droughtcast.data import SampleSet
@@ -11,10 +15,19 @@ from droughtcast.model import (
     Batch,
     HybridModel,
     ModelConfig,
+    fused_width,
     mae_loss,
     mse_loss,
 )
-from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict, validation_mae
+from droughtcast.training import (
+    LrSchedule,
+    TrainRunConfig,
+    fit,
+    load_checkpoint,
+    predict,
+    save_checkpoint,
+    validation_mae,
+)
 
 
 def tiny_config(**overrides):
@@ -57,22 +70,19 @@ def tiny_samples(batch, **columns):
 def test_fused_width_full_model_defaults():
     config = ModelConfig(input_channels=40, numeric_static_count=3,
                          categorical_vocab_sizes=[5])
-    model = HybridModel.build(config, AblationConfig(), seed=0)
-    assert model.fused_width() == 2 * 490 + 6 + 3
+    assert fused_width(config, AblationConfig()) == 2 * 490 + 6 + 3
 
 
 def test_fused_width_attention_off():
     config = tiny_config()
-    model = HybridModel.build(config, AblationConfig(use_attention=False), seed=0)
-    assert model.fused_width() == config.hidden_size + config.reduced_dim + 3
+    assert (fused_width(config, AblationConfig(use_attention=False))
+            == config.hidden_size + config.reduced_dim + 3)
 
 
 def test_fused_width_statics_only():
     config = tiny_config()
-    model = HybridModel.build(
-        config, AblationConfig(use_timeseries=False, use_attention=False), seed=0
-    )
-    assert model.fused_width() == config.reduced_dim + 3
+    ablation = AblationConfig(use_timeseries=False, use_attention=False)
+    assert fused_width(config, ablation) == config.reduced_dim + 3
 
 
 def test_invalid_ablations_rejected():
@@ -241,13 +251,18 @@ def _address(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
 
 
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
 @pytest.mark.parametrize("ablation", ABLATION_SETTINGS, ids=lambda a: a.label())
-def test_parameters_and_gradients_are_views_that_tile_two_vectors(ablation):
+def test_parameters_and_gradients_are_views_that_tile_two_vectors(ablation, loaded, tmp_path):
     """Each parameter's ``data`` and ``grad`` are C-contiguous views into
     ``params`` and ``grads``, at rising offsets in ``named_parameters``
     order with no gap or overlap, before and after a backward pass (which
-    writes into the views instead of rebinding them)."""
+    writes into the views instead of rebinding them), whether the model was
+    built or loaded from a checkpoint."""
     model = HybridModel.build(tiny_config(), ablation, seed=0)
+    if loaded:
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        model = load_checkpoint(tmp_path / "model.ckpt")
 
     def assert_tiled(when):
         for vector, attr in ((model.params, "data"), (model.grads, "grad")):
@@ -374,3 +389,36 @@ def test_reduced_static_embedding_rejects_unknown_codes():
     assert model.reduced_static_embedding(np.array([[2, 3]])).shape == (1, 2)
     with pytest.raises(DataError, match="categorical feature 0 has codes 3..3"):
         model.reduced_static_embedding(np.array([[3, 0]]))
+
+
+def _tensor_constructions(tree: ast.AST):
+    """Line of every call in ``tree`` to a name or attribute ``Tensor``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "Tensor":
+                yield node.lineno
+
+
+def test_model_is_the_only_module_that_constructs_a_tensor():
+    """Every parameter is a view that ``HybridModel`` cuts from its vector as
+    ``parameter_layout`` says; no other module of the package allocates one."""
+    found = []
+    for module in sorted(Path(droughtcast.model.__file__).parent.glob("*.py")):
+        lines = list(_tensor_constructions(ast.parse(module.read_text(encoding="utf-8"))))
+        if module.name == "model.py":
+            assert lines != []  # the guard sees the one place that does
+        else:
+            found += [f"{module.name}:{line}" for line in lines]
+    assert found == []
+
+
+def test_tensor_guard_flags_each_way_of_constructing_one():
+    source = """
+Tensor(data)
+autodiff.Tensor(data, grad)
+isinstance(value, Tensor)
+tensors: dict[str, Tensor] = {}
+"""
+    assert list(_tensor_constructions(ast.parse(source))) == [2, 3]

@@ -1,18 +1,22 @@
 import itertools
+import math
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Packed
+from conftest import Packed, edit_header
 from droughtcast import training
 from droughtcast.autodiff import RngState, Tensor
+from droughtcast.cli import ABLATION_SETTINGS
 from droughtcast.data import SampleSet
 from droughtcast.errors import ConfigError, DataError, FormatError, NumericError
-from droughtcast.model import AblationConfig, HybridModel, ModelConfig
+from droughtcast.layers import AffineLayer, AttentionHead, EmbeddingTable, LstmLayer, LstmStack, Mlp
+from droughtcast.model import AblationConfig, HybridModel, ModelConfig, parameter_layout
 from droughtcast.training import (
     LrSchedule,
     OptimizerState,
@@ -270,16 +274,6 @@ def test_checkpoint_truncation_detected(tmp_path):
         load_checkpoint(tmp_path / "junk.ckpt")
 
 
-def _edit_header(blob: bytes, edit) -> bytes:
-    """A checkpoint whose config text is passed through ``edit``: the magic
-    and a pad byte, the uint64 text length, the text zero-padded to 8 bytes,
-    then the parameters."""
-    (length,) = struct.unpack_from("<Q", blob, 8)
-    header = edit(blob[16:16 + length])
-    return (blob[:8] + struct.pack("<Q", len(header)) + header + bytes(-len(header) % 8)
-            + blob[16 + length + -length % 8:])
-
-
 def test_checkpoint_layout(tmp_path):
     model = HybridModel.build(overfit_config(), AblationConfig(), seed=3)
     path = tmp_path / "model.ckpt"
@@ -322,14 +316,22 @@ def test_old_checkpoint_names_version_and_asks_to_retrain(tmp_path, version):
     (lambda h: h.replace(b"tensors=embed0.weights,", b"tensors="), "tensors .* differ"),
     (lambda h: h.replace(b"embed0.weights,embed1.weights", b"embed1.weights,embed0.weights"),
      "tensors .* differ"),
+    # sizes that would allocate terabytes, or layer counts that would loop for
+    # minutes, if the load built the model before it checked the file
+    (lambda h: h.replace(b"lstm_layers=2", b"lstm_layers=100000000"), "tensors .* differ"),
+    (lambda h: h.replace(b"mlp_layers=2", b"mlp_layers=100000000"), "tensors .* differ"),
+    (lambda h: h.replace(b"hidden_size=12", b"hidden_size=1000000"), "truncated checkpoint"),
+    (lambda h: h.replace(b"vocab_sizes=3,3", b"vocab_sizes=3,300000000"), "truncated checkpoint"),
 ])
 def test_corrupt_checkpoint_header_raises_format_error(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(HybridModel.build(overfit_config(), AblationConfig(), seed=3), path)
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_edit_header(path.read_bytes(), edit))
+    bad.write_bytes(edit_header(path.read_bytes(), edit))
+    started = time.perf_counter()
     with pytest.raises(FormatError, match=message):
         load_checkpoint(bad)
+    assert time.perf_counter() - started < 0.5
 
 
 @st.composite
@@ -369,6 +371,49 @@ def test_checkpoint_round_trips_any_config(tmp_path_factory, config, ablation, s
     assert (loaded.config, loaded.ablation, loaded.seed) == (config, ablation, seed)
     for name, tensor in model.named_parameters().items():
         np.testing.assert_array_equal(loaded.named_parameters()[name].data, tensor.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=model_configs(), ablation=st.sampled_from(ABLATION_SETTINGS))
+def test_model_parameters_follow_the_layout(config, ablation):
+    try:
+        model = HybridModel.build(config, ablation, seed=0)
+    except ConfigError:  # the static path alone with no static inputs
+        assume(False)
+    layout = list(parameter_layout(config, ablation))
+    assert [(name, t.data.shape) for name, t in model.named_parameters().items()] == layout
+    assert [t.grad.shape for t in model.named_parameters().values()] == [s for _, s in layout]
+    assert model.params.size == model.grads.size == sum(math.prod(s) for _, s in layout)
+
+
+def test_parameter_layout_is_lazy():
+    """A reader can take the first entries of a layout whose layer counts
+    are far too large to walk."""
+    config = overfit_config(lstm_layers=10 ** 9, mlp_layers=10 ** 9)
+    head = itertools.islice(parameter_layout(config, AblationConfig()), 5)
+    assert list(head) == [("embed0.weights", (3, 4)), ("embed1.weights", (3, 4)),
+                          ("reducer.weight", (2, 8)), ("reducer.bias", (2,)),
+                          ("lstm.layer0.w", (16, 48))]
+    statics_only = AblationConfig(use_timeseries=False, use_attention=False)
+    head = itertools.islice(parameter_layout(config, statics_only), 4, 8)
+    assert list(head) == [("mlp.layer0.weight", (32, 4)), ("mlp.layer0.bias", (32,)),
+                          ("mlp.layer1.weight", (32, 32)), ("mlp.layer1.bias", (32,))]
+
+
+def test_load_checkpoint_draws_no_init(tmp_path, monkeypatch):
+    model = HybridModel.build(overfit_config(), AblationConfig(), seed=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+
+    def refuse(layer, rng):
+        raise AssertionError(f"{type(layer).__name__} drew an init")
+
+    for layer in (EmbeddingTable, AffineLayer, LstmLayer, LstmStack, AttentionHead, Mlp):
+        monkeypatch.setattr(layer, "draw", refuse)
+    loaded = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.params, model.params)
+    with pytest.raises(AssertionError, match="drew an init"):
+        HybridModel.build(overfit_config(), AblationConfig(), seed=3)
 
 
 def test_checkpoint_preserves_ablation_contract(tmp_path):
