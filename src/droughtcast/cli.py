@@ -211,17 +211,16 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "eval")
-    test_path = _ingest_file(_ingest_dir(cfg), "test.samples")
-    test = dp.load_samples(test_path)
+    (test,) = _load_sets(_ingest_dir(cfg), "test")
     if not test:
         raise DataError("no test samples in the ingest cache")
-    checkpoint = _checkpoint(cfg)
-    report, predictions, attention = evaluate(load_checkpoint(checkpoint), test)
+    model = load_checkpoint(_checkpoint(cfg))
+    report, predictions, attention = evaluate(model, test)
     dp.write_file(out / "weekly.csv", [report.weekly_csv()])
     dp.write_file(out / "summary.csv", [report.summary_csv()])
     dp.write_file(out / "report.txt", [report.render_text()])
-    dp.EvalPredictions(predictions, attention, dp.file_sha256(checkpoint),
-                       dp.file_sha256(test_path)).save(out / "predictions.bin")
+    dp.EvalPredictions(predictions, attention, model.sha256,
+                       test.sha256).save(out / "predictions.bin")
     print(report.render_text())
     return 0
 
@@ -285,11 +284,16 @@ def cmd_cv(cfg: RunConfig) -> int:
 
 def cmd_locexp(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "locexp")
-    ingest = _ingest_dir(cfg)
-    train, val, test = _load_sets(ingest, "train", "val", "test")
     states = cfg.get_list("locexp", "states")
     if not states:
         raise ConfigError("[locexp] states must list at least one FIPS prefix")
+    for i, state in enumerate(states):
+        if len(state) != 2:
+            raise ConfigError(f"[locexp] states: {state!r} is not a 2-character FIPS prefix")
+        if state in states[:i]:
+            raise ConfigError(f"[locexp] states: {state!r} is listed twice")
+    ingest = _ingest_dir(cfg)
+    train, val, test = _load_sets(ingest, "train", "val", "test")
     base_config = _model_config(cfg, ingest, train)
     ablation = _from_section(cfg, AblationConfig, "ablation")
 
@@ -320,20 +324,18 @@ def _test_attention(cfg: RunConfig, model: HybridModel) -> tuple[np.ndarray, str
     """The attention weights of the checkpoint's ``model`` over the test
     set, and where they came from: ``eval/predictions.bin`` when it was
     written for the same checkpoint and test set, else a fresh forward."""
-    test_path = _ingest_file(_ingest_dir(cfg), "test.samples")
+    (test,) = _load_sets(_ingest_dir(cfg), "test")
     saved_path = _out_root(cfg) / "eval" / "predictions.bin"
     if not saved_path.exists():
         reason = "no eval predictions"
     else:
         saved = dp.EvalPredictions.load(saved_path)
-        if (saved.attention is None
-                or saved.checkpoint_sha256 != dp.file_sha256(_checkpoint(cfg))):
+        if saved.attention is None or saved.checkpoint_sha256 != model.sha256:
             reason = "another checkpoint"
-        elif saved.samples_sha256 != dp.file_sha256(test_path):
+        elif saved.samples_sha256 != test.sha256:
             reason = "another test set"
         else:
             return saved.attention, f"reused {saved_path}"
-    test = dp.load_samples(test_path)
     if not test:
         raise DataError("no test samples in the ingest cache")
     return predict(model, test)[1], f"computed ({reason})"

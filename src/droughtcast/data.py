@@ -31,6 +31,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import re
 import struct
 from collections.abc import Iterator
@@ -87,6 +88,7 @@ class SampleSet:
     y: np.ndarray  # (N, 6)
     fips: np.ndarray  # (N,) str
     anchor: np.ndarray  # (N,) datetime64[D]
+    sha256: bytes | None = None  # of the cache file loaded; a derived set has none
 
     def __post_init__(self):
         if len({column.shape[0] for column in self._columns()}) != 1:
@@ -150,15 +152,16 @@ def write_artifact(path, magic: bytes, header: bytes, arrays) -> None:
 
 
 def read_artifact(path, magic: bytes, what: str, remedy: str):
-    """The header of a :func:`write_artifact` file and ``read(layout)``,
-    which maps the arrays, given as ``(dtype, shape)`` in file order, to
-    views into one writable buffer.  Another magic, an older version of it
-    (named with the ``remedy``), or a size other than the header and layout
-    imply raise ``FormatError`` naming ``what``."""
+    """The header of a :func:`write_artifact` file; ``read(layout)``, which
+    maps the arrays, given as ``(dtype, shape)`` in file order, to views into
+    one writable buffer; and the sha256 of the bytes read.  Another magic, an
+    older version of it (named with the ``remedy``), or a size other than the
+    open file's, or than the header and layout imply, raise ``FormatError``."""
     path = Path(path)
-    blob = bytearray(path.stat().st_size)
     with path.open("rb") as fh:
-        fh.readinto(blob)
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        if fh.readinto(blob) != len(blob):
+            raise FormatError(f"{path}: truncated {what}")
     if blob[:len(magic)] != magic:
         if blob.startswith(magic[:-1]):
             version = bytes(blob[:len(magic)]).decode(errors="replace")
@@ -182,20 +185,8 @@ def read_artifact(path, magic: bytes, what: str, remedy: str):
         return [np.frombuffer(blob, dtype, math.prod(shape), offset).reshape(shape)
                 for (dtype, shape), offset in zip(layout, accumulate(sizes, initial=start))]
 
-    return bytes(blob[_ARTIFACT_PREFIX.size:_ARTIFACT_PREFIX.size + length]), read
-
-
-DIGEST_BLOCK = 1 << 20  # bytes read per update of a file digest
-
-
-def file_sha256(path) -> bytes:
-    """The 32-byte sha256 digest of a file, read ``DIGEST_BLOCK`` bytes at a
-    time, so that no more of the file than one block is held at once."""
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for block in iter(lambda: fh.read(DIGEST_BLOCK), b""):
-            digest.update(block)
-    return digest.digest()
+    return (bytes(blob[_ARTIFACT_PREFIX.size:_ARTIFACT_PREFIX.size + length]), read,
+            hashlib.sha256(blob).digest())
 
 
 def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[str]]]:
@@ -405,6 +396,9 @@ def load_statics(path, categorical_columns: list[str],
                  ) -> tuple[StaticTable, CategoricalEncoder]:
     """Parse the static-features CSV; returns the county table plus the
     label dictionary used for encoding (fit here unless one is supplied)."""
+    for i, name in enumerate(categorical_columns):
+        if name in categorical_columns[:i]:
+            raise ConfigError(f"categorical column {name!r} is listed twice")
     path = Path(path)
     rows = _csv_rows(path, SchemaError)
     _, header = next(rows)
@@ -624,12 +618,12 @@ def save_samples(samples: SampleSet, path) -> None:
 
 def load_samples(path) -> SampleSet:
     """Read a cache written by :func:`save_samples`; the columns are views
-    into one writable buffer."""
-    header, read = read_artifact(path, _CACHE_MAGIC, "sample cache", "re-run ingest")
+    into one writable buffer, and ``sha256`` is the file's digest."""
+    header, read, sha256 = read_artifact(path, _CACHE_MAGIC, "sample cache", "re-run ingest")
     if len(header) != _CACHE_HEADER.size:
         raise FormatError(f"{path}: corrupt sample cache header ({len(header)} bytes)")
     x, s_n, s_d, y, days, fips = read(_cache_layout(*_CACHE_HEADER.unpack(header)))
-    return SampleSet(x, s_n, s_d, y, fips, days.view("datetime64[D]"))
+    return SampleSet(x, s_n, s_d, y, fips, days.view("datetime64[D]"), sha256)
 
 
 _PREDICTIONS_MAGIC = b"HMPRED1"
@@ -640,8 +634,8 @@ _PREDICTIONS_HEADER = struct.Struct("<2Q32s32s")  # N, T, the two sha256 digests
 class EvalPredictions:
     """What the eval-mode forward returned over a test set: ``predictions``
     (N, 6) and ``attention`` (N, T), ``None`` when the model has no
-    attention path; and the sha256 digests (:func:`file_sha256`) of the
-    checkpoint and of the sample cache it read."""
+    attention path; and the sha256 digests of the checkpoint and of the
+    sample cache it read, as :func:`read_artifact` returned them."""
 
     predictions: np.ndarray
     attention: np.ndarray | None
@@ -661,7 +655,8 @@ class EvalPredictions:
 
     @classmethod
     def load(cls, path) -> "EvalPredictions":
-        header, read = read_artifact(path, _PREDICTIONS_MAGIC, "eval predictions", "re-run eval")
+        header, read, _ = read_artifact(path, _PREDICTIONS_MAGIC, "eval predictions",
+                                        "re-run eval")
         if len(header) != _PREDICTIONS_HEADER.size:
             raise FormatError(f"{path}: corrupt eval predictions header ({len(header)} bytes)")
         n, steps, checkpoint, samples = _PREDICTIONS_HEADER.unpack(header)

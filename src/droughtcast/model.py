@@ -171,6 +171,7 @@ class HybridModel:
         self.ablation = ablation
         self.seed = int(seed)
         self.source = "model"  # how input-mismatch errors name it; a checkpoint path once loaded
+        self.sha256: bytes | None = None  # the digest of the checkpoint file once loaded
 
         layout = list(parameter_layout(config, ablation))
         ends = list(accumulate((math.prod(shape) for _, shape in layout), initial=0))

@@ -282,8 +282,9 @@ def save_checkpoint(model: HybridModel, path) -> None:
 def load_checkpoint(path) -> HybridModel:
     """The model a :func:`save_checkpoint` file holds, built around the
     vector read from it once its names and size match the layout (walked no
-    further than one entry past the names, whatever the layer counts)."""
-    header, read = read_artifact(path, _CKPT_MAGIC, "checkpoint", "retrain the model")
+    further than one entry past the names, whatever the layer counts), with
+    the file's digest as ``sha256``."""
+    header, read, sha256 = read_artifact(path, _CKPT_MAGIC, "checkpoint", "retrain the model")
     try:
         config, ablation, seed, names = _parse_config_text(header)
         layout = list(islice(parameter_layout(config, ablation), len(names) + 1))
@@ -294,5 +295,5 @@ def load_checkpoint(path) -> HybridModel:
         raise FormatError(f"{path}: checkpoint tensors {names} differ from its config's {expected}")
     (params,) = read([("<f8", (sum(math.prod(shape) for _, shape in layout),))])
     model = HybridModel(config, ablation, seed, params)
-    model.source = f"checkpoint {path}"
+    model.source, model.sha256 = f"checkpoint {path}", sha256
     return model

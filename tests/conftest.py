@@ -1,6 +1,7 @@
 import csv
 import struct
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,22 @@ def edit_header(blob: bytes, edit) -> bytes:
     header = edit(blob[16:16 + length])
     return (blob[:8] + struct.pack("<Q", len(header)) + header + bytes(-len(header) % 8)
             + blob[16 + length + -length % 8:])
+
+
+def spy_opens(monkeypatch, before_open=lambda path: None):
+    """The paths that ``Path.open`` is called on from now on, in order;
+    ``before_open(path)`` runs before each open and may return a function
+    that wraps the opened file."""
+    opened, original = [], Path.open
+
+    def spy_open(self, *args, **kwargs):
+        opened.append(self)
+        wrap = before_open(self)
+        fh = original(self, *args, **kwargs)
+        return wrap(fh) if wrap else fh
+
+    monkeypatch.setattr(Path, "open", spy_open)
+    return opened
 
 
 def drawn(layer, rng):

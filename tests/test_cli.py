@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import re
 import resource
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edit_header
+from conftest import edit_header, spy_opens
 import droughtcast
 import droughtcast.cli as cli
 from droughtcast import errors
@@ -346,6 +347,32 @@ def test_introspect_recomputes_after_a_retrain_or_a_reingest(evaluated, tmp_path
         [f"attention: reused {saved}"], 0, profile)
 
 
+def test_eval_and_introspect_read_the_test_set_and_the_checkpoint_once(evaluated, tmp_path,
+                                                                      monkeypatch, capsys):
+    """``eval``, and ``introspect`` whether it reuses the saved attention or
+    not, open ``test.samples`` and ``model.ckpt`` once each; the digests
+    that ``eval`` stores are those of the two files."""
+    config, _ = evaluated
+    out = tmp_path / "out"
+    saved = _copy_run(evaluated, out)
+    test, checkpoint = out / "ingest" / "test.samples", out / "train" / "model.ckpt"
+    opened = spy_opens(monkeypatch)
+    assert run_cli(config, out, "eval") == 0
+    assert (opened.count(test), opened.count(checkpoint)) == (1, 1)
+    stored = EvalPredictions.load(saved)
+    assert (stored.checkpoint_sha256, stored.samples_sha256) == (
+        hashlib.sha256(checkpoint.read_bytes()).digest(),
+        hashlib.sha256(test.read_bytes()).digest())
+    blob = saved.read_bytes()
+    for content, line in ((blob, f"attention: reused {saved}"),
+                          (blob[:64] + bytes(32) + blob[96:],
+                           "attention: computed (another test set)")):
+        saved.write_bytes(content)
+        opened.clear()
+        assert _introspect(config, out, monkeypatch, capsys)[0] == [line]
+        assert (opened.count(test), opened.count(checkpoint)) == (1, 1), line
+
+
 def test_introspect_on_a_model_without_attention_exits_2_before_any_forward(
         ingested, tmp_path, monkeypatch):
     config, ingested_out = ingested
@@ -360,7 +387,7 @@ def test_introspect_on_a_model_without_attention_exits_2_before_any_forward(
     assert "configuration error: model was built without the attention path" in result.stderr
     touched = []
     monkeypatch.setattr(HybridModel, "forward", lambda *args, **kwargs: touched.append(args))
-    monkeypatch.setattr(cli.dp, "file_sha256", lambda path: touched.append(path))
+    monkeypatch.setattr(cli.dp, "load_samples", lambda path: touched.append(path))
     assert run_cli(config, out, "introspect") == 2
     assert touched == []
 
@@ -648,6 +675,12 @@ def test_mutated_csvs_ingest_or_exit_with_an_error_code(fuzz_dataset, tmp_path_f
     ("ingest", "data.timeseries={empty}", 3, "{empty}: empty file"),
     ("ingest", "data.window_days=0", 2, "window_days must be at least 1, got 0"),
     ("ingest", "data.max_gap_days=-1", 2, "max_gap_days must be >= 0, got -1"),
+    ("ingest", "data.categorical_columns=soil_quality,texture,texture", 2,
+     "categorical column 'texture' is listed twice"),
+    ("locexp", "locexp.states=1", 2, "[locexp] states: '1' is not a 2-character FIPS prefix"),
+    ("locexp", "locexp.states=190", 2,
+     "[locexp] states: '190' is not a 2-character FIPS prefix"),
+    ("locexp", "locexp.states=19,30,19", 2, "[locexp] states: '19' is listed twice"),
     ("ingest", "run.seed=-1", 2, "[run] seed must be >= 0, got -1"),
     ("train", "run.seed=-1", 2, "[run] seed must be >= 0, got -1"),
     ("eval", "run.seed=-1", 2, "[run] seed must be >= 0, got -1"),

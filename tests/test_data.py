@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import os
 import re
 import struct
 import tracemalloc
@@ -18,7 +19,6 @@ from droughtcast.data import (
     Normalizer,
     SampleSet,
     build_samples,
-    file_sha256,
     filter_by_state,
     fit_normalizer,
     kfold_split,
@@ -40,6 +40,7 @@ from conftest import (
     load_normalizer,
     scored_days,
     series_fixture,
+    spy_opens,
     statics_fixture,
     write_timeseries_csv,
 )
@@ -553,24 +554,56 @@ def test_a_mutated_header_loads_or_raises_a_typed_error(artifacts, magic, edits,
 
 
 @pytest.mark.parametrize("size", [0, 1, 4096, 3 * 4096 + 5])
-def test_file_sha256_reads_in_blocks(tmp_path, monkeypatch, size):
-    """The digest of a file of any length, read one block at a time."""
+def test_read_artifact_returns_the_digest_of_the_file_it_read_once(tmp_path, monkeypatch,
+                                                                    size):
+    """The digest of an artifact with a payload of any length is that of
+    the whole file, taken from the one read that also yields the arrays."""
     path = tmp_path / "blob.bin"
-    path.write_bytes(np.random.default_rng(size).bytes(size))
+    payload = np.frombuffer(np.random.default_rng(size).bytes(size), np.uint8)
+    write_artifact(path, b"TESTFMT", b"head", [payload])
     expected = hashlib.sha256(path.read_bytes()).digest()
-    monkeypatch.setattr(data, "DIGEST_BLOCK", 4096)
-    reads = []
-    opened = type(path).open
+    opened = spy_opens(monkeypatch)
+    header, read, sha256 = read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
+    assert (header, sha256, opened) == (b"head", expected, [path])
+    np.testing.assert_array_equal(read([("u1", (size,))])[0], payload)
 
-    def spy_open(self, *args, **kwargs):
-        fh = opened(self, *args, **kwargs)
-        read = fh.read
-        fh.read = lambda n=-1: reads.append(n) or read(n)
+
+@pytest.mark.parametrize("swapped_size", [3, 300])
+def test_read_artifact_sizes_its_buffer_from_the_open_file(tmp_path, monkeypatch,
+                                                           swapped_size):
+    """A file of another size renamed into place (as ``write_file`` does)
+    just before the open is read whole and digested as read, not sized by
+    the path's old length."""
+    path, swapped = tmp_path / "a.bin", tmp_path / "a.bin.tmp"
+    write_artifact(path, b"TESTFMT", b"old", [np.arange(30.0)])
+    write_artifact(swapped, b"TESTFMT", b"new", [np.arange(float(swapped_size))])
+    expected = hashlib.sha256(swapped.read_bytes()).digest()
+
+    def swap(opened):
+        if opened == path:
+            swapped.replace(path)
+
+    spy_opens(monkeypatch, swap)
+    header, read, sha256 = read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
+    np.testing.assert_array_equal(read([("<f8", (swapped_size,))])[0], np.arange(swapped_size))
+    assert (header, sha256) == (b"new", expected)
+
+
+def test_read_artifact_raises_on_a_short_read(tmp_path, monkeypatch):
+    """A file cut short between sizing the buffer and reading it raises
+    ``FormatError`` instead of leaving zeros at the end of the buffer."""
+    path = tmp_path / "a.bin"
+    write_artifact(path, b"TESTFMT", b"head", [np.arange(30.0)])
+    size = path.stat().st_size
+
+    def cut_before_reading(fh):
+        readinto = fh.readinto
+        fh.readinto = lambda buffer: os.truncate(path, size - 8) or readinto(buffer)
         return fh
 
-    monkeypatch.setattr(type(path), "open", spy_open)
-    assert file_sha256(path) == expected
-    assert len(reads) == -(-size // 4096) + 1 and set(reads) == {4096}  # the last one at EOF
+    spy_opens(monkeypatch, lambda opened: cut_before_reading)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: truncated test artifact")):
+        read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
 
 
 def test_artifact_write_that_fails_leaves_the_old_file(tmp_path):
@@ -586,7 +619,7 @@ def test_artifact_write_that_fails_leaves_the_old_file(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         write_artifact(path, b"TESTFMT", b"new", columns())
     assert sorted(tmp_path.iterdir()) == [path]  # the temporary file is gone
-    header, read = read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
+    header, read, _ = read_artifact(path, b"TESTFMT", "test artifact", "rewrite it")
     assert header == b"old"
     np.testing.assert_array_equal(read([("<f8", (3,))])[0], np.arange(3.0))
 
@@ -610,6 +643,17 @@ def test_write_file_writes_text_as_utf8_and_bytes_unchanged(tmp_path):
 WRITE_METHODS = {"write_text", "write_bytes"}
 
 
+def _open_mode(call: ast.Call) -> tuple[str | None, str]:
+    """The mode of an ``open`` call ("r" when none is given) as a string,
+    ``None`` when it is not a literal, and as written."""
+    # Path.open(mode) takes the mode first, the builtin open(file, mode) second
+    position = 0 if isinstance(call.func, ast.Attribute) else 1
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:position + 1]
+    mode = modes[0] if modes else ast.Constant("r")
+    literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return mode.value if literal else None, ast.unparse(mode)
+
+
 def _write_calls(tree: ast.AST):
     """(line, what) of every call in ``tree`` that writes a file by other
     means than ``write_file``: ``write_text``, ``write_bytes``, or an
@@ -622,14 +666,9 @@ def _write_calls(tree: ast.AST):
         if name in WRITE_METHODS:
             yield node.lineno, name
         elif name == "open":
-            # Path.open(mode) takes the mode first, the builtin open(file, mode) second
-            position = 0 if isinstance(func, ast.Attribute) else 1
-            modes = [k.value for k in node.keywords if k.arg == "mode"]
-            modes += node.args[position:position + 1]
-            mode = modes[0] if modes else ast.Constant("r")
-            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                    and not set(mode.value) & set("wax+")):
-                yield node.lineno, f"open({ast.unparse(mode)})"
+            mode, text = _open_mode(node)
+            if mode is None or set(mode) & set("wax+"):
+                yield node.lineno, f"open({text})"
 
 
 def test_write_file_is_the_only_writer_in_the_package():
@@ -659,6 +698,76 @@ path.open("rb")
 open(name, "r", encoding="utf-8")
 """
     assert [line for line, _ in _write_calls(ast.parse(source))] == [2, 3, 4, 5, 6, 7]
+
+
+def _byte_reads(node: ast.AST, scope: str = ""):
+    """(enclosing def, line, kind, what) of every place under ``node`` that
+    hashes (kind "hashlib": a call of a ``hashlib`` function, or an import
+    from it) or reads a file's bytes (kind "read": ``read_bytes``, or an
+    ``open`` whose mode is not a literal, or is binary and can read)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _byte_reads(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.ImportFrom) and child.module == "hashlib":
+            yield scope, child.lineno, "hashlib", "from hashlib import"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "hashlib":
+                yield scope, child.lineno, "hashlib", f"hashlib.{name}"
+            elif name == "read_bytes":
+                yield scope, child.lineno, "read", name
+            elif name == "open":
+                mode, text = _open_mode(child)
+                if mode is None or "b" in mode and ("r" in mode or "+" in mode):
+                    yield scope, child.lineno, "read", f"open({text})"
+        yield from _byte_reads(child, scope)
+
+
+# where each kind of byte read is allowed: the artifact reader, and the RNG's stream keys
+BYTE_READERS = {("data.py", "read_artifact"): {"hashlib", "read"},
+                ("autodiff.py", "RngState.split"): {"hashlib"}}
+
+
+def test_read_artifact_is_the_only_reader_of_bytes_in_the_package():
+    """Every binary file the package reads is read, and digested, by
+    ``data.read_artifact``; the one other hash keys the RNG streams."""
+    found, seen = [], set()
+    for module in sorted(Path(data.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for scope, line, kind, what in _byte_reads(tree):
+            if kind in BYTE_READERS.get((module.name, scope), ()):
+                seen.add((module.name, scope, kind))
+            else:
+                found.append(f"{module.name}:{line}: {what} in {scope or 'module'}")
+    assert found == []
+    # the guard sees each allowed read
+    assert seen == {(*where, kind) for where, kinds in BYTE_READERS.items() for kind in kinds}
+
+
+def test_read_guard_flags_each_way_of_reading_or_hashing():
+    source = """
+hashlib.sha256(blob).digest()
+from hashlib import sha256
+path.read_bytes()
+open(name, "rb")
+path.open(mode="rb")
+path.open(mode)
+path.open("r+b")
+class Reader:
+    def load(self):
+        return hashlib.md5()
+path.open("wb")
+open(name, "w+b")
+open(name)
+path.open("r", encoding="utf-8")
+path.read_text()
+import hashlib
+"""
+    assert [(scope, line) for scope, line, _, _ in _byte_reads(ast.parse(source))] == [
+        ("", 2), ("", 3), ("", 4), ("", 5), ("", 6), ("", 7), ("", 8), ("Reader.load", 11),
+        ("", 13)]
 
 
 def test_sample_set_slicing_and_concatenation():
