@@ -18,8 +18,14 @@ window (the preceding ``window_days`` days plus the same days one year
 earlier, doubling the channel count) and a full six-week score future.
 Candidates lacking either are dropped and counted, never fatal.
 
-Ingest works on columns from the parse on: one :class:`DailySeries` stacks
-every county's days, one :class:`StaticTable` holds a row per county, and
+Ingest works on columns from the parse on.  :func:`load_timeseries` reads
+the CSV in chunks of rows and turns each chunk into arrays at once, so no
+cell text outlives its chunk; one stable sort by (county, date) then makes
+one :class:`DailySeries` of every county's days.  A fault of the file's
+form (cell count, an unreadable file, a date) is named at its earliest
+line; otherwise the first county in file order with a faulty value is
+named, at its first calendar fault, else its first bad channel cell, else
+its first bad score.  One :class:`StaticTable` holds a row per county, and
 :func:`build_samples` gathers one :class:`SampleSet` of column arrays out of
 both with index arithmetic.  The normalizer, the splits (index arrays), the
 binary cache and mini-batching all work on whole columns.
@@ -37,7 +43,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -265,13 +271,15 @@ class CategoricalEncoder:
         return cls({column: list(known) for column, known in codes.items()})
 
 
-def _parse_date(text: str, path: Path, line: int) -> date:
+def _parse_date(text: str, path: Path, index: int) -> date:
+    """The day that the date cell of data row ``index`` names."""
     # the shape comes first: from Python 3.11 fromisoformat also reads 20150101 and 2015-W01-4
     try:
         if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
             raise ValueError("not a YYYY-MM-DD date")
         return date.fromisoformat(text)
     except ValueError as exc:
+        line = _data_row(path, index)[0]
         raise SchemaError(f"{path}: line {line}, column 'date': {text!r}: {exc}") from None
 
 
@@ -309,6 +317,70 @@ def _interpolate_column(values: np.ndarray, present: np.ndarray, max_gap: int,
     return out
 
 
+_CHUNK_ROWS = 512  # rows converted at a time: no cell string outlives its chunk
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _row_chunks(lines: Iterator[tuple[int, list[str]]], size: int) -> Iterator[list[list[str]]]:
+    """The cells of :func:`_csv_rows`'s ``lines`` in lists of ``size`` rows,
+    the last one shorter.  When reading a row raises ``SchemaError``, the rows
+    read before it come first as a list of their own, so that a fault their
+    conversion finds, at an earlier line, is the one named."""
+    chunk = []
+    try:
+        for _, row in lines:
+            chunk.append(row)
+            if len(chunk) == size:
+                yield chunk
+                chunk = []
+    except SchemaError:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _number(text: str) -> float:
+    """``float(text)``, or inf for a cell that is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.inf
+
+
+def _column_values(cells: tuple[str, ...]) -> np.ndarray:
+    """float64 of one column of a chunk: NaN for an empty cell (missing), and
+    inf for one that is not a finite number, a fault that :func:`_cell_float`
+    names once the file is sorted.  The non-empty cells are converted with
+    one ``np.array``, cell by cell only when one of them is not a number."""
+    present = None
+    if "" in cells:
+        present = np.fromiter(map(bool, cells), bool, len(cells))
+        cells = list(compress(cells, present))
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        values = np.fromiter(map(_number, cells), np.float64, len(cells))
+    values[~np.isfinite(values)] = math.inf
+    if present is None:
+        return values
+    column = np.full(present.size, math.nan)
+    column[present] = values
+    return column
+
+
+def _data_row(path: Path, index: int) -> tuple[int, list[str]]:
+    """(line number, cells) of data row ``index`` (blank lines skipped), read
+    again from the start: a fault found after the parse ends the command, so
+    only its message pays for the second read."""
+    rows = _csv_rows(path, SchemaError)
+    try:
+        return next(islice(rows, index + 1, None))
+    finally:
+        rows.close()
+
+
 def load_timeseries(path, max_gap_days: int = 14,
                     report: list[str] | None = None) -> DailySeries:
     """Parse the daily time-series CSV into one :class:`DailySeries`.
@@ -316,6 +388,12 @@ def load_timeseries(path, max_gap_days: int = 14,
     Channel names and count come from the header; per-county rows must form
     a contiguous daily calendar.  Counties whose measurement gaps exceed
     ``max_gap_days`` are dropped and reported.
+
+    The rows are converted in chunks as they are read: FIPS codes to ids in
+    order of first appearance, dates to day numbers (each distinct text
+    parsed once), and each channel and the scores to floats.  One stable
+    sort by (county, day) then groups every county's days; a fault is found
+    on the sorted arrays and named with its line, read again from the file.
     """
     if max_gap_days < 0:
         raise ConfigError(f"max_gap_days must be >= 0, got {max_gap_days}")
@@ -335,60 +413,87 @@ def load_timeseries(path, max_gap_days: int = 14,
     if not channel_names:
         raise SchemaError(f"{path}: no measurement channels")
 
-    rows: dict[str, list[tuple[date, list[str], str, int]]] = {}
-    days: dict[str, date] = {}  # each distinct date cell is parsed once
-    for line, row in lines:
-        text = row[date_col]
-        if text not in days:
-            days[text] = _parse_date(text, path, line)
-        rows.setdefault(row[fips_col], []).append(
-            (days[text], [row[i] for i in channel_cols], row[score_col], line))
+    county_of: dict[str, int] = {}  # FIPS -> id, in order of first appearance
+    day_of: dict[str, int] = {}  # date text -> day number
+    # per chunk; an empty first array lets a file without rows concatenate
+    ids, days = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    measurements, scores = [np.empty((0, len(channel_names)))], [np.empty(0)]
+    first = 0  # data row index of the chunk's first row
+    for chunk in _row_chunks(lines, _CHUNK_ROWS):
+        columns = list(zip(*chunk))
+        county = list(map(county_of.get, columns[fips_col]))
+        if None in county:
+            county = [county_of.setdefault(text, len(county_of)) for text in columns[fips_col]]
+        day = list(map(day_of.get, columns[date_col]))
+        if None in day:
+            for r, text in enumerate(columns[date_col], start=first):
+                if text not in day_of:
+                    day_of[text] = _parse_date(text, path, r).toordinal()
+            day = [day_of[text] for text in columns[date_col]]
+        ids.append(np.array(county, np.int64))
+        days.append(np.array(day, np.int64))
+        measurements.append(np.stack([_column_values(columns[i]) for i in channel_cols], axis=1))
+        scores.append(_column_values(columns[score_col]))
+        first += len(chunk)
 
-    counties: dict[str, tuple[date, np.ndarray, np.ndarray]] = {}  # first day, (P, M), (P,)
-    for fips, entries in rows.items():
-        entries.sort(key=lambda e: e[0])
-        for prev, cur in zip(entries, entries[1:]):
-            if (cur[0] - prev[0]).days != 1:
-                what = "duplicate date" if cur[0] == prev[0] else f"gap between {prev[0]} and"
-                raise DataError(f"{path}: line {cur[3]}: county {fips}: {what} {cur[0]}")
+    # each county's rows, counties in order of first appearance, then by
+    # date; a stable sort keeps a repeated date's rows in file order
+    county, day = np.concatenate(ids), np.concatenate(days)
+    measurements, scores = np.concatenate(measurements), np.concatenate(scores)
+    del ids, days  # free the chunks' arrays before the sorted copies are made
+    order = np.lexsort((day, county))
+    county = county[order]
+    day = day[order]
+    measurements = measurements[order]
+    scores = scores[order]
 
+    # the first county with a fault: its first calendar fault, else its
+    # first bad channel cell, else its first bad score
+    calendar = np.flatnonzero((county[1:] == county[:-1]) & (np.diff(day) != 1)) + 1
+    cells = np.flatnonzero(np.isinf(measurements).any(axis=1))
+    graded = np.flatnonzero(~(np.isnan(scores) | ((SCORE_MIN <= scores)
+                                                   & (scores <= SCORE_MAX))))
+    faults = [(county[rows[0]], kind, rows[0])
+              for kind, rows in enumerate((calendar, cells, graded)) if rows.size]
+    names = list(county_of)
+    if faults:
+        _, kind, r = min(faults)
+        line, row = _data_row(path, int(order[r]))
+        where = f"{path}: line {line}: county {names[county[r]]}:"
+        today = date.fromordinal(int(day[r]))
+        if kind == 0:
+            what = ("duplicate date" if day[r] == day[r - 1]
+                    else f"gap between {date.fromordinal(int(day[r - 1]))} and")
+            raise DataError(f"{where} {what} {today}")
+        if kind == 1:  # the row's first inf is a cell that _cell_float rejects
+            c = int(np.argmax(np.isinf(measurements[r])))
+            _cell_float(row[channel_cols[c]], path, line, channel_names[c])
+        score = _cell_float(row[score_col], path, line, "score")
+        raise DataError(f"{where} score {score} outside [0, 5] at {today}")
+
+    start = np.concatenate([[0], np.cumsum(np.bincount(county, minlength=len(names)))])
+    kept = []
+    for c, name in enumerate(names):
+        block = measurements[start[c]:start[c + 1]]
+        present = ~np.isnan(block)
         try:
-            raw = np.array([[float(cell) if cell else np.nan for cell in cells]
-                            for _, cells, _, _ in entries], dtype=np.float64)
-        except ValueError:  # a cell is not a number: the scan of every cell names it
-            suspects = np.ndindex(len(entries), len(channel_names))
-        else:
-            suspects = zip(*np.nonzero(~np.isfinite(raw)))
-        for r, c in suspects:  # only an empty cell is missing
-            _, cells, _, line = entries[r]
-            if cells[c]:
-                _cell_float(cells[c], path, line, channel_names[c])
-        present = ~np.isnan(raw)
-        scores = np.full(len(entries), np.nan)
-        for r, (day, _, score_text, line) in enumerate(entries):
-            if score_text != "":
-                score = _cell_float(score_text, path, line, "score")
-                if not SCORE_MIN <= score <= SCORE_MAX:
-                    raise DataError(f"{path}: line {line}: county {fips}: score {score} "
-                                    f"outside [0, 5] at {day}")
-                scores[r] = score
-
-        try:
-            for c, name in enumerate(channel_names):
-                raw[:, c] = _interpolate_column(raw[:, c], present[:, c], max_gap_days, fips, name)
+            for m, channel in enumerate(channel_names):
+                block[:, m] = _interpolate_column(block[:, m], present[:, m], max_gap_days,
+                                                  name, channel)
         except DataError as exc:
             if report is not None:
-                report.append(f"dropped county {fips}: {exc}")
-            continue
-        counties[fips] = (entries[0][0], raw, scores)
-
-    if not counties:
+                report.append(f"dropped county {name}: {exc}")
+        else:
+            kept.append(c)
+    if not kept:
         raise DataError(f"{path}: no usable counties")
-    fips = sorted(counties)
-    first_day, measurements, scores = zip(*(counties[f] for f in fips))
-    return DailySeries(channel_names, np.array(fips), np.array(first_day, dtype="datetime64[D]"),
-                       np.cumsum([0, *(len(s) for s in scores)]),
-                       np.concatenate(measurements), np.concatenate(scores))
+
+    kept.sort(key=names.__getitem__)  # FIPS order
+    rows = np.concatenate([np.arange(start[c], start[c + 1]) for c in kept])
+    return DailySeries(channel_names, np.array([names[c] for c in kept]),
+                       (day[start[kept]] - _EPOCH_ORDINAL).astype("datetime64[D]"),
+                       np.concatenate([[0], np.cumsum(np.diff(start)[kept])]),
+                       measurements[rows], scores[rows])
 
 
 def load_statics(path, categorical_columns: list[str],
@@ -527,8 +632,9 @@ class Normalizer:
         if width != 2 * channels:
             raise DataError(f"samples have {width} columns, normalizer expects {2 * channels}")
         # (N, T, 2, M): the current- and previous-year blocks share statistics
-        blocks = samples.x.reshape(n, steps, 2, channels)
-        x = ((blocks - self.channel_mean) / self.channel_std).reshape(n, steps, width)
+        x = np.subtract(samples.x.reshape(n, steps, 2, channels), self.channel_mean)
+        np.divide(x, self.channel_std, out=x)
+        x = x.reshape(n, steps, width)
         s_n = (samples.s_n - self.static_mean) / self.static_std
         return SampleSet(x, s_n, samples.s_d, samples.y, samples.fips, samples.anchor)
 
@@ -541,18 +647,48 @@ class Normalizer:
         write_file(path, [csv_text(rows)])
 
 
+_STATS_BLOCK = 64  # samples per block of the channel sums
+
+
+def _channel_sums(x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+    """Per channel, the sum over every sample's current-year rows, then its
+    previous-year rows, of each row or, given ``mean``, of its squared
+    deviation from it: bit for bit ``pooled.sum(axis=0)`` over one pooled
+    copy of those rows, without the copy.  numpy sums the rows of a
+    several-channel copy in order, so each block of samples is reduced from
+    the running sum; it sums a single channel pairwise, which no split into
+    blocks repeats, so one channel is summed in a single block."""
+    n, steps, width = x.shape
+    channels = width // 2
+    block = n if channels == 1 else _STATS_BLOCK
+    buffer = np.empty((1 + 2 * steps * min(block, n), channels))  # the running sum, then rows
+    total = None
+    for first in range(0, n, block):
+        part = x[first:first + block]
+        rows = buffer[1:1 + 2 * steps * len(part)]
+        rows.reshape(len(part), 2, steps, channels)[:] = \
+            part.reshape(len(part), steps, 2, channels).transpose(0, 2, 1, 3)
+        if mean is not None:
+            np.subtract(rows, mean, out=rows)
+            np.square(rows, out=rows)
+        if total is None:
+            total = np.add.reduce(rows, axis=0)
+        else:
+            buffer[0] = total
+            total = np.add.reduce(buffer[:1 + len(rows)], axis=0)
+    return total
+
+
 def fit_normalizer(samples: SampleSet, channel_names: list[str],
                    static_names: list[str]) -> Normalizer:
+    """Each channel's mean and standard deviation over the pooled current-
+    and previous-year rows of every sample, equal bit for bit to numpy's
+    ``mean`` and ``std`` of one pooled copy."""
     if not len(samples):
         raise DataError("cannot fit a normalizer on an empty sample set")
-    channels = samples.x.shape[2] // 2
-
-    # each sample's current-year rows, then its previous-year rows
-    pooled = np.concatenate(
-        [samples.x[:, :, :channels], samples.x[:, :, channels:]], axis=1
-    ).reshape(-1, channels)
-    mean = pooled.mean(axis=0)
-    std = pooled.std(axis=0)
+    n, steps, _ = samples.x.shape
+    mean = _channel_sums(samples.x) / (2 * n * steps)
+    std = np.sqrt(_channel_sums(samples.x, mean) / (2 * n * steps))
     std[std == 0.0] = 1.0
 
     s_mean = samples.s_n.mean(axis=0)

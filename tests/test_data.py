@@ -119,6 +119,102 @@ def test_load_timeseries_score_range_guard(tmp_path):
         load_timeseries(p)
 
 
+def _fault_lines() -> list[str]:
+    """A valid file: counties 30002 and 19001 interleaved day by day, so
+    that file order differs from (county, date) order; header on line 1,
+    30002's day d on line 2d, 19001's on line 2d + 1, every second day scored."""
+    return ["fips,date,chan0,chan1,score"] + [
+        f"{fips},2020-01-{day:02d},{day}.5,-{day},{'' if day % 2 else '1.5'}"
+        for day in range(1, 7) for fips in ("30002", "19001")]
+
+
+def _edit(line: int, column: int, text: str):
+    """Set one cell of the (1-based) ``line``."""
+    def edit(lines):
+        cells = lines[line - 1].split(",")
+        cells[column] = text
+        lines[line - 1] = ",".join(cells)
+    return edit
+
+
+def _insert(line: int, *texts: str):
+    """Insert ``texts`` as lines before ``line``."""
+    def edit(lines):
+        lines[line - 1:line - 1] = texts
+    return edit
+
+
+# (edits, error type, message after "<path>: "), recorded from the row-wise
+# parse that the columnar one replaced
+TIMESERIES_FAULTS = {
+    "cell count after blank lines": (
+        [_edit(7, 4, "1.5,9"), _insert(5, "", "")], SchemaError,
+        "line 9 has 6 cells, the header has 5"),
+    "after a quoted cell on two lines": (
+        [_edit(6, 3, "wet"), _edit(3, 2, '"2.5\n"')], SchemaError,
+        "line 7, column 'chan1': 'wet' is not a finite number"),
+    "compact date": ([_edit(8, 1, "20150101")], SchemaError,
+                     "line 8, column 'date': '20150101': not a YYYY-MM-DD date"),
+    "no such day": ([_edit(8, 1, "2015-02-30")], SchemaError,
+                    "line 8, column 'date': '2015-02-30': day is out of range for month"),
+    "word in a channel": ([_edit(9, 3, "wet")], SchemaError,
+                          "line 9, column 'chan1': 'wet' is not a finite number"),
+    "nan channel": ([_edit(9, 2, "nan")], SchemaError,
+                    "line 9, column 'chan0': 'nan' is not a finite number"),
+    "inf channel": ([_edit(10, 3, "inf")], SchemaError,
+                    "line 10, column 'chan1': 'inf' is not a finite number"),
+    "nan score": ([_edit(11, 4, "nan")], SchemaError,
+                  "line 11, column 'score': 'nan' is not a finite number"),
+    "score above 5": ([_edit(5, 4, "5.5")], DataError,
+                      "line 5: county 19001: score 5.5 outside [0, 5] at 2020-01-02"),
+    "duplicate date": ([_edit(9, 1, "2020-01-03")], DataError,
+                       "line 9: county 19001: duplicate date 2020-01-03"),
+    "gap": ([_edit(11, 1, "2020-01-07")], DataError,
+            "line 13: county 19001: gap between 2020-01-04 and 2020-01-06"),
+    "every county dropped": (
+        [_edit(line, 3, "") for line in range(2, 14)], DataError, "no usable counties"),
+    # several faults (README, "Data formats"): a fault of the file's form comes
+    # first, at the earliest line; so the date on line 12 beats the word on line 2
+    "form before values": (
+        [_edit(2, 2, "wet"), _edit(12, 1, "2020-13-01")], SchemaError,
+        "line 12, column 'date': '2020-13-01': month must be in 1..12"),
+    # then the counties in order of first appearance, and within one the
+    # calendar, the channel cells, then the scores: 30002's cell on line 10
+    # beats its score on line 4 and 19001's cell on line 3
+    "values by county": (
+        [_edit(4, 4, "9"), _edit(10, 2, "dry"), _edit(3, 2, "wet")], SchemaError,
+        "line 10, column 'chan0': 'dry' is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", TIMESERIES_FAULTS)
+def test_load_timeseries_names_the_fault_and_its_line(tmp_path, case):
+    edits, error, message = TIMESERIES_FAULTS[case]
+    lines = _fault_lines()
+    for edit in edits:
+        edit(lines)
+    path = tmp_path / "ts.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error) as raised:
+        load_timeseries(path)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{path}: {message}"
+
+
+def test_load_timeseries_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """40,000 rows: the parse holds one chunk of cells at a time, so its
+    allocations peak below four times the file's size."""
+    ts_path, _ = make_dataset(tmp_path, n_counties=50, days=800, channels=3, seed=1)
+    tracemalloc.start()
+    try:
+        series = load_timeseries(ts_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.measurements.shape == (40_000, 3)
+    assert peak < 4 * ts_path.stat().st_size
+
+
 def test_load_statics_encoding(tmp_path):
     p = tmp_path / "statics.csv"
     p.write_text(
@@ -304,6 +400,29 @@ def test_columnar_normalizer_matches_per_sample_bit_for_bit():
     np.testing.assert_array_equal(norm.channel_std, std)
     np.testing.assert_array_equal(norm.apply(samples).x, x)
 
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_normalizer_matches_the_pooled_formula_over_many_blocks(channels):
+    """Several hundred samples, more than several blocks of the statistics'
+    sums, with magnitudes from 1e-6 to 1e8 and a constant channel: the
+    statistics and the normalized windows equal, bit for bit, numpy's mean
+    and std over one pooled copy of every current- and previous-year row."""
+    rng = np.random.default_rng(9)
+    n, steps = 7 * 64 + 13, 9
+    scale = rng.choice([1e-6, 1.0, 1e4, 1e8], (n, 1, 1))
+    x = rng.normal(3.0, 7.0, (n, steps, 2 * channels)) * scale
+    if channels > 1:
+        x[:, :, [1, 1 + channels]] = 2.5
+    samples = sample_set(x, rng.normal(size=(n, 2)))
+    norm = fit_normalizer(samples, [f"chan{c}" for c in range(channels)], ["elev", "slope"])
+    pooled = np.concatenate([x[:, :, :channels], x[:, :, channels:]], axis=1)
+    pooled = pooled.reshape(-1, channels)
+    mean, std = pooled.mean(axis=0), pooled.std(axis=0)
+    std[std == 0.0] = 1.0
+    np.testing.assert_array_equal(norm.channel_mean, mean)
+    np.testing.assert_array_equal(norm.channel_std, std)
+    expected = (x.reshape(n, steps, 2, channels) - mean) / std
+    np.testing.assert_array_equal(norm.apply(samples).x, expected.reshape(x.shape))
 
 def test_normalizer_save_load(tmp_path):
     x = np.array([[0.0, 5.0, 0.0, 5.0], [2.0, 6.0, 2.0, 6.0]])

@@ -1,20 +1,24 @@
 """Golden bytes of seeded training: a tiny two-layer model with every kind
-of dropout, trained a few steps with each loss under each ablation setting.
+of dropout, trained a few steps with each loss under each ablation setting;
+and of one seeded ingest.
 
-The digests were recorded from the autodiff-tape implementation of the
-model.  Any rewrite of the forward or backward passes must keep every
-parameter and every prediction bit-identical.
+The training digests were recorded from the autodiff-tape implementation of
+the model.  Any rewrite of the forward or backward passes must keep every
+parameter and every prediction bit-identical, and any rewrite of the parse
+or the normalizer every file that ingest writes.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from droughtcast.autodiff import RngState
-from droughtcast.cli import ABLATION_SETTINGS
+from droughtcast.cli import ABLATION_SETTINGS, main
 from droughtcast.data import SampleSet
 from droughtcast.model import HybridModel, ModelConfig
+from droughtcast.synthetic import make_dataset
 from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict, save_checkpoint
 
 CONFIG = ModelConfig(
@@ -128,3 +132,52 @@ def test_checkpoint_file_is_bit_identical_to_the_recorded_run(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_GOLDEN
+
+
+# sha256 of each file ingest writes, and its stdout (the out directory as
+# {out}), for the dataset of _golden_ingest_input; recorded from the row-wise
+# parse and the pooled-copy normalizer statistics, which the columnar parse
+# and the block-wise sums replaced byte for byte
+INGEST_GOLDEN = {
+    "train.samples": "3c754eba4dfdac4833a3fa5fe21a1fae3587208f886e80ede9892a8e0de2d86f",
+    "val.samples": "4a3190fe11cd9f5e88d4da9c1809f31f34f2d62c2480a36449754a33f2c35a99",
+    "test.samples": "3e300d162e14cfa235270a233fc19da76b4668e7c9873a320c5831f3c5122602",
+    "normalizer.csv": "1e69f04850ad3da311bc43f8f8b901b2cb9336309f91df0bd519347e73c91e55",
+    "categories.csv": "823e863b47bdcd51824fab6f0388c440aaf1d5a89d0e210013de0cf533610a18",
+}
+INGEST_STDOUT = (
+    "dropped county 40003: county 40003: channel 'chan1' has a 20-day gap (limit 14)\n"
+    "timeseries.csv: built 335 samples; dropped 285 without full history, 25 without a "
+    "full 6-week future\n"
+    "random split: 235 train / 50 val / 50 test\n"
+    "ingested dataset -> {out}/ingest\n")
+
+
+def _golden_ingest_input(root: Path) -> Path:
+    """Six synthetic counties: 40003 misses chan1 for 20 days, more than
+    ``max_gap_days`` allows, so ingest drops it; 19004 misses chan0 for 3
+    days, which are interpolated.  About 240 training samples, several
+    blocks of the normalizer's statistics.  Returns the run config."""
+    days = 900
+    ts, statics = make_dataset(root, n_counties=6, days=days, channels=3, seed=3)
+    lines = ts.read_text().splitlines(keepends=True)
+    for county, channel, first, last in ((2, 1, 200, 220), (3, 0, 500, 503)):
+        for day in range(first, last):
+            cells = lines[1 + county * days + day].split(",")
+            cells[2 + channel] = ""
+            lines[1 + county * days + day] = ",".join(cells)
+    ts.write_text("".join(lines))
+    config = root / "run.ini"
+    config.write_text(f"[data]\ntimeseries = {ts}\nstatics = {statics}\n"
+                      "categorical_columns = soil_quality,texture\nwindow_days = 30\n"
+                      "[run]\nseed = 4\n")
+    return config
+
+
+def test_ingest_bytes_and_stdout_match_the_recorded_run(tmp_path, capsys):
+    config = _golden_ingest_input(tmp_path / "data")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out), "ingest"]) == 0
+    assert capsys.readouterr().out.replace(str(out), "{out}") == INGEST_STDOUT
+    assert {name: hashlib.sha256((out / "ingest" / name).read_bytes()).hexdigest()
+            for name in INGEST_GOLDEN} == INGEST_GOLDEN
