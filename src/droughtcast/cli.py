@@ -185,7 +185,7 @@ def _trained(cfg: RunConfig, config: ModelConfig, ablation: AblationConfig, seed
     """A model built from ``seed`` and fitted under ``[train]``, and its
     history; ``epochs`` overrides the epoch count, and the checkpoints go
     to ``out``."""
-    model = HybridModel.build(config, ablation, seed)
+    model = HybridModel(config, ablation, seed)
     given = {"epochs": epochs} if epochs is not None else {}
     run = _from_section(cfg, TrainRunConfig, "train", seed=seed, **given,
                         checkpoint_dir=str(out) if out else None)
@@ -262,8 +262,9 @@ def cmd_cv(cfg: RunConfig) -> int:
         return cross_validate(pool, folds, lambda train, val, seed: _trained(
             cfg, base_config, ablation, seed, train, val, epochs)[0], seed=cfg.seed)
 
-    primary = folds_of(_from_section(cfg, AblationConfig, "ablation"))
-    baseline = folds_of(_from_section(cfg, AblationConfig, "cv", "baseline_"))
+    # both settings are built, and so checked, before the first fold trains
+    primary, baseline = map(folds_of, [_from_section(cfg, AblationConfig, "ablation"),
+                                       _from_section(cfg, AblationConfig, "cv", "baseline_")])
 
     dp.write_file(out / "cv_folds_primary.csv", [primary.folds_csv()])
     dp.write_file(out / "cv_summary_primary.csv", [primary.summary_csv()])
@@ -297,15 +298,17 @@ def cmd_locexp(cfg: RunConfig) -> int:
     base_config = _model_config(cfg, ingest, train)
     ablation = _from_section(cfg, AblationConfig, "ablation")
 
+    # every state's rows are selected, and checked, before the first model trains
+    by_state = {state: [samples[dp.filter_by_state(samples.fips, [state])]
+                        for samples in (train, val, test)] for state in states}
+    for state, (state_train, _, state_test) in by_state.items():
+        if not state_train or not state_test:
+            raise DataError(f"state prefix {state!r} has no train or test samples")
+
     specific = {}
     agnostic = {}
     agnostic_model = _trained(cfg, base_config, ablation, cfg.seed, train, val)[0]
-    for i, state in enumerate(states):
-        state_train, state_val, state_test = (
-            samples[dp.filter_by_state(samples.fips, [state])] for samples in (train, val, test)
-        )
-        if not state_train or not state_test:
-            raise DataError(f"state prefix {state!r} has no train or test samples")
+    for i, (state, (state_train, state_val, state_test)) in enumerate(by_state.items()):
         state_model = _trained(cfg, base_config, ablation, cfg.seed + 100 * (i + 1),
                                state_train, state_val)[0]
         specific[state] = evaluate(state_model, state_test)[0]

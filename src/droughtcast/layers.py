@@ -2,18 +2,18 @@
 LSTM, and scalar-score attention pooling over hidden states.
 
 A layer's parameters are views of the model's parameter vector, cut as
-:func:`~droughtcast.model.parameter_layout` says.  Its ``draw(rng)`` fills
-them with initial values, uniform in ``±sqrt(1/fan_in)`` from the run seed,
-which keeps initial activations bounded whatever the input scale.  Each
-layer's forward returns its output together with a cache, and its
-``backward`` takes the gradient of that output plus the cache, fills the
-``grad`` of the layer's parameters in place and returns the gradient of
-its input.  Seeded training is reproducible bit for bit, and BLAS rounds
-the same product differently for different operand layouts, so the
-layouts here are fixed: a contiguous copy of ``W.T`` in the affine
-forward, ``(x.T @ g).T`` for its weight gradient, and ``np.add.at`` for
-embedding rows.  Sizes and inputs arrive checked: ``ModelConfig`` checks
-the sizes, and ``HybridModel.check`` the sample set (``T >= 1``).
+:func:`~droughtcast.model.parameter_layout` says and initialised by
+:meth:`~droughtcast.model.HybridModel.draw_init`; a layer has a forward
+and a backward only.  The forward returns its output together with a
+cache, and the ``backward`` takes the gradient of that output plus the
+cache, fills the ``grad`` of the layer's parameters in place and returns
+the gradient of its input.  Seeded training is reproducible bit for bit,
+and BLAS rounds the same product differently for different operand
+layouts, so the layouts here are fixed: a contiguous copy of ``W.T`` in
+the affine forward, ``(x.T @ g).T`` for its weight gradient, and
+``np.add.at`` for embedding rows.  Sizes and inputs arrive checked:
+``ModelConfig`` checks the sizes, and ``HybridModel.check`` the sample set
+(``T >= 1``).
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ import numpy as np
 
 from .autodiff import RngState, Tensor, lstm_backward, lstm_forward
 from .errors import NumericError
-
-
-def _uniform(rng: RngState, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = float(np.sqrt(1.0 / max(fan_in, 1)))
-    return rng.uniform(-bound, bound, shape)
 
 
 def dropout(x: np.ndarray, p: float, training: bool,
@@ -50,9 +45,6 @@ class EmbeddingTable:
     vocab_size: int
     weights: Tensor
 
-    def draw(self, rng: RngState) -> None:
-        self.weights.data[...] = _uniform(rng, self.weights.data.shape, self.weights.data.shape[1])
-
     def backward(self, grad: np.ndarray, codes: np.ndarray) -> None:
         """Gradient of the rows :func:`embed` took for ``codes``: a code
         taken twice receives both rows' gradients."""
@@ -71,11 +63,6 @@ class AffineLayer:
     weight: Tensor  # (out, in)
     bias: Tensor  # (out,)
     relu: bool = False
-
-    def draw(self, rng: RngState) -> None:
-        shape = self.weight.data.shape
-        self.weight.data[...] = _uniform(rng, shape, shape[1])
-        self.bias.data[...] = _uniform(rng, shape[:1], shape[1])
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """``(B, in)`` rows to ``(B, out)``, plus the cache for :meth:`backward`."""
@@ -104,15 +91,6 @@ class LstmLayer:
     w: Tensor
     b: Tensor
 
-    def draw(self, rng: RngState) -> None:
-        w, b, hidden = self.w.data, self.b.data, self.b.data.shape[0] // 4
-        in_size = w.shape[0] - hidden
-        for k in range(4):  # per gate: input weights, recurrent weights, bias
-            cols = slice(k * hidden, (k + 1) * hidden)
-            w[:in_size, cols] = _uniform(rng, (hidden, in_size), in_size).T
-            w[in_size:, cols] = _uniform(rng, (hidden, hidden), hidden).T
-            b[cols] = _uniform(rng, (hidden,), hidden)
-
 
 @dataclass
 class LstmStack:
@@ -121,10 +99,6 @@ class LstmStack:
     hidden_size: int
     layers: list[LstmLayer]
     dropout_p: float = 0.0
-
-    def draw(self, rng: RngState) -> None:
-        for i, layer in enumerate(self.layers):
-            layer.draw(rng.split(f"lstm{i}"))
 
     def backward(self, grad: np.ndarray, cache: list) -> None:
         """Parameter gradients from the gradient of :func:`lstm_states`'
@@ -164,9 +138,6 @@ class AttentionHead:
 
     score_layer: AffineLayer
 
-    def draw(self, rng: RngState) -> None:
-        self.score_layer.draw(rng)
-
     def backward(self, grad: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
         """From the context gradient ``(B, h)``: the hidden-state gradient
         through the weighted sum, and through the scores, each ``(B, T, h)``."""
@@ -202,10 +173,6 @@ class Mlp:
     """Affine stack with relu between layers and a linear head."""
 
     layers: list[AffineLayer] = field(default_factory=list)
-
-    def draw(self, rng: RngState) -> None:
-        for i, layer in enumerate(self.layers):
-            layer.draw(rng.split(f"mlp{i}"))
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, list]:
         cache = []

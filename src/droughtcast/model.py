@@ -5,8 +5,10 @@ the fused vector producing one score per forecast week.
 Each input path (static features, time series, attention pooling) can be
 switched off independently, which shrinks the fused vector and removes the
 corresponding parameters entirely.  :func:`parameter_layout` gives the
-name and shape of each parameter, in the order of the parameter vector.
+name and shape of each parameter, in the order of the parameter vector,
+and :meth:`HybridModel.draw_init` their initial values.
 
+The forward takes a :class:`~droughtcast.data.SampleSet` slice.
 :meth:`HybridModel.check` is the one place where a sample set meets the
 model: every column an enabled path reads must have the width the model
 was built for, windows need at least one step, and codes must lie within
@@ -99,17 +101,6 @@ class AblationConfig:
 
 
 @dataclass
-class Batch:
-    """Dense arrays for one mini-batch of a sample set that passed
-    :meth:`HybridModel.check`."""
-
-    x: np.ndarray  # (B, T, M')
-    s_n: np.ndarray  # (B, f_n)
-    s_d: np.ndarray  # (B, f_d) integer codes
-    y: np.ndarray  # (B, 6)
-
-
-@dataclass
 class BatchOutput:
     predictions: np.ndarray  # (B, 6)
     attention: np.ndarray | None  # (B, T) when the attention path is active
@@ -163,7 +154,8 @@ class HybridModel:
     """Heterogeneous-input forecaster with switchable paths.  Each parameter's
     ``data`` and ``grad`` are views into ``params`` and ``grads``, laid out by
     :func:`parameter_layout`.  Given ``params`` of the layout's size, the
-    model holds it and draws nothing; otherwise it draws from the seed."""
+    model holds it and draws nothing; otherwise :meth:`draw_init` fills it
+    from the seed.  A model too large to allocate is a ``ConfigError``."""
 
     def __init__(self, config: ModelConfig, ablation: AblationConfig, seed: int,
                  params: np.ndarray | None = None):
@@ -175,8 +167,13 @@ class HybridModel:
 
         layout = list(parameter_layout(config, ablation))
         ends = list(accumulate((math.prod(shape) for _, shape in layout), initial=0))
-        self.params = np.zeros(ends[-1]) if params is None else np.asarray(params, np.float64)
-        self.grads = np.zeros(ends[-1])
+        try:
+            self.params = np.zeros(ends[-1]) if params is None else np.asarray(params, np.float64)
+            self.grads = np.zeros(ends[-1])
+        except MemoryError:
+            raise ConfigError(f"the model's {ends[-1]:,} parameters need "
+                              f"{2 * 8 * ends[-1] / 2**30:,.1f} GiB for their values and "
+                              "gradients, more than can be allocated") from None
         self._tensors = {name: Tensor(self.params[a:b].reshape(shape),
                                       self.grads[a:b].reshape(shape))
                          for (name, shape), a, b in zip(layout, ends, ends[1:])}
@@ -199,14 +196,41 @@ class HybridModel:
         self.mlp = Mlp([affine(f"mlp.layer{i}", relu=i < config.mlp_layers - 1)
                         for i in range(config.mlp_layers)])
         if params is None:
-            rng = RngState(self.seed).split("init")
-            for i, table in enumerate(self.embeddings):
-                table.draw(rng.split(f"embed{i}"))
-            for key, part in (("reducer", self.reducer), ("lstm", self.lstm),
-                              ("attention", self.attention), ("mlp", self.mlp)):
-                if part is not None:
-                    part.draw(rng.split(key))
+            self.draw_init()
 
+    def draw_init(self) -> None:
+        """Fill every parameter in place, uniform in ``±sqrt(1/fan_in)`` so that
+        initial activations stay bounded.  Each layer draws from its own
+        stream under ``init``: an affine layer its weight, then its bias; an
+        LSTM layer, gate by gate, its input rows, recurrent rows, then bias."""
+        init = RngState(self.seed).split("init")
+
+        def fill(rng: RngState, view: np.ndarray, fan_in: int) -> None:
+            bound = np.sqrt(1.0 / fan_in)
+            view[...] = rng.uniform(-bound, bound, view.shape)
+
+        def affine(layer: AffineLayer, rng: RngState) -> None:
+            for view in (layer.weight.data, layer.bias.data):
+                fill(rng, view, layer.weight.data.shape[1])
+
+        for i, table in enumerate(self.embeddings):
+            fill(init.split(f"embed{i}"), table.weights.data, table.weights.data.shape[1])
+        if self.reducer is not None:
+            affine(self.reducer, init.split("reducer"))
+        if self.lstm is not None:
+            for i, layer in enumerate(self.lstm.layers):
+                rng, w, b = init.split("lstm").split(f"lstm{i}"), layer.w.data, layer.b.data
+                hidden = b.shape[0] // 4
+                for cols in (slice(k * hidden, (k + 1) * hidden) for k in range(4)):
+                    fill(rng, w[:-hidden, cols].T, w.shape[0] - hidden)  # input rows
+                    fill(rng, w[-hidden:, cols].T, hidden)  # recurrent rows
+                    fill(rng, b[cols], hidden)
+        if self.attention is not None:
+            affine(self.attention.score_layer, init.split("attention"))
+        for i, layer in enumerate(self.mlp.layers):
+            affine(layer, init.split("mlp").split(f"mlp{i}"))
+
+    # the constructor under another name: only perfbench/workload.py and the tests call it
     @classmethod
     def build(cls, config: ModelConfig, ablation: AblationConfig, seed: int) -> "HybridModel":
         return cls(config, ablation, seed)
@@ -251,10 +275,10 @@ class HybridModel:
         return np.concatenate([embed(table, s_d[:, j]) for j, table in enumerate(self.embeddings)],
                               axis=1)
 
-    def forward(self, batch: Batch, training: bool = False,
+    def forward(self, batch: SampleSet, training: bool = False,
                 rng: RngState | None = None) -> BatchOutput:
-        """Predictions for a batch of samples that passed :meth:`check`.  In
-        training mode dropout is active and the output carries the cache
+        """Predictions for a slice of a sample set that passed :meth:`check`.
+        In training mode dropout is active and the output carries the cache
         :meth:`backward` reads."""
         rng = rng or RngState(self.seed).split("forward")
         cache: dict = {"s_d": batch.s_d}

@@ -4,11 +4,13 @@ learning-rate schedule, seeded mini-batching, and binary checkpoints.
 ``fit`` and ``predict`` check each sample set against the model once
 (:meth:`HybridModel.check`), before the first step or block, so a set the
 model was not built for is a ``DataError`` before any parameter moves.
-Each training step runs the model's forward in training mode, the loss,
-which returns its value and its gradient with respect to the predictions,
-then :meth:`HybridModel.backward`, which writes the model's gradient vector
-for the AdamW update.  Inference runs the forward in eval mode, which
-keeps no caches for a backward pass.
+:func:`batch_from_samples` cuts every mini-batch and eval block, a
+``SampleSet`` slice that the forward takes as it is.  Each training step
+runs the model's forward in training mode, the loss, which returns its
+value and its gradient with respect to the predictions, then
+:meth:`HybridModel.backward`, which writes the model's gradient vector for
+the AdamW update.  Inference runs the forward in eval mode, which keeps no
+caches for a backward pass.
 
 A checkpoint is a :func:`~droughtcast.data.write_artifact` file with magic
 ``HMCKPT3``.  Its header is UTF-8 text: one ``model.<field>=`` or
@@ -34,7 +36,7 @@ from .autodiff import RngState
 from .config import format_value, parse_as
 from .data import SampleSet, csv_text, read_artifact, write_artifact
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .model import LOSSES, AblationConfig, Batch, HybridModel, ModelConfig, parameter_layout
+from .model import LOSSES, AblationConfig, HybridModel, ModelConfig, parameter_layout
 
 
 ADAM_BETA1 = 0.9
@@ -136,8 +138,9 @@ def history_csv(history: list[HistoryRow]) -> str:
     return csv_text([[f.name for f in fields(HistoryRow)]] + [astuple(row) for row in history])
 
 
-def batch_from_samples(samples: SampleSet) -> Batch:
-    return Batch(x=samples.x, s_n=samples.s_n, s_d=samples.s_d, y=samples.y)
+def batch_from_samples(samples: SampleSet, rows) -> SampleSet:
+    """The mini-batch or eval block at ``rows``, a slice or index array."""
+    return samples[rows]
 
 
 # fit calls backward through this module's namespace, where perfbench/tracing.py times it
@@ -158,7 +161,7 @@ def predict(model: HybridModel, samples: SampleSet) -> tuple[np.ndarray, np.ndar
     model.check(samples)
     predictions, attention = [], []
     for i in range(0, len(samples), PREDICT_BLOCK):
-        out = model.forward(batch_from_samples(samples[i:i + PREDICT_BLOCK]), training=False)
+        out = model.forward(batch_from_samples(samples, slice(i, i + PREDICT_BLOCK)))
         predictions.append(out.predictions)
         if out.attention is not None:
             attention.append(out.attention)
@@ -203,7 +206,7 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
         epoch_loss = 0.0
         seen = 0
         for bi, start in enumerate(range(0, len(order), run.batch_size)):
-            batch = batch_from_samples(train_samples[order[start:start + run.batch_size]])
+            batch = batch_from_samples(train_samples, order[start:start + run.batch_size])
             rng = root.split(f"dropout:{epoch}:{bi}")
             out = model.forward(batch, training=True, rng=rng)
             value, grad = loss_fn(out.predictions, batch.y)

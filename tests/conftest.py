@@ -88,39 +88,37 @@ def spy_opens(monkeypatch, before_open=lambda path: None):
     return opened
 
 
-def drawn(layer, rng):
-    """``layer`` after ``layer.draw(rng)`` has filled its parameters."""
-    layer.draw(rng)
-    return layer
-
-
-def empty(*shape):
-    return Tensor(np.empty(shape))
+def uniform(rng, fan_in, *shape):
+    """A ``Tensor`` of ``shape`` drawn from ``rng``, uniform in
+    ``±sqrt(1/fan_in)``: seeded values on the model's initial scale."""
+    bound = np.sqrt(1.0 / fan_in)
+    return Tensor(rng.uniform(-bound, bound, shape))
 
 
 def new_table(vocab_size, dim, rng):
-    return drawn(EmbeddingTable(vocab_size, empty(vocab_size, dim)), rng)
+    return EmbeddingTable(vocab_size, uniform(rng, dim, vocab_size, dim))
 
 
 def new_affine(in_size, out_size, rng, relu=False):
-    return drawn(AffineLayer(empty(out_size, in_size), empty(out_size), relu), rng)
+    return AffineLayer(uniform(rng, in_size, out_size, in_size), uniform(rng, in_size, out_size),
+                       relu)
 
 
 def new_lstm(num_layers, input_size, hidden_size, rng, dropout_p=0.0):
-    layers = [LstmLayer(empty((input_size if i == 0 else hidden_size) + hidden_size,
-                              4 * hidden_size), empty(4 * hidden_size))
-              for i in range(num_layers)]
-    return drawn(LstmStack(num_layers, input_size, hidden_size, layers, dropout_p), rng)
+    sizes = [input_size] + [hidden_size] * (num_layers - 1)
+    layers = [LstmLayer(uniform(rng, hidden_size, size + hidden_size, 4 * hidden_size),
+                        uniform(rng, hidden_size, 4 * hidden_size)) for size in sizes]
+    return LstmStack(num_layers, input_size, hidden_size, layers, dropout_p)
 
 
 def new_head(hidden_size, rng):
-    return drawn(AttentionHead(AffineLayer(empty(1, hidden_size), empty(1))), rng)
+    return AttentionHead(new_affine(hidden_size, 1, rng))
 
 
 def new_mlp(in_size, hidden_size, out_size, num_layers, rng):
     sizes = [in_size] + [hidden_size] * (num_layers - 1) + [out_size]
-    return drawn(Mlp([AffineLayer(empty(sizes[i + 1], sizes[i]), empty(sizes[i + 1]),
-                                  relu=i < num_layers - 1) for i in range(num_layers)]), rng)
+    return Mlp([new_affine(sizes[i], sizes[i + 1], rng, relu=i < num_layers - 1)
+                for i in range(num_layers)])
 
 
 def tensors(layer, prefix=""):

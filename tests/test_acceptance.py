@@ -2,6 +2,7 @@
 pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from droughtcast.metrics import (
     roc_auc_weighted,
     summarize_folds,
 )
-from droughtcast.model import AblationConfig, Batch, HybridModel, ModelConfig, mse_loss
+from droughtcast.model import AblationConfig, HybridModel, ModelConfig, mse_loss
 from droughtcast.synthetic import make_dataset
-from droughtcast.training import OptimizerState, adamw_step, batch_from_samples, fit, LrSchedule, TrainRunConfig
+from droughtcast.training import OptimizerState, adamw_step, fit, LrSchedule, TrainRunConfig
 
 BASELINE_FOLD_MAE = [0.347, 0.365, 0.272, 0.332, 0.310]
 HYBRID_FOLD_MAE = [0.244, 0.302, 0.254, 0.266, 0.299]
@@ -52,11 +53,13 @@ def _report(number: int, name: str, ok: bool, detail: str = ""):
 
 def _tiny_batch(config, b, t, seed):
     rng = RngState(seed)
-    return Batch(
+    return SampleSet(
         x=rng.uniform(-1, 1, (b, t, config.input_channels)),
         s_n=rng.uniform(-1, 1, (b, config.numeric_static_count)),
         s_d=np.stack([rng.integers(0, v, b) for v in config.categorical_vocab_sizes], axis=1),
         y=rng.uniform(0, 5, (b, 6)),
+        fips=np.array(["19001"] * b),
+        anchor=np.full(b, np.datetime64("2020-01-01", "D")),
     )
 
 
@@ -209,17 +212,15 @@ def test_criterion_06_ablation_harness(tmp_path):
         reports[ablation.label()] = evaluate(model, test)[0]
         models[ablation.label()] = model
 
-    batch = batch_from_samples(test[:4])
+    batch = test[:4]
     statics_only = models["static"]
     base = statics_only.forward(batch).predictions
-    scrambled = Batch(x=RngState(99).uniform(-5, 5, batch.x.shape), s_n=batch.s_n,
-                      s_d=batch.s_d, y=batch.y)
+    scrambled = replace(batch, x=RngState(99).uniform(-5, 5, batch.x.shape))
     statics_invariant = np.array_equal(statics_only.forward(scrambled).predictions, base)
 
     ts_only = models["ts"]
     base_ts = ts_only.forward(batch).predictions
-    scrambled_statics = Batch(x=batch.x, s_n=batch.s_n * 0 + 9.0,
-                              s_d=np.zeros_like(batch.s_d), y=batch.y)
+    scrambled_statics = replace(batch, s_n=batch.s_n * 0 + 9.0, s_d=np.zeros_like(batch.s_d))
     ts_invariant = np.array_equal(ts_only.forward(scrambled_statics).predictions, base_ts)
 
     ok = len(reports) == 5 and statics_invariant and ts_invariant

@@ -222,6 +222,29 @@ def test_locexp_emits_six_result_rows(trained):
     assert len(improvements) == 9  # header + 4 relative + 4 absolute definitions
 
 
+@pytest.mark.parametrize("command, setting, code, message", [
+    ("cv", "cv.baseline_use_timeseries=false", 2, "at least one input path must stay enabled"),
+    ("locexp", "locexp.states=19,99", 3, "state prefix '99' has no train or test samples"),
+])
+def test_a_bad_setting_fails_before_the_first_training(trained, tmp_path, monkeypatch, capsys,
+                                                       command, setting, code, message):
+    """``cv`` builds both ablation settings, and ``locexp`` selects and checks
+    every state's rows, before any model trains."""
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "ingest", out / "ingest")
+    fits, fit = [], cli.fit
+
+    def spy(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", spy)
+    assert run_cli(config, out, command, "--set", setting) == code
+    assert fits == []
+    assert message in capsys.readouterr().err
+
+
 def test_introspect_emits_figures(trained):
     config, out = trained
     assert run_cli(config, out, "introspect") == 0
@@ -457,6 +480,21 @@ def run_module(*argv, address_space: int | None = None, timeout: float = 300,
     return subprocess.run([sys.executable, "-m", "droughtcast", *argv], capture_output=True,
                           text=True, env=env, timeout=timeout,
                           preexec_fn=limit if address_space else None)
+
+
+def test_train_of_a_model_too_large_to_allocate_exits_2(trained, tmp_path):
+    """A model whose parameters cannot be allocated is a configuration error
+    that names its size, not a ``MemoryError`` traceback."""
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "ingest", out / "ingest")
+    result = run_module("--config", str(config), "--out", str(out),
+                        "--set", "model.hidden_size=1000000", "train",
+                        address_space=4 << 30, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert re.search(r"^configuration error: the model's [\d,]+ parameters need [\d,.]+ GiB ",
+                     result.stderr), result.stderr
 
 
 @pytest.mark.parametrize("key, value", [

@@ -366,20 +366,6 @@ def test_lstm_input_gradient_matches_finite_differences():
     assert report.ok, report.per_input
 
 
-def test_lstm_init_packs_per_gate_draws_in_order():
-    in_size, hidden = 3, 2
-    layer = new_lstm(1, in_size, hidden, RngState(4)).layers[0]
-    rng = RngState(4).split("lstm0")
-    for k in range(4):
-        cols = slice(k * hidden, (k + 1) * hidden)
-        bound_in, bound_h = np.sqrt(1.0 / in_size), np.sqrt(1.0 / hidden)
-        np.testing.assert_array_equal(layer.w.data[:in_size, cols],
-                                      rng.uniform(-bound_in, bound_in, (hidden, in_size)).T)
-        np.testing.assert_array_equal(layer.w.data[in_size:, cols],
-                                      rng.uniform(-bound_h, bound_h, (hidden, hidden)).T)
-        np.testing.assert_array_equal(layer.b.data[cols], rng.uniform(-bound_h, bound_h, hidden))
-
-
 def test_lstm_dropout_mask_is_successive_per_step_draws():
     steps, batch, hidden, p = 4, 3, 5, 0.5
     stack = new_lstm(2, 2, hidden, RngState(60), dropout_p=p)

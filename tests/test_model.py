@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from droughtcast.metrics import evaluate
 from droughtcast.errors import ConfigError, DataError
 from droughtcast.model import (
     AblationConfig,
-    Batch,
     HybridModel,
     ModelConfig,
     fused_width,
@@ -47,24 +47,19 @@ def tiny_config(**overrides):
 
 
 def tiny_batch(b=2, t=5, seed=0, config=None):
+    """``b`` random samples of ``t`` steps, sized to ``config``."""
     config = config or tiny_config()
     rng = RngState(seed)
-    return Batch(
+    return SampleSet(
         x=rng.uniform(-1, 1, (b, t, config.input_channels)),
         s_n=rng.uniform(-1, 1, (b, config.numeric_static_count)),
         s_d=np.stack(
             [rng.integers(0, v, b) for v in config.categorical_vocab_sizes], axis=1
         ),
         y=rng.uniform(0, 5, (b, 6)),
+        fips=np.array(["19001"] * b),
+        anchor=np.full(b, np.datetime64("2020-01-01", "D")),
     )
-
-
-def tiny_samples(batch, **columns):
-    """The batch as a ``SampleSet``, with any column replaced by ``columns``."""
-    n = len(batch.y)
-    fields = {**vars(batch), "fips": np.array(["19001"] * n),
-              "anchor": np.full(n, np.datetime64("2020-01-01", "D")), **columns}
-    return SampleSet(**fields)
 
 
 def test_fused_width_full_model_defaults():
@@ -116,8 +111,7 @@ def test_statics_only_ignores_time_series():
     )
     batch = tiny_batch(b=3, seed=5, config=config)
     first = model.forward(batch).predictions
-    batch2 = Batch(x=RngState(99).uniform(-9, 9, batch.x.shape),
-                   s_n=batch.s_n, s_d=batch.s_d, y=batch.y)
+    batch2 = replace(batch, x=RngState(99).uniform(-9, 9, batch.x.shape))
     second = model.forward(batch2).predictions
     np.testing.assert_array_equal(first, second)
     assert model.forward(batch).attention is None
@@ -164,8 +158,8 @@ def test_batch_permutation_equivariance():
     model = HybridModel.build(tiny_config(), AblationConfig(), seed=9)
     batch = tiny_batch(b=4, seed=10)
     preds = model.forward(batch).predictions
-    perm = [2, 0, 3, 1]
-    permuted = Batch(x=batch.x[perm], s_n=batch.s_n[perm], s_d=batch.s_d[perm], y=batch.y[perm])
+    perm = np.array([2, 0, 3, 1])
+    permuted = batch[perm]
     preds_perm = model.forward(permuted).predictions
     np.testing.assert_allclose(preds_perm, preds[perm], atol=1e-12)
 
@@ -305,13 +299,12 @@ def test_eval_callers_keep_no_cache(monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(HybridModel, "forward", spy)
-    batch = tiny_batch(b=4, t=6, seed=7)
-    samples = tiny_samples(batch)
+    samples = tiny_batch(b=4, t=6, seed=7)
     evaluate(model, samples)
     validation_mae(model, samples)
     assert len(outputs) == 2
     assert all(out.cache is None for out in outputs)
-    assert model.forward(batch, training=True, rng=RngState(8)).cache is not None
+    assert model.forward(samples, training=True, rng=RngState(8)).cache is not None
 
 
 @pytest.mark.parametrize("name", ["dropout", "embed_dropout"])
@@ -343,7 +336,7 @@ STALE_SAMPLES = [
 def test_inputs_the_model_was_not_built_for_raise_data_error(columns, message):
     model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
     with pytest.raises(DataError, match=r"^model does not fit these samples: ") as exc:
-        predict(model, tiny_samples(tiny_batch(), **columns))
+        predict(model, replace(tiny_batch(), **columns))
     assert message in str(exc.value)
 
 
@@ -352,7 +345,7 @@ def test_predict_checks_the_sample_set_once(monkeypatch):
     checked = []
     monkeypatch.setattr(model, "check", checked.append)
     monkeypatch.setattr("droughtcast.training.PREDICT_BLOCK", 2)
-    samples = tiny_samples(tiny_batch(b=5))
+    samples = tiny_batch(b=5)
     assert predict(model, samples)[0].shape == (5, 6)
     assert checked == [samples]
 
@@ -361,10 +354,10 @@ def test_predict_checks_the_sample_set_once(monkeypatch):
 def test_fit_rejects_a_stale_val_set_before_the_first_step(columns, message):
     model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
     before = {name: t.data.copy() for name, t in model.named_parameters().items()}
-    train = tiny_samples(tiny_batch(b=4, seed=1))
+    train = tiny_batch(b=4, seed=1)
     run = TrainRunConfig(batch_size=2, epochs=1, seed=0)
     with pytest.raises(DataError, match=r"^model does not fit these samples: ") as exc:
-        fit(model, train, tiny_samples(tiny_batch(), **columns), run, LrSchedule())
+        fit(model, train, replace(tiny_batch(), **columns), run, LrSchedule())
     assert message in str(exc.value)
     for name, t in model.named_parameters().items():
         np.testing.assert_array_equal(t.data, before[name])
@@ -377,11 +370,11 @@ def test_check_reads_only_the_enabled_paths(ablation):
     model = HybridModel.build(tiny_config(), ablation, seed=0)
     batch = tiny_batch()
     if not ablation.use_timeseries:
-        model.check(tiny_samples(batch, x=np.zeros((2, 0, 7))))
+        model.check(replace(batch, x=np.zeros((2, 0, 7))))
     if not ablation.use_static:
-        model.check(tiny_samples(batch, s_n=np.zeros((2, 0)), s_d=np.zeros((2, 5), np.int64)))
+        model.check(replace(batch, s_n=np.zeros((2, 0)), s_d=np.zeros((2, 5), np.int64)))
     with pytest.raises(DataError):
-        model.check(tiny_samples(batch, y=np.zeros((2, 7))))
+        model.check(replace(batch, y=np.zeros((2, 7))))
 
 
 def test_reduced_static_embedding_rejects_unknown_codes():
@@ -422,3 +415,83 @@ isinstance(value, Tensor)
 tensors: dict[str, Tensor] = {}
 """
     assert list(_tensor_constructions(ast.parse(source))) == [2, 3]
+
+
+def test_lstm_init_packs_per_gate_draws_in_order():
+    in_size, hidden = 4, 2
+    model = HybridModel(tiny_config(input_channels=in_size, hidden_size=hidden, lstm_layers=1),
+                        AblationConfig(), seed=4)
+    layer = model.lstm.layers[0]
+    rng = RngState(4).split("init").split("lstm").split("lstm0")
+    for k in range(4):
+        cols = slice(k * hidden, (k + 1) * hidden)
+        bound_in, bound_h = np.sqrt(1.0 / in_size), np.sqrt(1.0 / hidden)
+        np.testing.assert_array_equal(layer.w.data[:in_size, cols],
+                                      rng.uniform(-bound_in, bound_in, (hidden, in_size)).T)
+        np.testing.assert_array_equal(layer.w.data[in_size:, cols],
+                                      rng.uniform(-bound_h, bound_h, (hidden, hidden)).T)
+        np.testing.assert_array_equal(layer.b.data[cols], rng.uniform(-bound_h, bound_h, hidden))
+
+
+@pytest.mark.parametrize("name, stream", [
+    ("embed1.weights", ("embed1",)),
+    ("reducer", ("reducer",)),
+    ("attention.score", ("attention",)),
+    ("mlp.layer0", ("mlp", "mlp0")),
+    ("mlp.layer1", ("mlp", "mlp1")),
+])
+def test_init_draws_each_layer_from_its_own_stream(name, stream):
+    """An embedding table is one draw, and an affine layer its weight then its
+    bias, both within ``±sqrt(1/fan_in)`` of its weight's input width."""
+    params = HybridModel(tiny_config(), AblationConfig(), seed=6).named_parameters()
+    rng = RngState(6).split("init")
+    for key in stream:
+        rng = rng.split(key)
+    weight = params[name if name.startswith("embed") else f"{name}.weight"].data
+    bound = np.sqrt(1.0 / weight.shape[1])
+    np.testing.assert_array_equal(weight, rng.uniform(-bound, bound, weight.shape))
+    if not name.startswith("embed"):
+        bias = params[f"{name}.bias"].data
+        np.testing.assert_array_equal(bias, rng.uniform(-bound, bound, bias.shape))
+
+
+def _parameter_draws(tree: ast.AST):
+    """Line of every function in ``tree`` whose name starts with ``draw``,
+    and of every call to a name or attribute ``uniform`` or ``_uniform``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("draw"):
+                yield node.lineno
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name.lstrip("_") == "uniform":
+                yield node.lineno
+
+
+def test_model_is_the_only_module_that_draws_parameter_values():
+    """``HybridModel.draw_init`` gives every parameter its initial value, so
+    no layer draws its own; ``synthetic.py`` draws dataset values, not
+    parameters."""
+    found = []
+    for module in sorted(Path(droughtcast.model.__file__).parent.glob("*.py")):
+        lines = list(_parameter_draws(ast.parse(module.read_text(encoding="utf-8"))))
+        if module.name == "model.py":
+            assert lines != []  # the guard sees the one place that does
+        elif module.name != "synthetic.py":
+            found += [f"{module.name}:{line}" for line in lines]
+    assert found == []
+
+
+def test_draw_guard_flags_each_way_of_drawing():
+    source = """
+class Layer:
+    def draw(self, rng):
+        self.w[...] = _uniform(rng, shape, fan_in)
+def draw_init(model): pass
+rng.uniform(-1, 1, shape)
+uniform(-1, 1)
+rng.random(shape)
+def withdraw(): pass
+"""
+    assert sorted(_parameter_draws(ast.parse(source))) == [3, 4, 5, 6, 7]

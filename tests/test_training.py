@@ -15,14 +15,12 @@ from droughtcast.autodiff import RngState, Tensor
 from droughtcast.cli import ABLATION_SETTINGS
 from droughtcast.data import SampleSet
 from droughtcast.errors import ConfigError, DataError, FormatError, NumericError
-from droughtcast.layers import AffineLayer, AttentionHead, EmbeddingTable, LstmLayer, LstmStack, Mlp
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig, parameter_layout
 from droughtcast.training import (
     LrSchedule,
     OptimizerState,
     TrainRunConfig,
     adamw_step,
-    batch_from_samples,
     fit,
     history_csv,
     load_checkpoint,
@@ -221,10 +219,41 @@ def test_fit_tracks_best_validation(tmp_path):
     assert len(history) == 5
 
 
+def test_fit_and_predict_cut_every_batch_with_batch_from_samples(monkeypatch):
+    """A mini-batch is the ``SampleSet`` that ``batch_from_samples`` cuts at
+    the epoch's shuffled rows, an eval block the one it cuts at a slice, and
+    the forward takes each as it is."""
+    samples = make_linear_samples(n=10, seed=25)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=26)
+    cuts, batches = [], []
+    cut, forward = training.batch_from_samples, HybridModel.forward
+
+    def spy_cut(samples, rows):
+        cuts.append(rows)
+        return cut(samples, rows)
+
+    def spy_forward(self, batch, *args, **kwargs):
+        batches.append(batch)
+        return forward(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(training, "batch_from_samples", spy_cut)
+    monkeypatch.setattr(HybridModel, "forward", spy_forward)
+    monkeypatch.setattr(training, "PREDICT_BLOCK", 4)
+    fit(model, samples, samples[:6], TrainRunConfig(batch_size=4, epochs=1, seed=27),
+        LrSchedule())
+    order = RngState(27).split("shuffle:0").permutation(10)
+    assert [rows.tolist() for rows in cuts[:3]] == [order[:4].tolist(), order[4:8].tolist(),
+                                                   order[8:].tolist()]
+    assert cuts[3:] == [slice(0, 4), slice(4, 8)]
+    assert len(batches) == len(cuts) and all(isinstance(b, SampleSet) for b in batches)
+    np.testing.assert_array_equal(batches[0].x, samples.x[order[:4]])
+    np.testing.assert_array_equal(batches[-1].y, samples.y[4:6])
+
+
 def test_predict_joins_blocks_into_one_pass(monkeypatch):
     samples = make_linear_samples(n=7, seed=23)
     model = HybridModel.build(overfit_config(), AblationConfig(), seed=24)
-    whole = model.forward(batch_from_samples(samples))
+    whole = model.forward(samples)
     monkeypatch.setattr(training, "PREDICT_BLOCK", 3)
     predictions, attention = predict(model, samples)
     np.testing.assert_allclose(predictions, whole.predictions, atol=1e-12)
@@ -240,13 +269,12 @@ def test_checkpoint_round_trip(tmp_path):
     config = overfit_config()
     model = HybridModel.build(config, AblationConfig(), seed=21)
     samples = make_linear_samples(n=4, seed=22)
-    batch = batch_from_samples(samples)
-    before = model.forward(batch).predictions
+    before = model.forward(samples).predictions
 
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    after = loaded.forward(batch).predictions
+    after = loaded.forward(samples).predictions
     np.testing.assert_array_equal(before, after)
     assert loaded.config == model.config
     assert loaded.ablation == model.ablation
@@ -405,11 +433,10 @@ def test_load_checkpoint_draws_no_init(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
 
-    def refuse(layer, rng):
-        raise AssertionError(f"{type(layer).__name__} drew an init")
+    def refuse(model):
+        raise AssertionError("drew an init")
 
-    for layer in (EmbeddingTable, AffineLayer, LstmLayer, LstmStack, AttentionHead, Mlp):
-        monkeypatch.setattr(layer, "draw", refuse)
+    monkeypatch.setattr(HybridModel, "draw_init", refuse)
     loaded = load_checkpoint(path)
     np.testing.assert_array_equal(loaded.params, model.params)
     with pytest.raises(AssertionError, match="drew an init"):
