@@ -109,25 +109,31 @@ def cmd_ingest(cfg: RunConfig) -> int:
         messages.append(f"{path.name}: {report.describe()}")
         return samples, series.channel_names
 
-    train, channel_names = build_from(ts_path, None)
+    # every set built, each normalized in place once; a split is a set and
+    # the index of its rows in it
+    built, channel_names = build_from(ts_path, None)
+    sets = [built]
     if cfg.get("data", "timeseries_val") or cfg.get("data", "timeseries_test"):
-        val, test = (build_from(_require_file(cfg, "data", key), channel_names)[0]
-                     if cfg.get("data", key) else train[:0]
-                     for key in ("timeseries_val", "timeseries_test"))
+        sets += [build_from(_require_file(cfg, "data", key), channel_names)[0]
+                 if cfg.get("data", key) else built[:0]
+                 for key in ("timeseries_val", "timeseries_test")]
+        splits = [(samples, np.arange(len(samples))) for samples in sets]
     else:
         split = dp.split_fractions(
-            len(train), cfg.get_float("data", "val_fraction"),
+            len(built), cfg.get_float("data", "val_fraction"),
             cfg.get_float("data", "test_fraction"), seed=cfg.seed,
         )
-        train, val, test = (train[index] for index in split)
-        messages.append(f"random split: {len(train)} train / {len(val)} val / {len(test)} test")
-    if not train:
+        splits = [(built, index) for index in split]
+        messages.append("random split: {} train / {} val / {} test".format(*map(len, split)))
+    train, train_index = splits[0]
+    if not len(train_index):
         raise DataError("ingest produced no training samples")
 
-    normalizer = dp.fit_normalizer(train, channel_names, statics.numeric_names)
-    dp.save_samples(normalizer.apply(train), out / "train.samples")
-    dp.save_samples(normalizer.apply(val), out / "val.samples")
-    dp.save_samples(normalizer.apply(test), out / "test.samples")
+    normalizer = dp.fit_normalizer(train, channel_names, statics.numeric_names, train_index)
+    for samples in sets:
+        normalizer.apply(samples)
+    for name, (samples, index) in zip(("train", "val", "test"), splits):
+        dp.save_samples(samples, out / f"{name}.samples", index)
     normalizer.save(out / "normalizer.csv")
     encoder.save(out / "categories.csv")
     for message in messages:

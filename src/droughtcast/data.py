@@ -27,8 +27,13 @@ line; otherwise the first county in file order with a faulty value is
 named, at its first calendar fault, else its first bad channel cell, else
 its first bad score.  One :class:`StaticTable` holds a row per county, and
 :func:`build_samples` gathers one :class:`SampleSet` of column arrays out of
-both with index arithmetic.  The normalizer, the splits (index arrays), the
-binary cache and mini-batching all work on whole columns.
+both, each window through a sliding view of the day table.
+
+After that, ingest holds the windows once.  A split is an index array into
+the set: :func:`fit_normalizer` gathers the training rows block by block,
+:meth:`Normalizer.apply` normalizes the set in place, and
+:func:`save_samples` writes each split's windows through its index, a block
+at a time.  Mini-batching works on whole columns.
 """
 
 from __future__ import annotations
@@ -598,10 +603,15 @@ def build_samples(series: DailySeries, statics: StaticTable,
                          dropped_missing_future=int((~has_future).sum()))
 
     # each day's channels beside those of the same day a year earlier; the
-    # history check keeps every window, and its year-earlier copy, inside one county
+    # history check keeps every window, and its year-earlier copy, inside one
+    # county.  A sample's window is a view of the day table, gathered once
     m = series.measurements
-    x = np.concatenate([m, np.roll(m, YEAR_SHIFT_DAYS, axis=0)], axis=1)[
-        rows[keep, None] + np.arange(-window_days, 0)]
+    table = np.concatenate([m, np.roll(m, YEAR_SHIFT_DAYS, axis=0)], axis=1)
+    if keep.size:
+        windows = np.lib.stride_tricks.sliding_window_view(table, window_days, axis=0)
+        x = windows.transpose(0, 2, 1)[rows[keep] - window_days]
+    else:  # the table may hold fewer days than one window
+        x = np.empty((0, window_days, table.shape[1]))
     # the future check keeps all six targets among the county's own scores
     y = series.scores[rows[keep[:, None] + first_target + np.arange(TARGET_WEEKS)]]
     county = county[keep]
@@ -626,17 +636,19 @@ class Normalizer:
     static_mean: np.ndarray
     static_std: np.ndarray
 
-    def apply(self, samples: SampleSet) -> SampleSet:
-        n, steps, width = samples.x.shape
+    def apply(self, samples: SampleSet) -> None:
+        """Normalize the windows and numeric statics of ``samples`` in place.
+        Each value is subtracted and divided on its own, so normalizing a
+        set and then selecting rows gives the bits of the reverse order."""
+        width = samples.x.shape[2]
         channels = len(self.channel_names)
         if width != 2 * channels:
             raise DataError(f"samples have {width} columns, normalizer expects {2 * channels}")
-        # (N, T, 2, M): the current- and previous-year blocks share statistics
-        x = np.subtract(samples.x.reshape(n, steps, 2, channels), self.channel_mean)
-        np.divide(x, self.channel_std, out=x)
-        x = x.reshape(n, steps, width)
-        s_n = (samples.s_n - self.static_mean) / self.static_std
-        return SampleSet(x, s_n, samples.s_d, samples.y, samples.fips, samples.anchor)
+        # the current- and previous-year blocks share statistics
+        np.subtract(samples.x, np.tile(self.channel_mean, 2), out=samples.x)
+        np.divide(samples.x, np.tile(self.channel_std, 2), out=samples.x)
+        np.subtract(samples.s_n, self.static_mean, out=samples.s_n)
+        np.divide(samples.s_n, self.static_std, out=samples.s_n)
 
     def save(self, path) -> None:
         rows = [["channel", "mean", "std"]]
@@ -647,27 +659,34 @@ class Normalizer:
         write_file(path, [csv_text(rows)])
 
 
-_STATS_BLOCK = 64  # samples per block of the channel sums
+_BLOCK = 64  # samples gathered at a time, by the channel sums and by the cache writer
 
 
-def _channel_sums(x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
-    """Per channel, the sum over every sample's current-year rows, then its
-    previous-year rows, of each row or, given ``mean``, of its squared
-    deviation from it: bit for bit ``pooled.sum(axis=0)`` over one pooled
-    copy of those rows, without the copy.  numpy sums the rows of a
-    several-channel copy in order, so each block of samples is reduced from
-    the running sum; it sums a single channel pairwise, which no split into
-    blocks repeats, so one channel is summed in a single block."""
-    n, steps, width = x.shape
+def _channel_sums(x: np.ndarray, index: np.ndarray,
+                  mean: np.ndarray | None = None) -> np.ndarray:
+    """Per channel, the sum over the samples ``index``, of each one's
+    current-year rows, then its previous-year rows, of each row or, given
+    ``mean``, of its squared deviation from it: bit for bit
+    ``pooled.sum(axis=0)`` over one pooled copy of those rows.  The samples
+    are gathered ``_BLOCK`` at a time.  numpy sums the rows of a
+    several-channel copy in order, so each block is reduced from the
+    running sum; it sums a single channel pairwise, which no split into
+    blocks repeats, so one channel's rows are pooled whole, as numpy would,
+    and summed once."""
+    n = len(index)
+    steps, width = x.shape[1:]
     channels = width // 2
-    block = n if channels == 1 else _STATS_BLOCK
-    buffer = np.empty((1 + 2 * steps * min(block, n), channels))  # the running sum, then rows
+    per_sum = n if channels == 1 else _BLOCK
+    buffer = np.empty((1 + 2 * steps * min(per_sum, n), channels))  # the running sum, then rows
     total = None
-    for first in range(0, n, block):
-        part = x[first:first + block]
-        rows = buffer[1:1 + 2 * steps * len(part)]
-        rows.reshape(len(part), 2, steps, channels)[:] = \
-            part.reshape(len(part), steps, 2, channels).transpose(0, 2, 1, 3)
+    for first in range(0, n, per_sum):
+        count = min(per_sum, n - first)
+        rows = buffer[1:1 + 2 * steps * count]
+        pooled = rows.reshape(count, 2, steps, channels)
+        for start in range(0, count, _BLOCK):
+            part = x[index[first + start:first + min(start + _BLOCK, count)]]
+            pooled[start:start + len(part)] = \
+                part.reshape(len(part), steps, 2, channels).transpose(0, 2, 1, 3)
         if mean is not None:
             np.subtract(rows, mean, out=rows)
             np.square(rows, out=rows)
@@ -679,20 +698,24 @@ def _channel_sums(x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def fit_normalizer(samples: SampleSet, channel_names: list[str],
-                   static_names: list[str]) -> Normalizer:
+def fit_normalizer(samples: SampleSet, channel_names: list[str], static_names: list[str],
+                   index: np.ndarray | None = None) -> Normalizer:
     """Each channel's mean and standard deviation over the pooled current-
-    and previous-year rows of every sample, equal bit for bit to numpy's
-    ``mean`` and ``std`` of one pooled copy."""
-    if not len(samples):
+    and previous-year rows of the samples ``index`` (every sample when
+    None), equal bit for bit to numpy's ``mean`` and ``std`` of one pooled
+    copy; the windows are gathered ``_BLOCK`` samples at a time."""
+    index = np.arange(len(samples)) if index is None else index
+    n = len(index)
+    if not n:
         raise DataError("cannot fit a normalizer on an empty sample set")
-    n, steps, _ = samples.x.shape
-    mean = _channel_sums(samples.x) / (2 * n * steps)
-    std = np.sqrt(_channel_sums(samples.x, mean) / (2 * n * steps))
+    steps = samples.x.shape[1]
+    mean = _channel_sums(samples.x, index) / (2 * n * steps)
+    std = np.sqrt(_channel_sums(samples.x, index, mean) / (2 * n * steps))
     std[std == 0.0] = 1.0
 
-    s_mean = samples.s_n.mean(axis=0)
-    s_std = samples.s_n.std(axis=0)
+    s_n = samples.s_n[index]
+    s_mean = s_n.mean(axis=0)
+    s_std = s_n.std(axis=0)
     s_std[s_std == 0.0] = 1.0
     return Normalizer(channel_names, mean, std, static_names, s_mean, s_std)
 
@@ -741,15 +764,22 @@ def _cache_layout(n: int, steps: int, width: int, f_n: int, f_d: int,
             ("<f8", (n, TARGET_WEEKS)), ("<i8", (n,)), (f"<U{max(chars, 1)}", (n,))]
 
 
-def save_samples(samples: SampleSet, path) -> None:
-    """Binary sample cache (:func:`write_artifact`); deterministic bytes."""
-    chars = np.asarray(samples.fips, dtype=str).dtype.itemsize // 4
-    header = (*samples.x.shape, samples.s_n.shape[1], samples.s_d.shape[1], chars)
-    columns = (samples.x, samples.s_n, samples.s_d, samples.y,
-               samples.anchor.astype("datetime64[D]").view(np.int64), samples.fips)
+def save_samples(samples: SampleSet, path, index: np.ndarray | None = None) -> None:
+    """Binary sample cache (:func:`write_artifact`) of the rows ``index``
+    of ``samples`` (every row when None); deterministic bytes, those of
+    ``save_samples(samples[index], path)``.  ``x`` is gathered and written
+    ``_BLOCK`` samples at a time, so no copy of the windows is made."""
+    index = np.arange(len(samples)) if index is None else index
+    s_n, s_d, y, fips, anchor = (column[index] for column in samples._columns()[1:])
+    chars = np.asarray(fips, dtype=str).dtype.itemsize // 4
+    header = (len(y), *samples.x.shape[1:], s_n.shape[1], s_d.shape[1], chars)
+    (x_dtype, _), *layout = _cache_layout(*header)
+    columns = (s_n, s_d, y, anchor.astype("datetime64[D]").view(np.int64), fips)
     write_artifact(path, _CACHE_MAGIC, _CACHE_HEADER.pack(*header),
-                   (np.asarray(column, dtype) for column, (dtype, _)
-                    in zip(columns, _cache_layout(*header))))
+                   chain((np.asarray(samples.x[index[i:i + _BLOCK]], x_dtype)
+                          for i in range(0, len(index), _BLOCK)),
+                         (np.asarray(column, dtype)
+                          for column, (dtype, _) in zip(columns, layout))))
 
 
 def load_samples(path) -> SampleSet:

@@ -150,12 +150,16 @@ def parameter_layout(config: ModelConfig,
         width = out
 
 
+MAX_LAYERS = 1000  # LSTM or MLP layers a model may have: the layout is listed whole
+
+
 class HybridModel:
     """Heterogeneous-input forecaster with switchable paths.  Each parameter's
     ``data`` and ``grad`` are views into ``params`` and ``grads``, laid out by
     :func:`parameter_layout`.  Given ``params`` of the layout's size, the
     model holds it and draws nothing; otherwise :meth:`draw_init` fills it
-    from the seed.  A model too large to allocate is a ``ConfigError``."""
+    from the seed.  A model of more than ``MAX_LAYERS`` LSTM or MLP layers,
+    or too large to allocate, is a ``ConfigError``."""
 
     def __init__(self, config: ModelConfig, ablation: AblationConfig, seed: int,
                  params: np.ndarray | None = None):
@@ -165,6 +169,10 @@ class HybridModel:
         self.source = "model"  # how input-mismatch errors name it; a checkpoint path once loaded
         self.sha256: bytes | None = None  # the digest of the checkpoint file once loaded
 
+        for name in ("lstm_layers", "mlp_layers"):
+            if getattr(config, name) > MAX_LAYERS:
+                raise ConfigError(f"{name} must be at most {MAX_LAYERS:,}, "
+                                  f"got {getattr(config, name):,}")
         layout = list(parameter_layout(config, ablation))
         ends = list(accumulate((math.prod(shape) for _, shape in layout), initial=0))
         try:

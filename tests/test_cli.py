@@ -6,6 +6,8 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -90,6 +92,29 @@ def test_ingest_writes_cache_and_is_idempotent(ingested):
     first = (ingest_dir / "train.samples").read_bytes()
     assert run_cli(config, out, "ingest") == 0
     assert (ingest_dir / "train.samples").read_bytes() == first
+
+
+def test_ingest_holds_the_sample_windows_about_once(tmp_path):
+    """Ingest's traced heap peak on T=180 windows stays under 1.5 times the
+    bytes of the caches it writes: the windows are gathered once, normalized
+    in place and written split by split through index arrays.  A copy of
+    each split beside the whole set, or a normalized copy of a split, reads
+    about 2 (2.01 here before the splits were written by index, 1.22 after)."""
+    ts, statics = make_dataset(tmp_path / "data", n_counties=12, days=1100, channels=3, seed=1)
+    config = tmp_path / "run.ini"
+    config.write_text(f"[data]\ntimeseries = {ts}\nstatics = {statics}\n"
+                      "categorical_columns = soil_quality,texture\nwindow_days = 180\n"
+                      "[run]\nseed = 1\n")
+    tracemalloc.start()
+    try:
+        assert run_cli(config, tmp_path / "out", "ingest") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum((tmp_path / "out" / "ingest" / f"{name}.samples").stat().st_size
+                  for name in ("train", "val", "test"))
+    assert written > 7_000_000  # the windows dominate what is held
+    assert peak < 1.5 * written, peak / written
 
 
 def test_missing_statics_file_exits_3(dataset, tmp_path):
@@ -495,6 +520,27 @@ def test_train_of_a_model_too_large_to_allocate_exits_2(trained, tmp_path):
     assert "Traceback" not in result.stderr
     assert re.search(r"^configuration error: the model's [\d,]+ parameters need [\d,.]+ GiB ",
                      result.stderr), result.stderr
+
+
+def test_train_of_a_hundred_million_mlp_layers_exits_2_at_once(trained, tmp_path):
+    """A layer count beyond ``MAX_LAYERS`` is a configuration error before
+    the layout is listed, not a ``MemoryError`` traceback under a 1.5 GB
+    address space after minutes of listing, however narrow the layers."""
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "ingest", out / "ingest")
+    for width in ("8", "1"):
+        started = time.perf_counter()
+        result = run_module("--config", str(config), "--out", str(out),
+                            "--set", "model.mlp_layers=100000000",
+                            "--set", f"model.mlp_hidden={width}", "train",
+                            address_space=1_500_000 << 10, timeout=60)
+        elapsed = time.perf_counter() - started
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert re.search(r"^configuration error: mlp_layers must be at most 1,000, "
+                         r"got 100,000,000$", result.stderr, re.M), result.stderr
+        assert elapsed < 2.0, elapsed
 
 
 @pytest.mark.parametrize("key, value", [

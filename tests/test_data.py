@@ -294,6 +294,12 @@ def test_build_samples_missing_week6_target():
     assert report.dropped_missing_future == len(scored_days(series))
 
 
+def test_build_samples_from_fewer_days_than_a_window_is_empty():
+    samples, report = build_samples(series_fixture(days=100), statics_fixture())
+    assert samples.x.shape == (0, 180, 4)
+    assert report.built == 0 and report.dropped == len(scored_days(series_fixture(days=100)))
+
+
 def test_build_samples_previous_year_identity():
     days = 600
     t = np.arange(days, dtype=float)
@@ -355,25 +361,34 @@ def test_normalizer_two_point_channel():
     x = np.array([[0.0, 5.0, 0.0, 5.0], [2.0, 5.0, 2.0, 5.0]])
     s = sample_set(x[None], np.array([[1.0]]))
     norm = fit_normalizer(s, ["chan0", "chan1"], ["elev"])
-    out = norm.apply(s)
-    np.testing.assert_allclose(out.x[0, :, 0], [-1.0, 1.0])
+    norm.apply(s)
+    np.testing.assert_allclose(s.x[0, :, 0], [-1.0, 1.0])
     # constant channel untouched, std recorded as 1
-    np.testing.assert_allclose(out.x[0, :, 1], [0.0, 0.0])
+    np.testing.assert_allclose(s.x[0, :, 1], [0.0, 0.0])
     assert norm.channel_std[1] == 1.0
 
 
 def test_normalizer_train_stats_and_round_trip():
+    """``apply`` normalizes the set's own windows and statics in place and
+    leaves the targets and the other columns as they were."""
     rng = np.random.default_rng(0)
-    samples = sample_set(rng.normal(2.0, 3.0, (20, 10, 6)), rng.normal(size=(20, 2)))
+    samples = sample_set(rng.normal(2.0, 3.0, (20, 10, 6)), rng.normal(size=(20, 2)),
+                         y=rng.uniform(0, 5, (20, 6)))
+    x, s_n, s_d, y = samples.x, samples.s_n, samples.s_d, samples.y
+    raw_x, raw_y, raw_s_d = x.copy(), y.copy(), s_d.copy()
     norm = fit_normalizer(samples, ["chan0", "chan1", "chan2"], ["elev", "slope"])
-    normalized = norm.apply(samples)
-    pooled = normalized.x.reshape(20, 10, 2, 3).reshape(-1, 3)
+    assert norm.apply(samples) is None
+    assert all(a is b for a, b in zip((samples.x, samples.s_n, samples.s_d, samples.y),
+                                      (x, s_n, s_d, y)))  # no new arrays
+    pooled = x.reshape(20, 10, 2, 3).reshape(-1, 3)
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-6)
-    # targets untouched
-    np.testing.assert_array_equal(normalized.y, samples.y)
-    round_trip = normalized.x.reshape(20, 10, 2, 3) * norm.channel_std + norm.channel_mean
-    np.testing.assert_allclose(round_trip.reshape(20, 10, 6), samples.x, atol=1e-12)
+    np.testing.assert_allclose(s_n.mean(axis=0), 0.0, atol=1e-9)
+    # targets and codes untouched
+    np.testing.assert_array_equal(y, raw_y)
+    np.testing.assert_array_equal(s_d, raw_s_d)
+    round_trip = x.reshape(20, 10, 2, 3) * norm.channel_std + norm.channel_mean
+    np.testing.assert_allclose(round_trip.reshape(20, 10, 6), raw_x, atol=1e-12)
 
 
 def _per_sample_normalizer(samples):
@@ -398,7 +413,8 @@ def test_columnar_normalizer_matches_per_sample_bit_for_bit():
     mean, std, x = _per_sample_normalizer(samples)
     np.testing.assert_array_equal(norm.channel_mean, mean)
     np.testing.assert_array_equal(norm.channel_std, std)
-    np.testing.assert_array_equal(norm.apply(samples).x, x)
+    norm.apply(samples)
+    np.testing.assert_array_equal(samples.x, x)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -422,7 +438,32 @@ def test_normalizer_matches_the_pooled_formula_over_many_blocks(channels):
     np.testing.assert_array_equal(norm.channel_mean, mean)
     np.testing.assert_array_equal(norm.channel_std, std)
     expected = (x.reshape(n, steps, 2, channels) - mean) / std
-    np.testing.assert_array_equal(norm.apply(samples).x, expected.reshape(x.shape))
+    norm.apply(samples)
+    np.testing.assert_array_equal(samples.x, expected.reshape(x.shape))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_normalizer_fit_through_an_index_equals_the_fit_on_its_copy(channels):
+    """Statistics over the rows ``index`` of a set, gathered block by
+    block, equal bit for bit those fitted on ``samples[index]``; and
+    normalizing the whole set, then selecting the rows, gives the bits of
+    normalizing the copy."""
+    rng = np.random.default_rng(11)
+    n, steps = 5 * 64 + 7, 7
+    samples = sample_set(rng.normal(3.0, 7.0, (n, steps, 2 * channels))
+                         * rng.choice([1e-6, 1.0, 1e8], (n, 1, 1)), rng.normal(size=(n, 2)))
+    index = rng.permutation(n)[:4 * 64 + 3]
+    names = [f"chan{c}" for c in range(channels)], ["elev", "slope"]
+    copy = samples[index]
+    expected = fit_normalizer(copy, *names)
+    norm = fit_normalizer(samples, *names, index)
+    for field in ("channel_mean", "channel_std", "static_mean", "static_std"):
+        np.testing.assert_array_equal(getattr(norm, field), getattr(expected, field))
+    expected.apply(copy)
+    norm.apply(samples)
+    np.testing.assert_array_equal(samples.x[index], copy.x)
+    np.testing.assert_array_equal(samples.s_n[index], copy.s_n)
+
 
 def test_normalizer_save_load(tmp_path):
     x = np.array([[0.0, 5.0, 0.0, 5.0], [2.0, 6.0, 2.0, 6.0]])
@@ -529,6 +570,18 @@ def test_sample_cache_round_trip(tmp_path):
     bad.write_bytes(truncated)
     with pytest.raises(FormatError):
         load_samples(bad)
+
+
+def test_sample_cache_through_an_index_has_the_bytes_of_the_copy(tmp_path):
+    """Rows written through an index, ``x`` in several blocks, give the
+    bytes of the rows copied out first; the FIPS width is the written
+    rows' own (rows 1 and 2 have five characters, row 0 more)."""
+    samples = _cache_set(600, t=2)
+    for index in (np.random.default_rng(3).permutation(600)[:5 * 64 + 5],
+                  np.array([1, 2]), np.array([], dtype=np.int64)):
+        save_samples(samples, tmp_path / "indexed", index)
+        save_samples(samples[index], tmp_path / "copy")
+        assert (tmp_path / "indexed").read_bytes() == (tmp_path / "copy").read_bytes()
 
 
 def test_sample_cache_truncation_and_trailing_bytes(tmp_path):
