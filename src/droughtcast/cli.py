@@ -110,14 +110,17 @@ def cmd_ingest(cfg: RunConfig) -> int:
         return samples, series.channel_names
 
     # every set built, each normalized in place once; a split is a set and
-    # the index of its rows in it
+    # the selection of its rows, made once the set is normalized
     built, channel_names = build_from(ts_path, None)
     sets = [built]
     if cfg.get("data", "timeseries_val") or cfg.get("data", "timeseries_test"):
-        sets += [build_from(_require_file(cfg, "data", key), channel_names)[0]
-                 if cfg.get("data", key) else built[:0]
-                 for key in ("timeseries_val", "timeseries_test")]
-        splits = [(samples, np.arange(len(samples))) for samples in sets]
+        splits = [(built, slice(None))]
+        for key in ("timeseries_val", "timeseries_test"):
+            if cfg.get("data", key):
+                sets.append(build_from(_require_file(cfg, "data", key), channel_names)[0])
+                splits.append((sets[-1], slice(None)))
+            else:
+                splits.append((built, slice(0)))
     else:
         split = dp.split_fractions(
             len(built), cfg.get_float("data", "val_fraction"),
@@ -125,15 +128,15 @@ def cmd_ingest(cfg: RunConfig) -> int:
         )
         splits = [(built, index) for index in split]
         messages.append("random split: {} train / {} val / {} test".format(*map(len, split)))
-    train, train_index = splits[0]
-    if not len(train_index):
+    train = built[splits[0][1]]
+    if not train:
         raise DataError("ingest produced no training samples")
 
-    normalizer = dp.fit_normalizer(train, channel_names, statics.numeric_names, train_index)
+    normalizer = dp.fit_normalizer(train, channel_names, statics.numeric_names)
     for samples in sets:
         normalizer.apply(samples)
-    for name, (samples, index) in zip(("train", "val", "test"), splits):
-        dp.save_samples(samples, out / f"{name}.samples", index)
+    for name, (samples, rows) in zip(("train", "val", "test"), splits):
+        dp.save_samples(samples[rows], out / f"{name}.samples")
     normalizer.save(out / "normalizer.csv")
     encoder.save(out / "categories.csv")
     for message in messages:
@@ -168,7 +171,7 @@ def _from_section(cfg: RunConfig, cls, section: str, prefix: str = "", **given):
 def _model_config(cfg: RunConfig, ingest: Path, samples: dp.SampleSet) -> ModelConfig:
     """``[model]`` sized to the ingested samples and label dictionary."""
     vocab_sizes = dp.CategoricalEncoder.load(_ingest_file(ingest, "categories.csv")).vocab_sizes
-    return _from_section(cfg, ModelConfig, "model", input_channels=samples.x.shape[2],
+    return _from_section(cfg, ModelConfig, "model", input_channels=samples.width,
                          numeric_static_count=samples.s_n.shape[1],
                          categorical_vocab_sizes=vocab_sizes)
 

@@ -29,11 +29,12 @@ its first bad score.  One :class:`StaticTable` holds a row per county, and
 :func:`build_samples` gathers one :class:`SampleSet` of column arrays out of
 both, each window through a sliding view of the day table.
 
-After that, ingest holds the windows once.  A split is an index array into
-the set: :func:`fit_normalizer` gathers the training rows block by block,
-:meth:`Normalizer.apply` normalizes the set in place, and
-:func:`save_samples` writes each split's windows through its index, a block
-at a time.  Mini-batching works on whole columns.
+A set holds no windows: it keeps the day table and, per sample, the first
+rows of its current-year and year-earlier windows, and :attr:`SampleSet.x`
+gathers the windows of the rows a batch or an eval block asks for.  A split
+is a selection of start rows that shares the table; :meth:`Normalizer.apply`
+normalizes the table in place, and :func:`save_samples` writes a split's
+table and start rows.  Mini-batching works on whole columns.
 """
 
 from __future__ import annotations
@@ -87,13 +88,19 @@ class StaticTable:
 
 @dataclass(eq=False)
 class SampleSet:
-    """N samples as column arrays; row i of every column is sample i.
+    """N samples as column arrays over one day table; row i of every column
+    is sample i.
 
-    Indexing by a slice or an index array selects rows; ``a + b``
-    concatenates two sets.
+    Sample i's windows are the ``steps`` table rows from ``start[i, 0]``
+    (the current year) and from ``start[i, 1]`` (the same days a year
+    earlier); :attr:`x` gathers them.  Indexing by a slice or an index array
+    selects start rows and shares the table; ``a + b`` stacks the two tables
+    and offsets ``b``'s start rows.
     """
 
-    x: np.ndarray  # (N, T, 2M): current-year channels then previous-year channels
+    days: np.ndarray  # (D, M) the day table
+    steps: int  # T, the window length
+    start: np.ndarray  # (N, 2) int64 first table rows of the current- and year-earlier window
     s_n: np.ndarray  # (N, f_n)
     s_d: np.ndarray  # (N, f_d) int64 codes
     y: np.ndarray  # (N, 6)
@@ -106,19 +113,38 @@ class SampleSet:
             raise DataError("sample columns differ in length")
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.x, self.s_n, self.s_d, self.y, self.fips, self.anchor
+        return self.start, self.s_n, self.s_d, self.y, self.fips, self.anchor
 
     def __len__(self) -> int:
         return self.y.shape[0]
 
+    @property
+    def width(self) -> int:
+        """2M, the channels of a window row: the current year's, then the
+        year-earlier ones."""
+        return 2 * self.days.shape[1]
+
+    @property
+    def x(self) -> np.ndarray:
+        """(N, T, 2M) windows, gathered from the table at each access: row t
+        of sample i is table row ``start[i, 0] + t`` beside row
+        ``start[i, 1] + t``."""
+        rows = self.start[:, None, :] + np.arange(self.steps)[:, None]  # (N, T, 2)
+        return np.take(self.days, rows, axis=0).reshape(len(self), self.steps, self.width)
+
     def __getitem__(self, index) -> "SampleSet":
         if isinstance(index, (int, np.integer)):
             raise TypeError("index a SampleSet with a slice or an index array")
-        return SampleSet(*(column[index] for column in self._columns()))
+        return SampleSet(self.days, self.steps, *(column[index] for column in self._columns()))
 
     def __add__(self, other: "SampleSet") -> "SampleSet":
-        return SampleSet(*(np.concatenate([a, b])
-                           for a, b in zip(self._columns(), other._columns())))
+        if (self.steps, self.width) != (other.steps, other.width):
+            raise DataError(f"cannot join sample sets of (T, 2M) {(self.steps, self.width)} "
+                            f"and {(other.steps, other.width)}")
+        start = np.concatenate([self.start, other.start + len(self.days)])
+        return SampleSet(np.concatenate([self.days, other.days]), self.steps, start,
+                         *(np.concatenate([a, b])
+                           for a, b in zip(self._columns()[1:], other._columns()[1:])))
 
 
 def csv_text(rows) -> str:
@@ -574,7 +600,8 @@ def build_samples(series: DailySeries, statics: StaticTable,
     """One candidate per score-bearing date; the window covers the
     ``window_days`` days before the anchor (exclusive) plus the same
     calendar days shifted back one year.  Samples are ordered by county,
-    then anchor date.
+    then anchor date.  The set's day table is ``series.measurements``
+    itself, not a copy, so normalizing the set normalizes the series.
 
     ``target_phase``: "anchor" takes the anchor's own score as week 1;
     "next" starts the six targets at the following release.
@@ -602,22 +629,16 @@ def build_samples(series: DailySeries, statics: StaticTable,
                          dropped_missing_history=int((has_future & ~has_history).sum()),
                          dropped_missing_future=int((~has_future).sum()))
 
-    # each day's channels beside those of the same day a year earlier; the
-    # history check keeps every window, and its year-earlier copy, inside one
-    # county.  A sample's window is a view of the day table, gathered once
-    m = series.measurements
-    table = np.concatenate([m, np.roll(m, YEAR_SHIFT_DAYS, axis=0)], axis=1)
-    if keep.size:
-        windows = np.lib.stride_tricks.sliding_window_view(table, window_days, axis=0)
-        x = windows.transpose(0, 2, 1)[rows[keep] - window_days]
-    else:  # the table may hold fewer days than one window
-        x = np.empty((0, window_days, table.shape[1]))
-    # the future check keeps all six targets among the county's own scores
+    # the history check keeps each window, and its year-earlier copy, inside
+    # one county; the future check keeps all six targets among its own scores
+    first = rows[keep] - window_days
     y = series.scores[rows[keep[:, None] + first_target + np.arange(TARGET_WEEKS)]]
     county = county[keep]
     anchor = series.first_day[county] + day[keep]
     own = static_row[county]
-    return SampleSet(x, statics.numeric[own], statics.codes[own], y, series.fips[county],
+    return SampleSet(np.asarray(series.measurements, np.float64), window_days,
+                     np.stack([first, first - YEAR_SHIFT_DAYS], axis=1),
+                     statics.numeric[own], statics.codes[own], y, series.fips[county],
                      anchor), report
 
 
@@ -637,16 +658,16 @@ class Normalizer:
     static_std: np.ndarray
 
     def apply(self, samples: SampleSet) -> None:
-        """Normalize the windows and numeric statics of ``samples`` in place.
-        Each value is subtracted and divided on its own, so normalizing a
-        set and then selecting rows gives the bits of the reverse order."""
-        width = samples.x.shape[2]
+        """Normalize the day table and the numeric statics of ``samples`` in
+        place.  Each value is subtracted and divided on its own, so the
+        windows gathered afterwards have the bits of normalized windows."""
         channels = len(self.channel_names)
-        if width != 2 * channels:
-            raise DataError(f"samples have {width} columns, normalizer expects {2 * channels}")
-        # the current- and previous-year blocks share statistics
-        np.subtract(samples.x, np.tile(self.channel_mean, 2), out=samples.x)
-        np.divide(samples.x, np.tile(self.channel_std, 2), out=samples.x)
+        if samples.width != 2 * channels:
+            raise DataError(f"samples have {samples.width} columns, "
+                            f"normalizer expects {2 * channels}")
+        # the current- and previous-year windows are rows of one table
+        np.subtract(samples.days, self.channel_mean, out=samples.days)
+        np.divide(samples.days, self.channel_std, out=samples.days)
         np.subtract(samples.s_n, self.static_mean, out=samples.s_n)
         np.divide(samples.s_n, self.static_std, out=samples.s_n)
 
@@ -659,23 +680,19 @@ class Normalizer:
         write_file(path, [csv_text(rows)])
 
 
-_BLOCK = 64  # samples gathered at a time, by the channel sums and by the cache writer
+_BLOCK = 64  # samples gathered at a time by the channel sums
 
 
-def _channel_sums(x: np.ndarray, index: np.ndarray,
-                  mean: np.ndarray | None = None) -> np.ndarray:
-    """Per channel, the sum over the samples ``index``, of each one's
-    current-year rows, then its previous-year rows, of each row or, given
-    ``mean``, of its squared deviation from it: bit for bit
-    ``pooled.sum(axis=0)`` over one pooled copy of those rows.  The samples
-    are gathered ``_BLOCK`` at a time.  numpy sums the rows of a
-    several-channel copy in order, so each block is reduced from the
-    running sum; it sums a single channel pairwise, which no split into
-    blocks repeats, so one channel's rows are pooled whole, as numpy would,
-    and summed once."""
-    n = len(index)
-    steps, width = x.shape[1:]
-    channels = width // 2
+def _channel_sums(samples: SampleSet, mean: np.ndarray | None = None) -> np.ndarray:
+    """Per channel, the sum over the samples, of each one's current-year
+    rows, then its previous-year rows, of each row or, given ``mean``, of
+    its squared deviation from it: bit for bit ``pooled.sum(axis=0)`` over
+    one pooled copy of those rows.  The windows are gathered ``_BLOCK``
+    samples at a time.  numpy sums the rows of a several-channel copy in
+    order, so each block is reduced from the running sum; it sums a single
+    channel pairwise, which no split into blocks repeats, so one channel's
+    rows are pooled whole, as numpy would, and summed once."""
+    n, steps, channels = len(samples), samples.steps, samples.width // 2
     per_sum = n if channels == 1 else _BLOCK
     buffer = np.empty((1 + 2 * steps * min(per_sum, n), channels))  # the running sum, then rows
     total = None
@@ -684,7 +701,7 @@ def _channel_sums(x: np.ndarray, index: np.ndarray,
         rows = buffer[1:1 + 2 * steps * count]
         pooled = rows.reshape(count, 2, steps, channels)
         for start in range(0, count, _BLOCK):
-            part = x[index[first + start:first + min(start + _BLOCK, count)]]
+            part = samples[first + start:first + min(start + _BLOCK, count)].x
             pooled[start:start + len(part)] = \
                 part.reshape(len(part), steps, 2, channels).transpose(0, 2, 1, 3)
         if mean is not None:
@@ -698,24 +715,21 @@ def _channel_sums(x: np.ndarray, index: np.ndarray,
     return total
 
 
-def fit_normalizer(samples: SampleSet, channel_names: list[str], static_names: list[str],
-                   index: np.ndarray | None = None) -> Normalizer:
+def fit_normalizer(samples: SampleSet, channel_names: list[str],
+                   static_names: list[str]) -> Normalizer:
     """Each channel's mean and standard deviation over the pooled current-
-    and previous-year rows of the samples ``index`` (every sample when
-    None), equal bit for bit to numpy's ``mean`` and ``std`` of one pooled
-    copy; the windows are gathered ``_BLOCK`` samples at a time."""
-    index = np.arange(len(samples)) if index is None else index
-    n = len(index)
+    and previous-year rows of the samples, equal bit for bit to numpy's
+    ``mean`` and ``std`` of one pooled copy; the windows are gathered
+    ``_BLOCK`` samples at a time."""
+    n = len(samples)
     if not n:
         raise DataError("cannot fit a normalizer on an empty sample set")
-    steps = samples.x.shape[1]
-    mean = _channel_sums(samples.x, index) / (2 * n * steps)
-    std = np.sqrt(_channel_sums(samples.x, index, mean) / (2 * n * steps))
+    mean = _channel_sums(samples) / (2 * n * samples.steps)
+    std = np.sqrt(_channel_sums(samples, mean) / (2 * n * samples.steps))
     std[std == 0.0] = 1.0
 
-    s_n = samples.s_n[index]
-    s_mean = s_n.mean(axis=0)
-    s_std = s_n.std(axis=0)
+    s_mean = samples.s_n.mean(axis=0)
+    s_std = samples.s_n.std(axis=0)
     s_std[s_std == 0.0] = 1.0
     return Normalizer(channel_names, mean, std, static_names, s_mean, s_std)
 
@@ -752,44 +766,49 @@ def split_fractions(n: int, val_fraction: float, test_fraction: float,
     return order[n_val + n_test:], order[:n_val], order[n_val:n_val + n_test]
 
 
-_CACHE_MAGIC = b"HMSAMP3"
-_CACHE_HEADER = struct.Struct("<6Q")  # N, T, 2M, f_n, f_d, the FIPS width in characters
+_CACHE_MAGIC = b"HMSAMP4"
+_CACHE_HEADER = struct.Struct("<7Q")  # N, T, M, D, f_n, f_d, the FIPS width in characters
 
 
-def _cache_layout(n: int, steps: int, width: int, f_n: int, f_d: int,
+def _cache_layout(n: int, steps: int, channels: int, table_days: int, f_n: int, f_d: int,
                   chars: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(dtype, shape) of each cached column, in file order: x, s_n, s_d, y,
-    anchor as days since 1970-01-01, FIPS as UTF-32 of fixed width >= 1."""
-    return [("<f8", (n, steps, width)), ("<f8", (n, f_n)), ("<i8", (n, f_d)),
-            ("<f8", (n, TARGET_WEEKS)), ("<i8", (n,)), (f"<U{max(chars, 1)}", (n,))]
+    """(dtype, shape) of each cached column, in file order: the day table,
+    start, s_n, s_d, y, anchor as days since 1970-01-01, FIPS as UTF-32 of
+    fixed width >= 1."""
+    return [("<f8", (table_days, channels)), ("<i8", (n, 2)), ("<f8", (n, f_n)),
+            ("<i8", (n, f_d)), ("<f8", (n, TARGET_WEEKS)), ("<i8", (n,)),
+            (f"<U{max(chars, 1)}", (n,))]
 
 
-def save_samples(samples: SampleSet, path, index: np.ndarray | None = None) -> None:
-    """Binary sample cache (:func:`write_artifact`) of the rows ``index``
-    of ``samples`` (every row when None); deterministic bytes, those of
-    ``save_samples(samples[index], path)``.  ``x`` is gathered and written
-    ``_BLOCK`` samples at a time, so no copy of the windows is made."""
-    index = np.arange(len(samples)) if index is None else index
-    s_n, s_d, y, fips, anchor = (column[index] for column in samples._columns()[1:])
-    chars = np.asarray(fips, dtype=str).dtype.itemsize // 4
-    header = (len(y), *samples.x.shape[1:], s_n.shape[1], s_d.shape[1], chars)
-    (x_dtype, _), *layout = _cache_layout(*header)
-    columns = (s_n, s_d, y, anchor.astype("datetime64[D]").view(np.int64), fips)
+def save_samples(samples: SampleSet, path) -> None:
+    """Binary sample cache (:func:`write_artifact`) of ``samples``: its
+    whole day table and its start rows, no window; deterministic bytes."""
+    chars = np.asarray(samples.fips, dtype=str).dtype.itemsize // 4
+    header = (len(samples), samples.steps, *samples.days.shape[::-1], samples.s_n.shape[1],
+              samples.s_d.shape[1], chars)
+    columns = (samples.days, samples.start, samples.s_n, samples.s_d, samples.y,
+               samples.anchor.astype("datetime64[D]").view(np.int64), samples.fips)
     write_artifact(path, _CACHE_MAGIC, _CACHE_HEADER.pack(*header),
-                   chain((np.asarray(samples.x[index[i:i + _BLOCK]], x_dtype)
-                          for i in range(0, len(index), _BLOCK)),
-                         (np.asarray(column, dtype)
-                          for column, (dtype, _) in zip(columns, layout))))
+                   (np.asarray(column, dtype)
+                    for column, (dtype, _) in zip(columns, _cache_layout(*header))))
 
 
 def load_samples(path) -> SampleSet:
     """Read a cache written by :func:`save_samples`; the columns are views
-    into one writable buffer, and ``sha256`` is the file's digest."""
+    into one writable buffer, and ``sha256`` is the file's digest.  A window
+    length or channel count below 1, or a window that leaves the day table,
+    raises ``FormatError``."""
     header, read, sha256 = read_artifact(path, _CACHE_MAGIC, "sample cache", "re-run ingest")
     if len(header) != _CACHE_HEADER.size:
         raise FormatError(f"{path}: corrupt sample cache header ({len(header)} bytes)")
-    x, s_n, s_d, y, days, fips = read(_cache_layout(*_CACHE_HEADER.unpack(header)))
-    return SampleSet(x, s_n, s_d, y, fips, days.view("datetime64[D]"), sha256)
+    n, steps, channels, table_days, *_ = sizes = _CACHE_HEADER.unpack(header)
+    if steps < 1 or channels < 1:
+        raise FormatError(f"{path}: corrupt sample cache header (T={steps}, M={channels})")
+    days, start, s_n, s_d, y, anchor, fips = read(_cache_layout(*sizes))
+    if n and not (start.min() >= 0 and start.max() <= table_days - steps):
+        raise FormatError(f"{path}: corrupt sample cache: a {steps}-day window leaves "
+                          f"its {table_days}-day table")
+    return SampleSet(days, steps, start, s_n, s_d, y, fips, anchor.view("datetime64[D]"), sha256)
 
 
 _PREDICTIONS_MAGIC = b"HMPRED1"

@@ -265,11 +265,11 @@ class HybridModel:
     def check(self, samples: SampleSet) -> None:
         """Raise ``DataError`` naming :attr:`source` unless the non-empty
         ``samples`` fit every path this model reads, and hold six targets."""
-        x, s_n = samples.x, samples.s_n
-        if self.lstm is not None and (x.ndim != 3 or x.shape[1] < 1
-                                      or x.shape[2] != self.config.input_channels):
+        s_n = samples.s_n
+        if self.lstm is not None and (samples.steps < 1
+                                      or samples.width != self.config.input_channels):
             raise self._mismatch(f"expected (B, T, {self.config.input_channels}) windows, "
-                                 f"got {x.shape}")
+                                 f"got {(len(samples), samples.steps, samples.width)}")
         if self.ablation.use_static and s_n.shape[1] != self.config.numeric_static_count:
             raise self._mismatch(f"expected {self.config.numeric_static_count} numeric "
                                  f"static features, got {s_n.shape[1]}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from droughtcast.autodiff import Tensor
-from droughtcast.data import DailySeries, Normalizer, StaticTable
+from droughtcast.data import DailySeries, Normalizer, SampleSet, StaticTable
 from droughtcast.layers import (
     AffineLayer,
     AttentionHead,
@@ -31,6 +31,24 @@ def series_fixture(fips="19001", days=600, channels=2, score_every=7,
     return DailySeries([f"chan{c}" for c in range(values.shape[1])], np.array([fips]),
                        np.array([start], dtype="datetime64[D]"), np.array([0, days]),
                        values, scores)
+
+
+def window_set(x, s_n, s_d, y, fips, anchor):
+    """The ``SampleSet`` whose windows are the ``(N, T, 2M)`` array ``x``:
+    its day table stacks every sample's current-year half, then every
+    year-earlier half, so sample i's windows start at rows ``i * T`` and
+    ``(N + i) * T``."""
+    n, steps, width = x.shape
+    assert width % 2 == 0, "a window row holds two halves of M channels"
+    halves = [x[:, :, :width // 2], x[:, :, width // 2:]]
+    days = np.concatenate([half.reshape(n * steps, width // 2) for half in halves])
+    start = np.arange(n)[:, None] * steps + np.array([0, n * steps])
+    return SampleSet(np.asarray(days, np.float64), steps, start, s_n, s_d, y, fips, anchor)
+
+
+def with_windows(samples, x):
+    """``samples`` with its windows replaced by ``x``."""
+    return window_set(x, samples.s_n, samples.s_d, samples.y, samples.fips, samples.anchor)
 
 
 def scored_days(series):

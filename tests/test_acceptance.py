@@ -16,10 +16,12 @@ from conftest import (
     scored_days,
     series_fixture,
     statics_fixture,
+    window_set,
+    with_windows,
 )
 from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.cli import main as cli_main
-from droughtcast.data import SampleSet, build_samples, split_fractions
+from droughtcast.data import build_samples, split_fractions
 from droughtcast.introspection import conditional_affinities, tsne
 from droughtcast.layers import attend_batched
 from droughtcast.metrics import (
@@ -53,7 +55,7 @@ def _report(number: int, name: str, ok: bool, detail: str = ""):
 
 def _tiny_batch(config, b, t, seed):
     rng = RngState(seed)
-    return SampleSet(
+    return window_set(
         x=rng.uniform(-1, 1, (b, t, config.input_channels)),
         s_n=rng.uniform(-1, 1, (b, config.numeric_static_count)),
         s_d=np.stack([rng.integers(0, v, b) for v in config.categorical_vocab_sizes], axis=1),
@@ -157,7 +159,7 @@ def _linear_samples(n=32, t=8, m2=4, f_n=2, seed=0):
         s_d = rng.integers(0, 3, 2).astype(np.int64)
         rows.append((x, s_n, s_d, 2.5 + x.mean(axis=0) @ w_x + s_n @ w_s))
     x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
-    return SampleSet(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
+    return window_set(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
                      np.full(n, np.datetime64("2020-01-01", "D")))
 
 
@@ -215,7 +217,7 @@ def test_criterion_06_ablation_harness(tmp_path):
     batch = test[:4]
     statics_only = models["static"]
     base = statics_only.forward(batch).predictions
-    scrambled = replace(batch, x=RngState(99).uniform(-5, 5, batch.x.shape))
+    scrambled = with_windows(batch, RngState(99).uniform(-5, 5, batch.x.shape))
     statics_invariant = np.array_equal(statics_only.forward(scrambled).predictions, base)
 
     ts_only = models["ts"]

@@ -42,6 +42,7 @@ from conftest import (
     series_fixture,
     spy_opens,
     statics_fixture,
+    window_set,
     write_timeseries_csv,
 )
 
@@ -348,7 +349,7 @@ def test_build_samples_missing_statics_is_error():
 def sample_set(x, s_n, s_d=None, y=None, fips=None):
     """A SampleSet around the given windows and numeric statics."""
     n = x.shape[0]
-    return SampleSet(
+    return window_set(
         x, s_n,
         np.ones((n, 1), dtype=np.int64) if s_d is None else s_d,
         np.zeros((n, 6)) if y is None else y,
@@ -369,17 +370,18 @@ def test_normalizer_two_point_channel():
 
 
 def test_normalizer_train_stats_and_round_trip():
-    """``apply`` normalizes the set's own windows and statics in place and
+    """``apply`` normalizes the set's own day table and statics in place and
     leaves the targets and the other columns as they were."""
     rng = np.random.default_rng(0)
     samples = sample_set(rng.normal(2.0, 3.0, (20, 10, 6)), rng.normal(size=(20, 2)),
                          y=rng.uniform(0, 5, (20, 6)))
-    x, s_n, s_d, y = samples.x, samples.s_n, samples.s_d, samples.y
-    raw_x, raw_y, raw_s_d = x.copy(), y.copy(), s_d.copy()
+    days, s_n, s_d, y = samples.days, samples.s_n, samples.s_d, samples.y
+    raw_x, raw_y, raw_s_d = samples.x, y.copy(), s_d.copy()
     norm = fit_normalizer(samples, ["chan0", "chan1", "chan2"], ["elev", "slope"])
     assert norm.apply(samples) is None
-    assert all(a is b for a, b in zip((samples.x, samples.s_n, samples.s_d, samples.y),
-                                      (x, s_n, s_d, y)))  # no new arrays
+    assert all(a is b for a, b in zip((samples.days, samples.s_n, samples.s_d, samples.y),
+                                      (days, s_n, s_d, y)))  # no new arrays
+    x = samples.x
     pooled = x.reshape(20, 10, 2, 3).reshape(-1, 3)
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-6)
@@ -445,23 +447,23 @@ def test_normalizer_matches_the_pooled_formula_over_many_blocks(channels):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_normalizer_fit_through_an_index_equals_the_fit_on_its_copy(channels):
     """Statistics over the rows ``index`` of a set, gathered block by
-    block, equal bit for bit those fitted on ``samples[index]``; and
-    normalizing the whole set, then selecting the rows, gives the bits of
-    normalizing the copy."""
+    block through its day table, equal bit for bit those fitted on a copy
+    of their windows; and normalizing the whole set, then selecting the
+    rows, gives the bits of normalizing the copy."""
     rng = np.random.default_rng(11)
     n, steps = 5 * 64 + 7, 7
     samples = sample_set(rng.normal(3.0, 7.0, (n, steps, 2 * channels))
                          * rng.choice([1e-6, 1.0, 1e8], (n, 1, 1)), rng.normal(size=(n, 2)))
     index = rng.permutation(n)[:4 * 64 + 3]
     names = [f"chan{c}" for c in range(channels)], ["elev", "slope"]
-    copy = samples[index]
+    copy = sample_set(samples.x[index], samples.s_n[index])
     expected = fit_normalizer(copy, *names)
-    norm = fit_normalizer(samples, *names, index)
+    norm = fit_normalizer(samples[index], *names)
     for field in ("channel_mean", "channel_std", "static_mean", "static_std"):
         np.testing.assert_array_equal(getattr(norm, field), getattr(expected, field))
     expected.apply(copy)
     norm.apply(samples)
-    np.testing.assert_array_equal(samples.x[index], copy.x)
+    np.testing.assert_array_equal(samples[index].x, copy.x)
     np.testing.assert_array_equal(samples.s_n[index], copy.s_n)
 
 
@@ -532,7 +534,7 @@ def test_kfold_partition_property(n, k, seed):
 
 def _cache_set(n, t=3, width=4, f_n=2, f_d=1, seed=0):
     rng = np.random.default_rng(seed)
-    return SampleSet(
+    return window_set(
         rng.normal(size=(n, t, width)), rng.normal(size=(n, f_n)),
         rng.integers(0, 9, (n, f_d)), rng.uniform(0, 5, (n, 6)),
         np.array([f"{19000 + i}" if i % 3 else f"é{i},\"x\"" for i in range(n)], dtype=str),
@@ -541,7 +543,8 @@ def _cache_set(n, t=3, width=4, f_n=2, f_d=1, seed=0):
 
 
 def _assert_same_set(a, b):
-    for name in ("x", "s_n", "s_d", "y", "fips", "anchor"):
+    assert a.steps == b.steps
+    for name in ("x", "days", "start", "s_n", "s_d", "y", "fips", "anchor"):
         left, right = getattr(a, name), getattr(b, name)
         assert left.shape == right.shape, name
         assert left.dtype.kind == right.dtype.kind, name
@@ -557,10 +560,12 @@ def test_sample_cache_round_trip(tmp_path):
         _assert_same_set(loaded, samples)
         loaded.y[...] = 1.0  # columns are writable, like freshly built ones
     blob = path.read_bytes()
-    # magic, pad byte, a 48-byte header of six uint64, then x (N, T, 2M) from byte 64
-    assert blob[:16] == b"HMSAMP3\0" + struct.pack("<Q", 48)
-    assert struct.unpack_from("<6Q", blob, 16) == (5, 3, 4, 2, 1, 6)
-    assert blob[64:64 + 8 * 60] == samples.x.astype("<f8").tobytes()
+    # magic, pad byte, a 56-byte header of seven uint64 (N, T, M, D, f_n, f_d,
+    # the FIPS width), then the (D, M) day table from byte 72, then start (N, 2)
+    assert blob[:16] == b"HMSAMP4\0" + struct.pack("<Q", 56)
+    assert struct.unpack_from("<7Q", blob, 16) == (5, 3, 2, 30, 2, 1, 6)
+    assert blob[72:72 + 8 * 60] == samples.days.astype("<f8").tobytes()
+    assert blob[72 + 8 * 60:72 + 8 * 70] == samples.start.astype("<i8").tobytes()
     assert sorted(tmp_path.iterdir()) == [path]  # the temporary file was renamed into place
     assert loaded.fips[1] == "19001"
     assert loaded.anchor[0] == np.datetime64("2020-02-03")
@@ -572,16 +577,17 @@ def test_sample_cache_round_trip(tmp_path):
         load_samples(bad)
 
 
-def test_sample_cache_through_an_index_has_the_bytes_of_the_copy(tmp_path):
-    """Rows written through an index, ``x`` in several blocks, give the
-    bytes of the rows copied out first; the FIPS width is the written
-    rows' own (rows 1 and 2 have five characters, row 0 more)."""
+def test_sample_cache_of_a_selection_holds_its_rows_and_the_whole_table(tmp_path):
+    """A selection of rows is written with the day table it shares, whole,
+    and its own start rows."""
     samples = _cache_set(600, t=2)
+    path = tmp_path / "selection"
     for index in (np.random.default_rng(3).permutation(600)[:5 * 64 + 5],
                   np.array([1, 2]), np.array([], dtype=np.int64)):
-        save_samples(samples, tmp_path / "indexed", index)
-        save_samples(samples[index], tmp_path / "copy")
-        assert (tmp_path / "indexed").read_bytes() == (tmp_path / "copy").read_bytes()
+        save_samples(samples[index], path)
+        loaded = load_samples(path)
+        _assert_same_set(loaded, samples[index])
+        assert struct.unpack_from("<7Q", path.read_bytes(), 16)[:4] == (len(index), 2, 2, 2400)
 
 
 def test_sample_cache_truncation_and_trailing_bytes(tmp_path):
@@ -599,28 +605,32 @@ def test_sample_cache_truncation_and_trailing_bytes(tmp_path):
             load_samples(bad)
 
 
-@pytest.mark.parametrize("version", [b"HMSAMP1", b"HMSAMP2"])
+@pytest.mark.parametrize("version", [b"HMSAMP1", b"HMSAMP2", b"HMSAMP3"])
 def test_sample_cache_old_version_is_named(tmp_path, version):
     path = tmp_path / "c.samples"
     save_samples(_cache_set(2), path)
     old = tmp_path / "old.samples"
     old.write_bytes(version + path.read_bytes()[7:])
     with pytest.raises(FormatError, match=f"'{version.decode()}' is not supported "
-                                          f".*HMSAMP3.*re-run ingest"):
+                                          f".*HMSAMP4.*re-run ingest"):
         load_samples(old)
 
 
 def _with_cache_header(blob: bytes, header: bytes) -> bytes:
-    """A sample cache with its 48-byte header replaced by ``header``."""
-    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[64:]
+    """A sample cache with its 56-byte header replaced by ``header``."""
+    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[72:]
 
 
+# the cache of _cache_set(2): N=2, T=3, M=2, a 12-day table, f_n=2, f_d=1, six characters
 @pytest.mark.parametrize("header, message", [
-    (struct.pack("<5Q", 2, 3, 4, 2, 1), "corrupt sample cache header \\(40 bytes\\)"),
-    (struct.pack("<7Q", 2, 3, 4, 2, 1, 5, 0), "corrupt sample cache header \\(56 bytes\\)"),
-    (struct.pack("<6Q", 3, 3, 4, 2, 1, 5), "truncated sample cache"),
-    (struct.pack("<6Q", 1, 3, 4, 2, 1, 5), "trailing bytes in sample cache"),
-    (struct.pack("<6Q", 2, 3, 4, 2, 1, 2 ** 40), "corrupt sample cache header"),
+    (struct.pack("<6Q", 2, 3, 2, 12, 2, 1), "corrupt sample cache header \\(48 bytes\\)"),
+    (struct.pack("<8Q", 2, 3, 2, 12, 2, 1, 6, 0), "corrupt sample cache header \\(64 bytes\\)"),
+    (struct.pack("<7Q", 3, 3, 2, 12, 2, 1, 6), "truncated sample cache"),
+    (struct.pack("<7Q", 2, 3, 2, 11, 2, 1, 6), "trailing bytes in sample cache"),
+    (struct.pack("<7Q", 2, 3, 2, 12, 2, 1, 2 ** 40), "corrupt sample cache header"),
+    (struct.pack("<7Q", 2, 0, 2, 12, 2, 1, 6), "corrupt sample cache header \\(T=0, M=2\\)"),
+    (struct.pack("<7Q", 2, 3, 0, 12, 2, 1, 6), "corrupt sample cache header \\(T=3, M=0\\)"),
+    (struct.pack("<7Q", 2, 13, 2, 12, 2, 1, 6), "a 13-day window leaves its 12-day table"),
 ])
 def test_corrupt_sample_cache_header_raises_format_error(tmp_path, header, message):
     path = tmp_path / "c.samples"
@@ -629,6 +639,25 @@ def test_corrupt_sample_cache_header_raises_format_error(tmp_path, header, messa
     bad.write_bytes(_with_cache_header(path.read_bytes(), header))
     with pytest.raises(FormatError, match=message):
         load_samples(bad)
+
+
+@pytest.mark.parametrize("start", [-1, 10, 2 ** 40, -2 ** 63])
+def test_sample_cache_window_outside_its_table_raises_format_error(tmp_path, start):
+    """A start row that puts a window outside the day table (T=3 in a
+    12-day table: rows 0..9 start one) is a ``FormatError``, not an
+    ``IndexError`` or another sample's days; the last legal start loads."""
+    path = tmp_path / "c.samples"
+    samples = _cache_set(2)
+    save_samples(samples, path)
+    blob = bytearray(path.read_bytes())
+    offset = 72 + samples.days.nbytes + 8 * 3  # start[1, 1]
+    struct.pack_into("<q", blob, offset, 9)
+    path.write_bytes(blob)
+    assert load_samples(path).x.shape == (2, 3, 4)
+    struct.pack_into("<q", blob, offset, start)
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="a 3-day window leaves its 12-day table"):
+        load_samples(path)
 
 
 def _eval_predictions(n, t, seed=0):
@@ -675,7 +704,7 @@ def test_corrupt_eval_predictions_header_raises_format_error(tmp_path, header, m
         EvalPredictions.load(bad)
 
 
-LOADERS = {b"HMSAMP3": load_samples, b"HMCKPT3": load_checkpoint,
+LOADERS = {b"HMSAMP4": load_samples, b"HMCKPT3": load_checkpoint,
            b"HMPRED1": EvalPredictions.load}
 
 
@@ -684,7 +713,7 @@ def artifacts(tmp_path_factory):
     """A directory holding one ~100 KB file of each binary format, named by
     its magic."""
     root = tmp_path_factory.mktemp("artifacts")
-    save_samples(_cache_set(300, t=8), root / "HMSAMP3")
+    save_samples(_cache_set(300, t=8), root / "HMSAMP4")
     config = ModelConfig(input_channels=4, numeric_static_count=2,
                          categorical_vocab_sizes=[3, 5], lstm_layers=2, hidden_size=16,
                          embed_dim=4, reduced_dim=2, mlp_layers=2, mlp_hidden=256)

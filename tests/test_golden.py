@@ -16,6 +16,7 @@ import pytest
 
 from droughtcast.autodiff import RngState
 from droughtcast.cli import ABLATION_SETTINGS, main
+from conftest import window_set
 from droughtcast.data import SampleSet
 from droughtcast.model import HybridModel, ModelConfig
 from droughtcast.synthetic import make_dataset
@@ -59,7 +60,7 @@ GOLDEN = {
 
 def _samples(n: int, seed: int, steps: int = 6) -> SampleSet:
     rng = RngState(seed)
-    return SampleSet(
+    return window_set(
         rng.uniform(-1, 1, (n, steps, CONFIG.input_channels)),
         rng.uniform(-1, 1, (n, CONFIG.numeric_static_count)),
         np.stack([rng.integers(0, v, n) for v in CONFIG.categorical_vocab_sizes], axis=1),
@@ -137,11 +138,12 @@ def test_checkpoint_file_is_bit_identical_to_the_recorded_run(tmp_path):
 # sha256 of each file ingest writes, and its stdout (the out directory as
 # {out}), for the dataset of _golden_ingest_input; recorded from the row-wise
 # parse and the pooled-copy normalizer statistics, which the columnar parse
-# and the block-wise sums replaced byte for byte
+# and the block-wise sums replaced byte for byte.  The .samples digests are
+# of the HMSAMP4 caches, which hold the day table in place of the windows
 INGEST_GOLDEN = {
-    "train.samples": "3c754eba4dfdac4833a3fa5fe21a1fae3587208f886e80ede9892a8e0de2d86f",
-    "val.samples": "4a3190fe11cd9f5e88d4da9c1809f31f34f2d62c2480a36449754a33f2c35a99",
-    "test.samples": "3e300d162e14cfa235270a233fc19da76b4668e7c9873a320c5831f3c5122602",
+    "train.samples": "f183ed68f022e4bc74a9162f60e5a4ebc029384f77919978400b685da8e36a5b",
+    "val.samples": "d367ee88846f9ae821c1930b61ccd51124e4f7c2ab30ab0af659498922cd92a4",
+    "test.samples": "4eb92ac7ace359984451c37f84fb065d8958c431af3c43030acea128943e9b18",
     "normalizer.csv": "1e69f04850ad3da311bc43f8f8b901b2cb9336309f91df0bd519347e73c91e55",
     "categories.csv": "823e863b47bdcd51824fab6f0388c440aaf1d5a89d0e210013de0cf533610a18",
 }
@@ -185,19 +187,20 @@ def test_ingest_bytes_and_stdout_match_the_recorded_run(tmp_path, capsys):
 
 # sha256 of each file ingest writes when held-out time-series files are
 # given, for the dataset of _explicit_ingest_input: with both files, and
-# with a validation file only (an empty test cache); recorded before the
-# splits were normalized in place and written by index
+# with a validation file only (an empty test cache, which holds the training
+# file's day table); recorded before the splits were normalized in place and
+# written by index, the .samples digests again for the HMSAMP4 caches
 EXPLICIT_INGEST_GOLDEN = {
     ("timeseries_val", "timeseries_test"): {
-        "train.samples": "4e5adb52252da11b7e1ff3016f90ab4ed34025579ba4df65317c81444e557c53",
-        "val.samples": "8ebd2bf5ef0d75e522729794791195b7538bec455cb5527b75372fb9368e56bb",
-        "test.samples": "90dd41548a316f6337c91171febcd17c8c421e6f877e793657377cef7248f085",
+        "train.samples": "a0df6444606c5cecee8ca48b91cc60cf3acb65d37a2565705528b432ea0c638f",
+        "val.samples": "95f9f81c32baff46575332369b91f10aae4e91b907af92a757901e85f78b1f1a",
+        "test.samples": "6ae252e295cef02e4df3b7acc98f802f8d01334e38cdfd921da68398a6f2323a",
         "normalizer.csv": "8304f9fc1754e8be35c165a6cad906d6005faea983c67e376dacee3cb027805b",
     },
     ("timeseries_val",): {
-        "train.samples": "4e5adb52252da11b7e1ff3016f90ab4ed34025579ba4df65317c81444e557c53",
-        "val.samples": "8ebd2bf5ef0d75e522729794791195b7538bec455cb5527b75372fb9368e56bb",
-        "test.samples": "0e05c3a9bf0c585cd8f2c4d8c2d4abaec22b53796e0ceaecaa2958c378e3a359",
+        "train.samples": "a0df6444606c5cecee8ca48b91cc60cf3acb65d37a2565705528b432ea0c638f",
+        "val.samples": "95f9f81c32baff46575332369b91f10aae4e91b907af92a757901e85f78b1f1a",
+        "test.samples": "b8f4bbddb276dfdc28f016187b0c42a2b751218e9b2a5455d365719eda9343fd",
         "normalizer.csv": "8304f9fc1754e8be35c165a6cad906d6005faea983c67e376dacee3cb027805b",
     },
 }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from droughtcast.autodiff import RngState
-from droughtcast.data import CategoricalEncoder, SampleSet, StaticTable
+from droughtcast.data import CategoricalEncoder, StaticTable
 from droughtcast.errors import ConfigError, DataError
 from droughtcast.introspection import (
     collect_attention,
@@ -16,7 +16,7 @@ from droughtcast.introspection import (
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig
 from droughtcast.training import predict
 
-from conftest import row_perplexity
+from conftest import row_perplexity, window_set
 
 
 def small_model(seed=0, **overrides):
@@ -37,7 +37,7 @@ def small_samples(n=6, t=10, seed=0):
         for _ in range(n)
     ]
     x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
-    return SampleSet(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
+    return window_set(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
                      np.full(n, np.datetime64("2020-01-01", "D")))
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import droughtcast.model
+from conftest import window_set, with_windows
 from droughtcast.autodiff import RngState, grad_check
 from droughtcast.cli import ABLATION_SETTINGS
-from droughtcast.data import SampleSet
 from droughtcast.metrics import evaluate
 from droughtcast.errors import ConfigError, DataError
 from droughtcast.model import (
@@ -50,7 +50,7 @@ def tiny_batch(b=2, t=5, seed=0, config=None):
     """``b`` random samples of ``t`` steps, sized to ``config``."""
     config = config or tiny_config()
     rng = RngState(seed)
-    return SampleSet(
+    return window_set(
         x=rng.uniform(-1, 1, (b, t, config.input_channels)),
         s_n=rng.uniform(-1, 1, (b, config.numeric_static_count)),
         s_d=np.stack(
@@ -111,7 +111,7 @@ def test_statics_only_ignores_time_series():
     )
     batch = tiny_batch(b=3, seed=5, config=config)
     first = model.forward(batch).predictions
-    batch2 = replace(batch, x=RngState(99).uniform(-9, 9, batch.x.shape))
+    batch2 = with_windows(batch, RngState(99).uniform(-9, 9, batch.x.shape))
     second = model.forward(batch2).predictions
     np.testing.assert_array_equal(first, second)
     assert model.forward(batch).attention is None
@@ -332,11 +332,20 @@ STALE_SAMPLES = [
 ]
 
 
+def stale_batch(columns):
+    """``tiny_batch()`` with the given columns, or windows ``x``, replaced."""
+    columns = dict(columns)
+    batch = tiny_batch()
+    if "x" in columns:
+        batch = with_windows(batch, columns.pop("x"))
+    return replace(batch, **columns)
+
+
 @pytest.mark.parametrize("columns, message", STALE_SAMPLES)
 def test_inputs_the_model_was_not_built_for_raise_data_error(columns, message):
     model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
     with pytest.raises(DataError, match=r"^model does not fit these samples: ") as exc:
-        predict(model, replace(tiny_batch(), **columns))
+        predict(model, stale_batch(columns))
     assert message in str(exc.value)
 
 
@@ -357,7 +366,7 @@ def test_fit_rejects_a_stale_val_set_before_the_first_step(columns, message):
     train = tiny_batch(b=4, seed=1)
     run = TrainRunConfig(batch_size=2, epochs=1, seed=0)
     with pytest.raises(DataError, match=r"^model does not fit these samples: ") as exc:
-        fit(model, train, replace(tiny_batch(), **columns), run, LrSchedule())
+        fit(model, train, stale_batch(columns), run, LrSchedule())
     assert message in str(exc.value)
     for name, t in model.named_parameters().items():
         np.testing.assert_array_equal(t.data, before[name])
@@ -370,7 +379,7 @@ def test_check_reads_only_the_enabled_paths(ablation):
     model = HybridModel.build(tiny_config(), ablation, seed=0)
     batch = tiny_batch()
     if not ablation.use_timeseries:
-        model.check(replace(batch, x=np.zeros((2, 0, 7))))
+        model.check(with_windows(batch, np.zeros((2, 0, 6))))
     if not ablation.use_static:
         model.check(replace(batch, s_n=np.zeros((2, 0)), s_d=np.zeros((2, 5), np.int64)))
     with pytest.raises(DataError):

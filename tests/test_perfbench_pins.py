@@ -9,8 +9,8 @@ import numpy as np
 
 import droughtcast.cli as cli
 import droughtcast.training as training
+from conftest import window_set
 from droughtcast.autodiff import RngState
-from droughtcast.data import SampleSet
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig
 from droughtcast.synthetic import make_dataset
 from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict
@@ -33,7 +33,7 @@ def test_trace_spans_fire_on_a_training_step_and_a_prediction():
                          mlp_layers=2, mlp_hidden=4)
     model = HybridModel.build(config, AblationConfig(), seed=0)
     rng = RngState(1)
-    samples = SampleSet(rng.uniform(-1, 1, (4, 5, 2)), rng.uniform(-1, 1, (4, 1)),
+    samples = window_set(rng.uniform(-1, 1, (4, 5, 2)), rng.uniform(-1, 1, (4, 1)),
                         rng.integers(0, 3, (4, 1)), rng.uniform(0, 5, (4, 6)),
                         np.array(["19001"] * 4), np.full(4, np.datetime64("2020-01-01", "D")))
     tracer = tracing.Tracer()
@@ -61,7 +61,7 @@ def test_trace_spans_fire_on_a_cache_and_a_checkpoint_round_trip(tmp_path):
                                           embed_dim=2, reduced_dim=1, mlp_hidden=2),
                               AblationConfig(), seed=0)
     rng = RngState(1)
-    samples = SampleSet(rng.uniform(-1, 1, (3, 4, 2)), rng.uniform(-1, 1, (3, 1)),
+    samples = window_set(rng.uniform(-1, 1, (3, 4, 2)), rng.uniform(-1, 1, (3, 1)),
                         rng.integers(0, 3, (3, 1)), rng.uniform(0, 5, (3, 6)),
                         np.array(["19001"] * 3), np.full(3, np.datetime64("2020-01-01", "D")))
     tracer = tracing.Tracer()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Packed, edit_header
+from conftest import Packed, edit_header, window_set
 from droughtcast import training
 from droughtcast.autodiff import RngState, Tensor
 from droughtcast.cli import ABLATION_SETTINGS
@@ -41,7 +41,7 @@ def make_linear_samples(n=32, t=8, m2=4, f_n=2, seed=0):
         s_d = rng.integers(0, 3, 2).astype(np.int64)
         rows.append((x, s_n, s_d, 2.5 + x.mean(axis=0) @ w_x + s_n @ w_s))
     x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
-    return SampleSet(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
+    return window_set(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
                      np.full(n, np.datetime64("2020-01-01", "D")))
 
 
