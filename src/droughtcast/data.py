@@ -26,8 +26,8 @@ form (cell count, an unreadable file, a date) is named at its earliest
 line; otherwise the first county in file order with a faulty value is
 named, at its first calendar fault, else its first bad channel cell, else
 its first bad score.  One :class:`StaticTable` holds a row per county, and
-:func:`build_samples` gathers one :class:`SampleSet` of column arrays out of
-both, each window through a sliding view of the day table.
+:func:`build_samples` makes one :class:`SampleSet` of column arrays out of
+both.
 
 A set holds no windows: it keeps the day table and, per sample, the first
 rows of its current-year and year-earlier windows, and :attr:`SampleSet.x`
@@ -680,52 +680,24 @@ class Normalizer:
         write_file(path, [csv_text(rows)])
 
 
-_BLOCK = 64  # samples gathered at a time by the channel sums
-
-
-def _channel_sums(samples: SampleSet, mean: np.ndarray | None = None) -> np.ndarray:
-    """Per channel, the sum over the samples, of each one's current-year
-    rows, then its previous-year rows, of each row or, given ``mean``, of
-    its squared deviation from it: bit for bit ``pooled.sum(axis=0)`` over
-    one pooled copy of those rows.  The windows are gathered ``_BLOCK``
-    samples at a time.  numpy sums the rows of a several-channel copy in
-    order, so each block is reduced from the running sum; it sums a single
-    channel pairwise, which no split into blocks repeats, so one channel's
-    rows are pooled whole, as numpy would, and summed once."""
-    n, steps, channels = len(samples), samples.steps, samples.width // 2
-    per_sum = n if channels == 1 else _BLOCK
-    buffer = np.empty((1 + 2 * steps * min(per_sum, n), channels))  # the running sum, then rows
-    total = None
-    for first in range(0, n, per_sum):
-        count = min(per_sum, n - first)
-        rows = buffer[1:1 + 2 * steps * count]
-        pooled = rows.reshape(count, 2, steps, channels)
-        for start in range(0, count, _BLOCK):
-            part = samples[first + start:first + min(start + _BLOCK, count)].x
-            pooled[start:start + len(part)] = \
-                part.reshape(len(part), steps, 2, channels).transpose(0, 2, 1, 3)
-        if mean is not None:
-            np.subtract(rows, mean, out=rows)
-            np.square(rows, out=rows)
-        if total is None:
-            total = np.add.reduce(rows, axis=0)
-        else:
-            buffer[0] = total
-            total = np.add.reduce(buffer[:1 + len(rows)], axis=0)
-    return total
-
-
 def fit_normalizer(samples: SampleSet, channel_names: list[str],
                    static_names: list[str]) -> Normalizer:
-    """Each channel's mean and standard deviation over the pooled current-
-    and previous-year rows of the samples, equal bit for bit to numpy's
-    ``mean`` and ``std`` of one pooled copy; the windows are gathered
-    ``_BLOCK`` samples at a time."""
-    n = len(samples)
-    if not n:
+    """Each channel's mean and standard deviation over the current- and
+    year-earlier windows of the samples, pooled, without gathering one:
+    each day of the table weighs as many times as those windows cover it,
+    counted by a difference array (+1 where a window starts, -1 where it
+    ends).  The weighted sums are taken by numpy, not BLAS, so their bits do
+    not depend on the BLAS thread count."""
+    if not len(samples):
         raise DataError("cannot fit a normalizer on an empty sample set")
-    mean = _channel_sums(samples) / (2 * n * samples.steps)
-    std = np.sqrt(_channel_sums(samples, mean) / (2 * n * samples.steps))
+    firsts, size = samples.start.ravel(), len(samples.days) + 1
+    weight = np.cumsum(np.bincount(firsts, minlength=size)
+                       - np.bincount(firsts + samples.steps, minlength=size))[:-1]
+    total = weight.sum()
+    mean = np.einsum("d,dm->m", weight, samples.days) / total
+    deviation = samples.days - mean
+    np.square(deviation, out=deviation)
+    std = np.sqrt(np.einsum("d,dm->m", weight, deviation) / total)
     std[std == 0.0] = 1.0
 
     s_mean = samples.s_n.mean(axis=0)

@@ -34,7 +34,7 @@ from droughtcast.data import (
 from droughtcast.errors import ConfigError, DataError, DroughtcastError, FormatError, SchemaError
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig
 from droughtcast.synthetic import make_dataset
-from droughtcast.training import load_checkpoint, save_checkpoint
+from droughtcast.training import load_checkpoint, predict, save_checkpoint
 
 from conftest import (
     load_normalizer,
@@ -393,78 +393,108 @@ def test_normalizer_train_stats_and_round_trip():
     np.testing.assert_allclose(round_trip.reshape(20, 10, 6), raw_x, atol=1e-12)
 
 
-def _per_sample_normalizer(samples):
-    """Statistics and normalized windows computed one sample at a time."""
-    c = samples.x.shape[2] // 2
-    pooled = np.concatenate([np.concatenate([x[:, :c], x[:, c:]], axis=0) for x in samples.x])
+def _pooled_statistics(x):
+    """numpy's mean and std over one pooled copy of every current- and
+    year-earlier row of the windows ``x`` (N, T, 2M); a zero std reads 1."""
+    channels = x.shape[2] // 2
+    pooled = np.concatenate([x[:, :, :channels], x[:, :, channels:]]).reshape(-1, channels)
     mean, std = pooled.mean(axis=0), pooled.std(axis=0)
     std[std == 0.0] = 1.0
-    out = []
-    for x in samples.x:
-        x = x.copy()
-        for block in (slice(0, c), slice(c, 2 * c)):
-            x[:, block] = (x[:, block] - mean) / std
-        out.append(x)
-    return mean, std, np.stack(out)
+    return mean, std
 
 
-def test_columnar_normalizer_matches_per_sample_bit_for_bit():
-    rng = np.random.default_rng(4)
-    samples = sample_set(rng.normal(3.0, 7.0, (37, 11, 6)), rng.normal(size=(37, 2)))
-    norm = fit_normalizer(samples, ["chan0", "chan1", "chan2"], ["elev", "slope"])
-    mean, std, x = _per_sample_normalizer(samples)
-    np.testing.assert_array_equal(norm.channel_mean, mean)
-    np.testing.assert_array_equal(norm.channel_std, std)
-    norm.apply(samples)
-    np.testing.assert_array_equal(samples.x, x)
+def _table_set(days, steps, start, seed=0):
+    """A SampleSet of the windows at ``start`` (N, 2) over the table ``days``."""
+    n = len(start)
+    s_n = np.random.default_rng(seed).normal(size=(n, 2))
+    return SampleSet(days, steps, start, s_n, np.ones((n, 1), dtype=np.int64), np.zeros((n, 6)),
+                     np.array(["19001"] * n), np.full(n, np.datetime64("2020-01-01", "D")))
+
+
+def _assert_pooled_statistics(norm, x):
+    mean, std = _pooled_statistics(x)
+    np.testing.assert_allclose(norm.channel_mean, mean, rtol=1e-12)
+    np.testing.assert_allclose(norm.channel_std, std, rtol=1e-12)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
-def test_normalizer_matches_the_pooled_formula_over_many_blocks(channels):
-    """Several hundred samples, more than several blocks of the statistics'
-    sums, with magnitudes from 1e-6 to 1e8 and a constant channel: the
-    statistics and the normalized windows equal, bit for bit, numpy's mean
-    and std over one pooled copy of every current- and previous-year row."""
+def test_normalizer_matches_the_pooled_copy_of_separate_windows(channels):
+    """Several hundred samples with magnitudes from 1e-6 to 1e8, each
+    window its own rows of the table, and a constant channel: the statistics
+    are numpy's mean and std of one pooled copy, and the normalized windows
+    that copy normalized, to 1e-12; the constant channel's std is 1."""
     rng = np.random.default_rng(9)
     n, steps = 7 * 64 + 13, 9
-    scale = rng.choice([1e-6, 1.0, 1e4, 1e8], (n, 1, 1))
-    x = rng.normal(3.0, 7.0, (n, steps, 2 * channels)) * scale
+    x = rng.normal(3.0, 7.0, (n, steps, 2 * channels)) * rng.choice([1e-6, 1.0, 1e4, 1e8],
+                                                                    (n, 1, 1))
     if channels > 1:
         x[:, :, [1, 1 + channels]] = 2.5
     samples = sample_set(x, rng.normal(size=(n, 2)))
     norm = fit_normalizer(samples, [f"chan{c}" for c in range(channels)], ["elev", "slope"])
-    pooled = np.concatenate([x[:, :, :channels], x[:, :, channels:]], axis=1)
-    pooled = pooled.reshape(-1, channels)
-    mean, std = pooled.mean(axis=0), pooled.std(axis=0)
-    std[std == 0.0] = 1.0
-    np.testing.assert_array_equal(norm.channel_mean, mean)
-    np.testing.assert_array_equal(norm.channel_std, std)
-    expected = (x.reshape(n, steps, 2, channels) - mean) / std
+    _assert_pooled_statistics(norm, x)
+    if channels > 1:
+        assert (norm.channel_mean[1], norm.channel_std[1]) == (2.5, 1.0)
+    mean, std = _pooled_statistics(x)
     norm.apply(samples)
-    np.testing.assert_array_equal(samples.x, expected.reshape(x.shape))
+    expected = (x.reshape(n, steps, 2, channels) - mean) / std
+    np.testing.assert_allclose(samples.x, expected.reshape(x.shape), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("channels, steps", [(1, 1), (1, 40), (3, 1), (3, 40)])
+def test_normalizer_matches_the_pooled_copy_of_overlapping_windows(channels, steps):
+    """Windows that overlap, each other and their own year-earlier halves,
+    and repeat, over one table: a day weighs as many times as windows cover
+    it, as in the pooled copy of their rows, T=1 included."""
+    rng = np.random.default_rng(steps * channels)
+    days = rng.normal(-4.0, 3.0, (300, channels)) * rng.choice([1e-3, 1.0, 1e6], (300, 1))
+    if channels > 1:
+        days[:, 2] = 2.5
+    start = rng.integers(0, 300 - steps + 1, (500, 2))
+    start[::7] = start[1::7][:len(start[::7])]  # repeated samples
+    samples = _table_set(days, steps, start)
+    norm = fit_normalizer(samples, [f"chan{c}" for c in range(channels)], ["elev", "slope"])
+    _assert_pooled_statistics(norm, samples.x)
+    if channels > 1:
+        assert (norm.channel_mean[2], norm.channel_std[2]) == (2.5, 1.0)
+    np.testing.assert_array_equal(norm.static_mean, samples.s_n.mean(axis=0))
 
 
 @pytest.mark.parametrize("channels", [1, 3])
-def test_normalizer_fit_through_an_index_equals_the_fit_on_its_copy(channels):
-    """Statistics over the rows ``index`` of a set, gathered block by
-    block through its day table, equal bit for bit those fitted on a copy
-    of their windows; and normalizing the whole set, then selecting the
-    rows, gives the bits of normalizing the copy."""
+def test_normalizer_statistics_ignore_the_rows_of_other_splits(channels):
+    """Fitted on the training rows of a set that shares its table with the
+    validation and test rows, the statistics are those of the training
+    windows' pooled copy, and days that only the other rows' windows cover
+    do not move them by a bit; normalizing the whole table, then selecting
+    the training rows, gives their windows normalized."""
     rng = np.random.default_rng(11)
-    n, steps = 5 * 64 + 7, 7
-    samples = sample_set(rng.normal(3.0, 7.0, (n, steps, 2 * channels))
-                         * rng.choice([1e-6, 1.0, 1e8], (n, 1, 1)), rng.normal(size=(n, 2)))
-    index = rng.permutation(n)[:4 * 64 + 3]
+    steps = 7
+    days = rng.normal(3.0, 7.0, (400, channels)) * rng.choice([1e-6, 1.0, 1e8], (400, 1))
+    # training windows start in rows 0..243, held-out ones anywhere
+    train, held_out = np.split(rng.permutation(320), [250])
+    first = rng.integers(0, 400 - steps + 1, 320)
+    first[train] = rng.integers(0, 250 - steps + 1, 250)
+    samples = _table_set(days, steps, np.stack([first, np.maximum(first - 50, 0)], axis=1))
     names = [f"chan{c}" for c in range(channels)], ["elev", "slope"]
-    copy = sample_set(samples.x[index], samples.s_n[index])
-    expected = fit_normalizer(copy, *names)
-    norm = fit_normalizer(samples[index], *names)
+    norm = fit_normalizer(samples[train], *names)
+    x = samples[train].x
+    _assert_pooled_statistics(norm, x)
+    np.testing.assert_array_equal(norm.static_mean, samples.s_n[train].mean(axis=0))
+
+    covered = np.zeros(len(days), bool)
+    for row in samples.start[train].ravel():
+        covered[row:row + steps] = True
+    assert np.isin(np.flatnonzero(~covered), samples[held_out].start[:, :, None]
+                   + np.arange(steps)).sum() > 100  # days only held-out windows cover
+    samples.days[~covered] = 1e12
+    again = fit_normalizer(samples[train], *names)
     for field in ("channel_mean", "channel_std", "static_mean", "static_std"):
-        np.testing.assert_array_equal(getattr(norm, field), getattr(expected, field))
-    expected.apply(copy)
+        np.testing.assert_array_equal(getattr(again, field), getattr(norm, field))
+
     norm.apply(samples)
-    np.testing.assert_array_equal(samples[index].x, copy.x)
-    np.testing.assert_array_equal(samples.s_n[index], copy.s_n)
+    mean, std = _pooled_statistics(x)
+    expected = (x.reshape(len(train), steps, 2, channels) - mean) / std
+    np.testing.assert_allclose(samples[train].x, expected.reshape(x.shape), rtol=1e-9,
+                               atol=1e-12)
 
 
 def test_normalizer_save_load(tmp_path):
@@ -980,6 +1010,79 @@ def test_sample_set_slicing_and_concatenation():
     np.testing.assert_array_equal(both.fips, samples.fips[[0, 1, 5, 3]])
     with pytest.raises(TypeError):
         samples[0]
+
+
+def test_joining_sets_with_their_own_tables_gathers_their_windows_in_order():
+    """``a + b`` over two distinct tables gathers the windows of ``a``,
+    then those of ``b``, and keeps every other column; sets of another
+    window length or channel count do not join."""
+    a, b = _cache_set(4, seed=1), _cache_set(3, t=3, seed=2)
+    both = a + b
+    assert len(both.days) == len(a.days) + len(b.days)
+    np.testing.assert_array_equal(both.x, np.concatenate([a.x, b.x]))
+    for name in ("s_n", "s_d", "y", "fips", "anchor"):
+        np.testing.assert_array_equal(getattr(both, name),
+                                      np.concatenate([getattr(a, name), getattr(b, name)]))
+    np.testing.assert_array_equal((both + a[:0]).x, both.x)
+    for other in (_cache_set(2, t=4), _cache_set(2, width=6)):
+        with pytest.raises(DataError, match="cannot join"):
+            a + other
+
+
+def test_locexp_and_cv_selections_gather_the_rows_of_the_windows(tmp_path):
+    """The per-state selection of ``locexp`` and the folds of ``cv``'s
+    pooled train and validation sets gather the windows that the same
+    index into the whole windows picks."""
+    ts_path, statics_path = make_dataset(tmp_path, n_counties=4, days=700, channels=2, seed=6)
+    statics, _ = load_statics(statics_path, ["soil_quality", "texture"])
+    samples, _ = build_samples(load_timeseries(ts_path), statics, window_days=30)
+    windows = samples.x
+    states = sorted({code[:2] for code in samples.fips.tolist()})
+    assert len(states) > 1
+    for state in states:
+        rows = filter_by_state(samples.fips, [state])
+        np.testing.assert_array_equal(samples[rows].x, windows[rows])
+    train, val = samples[::2], samples[1::2]
+    pool = train + val
+    pooled = np.concatenate([windows[::2], windows[1::2]])
+    for fit_rows, val_rows in kfold_split(len(pool), k=3, seed=2):
+        np.testing.assert_array_equal(pool[fit_rows].x, pooled[fit_rows])
+        np.testing.assert_array_equal(pool[val_rows].x, pooled[val_rows])
+
+
+def _traced_peak(action) -> int:
+    """The tracemalloc peak, in bytes, of calling ``action()``."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_operation_materializes_every_window_of_a_set():
+    """200,000 overlapping T=180 windows over a 2,000-day table, 1.15 GB as
+    windows: length, slices, the checks, fitting and applying a normalizer
+    and a prediction over a 256-row slice each allocate well under 10 MB,
+    and joining two halves allocates their columns, not their windows."""
+    rng = np.random.default_rng(5)
+    n, steps = 200_000, 180
+    samples = _table_set(rng.normal(size=(2_000, 2)), steps,
+                         rng.integers(0, 2_000 - steps + 1, (n, 2)))
+    assert n * steps * samples.width * 8 > 1.1e9
+    config = ModelConfig(input_channels=4, numeric_static_count=2, categorical_vocab_sizes=[2],
+                         hidden_size=4, embed_dim=2, reduced_dim=1, mlp_hidden=4)
+    model = HybridModel(config, AblationConfig(), seed=0)
+    norm = fit_normalizer(samples[:1000], ["chan0", "chan1"], ["elev", "slope"])
+    for action in (lambda: len(samples), lambda: samples[n // 4:], lambda: samples[:256].x,
+                   lambda: model.check(samples),
+                   lambda: fit_normalizer(samples, ["chan0", "chan1"], ["elev", "slope"]),
+                   lambda: norm.apply(samples),
+                   lambda: predict(model, samples[1000:1256])):
+        assert _traced_peak(action) < 10e6
+    half = samples[:n // 2]
+    columns = sum(column.nbytes for column in half._columns()) * 2
+    assert _traced_peak(lambda: half + samples[n // 2:]) < columns + 2e6
 
 
 def test_split_fractions_partition():

@@ -136,15 +136,15 @@ def test_checkpoint_file_is_bit_identical_to_the_recorded_run(tmp_path):
 
 
 # sha256 of each file ingest writes, and its stdout (the out directory as
-# {out}), for the dataset of _golden_ingest_input; recorded from the row-wise
-# parse and the pooled-copy normalizer statistics, which the columnar parse
-# and the block-wise sums replaced byte for byte.  The .samples digests are
-# of the HMSAMP4 caches, which hold the day table in place of the windows
+# {out}), for the dataset of _golden_ingest_input: the HMSAMP4 caches, which
+# hold the day table in place of the windows, and the statistics weighted by
+# window cover on that table, which differ from the pooled copy's in the last
+# bits
 INGEST_GOLDEN = {
-    "train.samples": "f183ed68f022e4bc74a9162f60e5a4ebc029384f77919978400b685da8e36a5b",
-    "val.samples": "d367ee88846f9ae821c1930b61ccd51124e4f7c2ab30ab0af659498922cd92a4",
-    "test.samples": "4eb92ac7ace359984451c37f84fb065d8958c431af3c43030acea128943e9b18",
-    "normalizer.csv": "1e69f04850ad3da311bc43f8f8b901b2cb9336309f91df0bd519347e73c91e55",
+    "train.samples": "a6f80e9f3e125f77f0b18b35d84d920e7d990d9b6454eac689d29e697cb1bebf",
+    "val.samples": "64e11c86d795fa4ca7602e17ad764a49d2bd99be0467c9fde9b5d2e1eb0e7a77",
+    "test.samples": "60d39799502778a90c1a9ac207e3e051a0b57381c99a8139246833f3b76108f6",
+    "normalizer.csv": "06f45e85b4248ab03f8a6aad8d075e137dc109a6511618b6ec62abfb4ae9e788",
     "categories.csv": "823e863b47bdcd51824fab6f0388c440aaf1d5a89d0e210013de0cf533610a18",
 }
 INGEST_STDOUT = (
@@ -158,8 +158,8 @@ INGEST_STDOUT = (
 def _golden_ingest_input(root: Path) -> Path:
     """Six synthetic counties: 40003 misses chan1 for 20 days, more than
     ``max_gap_days`` allows, so ingest drops it; 19004 misses chan0 for 3
-    days, which are interpolated.  About 240 training samples, several
-    blocks of the normalizer's statistics.  Returns the run config."""
+    days, which are interpolated.  About 240 training samples.  Returns the
+    run config."""
     days = 900
     ts, statics = make_dataset(root, n_counties=6, days=days, channels=3, seed=3)
     lines = ts.read_text().splitlines(keepends=True)
@@ -188,20 +188,19 @@ def test_ingest_bytes_and_stdout_match_the_recorded_run(tmp_path, capsys):
 # sha256 of each file ingest writes when held-out time-series files are
 # given, for the dataset of _explicit_ingest_input: with both files, and
 # with a validation file only (an empty test cache, which holds the training
-# file's day table); recorded before the splits were normalized in place and
-# written by index, the .samples digests again for the HMSAMP4 caches
+# file's day table); recorded as INGEST_GOLDEN was
 EXPLICIT_INGEST_GOLDEN = {
     ("timeseries_val", "timeseries_test"): {
-        "train.samples": "a0df6444606c5cecee8ca48b91cc60cf3acb65d37a2565705528b432ea0c638f",
-        "val.samples": "95f9f81c32baff46575332369b91f10aae4e91b907af92a757901e85f78b1f1a",
-        "test.samples": "6ae252e295cef02e4df3b7acc98f802f8d01334e38cdfd921da68398a6f2323a",
-        "normalizer.csv": "8304f9fc1754e8be35c165a6cad906d6005faea983c67e376dacee3cb027805b",
+        "train.samples": "e2051b8eacacdbbcfcda2a25c0cbe9afc89fe7a3650349182ae3edf76637845c",
+        "val.samples": "774a4a2b9d8a94edcfe9e04ea0ea66528bea256369c8cc25976dd3cac91b77c7",
+        "test.samples": "2bf4b4f607b911a375d01bf1b44f32cc2593e9461d65f91b4358b7cbea2e9f97",
+        "normalizer.csv": "0525655117472f4536036ec41637ca61eb2e903f856af5a3005cf6daf4545cd8",
     },
     ("timeseries_val",): {
-        "train.samples": "a0df6444606c5cecee8ca48b91cc60cf3acb65d37a2565705528b432ea0c638f",
-        "val.samples": "95f9f81c32baff46575332369b91f10aae4e91b907af92a757901e85f78b1f1a",
-        "test.samples": "b8f4bbddb276dfdc28f016187b0c42a2b751218e9b2a5455d365719eda9343fd",
-        "normalizer.csv": "8304f9fc1754e8be35c165a6cad906d6005faea983c67e376dacee3cb027805b",
+        "train.samples": "e2051b8eacacdbbcfcda2a25c0cbe9afc89fe7a3650349182ae3edf76637845c",
+        "val.samples": "774a4a2b9d8a94edcfe9e04ea0ea66528bea256369c8cc25976dd3cac91b77c7",
+        "test.samples": "a1f27bf7b178685da23a7b22809c9dac4374c5d56861659602c1a71c091ebf6a",
+        "normalizer.csv": "0525655117472f4536036ec41637ca61eb2e903f856af5a3005cf6daf4545cd8",
     },
 }
 

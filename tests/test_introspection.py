@@ -38,7 +38,7 @@ def small_samples(n=6, t=10, seed=0):
     ]
     x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
     return window_set(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
-                     np.full(n, np.datetime64("2020-01-01", "D")))
+                      np.full(n, np.datetime64("2020-01-01", "D")))
 
 
 def test_uniform_attention_profile_when_scores_constant():

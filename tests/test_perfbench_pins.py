@@ -34,8 +34,8 @@ def test_trace_spans_fire_on_a_training_step_and_a_prediction():
     model = HybridModel.build(config, AblationConfig(), seed=0)
     rng = RngState(1)
     samples = window_set(rng.uniform(-1, 1, (4, 5, 2)), rng.uniform(-1, 1, (4, 1)),
-                        rng.integers(0, 3, (4, 1)), rng.uniform(0, 5, (4, 6)),
-                        np.array(["19001"] * 4), np.full(4, np.datetime64("2020-01-01", "D")))
+                         rng.integers(0, 3, (4, 1)), rng.uniform(0, 5, (4, 6)),
+                         np.array(["19001"] * 4), np.full(4, np.datetime64("2020-01-01", "D")))
     tracer = tracing.Tracer()
     patcher = tracing.install(tracer)
     try:
@@ -62,8 +62,8 @@ def test_trace_spans_fire_on_a_cache_and_a_checkpoint_round_trip(tmp_path):
                               AblationConfig(), seed=0)
     rng = RngState(1)
     samples = window_set(rng.uniform(-1, 1, (3, 4, 2)), rng.uniform(-1, 1, (3, 1)),
-                        rng.integers(0, 3, (3, 1)), rng.uniform(0, 5, (3, 6)),
-                        np.array(["19001"] * 3), np.full(3, np.datetime64("2020-01-01", "D")))
+                         rng.integers(0, 3, (3, 1)), rng.uniform(0, 5, (3, 6)),
+                         np.array(["19001"] * 3), np.full(3, np.datetime64("2020-01-01", "D")))
     tracer = tracing.Tracer()
     patcher = tracing.install(tracer)
     try:

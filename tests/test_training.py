@@ -42,7 +42,7 @@ def make_linear_samples(n=32, t=8, m2=4, f_n=2, seed=0):
         rows.append((x, s_n, s_d, 2.5 + x.mean(axis=0) @ w_x + s_n @ w_s))
     x, s_n, s_d, y = (np.stack(column) for column in zip(*rows))
     return window_set(x, s_n, s_d, y, np.array([f"19{i:03d}" for i in range(n)]),
-                     np.full(n, np.datetime64("2020-01-01", "D")))
+                      np.full(n, np.datetime64("2020-01-01", "D")))
 
 
 def overfit_config(**overrides):
