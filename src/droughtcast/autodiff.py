@@ -36,14 +36,6 @@ class Tensor:
         self.grad = np.zeros(self.data.shape) if grad is None else grad
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; the numerator is exactly 1 for x >= 0
-    # (1/(1+e^-x)) and e^x below (e^x/(1+e^x)), with no data-dependent
-    # branch, so every bit (±0, ±inf, NaN) matches the two-sided formula
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
-
-
 PROJECT_STEPS = 16  # steps per input-projection GEMM
 
 
@@ -63,30 +55,42 @@ def lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, training: bool):
     project all ``T`` steps at once); training keeps every step's gate
     activations and cell state for the backward, while eval reuses one
     block of gates and two cell states.
+
+    All four activations of a step are one in-place ``tanh``: σ(z) = ½ +
+    ½·tanh(z/2) for the i, f and o gates, whose columns of the recurrent
+    weight and of ``b`` are halved once per call, and of each projection
+    block once per block; the ``tanh`` is then scaled and shifted by ½ (by
+    1 and 0 for g).  Halving is exact (short of subnormals), so the ``tanh``
+    sees exactly z/2; ±inf gives exactly 1 and 0, and nothing overflows.
     """
     steps, batch, n_in = x.shape
     hidden = b.shape[0] // 4
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    w_x, w_h = w[:n_in], w[n_in:]
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+    shift = 1.0 - scale
+    w_x, w_h = w[:n_in], w[n_in:] * scale
+    b = b * scale
     # a step's row holds its input projection, then its gate activations
     gates = np.empty((steps if training else min(steps, PROJECT_STEPS), batch, 4 * hidden))
     # hs[t + 1] is step t's hidden state and hs[0] the zero start; cs is indexed
     # the same way modulo its length, so eval cycles through two cell states
     hs = np.zeros((steps + 1, batch, hidden))
     cs = np.zeros((steps + 1 if training else 2, batch, hidden))
+    candidate = np.empty((batch, hidden))  # i * g
     for start in range(0, steps, PROJECT_STEPS):
         stop = min(start + PROJECT_STEPS, steps)
         block = gates[start:stop] if training else gates[:stop - start]
         np.matmul(x[start:stop].reshape(-1, n_in), w_x, out=block.reshape(-1, 4 * hidden))
+        block *= scale
         for t, z in enumerate(block, start):
             z += hs[t] @ w_h
             z += b
-            z[:, :g_.start] = _sigmoid(z[:, :g_.start])
-            z[:, o_] = _sigmoid(z[:, o_])
-            np.tanh(z[:, g_], out=z[:, g_])
-            c = cs[(t + 1) % len(cs)]
-            np.add(z[:, f_] * cs[t % len(cs)], z[:, i_] * z[:, g_], out=c)
-            np.multiply(z[:, o_], np.tanh(c), out=hs[t + 1])
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            c = np.multiply(z[:, f_], cs[t % len(cs)], out=cs[(t + 1) % len(cs)])
+            c += np.multiply(z[:, i_], z[:, g_], out=candidate)
+            np.multiply(z[:, o_], np.tanh(c, out=hs[t + 1]), out=hs[t + 1])
     return hs[1:], ((x, w, gates, hs, cs) if training else None)
 
 

@@ -94,8 +94,9 @@ class SampleSet:
     Sample i's windows are the ``steps`` table rows from ``start[i, 0]``
     (the current year) and from ``start[i, 1]`` (the same days a year
     earlier); :attr:`x` gathers them.  Indexing by a slice or an index array
-    selects start rows and shares the table; ``a + b`` stacks the two tables
-    and offsets ``b``'s start rows.
+    selects start rows and shares the table; ``a + b`` shares ``a``'s table
+    when the two tables are equal, and otherwise stacks them and offsets
+    ``b``'s start rows.
     """
 
     days: np.ndarray  # (D, M) the day table
@@ -141,8 +142,10 @@ class SampleSet:
         if (self.steps, self.width) != (other.steps, other.width):
             raise DataError(f"cannot join sample sets of (T, 2M) {(self.steps, self.width)} "
                             f"and {(other.steps, other.width)}")
-        start = np.concatenate([self.start, other.start + len(self.days)])
-        return SampleSet(np.concatenate([self.days, other.days]), self.steps, start,
+        shared = np.array_equal(self.days, other.days)
+        start = np.concatenate([self.start, other.start + (0 if shared else len(self.days))])
+        days = self.days if shared else np.concatenate([self.days, other.days])
+        return SampleSet(days, self.steps, start,
                          *(np.concatenate([a, b])
                            for a, b in zip(self._columns()[1:], other._columns()[1:])))
 
@@ -754,11 +757,12 @@ def _cache_layout(n: int, steps: int, channels: int, table_days: int, f_n: int, 
 
 def save_samples(samples: SampleSet, path) -> None:
     """Binary sample cache (:func:`write_artifact`) of ``samples``: its
-    whole day table and its start rows, no window; deterministic bytes."""
+    whole day table (none if empty) and its start rows; deterministic bytes."""
     chars = np.asarray(samples.fips, dtype=str).dtype.itemsize // 4
-    header = (len(samples), samples.steps, *samples.days.shape[::-1], samples.s_n.shape[1],
+    days = samples.days if len(samples) else samples.days[:0]
+    header = (len(samples), samples.steps, *days.shape[::-1], samples.s_n.shape[1],
               samples.s_d.shape[1], chars)
-    columns = (samples.days, samples.start, samples.s_n, samples.s_d, samples.y,
+    columns = (days, samples.start, samples.s_n, samples.s_d, samples.y,
                samples.anchor.astype("datetime64[D]").view(np.int64), samples.fips)
     write_artifact(path, _CACHE_MAGIC, _CACHE_HEADER.pack(*header),
                    (np.asarray(column, dtype)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,29 +9,37 @@ from droughtcast import autodiff as ad
 from droughtcast.autodiff import RngState, Tensor, grad_check
 
 
-def test_sigmoid_at_zero():
-    assert ad._sigmoid(np.array([0.0]))[0] == 0.5
+def _gates_of(z):
+    """The i, f, g and o activations of a one-step, one-unit layer whose
+    pre-activation is ``z`` in all four gates: one input channel holding
+    ``z``, input weights of 1 and zero recurrent weights and bias, so each
+    batch row's z is its input exactly.  Fails on any warning."""
+    x = np.asarray(z, dtype=np.float64).reshape(1, -1, 1)
+    w = np.zeros((2, 4))
+    w[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, cache = ad.lstm_forward(x, w, np.zeros(4), training=True)
+    return cache[2][0]  # (B, 4): i, f, g, o
 
 
-def _masked_sigmoid(x):
-    """The sign-split formula the kernel replaced, kept as its reference."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def test_gate_activations_match_a_long_double_sigmoid_and_tanh():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(0.0, 3.0, 20_000), rng.uniform(-40.0, 40.0, 20_000)])
+    gates = _gates_of(z)
+    sigmoid = 1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))
+    error = np.abs(gates[:, [0, 1, 3]].astype(np.longdouble) - sigmoid[:, None])
+    assert error.max() <= 1.2e-16, error.max()
+    np.testing.assert_array_equal(gates[:, 2].view(np.int64), np.tanh(z).view(np.int64))
 
 
-def test_sigmoid_matches_masked_formula_bit_for_bit():
-    edges = np.array([0.0, -0.0, 700.0, -700.0, 800.0, -800.0, 1e-300, -1e-300, np.nan])
-    x = np.concatenate([edges, np.random.default_rng(0).normal(0.0, 3.0, 10_000)])
-    with np.errstate(over="ignore"):
-        expected = _masked_sigmoid(x)
-    got = ad._sigmoid(x)
-    nan = np.isnan(x)
-    np.testing.assert_array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
-    assert np.isnan(got[nan]).all()  # NaN stays NaN; its sign bit carries nothing
+def test_gate_activations_at_zero_the_extremes_and_nan():
+    z = np.array([0.0, -0.0, 1e308, np.inf, -1e308, -np.inf, np.nan])
+    sigmoids = _gates_of(z)[:, [0, 1, 3]]
+    assert (sigmoids[:2] == 0.5).all()
+    assert (sigmoids[2:4] == 1.0).all()
+    assert (sigmoids[4:6] == 0.0).all()
+    assert np.isnan(sigmoids[6]).all()
 
 
 def _lstm_inputs(steps, batch, hidden, n_in, seed):

@@ -94,6 +94,17 @@ def test_ingest_writes_cache_and_is_idempotent(ingested):
     assert (ingest_dir / "train.samples").read_bytes() == first
 
 
+def test_cv_pool_holds_the_day_table_once(ingested):
+    """``cv``'s ``train + val`` of two caches cut from one file keeps one
+    copy of its D-day table and gathers the windows of the stacked join."""
+    _, out = ingested
+    train, val = (load_samples(out / "ingest" / f"{name}.samples") for name in ("train", "val"))
+    np.testing.assert_array_equal(train.days, val.days)
+    pool = train + val
+    assert pool.days.shape == train.days.shape
+    np.testing.assert_array_equal(pool.x, np.concatenate([train.x, val.x]))
+
+
 def test_ingest_peak_stays_under_half_the_bytes_of_the_windows(tmp_path):
     """Ingest's traced heap peak on T=180 samples stays under half the bytes
     that their windows would take: sets, splits and caches hold the day

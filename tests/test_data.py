@@ -609,15 +609,19 @@ def test_sample_cache_round_trip(tmp_path):
 
 def test_sample_cache_of_a_selection_holds_its_rows_and_the_whole_table(tmp_path):
     """A selection of rows is written with the day table it shares, whole,
-    and its own start rows."""
+    and its own start rows; an empty selection with no row of the table."""
     samples = _cache_set(600, t=2)
     path = tmp_path / "selection"
     for index in (np.random.default_rng(3).permutation(600)[:5 * 64 + 5],
-                  np.array([1, 2]), np.array([], dtype=np.int64)):
+                  np.array([1, 2])):
         save_samples(samples[index], path)
         loaded = load_samples(path)
         _assert_same_set(loaded, samples[index])
         assert struct.unpack_from("<7Q", path.read_bytes(), 16)[:4] == (len(index), 2, 2, 2400)
+    save_samples(samples[:0], path)
+    assert struct.unpack_from("<7Q", path.read_bytes(), 16)[:4] == (0, 2, 2, 0)
+    assert path.stat().st_size == 72  # the header alone
+    _assert_same_set(load_samples(path), _cache_set(0, t=2))
 
 
 def test_sample_cache_truncation_and_trailing_bytes(tmp_path):

@@ -2,8 +2,9 @@
 of dropout, trained a few steps with each loss under each ablation setting;
 and of one seeded ingest.
 
-The training digests were recorded from the autodiff-tape implementation of
-the model.  Any rewrite of the forward or backward passes must keep every
+The training digests were recorded from the fused LSTM layer whose step
+takes all four gate activations from one ``tanh`` (σ(z) = ½ + ½·tanh(z/2)).
+Any rewrite of the forward or backward passes must keep every
 parameter and every prediction bit-identical, and any rewrite of the parse
 or the normalizer every file that ingest writes.
 """
@@ -31,24 +32,24 @@ CONFIG = ModelConfig(
 # label: (parameters after 3 mse steps, after 3 more mae steps, predict outputs)
 GOLDEN = {
     "static+ts+attention": (
-        "ee7367236a813c909810baa0fe9054a642305696724a7df4fde2c3f6e275cdad",
-        "53a6aef0dafcb10e901c09dbb5fa0e288a926f8d31773f979ae0e743b738b963",
-        "adda604dc2f36506661cf8bbeb271406b623a56d0c0ac1e713e4e33826b69c75",
+        "2b0a8d5c39590e4ecb4498d91acf6c29abcac99c6c00d0b3e1b96ce2ef6f1da1",
+        "e673e289417efc7338cfe5decf02c2f560930faf4095bf04a02fb53b9fd2e7dd",
+        "31ead5f16f0e5d9e0aa84839753be1d180a35108e8b7741f6c1809ca504aaead",
     ),
     "ts+attention": (
-        "6b9ea4805df1c8440645cb2957b6255e7ac58e58305992b3295accdfdab94d0c",
-        "f78a0235adf0463ae59ad67e14918fbd5049413368a330f5659c9d38e254b157",
-        "04bf5cf8aeb9a135c941e46bc58d2f04fa442984314e1a03b0b2f8c60efeeebb",
+        "c037902ff2b1cd5e6ff21c38bd3d48211e838fc20f5546ac7b9a95fef2b4af8b",
+        "57a96cb7cb6073c9302fb442e682d05f361acd1ead983c1051952170caadd905",
+        "f57acdfc75ce3cc298f9430d59abde66940b2a8a4ec0cfb95374c0122fda8af6",
     ),
     "ts": (
-        "700a59a07f6dcfdeb832a8131579e03de5f036cb6aab69772f67eff063068d78",
-        "ec5860d94d3efc807c92d60807391b43e2b186ef29ddc80cbe950e78249c3690",
-        "9fa79d48609ec89127f4270877f3657ad07ec1ff1155ea2bc744d858807ca83e",
+        "93880a9b3fea0d8a2d2e794a68e41419430925aa6c77a58ca11e6ee77adb993a",
+        "72f1c0b0edc397b71a1e38dcb3b7e683048fa420d024a4157f25d0fe672db7b5",
+        "279e01e3e0f370b5c5ed907269e67eb71de61d4036b829909f01e7174f3aed4a",
     ),
     "static+ts": (
-        "ee9eca2734a0c0a0a7d3801195dd2c0674c35ee4183ae4ef969fbe60f8a1cb15",
-        "47ec9464ccdf686d8513206aab35270d21aa9a4edab663a9a9e3bf5fc37f821f",
-        "bc061ffcf9435642d5a96c521624a60cb1570b53cc4c6c132b1d771e45132b55",
+        "37f020776ba0a9cfa906c26a7815070851d8b1897e3bb0219b7ad675f39ac0bd",
+        "1399146da6c1d3c3dea3104a5d0ea282291129f61a47b169eef840722f4dece9",
+        "9419180fa72add9ae8f49e446d86df4c736e995606d9e86fdb4d93a9813ec97e",
     ),
     "static": (
         "9662dde8609d30dd4ef4c6898b40ad2e69fa0737b1904e0f7bf8fe7de7e45419",
@@ -103,11 +104,11 @@ def test_seeded_training_is_bit_identical_to_the_recorded_run(index):
 # blocks) through the untrained two-layer model with every path on; the T
 # straddle the eval forward's 16-step input-projection blocks
 PREDICT_GOLDEN = {
-    1: "4a6301f5a3790bc387a2fb0a34024b11a6346c502352ccfa5f7dd18c0fdcdf8f",
-    15: "0994dd718f5352093178c585f91fa200e64b5474f9704caabfc7cad4e5a3c026",
-    16: "b0270ffc84e0359a2c1b3803e1354712dda0a814646d2b9ada7073dc6352f356",
-    17: "b20efddfb5d49b468d96af70f358ea03c60c3162a7a814c2c28028222af93c04",
-    180: "734d501949de7a8795236e49dba38777af701285c2db86f3694b908a6ee2a83b",
+    1: "a9237b89b8271f9a11e0ccee426c30689826baacdd20b6f1182d4e8539aefa05",
+    15: "93fa73b9c9fbeb9805e6226f5aad28eeba8b437402f31ebf24697e6e4f049d4c",
+    16: "e184bedfe344fb4da79d7ebb27e1f9cc9137c8ef8c49f030f97ba753f6a7d5d4",
+    17: "18ebb81b336f9aad8e2faaf326fdd9c0a8d571264ced7f1f1095e1d966e7c101",
+    180: "18d67b2c413537178f81bbbfd9d32cec28742cf87275bbb238ccc2acab201dd6",
 }
 
 
@@ -122,7 +123,7 @@ def test_predict_is_bit_identical_to_the_recorded_run(steps):
 # sha256 of the checkpoint file of the model with every path on after three
 # epochs of three mse steps; the second epoch has the best validation MAE, so
 # the file holds the parameters restored from it
-CHECKPOINT_GOLDEN = "d93d3ff481a9f14a93380f1baa1457d488cce64fdd5455eee955b9e7d6bb7969"
+CHECKPOINT_GOLDEN = "e08fcc8fa9a39f23398c7189b2649c380e359b232896592b09f1f3a1766fd27f"
 
 
 def test_checkpoint_file_is_bit_identical_to_the_recorded_run(tmp_path):
@@ -187,8 +188,8 @@ def test_ingest_bytes_and_stdout_match_the_recorded_run(tmp_path, capsys):
 
 # sha256 of each file ingest writes when held-out time-series files are
 # given, for the dataset of _explicit_ingest_input: with both files, and
-# with a validation file only (an empty test cache, which holds the training
-# file's day table); recorded as INGEST_GOLDEN was
+# with a validation file only (an empty test cache, which holds no row of
+# the training file's day table); recorded as INGEST_GOLDEN was
 EXPLICIT_INGEST_GOLDEN = {
     ("timeseries_val", "timeseries_test"): {
         "train.samples": "e2051b8eacacdbbcfcda2a25c0cbe9afc89fe7a3650349182ae3edf76637845c",
@@ -199,7 +200,7 @@ EXPLICIT_INGEST_GOLDEN = {
     ("timeseries_val",): {
         "train.samples": "e2051b8eacacdbbcfcda2a25c0cbe9afc89fe7a3650349182ae3edf76637845c",
         "val.samples": "774a4a2b9d8a94edcfe9e04ea0ea66528bea256369c8cc25976dd3cac91b77c7",
-        "test.samples": "a1f27bf7b178685da23a7b22809c9dac4374c5d56861659602c1a71c091ebf6a",
+        "test.samples": "c40b1314513d8829501149404a93b0f6c8395f31755196ab9f30cbb07a7dc7cc",
         "normalizer.csv": "0525655117472f4536036ec41637ca61eb2e903f856af5a3005cf6daf4545cd8",
     },
 }
