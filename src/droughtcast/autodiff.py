@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "RngState",
+    "Ring",
     "lstm_forward",
     "lstm_backward",
     "grad_check",
@@ -36,62 +37,97 @@ class Tensor:
         self.grad = np.zeros(self.data.shape) if grad is None else grad
 
 
-PROJECT_STEPS = 16  # steps per input-projection GEMM
+PROJECT_STEPS = 16  # steps per input-projection GEMM: one block of the wavefront
 
 
-def lstm_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, training: bool):
+class Ring:
+    """The hidden states of an eval-mode layer: two slots of
+    ``PROJECT_STEPS + 1`` rows, used by alternate blocks, so the layer holds
+    two blocks of states instead of all ``T``.  Row 0 of a slot holds the
+    last state of the block before it, and ``ring[start:stop]`` reads the
+    block that starts at ``start`` as one contiguous ``(stop - start, B,
+    H)`` view, as the layer above reads its input."""
+
+    def __init__(self, steps: int, batch: int, hidden: int):
+        self.shape = (steps, batch, hidden)
+        self.slots = np.zeros((2, PROJECT_STEPS + 1, batch, hidden))
+
+    def __getitem__(self, block: slice) -> np.ndarray:
+        return self.slots[block.start // PROJECT_STEPS % 2, 1:block.stop - block.start + 1]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The slot of the block that starts at ``start``, from the state
+        before it to its last state."""
+        k = start // PROJECT_STEPS
+        rows = self.slots[k % 2, :stop - start + 1]
+        if k:
+            rows[0] = self.slots[(k - 1) % 2, -1]
+        return rows
+
+
+def lstm_forward(x, w: np.ndarray, b: np.ndarray, training: bool):
     """One LSTM layer over a time-major ``(T, B, in)`` sequence, from zero
-    hidden and cell states.  Returns the hidden state of every step,
-    ``(T, B, H)``, and in training mode the cache :func:`lstm_backward`
-    reads (``None`` otherwise).
+    hidden and cell states, as a generator that runs one block of
+    ``PROJECT_STEPS`` steps per ``next``.
+
+    The first ``next`` allocates every buffer and yields where the hidden
+    states go, with the cache :func:`lstm_backward` reads: in training mode
+    the ``(T, B, H)`` states of every step, in eval mode a :class:`Ring`
+    and ``None``; both fill as the blocks run.  Each later ``next`` runs
+    the next block and yields its ``(steps, B, H)`` hidden states.  A block
+    reads its rows of ``x`` only when it runs, so ``x`` may be the output
+    of the layer below (a ``Ring`` included) while that layer is one block
+    ahead.
 
     ``w (in + H, 4H)`` stacks the input rows over the recurrent rows, and
     its columns (like those of ``b (4H,)``) hold the input, forget,
     candidate and output gates in that order.  The input projection is
     hoisted out of the step loop (Appleyard et al. 2016, arXiv:1604.01946)
-    into one GEMM per block of ``PROJECT_STEPS`` steps.  Both modes run the
-    same GEMMs, so their outputs agree bit for bit (a BLAS may round a row
-    differently with the height of the GEMM it is in, so training does not
-    project all ``T`` steps at once); training keeps every step's gate
-    activations and cell state for the backward, while eval reuses one
-    block of gates and two cell states.
+    into one GEMM per block.  Both modes run the same GEMMs, so their
+    outputs agree bit for bit (a BLAS may round a row differently with the
+    height of the GEMM it is in, so training does not project all ``T``
+    steps at once); training keeps every step's gate activations and cell
+    state for the backward, while eval reuses one block of gates and two
+    cell states.
 
     All four activations of a step are one in-place ``tanh``: σ(z) = ½ +
-    ½·tanh(z/2) for the i, f and o gates, whose columns of the recurrent
-    weight and of ``b`` are halved once per call, and of each projection
-    block once per block; the ``tanh`` is then scaled and shifted by ½ (by
-    1 and 0 for g).  Halving is exact (short of subnormals), so the ``tanh``
-    sees exactly z/2; ±inf gives exactly 1 and 0, and nothing overflows.
+    ½·tanh(z/2) for the i, f and o gates, whose columns of ``w`` and ``b``
+    are halved once per call; the ``tanh`` is then scaled and shifted by ½
+    (by 1 and 0 for g).  Halving is exact (short of subnormals), so the
+    ``tanh`` sees exactly z/2; ±inf gives exactly 1 and 0, and nothing
+    overflows.
     """
     steps, batch, n_in = x.shape
     hidden = b.shape[0] // 4
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
     shift = 1.0 - scale
-    w_x, w_h = w[:n_in], w[n_in:] * scale
+    w_x, w_h = w[:n_in] * scale, w[n_in:] * scale
     b = b * scale
     # a step's row holds its input projection, then its gate activations
     gates = np.empty((steps if training else min(steps, PROJECT_STEPS), batch, 4 * hidden))
-    # hs[t + 1] is step t's hidden state and hs[0] the zero start; cs is indexed
-    # the same way modulo its length, so eval cycles through two cell states
-    hs = np.zeros((steps + 1, batch, hidden))
+    # in training hs[t + 1] is step t's hidden state and hs[0] the zero start;
+    # cs is indexed the same way modulo its length, so eval cycles through two
+    hs = np.zeros((steps + 1, batch, hidden)) if training else Ring(steps, batch, hidden)
     cs = np.zeros((steps + 1 if training else 2, batch, hidden))
     candidate = np.empty((batch, hidden))  # i * g
+    yield (hs[1:], (x, w, gates, hs, cs)) if training else (hs, None)
     for start in range(0, steps, PROJECT_STEPS):
         stop = min(start + PROJECT_STEPS, steps)
         block = gates[start:stop] if training else gates[:stop - start]
         np.matmul(x[start:stop].reshape(-1, n_in), w_x, out=block.reshape(-1, 4 * hidden))
-        block *= scale
-        for t, z in enumerate(block, start):
-            z += hs[t] @ w_h
+        h = hs[start:stop + 1] if training else hs.rows(start, stop)  # h[0]: the state before
+        for j, z in enumerate(block):
+            t = start + j
+            z += h[j] @ w_h
             z += b
             np.tanh(z, out=z)
             z *= scale
             z += shift
             c = np.multiply(z[:, f_], cs[t % len(cs)], out=cs[(t + 1) % len(cs)])
             c += np.multiply(z[:, i_], z[:, g_], out=candidate)
-            np.multiply(z[:, o_], np.tanh(c, out=hs[t + 1]), out=hs[t + 1])
-    return hs[1:], ((x, w, gates, hs, cs) if training else None)
+            np.multiply(z[:, o_], np.tanh(c, out=h[j + 1]), out=h[j + 1])
+        yield h[1:]
 
 
 def lstm_backward(grad: np.ndarray, cache, dw: np.ndarray, db: np.ndarray,

@@ -18,23 +18,28 @@ the affine forward, ``(x.T @ g).T`` for its weight gradient, and
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import RngState, Tensor, lstm_backward, lstm_forward
+from .autodiff import PROJECT_STEPS, RngState, Tensor, lstm_backward, lstm_forward
 from .errors import NumericError
+
+
+def dropout_mask(shape: tuple, p: float, rng: RngState) -> np.ndarray | None:
+    """Inverted dropout's mask: zero with probability ``p``, 1/(1-p)
+    otherwise; ``None`` when ``p`` is 0."""
+    return None if p == 0.0 else (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
 def dropout(x: np.ndarray, p: float, training: bool,
             rng: RngState) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: zero with probability ``p``, scale survivors by
-    1/(1-p).  Returns the output and the mask that scales the gradient on
-    the way back, or ``x`` itself and ``None`` when nothing is dropped."""
-    if not training or p == 0.0:
-        return x, None
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * mask, mask
+    """Inverted dropout.  Returns the output and the mask that scales the
+    gradient on the way back, or ``x`` itself and ``None`` when nothing is
+    dropped."""
+    mask = dropout_mask(x.shape, p, rng) if training else None
+    return (x, None) if mask is None else (x * mask, mask)
 
 
 @dataclass
@@ -119,17 +124,91 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
     cache for :meth:`LstmStack.backward` (``None`` otherwise).
 
     Initial hidden/cell states are zero.  The sequence travels time-major
-    between layers, so in training mode the inter-layer dropout mask is T
-    successive ``(B, h)`` draws from the layer's stream.
+    between layers, and the layers run as a wavefront of 16-step blocks
+    (see :func:`_wavefront`).  In training mode the inter-layer dropout mask
+    is T successive ``(B, h)`` draws from the layer's stream, drawn before
+    the first block and applied block by block.  In eval mode every layer
+    holds its states in a two-block :class:`~droughtcast.autodiff.Ring`,
+    and the top layer's blocks are copied into the output as they finish.
     """
     seq = x.transpose(1, 0, 2).copy()
-    cache = []
+    steps = len(seq)
+    top = stack.num_layers - 1
+    runs, cache = [], []
     for li, layer in enumerate(stack.layers):
-        seq, layer_cache = lstm_forward(seq, layer.w.data, layer.b.data, training)
-        p = stack.dropout_p if li < stack.num_layers - 1 else 0.0
-        seq, mask = dropout(seq, p, training, rng.split(f"lstm_dropout{li}"))
+        run = lstm_forward(seq, layer.w.data, layer.b.data, training)
+        seq, layer_cache = next(run)
+        p = stack.dropout_p if li < top else 0.0
+        mask = dropout_mask(seq.shape, p, rng.split(f"lstm_dropout{li}")) if training else None
+        if mask is not None:
+            dropped = np.empty(seq.shape)
+            run, seq = _each_block(run, dropped, mask), dropped
+        runs.append(run)
         cache.append((layer_cache, mask))
-    return seq.transpose(1, 0, 2).copy(), (cache if training else None)
+    out = np.empty((len(x), steps, stack.hidden_size))
+    runs[-1] = _each_block(runs[-1], out.transpose(1, 0, 2))
+    _wavefront(runs, -(-steps // PROJECT_STEPS))
+    return out, (cache if training else None)
+
+
+def _each_block(run, out: np.ndarray, mask: np.ndarray | None = None):
+    """Run a layer's blocks, each followed by a copy of its hidden states
+    into the same rows of the time-major ``out``, times those rows of
+    ``mask`` if given (elementwise, so the same bits as one product)."""
+    start = 0
+    for block in run:
+        rows = slice(start, start + len(block))
+        if mask is None:
+            out[rows] = block
+        else:
+            np.multiply(block, mask[rows], out=out[rows])
+        start = rows.stop
+        yield
+
+
+_pool = (0, None)  # (workers, executor): the wavefront's threads, built on first use
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers do not exist here."""
+    global _pool
+    _pool = (0, None)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _wavefront(runs: list, blocks: int) -> None:
+    """Run every layer's ``blocks`` blocks, block k of layer l in diagonal
+    l + k.  Block k of layer l needs block k of the layer below and block
+    k - 1 of its own layer, both from the diagonal before, so the blocks of
+    one diagonal are independent: this thread runs one of them (and any the
+    workers cannot take), ``min(layers, CPUs) - 1`` pool threads the rest,
+    and all are done before the next diagonal starts.  A block runs the
+    same GEMMs whichever thread runs it, so the bits do not depend on the
+    worker count; one layer, or one CPU, starts no thread."""
+    global _pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(runs), cpus or 1) - 1
+    if workers > _pool[0]:
+        from concurrent.futures import ThreadPoolExecutor  # lazily: not on the CLI's import path
+
+        if _pool[1] is not None:
+            _pool[1].shutdown()  # its threads end before the new pool's start
+        _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="lstm-wavefront"))
+    pool = _pool[1]
+    for diagonal in range(len(runs) + blocks - 1):
+        ready = runs[max(0, diagonal - blocks + 1):diagonal + 1]
+        futures = [pool.submit(next, run) for run in ready[1:workers + 1]]
+        try:
+            for run in ready[:1] + ready[workers + 1:]:
+                next(run)
+        finally:
+            for future in futures:
+                future.result()
+        if diagonal >= blocks - 1:
+            ready[0].close()  # its last block is done: free its buffers
 
 
 @dataclass

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droughtcast.autodiff import Tensor
+from droughtcast.autodiff import Tensor, lstm_forward
 from droughtcast.data import DailySeries, Normalizer, SampleSet, StaticTable
 from droughtcast.layers import (
     AffineLayer,
@@ -120,6 +120,15 @@ def new_table(vocab_size, dim, rng):
 def new_affine(in_size, out_size, rng, relu=False):
     return AffineLayer(uniform(rng, in_size, out_size, in_size), uniform(rng, in_size, out_size),
                        relu)
+
+
+def drain_layer(x, w, b, training):
+    """``(hidden states (T, B, H), cache)`` of one LSTM layer over the whole
+    of ``x``: its block generator run to the end on this thread, with a copy
+    of each block it yields (eval mode reuses two blocks of rows)."""
+    run = lstm_forward(x, w, b, training)
+    _, cache = next(run)
+    return np.concatenate([block.copy() for block in run]), cache
 
 
 def new_lstm(num_layers, input_size, hidden_size, rng, dropout_p=0.0):

@@ -1,7 +1,13 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from conftest import (
     attend_reference,
+    drain_layer,
     new_affine,
     new_head,
     new_lstm,
@@ -12,7 +18,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtcast.autodiff import RngState, Tensor, grad_check, lstm_backward, lstm_forward
+from droughtcast.autodiff import RngState, Tensor, grad_check, lstm_backward
 from droughtcast.errors import NumericError
 from droughtcast.layers import (
     AffineLayer,
@@ -357,7 +363,7 @@ def test_lstm_input_gradient_matches_finite_differences():
     x = Tensor(RngState(54).uniform(-1, 1, (4, 2, 2)))
 
     def fn():
-        out, cache = lstm_forward(x.data, layer.w.data, layer.b.data, training=True)
+        out, cache = drain_layer(x.data, layer.w.data, layer.b.data, training=True)
         x.grad = lstm_backward(np.ones_like(out), cache, layer.w.grad, layer.b.grad,
                                input_grad=True)
         return out.sum()
@@ -375,6 +381,98 @@ def test_lstm_dropout_mask_is_successive_per_step_draws():
     stream = RngState(62).split("lstm_dropout0")
     mask = np.stack([(stream.random((batch, hidden)) >= p) / (1.0 - p) for _ in range(steps)])
     (w0, b0), (w1, b1) = ((layer.w.data, layer.b.data) for layer in stack.layers)
-    lower, _ = lstm_forward(x.transpose(1, 0, 2).copy(), w0, b0, training=False)
-    upper, _ = lstm_forward(lower * mask, w1, b1, training=False)
+    lower, _ = drain_layer(x.transpose(1, 0, 2).copy(), w0, b0, training=False)
+    upper, _ = drain_layer(lower * mask, w1, b1, training=False)
     np.testing.assert_array_equal(out, upper.transpose(1, 0, 2))
+
+
+def layer_by_layer(stack, x, rng, training):
+    """:func:`lstm_states` without the wavefront: each layer's block
+    generator drained whole on this thread, then the dropout of its whole
+    output, before the layer above starts."""
+    seq, cache = x.transpose(1, 0, 2).copy(), []
+    for li, layer in enumerate(stack.layers):
+        seq, layer_cache = drain_layer(seq, layer.w.data, layer.b.data, training)
+        p = stack.dropout_p if li < stack.num_layers - 1 else 0.0
+        seq, mask = dropout(seq, p, training, rng.split(f"lstm_dropout{li}"))
+        cache.append((layer_cache, mask))
+    return seq.transpose(1, 0, 2).copy(), (cache if training else None)
+
+
+def assert_same_bits(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.int64),
+                                      np.ascontiguousarray(b).view(np.int64))
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Threads switch every microsecond, so the wavefront's blocks interleave
+    at many more points than at the default 5 ms."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 33, 40])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_wavefront_matches_the_layers_one_after_another_bit_for_bit(layers, steps, batch,
+                                                                    short_switch_interval):
+    stack = new_lstm(layers, 3, 4, RngState(70 + layers), dropout_p=0.4)
+    x = RngState(71).uniform(-2, 2, (batch, steps, 3))
+    out, cache = lstm_states(stack, x, RngState(72), training=False)
+    reference, _ = layer_by_layer(stack, x, RngState(72), training=False)
+    assert cache is None
+    assert_same_bits(out, reference)
+
+    out, cache = lstm_states(stack, x, RngState(73), training=True)
+    reference, reference_cache = layer_by_layer(stack, x, RngState(73), training=True)
+    assert_same_bits(out, reference)
+    for (layer_cache, mask), (want_cache, want_mask) in zip(cache, reference_cache):
+        assert_same_bits(mask, want_mask)
+        for got, want in zip(layer_cache, want_cache):
+            assert_same_bits(got, want)
+    grad = RngState(74).uniform(-1, 1, out.shape)
+    grads = []
+    for run_cache in (cache, reference_cache):
+        stack.backward(grad, run_cache)
+        grads.append([t.grad.copy() for layer in stack.layers for t in (layer.w, layer.b)])
+    for got, want in zip(*grads):
+        assert_same_bits(got, want)
+
+
+def test_wavefront_starts_at_most_one_thread_per_spare_cpu():
+    cpus = len(os.sched_getaffinity(0))
+    x = RngState(75).uniform(-1, 1, (2, 40, 3))
+    before = threading.active_count()
+    lstm_states(new_lstm(1, 3, 4, RngState(76)), x, RngState(0), training=False)
+    assert threading.active_count() == before
+    lstm_states(new_lstm(3, 3, 4, RngState(77)), x, RngState(0), training=True)
+    assert threading.active_count() - before <= cpus - 1
+    workers = [t for t in threading.enumerate() if t.name.startswith("lstm-wavefront")]
+    assert len(workers) <= cpus - 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_runs_the_wavefront_without_the_parents_threads():
+    stack = new_lstm(2, 3, 4, RngState(78))
+    x = RngState(79).uniform(-1, 1, (2, 40, 3))
+    want, _ = lstm_states(stack, x, RngState(0), training=False)  # the pool exists from here
+    pid = os.fork()
+    if pid == 0:
+        got, _ = lstm_states(stack, x, RngState(0), training=False)
+        os._exit(0 if np.array_equal(got, want) else 1)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the forked child hung"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
