@@ -130,42 +130,83 @@ def lstm_forward(x, w: np.ndarray, b: np.ndarray, training: bool):
         yield h[1:]
 
 
-def lstm_backward(grad: np.ndarray, cache, dw: np.ndarray, db: np.ndarray,
-                  input_grad: bool) -> np.ndarray | None:
+def lstm_backward(grad: np.ndarray, mask: np.ndarray | None, cache, dw: np.ndarray,
+                  db: np.ndarray, input_grad: bool):
     """Backpropagation through time over the saved gate activations and
-    cell states, given the gradient of every step's hidden state
-    ``(T, B, H)``.  Writes the weight gradient into ``dw``, as two GEMMs
-    over all ``T*B`` rows (its input rows, then its recurrent rows), and
-    the bias gradient into ``db``; returns ``dx`` if ``input_grad``."""
+    cell states, as a generator that runs one block of ``PROJECT_STEPS``
+    steps per ``next``, last block first.
+
+    ``grad (T, B, H)`` is the gradient of every step's hidden state or,
+    given the layer's dropout ``mask``, of its dropped output, which each
+    block multiplies by its rows of ``mask``.  A block reads its rows of
+    ``grad`` only when it runs, so ``grad`` may be the input gradient of
+    the layer above while that layer is one block ahead.
+
+    The first ``next`` allocates the layer's buffers and yields the input
+    gradient ``dx (T, B, in)``, which fills as the blocks run (``None``
+    unless ``input_grad``).  Each later ``next`` runs the next block back,
+    taking ``tanh(c)``, the output gate's ``dc`` factor and the activation
+    derivatives for that block only, forms the block's rows of ``dx`` with
+    one GEMM over its rows of ``dz``, and writes those over the block's
+    gate activations, spent from then on (the cache is used up).  The
+    ``next`` after the first block writes the weight gradient into ``dw``,
+    as two GEMMs over all ``T*B`` rows of ``dz`` (its input rows, then its
+    recurrent rows), and the bias gradient into ``db``, and ends the
+    generator.
+
+    ``dw`` and ``db`` have the bits of one whole backward for a given
+    ``dz``, and ``dx`` has them when ``T <= PROJECT_STEPS``; over more steps
+    the BLAS may round a block's rows of ``dx`` differently from the same
+    rows of one ``(T*B, 4H)`` GEMM, a last-bit change in the gradients of
+    every layer below the top.
+    """
     x, w, gates, hs, cs = cache
     steps, batch, n_in = x.shape
     hidden = hs.shape[2]
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     w_x, w_h = w[:n_in], w[n_in:]
-    tanh_c = np.tanh(cs[1:])
-    out_gate = gates[:, :, o_]
-    dc_from_h = out_gate * (1.0 - tanh_c * tanh_c)
-    # local derivatives of the activations, scaled in place into dz
-    dz = 1.0 - gates
-    dz *= gates
-    dz[:, :, g_] = 1.0 - gates[:, :, g_] * gates[:, :, g_]
+    dx = np.empty(x.shape) if input_grad else None
+    # one block's dz, tanh(c), dc_from_h and masked grad
+    dz = np.empty((min(steps, PROJECT_STEPS), batch, 4 * hidden))
+    tanh_c, dc_from_h, masked = np.empty((3,) + dz.shape[:2] + (hidden,))
     dh = np.zeros((batch, hidden))
     dc = np.zeros((batch, hidden))
-    for t in range(steps - 1, -1, -1):
-        a, d = gates[t], dz[t]
-        dh += grad[t]
-        dc += dh * dc_from_h[t]
-        d[:, i_] *= dc * a[:, g_]
-        d[:, f_] *= dc * cs[t]
-        d[:, g_] *= dc * a[:, i_]
-        d[:, o_] *= dh * tanh_c[t]
-        dc *= a[:, f_]
-        dh = d @ w_h.T
-    dz = dz.reshape(steps * batch, 4 * hidden)
+    yield dx
+    for start in reversed(range(0, steps, PROJECT_STEPS)):
+        stop = min(start + PROJECT_STEPS, steps)
+        rows = stop - start
+        block, dz_block = gates[start:stop], dz[:rows]
+        g = grad[start:stop]
+        if mask is not None:
+            g = np.multiply(g, mask[start:stop], out=masked[:rows])
+        tc = np.tanh(cs[start + 1:stop + 1], out=tanh_c[:rows])
+        from_h = np.multiply(tc, tc, out=dc_from_h[:rows])
+        np.subtract(1.0, from_h, out=from_h)
+        from_h *= block[:, :, o_]
+        # local derivatives of the activations, scaled in place into dz
+        np.subtract(1.0, block, out=dz_block)
+        dz_block *= block
+        np.multiply(block[:, :, g_], block[:, :, g_], out=dz_block[:, :, g_])
+        np.subtract(1.0, dz_block[:, :, g_], out=dz_block[:, :, g_])
+        for j in range(rows - 1, -1, -1):
+            a, d = block[j], dz_block[j]
+            dh += g[j]
+            dc += dh * from_h[j]
+            d[:, i_] *= dc * a[:, g_]
+            d[:, f_] *= dc * cs[start + j]
+            d[:, g_] *= dc * a[:, i_]
+            d[:, o_] *= dh * tc[j]
+            dc *= a[:, f_]
+            dh = d @ w_h.T
+        if input_grad:
+            np.matmul(dz_block.reshape(-1, 4 * hidden), w_x.T,
+                      out=dx[start:stop].reshape(-1, n_in))
+        block[...] = dz_block  # the block's gates are spent: dz takes their place
+        yield
+    dz = gates.reshape(steps * batch, 4 * hidden)
     np.matmul(x.reshape(steps * batch, n_in).T, dz, out=dw[:n_in])
     np.matmul(hs[:-1].reshape(steps * batch, hidden).T, dz, out=dw[n_in:])
     dz.sum(axis=0, out=db)
-    return (dz @ w_x.T).reshape(x.shape) if input_grad else None
 
 
 class RngState(np.random.Generator):

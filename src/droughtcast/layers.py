@@ -107,14 +107,20 @@ class LstmStack:
 
     def backward(self, grad: np.ndarray, cache: list) -> None:
         """Parameter gradients from the gradient of :func:`lstm_states`'
-        output ``(B, T, h)``.  Consumes ``cache`` top layer first, so each
-        layer's activations are freed once its backward is done."""
+        output ``(B, T, h)``.  The layers' reverse passes run as a wavefront
+        of 16-step blocks, top layer first (see :func:`_wavefront`), each
+        layer one block behind the layer above, whose input gradient it
+        reads; :func:`~droughtcast.autodiff.lstm_backward` says which bits
+        that changes.  Consumes ``cache`` top layer first, and each layer's
+        activations are freed once its backward is done."""
         grad = grad.transpose(1, 0, 2)
+        steps, runs = len(grad), []
         for li, layer in reversed(list(enumerate(self.layers))):
             layer_cache, mask = cache.pop()
-            if mask is not None:
-                grad = grad * mask
-            grad = lstm_backward(grad, layer_cache, layer.w.grad, layer.b.grad, li > 0)
+            run = lstm_backward(grad, mask, layer_cache, layer.w.grad, layer.b.grad, li > 0)
+            grad = next(run)
+            runs.append(run)
+        _wavefront(runs, -(-steps // PROJECT_STEPS))
 
 
 def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
@@ -180,14 +186,19 @@ if hasattr(os, "register_at_fork"):
 
 
 def _wavefront(runs: list, blocks: int) -> None:
-    """Run every layer's ``blocks`` blocks, block k of layer l in diagonal
-    l + k.  Block k of layer l needs block k of the layer below and block
-    k - 1 of its own layer, both from the diagonal before, so the blocks of
-    one diagonal are independent: this thread runs one of them (and any the
-    workers cannot take), ``min(layers, CPUs) - 1`` pool threads the rest,
-    and all are done before the next diagonal starts.  A block runs the
-    same GEMMs whichever thread runs it, so the bits do not depend on the
-    worker count; one layer, or one CPU, starts no thread."""
+    """Run every run's ``blocks`` blocks, block k of ``runs[l]`` in diagonal
+    l + k, then each run's tail: what its generator does after its last
+    block (the backward's weight GEMMs; nothing in the forward).  Block k
+    of ``runs[l]`` needs block k of ``runs[l - 1]`` and block k - 1 of its
+    own run, both from the diagonal before, so the blocks of one diagonal
+    are independent: this thread runs one of them (and any the workers
+    cannot take), ``min(layers, CPUs) - 1`` pool threads the rest, and all
+    are done before the next diagonal starts.  A tail waits for no
+    diagonal: it goes to a worker that the next diagonal leaves free, and
+    the tails left when the last diagonal is done run on this thread.  A
+    block or tail runs the same GEMMs whichever thread runs it, so the bits
+    do not depend on the worker count; one layer, or one CPU, starts no
+    thread."""
     global _pool
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(runs), cpus or 1) - 1
@@ -198,17 +209,28 @@ def _wavefront(runs: list, blocks: int) -> None:
             _pool[1].shutdown()  # its threads end before the new pool's start
         _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="lstm-wavefront"))
     pool = _pool[1]
-    for diagonal in range(len(runs) + blocks - 1):
-        ready = runs[max(0, diagonal - blocks + 1):diagonal + 1]
-        futures = [pool.submit(next, run) for run in ready[1:workers + 1]]
-        try:
-            for run in ready[:1] + ready[workers + 1:]:
-                next(run)
-        finally:
-            for future in futures:
-                future.result()
-        if diagonal >= blocks - 1:
-            ready[0].close()  # its last block is done: free its buffers
+    finished, tails = [], []  # runs past their last block; futures of the tails on the pool
+    try:
+        for diagonal in range(len(runs) + blocks - 1):
+            ready = runs[max(0, diagonal - blocks + 1):diagonal + 1]
+            free = workers - sum(not tail.done() for tail in tails)
+            futures = [pool.submit(next, run) for run in ready[1:free + 1]]
+            spare = max(0, free + 1 - len(ready))
+            tails += [pool.submit(next, run, None) for run in finished[:spare]]
+            del finished[:spare]
+            try:
+                for run in ready[:1] + ready[free + 1:]:
+                    next(run)
+            finally:
+                for future in futures:
+                    future.result()
+            if diagonal >= blocks - 1:
+                finished.append(ready[0])  # its last block is done
+        for run in finished:
+            next(run, None)
+    finally:
+        for tail in tails:
+            tail.result()
 
 
 @dataclass

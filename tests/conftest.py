@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droughtcast.autodiff import Tensor, lstm_forward
+from droughtcast.autodiff import Tensor, lstm_backward, lstm_forward
 from droughtcast.data import DailySeries, Normalizer, SampleSet, StaticTable
 from droughtcast.layers import (
     AffineLayer,
@@ -129,6 +129,18 @@ def drain_layer(x, w, b, training):
     run = lstm_forward(x, w, b, training)
     _, cache = next(run)
     return np.concatenate([block.copy() for block in run]), cache
+
+
+def drain_layer_backward(grad, mask, cache, dw, db, input_grad):
+    """The input gradient ``(T, B, in)`` of one LSTM layer (``None`` unless
+    ``input_grad``), with its weight and bias gradients written into ``dw``
+    and ``db``: its backward block generator run to the end on this
+    thread."""
+    run = lstm_backward(grad, mask, cache, dw, db, input_grad)
+    dx = next(run)
+    for _ in run:
+        pass
+    return dx
 
 
 def new_lstm(num_layers, input_size, hidden_size, rng, dropout_p=0.0):

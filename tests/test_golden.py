@@ -7,6 +7,12 @@ takes all four gate activations from one ``tanh`` (σ(z) = ½ + ½·tanh(z/2)).
 Any rewrite of the forward or backward passes must keep every
 parameter and every prediction bit-identical, and any rewrite of the parse
 or the normalizer every file that ingest writes.
+
+The training digests train at T=6, one 16-step block, so they still hold
+since the LSTM backward forms each block's input gradient with a GEMM of
+its own: over one block that GEMM is the whole one, while over longer
+windows it may round the gradients below the top layer differently in the
+last bit.  The predict digests run forwards only.
 """
 
 import hashlib

@@ -2,12 +2,14 @@ import os
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 from conftest import (
     attend_reference,
     drain_layer,
+    drain_layer_backward,
     new_affine,
     new_head,
     new_lstm,
@@ -18,7 +20,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtcast.autodiff import RngState, Tensor, grad_check, lstm_backward
+from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.errors import NumericError
 from droughtcast.layers import (
     AffineLayer,
@@ -347,25 +349,28 @@ def test_embedding_gradient_passes_check_with_repeated_codes():
     assert not table.weights.grad[1].any()  # a code never taken gets no gradient
 
 
-def test_lstm_gradients_pass_check_at_small_dims():
-    # a frozen inter-layer dropout mask: the stream is recreated on every call
-    stack = new_lstm(2, 2, 3, RngState(50), dropout_p=0.3)
-    x = RngState(51).uniform(-1, 1, (2, 4, 2))
+@pytest.mark.parametrize("layers, steps", [(2, 4), (3, 17), (3, 33)])
+def test_lstm_gradients_pass_check_at_small_dims(layers, steps):
+    # a frozen inter-layer dropout mask: the stream is recreated on every call;
+    # 17 and 33 steps cross one and two block boundaries of the reverse wavefront
+    stack = new_lstm(layers, 2, 3, RngState(50), dropout_p=0.3)
+    x = RngState(51).uniform(-1, 1, (2, steps, 2))
     forward = lambda: lstm_states(stack, x, RngState(52), training=True)
     report = grad_check(sum_with_backward(forward, stack.backward), tensors(stack),
                         tolerance=1e-4)
     assert report.ok, report.per_input
 
 
-def test_lstm_input_gradient_matches_finite_differences():
+@pytest.mark.parametrize("steps", [4, 17])
+def test_lstm_input_gradient_matches_finite_differences(steps):
     stack = new_lstm(1, 2, 3, RngState(53))
     layer = stack.layers[0]
-    x = Tensor(RngState(54).uniform(-1, 1, (4, 2, 2)))
+    x = Tensor(RngState(54).uniform(-1, 1, (steps, 2, 2)))
 
     def fn():
         out, cache = drain_layer(x.data, layer.w.data, layer.b.data, training=True)
-        x.grad = lstm_backward(np.ones_like(out), cache, layer.w.grad, layer.b.grad,
-                               input_grad=True)
+        x.grad = drain_layer_backward(np.ones_like(out), None, cache, layer.w.grad,
+                                      layer.b.grad, input_grad=True)
         return out.sum()
 
     report = grad_check(fn, {"x": x}, tolerance=1e-4)
@@ -397,6 +402,19 @@ def layer_by_layer(stack, x, rng, training):
         seq, mask = dropout(seq, p, training, rng.split(f"lstm_dropout{li}"))
         cache.append((layer_cache, mask))
     return seq.transpose(1, 0, 2).copy(), (cache if training else None)
+
+
+def backward_layer_by_layer(stack, grad, cache):
+    """:meth:`LstmStack.backward` without the wavefront: each layer's
+    gradient multiplied by its whole dropout mask, then its backward
+    generator drained whole on this thread, weight GEMMs included, before
+    the layer below starts."""
+    grad = grad.transpose(1, 0, 2)
+    for li, layer in reversed(list(enumerate(stack.layers))):
+        layer_cache, mask = cache.pop()
+        if mask is not None:
+            grad = grad * mask
+        grad = drain_layer_backward(grad, None, layer_cache, layer.w.grad, layer.b.grad, li > 0)
 
 
 def assert_same_bits(a, b):
@@ -440,20 +458,34 @@ def test_wavefront_matches_the_layers_one_after_another_bit_for_bit(layers, step
             assert_same_bits(got, want)
     grad = RngState(74).uniform(-1, 1, out.shape)
     grads = []
-    for run_cache in (cache, reference_cache):
-        stack.backward(grad, run_cache)
-        grads.append([t.grad.copy() for layer in stack.layers for t in (layer.w, layer.b)])
+    for backward, run_cache in ((stack.backward, cache),
+                                (partial(backward_layer_by_layer, stack), reference_cache)):
+        for t in tensors(stack).values():
+            t.grad[...] = np.nan  # every gradient must be written
+        backward(grad, run_cache)
+        grads.append([t.grad.copy() for t in tensors(stack).values()])
+    assert len(grads[0]) == 2 * layers
     for got, want in zip(*grads):
         assert_same_bits(got, want)
+
+
+def forward_and_backward(stack, x):
+    """A training forward of ``stack`` over ``x`` and its backward from a
+    seeded output gradient; returns the output and every gradient."""
+    out, cache = lstm_states(stack, x, RngState(0), training=True)
+    stack.backward(RngState(1).uniform(-1, 1, out.shape), cache)
+    return [out] + [t.grad.copy() for t in tensors(stack).values()]
 
 
 def test_wavefront_starts_at_most_one_thread_per_spare_cpu():
     cpus = len(os.sched_getaffinity(0))
     x = RngState(75).uniform(-1, 1, (2, 40, 3))
     before = threading.active_count()
-    lstm_states(new_lstm(1, 3, 4, RngState(76)), x, RngState(0), training=False)
+    one_layer = new_lstm(1, 3, 4, RngState(76), dropout_p=0.4)
+    lstm_states(one_layer, x, RngState(0), training=False)
+    forward_and_backward(one_layer, x)
     assert threading.active_count() == before
-    lstm_states(new_lstm(3, 3, 4, RngState(77)), x, RngState(0), training=True)
+    forward_and_backward(new_lstm(3, 3, 4, RngState(77), dropout_p=0.4), x)
     assert threading.active_count() - before <= cpus - 1
     workers = [t for t in threading.enumerate() if t.name.startswith("lstm-wavefront")]
     assert len(workers) <= cpus - 1
@@ -461,13 +493,17 @@ def test_wavefront_starts_at_most_one_thread_per_spare_cpu():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_runs_the_wavefront_without_the_parents_threads():
-    stack = new_lstm(2, 3, 4, RngState(78))
+    stack = new_lstm(2, 3, 4, RngState(78), dropout_p=0.4)
     x = RngState(79).uniform(-1, 1, (2, 40, 3))
     want, _ = lstm_states(stack, x, RngState(0), training=False)  # the pool exists from here
+    want_trained = forward_and_backward(stack, x)
     pid = os.fork()
     if pid == 0:
         got, _ = lstm_states(stack, x, RngState(0), training=False)
-        os._exit(0 if np.array_equal(got, want) else 1)
+        got_trained = forward_and_backward(stack, x)
+        same = np.array_equal(got, want) and all(
+            np.array_equal(a, b) for a, b in zip(got_trained, want_trained))
+        os._exit(0 if same else 1)
     deadline = time.monotonic() + 30
     while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
         time.sleep(0.01)
