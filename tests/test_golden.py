@@ -23,8 +23,9 @@ import pytest
 
 from droughtcast.autodiff import RngState
 from droughtcast.cli import ABLATION_SETTINGS, main
-from conftest import window_set
+from conftest import new_lstm, tensors, window_set
 from droughtcast.data import SampleSet
+from droughtcast.layers import lstm_states
 from droughtcast.model import HybridModel, ModelConfig
 from droughtcast.synthetic import make_dataset
 from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict, save_checkpoint
@@ -235,3 +236,54 @@ def test_explicit_split_ingest_bytes_match_the_recorded_run(tmp_path, keys):
     golden = EXPLICIT_INGEST_GOLDEN[keys]
     assert {name: hashlib.sha256((out / "ingest" / name).read_bytes()).hexdigest()
             for name in golden} == golden
+
+
+# (layers, T): sha256 of a bare LSTM stack's training forward (output, then
+# each layer's cache arrays and dropout mask), of every w/b gradient of its
+# backward, and of its eval forward's output; B=3, dropout 0.4.  T=40 and
+# T=180 run 3 and 12 16-step blocks per layer, and the 4-layer stack has
+# more layers than the machine that recorded them had CPUs
+LSTM_STACK_GOLDEN = {
+    (2, 40): (
+        "7667fb10ebd823aaf4adbc255fba28142e7cb4804da92c9427fa63a593b608c0",
+        "7471bcb86383403ffc5b129ea40c0e420fa37b84a665a84e54c1035fd7a83f6c",
+        "89addb1e3ff04908b927d01704ea45d34c96a82559f4c49e0b3f6ca8b4e1d437",
+    ),
+    (2, 180): (
+        "7f4eba7552f67e3bf1e910465af0bf2d44f19becaea497366e751f2dceee9a72",
+        "fb8a0680132f3c11769f6c8f4c14a270d6d4cf6700bc4e6787ec188415759cd0",
+        "5c404557e4584e19cd71a09bfa8a243399d7a1fad6f8a5d723518051f30c90d3",
+    ),
+    (4, 40): (
+        "4bc8e3dd1675e0e54684d43206a94077afbde359a3c86d2139e691f59e2a4474",
+        "e38559743f46c1124f4f27dc58b30f756a9f61a1fd984a407aa2bbbf067ce263",
+        "c62379c49ab5f136e65d8444e1ccb446bd41f20a4b7012693fe81bf034ae65fe",
+    ),
+    (4, 180): (
+        "f959fee1338fcfa8d23231fd44a842e74bf53d487745228dacb695069559dd10",
+        "95af49245c5bf0206de0b27207e9a64d30786d37c1f26152e4d3ca649ac0b768",
+        "2df69093d5afc5330e893f28d973f0cedf0ad5fcae7644ba2ef43860faed05a0",
+    ),
+}
+
+
+def lstm_stack_digests(layers: int, steps: int) -> tuple[str, str, str]:
+    """The three digests of ``LSTM_STACK_GOLDEN[layers, steps]``."""
+    stack = new_lstm(layers, 4, 7, RngState(90 + layers), dropout_p=0.4)
+    x = RngState(91).uniform(-2, 2, (3, steps, 4))
+    out, cache = lstm_states(stack, x, RngState(92), training=True)
+    arrays = [("out", out)]
+    for li, (layer_cache, mask) in enumerate(cache):
+        arrays += [(f"{li}.{name}", a) for name, a in zip(("x", "w", "gates", "hs", "cs"),
+                                                          layer_cache)]
+        arrays += [(f"{li}.mask", mask)] if mask is not None else []
+    trained = _digest(arrays)
+    stack.backward(RngState(93).uniform(-1, 1, out.shape), cache)
+    grads = _digest((name, t.grad) for name, t in tensors(stack).items())
+    out, _ = lstm_states(stack, x, RngState(94), training=False)
+    return trained, grads, _digest([("out", out)])
+
+
+@pytest.mark.parametrize("layers, steps", sorted(LSTM_STACK_GOLDEN))
+def test_lstm_stack_bits_match_the_recorded_run(layers, steps):
+    assert lstm_stack_digests(layers, steps) == LSTM_STACK_GOLDEN[layers, steps]
