@@ -18,8 +18,8 @@ __all__ = [
     "Tensor",
     "RngState",
     "Ring",
-    "lstm_forward",
-    "lstm_backward",
+    "LstmForward",
+    "LstmBackward",
     "grad_check",
     "GradCheckReport",
 ]
@@ -37,7 +37,7 @@ class Tensor:
         self.grad = np.zeros(self.data.shape) if grad is None else grad
 
 
-PROJECT_STEPS = 16  # steps per input-projection GEMM: one block of the wavefront
+PROJECT_STEPS = 16  # steps per input-projection GEMM: one block of a layer's tasks
 
 
 class Ring:
@@ -65,122 +65,159 @@ class Ring:
         return rows
 
 
-def lstm_forward(x, w: np.ndarray, b: np.ndarray, training: bool):
-    """One LSTM layer over a time-major ``(T, B, in)`` sequence, from zero
-    hidden and cell states, as a generator that runs one block of
-    ``PROJECT_STEPS`` steps per ``next``.
+class LstmForward:
+    """One LSTM layer's forward over a time-major ``(T, B, in)`` sequence
+    ``x``, from zero hidden and cell states, as tasks for a task graph:
+    :meth:`start`, then per block of ``PROJECT_STEPS`` steps :meth:`project`
+    (the block's input projection, one GEMM; Appleyard et al. 2016,
+    arXiv:1604.01946) and :meth:`step` (the recurrence).
 
-    The first ``next`` allocates every buffer and yields where the hidden
-    states go, with the cache :func:`lstm_backward` reads: in training mode
-    the ``(T, B, H)`` states of every step, in eval mode a :class:`Ring`
-    and ``None``; both fill as the blocks run.  Each later ``next`` runs
-    the next block and yields its ``(steps, B, H)`` hidden states.  A block
-    reads its rows of ``x`` only when it runs, so ``x`` may be the output
-    of the layer below (a ``Ring`` included) while that layer is one block
-    ahead.
+    The constructor allocates every buffer (uninitialised where the tasks
+    write every element, so it costs microseconds on the calling thread)
+    and sets ``states``, where the hidden states go (the ``(T, B, H)``
+    states of every step in training mode, a :class:`Ring` in eval mode),
+    and ``cache``, what :class:`LstmBackward` reads (``None`` in eval
+    mode); both fill as the blocks run.  :meth:`start` must run before any
+    other task, block k's projection before its step, and the steps in
+    order.  A projection reads its rows of ``x`` only when it runs, so
+    ``x`` may be the ``states`` of the layer below (a ``Ring`` included)
+    while that layer is running.  Training keeps every step's gate
+    activations and cell state for the backward, so its projections may
+    run ahead of the steps; eval mode reuses one block of gate rows and two
+    cell states, so block k's projection must wait for step k - 1.
 
     ``w (in + H, 4H)`` stacks the input rows over the recurrent rows, and
     its columns (like those of ``b (4H,)``) hold the input, forget,
-    candidate and output gates in that order.  The input projection is
-    hoisted out of the step loop (Appleyard et al. 2016, arXiv:1604.01946)
-    into one GEMM per block.  Both modes run the same GEMMs, so their
-    outputs agree bit for bit (a BLAS may round a row differently with the
-    height of the GEMM it is in, so training does not project all ``T``
-    steps at once); training keeps every step's gate activations and cell
-    state for the backward, while eval reuses one block of gates and two
-    cell states.
+    candidate and output gates in that order.  Both modes run the same
+    GEMMs, so their outputs agree bit for bit (a BLAS may round a row
+    differently with the height of the GEMM it is in, so training does not
+    project all ``T`` steps at once).
 
     All four activations of a step are one in-place ``tanh``: σ(z) = ½ +
     ½·tanh(z/2) for the i, f and o gates, whose columns of ``w`` and ``b``
-    are halved once per call; the ``tanh`` is then scaled and shifted by ½
-    (by 1 and 0 for g).  Halving is exact (short of subnormals), so the
-    ``tanh`` sees exactly z/2; ±inf gives exactly 1 and 0, and nothing
-    overflows.
+    are halved once per forward, by :meth:`start`; the ``tanh`` is then
+    scaled and shifted by ½ (by 1 and 0 for g).  Halving is exact (short of
+    subnormals), so the ``tanh`` sees exactly z/2; ±inf gives exactly 1 and
+    0, and nothing overflows.
     """
-    steps, batch, n_in = x.shape
-    hidden = b.shape[0] // 4
-    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
-    shift = 1.0 - scale
-    w_x, w_h = w[:n_in] * scale, w[n_in:] * scale
-    b = b * scale
-    # a step's row holds its input projection, then its gate activations
-    gates = np.empty((steps if training else min(steps, PROJECT_STEPS), batch, 4 * hidden))
-    # in training hs[t + 1] is step t's hidden state and hs[0] the zero start;
-    # cs is indexed the same way modulo its length, so eval cycles through two
-    hs = np.zeros((steps + 1, batch, hidden)) if training else Ring(steps, batch, hidden)
-    cs = np.zeros((steps + 1 if training else 2, batch, hidden))
-    candidate = np.empty((batch, hidden))  # i * g
-    yield (hs[1:], (x, w, gates, hs, cs)) if training else (hs, None)
-    for start in range(0, steps, PROJECT_STEPS):
-        stop = min(start + PROJECT_STEPS, steps)
-        block = gates[start:stop] if training else gates[:stop - start]
-        np.matmul(x[start:stop].reshape(-1, n_in), w_x, out=block.reshape(-1, 4 * hidden))
-        h = hs[start:stop + 1] if training else hs.rows(start, stop)  # h[0]: the state before
+
+    def __init__(self, x, w: np.ndarray, b: np.ndarray, training: bool):
+        steps, batch, n_in = x.shape
+        hidden = b.shape[0] // 4
+        self.x, self.w, self.b, self.steps, self.n_in = x, w, b, steps, n_in
+        self.training = training
+        self.scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+        self.shift = 1.0 - self.scale
+        # a step's row holds its input projection, then its gate activations
+        self.gates = np.empty((steps if training else min(steps, PROJECT_STEPS), batch,
+                               4 * hidden))
+        # in training hs[t + 1] is step t's hidden state and hs[0] the zero start;
+        # cs is indexed the same way modulo its length, so eval cycles through two
+        if training:
+            self.hs, self.cs = np.empty((2, steps + 1, batch, hidden))
+            self.hs[0] = self.cs[0] = 0.0
+        else:
+            self.hs, self.cs = Ring(steps, batch, hidden), np.zeros((2, batch, hidden))
+        self.candidate = np.empty((batch, hidden))  # i * g
+        self.product = np.empty((batch, 4 * hidden))  # h @ w_h of one step
+        self.w_scaled, self.b_scaled = np.empty(w.shape), np.empty(b.shape)
+        self.states = self.hs[1:] if training else self.hs
+        self.cache = (x, w, self.gates, self.hs, self.cs) if training else None
+
+    def start(self) -> None:
+        """The halved copies of ``w`` and ``b``."""
+        np.multiply(self.w, self.scale, out=self.w_scaled)
+        np.multiply(self.b, self.scale, out=self.b_scaled)
+
+    def _block(self, start: int) -> tuple[slice, np.ndarray]:
+        rows = slice(start, min(start + PROJECT_STEPS, self.steps))
+        return rows, self.gates[rows] if self.training else self.gates[:rows.stop - start]
+
+    def project(self, start: int) -> None:
+        """The input projection of the block that starts at step ``start``."""
+        rows, block = self._block(start)
+        np.matmul(self.x[rows].reshape(-1, self.n_in), self.w_scaled[:self.n_in],
+                  out=block.reshape(-1, block.shape[2]))
+
+    def step(self, start: int) -> np.ndarray:
+        """The recurrence over the block that starts at step ``start``;
+        returns its ``(steps, B, H)`` hidden states."""
+        rows, block = self._block(start)
+        hidden = self.candidate.shape[1]
+        i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+        scale, shift, b, cs, product = self.scale, self.shift, self.b_scaled, self.cs, self.product
+        w_h = self.w_scaled[self.n_in:]
+        # h[0]: the state before the block
+        h = self.hs[start:rows.stop + 1] if self.training else self.hs.rows(start, rows.stop)
         for j, z in enumerate(block):
             t = start + j
-            z += h[j] @ w_h
+            z += np.matmul(h[j], w_h, out=product)
             z += b
             np.tanh(z, out=z)
             z *= scale
             z += shift
             c = np.multiply(z[:, f_], cs[t % len(cs)], out=cs[(t + 1) % len(cs)])
-            c += np.multiply(z[:, i_], z[:, g_], out=candidate)
+            c += np.multiply(z[:, i_], z[:, g_], out=self.candidate)
             np.multiply(z[:, o_], np.tanh(c, out=h[j + 1]), out=h[j + 1])
-        yield h[1:]
+        return h[1:]
 
 
-def lstm_backward(grad: np.ndarray, mask: np.ndarray | None, cache, dw: np.ndarray,
-                  db: np.ndarray, input_grad: bool):
+class LstmBackward:
     """Backpropagation through time over the saved gate activations and
-    cell states, as a generator that runs one block of ``PROJECT_STEPS``
-    steps per ``next``, last block first.
+    cell states of :class:`LstmForward`'s ``cache``, as tasks for a task
+    graph: per block of ``PROJECT_STEPS`` steps, last block first,
+    :meth:`step` (the recurrence back) and :meth:`input_rows` (the block's
+    rows of the input gradient, one GEMM), then the three weight-gradient
+    tasks :meth:`input_weights`, :meth:`recurrent_weights` and :meth:`bias`.
 
     ``grad (T, B, H)`` is the gradient of every step's hidden state or,
     given the layer's dropout ``mask``, of its dropped output, which each
-    block multiplies by its rows of ``mask``.  A block reads its rows of
-    ``grad`` only when it runs, so ``grad`` may be the input gradient of
-    the layer above while that layer is one block ahead.
+    step multiplies by its rows of ``mask``.  A step reads its rows of
+    ``grad`` only when it runs, so ``grad`` may be the ``dx`` of the layer
+    above while that layer is running.
 
-    The first ``next`` allocates the layer's buffers and yields the input
-    gradient ``dx (T, B, in)``, which fills as the blocks run (``None``
-    unless ``input_grad``).  Each later ``next`` runs the next block back,
-    taking ``tanh(c)``, the output gate's ``dc`` factor and the activation
-    derivatives for that block only, forms the block's rows of ``dx`` with
-    one GEMM over its rows of ``dz``, and writes those over the block's
-    gate activations, spent from then on (the cache is used up).  The
-    ``next`` after the first block writes the weight gradient into ``dw``,
-    as two GEMMs over all ``T*B`` rows of ``dz`` (its input rows, then its
-    recurrent rows), and the bias gradient into ``db``, and ends the
-    generator.
+    The constructor allocates the layer's buffers and ``dx (T, B, in)``,
+    the input gradient, which fills as the blocks run (``None`` unless
+    ``input_grad``).  The steps run in order, block k's step before its
+    ``input_rows``, and the last step (block 0's) before the weight tasks.
+    A step takes ``tanh(c)``, the output gate's ``dc`` factor and the
+    activation derivatives for its block only and writes the block's ``dz``
+    over its gate activations, spent from then on (the cache is used up);
+    ``input_rows`` reads those rows of ``dz``, and the weight tasks all
+    ``T*B`` of them: ``dw``'s input rows, its recurrent rows (one GEMM
+    each) and the bias gradient ``db``.
 
-    ``dw`` and ``db`` have the bits of one whole backward for a given
-    ``dz``, and ``dx`` has them when ``T <= PROJECT_STEPS``; over more steps
-    the BLAS may round a block's rows of ``dx`` differently from the same
-    rows of one ``(T*B, 4H)`` GEMM, a last-bit change in the gradients of
-    every layer below the top.
+    Every task runs the same GEMMs on the same operands whatever the order
+    or thread, so ``dx``, ``dw`` and ``db`` have the same bits in any
+    schedule the order above allows.
     """
-    x, w, gates, hs, cs = cache
-    steps, batch, n_in = x.shape
-    hidden = hs.shape[2]
-    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    w_x, w_h = w[:n_in], w[n_in:]
-    dx = np.empty(x.shape) if input_grad else None
-    # one block's dz, tanh(c), dc_from_h and masked grad
-    dz = np.empty((min(steps, PROJECT_STEPS), batch, 4 * hidden))
-    tanh_c, dc_from_h, masked = np.empty((3,) + dz.shape[:2] + (hidden,))
-    dh = np.zeros((batch, hidden))
-    dc = np.zeros((batch, hidden))
-    yield dx
-    for start in reversed(range(0, steps, PROJECT_STEPS)):
-        stop = min(start + PROJECT_STEPS, steps)
+
+    def __init__(self, grad: np.ndarray, mask: np.ndarray | None, cache, dw: np.ndarray,
+                 db: np.ndarray, input_grad: bool):
+        self.grad, self.mask, self.dw, self.db = grad, mask, dw, db
+        self.x, w, self.gates, self.hs, self.cs = cache
+        self.steps, batch, self.n_in = self.x.shape
+        hidden = self.hs.shape[2]
+        self.w_x, self.w_h = w[:self.n_in], w[self.n_in:]
+        self.dx = np.empty(self.x.shape) if input_grad else None
+        # one block's dz, tanh(c), dc_from_h and masked grad
+        self.dz = np.empty((min(self.steps, PROJECT_STEPS), batch, 4 * hidden))
+        self.tanh_c, self.dc_from_h, self.masked = np.empty((3,) + self.dz.shape[:2] + (hidden,))
+        self.dh = np.zeros((batch, hidden))
+        self.dc = np.zeros((batch, hidden))
+
+    def step(self, start: int) -> None:
+        """The recurrence back over the block that starts at step ``start``."""
+        stop = min(start + PROJECT_STEPS, self.steps)
         rows = stop - start
-        block, dz_block = gates[start:stop], dz[:rows]
-        g = grad[start:stop]
-        if mask is not None:
-            g = np.multiply(g, mask[start:stop], out=masked[:rows])
-        tc = np.tanh(cs[start + 1:stop + 1], out=tanh_c[:rows])
-        from_h = np.multiply(tc, tc, out=dc_from_h[:rows])
+        hidden = self.dh.shape[1]
+        i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+        block, dz_block, cs, w_h = self.gates[start:stop], self.dz[:rows], self.cs, self.w_h
+        g = self.grad[start:stop]
+        if self.mask is not None:
+            g = np.multiply(g, self.mask[start:stop], out=self.masked[:rows])
+        tc = np.tanh(cs[start + 1:stop + 1], out=self.tanh_c[:rows])
+        from_h = np.multiply(tc, tc, out=self.dc_from_h[:rows])
         np.subtract(1.0, from_h, out=from_h)
         from_h *= block[:, :, o_]
         # local derivatives of the activations, scaled in place into dz
@@ -188,6 +225,7 @@ def lstm_backward(grad: np.ndarray, mask: np.ndarray | None, cache, dw: np.ndarr
         dz_block *= block
         np.multiply(block[:, :, g_], block[:, :, g_], out=dz_block[:, :, g_])
         np.subtract(1.0, dz_block[:, :, g_], out=dz_block[:, :, g_])
+        dh, dc = self.dh, self.dc
         for j in range(rows - 1, -1, -1):
             a, d = block[j], dz_block[j]
             dh += g[j]
@@ -198,15 +236,28 @@ def lstm_backward(grad: np.ndarray, mask: np.ndarray | None, cache, dw: np.ndarr
             d[:, o_] *= dh * tc[j]
             dc *= a[:, f_]
             dh = d @ w_h.T
-        if input_grad:
-            np.matmul(dz_block.reshape(-1, 4 * hidden), w_x.T,
-                      out=dx[start:stop].reshape(-1, n_in))
+        self.dh = dh
         block[...] = dz_block  # the block's gates are spent: dz takes their place
-        yield
-    dz = gates.reshape(steps * batch, 4 * hidden)
-    np.matmul(x.reshape(steps * batch, n_in).T, dz, out=dw[:n_in])
-    np.matmul(hs[:-1].reshape(steps * batch, hidden).T, dz, out=dw[n_in:])
-    dz.sum(axis=0, out=db)
+
+    def input_rows(self, start: int) -> None:
+        """The rows of ``dx`` of the block that starts at step ``start``."""
+        rows = slice(start, min(start + PROJECT_STEPS, self.steps))
+        dz = self.gates[rows]
+        np.matmul(dz.reshape(-1, dz.shape[2]), self.w_x.T,
+                  out=self.dx[rows].reshape(-1, self.n_in))
+
+    def _dz(self) -> np.ndarray:
+        return self.gates.reshape(-1, self.gates.shape[2])
+
+    def input_weights(self) -> None:
+        np.matmul(self.x.reshape(-1, self.n_in).T, self._dz(), out=self.dw[:self.n_in])
+
+    def recurrent_weights(self) -> None:
+        np.matmul(self.hs[:-1].reshape(-1, self.dh.shape[1]).T, self._dz(),
+                  out=self.dw[self.n_in:])
+
+    def bias(self) -> None:
+        self._dz().sum(axis=0, out=self.db)
 
 
 class RngState(np.random.Generator):

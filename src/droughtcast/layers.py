@@ -18,12 +18,15 @@ the affine forward, ``(x.T @ g).T`` for its weight gradient, and
 
 from __future__ import annotations
 
+import heapq
 import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .autodiff import PROJECT_STEPS, RngState, Tensor, lstm_backward, lstm_forward
+from .autodiff import PROJECT_STEPS, LstmBackward, LstmForward, RngState, Tensor
 from .errors import NumericError
 
 
@@ -107,20 +110,46 @@ class LstmStack:
 
     def backward(self, grad: np.ndarray, cache: list) -> None:
         """Parameter gradients from the gradient of :func:`lstm_states`'
-        output ``(B, T, h)``.  The layers' reverse passes run as a wavefront
-        of 16-step blocks, top layer first (see :func:`_wavefront`), each
-        layer one block behind the layer above, whose input gradient it
-        reads; :func:`~droughtcast.autodiff.lstm_backward` says which bits
-        that changes.  Consumes ``cache`` top layer first, and each layer's
-        activations are freed once its backward is done."""
+        output ``(B, T, h)``, as a task graph (see :class:`_Graph`) over
+        each layer's :class:`~droughtcast.autodiff.LstmBackward`: per
+        16-step block, last block first, a step that needs the layer's step
+        of the block after and the layer above's input-gradient rows of the
+        same block, and the block's own input-gradient rows, which need its
+        step; then the layer's three weight-gradient tasks, which need its
+        last step.  Consumes ``cache`` top layer first, and each layer's
+        activations are freed once its last task is done."""
         grad = grad.transpose(1, 0, 2)
-        steps, runs = len(grad), []
+        graph, above = _Graph(), None
         for li, layer in reversed(list(enumerate(self.layers))):
             layer_cache, mask = cache.pop()
-            run = lstm_backward(grad, mask, layer_cache, layer.w.grad, layer.b.grad, li > 0)
-            grad = next(run)
-            runs.append(run)
-        _wavefront(runs, -(-steps // PROJECT_STEPS))
+            run = LstmBackward(grad, mask, layer_cache, layer.w.grad, layer.b.grad, li > 0)
+            above = _backward_tasks(graph, run, self.num_layers - 1 - li, above)
+            grad = run.dx
+        del run, layer_cache, mask  # the graph holds each layer until its last task
+        graph.run(self.num_layers)
+
+
+def _backward_tasks(graph: "_Graph", run: LstmBackward, stage: int,
+                    above: list | None) -> list:
+    """Add one layer's backward tasks to ``graph``, ``stage`` layers below
+    the top; ``above`` holds the layer above's input-gradient tasks by
+    block.  Returns this layer's, by block.
+
+    The keys put the steps first, the upper layer's before the lower's, so
+    the top layer runs ahead of the layers below and its weight GEMMs
+    overlap their steps instead of all landing after the last step; then
+    the input-gradient rows; then the weight GEMMs, the recurrent rows'
+    (the larger) first."""
+    starts = range(0, run.steps, PROJECT_STEPS)
+    step, rows = None, []
+    for back, k in enumerate(reversed(range(len(starts)))):
+        step = graph.add((1, stage, back), partial(run.step, starts[k]),
+                         step, above and above[k])
+        if run.dx is not None:
+            rows.append(graph.add((2, stage, back), partial(run.input_rows, starts[k]), step))
+    for j, tail in enumerate((run.recurrent_weights, run.input_weights, run.bias)):
+        graph.add((3, stage, j), tail, step)
+    return rows[::-1]
 
 
 def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
@@ -130,107 +159,222 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
     cache for :meth:`LstmStack.backward` (``None`` otherwise).
 
     Initial hidden/cell states are zero.  The sequence travels time-major
-    between layers, and the layers run as a wavefront of 16-step blocks
-    (see :func:`_wavefront`).  In training mode the inter-layer dropout mask
-    is T successive ``(B, h)`` draws from the layer's stream, drawn before
-    the first block and applied block by block.  In eval mode every layer
-    holds its states in a two-block :class:`~droughtcast.autodiff.Ring`,
-    and the top layer's blocks are copied into the output as they finish.
+    between layers, and the layers run as a task graph (see
+    :class:`_Graph`) over each layer's
+    :class:`~droughtcast.autodiff.LstmForward`: a first task that halves
+    its weights, then per 16-step block a projection, which needs the first
+    task and the same block of the layer below, and a step, which needs
+    the projection and the layer's step before.  In training mode each
+    step ends by drawing its rows of the inter-layer dropout mask, ``(steps,
+    B, h)`` from the layer's stream (the same doubles as one ``(T, B, h)``
+    draw), and multiplying its hidden states by them into the layer
+    above's input.  In eval mode every layer holds its states in a
+    two-block :class:`~droughtcast.autodiff.Ring` and its gates in one
+    block of rows, so a projection also needs the layer's step before, and
+    the layer below's step k + 2, which overwrites the ring slot that
+    projection k reads, needs it.  The top layer's steps copy their blocks
+    into the output.
     """
     seq = x.transpose(1, 0, 2).copy()
-    steps = len(seq)
     top = stack.num_layers - 1
-    runs, cache = [], []
+    out = np.empty((len(x), len(seq), stack.hidden_size))
+    graph, steps, cache = _Graph(), None, []
     for li, layer in enumerate(stack.layers):
-        run = lstm_forward(seq, layer.w.data, layer.b.data, training)
-        seq, layer_cache = next(run)
-        p = stack.dropout_p if li < top else 0.0
-        mask = dropout_mask(seq.shape, p, rng.split(f"lstm_dropout{li}")) if training else None
-        if mask is not None:
-            dropped = np.empty(seq.shape)
-            run, seq = _each_block(run, dropped, mask), dropped
-        runs.append(run)
-        cache.append((layer_cache, mask))
-    out = np.empty((len(x), steps, stack.hidden_size))
-    runs[-1] = _each_block(runs[-1], out.transpose(1, 0, 2))
-    _wavefront(runs, -(-steps // PROJECT_STEPS))
+        run = LstmForward(seq, layer.w.data, layer.b.data, training)
+        p = stack.dropout_p if training and li < top else 0.0
+        mask = np.empty(run.states.shape) if p else None
+        if li == top:
+            seq = out.transpose(1, 0, 2)
+        else:
+            seq = run.states if mask is None else np.empty(run.states.shape)
+        emit = partial(_emit, run, seq, mask, p, rng.split(f"lstm_dropout{li}") if p else None)
+        steps = _forward_tasks(graph, run, li, steps, emit)
+        cache.append((run.cache, mask))
+    graph.run(stack.num_layers)
     return out, (cache if training else None)
 
 
-def _each_block(run, out: np.ndarray, mask: np.ndarray | None = None):
-    """Run a layer's blocks, each followed by a copy of its hidden states
-    into the same rows of the time-major ``out``, times those rows of
-    ``mask`` if given (elementwise, so the same bits as one product)."""
-    start = 0
-    for block in run:
-        rows = slice(start, start + len(block))
-        if mask is None:
-            out[rows] = block
-        else:
-            np.multiply(block, mask[rows], out=out[rows])
-        start = rows.stop
-        yield
+def _emit(run: LstmForward, target, mask: np.ndarray | None, p: float,
+          stream: RngState | None, start: int) -> None:
+    """Step the block of ``run`` that starts at ``start``, then, unless
+    ``target`` is ``run.states``, copy its hidden states into the same rows
+    of ``target``, times fresh rows of ``mask`` drawn from ``stream`` if
+    ``mask`` is given (elementwise, so the same bits as one product)."""
+    block = run.step(start)
+    rows = slice(start, start + len(block))
+    if mask is not None:
+        drawn = stream.random(out=mask[rows])  # then as dropout_mask, in place
+        np.greater_equal(drawn, p, out=drawn)
+        drawn /= 1.0 - p
+        np.multiply(block, drawn, out=target[rows])
+    elif target is not run.states:
+        target[rows] = block
 
 
-_pool = (0, None)  # (workers, executor): the wavefront's threads, built on first use
+def _forward_tasks(graph: "_Graph", run: LstmForward, layer: int, below: list | None,
+                   emit) -> list:
+    """Add one layer's forward tasks to ``graph``; ``below`` holds the step
+    tasks of the layer below by block, and ``emit(start)`` steps a block.
+    Returns this layer's step tasks, by block.
+
+    The keys put every layer's first task first, then the blocks in
+    wavefront order (Appleyard et al. 2016, arXiv:1604.01946): by block
+    plus layer, the upper layer first, a block's projection before its
+    step."""
+    first = graph.add((-1, 0, layer), run.start)
+    steps = []
+    for k, start in enumerate(range(0, run.steps, PROJECT_STEPS)):
+        prev = steps[-1] if steps else None
+        project = graph.add((layer + k, -layer, 0), partial(run.project, start), first,
+                            below and below[k], None if run.training else prev)
+        if below and not run.training and k + 2 < len(below):
+            graph.edge(project, below[k + 2])  # the step that overwrites the ring slot read here
+        steps.append(graph.add((layer + k, -layer, 1), partial(emit, start), project, prev))
+    return steps
+
+
+_pool = ([], None)  # (threads, job queue): the graph's helper threads, started on first use
+_pool_lock = threading.Lock()
 
 
 def _forget_pool() -> None:
-    """In a forked child: the parent's workers do not exist here."""
-    global _pool
-    _pool = (0, None)
+    """In a forked child: the parent's threads do not exist here."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = ([], None), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _wavefront(runs: list, blocks: int) -> None:
-    """Run every run's ``blocks`` blocks, block k of ``runs[l]`` in diagonal
-    l + k, then each run's tail: what its generator does after its last
-    block (the backward's weight GEMMs; nothing in the forward).  Block k
-    of ``runs[l]`` needs block k of ``runs[l - 1]`` and block k - 1 of its
-    own run, both from the diagonal before, so the blocks of one diagonal
-    are independent: this thread runs one of them (and any the workers
-    cannot take), ``min(layers, CPUs) - 1`` pool threads the rest, and all
-    are done before the next diagonal starts.  A tail waits for no
-    diagonal: it goes to a worker that the next diagonal leaves free, and
-    the tails left when the last diagonal is done run on this thread.  A
-    block or tail runs the same GEMMs whichever thread runs it, so the bits
-    do not depend on the worker count; one layer, or one CPU, starts no
-    thread."""
+def _start_pool(workers: int):
+    """The pool's job queue, with at least ``workers`` threads serving it."""
     global _pool
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(runs), cpus or 1) - 1
-    if workers > _pool[0]:
-        from concurrent.futures import ThreadPoolExecutor  # lazily: not on the CLI's import path
+    with _pool_lock:
+        threads, jobs = _pool
+        if jobs is None:
+            import queue  # lazily: not on the CLI's import path
 
-        if _pool[1] is not None:
-            _pool[1].shutdown()  # its threads end before the new pool's start
-        _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="lstm-wavefront"))
-    pool = _pool[1]
-    finished, tails = [], []  # runs past their last block; futures of the tails on the pool
-    try:
-        for diagonal in range(len(runs) + blocks - 1):
-            ready = runs[max(0, diagonal - blocks + 1):diagonal + 1]
-            free = workers - sum(not tail.done() for tail in tails)
-            futures = [pool.submit(next, run) for run in ready[1:free + 1]]
-            spare = max(0, free + 1 - len(ready))
-            tails += [pool.submit(next, run, None) for run in finished[:spare]]
-            del finished[:spare]
+            jobs = queue.SimpleQueue()
+            _pool = (threads, jobs)
+        while len(threads) < workers:
+            threads.append(threading.Thread(target=_serve, args=(jobs,), daemon=True,
+                                            name=f"lstm-worker-{len(threads)}"))
+            threads[-1].start()
+        return jobs
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get()()
+
+
+class _Graph:
+    """Tasks and the edges between them, run once by :meth:`run`.
+
+    A task is a callable with a key; it runs once every task it needs is
+    done, and of the ready tasks the one with the smallest key runs first.
+    A task runs the same numpy calls on the same operands whichever thread
+    runs it and whenever, so the results do not depend on the schedule.
+    """
+
+    def __init__(self):
+        self.tasks = []  # [key, callable (None once run), needs not yet done, dependents]
+
+    def add(self, key: tuple, fn, *needs) -> int:
+        """Add a task that needs each of ``needs`` (``None`` entries aside);
+        returns its id."""
+        self.tasks.append([key, fn, 0, []])
+        for need in needs:
+            if need is not None:
+                self.edge(need, len(self.tasks) - 1)
+        return len(self.tasks) - 1
+
+    def edge(self, before: int, after: int) -> None:
+        """Task ``after`` needs task ``before``."""
+        self.tasks[before][3].append(after)
+        self.tasks[after][2] += 1
+
+    def run(self, layers: int) -> None:
+        """Run every task.  With one layer, or one CPU, this thread runs
+        them inline, in key order among the ready ones, taking no lock.
+        Otherwise this thread and up to ``min(layers, CPUs) - 1`` helpers
+        from a module-level pool of daemon threads (grown to that size on
+        first use, forgotten in a forked child) each take the next ready
+        task.  A helper that finds no task ready returns, and only this
+        thread waits, so no pool thread ever waits for another task: two
+        graphs running at once, or a graph with more ready tasks than
+        helpers, cannot deadlock.  When a task raises, no further task
+        starts, and once the running ones are done the exception is raised
+        here."""
+        self.ready = [(task[0], i) for i, task in enumerate(self.tasks) if not task[2]]
+        heapq.heapify(self.ready)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        self.workers = min(layers, cpus or 1) - 1
+        if self.workers <= 0:
+            while self.ready:
+                task = self.tasks[heapq.heappop(self.ready)[1]]
+                task[1]()
+                self._done(task)
+            return
+        self.jobs = _start_pool(self.workers)
+        self.lock = threading.Condition(threading.Lock())
+        self.helpers = self.running = 0
+        self.left, self.waiting, self.error = len(self.tasks), False, None
+        with self.lock:
             try:
-                for run in ready[:1] + ready[free + 1:]:
-                    next(run)
-            finally:
-                for future in futures:
-                    future.result()
-            if diagonal >= blocks - 1:
-                finished.append(ready[0])  # its last block is done
-        for run in finished:
-            next(run, None)
-    finally:
-        for tail in tails:
-            tail.result()
+                self._work(caller=True)
+            except BaseException as exc:  # interrupted while waiting: start no more tasks
+                self.error = exc
+                raise
+        if self.error is not None:
+            raise self.error
+
+    def _done(self, task: list) -> None:
+        task[1] = None  # drops what it held
+        for i in task[3]:
+            after = self.tasks[i]
+            after[2] -= 1
+            if not after[2]:
+                heapq.heappush(self.ready, (after[0], i))
+
+    def _work(self, caller: bool) -> None:
+        """Run ready tasks, holding the lock between them, until none is
+        ready; then a helper returns, while the caller's thread waits for
+        the next ready task or the end of the graph."""
+        while True:
+            if self.ready and self.error is None:
+                task = self.tasks[heapq.heappop(self.ready)[1]]
+                for _ in range(min(len(self.ready) - self.waiting, self.workers - self.helpers)):
+                    self.helpers += 1
+                    self.jobs.put(self._help)
+                self.running += 1
+                failed = None
+                self.lock.release()
+                try:
+                    task[1]()
+                except BaseException as exc:
+                    failed = exc
+                self.lock.acquire()
+                self.running -= 1
+                self.left -= 1
+                if failed is None:
+                    self._done(task)
+                elif self.error is None:
+                    self.error = failed
+                if self.waiting:
+                    self.lock.notify()
+            elif caller and (self.running or (self.left and self.error is None)):
+                self.waiting = True
+                self.lock.wait()
+                self.waiting = False
+            else:
+                return
+
+    def _help(self) -> None:
+        with self.lock:
+            self._work(caller=False)
+            self.helpers -= 1
 
 
 @dataclass

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droughtcast.autodiff import Tensor, lstm_backward, lstm_forward
+from droughtcast.autodiff import PROJECT_STEPS, LstmBackward, LstmForward, Tensor
 from droughtcast.data import DailySeries, Normalizer, SampleSet, StaticTable
 from droughtcast.layers import (
     AffineLayer,
@@ -124,23 +124,30 @@ def new_affine(in_size, out_size, rng, relu=False):
 
 def drain_layer(x, w, b, training):
     """``(hidden states (T, B, H), cache)`` of one LSTM layer over the whole
-    of ``x``: its block generator run to the end on this thread, with a copy
-    of each block it yields (eval mode reuses two blocks of rows)."""
-    run = lstm_forward(x, w, b, training)
-    _, cache = next(run)
-    return np.concatenate([block.copy() for block in run]), cache
+    of ``x``: its tasks run in order on this thread, with a copy of each
+    block's states (eval mode reuses two blocks of rows)."""
+    run = LstmForward(x, w, b, training)
+    run.start()
+    blocks = []
+    for start in range(0, len(x), PROJECT_STEPS):
+        run.project(start)
+        blocks.append(run.step(start).copy())
+    return np.concatenate(blocks), run.cache
 
 
 def drain_layer_backward(grad, mask, cache, dw, db, input_grad):
     """The input gradient ``(T, B, in)`` of one LSTM layer (``None`` unless
     ``input_grad``), with its weight and bias gradients written into ``dw``
-    and ``db``: its backward block generator run to the end on this
-    thread."""
-    run = lstm_backward(grad, mask, cache, dw, db, input_grad)
-    dx = next(run)
-    for _ in run:
-        pass
-    return dx
+    and ``db``: its backward tasks run in order on this thread."""
+    run = LstmBackward(grad, mask, cache, dw, db, input_grad)
+    for start in reversed(range(0, len(grad), PROJECT_STEPS)):
+        run.step(start)
+        if input_grad:
+            run.input_rows(start)
+    run.input_weights()
+    run.recurrent_weights()
+    run.bias()
+    return run.dx
 
 
 def new_lstm(num_layers, input_size, hidden_size, rng, dropout_p=0.0):

@@ -1,4 +1,3 @@
-import collections
 import tracemalloc
 import warnings
 
@@ -7,7 +6,7 @@ from conftest import drain_layer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtcast.autodiff import RngState, Tensor, grad_check, lstm_forward
+from droughtcast.autodiff import PROJECT_STEPS, LstmForward, RngState, Tensor, grad_check
 
 
 def _gates_of(z):
@@ -67,7 +66,11 @@ def test_eval_forward_never_holds_the_whole_input_projection():
     x, w, b = _lstm_inputs(steps, batch, hidden, hidden, seed=0)
     tracemalloc.start()
     try:
-        collections.deque(lstm_forward(x, w, b, training=False), maxlen=0)
+        run = LstmForward(x, w, b, training=False)
+        run.start()
+        for start in range(0, steps, PROJECT_STEPS):
+            run.project(start)
+            run.step(start)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

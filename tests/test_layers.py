@@ -19,8 +19,9 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import LSTM_STACK_GOLDEN, lstm_stack_digests
 
-from droughtcast.autodiff import RngState, Tensor, grad_check
+from droughtcast.autodiff import LstmBackward, LstmForward, RngState, Tensor, grad_check
 from droughtcast.errors import NumericError
 from droughtcast.layers import (
     AffineLayer,
@@ -352,7 +353,7 @@ def test_embedding_gradient_passes_check_with_repeated_codes():
 @pytest.mark.parametrize("layers, steps", [(2, 4), (3, 17), (3, 33)])
 def test_lstm_gradients_pass_check_at_small_dims(layers, steps):
     # a frozen inter-layer dropout mask: the stream is recreated on every call;
-    # 17 and 33 steps cross one and two block boundaries of the reverse wavefront
+    # 17 and 33 steps cross one and two block boundaries of the backward's tasks
     stack = new_lstm(layers, 2, 3, RngState(50), dropout_p=0.3)
     x = RngState(51).uniform(-1, 1, (2, steps, 2))
     forward = lambda: lstm_states(stack, x, RngState(52), training=True)
@@ -392,9 +393,9 @@ def test_lstm_dropout_mask_is_successive_per_step_draws():
 
 
 def layer_by_layer(stack, x, rng, training):
-    """:func:`lstm_states` without the wavefront: each layer's block
-    generator drained whole on this thread, then the dropout of its whole
-    output, before the layer above starts."""
+    """:func:`lstm_states` without the task graph: each layer's tasks run
+    in order on this thread, then the dropout of its whole output, before
+    the layer above starts."""
     seq, cache = x.transpose(1, 0, 2).copy(), []
     for li, layer in enumerate(stack.layers):
         seq, layer_cache = drain_layer(seq, layer.w.data, layer.b.data, training)
@@ -405,10 +406,10 @@ def layer_by_layer(stack, x, rng, training):
 
 
 def backward_layer_by_layer(stack, grad, cache):
-    """:meth:`LstmStack.backward` without the wavefront: each layer's
-    gradient multiplied by its whole dropout mask, then its backward
-    generator drained whole on this thread, weight GEMMs included, before
-    the layer below starts."""
+    """:meth:`LstmStack.backward` without the task graph: each layer's
+    gradient multiplied by its whole dropout mask, then its backward tasks
+    run in order on this thread, weight GEMMs included, before the layer
+    below starts."""
     grad = grad.transpose(1, 0, 2)
     for li, layer in reversed(list(enumerate(stack.layers))):
         layer_cache, mask = cache.pop()
@@ -427,8 +428,8 @@ def assert_same_bits(a, b):
 
 @pytest.fixture
 def short_switch_interval():
-    """Threads switch every microsecond, so the wavefront's blocks interleave
-    at many more points than at the default 5 ms."""
+    """Threads switch every microsecond, so the task graph's tasks
+    interleave at many more points than at the default 5 ms."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -440,8 +441,8 @@ def short_switch_interval():
 @pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("steps", [1, 15, 16, 17, 33, 40])
 @pytest.mark.parametrize("batch", [1, 5])
-def test_wavefront_matches_the_layers_one_after_another_bit_for_bit(layers, steps, batch,
-                                                                    short_switch_interval):
+def test_task_graph_matches_the_layers_one_after_another_bit_for_bit(layers, steps, batch,
+                                                                     short_switch_interval):
     stack = new_lstm(layers, 3, 4, RngState(70 + layers), dropout_p=0.4)
     x = RngState(71).uniform(-2, 2, (batch, steps, 3))
     out, cache = lstm_states(stack, x, RngState(72), training=False)
@@ -477,7 +478,7 @@ def forward_and_backward(stack, x):
     return [out] + [t.grad.copy() for t in tensors(stack).values()]
 
 
-def test_wavefront_starts_at_most_one_thread_per_spare_cpu():
+def test_task_graph_starts_at_most_one_thread_per_spare_cpu():
     cpus = len(os.sched_getaffinity(0))
     x = RngState(75).uniform(-1, 1, (2, 40, 3))
     before = threading.active_count()
@@ -487,12 +488,12 @@ def test_wavefront_starts_at_most_one_thread_per_spare_cpu():
     assert threading.active_count() == before
     forward_and_backward(new_lstm(3, 3, 4, RngState(77), dropout_p=0.4), x)
     assert threading.active_count() - before <= cpus - 1
-    workers = [t for t in threading.enumerate() if t.name.startswith("lstm-wavefront")]
+    workers = [t for t in threading.enumerate() if t.name.startswith("lstm-worker")]
     assert len(workers) <= cpus - 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_a_forked_child_runs_the_wavefront_without_the_parents_threads():
+def test_a_forked_child_runs_the_task_graph_without_the_parents_threads():
     stack = new_lstm(2, 3, 4, RngState(78), dropout_p=0.4)
     x = RngState(79).uniform(-1, 1, (2, 40, 3))
     want, _ = lstm_states(stack, x, RngState(0), training=False)  # the pool exists from here
@@ -512,3 +513,74 @@ def test_a_forked_child_runs_the_wavefront_without_the_parents_threads():
         os.waitpid(pid, 0)
     assert done[0] == pid, "the forked child hung"
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the host allows only one CPU: every task runs on the calling thread")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("pass_", ["forward", "backward"])
+def test_a_task_failing_on_a_worker_reaches_the_caller_and_leaves_the_pool_working(
+        pass_, monkeypatch):
+    golden = LSTM_STACK_GOLDEN[2, 40]
+    assert lstm_stack_digests(2, 40) == golden  # the pool exists from here
+    stack = new_lstm(2, 3, 4, RngState(80), dropout_p=0.4)
+    x = RngState(81).uniform(-1, 1, (2, 40, 3))
+    runner = LstmForward if pass_ == "forward" else LstmBackward
+    step, raised_on = runner.step, []
+
+    def fails_on_a_worker(w):
+        """A step that raises on a worker when it is one of ``w``'s layer;
+        on the calling thread every step first sleeps, which leaves the
+        worker the ready tasks."""
+        def patched(self, start):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.002)
+            elif (self.w is w.data) if pass_ == "forward" else (self.dw is w.grad):
+                raised_on.append(threading.current_thread().name)
+                raise RuntimeError("injected")
+            return step(self, start)
+        return patched
+
+    before = threading.active_count()
+    for attempt in range(50):  # one layer's steps at a time, until one lands on a worker
+        out, cache = lstm_states(stack, x, RngState(0), training=True)
+        monkeypatch.setattr(runner, "step", fails_on_a_worker(stack.layers[attempt % 2].w))
+        try:
+            if pass_ == "forward":
+                lstm_states(stack, x, RngState(0), training=True)
+            else:
+                stack.backward(RngState(1).uniform(-1, 1, out.shape), cache)
+        except RuntimeError as exc:
+            assert str(exc) == "injected"
+            break
+        finally:
+            monkeypatch.undo()
+    assert raised_on and raised_on[0].startswith("lstm-worker")
+    assert threading.active_count() == before
+    assert lstm_stack_digests(2, 40) == golden
+
+
+def test_two_callers_at_once_get_the_bits_of_their_solo_runs(short_switch_interval):
+    stacks = [new_lstm(3, 3, 6, RngState(82 + i), dropout_p=0.4) for i in range(2)]
+    x = RngState(84).uniform(-1, 1, (3, 40, 3))
+    solo = [forward_and_backward(stack, x) for stack in stacks]
+    results = [[], []]
+
+    def caller(i):
+        for _ in range(10):
+            results[i].append(forward_and_backward(stacks[i], x))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads), "a caller hung"
+    for want, got in zip(solo, results):
+        assert len(got) == 10  # a caller that raised stops short
+        for run in got:
+            for a, b in zip(run, want):
+                assert_same_bits(a, b)

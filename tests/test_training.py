@@ -199,7 +199,7 @@ def test_fit_is_bit_reproducible():
 
 # A short 2-layer fit with dropout, then predict, over T=40 (two full
 # 16-step blocks and a short one); prints a digest of the parameter and
-# prediction bytes and the number of wavefront threads.  "one" pins the
+# prediction bytes and the number of LSTM worker threads.  "one" pins the
 # process to one CPU before numpy loads.
 CPU_COUNT_RUN = """
 import hashlib, os, sys, threading
@@ -215,7 +215,7 @@ model, _ = fit(model, samples, samples[:8], TrainRunConfig(batch_size=8, epochs=
                LrSchedule(base_lr=1e-3, max_lr=1e-2, cycle_length=6))
 predictions, attention = predict(model, samples)
 digest = hashlib.sha256(model.params.tobytes() + predictions.tobytes() + attention.tobytes())
-print(digest.hexdigest(), sum(t.name.startswith("lstm-wavefront") for t in threading.enumerate()))
+print(digest.hexdigest(), sum(t.name.startswith("lstm-worker") for t in threading.enumerate()))
 """
 
 
