@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -119,7 +120,6 @@ class LstmForward:
         else:
             self.hs, self.cs = Ring(steps, batch, hidden), np.zeros((2, batch, hidden))
         self.candidate = np.empty((batch, hidden))  # i * g
-        self.product = np.empty((batch, 4 * hidden))  # h @ w_h of one step
         self.w_scaled, self.b_scaled = np.empty(w.shape), np.empty(b.shape)
         self.states = self.hs[1:] if training else self.hs
         self.cache = (x, w, self.gates, self.hs, self.cs) if training else None
@@ -145,13 +145,13 @@ class LstmForward:
         rows, block = self._block(start)
         hidden = self.candidate.shape[1]
         i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-        scale, shift, b, cs, product = self.scale, self.shift, self.b_scaled, self.cs, self.product
+        scale, shift, b, cs = self.scale, self.shift, self.b_scaled, self.cs
         w_h = self.w_scaled[self.n_in:]
         # h[0]: the state before the block
         h = self.hs[start:rows.stop + 1] if self.training else self.hs.rows(start, rows.stop)
         for j, z in enumerate(block):
             t = start + j
-            z += np.matmul(h[j], w_h, out=product)
+            z += h[j] @ w_h
             z += b
             np.tanh(z, out=z)
             z *= scale
@@ -167,8 +167,8 @@ class LstmBackward:
     cell states of :class:`LstmForward`'s ``cache``, as tasks for a task
     graph: per block of ``PROJECT_STEPS`` steps, last block first,
     :meth:`step` (the recurrence back) and :meth:`input_rows` (the block's
-    rows of the input gradient, one GEMM), then the three weight-gradient
-    tasks :meth:`input_weights`, :meth:`recurrent_weights` and :meth:`bias`.
+    rows of the input gradient, one GEMM), then the three
+    :meth:`weight_tasks`.
 
     ``grad (T, B, H)`` is the gradient of every step's hidden state or,
     given the layer's dropout ``mask``, of its dropped output, which each
@@ -183,9 +183,8 @@ class LstmBackward:
     A step takes ``tanh(c)``, the output gate's ``dc`` factor and the
     activation derivatives for its block only and writes the block's ``dz``
     over its gate activations, spent from then on (the cache is used up);
-    ``input_rows`` reads those rows of ``dz``, and the weight tasks all
-    ``T*B`` of them: ``dw``'s input rows, its recurrent rows (one GEMM
-    each) and the bias gradient ``db``.
+    ``input_rows`` reads those rows of ``dz``, and the weight tasks all of
+    them.
 
     Every task runs the same GEMMs on the same operands whatever the order
     or thread, so ``dx``, ``dw`` and ``db`` have the same bits in any
@@ -246,18 +245,15 @@ class LstmBackward:
         np.matmul(dz.reshape(-1, dz.shape[2]), self.w_x.T,
                   out=self.dx[rows].reshape(-1, self.n_in))
 
-    def _dz(self) -> np.ndarray:
-        return self.gates.reshape(-1, self.gates.shape[2])
-
-    def input_weights(self) -> None:
-        np.matmul(self.x.reshape(-1, self.n_in).T, self._dz(), out=self.dw[:self.n_in])
-
-    def recurrent_weights(self) -> None:
-        np.matmul(self.hs[:-1].reshape(-1, self.dh.shape[1]).T, self._dz(),
-                  out=self.dw[self.n_in:])
-
-    def bias(self) -> None:
-        self._dz().sum(axis=0, out=self.db)
+    def weight_tasks(self) -> tuple:
+        """The three weight-gradient tasks: ``dw``'s recurrent rows, then
+        its input rows (one GEMM each over all ``T*B`` rows of ``dz``; the
+        input rows are the smaller one in the first layer), then ``db``."""
+        dz = self.gates.reshape(-1, self.gates.shape[2])
+        hs, x = self.hs[:-1].reshape(len(dz), -1), self.x.reshape(len(dz), -1)
+        return (partial(np.matmul, hs.T, dz, out=self.dw[self.n_in:]),
+                partial(np.matmul, x.T, dz, out=self.dw[:self.n_in]),
+                partial(dz.sum, axis=0, out=self.db))
 
 
 class RngState(np.random.Generator):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import queue
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,19 +31,16 @@ from .autodiff import PROJECT_STEPS, LstmBackward, LstmForward, RngState, Tensor
 from .errors import NumericError
 
 
-def dropout_mask(shape: tuple, p: float, rng: RngState) -> np.ndarray | None:
-    """Inverted dropout's mask: zero with probability ``p``, 1/(1-p)
-    otherwise; ``None`` when ``p`` is 0."""
-    return None if p == 0.0 else (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
-
-
 def dropout(x: np.ndarray, p: float, training: bool,
             rng: RngState) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout.  Returns the output and the mask that scales the
+    """Inverted dropout: each entry zeroed with probability ``p``, the rest
+    scaled by 1/(1-p).  Returns the output and the mask that scales the
     gradient on the way back, or ``x`` itself and ``None`` when nothing is
     dropped."""
-    mask = dropout_mask(x.shape, p, rng) if training else None
-    return (x, None) if mask is None else (x * mask, mask)
+    if not training or p == 0.0:
+        return x, None
+    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
+    return x * mask, mask
 
 
 @dataclass
@@ -110,14 +108,13 @@ class LstmStack:
 
     def backward(self, grad: np.ndarray, cache: list) -> None:
         """Parameter gradients from the gradient of :func:`lstm_states`'
-        output ``(B, T, h)``, as a task graph (see :class:`_Graph`) over
-        each layer's :class:`~droughtcast.autodiff.LstmBackward`: per
-        16-step block, last block first, a step that needs the layer's step
+        output ``(B, T, h)``: each layer's
+        :class:`~droughtcast.autodiff.LstmBackward` tasks, run as one
+        :class:`_Graph`.  A layer's step of a 16-step block needs its step
         of the block after and the layer above's input-gradient rows of the
-        same block, and the block's own input-gradient rows, which need its
-        step; then the layer's three weight-gradient tasks, which need its
-        last step.  Consumes ``cache`` top layer first, and each layer's
-        activations are freed once its last task is done."""
+        block; the block's own rows need the step, and the layer's weight
+        tasks its last step.  Consumes ``cache`` top layer first, and each
+        layer's activations are freed once its last task is done."""
         grad = grad.transpose(1, 0, 2)
         graph, above = _Graph(), None
         for li, layer in reversed(list(enumerate(self.layers))):
@@ -129,26 +126,21 @@ class LstmStack:
         graph.run(self.num_layers)
 
 
-def _backward_tasks(graph: "_Graph", run: LstmBackward, stage: int,
-                    above: list | None) -> list:
-    """Add one layer's backward tasks to ``graph``, ``stage`` layers below
-    the top; ``above`` holds the layer above's input-gradient tasks by
-    block.  Returns this layer's, by block.
-
-    The keys put the steps first, the upper layer's before the lower's, so
-    the top layer runs ahead of the layers below and its weight GEMMs
-    overlap their steps instead of all landing after the last step; then
-    the input-gradient rows; then the weight GEMMs, the recurrent rows'
-    (the larger) first."""
+def _backward_tasks(graph: "_Graph", run: LstmBackward, stage: int, above: list | None) -> list:
+    """Add one layer's backward tasks, ``stage`` layers below the top, to
+    ``graph``; ``above`` and the result are the input-gradient tasks of the
+    layer above and of this one, by block.  The keys put the steps first,
+    the upper layer's first, so the top layer runs ahead and its weight
+    GEMMs overlap the steps below; then the input-gradient rows; then the
+    weight tasks."""
     starts = range(0, run.steps, PROJECT_STEPS)
     step, rows = None, []
     for back, k in enumerate(reversed(range(len(starts)))):
-        step = graph.add((1, stage, back), partial(run.step, starts[k]),
-                         step, above and above[k])
+        step = graph.add((1, stage, back), partial(run.step, starts[k]), step, above and above[k])
         if run.dx is not None:
             rows.append(graph.add((2, stage, back), partial(run.input_rows, starts[k]), step))
-    for j, tail in enumerate((run.recurrent_weights, run.input_weights, run.bias)):
-        graph.add((3, stage, j), tail, step)
+    for j, task in enumerate(run.weight_tasks()):
+        graph.add((3, stage, j), task, step)
     return rows[::-1]
 
 
@@ -159,21 +151,19 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
     cache for :meth:`LstmStack.backward` (``None`` otherwise).
 
     Initial hidden/cell states are zero.  The sequence travels time-major
-    between layers, and the layers run as a task graph (see
-    :class:`_Graph`) over each layer's
-    :class:`~droughtcast.autodiff.LstmForward`: a first task that halves
-    its weights, then per 16-step block a projection, which needs the first
-    task and the same block of the layer below, and a step, which needs
-    the projection and the layer's step before.  In training mode each
-    step ends by drawing its rows of the inter-layer dropout mask, ``(steps,
-    B, h)`` from the layer's stream (the same doubles as one ``(T, B, h)``
-    draw), and multiplying its hidden states by them into the layer
-    above's input.  In eval mode every layer holds its states in a
-    two-block :class:`~droughtcast.autodiff.Ring` and its gates in one
-    block of rows, so a projection also needs the layer's step before, and
-    the layer below's step k + 2, which overwrites the ring slot that
-    projection k reads, needs it.  The top layer's steps copy their blocks
-    into the output.
+    between layers, and each layer's
+    :class:`~droughtcast.autodiff.LstmForward` tasks run as one
+    :class:`_Graph`: every task needs the layer's first task, a block's
+    projection needs the same block's step of the layer below, and its
+    step the projection and the layer's step before.  In training mode
+    each step then draws its rows of the inter-layer dropout mask from the
+    layer's stream (the same doubles as one ``(T, B, h)`` draw) and writes
+    its states times those rows into the layer above's input.  In eval
+    mode a layer's gates and states fill one block of rows and a two-block
+    :class:`~droughtcast.autodiff.Ring`, so a projection also needs the
+    layer's step before, and the layer below's step k + 2, which
+    overwrites the ring slot that projection k reads, needs it.  The top
+    layer's steps copy their states into the output.
     """
     seq = x.transpose(1, 0, 2).copy()
     top = stack.num_layers - 1
@@ -196,14 +186,14 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
 
 def _emit(run: LstmForward, target, mask: np.ndarray | None, p: float,
           stream: RngState | None, start: int) -> None:
-    """Step the block of ``run`` that starts at ``start``, then, unless
-    ``target`` is ``run.states``, copy its hidden states into the same rows
-    of ``target``, times fresh rows of ``mask`` drawn from ``stream`` if
+    """Step ``run``'s block that starts at ``start``; then, unless
+    ``target`` is ``run.states``, write its states into the same rows of
+    ``target``, times fresh rows of ``mask`` drawn from ``stream`` if
     ``mask`` is given (elementwise, so the same bits as one product)."""
     block = run.step(start)
     rows = slice(start, start + len(block))
     if mask is not None:
-        drawn = stream.random(out=mask[rows])  # then as dropout_mask, in place
+        drawn = stream.random(out=mask[rows])  # then as dropout's mask, in place
         np.greater_equal(drawn, p, out=drawn)
         drawn /= 1.0 - p
         np.multiply(block, drawn, out=target[rows])
@@ -213,14 +203,12 @@ def _emit(run: LstmForward, target, mask: np.ndarray | None, p: float,
 
 def _forward_tasks(graph: "_Graph", run: LstmForward, layer: int, below: list | None,
                    emit) -> list:
-    """Add one layer's forward tasks to ``graph``; ``below`` holds the step
-    tasks of the layer below by block, and ``emit(start)`` steps a block.
-    Returns this layer's step tasks, by block.
-
-    The keys put every layer's first task first, then the blocks in
-    wavefront order (Appleyard et al. 2016, arXiv:1604.01946): by block
-    plus layer, the upper layer first, a block's projection before its
-    step."""
+    """Add one layer's forward tasks to ``graph``, with ``emit(start)`` as
+    its steps; ``below`` and the result are the step tasks of the layer
+    below and of this one, by block.  The keys put the first tasks first,
+    then the blocks in wavefront order (Appleyard et al. 2016,
+    arXiv:1604.01946): by block plus layer, the upper layer first, a
+    projection before its step."""
     first = graph.add((-1, 0, layer), run.start)
     steps = []
     for k, start in enumerate(range(0, run.steps, PROJECT_STEPS)):
@@ -233,7 +221,7 @@ def _forward_tasks(graph: "_Graph", run: LstmForward, layer: int, below: list | 
     return steps
 
 
-_pool = ([], None)  # (threads, job queue): the graph's helper threads, started on first use
+_pool = ([], None)  # (threads, job queue): the graphs' helper threads, started on first use
 _pool_lock = threading.Lock()
 
 
@@ -247,16 +235,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _start_pool(workers: int):
+def _start_pool(workers: int) -> queue.SimpleQueue:
     """The pool's job queue, with at least ``workers`` threads serving it."""
     global _pool
     with _pool_lock:
         threads, jobs = _pool
         if jobs is None:
-            import queue  # lazily: not on the CLI's import path
-
-            jobs = queue.SimpleQueue()
-            _pool = (threads, jobs)
+            _pool = threads, jobs = [], queue.SimpleQueue()
         while len(threads) < workers:
             threads.append(threading.Thread(target=_serve, args=(jobs,), daemon=True,
                                             name=f"lstm-worker-{len(threads)}"))
@@ -264,30 +249,27 @@ def _start_pool(workers: int):
         return jobs
 
 
-def _serve(jobs) -> None:
+def _serve(jobs: queue.SimpleQueue) -> None:
     while True:
         jobs.get()()
 
 
 class _Graph:
-    """Tasks and the edges between them, run once by :meth:`run`.
-
-    A task is a callable with a key; it runs once every task it needs is
-    done, and of the ready tasks the one with the smallest key runs first.
-    A task runs the same numpy calls on the same operands whichever thread
-    runs it and whenever, so the results do not depend on the schedule.
-    """
+    """Tasks, each a callable with a key, and the edges between them, run
+    once by :meth:`run`: a task runs once every task it needs is done, and
+    of the ready tasks the one with the smallest key runs first.  A task
+    runs the same numpy calls on the same operands whichever thread runs
+    it and whenever, so the results do not depend on the schedule."""
 
     def __init__(self):
         self.tasks = []  # [key, callable (None once run), needs not yet done, dependents]
 
     def add(self, key: tuple, fn, *needs) -> int:
-        """Add a task that needs each of ``needs`` (``None`` entries aside);
-        returns its id."""
-        self.tasks.append([key, fn, 0, []])
+        """Add a task that needs each of ``needs`` but ``None``; returns its id."""
+        needs = [need for need in needs if need is not None]
         for need in needs:
-            if need is not None:
-                self.edge(need, len(self.tasks) - 1)
+            self.tasks[need][3].append(len(self.tasks))
+        self.tasks.append([key, fn, len(needs), []])
         return len(self.tasks) - 1
 
     def edge(self, before: int, after: int) -> None:
@@ -297,21 +279,19 @@ class _Graph:
 
     def run(self, layers: int) -> None:
         """Run every task.  With one layer, or one CPU, this thread runs
-        them inline, in key order among the ready ones, taking no lock.
-        Otherwise this thread and up to ``min(layers, CPUs) - 1`` helpers
-        from a module-level pool of daemon threads (grown to that size on
-        first use, forgotten in a forked child) each take the next ready
-        task.  A helper that finds no task ready returns, and only this
-        thread waits, so no pool thread ever waits for another task: two
-        graphs running at once, or a graph with more ready tasks than
-        helpers, cannot deadlock.  When a task raises, no further task
-        starts, and once the running ones are done the exception is raised
-        here."""
+        them, taking no lock.  Otherwise this thread and up to ``min(layers,
+        CPUs) - 1`` pool threads each take the next ready task; a pool
+        thread that finds none ready returns, and only this thread waits,
+        so no pool thread waits for another task and graphs running at once
+        cannot deadlock.  Once a task raises, no task starts, and the
+        exception is raised here when the running ones are done."""
         self.ready = [(task[0], i) for i, task in enumerate(self.tasks) if not task[2]]
         heapq.heapify(self.ready)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        self.workers = min(layers, cpus or 1) - 1
-        if self.workers <= 0:
+        if layers > 1:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            layers = min(layers, cpus or 1)
+        self.workers = layers - 1
+        if not self.workers:
             while self.ready:
                 task = self.tasks[heapq.heappop(self.ready)[1]]
                 task[1]()
@@ -340,8 +320,8 @@ class _Graph:
 
     def _work(self, caller: bool) -> None:
         """Run ready tasks, holding the lock between them, until none is
-        ready; then a helper returns, while the caller's thread waits for
-        the next ready task or the end of the graph."""
+        ready; then a helper returns, and the caller's thread waits for a
+        ready task or the end of the graph."""
         while True:
             if self.ready and self.error is None:
                 task = self.tasks[heapq.heappop(self.ready)[1]]

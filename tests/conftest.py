@@ -144,9 +144,8 @@ def drain_layer_backward(grad, mask, cache, dw, db, input_grad):
         run.step(start)
         if input_grad:
             run.input_rows(start)
-    run.input_weights()
-    run.recurrent_weights()
-    run.bias()
+    for task in run.weight_tasks():
+        task()
     return run.dx
 
 

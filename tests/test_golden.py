@@ -8,11 +8,11 @@ Any rewrite of the forward or backward passes must keep every
 parameter and every prediction bit-identical, and any rewrite of the parse
 or the normalizer every file that ingest writes.
 
-The training digests train at T=6, one 16-step block, so they still hold
-since the LSTM backward forms each block's input gradient with a GEMM of
-its own: over one block that GEMM is the whole one, while over longer
-windows it may round the gradients below the top layer differently in the
-last bit.  The predict digests run forwards only.
+The training digests train at T=6, one 16-step block.  The LSTM stack
+digests pin a bare stack's training forward, backward and eval forward
+over 3 and 12 blocks; they were recorded from the stack run as a
+wavefront of blocks, one diagonal at a time, and hold unchanged for the
+stack run as a task graph.  The predict digests run forwards only.
 """
 
 import hashlib
