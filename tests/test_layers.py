@@ -532,7 +532,7 @@ def test_a_task_failing_on_a_worker_reaches_the_caller_and_leaves_the_pool_worki
     step, raised_on = runner.step, []
 
     def fails_on_a_worker(w):
-        """A step that raises on a worker when it is one of ``w``'s layer;
+        """A step that raises on a worker when it belongs to ``w``'s layer;
         on the calling thread every step first sleeps, which leaves the
         worker the ready tasks."""
         def patched(self, start):
