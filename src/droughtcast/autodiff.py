@@ -69,20 +69,20 @@ class Ring:
 class LstmForward:
     """One LSTM layer's forward over a time-major ``(T, B, in)`` sequence
     ``x``, from zero hidden and cell states, as tasks for a task graph:
-    :meth:`start`, then per block of ``PROJECT_STEPS`` steps :meth:`project`
-    (the block's input projection, one GEMM; Appleyard et al. 2016,
-    arXiv:1604.01946) and :meth:`step` (the recurrence).
+    per block of ``PROJECT_STEPS`` steps :meth:`project` (the block's input
+    projection, one GEMM; Appleyard et al. 2016, arXiv:1604.01946) and
+    :meth:`step` (the recurrence).
 
-    The constructor allocates every buffer (uninitialised where the tasks
-    write every element, so it costs microseconds on the calling thread)
-    and sets ``states``, where the hidden states go (the ``(T, B, H)``
-    states of every step in training mode, a :class:`Ring` in eval mode),
-    and ``cache``, what :class:`LstmBackward` reads (``None`` in eval
-    mode); both fill as the blocks run.  :meth:`start` must run before any
-    other task, block k's projection before its step, and the steps in
-    order.  A projection reads its rows of ``x`` only when it runs, so
-    ``x`` may be the ``states`` of the layer below (a ``Ring`` included)
-    while that layer is running.  Training keeps every step's gate
+    The constructor makes the halved copies of ``w`` and ``b`` (below),
+    allocates every other buffer (uninitialised where the tasks write
+    every element) and sets ``states``, where the hidden states go (the
+    ``(T, B, H)`` states of every step in training mode, a :class:`Ring`
+    in eval mode), and ``cache``, what :class:`LstmBackward` reads
+    (``None`` in eval mode); both fill as the blocks run.  Block k's
+    projection must run before its step, and the steps in order.  A
+    projection reads its rows of ``x`` only when it runs, so ``x`` may be
+    the ``states`` of the layer below (a ``Ring`` included) while that
+    layer is running.  Training keeps every step's gate
     activations and cell state for the backward, so its projections may
     run ahead of the steps; eval mode reuses one block of gate rows and two
     cell states, so block k's projection must wait for step k - 1.
@@ -96,7 +96,7 @@ class LstmForward:
 
     All four activations of a step are one in-place ``tanh``: σ(z) = ½ +
     ½·tanh(z/2) for the i, f and o gates, whose columns of ``w`` and ``b``
-    are halved once per forward, by :meth:`start`; the ``tanh`` is then
+    are halved once per forward, by the constructor; the ``tanh`` is then
     scaled and shifted by ½ (by 1 and 0 for g).  Halving is exact (short of
     subnormals), so the ``tanh`` sees exactly z/2; ±inf gives exactly 1 and
     0, and nothing overflows.
@@ -105,7 +105,7 @@ class LstmForward:
     def __init__(self, x, w: np.ndarray, b: np.ndarray, training: bool):
         steps, batch, n_in = x.shape
         hidden = b.shape[0] // 4
-        self.x, self.w, self.b, self.steps, self.n_in = x, w, b, steps, n_in
+        self.x, self.steps, self.n_in = x, steps, n_in
         self.training = training
         self.scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
         self.shift = 1.0 - self.scale
@@ -120,14 +120,9 @@ class LstmForward:
         else:
             self.hs, self.cs = Ring(steps, batch, hidden), np.zeros((2, batch, hidden))
         self.candidate = np.empty((batch, hidden))  # i * g
-        self.w_scaled, self.b_scaled = np.empty(w.shape), np.empty(b.shape)
+        self.w_scaled, self.b_scaled = w * self.scale, b * self.scale
         self.states = self.hs[1:] if training else self.hs
         self.cache = (x, w, self.gates, self.hs, self.cs) if training else None
-
-    def start(self) -> None:
-        """The halved copies of ``w`` and ``b``."""
-        np.multiply(self.w, self.scale, out=self.w_scaled)
-        np.multiply(self.b, self.scale, out=self.b_scaled)
 
     def _block(self, start: int) -> tuple[slice, np.ndarray]:
         rows = slice(start, min(start + PROJECT_STEPS, self.steps))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import queue
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -151,24 +150,26 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
     cache for :meth:`LstmStack.backward` (``None`` otherwise).
 
     Initial hidden/cell states are zero.  The sequence travels time-major
-    between layers, and each layer's
+    between layers, and the layers'
     :class:`~droughtcast.autodiff.LstmForward` tasks run as one
-    :class:`_Graph`: every task needs the layer's first task, a block's
-    projection needs the same block's step of the layer below, and its
-    step the projection and the layer's step before.  In training mode
+    :class:`_Graph`, added block by block: a block's projection needs the
+    same block's step of the layer below, and its step the projection and
+    the layer's step before.  The keys order the blocks as a wavefront
+    (Appleyard et al. 2016, arXiv:1604.01946): by block plus layer, the
+    upper layer first, a projection before its step.  In training mode
     each step then draws its rows of the inter-layer dropout mask from the
     layer's stream (the same doubles as one ``(T, B, h)`` draw) and writes
     its states times those rows into the layer above's input.  In eval
     mode a layer's gates and states fill one block of rows and a two-block
     :class:`~droughtcast.autodiff.Ring`, so a projection also needs the
-    layer's step before, and the layer below's step k + 2, which
-    overwrites the ring slot that projection k reads, needs it.  The top
-    layer's steps copy their states into the output.
+    layer's step before, and step k of a layer, which overwrites the ring
+    slot that projection k - 2 of the layer above reads, needs that
+    projection.  The top layer's steps copy their states into the output.
     """
     seq = x.transpose(1, 0, 2).copy()
     top = stack.num_layers - 1
     out = np.empty((len(x), len(seq), stack.hidden_size))
-    graph, steps, cache = _Graph(), None, []
+    runs, cache = [], []
     for li, layer in enumerate(stack.layers):
         run = LstmForward(seq, layer.w.data, layer.b.data, training)
         p = stack.dropout_p if training and li < top else 0.0
@@ -177,9 +178,20 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
             seq = out.transpose(1, 0, 2)
         else:
             seq = run.states if mask is None else np.empty(run.states.shape)
-        emit = partial(_emit, run, seq, mask, p, rng.split(f"lstm_dropout{li}") if p else None)
-        steps = _forward_tasks(graph, run, li, steps, emit)
+        runs.append((run, partial(_emit, run, seq, mask, p,
+                                  rng.split(f"lstm_dropout{li}") if p else None)))
         cache.append((run.cache, mask))
+    graph, tasks = _Graph(), []  # tasks[k][layer]: the block's (projection, step)
+    for k, start in enumerate(range(0, x.shape[1], PROJECT_STEPS)):
+        tasks.append([])
+        for li, (run, emit) in enumerate(runs):
+            prev = tasks[k - 1][li][1] if k else None
+            project = graph.add((li + k, -li, 0), partial(run.project, start),
+                                tasks[k][li - 1][1] if li else None, None if training else prev)
+            reader = tasks[k - 2][li + 1][0] if not training and k > 1 and li < top else None
+            tasks[k].append((project, graph.add((li + k, -li, 1), partial(emit, start),
+                                                project, prev, reader)))
+    del runs, run, emit  # the graph holds each layer until its last task
     graph.run(stack.num_layers)
     return out, (cache if training else None)
 
@@ -201,59 +213,6 @@ def _emit(run: LstmForward, target, mask: np.ndarray | None, p: float,
         target[rows] = block
 
 
-def _forward_tasks(graph: "_Graph", run: LstmForward, layer: int, below: list | None,
-                   emit) -> list:
-    """Add one layer's forward tasks to ``graph``, with ``emit(start)`` as
-    its steps; ``below`` and the result are the step tasks of the layer
-    below and of this one, by block.  The keys put the first tasks first,
-    then the blocks in wavefront order (Appleyard et al. 2016,
-    arXiv:1604.01946): by block plus layer, the upper layer first, a
-    projection before its step."""
-    first = graph.add((-1, 0, layer), run.start)
-    steps = []
-    for k, start in enumerate(range(0, run.steps, PROJECT_STEPS)):
-        prev = steps[-1] if steps else None
-        project = graph.add((layer + k, -layer, 0), partial(run.project, start), first,
-                            below and below[k], None if run.training else prev)
-        if below and not run.training and k + 2 < len(below):
-            graph.edge(project, below[k + 2])  # the step that overwrites the ring slot read here
-        steps.append(graph.add((layer + k, -layer, 1), partial(emit, start), project, prev))
-    return steps
-
-
-_pool = ([], None)  # (threads, job queue): the graphs' helper threads, started on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's threads do not exist here."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = ([], None), threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _start_pool(workers: int) -> queue.SimpleQueue:
-    """The pool's job queue, with at least ``workers`` threads serving it."""
-    global _pool
-    with _pool_lock:
-        threads, jobs = _pool
-        if jobs is None:
-            _pool = threads, jobs = [], queue.SimpleQueue()
-        while len(threads) < workers:
-            threads.append(threading.Thread(target=_serve, args=(jobs,), daemon=True,
-                                            name=f"lstm-worker-{len(threads)}"))
-            threads[-1].start()
-        return jobs
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        jobs.get()()
-
-
 class _Graph:
     """Tasks, each a callable with a key, and the edges between them, run
     once by :meth:`run`: a task runs once every task it needs is done, and
@@ -272,62 +231,45 @@ class _Graph:
         self.tasks.append([key, fn, len(needs), []])
         return len(self.tasks) - 1
 
-    def edge(self, before: int, after: int) -> None:
-        """Task ``after`` needs task ``before``."""
-        self.tasks[before][3].append(after)
-        self.tasks[after][2] += 1
-
     def run(self, layers: int) -> None:
-        """Run every task.  With one layer, or one CPU, this thread runs
-        them, taking no lock.  Otherwise this thread and up to ``min(layers,
-        CPUs) - 1`` pool threads each take the next ready task; a pool
-        thread that finds none ready returns, and only this thread waits,
-        so no pool thread waits for another task and graphs running at once
-        cannot deadlock.  Once a task raises, no task starts, and the
-        exception is raised here when the running ones are done."""
+        """Run every task: this thread and ``min(layers, CPUs) - 1`` helper
+        threads, started for this run and joined before it returns, each
+        run :meth:`_work`.  A helper waits only for this graph's tasks,
+        which this thread keeps running, so graphs running at once cannot
+        deadlock.  Once a task raises, no task starts, and the first
+        exception is raised here once the helpers are joined."""
         self.ready = [(task[0], i) for i, task in enumerate(self.tasks) if not task[2]]
         heapq.heapify(self.ready)
-        if layers > 1:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            layers = min(layers, cpus or 1)
-        self.workers = layers - 1
-        if not self.workers:
-            while self.ready:
-                task = self.tasks[heapq.heappop(self.ready)[1]]
-                task[1]()
-                self._done(task)
-            return
-        self.jobs = _start_pool(self.workers)
-        self.lock = threading.Condition(threading.Lock())
-        self.helpers = self.running = 0
-        self.left, self.waiting, self.error = len(self.tasks), False, None
-        with self.lock:
-            try:
-                self._work(caller=True)
-            except BaseException as exc:  # interrupted while waiting: start no more tasks
+        self.lock = threading.Condition()
+        self.running, self.error = 0, None
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        helpers = [threading.Thread(target=self._work, daemon=True, name=f"lstm-worker-{i}")
+                   for i in range(min(layers, cpus or 1) - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            self._work()
+        except BaseException as exc:  # interrupted while waiting: start no more tasks
+            with self.lock:
                 self.error = exc
-                raise
+                self.lock.notify_all()
+            raise
+        finally:
+            for helper in helpers:
+                helper.join()
         if self.error is not None:
             raise self.error
 
-    def _done(self, task: list) -> None:
-        task[1] = None  # drops what it held
-        for i in task[3]:
-            after = self.tasks[i]
-            after[2] -= 1
-            if not after[2]:
-                heapq.heappush(self.ready, (after[0], i))
-
-    def _work(self, caller: bool) -> None:
-        """Run ready tasks, holding the lock between them, until none is
-        ready; then a helper returns, and the caller's thread waits for a
-        ready task or the end of the graph."""
-        while True:
-            if self.ready and self.error is None:
+    def _work(self) -> None:
+        """Run the ready task with the smallest key, holding the lock
+        between tasks and waiting while none is ready, until no task is
+        left to start or one has raised."""
+        with self.lock:
+            while self.error is None and (self.ready or self.running):
+                if not self.ready:
+                    self.lock.wait()
+                    continue
                 task = self.tasks[heapq.heappop(self.ready)[1]]
-                for _ in range(min(len(self.ready) - self.waiting, self.workers - self.helpers)):
-                    self.helpers += 1
-                    self.jobs.put(self._help)
                 self.running += 1
                 failed = None
                 self.lock.release()
@@ -337,24 +279,15 @@ class _Graph:
                     failed = exc
                 self.lock.acquire()
                 self.running -= 1
-                self.left -= 1
-                if failed is None:
-                    self._done(task)
-                elif self.error is None:
+                task[1] = None  # drops what it held
+                if self.error is None:
                     self.error = failed
-                if self.waiting:
-                    self.lock.notify()
-            elif caller and (self.running or (self.left and self.error is None)):
-                self.waiting = True
-                self.lock.wait()
-                self.waiting = False
-            else:
-                return
-
-    def _help(self) -> None:
-        with self.lock:
-            self._work(caller=False)
-            self.helpers -= 1
+                for i in task[3]:
+                    after = self.tasks[i]
+                    after[2] -= 1
+                    if not after[2]:
+                        heapq.heappush(self.ready, (after[0], i))
+                self.lock.notify_all()
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import csv
 import struct
+import threading
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from droughtcast.layers import (
     LstmLayer,
     LstmStack,
     Mlp,
+    _Graph,
 )
 
 
@@ -122,12 +124,45 @@ def new_affine(in_size, out_size, rng, relu=False):
                        relu)
 
 
+def is_worker(thread):
+    return thread.name.startswith("lstm-worker")
+
+
+def live_workers():
+    return [thread for thread in threading.enumerate() if is_worker(thread)]
+
+
+def record_task_threads(monkeypatch):
+    """From here on, each LSTM task graph run appends the number of its
+    helper threads that ran at least one of its tasks to the returned
+    list."""
+    helpers, run = [], _Graph.run
+
+    def recorded(graph, layers):
+        threads = set()
+        for task in graph.tasks:
+            task[1] = _recording(threads, task[1])
+        try:
+            run(graph, layers)
+        finally:
+            helpers.append(sum(map(is_worker, threads)))
+
+    monkeypatch.setattr(_Graph, "run", recorded)
+    return helpers
+
+
+def _recording(threads, fn):
+    def task():
+        threads.add(threading.current_thread())
+        fn()
+    return task
+
+
 def drain_layer(x, w, b, training):
     """``(hidden states (T, B, H), cache)`` of one LSTM layer over the whole
     of ``x``: its tasks run in order on this thread, with a copy of each
     block's states (eval mode reuses two blocks of rows)."""
     run = LstmForward(x, w, b, training)
-    run.start()
     blocks = []
     for start in range(0, len(x), PROJECT_STEPS):
         run.project(start)

@@ -67,7 +67,6 @@ def test_eval_forward_never_holds_the_whole_input_projection():
     tracemalloc.start()
     try:
         run = LstmForward(x, w, b, training=False)
-        run.start()
         for start in range(0, steps, PROJECT_STEPS):
             run.project(start)
             run.step(start)

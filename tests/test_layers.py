@@ -10,11 +10,14 @@ from conftest import (
     attend_reference,
     drain_layer,
     drain_layer_backward,
+    is_worker,
+    live_workers,
     new_affine,
     new_head,
     new_lstm,
     new_mlp,
     new_table,
+    record_task_threads,
     tensors,
 )
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from droughtcast.layers import (
     dropout,
     embed,
     lstm_states,
+    _Graph,
 )
 
 
@@ -478,25 +482,40 @@ def forward_and_backward(stack, x):
     return [out] + [t.grad.copy() for t in tensors(stack).values()]
 
 
-def test_task_graph_starts_at_most_one_thread_per_spare_cpu():
+def test_task_graph_starts_at_most_one_thread_per_spare_cpu(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     x = RngState(75).uniform(-1, 1, (2, 40, 3))
+    helpers, work = record_task_threads(monkeypatch), _Graph._work
+
+    def returns_late(graph):
+        """The task loop, which on a helper returns 10 ms late, so a helper
+        that is not joined is still alive when the call returns."""
+        work(graph)
+        if is_worker(threading.current_thread()):
+            time.sleep(0.01)
+
+    monkeypatch.setattr(_Graph, "_work", returns_late)
     before = threading.active_count()
-    one_layer = new_lstm(1, 3, 4, RngState(76), dropout_p=0.4)
-    lstm_states(one_layer, x, RngState(0), training=False)
-    forward_and_backward(one_layer, x)
+    for stack in (new_lstm(1, 3, 4, RngState(76), dropout_p=0.4),
+                  new_lstm(3, 3, 4, RngState(77), dropout_p=0.4)):
+        lstm_states(stack, x, RngState(0), training=False)
+        assert not live_workers()
+        out, cache = lstm_states(stack, x, RngState(0), training=True)
+        assert not live_workers()
+        stack.backward(RngState(1).uniform(-1, 1, out.shape), cache)
+        assert not live_workers()
     assert threading.active_count() == before
-    forward_and_backward(new_lstm(3, 3, 4, RngState(77), dropout_p=0.4), x)
-    assert threading.active_count() - before <= cpus - 1
-    workers = [t for t in threading.enumerate() if t.name.startswith("lstm-worker")]
-    assert len(workers) <= cpus - 1
+    assert helpers[:3] == [0, 0, 0]  # one layer: this thread runs every task
+    assert max(helpers[3:]) <= cpus - 1
+    if cpus > 1:
+        assert max(helpers[3:]) >= 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_runs_the_task_graph_without_the_parents_threads():
     stack = new_lstm(2, 3, 4, RngState(78), dropout_p=0.4)
     x = RngState(79).uniform(-1, 1, (2, 40, 3))
-    want, _ = lstm_states(stack, x, RngState(0), training=False)  # the pool exists from here
+    want, _ = lstm_states(stack, x, RngState(0), training=False)  # helper threads ran here
     want_trained = forward_and_backward(stack, x)
     pid = os.fork()
     if pid == 0:
@@ -522,10 +541,9 @@ needs_two_cpus = pytest.mark.skipif(
 
 @needs_two_cpus
 @pytest.mark.parametrize("pass_", ["forward", "backward"])
+@pytest.mark.parametrize("raiser", ["worker", "caller"])
 def test_a_task_failing_on_a_worker_reaches_the_caller_and_leaves_the_pool_working(
-        pass_, monkeypatch):
-    golden = LSTM_STACK_GOLDEN[2, 40]
-    assert lstm_stack_digests(2, 40) == golden  # the pool exists from here
+        raiser, pass_, monkeypatch):
     stack = new_lstm(2, 3, 4, RngState(80), dropout_p=0.4)
     x = RngState(81).uniform(-1, 1, (2, 40, 3))
     runner = LstmForward if pass_ == "forward" else LstmBackward
@@ -538,29 +556,53 @@ def test_a_task_failing_on_a_worker_reaches_the_caller_and_leaves_the_pool_worki
         def patched(self, start):
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.002)
-            elif (self.w is w.data) if pass_ == "forward" else (self.dw is w.grad):
+            elif (self.cache[1] is w.data) if pass_ == "forward" else (self.dw is w.grad):
                 raised_on.append(threading.current_thread().name)
                 raise RuntimeError("injected")
             return step(self, start)
         return patched
 
+    mid_step, helper_in_step, raising = threading.Condition(), False, False
+
+    def fails_on_the_caller(self, start):
+        """A step that raises on the calling thread while a worker is in a
+        step, which waits there until the raise (or for at most a second)."""
+        nonlocal helper_in_step, raising
+        with mid_step:
+            if threading.current_thread() is threading.main_thread():
+                if mid_step.wait_for(lambda: helper_in_step, timeout=0.05):
+                    raising = True
+                    mid_step.notify_all()
+                    raised_on.append(threading.current_thread().name)
+                    raise RuntimeError("injected")
+            else:
+                helper_in_step = True
+                mid_step.notify_all()
+                mid_step.wait_for(lambda: raising, timeout=1.0)
+                helper_in_step = False
+        return step(self, start)
+
     before = threading.active_count()
-    for attempt in range(50):  # one layer's steps at a time, until one lands on a worker
+    for attempt in range(50):  # until a step raises on the chosen thread
         out, cache = lstm_states(stack, x, RngState(0), training=True)
-        monkeypatch.setattr(runner, "step", fails_on_a_worker(stack.layers[attempt % 2].w))
+        monkeypatch.setattr(runner, "step", fails_on_a_worker(stack.layers[attempt % 2].w)
+                            if raiser == "worker" else fails_on_the_caller)
         try:
             if pass_ == "forward":
                 lstm_states(stack, x, RngState(0), training=True)
             else:
                 stack.backward(RngState(1).uniform(-1, 1, out.shape), cache)
         except RuntimeError as exc:
+            assert not live_workers()
             assert str(exc) == "injected"
             break
         finally:
             monkeypatch.undo()
-    assert raised_on and raised_on[0].startswith("lstm-worker")
+    assert raised_on
+    assert raised_on[0].startswith("lstm-worker") if raiser == "worker" else (
+        raised_on[0] == threading.main_thread().name)
     assert threading.active_count() == before
-    assert lstm_stack_digests(2, 40) == golden
+    assert lstm_stack_digests(2, 40) == LSTM_STACK_GOLDEN[2, 40]
 
 
 def test_two_callers_at_once_get_the_bits_of_their_solo_runs(short_switch_interval):

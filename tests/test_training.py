@@ -199,23 +199,27 @@ def test_fit_is_bit_reproducible():
 
 # A short 2-layer fit with dropout, then predict, over T=40 (two full
 # 16-step blocks and a short one); prints a digest of the parameter and
-# prediction bytes and the number of LSTM worker threads.  "one" pins the
+# prediction bytes, the most helper threads that ran tasks of one LSTM task
+# graph, and the number of helper threads alive at the end.  "one" pins the
 # process to one CPU before numpy loads.
 CPU_COUNT_RUN = """
-import hashlib, os, sys, threading
+import hashlib, os, sys
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import pytest
+from conftest import live_workers, record_task_threads
 from test_training import make_linear_samples, overfit_config
 from droughtcast.model import AblationConfig, HybridModel
 from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict
 
+helpers = record_task_threads(pytest.MonkeyPatch())
 samples = make_linear_samples(n=24, t=40, seed=3)
 model = HybridModel.build(overfit_config(dropout=0.1, embed_dropout=0.2), AblationConfig(), seed=5)
 model, _ = fit(model, samples, samples[:8], TrainRunConfig(batch_size=8, epochs=2, seed=7),
                LrSchedule(base_lr=1e-3, max_lr=1e-2, cycle_length=6))
 predictions, attention = predict(model, samples)
 digest = hashlib.sha256(model.params.tobytes() + predictions.tobytes() + attention.tobytes())
-print(digest.hexdigest(), sum(t.name.startswith("lstm-worker") for t in threading.enumerate()))
+print(digest.hexdigest(), max(helpers), len(live_workers()))
 """
 
 
@@ -225,11 +229,12 @@ def test_seeded_bytes_do_not_depend_on_the_cpu_count():
     src = Path(training.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
-    (one, one_threads), (every, every_threads) = (
+    (one, one_helpers, one_alive), (every, every_helpers, every_alive) = (
         subprocess.run([sys.executable, "-c", CPU_COUNT_RUN, cpus], capture_output=True, text=True,
                        env=env, timeout=120, check=True).stdout.split()
         for cpus in ("one", "every"))
-    assert (one_threads, every_threads) == ("0", "1")
+    assert (one_helpers, every_helpers) == ("0", "1")
+    assert (one_alive, every_alive) == ("0", "0")
     assert one == every
 
 
