@@ -13,9 +13,18 @@ digests pin a bare stack's training forward, backward and eval forward
 over 3 and 12 blocks; they were recorded from the stack run as a
 wavefront of blocks, one diagonal at a time, and hold unchanged for the
 stack run as a task graph.  The predict digests run forwards only.
+
+The t-SNE digests pin the projection's coordinates and KL divergence, and
+one run's KL after every iteration; they were recorded from the loop that
+allocated new arrays in each iteration.  The desk pipeline pins the
+end-to-end run of ``scripts/run_desk_pipeline.py`` at its default seed.
 """
 
+import csv
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +34,7 @@ from droughtcast.autodiff import RngState
 from droughtcast.cli import ABLATION_SETTINGS, main
 from conftest import new_lstm, tensors, window_set
 from droughtcast.data import SampleSet
+from droughtcast.introspection import tsne
 from droughtcast.layers import lstm_states
 from droughtcast.model import HybridModel, ModelConfig
 from droughtcast.synthetic import make_dataset
@@ -287,3 +297,69 @@ def lstm_stack_digests(layers: int, steps: int) -> tuple[str, str, str]:
 @pytest.mark.parametrize("layers, steps", sorted(LSTM_STACK_GOLDEN))
 def test_lstm_stack_bits_match_the_recorded_run(layers, steps):
     assert lstm_stack_digests(layers, steps) == LSTM_STACK_GOLDEN[layers, steps]
+
+
+def _duplicate_points() -> np.ndarray:
+    points = np.zeros((8, 3))
+    points[4:] = 1.0
+    return points
+
+
+def _two_clusters() -> np.ndarray:
+    """Sixty points in two clusters; tests/test_introspection.py's
+    ``two_cluster_points(n_per=30, seed=4)``."""
+    rng = RngState(4)
+    return np.concatenate([rng.normal(0.0, 0.5, (30, 6)) + 8.0,
+                           rng.normal(0.0, 0.5, (30, 6)) - 8.0])
+
+
+# case: (points, perplexity, iterations, seed, sha256 of coords.tobytes(),
+# repr(kl)); "two clusters" runs both phases, "duplicates" takes the jitter
+# path and "lowered perplexity" has N <= 3 * perplexity
+TSNE_GOLDEN = {
+    "two clusters": (_two_clusters, 15, 1000, 2,
+                     "5d873ccfd2c866ca033dfa1cd11ffa6beb36cc032aec2066bca207703296d835",
+                     "0.2208951932545196"),
+    "duplicates": (_duplicate_points, 2, 60, 5,
+                   "5e26bfac5415f733a127e8bf72b153aaa528d1512132f26bb86f9b4f6b06a825",
+                   "0.3894472172061079"),
+    "lowered perplexity": (lambda: RngState(16).normal(0.0, 1.0, (12, 3)), 5, 300, 17,
+                           "08a858ec8fbb8fee1d2cf6728f2d9728fb5e9241db5e982beca8eb48fd211acc",
+                           "1.1538700838767755"),
+}
+# sha256 of the KL divergence after each of the 1,000 iterations of the
+# "two clusters" case, as little-endian float64
+TSNE_KL_TRACE_GOLDEN = "1452a01ed6603ea8c8db4038b0bfb464275de684959273313adc116dbc5f6c19"
+
+
+@pytest.mark.parametrize("case", sorted(TSNE_GOLDEN))
+def test_tsne_bits_match_the_recorded_run(case):
+    points, perplexity, iterations, seed, coords, kl = TSNE_GOLDEN[case]
+    result = tsne(points(), perplexity=perplexity, iterations=iterations, seed=seed)
+    assert (hashlib.sha256(result.coords.tobytes()).hexdigest(), repr(result.kl)) == (coords, kl)
+
+
+def test_tsne_kl_trace_matches_the_recorded_run():
+    points, perplexity, iterations, seed, _, _ = TSNE_GOLDEN["two clusters"]
+    trace = tsne(points(), perplexity=perplexity, iterations=iterations, seed=seed).kl_trace
+    assert hashlib.sha256(np.asarray(trace, dtype="<f8").tobytes()).hexdigest() \
+        == TSNE_KL_TRACE_GOLDEN
+
+
+# scripts/run_desk_pipeline.py at seed 7: the test MAE of eval/summary.csv and
+# the sha256 of introspect/tsne.csv
+DESK_PIPELINE_MAE = "0.6351651017618923"
+DESK_PIPELINE_TSNE_GOLDEN = "f9a1aadb3f167f0f22c316695404edc24b523ef46025395f5dd58f3fba7ef178"
+
+
+def test_desk_pipeline_matches_the_recorded_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, str(root / "scripts" / "run_desk_pipeline.py"),
+                    "--seed", "7", "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    with open(tmp_path / "eval" / "summary.csv", newline="") as f:
+        assert next(csv.DictReader(f))["mae"] == DESK_PIPELINE_MAE
+    assert hashlib.sha256((tmp_path / "introspect" / "tsne.csv").read_bytes()).hexdigest() \
+        == DESK_PIPELINE_TSNE_GOLDEN
