@@ -13,7 +13,7 @@ approximation is used.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +94,20 @@ def export_embeddings(model: HybridModel, statics: StaticTable,
 class TsneResult:
     coords: np.ndarray  # (N, 2)
     kl: float
-    kl_trace: list[float] = field(default_factory=list)
-    sigmas: np.ndarray | None = None
-    perplexity_used: float = 0.0
+    perplexity_used: float
 
 
-def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(points: np.ndarray, out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the rows of ``points``, clipped at zero,
+    with a zero diagonal.  Written into ``out`` if given; ``scratch``, an
+    array of the same shape, then holds the Gram term."""
     sq = (points ** 2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
+    gram = np.matmul(2.0 * points, points.T, out=scratch)
+    d2 = np.add(sq[:, None], sq[None, :], out=out)
+    d2 -= gram
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _conditional_row(d2_row: np.ndarray, beta: float, i: int) -> tuple[np.ndarray, float]:
@@ -136,11 +140,14 @@ def _search_beta(d2_row: np.ndarray, i: int, target_entropy: float) -> tuple[np.
     return p, beta
 
 
-def conditional_affinities(points: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
+def conditional_affinities(points: np.ndarray, perplexity: float,
+                           d2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row conditional affinities with entropies matched to
-    log(perplexity) within 1e-3; returns (P_conditional, sigmas)."""
+    log(perplexity) within 1e-3; returns (P_conditional, sigmas).  ``d2``,
+    the pairwise squared distances of ``points``, is computed unless given."""
     n = points.shape[0]
-    d2 = _pairwise_sq_dists(points)
+    if d2 is None:
+        d2 = _pairwise_sq_dists(points)
     target = float(np.log(perplexity))
     p = np.zeros((n, n))
     betas = np.empty(n)
@@ -150,60 +157,96 @@ def conditional_affinities(points: np.ndarray, perplexity: float) -> tuple[np.nd
     return p, sigmas
 
 
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(P || Q) of two joint-affinity matrices with no zero entry."""
+    return float((p * np.log(p / q)).sum())
+
+
 EARLY_EXAGGERATION = 12.0  # affinity multiplier for the first EXAGGERATION_ITERS iterations
 EXAGGERATION_ITERS = 250
 
 
+class TsneDescent:
+    """Exact t-SNE of ``points`` to two dimensions, set up for gradient
+    descent: the joint affinities ``p`` and the seeded start ``y``.  Points
+    that coincide are first jittered by 1e-10.  A perplexity of ``N/3`` or
+    more is lowered to ``(N - 1)/3``; ``perplexity_used`` says which one
+    ran."""
+
+    def __init__(self, points, perplexity: float = 100.0, seed: int = 0):
+        if not perplexity > 0:
+            raise ConfigError(f"t-SNE perplexity must be positive, got {perplexity}")
+        points = np.asarray(points, dtype=float)
+        n = points.shape[0]
+        if n < 4:
+            raise DataError(f"t-SNE needs at least 4 points, got {n}")
+        if n <= 3 * perplexity:
+            perplexity = (n - 1) / 3.0
+
+        rng = RngState(seed)
+        d2 = _pairwise_sq_dists(points)
+        np.fill_diagonal(d2, np.inf)  # off the diagonal, a zero is a duplicate
+        if d2.min() == 0.0:
+            points = points + rng.split("jitter").normal(0.0, 1e-10, points.shape)
+            d2 = _pairwise_sq_dists(points, out=d2)
+        else:
+            np.fill_diagonal(d2, 0.0)
+        p, _ = conditional_affinities(points, perplexity, d2)
+        del d2
+        p += p.T  # symmetrize; numpy buffers the overlapping operand
+        p /= 2.0 * n
+        self.p = np.maximum(p, 1e-12, out=p)
+        self.y = rng.split("init").normal(0.0, 1e-4, (n, 2))
+        self.perplexity_used = perplexity
+
+    def iterate(self, iterations: int):
+        """Move ``y`` in place by ``iterations`` steps of momentum gradient
+        descent, the first EXAGGERATION_ITERS on exaggerated affinities.
+        After each step, yield the similarities ``q`` its gradient was taken
+        at; the next step overwrites them."""
+        n = self.p.shape[0]
+        y = self.y
+        inv, q, coeff = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+        grad, velocity = np.empty_like(y), np.zeros_like(y)
+        lr = n / 12.0
+        p_eff, momentum = self.p * EARLY_EXAGGERATION, 0.5
+        for it in range(iterations):
+            if it == EXAGGERATION_ITERS:
+                p_eff, momentum = self.p, 0.8
+            _pairwise_sq_dists(y, out=inv, scratch=q)
+            inv += 1.0
+            np.divide(1.0, inv, out=inv)
+            np.fill_diagonal(inv, 0.0)
+            np.divide(inv, inv.sum(), out=q)
+            np.maximum(q, 1e-12, out=q)
+
+            # gradient: 4 * sum_j (p_ij - q_ij) * inv_ij * (y_i - y_j), which
+            # is 4 * (diag(coeff.sum(axis=1)) - coeff) @ y
+            np.subtract(p_eff, q, out=coeff)
+            coeff *= inv
+            diagonal = coeff.sum(axis=1) - np.diagonal(coeff)
+            np.subtract(0.0, coeff, out=coeff)
+            np.fill_diagonal(coeff, diagonal)
+            np.matmul(coeff, y, out=grad)
+            grad *= 4.0
+
+            velocity *= momentum
+            grad *= lr
+            velocity -= grad
+            y += velocity
+            y -= y.mean(axis=0)
+            yield q
+
+
 def tsne(points, perplexity: float = 100.0, iterations: int = 1000, seed: int = 0) -> TsneResult:
-    """Exact t-SNE to two dimensions.  A perplexity of ``N/3`` or more is
-    lowered to ``(N - 1)/3``; ``perplexity_used`` in the result says which
-    one ran."""
+    """Exact t-SNE to two dimensions (see :class:`TsneDescent`); ``kl`` is
+    the KL divergence at the last iteration's gradient."""
     if iterations < 1:
         raise ConfigError(f"t-SNE needs at least one iteration, got {iterations}")
-    if not perplexity > 0:
-        raise ConfigError(f"t-SNE perplexity must be positive, got {perplexity}")
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    if n < 4:
-        raise DataError(f"t-SNE needs at least 4 points, got {n}")
-    if n <= 3 * perplexity:
-        perplexity = (n - 1) / 3.0
-
-    rng = RngState(seed)
-    d2 = _pairwise_sq_dists(points)
-    off_diag = d2[~np.eye(n, dtype=bool)]
-    if (off_diag == 0.0).any():
-        points = points + rng.split("jitter").normal(0.0, 1e-10, points.shape)
-
-    p_cond, sigmas = conditional_affinities(points, perplexity)
-    p = (p_cond + p_cond.T) / (2.0 * n)
-    p = np.maximum(p, 1e-12)
-
-    y = rng.split("init").normal(0.0, 1e-4, (n, 2))
-    velocity = np.zeros_like(y)
-    lr = n / 12.0
-    kl_trace: list[float] = []
-
-    for it in range(iterations):
-        p_eff = p * EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else p
-        d2_low = _pairwise_sq_dists(y)
-        inv = 1.0 / (1.0 + d2_low)
-        np.fill_diagonal(inv, 0.0)
-        q = np.maximum(inv / inv.sum(), 1e-12)
-
-        # gradient: 4 * sum_j (p_ij - q_ij) * inv_ij * (y_i - y_j)
-        coeff = (p_eff - q) * inv
-        grad = 4.0 * ((np.diag(coeff.sum(axis=1)) - coeff) @ y)
-
-        momentum = 0.5 if it < EXAGGERATION_ITERS else 0.8
-        velocity = momentum * velocity - lr * grad
-        y = y + velocity
-        y = y - y.mean(axis=0)
-
-        kl_trace.append(float((p * np.log(p / q)).sum()))
-
-    return TsneResult(coords=y, kl=kl_trace[-1], kl_trace=kl_trace,
-                      sigmas=sigmas, perplexity_used=perplexity)
+    descent = TsneDescent(points, perplexity, seed)
+    for q in descent.iterate(iterations):
+        pass
+    return TsneResult(descent.y, kl_divergence(descent.p, q), descent.perplexity_used)
 
 
 # Figure emission: minimal self-contained SVG (well-formed XML, no

@@ -339,6 +339,8 @@ class HybridModel:
                                                                       cache.pop("attention"))
                 g_hidden += through_sum
                 g_hidden += through_scores
+                # two (B, T, H) arrays that the LSTM backward, where training peaks, need not hold
+                del through_sum, through_scores
             self.lstm.backward(g_hidden, cache.pop("lstm"))
         if self.embeddings:
             grad = self.reducer.backward(next(pieces), cache["reducer"])

@@ -9,6 +9,7 @@ import pytest
 
 from droughtcast.autodiff import PROJECT_STEPS, LstmBackward, LstmForward, Tensor
 from droughtcast.data import DailySeries, Normalizer, SampleSet, StaticTable
+from droughtcast.introspection import TsneDescent, kl_divergence
 from droughtcast.layers import (
     AffineLayer,
     AttentionHead,
@@ -235,6 +236,13 @@ def row_perplexity(p_row):
     """exp of the entropy (nats) of one row of conditional affinities."""
     nz = p_row > 0
     return float(np.exp(-(p_row[nz] * np.log(p_row[nz])).sum()))
+
+
+def tsne_kl_trace(points, perplexity, iterations, seed):
+    """The t-SNE descent of ``tsne(points, perplexity, iterations, seed)``,
+    run to the end, and its KL divergence after each iteration."""
+    descent = TsneDescent(points, perplexity, seed)
+    return descent, [kl_divergence(descent.p, q) for q in descent.iterate(iterations)]
 
 
 def load_normalizer(path):

@@ -16,13 +16,14 @@ from conftest import (
     scored_days,
     series_fixture,
     statics_fixture,
+    tsne_kl_trace,
     window_set,
     with_windows,
 )
 from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.cli import main as cli_main
 from droughtcast.data import build_samples, split_fractions
-from droughtcast.introspection import conditional_affinities, tsne
+from droughtcast.introspection import conditional_affinities
 from droughtcast.layers import attend_batched
 from droughtcast.metrics import (
     binary_auc,
@@ -292,22 +293,22 @@ def test_criterion_09_tsne():
     points = np.concatenate([a, b])
     labels = np.array([0] * n_per + [1] * n_per)
 
-    result = tsne(points, perplexity=100, iterations=1000, seed=72)
-    assert result.perplexity_used == (len(points) - 1) / 3
+    descent, kl_trace = tsne_kl_trace(points, perplexity=100, iterations=1000, seed=72)
+    assert descent.perplexity_used == (len(points) - 1) / 3
 
-    coords = result.coords
+    coords = descent.y
     d = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
     same = labels[:, None] == labels[None, :]
     off_diag = ~np.eye(len(labels), dtype=bool)
     intra = d[same & off_diag].mean()
     inter = d[~same].mean()
 
-    p_cond, _ = conditional_affinities(points, result.perplexity_used)
+    p_cond, _ = conditional_affinities(points, descent.perplexity_used)
     perp_ok = all(
-        abs(np.log(row_perplexity(p_cond[i])) - np.log(result.perplexity_used)) <= 1e-3
+        abs(np.log(row_perplexity(p_cond[i])) - np.log(descent.perplexity_used)) <= 1e-3
         for i in range(len(points))
     )
-    kl_ok = result.kl_trace[999] <= result.kl_trace[299] + 1e-9
+    kl_ok = kl_trace[999] <= kl_trace[299] + 1e-9
     elapsed = time.monotonic() - started
     _report(9, "t-SNE separates clusters, hits perplexity, KL decreases",
             intra < inter and perp_ok and kl_ok and elapsed < 120,

@@ -32,7 +32,7 @@ import pytest
 
 from droughtcast.autodiff import RngState
 from droughtcast.cli import ABLATION_SETTINGS, main
-from conftest import new_lstm, tensors, window_set
+from conftest import new_lstm, tensors, tsne_kl_trace, window_set
 from droughtcast.data import SampleSet
 from droughtcast.introspection import tsne
 from droughtcast.layers import lstm_states
@@ -340,8 +340,9 @@ def test_tsne_bits_match_the_recorded_run(case):
 
 
 def test_tsne_kl_trace_matches_the_recorded_run():
-    points, perplexity, iterations, seed, _, _ = TSNE_GOLDEN["two clusters"]
-    trace = tsne(points(), perplexity=perplexity, iterations=iterations, seed=seed).kl_trace
+    points, perplexity, iterations, seed, coords, kl = TSNE_GOLDEN["two clusters"]
+    descent, trace = tsne_kl_trace(points(), perplexity, iterations, seed)
+    assert (hashlib.sha256(descent.y.tobytes()).hexdigest(), repr(trace[-1])) == (coords, kl)
     assert hashlib.sha256(np.asarray(trace, dtype="<f8").tobytes()).hexdigest() \
         == TSNE_KL_TRACE_GOLDEN
 
