@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,6 +27,7 @@ from . import data as dp
 from .config import RunConfig, config_help_text, load_config
 from .errors import ConfigError, DataError, NumericError, SchemaError
 from .introspection import collect_attention, emit_figures, export_embeddings, tsne
+from .layers import cpu_count
 from .metrics import (
     WEEKLY_COLUMNS,
     cross_validate,
@@ -201,6 +204,64 @@ def _trained(cfg: RunConfig, config: ModelConfig, ablation: AblationConfig, seed
     return fit(model, train, val, run, _schedule(cfg, len(train)))
 
 
+def _grid(fn, jobs, layers: int):
+    """Yield ``fn(job)`` for each job in order up to the first that raises,
+    then raise its error.  ``w = min(len(jobs), CPUs // min(layers, CPUs))``
+    processes run jobs 0, w, 2w, ...: this one the first share, and each of
+    ``w - 1`` children, forked with no other thread alive and reaped before
+    the first yield, another, whose results it pickles into a pipe.  Share i
+    runs pinned to CPUs i, i + w, ...: a scheduler may otherwise keep a forked
+    worker on its parent's CPU.  Where no process can be pinned, w is 1."""
+    cpus = cpu_count()
+    workers = min(len(jobs), cpus // min(layers, cpus)) if hasattr(os, "sched_setaffinity") else 1
+    every = sorted(os.sched_getaffinity(0)) if workers > 1 else []
+
+    def share(first: int) -> list:
+        """(job, error, result) of jobs first, first + w, ... to the first error."""
+        if every:
+            os.sched_setaffinity(0, every[first::workers])
+        done = []
+        for i in range(first, len(jobs), workers):
+            try:
+                done.append((i, None, fn(jobs[i])))
+            except Exception as exc:
+                return done + [(i, exc, None)]
+        return done
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for first in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: whatever happens, it ends here
+                try:
+                    blob = pickle.dumps(share(first))
+                    while blob:
+                        blob = blob[os.write(write, blob):]
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        done = share(0)
+        for pid, read in children:
+            if not (blob := b"".join(iter(lambda: os.read(read, 1 << 16), b""))):
+                raise RuntimeError(f"grid worker {pid} ended without sending its results")
+            done += pickle.loads(blob)
+    finally:
+        if every:
+            os.sched_setaffinity(0, every)
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, 9)  # SIGKILL: a worker this process no longer waits for
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    for _, error, result in sorted(done, key=lambda row: row[0]):
+        if error is not None:
+            raise error
+        yield result
+
+
 def cmd_train(cfg: RunConfig) -> int:
     out = _command_dir(cfg, "train")
     ingest = _ingest_dir(cfg)
@@ -244,9 +305,12 @@ def cmd_ablate(cfg: RunConfig) -> int:
     summary = [["setting", "static", "timeseries", "attention", "mae", "rmse", "f1"]]
     weekly = [["setting", *WEEKLY_COLUMNS]]
 
-    for i, ablation in enumerate(ABLATION_SETTINGS):
-        model, _ = _trained(cfg, base_config, ablation, cfg.seed + i, train, val)
-        report = evaluate(model, test)[0]
+    def setting(i: int):
+        model = _trained(cfg, base_config, ABLATION_SETTINGS[i], cfg.seed + i, train, val)[0]
+        return evaluate(model, test)[0]
+
+    reports = _grid(setting, range(len(ABLATION_SETTINGS)), base_config.lstm_layers)
+    for ablation, report in zip(ABLATION_SETTINGS, reports):
         label = ablation.label()
         summary.append([label, ablation.use_static, ablation.use_timeseries,
                         ablation.use_attention, report.mae, report.rmse, report.f1])
@@ -269,7 +333,8 @@ def cmd_cv(cfg: RunConfig) -> int:
 
     def folds_of(ablation):
         return cross_validate(pool, folds, lambda train, val, seed: _trained(
-            cfg, base_config, ablation, seed, train, val, epochs)[0], seed=cfg.seed)
+            cfg, base_config, ablation, seed, train, val, epochs)[0],
+            lambda fold, jobs: _grid(fold, jobs, base_config.lstm_layers), seed=cfg.seed)
 
     # both settings are built, and so checked, before the first fold trains
     primary, baseline = map(folds_of, [_from_section(cfg, AblationConfig, "ablation"),
@@ -314,14 +379,17 @@ def cmd_locexp(cfg: RunConfig) -> int:
         if not state_train or not state_test:
             raise DataError(f"state prefix {state!r} has no train or test samples")
 
-    specific = {}
-    agnostic = {}
-    agnostic_model = _trained(cfg, base_config, ablation, cfg.seed, train, val)[0]
-    for i, (state, (state_train, state_val, state_test)) in enumerate(by_state.items()):
-        state_model = _trained(cfg, base_config, ablation, cfg.seed + 100 * (i + 1),
-                               state_train, state_val)[0]
-        specific[state] = evaluate(state_model, state_test)[0]
-        agnostic[state] = evaluate(agnostic_model, state_test)[0]
+    def reports(i: int) -> list:
+        """Job 0: the model trained on every state, on each state's test
+        rows; job i: the i-th state's model on its own."""
+        rows = by_state[states[i - 1]] if i else [train, val, *(t for *_, t in by_state.values())]
+        model = _trained(cfg, base_config, ablation, cfg.seed + 100 * i, *rows[:2])[0]
+        return [evaluate(model, test)[0] for test in rows[2:]]
+
+    results = _grid(reports, range(len(states) + 1), base_config.lstm_layers)
+    agnostic, specific = dict(zip(states, next(results))), {}
+    for state, [report] in zip(states, results):
+        specific[state] = report
         print(f"state {state}: specific MAE {specific[state].mae:.3f}, "
               f"agnostic MAE {agnostic[state].mae:.3f}")
 

@@ -30,6 +30,11 @@ from .autodiff import PROJECT_STEPS, LstmBackward, LstmForward, RngState, Tensor
 from .errors import NumericError
 
 
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def dropout(x: np.ndarray, p: float, training: bool,
             rng: RngState) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout: each entry zeroed with probability ``p``, the rest
@@ -242,9 +247,8 @@ class _Graph:
         heapq.heapify(self.ready)
         self.lock = threading.Condition()
         self.running, self.error = 0, None
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         helpers = [threading.Thread(target=self._work, daemon=True, name=f"lstm-worker-{i}")
-                   for i in range(min(layers, cpus or 1) - 1)]
+                   for i in range(min(layers, cpu_count()) - 1)]
         for helper in helpers:
             helper.start()
         try:

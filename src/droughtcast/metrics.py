@@ -312,16 +312,19 @@ def summarize_folds(values) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def cross_validate(samples, k, train, seed: int = 0) -> FoldResults:
+def cross_validate(samples, k, train, run, seed: int = 0) -> FoldResults:
     """Report MAE/RMSE/F1 per fold of the model that
     ``train(train_samples, val_samples, fold_seed)`` returns, fresh and
-    seeded per fold."""
-    folds = []
-    for i, (fit_rows, val_rows) in enumerate(kfold_split(len(samples), k=k, seed=seed)):
+    seeded per fold; ``run(fold, jobs)`` yields ``fold(job)`` of each job in
+    order, as ``map`` does."""
+    def fold(job) -> dict[str, float]:
+        i, (fit_rows, val_rows) = job
         model = train(samples[fit_rows], samples[val_rows], seed + 1000 * (i + 1))
         report = evaluate(model, samples[val_rows])[0]
-        folds.append({"mae": report.mae, "rmse": report.rmse, "f1": report.f1})
-    return FoldResults(["mae", "rmse", "f1"], folds)
+        return {"mae": report.mae, "rmse": report.rmse, "f1": report.f1}
+
+    splits = list(enumerate(kfold_split(len(samples), k=k, seed=seed)))
+    return FoldResults(["mae", "rmse", "f1"], list(run(fold, splits)))
 
 
 def relative_improvement(baseline: float, candidate: float, better: str = "lower") -> float:

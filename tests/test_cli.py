@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import os
@@ -74,6 +75,36 @@ def dataset(tmp_path_factory):
 
 def run_cli(config, out, command, *extra):
     return main(["--config", str(config), "--out", str(out), command, *extra])
+
+
+def spy_forks(monkeypatch):
+    """The ``os.fork`` calls made from now on, one entry each."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@contextlib.contextmanager
+def pinned(cpus: str):
+    """This thread on one CPU for ``"one"``, on every CPU it has for
+    ``"every"``; its CPUs are restored on the way out."""
+    every = os.sched_getaffinity(0)
+    if cpus == "one":
+        os.sched_setaffinity(0, {min(every)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, every)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2, reason="the host cannot fork or allows only one CPU")
 
 
 @pytest.fixture(scope="module")
@@ -277,9 +308,135 @@ def test_a_bad_setting_fails_before_the_first_training(trained, tmp_path, monkey
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(cli, "fit", spy)
+    # a fit in a forked worker would escape the spy, so no worker may start either
+    forks = spy_forks(monkeypatch)
     assert run_cli(config, out, command, "--set", setting) == code
     assert fits == []
+    assert forks == []
     assert message in capsys.readouterr().err
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("cpus", ["one", "every"])
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failing_grid_job_ends_the_command_after_the_jobs_before_it(
+        trained, tmp_path, monkeypatch, capsys, failing, cpus):
+    """``ablate``'s job 1 fails in a forked worker on two CPUs, job 2 in the
+    calling process: either way the command prints the lines of the jobs
+    before it, exits with the job's error and leaves no child behind."""
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "ingest", out / "ingest")
+    assert run_cli(config, out, "ablate") == 0
+    every_line = capsys.readouterr().out.splitlines()
+    fit, seed = cli.fit, 11 + failing  # job i trains with the run seed 11 plus i
+
+    def fit_failing(model, train, val, run, schedule):
+        if run.seed == seed:
+            raise errors.NumericError(f"planted failure at seed {seed}")
+        return fit(model, train, val, run, schedule)
+
+    monkeypatch.setattr(cli, "fit", fit_failing)
+    forks = spy_forks(monkeypatch)
+    with pinned(cpus):
+        given = os.sched_getaffinity(0)
+        code = run_cli(config, out, "ablate")
+        assert os.sched_getaffinity(0) == given  # the grid hands its CPUs back
+    printed = capsys.readouterr()
+    assert code == 4
+    assert printed.out.splitlines() == every_line[:failing]
+    assert f"numeric error: planted failure at seed {seed}" in printed.err
+    assert bool(forks) == (cpus == "every")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("layers", [1, 2])
+def test_each_grid_share_runs_on_its_own_cpus(layers):
+    """Job i runs in share i % w, pinned to CPUs i % w, i % w + w, ...; with
+    two LSTM layers on two CPUs, w is 1 and nothing is pinned."""
+    every = sorted(os.sched_getaffinity(0))
+    workers = min(4, len(every) // min(layers, len(every)))
+    seen = list(cli._grid(lambda job: sorted(os.sched_getaffinity(0)), range(4), layers))
+    assert seen == [every[i % workers::workers] for i in range(4)]
+    assert sorted(os.sched_getaffinity(0)) == every
+
+
+@needs_two_cpus
+def test_an_interrupt_in_the_calling_process_kills_and_reaps_every_worker(trained, tmp_path,
+                                                                         monkeypatch):
+    """A ``KeyboardInterrupt`` (or the benchmark's timeout) raised in the
+    calling process's share ends the workers still fitting at once."""
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "ingest", out / "ingest")
+    caller = os.getpid()
+
+    def fit_interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker's fit that is still running
+
+    monkeypatch.setattr(cli, "fit", fit_interrupted)
+    forks = spy_forks(monkeypatch)
+    given, start = os.sched_getaffinity(0), time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(config, out, "ablate")
+    assert time.perf_counter() - start < 30
+    assert forks
+    assert os.sched_getaffinity(0) == given
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Runs ablate, cv and locexp on the CPUs given as argv[1] ("one" pins the
+# process to one CPU), the config argv[2] and the output directory argv[3];
+# prints each command's stdout, then per command the workers it forked and
+# whether a child was left when it returned.
+GRID_CPU_RUN = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from droughtcast.cli import main
+
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(None) or fork()
+counts = []
+for command in ("ablate", "cv", "locexp"):
+    before = len(forks)
+    assert main(["--config", sys.argv[2], "--out", sys.argv[3], command]) == 0
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        left = None
+    counts.append(f"{command}:{len(forks) - before}:{left}")
+print(*counts)
+"""
+
+
+@needs_two_cpus
+def test_grid_bytes_do_not_depend_on_the_cpu_count(trained, tmp_path):
+    """``ablate``, ``cv`` and ``locexp`` on one CPU, which runs every fit in
+    the calling process, and on every CPU, where each command forks
+    workers, print the same lines and write the same CSVs."""
+    config, trained_out = trained
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    printed, csvs, counts = {}, {}, {}
+    for cpus in ("one", "every"):
+        out = tmp_path / cpus
+        shutil.copytree(trained_out / "ingest", out / "ingest")
+        *printed[cpus], last = subprocess.run(
+            [sys.executable, "-c", GRID_CPU_RUN, cpus, str(config), str(out)],
+            capture_output=True, text=True, env=env, timeout=300, check=True).stdout.splitlines()
+        counts[cpus] = [count.split(":") for count in last.split()]
+        csvs[cpus] = {path.relative_to(out): path.read_bytes() for path in out.glob("*/*.csv")}
+    assert counts["one"] == [["ablate", "0", "None"], ["cv", "0", "None"], ["locexp", "0", "None"]]
+    assert all(int(forks) > 0 and left == "None" for _, forks, left in counts["every"])
+    assert len(csvs["one"]) == 2 + 2 + 5 + 3  # ingest, ablate, cv and locexp
+    assert printed["one"] == printed["every"]
+    assert csvs["one"] == csvs["every"]
 
 
 def test_introspect_emits_figures(trained):
