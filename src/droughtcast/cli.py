@@ -27,7 +27,7 @@ from . import data as dp
 from .config import RunConfig, config_help_text, load_config
 from .errors import ConfigError, DataError, NumericError, SchemaError
 from .introspection import collect_attention, emit_figures, export_embeddings, tsne
-from .layers import cpu_count
+from .layers import cpu_count, lstm_threads
 from .metrics import (
     WEEKLY_COLUMNS,
     cross_validate,
@@ -206,14 +206,14 @@ def _trained(cfg: RunConfig, config: ModelConfig, ablation: AblationConfig, seed
 
 def _grid(fn, jobs, layers: int):
     """Yield ``fn(job)`` for each job in order up to the first that raises,
-    then raise its error.  ``w = min(len(jobs), CPUs // min(layers, CPUs))``
+    then raise its error.  ``w = min(len(jobs), CPUs // lstm_threads(layers))``
     processes run jobs 0, w, 2w, ...: this one the first share, and each of
     ``w - 1`` children, forked with no other thread alive and reaped before
     the first yield, another, whose results it pickles into a pipe.  Share i
     runs pinned to CPUs i, i + w, ...: a scheduler may otherwise keep a forked
     worker on its parent's CPU.  Where no process can be pinned, w is 1."""
-    cpus = cpu_count()
-    workers = min(len(jobs), cpus // min(layers, cpus)) if hasattr(os, "sched_setaffinity") else 1
+    workers = (min(len(jobs), cpu_count() // lstm_threads(layers))
+               if hasattr(os, "sched_setaffinity") else 1)
     every = sorted(os.sched_getaffinity(0)) if workers > 1 else []
 
     def share(first: int) -> list:

@@ -140,14 +140,11 @@ def _search_beta(d2_row: np.ndarray, i: int, target_entropy: float) -> tuple[np.
     return p, beta
 
 
-def conditional_affinities(points: np.ndarray, perplexity: float,
-                           d2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row conditional affinities with entropies matched to
-    log(perplexity) within 1e-3; returns (P_conditional, sigmas).  ``d2``,
-    the pairwise squared distances of ``points``, is computed unless given."""
-    n = points.shape[0]
-    if d2 is None:
-        d2 = _pairwise_sq_dists(points)
+def conditional_affinities(d2: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row conditional affinities of the points whose pairwise squared
+    distances are ``d2``, with entropies matched to log(perplexity) within
+    1e-3; returns (P_conditional, sigmas)."""
+    n = d2.shape[0]
     target = float(np.log(perplexity))
     p = np.zeros((n, n))
     betas = np.empty(n)
@@ -191,7 +188,7 @@ class TsneDescent:
             d2 = _pairwise_sq_dists(points, out=d2)
         else:
             np.fill_diagonal(d2, 0.0)
-        p, _ = conditional_affinities(points, perplexity, d2)
+        p, _ = conditional_affinities(d2, perplexity)
         del d2
         p += p.T  # symmetrize; numpy buffers the overlapping operand
         p /= 2.0 * n

@@ -7,13 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droughtcast.autodiff import PROJECT_STEPS, LstmBackward, LstmForward, Tensor
+from droughtcast.autodiff import Tensor
 from droughtcast.data import DailySeries, Normalizer, SampleSet, StaticTable
 from droughtcast.introspection import TsneDescent, kl_divergence
 from droughtcast.layers import (
+    PROJECT_STEPS,
     AffineLayer,
     AttentionHead,
     EmbeddingTable,
+    LstmBackward,
+    LstmForward,
     LstmLayer,
     LstmStack,
     Mlp,

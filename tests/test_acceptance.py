@@ -23,7 +23,7 @@ from conftest import (
 from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.cli import main as cli_main
 from droughtcast.data import build_samples, split_fractions
-from droughtcast.introspection import conditional_affinities
+from droughtcast.introspection import _pairwise_sq_dists, conditional_affinities
 from droughtcast.layers import attend_batched
 from droughtcast.metrics import (
     binary_auc,
@@ -303,7 +303,7 @@ def test_criterion_09_tsne():
     intra = d[same & off_diag].mean()
     inter = d[~same].mean()
 
-    p_cond, _ = conditional_affinities(points, descent.perplexity_used)
+    p_cond, _ = conditional_affinities(_pairwise_sq_dists(points), descent.perplexity_used)
     perp_ok = all(
         abs(np.log(row_perplexity(p_cond[i])) - np.log(descent.perplexity_used)) <= 1e-3
         for i in range(len(points))

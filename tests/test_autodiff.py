@@ -6,7 +6,8 @@ from conftest import drain_layer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droughtcast.autodiff import PROJECT_STEPS, LstmForward, RngState, Tensor, grad_check
+from droughtcast.autodiff import RngState, Tensor, grad_check
+from droughtcast.layers import PROJECT_STEPS, LstmForward
 
 
 def _gates_of(z):

@@ -7,6 +7,7 @@ from droughtcast.autodiff import RngState
 from droughtcast.data import CategoricalEncoder, StaticTable
 from droughtcast.errors import ConfigError, DataError
 from droughtcast.introspection import (
+    _pairwise_sq_dists,
     collect_attention,
     conditional_affinities,
     emit_figures,
@@ -184,7 +185,7 @@ def test_perplexity_search_hits_target():
     rng = RngState(11)
     points = rng.normal(0.0, 1.0, (60, 5))
     target = 12.0
-    p_cond, sigmas = conditional_affinities(points, target)
+    p_cond, sigmas = conditional_affinities(_pairwise_sq_dists(points), target)
     for i in range(60):
         assert abs(np.log(row_perplexity(p_cond[i])) - np.log(target)) <= 1e-3
     assert (sigmas > 0).all()
@@ -193,8 +194,8 @@ def test_perplexity_search_hits_target():
 def test_sigma_monotone_in_perplexity():
     rng = RngState(12)
     points = rng.normal(0.0, 1.0, (40, 4))
-    _, sig_small = conditional_affinities(points, 5.0)
-    _, sig_large = conditional_affinities(points, 12.0)
+    _, sig_small = conditional_affinities(_pairwise_sq_dists(points), 5.0)
+    _, sig_large = conditional_affinities(_pairwise_sq_dists(points), 12.0)
     assert (sig_large >= sig_small - 1e-12).all()
 
 

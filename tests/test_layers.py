@@ -24,12 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import LSTM_STACK_GOLDEN, lstm_stack_digests
 
-from droughtcast.autodiff import LstmBackward, LstmForward, RngState, Tensor, grad_check
+from droughtcast.autodiff import RngState, Tensor, grad_check
 from droughtcast.errors import NumericError
 from droughtcast.layers import (
     AffineLayer,
     AttentionHead,
     EmbeddingTable,
+    LstmBackward,
+    LstmForward,
     attend_batched,
     dropout,
     embed,
@@ -626,3 +628,54 @@ def test_two_callers_at_once_get_the_bits_of_their_solo_runs(short_switch_interv
         for run in got:
             for a, b in zip(run, want):
                 assert_same_bits(a, b)
+
+
+def in_random_order(seed):
+    """A stand-in for :meth:`_Graph.run`: every task runs on this thread,
+    each time the one drawn from the ready set by a stream seeded with
+    ``seed``, so any order the edges allow may come up."""
+    order = RngState(seed)
+
+    def run(graph, layers):
+        ready = [i for i, task in enumerate(graph.tasks) if not task[2]]
+        while ready:
+            task = graph.tasks[ready.pop(order.integers(len(ready)))]
+            task[1]()
+            task[1] = None  # drops what it held, as _Graph._work does
+            for i in task[3]:
+                graph.tasks[i][2] -= 1
+                if not graph.tasks[i][2]:
+                    ready.append(i)
+        assert all(task[1] is None for task in graph.tasks), "a task never became ready"
+    return run
+
+
+def lstm_bits(stack, x, run_graph):
+    """An eval forward of ``stack`` over ``x``, a training forward with
+    dropout and its backward, each task graph run by ``run_graph``: the two
+    outputs, each layer's input gradient but the first's, and every
+    parameter gradient."""
+    dxs = []
+
+    def run(graph, layers):
+        owners = (getattr(getattr(task[1], "func", None), "__self__", None) for task in graph.tasks)
+        dxs.extend({id(owner): owner.dx for owner in owners  # top layer first
+                    if isinstance(owner, LstmBackward) and owner.dx is not None}.values())
+        run_graph(graph, layers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Graph, "run", run)
+        evaluated, _ = lstm_states(stack, x, RngState(0), training=False)
+        out, cache = lstm_states(stack, x, RngState(1), training=True)
+        stack.backward(RngState(2).uniform(-1, 1, out.shape), cache)
+    return [evaluated, out, *dxs] + [t.grad.copy() for t in tensors(stack).values()]
+
+
+def test_lstm_graphs_in_any_legal_order_give_the_bits_of_the_threaded_run():
+    stack = new_lstm(3, 3, 5, RngState(85), dropout_p=0.4)
+    x = RngState(86).uniform(-1, 1, (4, 70, 3))  # 5 blocks of 16 steps, the last one short
+    want = lstm_bits(stack, x, _Graph.run)
+    assert len(want) == 2 + 2 + 2 * 3
+    for seed in range(8):
+        for got, expected in zip(lstm_bits(stack, x, in_random_order(seed)), want):
+            assert_same_bits(got, expected)
