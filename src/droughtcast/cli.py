@@ -13,19 +13,21 @@ output file that cannot be read or written included), 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import pickle
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
+from . import __version__
 from . import data as dp
 from .config import RunConfig, config_help_text, load_config
-from .errors import ConfigError, DataError, NumericError, SchemaError
+from .errors import ConfigError, DataError, FormatError, NumericError, SchemaError
 from .introspection import collect_attention, emit_figures, export_embeddings, tsne
 from .layers import cpu_count, lstm_threads
 from .metrics import (
@@ -193,57 +195,103 @@ def _schedule(cfg: RunConfig, n_train: int) -> LrSchedule:
 
 def _trained(cfg: RunConfig, config: ModelConfig, ablation: AblationConfig, seed: int,
              train: dp.SampleSet, val: dp.SampleSet, epochs: int | None = None,
-             out: Path | None = None) -> tuple[HybridModel, list[HistoryRow]]:
-    """A model built from ``seed`` and fitted under ``[train]``, and its
-    history; ``epochs`` overrides the epoch count, and the checkpoints go
-    to ``out``."""
-    model = HybridModel(config, ablation, seed)
+             out: Path | None = None) -> tuple[HybridModel, list[HistoryRow], str | None]:
+    """A model built from ``seed`` and fitted under ``[train]``, its history
+    and, for cached sets, a note on where it came from; ``epochs`` overrides
+    the epoch count.  With ``out``, the fit's checkpoints, ``model.ckpt`` and
+    its key in ``manifest.json`` go there; without, :func:`_reused` may load
+    ``train``'s model in place of the fit."""
     given = {"epochs": epochs} if epochs is not None else {}
     run = _from_section(cfg, TrainRunConfig, "train", seed=seed, **given,
                         checkpoint_dir=str(out) if out else None)
-    return fit(model, train, val, run, _schedule(cfg, len(train)))
+    schedule = _schedule(cfg, len(train))
+    key = None if train.sha256 is None or val.sha256 is None else json.loads(json.dumps({
+        "samples_sha256": {"train": train.sha256.hex(), "val": val.sha256.hex()},
+        "model": asdict(config), "ablation": asdict(ablation), "schedule": asdict(schedule),
+        "train": {k: v for k, v in asdict(run).items() if k != "checkpoint_dir"},
+        "seed": seed, "version": __version__}))  # a derived set has no digest: no key
+    model, note = _reused(cfg, key) if key is not None and out is None else (None, None)
+    if model is not None:
+        return model, [], note
+    model, history = fit(HybridModel(config, ablation, seed), train, val, run, schedule)
+    if out is not None:
+        save_checkpoint(model, out / "model.ckpt")
+        digest = load_checkpoint(out / "model.ckpt").sha256.hex()  # of the bytes written
+        dp.write_file(out / "manifest.json", [json.dumps(
+            {**key, "checkpoint_sha256": digest}, indent=2, sort_keys=True) + "\n"])
+    return model, history, note
+
+
+def _reused(cfg: RunConfig, key: dict) -> tuple[HybridModel | None, str]:
+    """``train/model.ckpt`` when ``train/manifest.json`` holds ``key`` and
+    the checkpoint's digest, else ``None``; and the note that says which."""
+    path = _out_root(cfg) / "train"
+    try:
+        manifest = dict(json.loads((path / "manifest.json").read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError):
+        return None, "trained (no train manifest)"
+    digest = manifest.pop("checkpoint_sha256", None)
+    if manifest != key:
+        data = manifest.get("samples_sha256") != key["samples_sha256"]
+        return None, f"trained (another {'data' if data else 'config'})"
+    try:
+        model = load_checkpoint(path / "model.ckpt")
+    except (OSError, FormatError):  # a checkpoint that cannot stand in is retrained
+        model = None
+    if model is None or model.sha256.hex() != digest:
+        return None, "trained (checkpoint changed)"
+    return model, f"reused {path / 'model.ckpt'}"
 
 
 def _grid(fn, jobs, layers: int):
     """Yield ``fn(job)`` for each job in order up to the first that raises,
     then raise its error.  ``w = min(len(jobs), CPUs // lstm_threads(layers))``
-    processes run jobs 0, w, 2w, ...: this one the first share, and each of
-    ``w - 1`` children, forked with no other thread alive and reaped before
-    the first yield, another, whose results it pickles into a pipe.  Share i
-    runs pinned to CPUs i, i + w, ...: a scheduler may otherwise keep a forked
-    worker on its parent's CPU.  Where no process can be pinned, w is 1."""
+    processes take the next job when free, each to its first error: this one
+    and ``w - 1`` children, forked with no other thread alive and reaped
+    before the first yield, which pickle their results into a pipe.  The
+    next job number is the one 8-byte record of a shared pipe, which a
+    process reads and writes back plus one.  Process i is pinned to CPUs i,
+    i + w, ...: a scheduler may otherwise keep a forked worker on its
+    parent's CPU.  Where no process can be pinned, w is 1."""
     workers = (min(len(jobs), cpu_count() // lstm_threads(layers))
                if hasattr(os, "sched_setaffinity") else 1)
     every = sorted(os.sched_getaffinity(0)) if workers > 1 else []
+    take, give = os.pipe()
 
-    def share(first: int) -> list:
-        """(job, error, result) of jobs first, first + w, ... to the first error."""
+    def hand(job: int) -> None:
+        os.write(give, job.to_bytes(8, "little"))
+
+    def run(i: int) -> list:
+        """(job, error, result) of each job this process takes, to its first error."""
         if every:
-            os.sched_setaffinity(0, every[first::workers])
+            os.sched_setaffinity(0, every[i::workers])
         done = []
-        for i in range(first, len(jobs), workers):
+        while (job := int.from_bytes(os.read(take, 8), "little")) < len(jobs):
+            hand(job + 1)
             try:
-                done.append((i, None, fn(jobs[i])))
+                done.append((job, None, fn(jobs[job])))
             except Exception as exc:
-                return done + [(i, exc, None)]
+                return done + [(job, exc, None)]
+        hand(job)  # past the last job: the next process to read it stops too
         return done
 
+    hand(0)
     sys.stdout.flush()
     sys.stderr.flush()
     children = []
     try:
-        for first in range(1, workers):
+        for i in range(1, workers):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:  # the child: whatever happens, it ends here
                 try:
-                    blob = pickle.dumps(share(first))
+                    blob = pickle.dumps(run(i))
                     while blob:
                         blob = blob[os.write(write, blob):]
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, read))
-        done = share(0)
+        done = run(0)
         for pid, read in children:
             if not (blob := b"".join(iter(lambda: os.read(read, 1 << 16), b""))):
                 raise RuntimeError(f"grid worker {pid} ended without sending its results")
@@ -256,6 +304,8 @@ def _grid(fn, jobs, layers: int):
             os.kill(pid, 9)  # SIGKILL: a worker this process no longer waits for
         for pid, _ in children:
             os.waitpid(pid, 0)
+        os.close(take)
+        os.close(give)
     for _, error, result in sorted(done, key=lambda row: row[0]):
         if error is not None:
             raise error
@@ -268,11 +318,10 @@ def cmd_train(cfg: RunConfig) -> int:
     train, val = _load_sets(ingest, "train", "val")
     if not train:
         raise DataError("no training samples in the ingest cache")
-    model, history = _trained(cfg, _model_config(cfg, ingest, train),
-                              _from_section(cfg, AblationConfig, "ablation"), cfg.seed,
-                              train, val, out=out)
+    model, history, _ = _trained(cfg, _model_config(cfg, ingest, train),
+                                 _from_section(cfg, AblationConfig, "ablation"), cfg.seed,
+                                 train, val, out=out)
     dp.write_file(out / "history.csv", [history_csv(history)])
-    save_checkpoint(model, out / "model.ckpt")
     print(f"trained {model.ablation.label()} model: "
           f"final train loss {history[-1].train_loss:.4f}, "
           f"val MAE {history[-1].val_mae:.4f} -> {out}")
@@ -306,12 +355,14 @@ def cmd_ablate(cfg: RunConfig) -> int:
     weekly = [["setting", *WEEKLY_COLUMNS]]
 
     def setting(i: int):
-        model = _trained(cfg, base_config, ABLATION_SETTINGS[i], cfg.seed + i, train, val)[0]
-        return evaluate(model, test)[0]
+        model, _, note = _trained(cfg, base_config, ABLATION_SETTINGS[i], cfg.seed + i, train, val)
+        return note, evaluate(model, test)[0]
 
     reports = _grid(setting, range(len(ABLATION_SETTINGS)), base_config.lstm_layers)
-    for ablation, report in zip(ABLATION_SETTINGS, reports):
+    for ablation, (note, report) in zip(ABLATION_SETTINGS, reports):
         label = ablation.label()
+        if note:
+            print(f"note: {label}: {note}", file=sys.stderr)
         summary.append([label, ablation.use_static, ablation.use_timeseries,
                         ablation.use_attention, report.mae, report.rmse, report.f1])
         weekly.append([label, *report.weekly_cells()])
@@ -331,14 +382,15 @@ def cmd_cv(cfg: RunConfig) -> int:
     folds = cfg.get_int("cv", "folds")
     epochs = cfg.get_int("cv", "epochs") if cfg.get("cv", "epochs") else None
 
-    def folds_of(ablation):
-        return cross_validate(pool, folds, lambda train, val, seed: _trained(
-            cfg, base_config, ablation, seed, train, val, epochs)[0],
-            lambda fold, jobs: _grid(fold, jobs, base_config.lstm_layers), seed=cfg.seed)
+    def trainer(ablation):
+        return lambda train, val, seed: _trained(cfg, base_config, ablation, seed, train, val,
+                                                 epochs)[0]
 
     # both settings are built, and so checked, before the first fold trains
-    primary, baseline = map(folds_of, [_from_section(cfg, AblationConfig, "ablation"),
-                                       _from_section(cfg, AblationConfig, "cv", "baseline_")])
+    primary, baseline = cross_validate(
+        pool, folds, [trainer(_from_section(cfg, AblationConfig, "ablation")),
+                      trainer(_from_section(cfg, AblationConfig, "cv", "baseline_"))],
+        lambda fold, jobs: _grid(fold, jobs, base_config.lstm_layers), seed=cfg.seed)
 
     dp.write_file(out / "cv_folds_primary.csv", [primary.folds_csv()])
     dp.write_file(out / "cv_summary_primary.csv", [primary.summary_csv()])
@@ -379,16 +431,19 @@ def cmd_locexp(cfg: RunConfig) -> int:
         if not state_train or not state_test:
             raise DataError(f"state prefix {state!r} has no train or test samples")
 
-    def reports(i: int) -> list:
+    def reports(i: int) -> tuple[str | None, list]:
         """Job 0: the model trained on every state, on each state's test
         rows; job i: the i-th state's model on its own."""
         rows = by_state[states[i - 1]] if i else [train, val, *(t for *_, t in by_state.values())]
-        model = _trained(cfg, base_config, ablation, cfg.seed + 100 * i, *rows[:2])[0]
-        return [evaluate(model, test)[0] for test in rows[2:]]
+        model, _, note = _trained(cfg, base_config, ablation, cfg.seed + 100 * i, *rows[:2])
+        return note, [evaluate(model, test)[0] for test in rows[2:]]
 
     results = _grid(reports, range(len(states) + 1), base_config.lstm_layers)
-    agnostic, specific = dict(zip(states, next(results))), {}
-    for state, [report] in zip(states, results):
+    note, first = next(results)
+    if note:
+        print(f"note: all: {note}", file=sys.stderr)
+    agnostic, specific = dict(zip(states, first)), {}
+    for state, (_, [report]) in zip(states, results):
         specific[state] = report
         print(f"state {state}: specific MAE {specific[state].mae:.3f}, "
               f"agnostic MAE {agnostic[state].mae:.3f}")

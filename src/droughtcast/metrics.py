@@ -312,19 +312,21 @@ def summarize_folds(values) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def cross_validate(samples, k, train, run, seed: int = 0) -> FoldResults:
-    """Report MAE/RMSE/F1 per fold of the model that
-    ``train(train_samples, val_samples, fold_seed)`` returns, fresh and
-    seeded per fold; ``run(fold, jobs)`` yields ``fold(job)`` of each job in
-    order, as ``map`` does."""
+def cross_validate(samples, k, trainers, run, seed: int = 0) -> list[FoldResults]:
+    """Per trainer, MAE/RMSE/F1 per fold of the model that the trainer,
+    called as ``train(train_samples, val_samples, fold_seed)``, returns,
+    fresh and seeded per fold; ``run(fold, jobs)`` yields ``fold(job)`` of each job,
+    every trainer's folds in one call, in order, as ``map`` does."""
     def fold(job) -> dict[str, float]:
-        i, (fit_rows, val_rows) = job
+        train, i, (fit_rows, val_rows) = job
         model = train(samples[fit_rows], samples[val_rows], seed + 1000 * (i + 1))
         report = evaluate(model, samples[val_rows])[0]
         return {"mae": report.mae, "rmse": report.rmse, "f1": report.f1}
 
     splits = list(enumerate(kfold_split(len(samples), k=k, seed=seed)))
-    return FoldResults(["mae", "rmse", "f1"], list(run(fold, splits)))
+    results = iter(run(fold, [(train, *split) for train in trainers for split in splits]))
+    return [FoldResults(["mae", "rmse", "f1"], [next(results) for _ in splits])
+            for _ in trainers]
 
 
 def relative_improvement(baseline: float, candidate: float, better: str = "lower") -> float:

@@ -1,10 +1,12 @@
 import contextlib
 import csv
 import hashlib
+import json
 import os
 import re
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -91,11 +93,12 @@ def spy_forks(monkeypatch):
 
 @contextlib.contextmanager
 def pinned(cpus: str):
-    """This thread on one CPU for ``"one"``, on every CPU it has for
-    ``"every"``; its CPUs are restored on the way out."""
+    """This thread on its first CPU for ``"one"``, on its first two for
+    ``"two"``, on every CPU it has for ``"every"``; its CPUs are restored on
+    the way out."""
     every = os.sched_getaffinity(0)
-    if cpus == "one":
-        os.sched_setaffinity(0, {min(every)})
+    if cpus != "every":
+        os.sched_setaffinity(0, sorted(every)[:{"one": 1, "two": 2}[cpus]])
     try:
         yield
     finally:
@@ -228,6 +231,30 @@ def test_train_artifacts(trained):
     assert (out / "train" / "final.ckpt").exists()
 
 
+def test_train_manifest_holds_the_fit_key_and_the_checkpoint_digest(trained):
+    """``train/manifest.json``: the digests of the two caches the fit read
+    and of the checkpoint written, the resolved configs and schedule but
+    not where the checkpoints went, the seed and the package version."""
+    _, out = trained
+    text = (out / "train" / "manifest.json").read_text()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert sorted(manifest) == ["ablation", "checkpoint_sha256", "model", "samples_sha256",
+                                "schedule", "seed", "train", "version"]
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert manifest["checkpoint_sha256"] == digest(out / "train" / "model.ckpt")
+    assert manifest["samples_sha256"] == {name: digest(out / "ingest" / f"{name}.samples")
+                                          for name in ("train", "val")}
+    assert manifest["seed"] == manifest["train"]["seed"] == 11
+    assert manifest["train"]["epochs"] == 2 and "checkpoint_dir" not in manifest["train"]
+    assert manifest["model"]["hidden_size"] == 8
+    assert manifest["ablation"] == {f.name: True for f in fields(AblationConfig)}
+    assert manifest["version"] == droughtcast.__version__
+
+
 def test_eval_artifacts(trained):
     config, out = trained
     assert run_cli(config, out, "eval") == 0
@@ -261,6 +288,21 @@ def test_cv_emits_folds_summary_and_paired_tests(trained):
     assert paired[0] == "metric,mean_difference,t,df,p"
     assert len(paired) == 4
     assert (out / "cv" / "cv_folds_baseline.csv").exists()
+
+
+def test_cv_runs_both_settings_folds_as_one_grid(trained, tmp_path, monkeypatch):
+    config, trained_out = trained
+    out = tmp_path / "out"
+    shutil.copytree(trained_out / "ingest", out / "ingest")
+    grids, grid = [], cli._grid
+
+    def spy(fn, jobs, layers):
+        grids.append(len(jobs))
+        return grid(fn, jobs, layers)
+
+    monkeypatch.setattr(cli, "_grid", spy)
+    assert run_cli(config, out, "cv") == 0
+    assert grids == [2 * 3]  # two settings of three folds
 
 
 def test_cv_with_the_baseline_equal_to_the_primary_setting_reports_tied_folds(trained, tmp_path,
@@ -351,16 +393,75 @@ def test_a_failing_grid_job_ends_the_command_after_the_jobs_before_it(
         os.waitpid(-1, os.WNOHANG)
 
 
+def logged_grid(tmp_path, jobs, layers: int, fn=lambda job: job):
+    """``_grid``'s results of ``fn`` over ``jobs``, and (job, pid, CPUs) of
+    each job, in the order the jobs started, as each process appended it to
+    one log file."""
+    log = os.open(tmp_path / "grid.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(job):
+        cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+        os.write(log, f"{job} {os.getpid()} {cpus}\n".encode())
+        return fn(job)
+
+    try:
+        results = list(cli._grid(logged, jobs, layers))
+    finally:
+        os.close(log)
+    rows = [line.split() for line in (tmp_path / "grid.log").read_text().splitlines()]
+    return results, [(int(job), int(pid), [int(cpu) for cpu in cpus.split(",")])
+                     for job, pid, cpus in rows]
+
+
 @needs_two_cpus
 @pytest.mark.parametrize("layers", [1, 2])
-def test_each_grid_share_runs_on_its_own_cpus(layers):
-    """Job i runs in share i % w, pinned to CPUs i % w, i % w + w, ...; with
+def test_each_grid_job_runs_once_on_one_of_w_disjoint_cpu_sets(tmp_path, layers):
+    """Every job runs exactly once, in a process pinned to one of w disjoint
+    CPU sets that together cover the caller's CPUs, one set per process;
+    results come back in job order, and the caller gets its CPUs back.  With
     two LSTM layers on two CPUs, w is 1 and nothing is pinned."""
     every = sorted(os.sched_getaffinity(0))
-    workers = min(4, len(every) // min(layers, len(every)))
-    seen = list(cli._grid(lambda job: sorted(os.sched_getaffinity(0)), range(4), layers))
-    assert seen == [every[i % workers::workers] for i in range(4)]
+    workers = min(6, len(every) // min(layers, len(every)))
+    shares = [every[i::workers] for i in range(workers)]
+    assert sorted(sum(shares, [])) == every  # disjoint, and covering every CPU
+    results, log = logged_grid(tmp_path, range(6), layers, lambda job: job * job)
+    assert results == [job * job for job in range(6)]
+    assert sorted(job for job, _, _ in log) == list(range(6))
+    cpus_of = {}
+    for _, pid, cpus in log:
+        assert cpus in shares
+        assert cpus_of.setdefault(pid, cpus) == cpus
+    assert len({tuple(cpus) for cpus in cpus_of.values()}) == len(cpus_of)
     assert sorted(os.sched_getaffinity(0)) == every
+
+
+@needs_two_cpus
+def test_a_free_process_takes_every_job_while_the_other_runs_a_slow_one(tmp_path):
+    """On two CPUs, job 0 sleeps for a second: the process that took it runs
+    no other job, and the other process runs all the rest, where fixed
+    shares would have left it every second job."""
+    with pinned("two"):
+        results, log = logged_grid(tmp_path, range(8), 1,
+                                   lambda job: time.sleep(1) if job == 0 else job)
+    assert results == [None, *range(1, 8)]
+    pid = {job: pid for job, pid, _ in log}
+    assert pid[0] not in {pid[job] for job in range(1, 8)}
+    assert len({pid[job] for job in range(1, 8)}) == 1
+
+
+def test_a_grid_of_more_jobs_than_a_pipe_buffer_holds_runs_each_once():
+    """20,000 no-op jobs, more 8-byte job numbers than a 64 KiB pipe buffer
+    holds: no hand-out blocks, and each job runs once, in order."""
+    def hung(*_):
+        raise TimeoutError("the grid hung")
+
+    handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        assert list(cli._grid(lambda job: job, range(20_000), 1)) == list(range(20_000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 @needs_two_cpus
@@ -439,6 +540,87 @@ def test_grid_bytes_do_not_depend_on_the_cpu_count(trained, tmp_path):
     assert csvs["one"] == csvs["every"]
 
 
+def grid_outputs(config, out, capsys, *extra):
+    """``ablate`` then ``locexp`` in ``out``: their stdout, their stderr
+    lines and their CSVs' bytes."""
+    capsys.readouterr()
+    for command in ("ablate", "locexp"):
+        assert run_cli(config, out, command, *extra) == 0, command
+    printed = capsys.readouterr()
+    return (printed.out, printed.err.splitlines(),
+            {path.name: path.read_bytes() for path in out.glob("[al]*/*.csv")})
+
+
+def test_ablate_and_locexp_reuse_the_trained_model_and_write_the_same_bytes(
+        trained, tmp_path, monkeypatch, capsys):
+    """After ``train``, ``ablate``'s first setting and ``locexp``'s all-states
+    model load ``train/model.ckpt`` in place of a fit and note it; the
+    other fits note why they trained.  Stdout and every CSV are the bytes
+    of a run directory where ``train`` never ran."""
+    config, trained_out = trained
+    fits, fit = [], cli.fit
+
+    def spy(*args, **kwargs):
+        fits.append(None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", spy)
+    runs = {}
+    for name, stages in (("reused", ("ingest", "train")), ("fresh", ("ingest",))):
+        out = tmp_path / name
+        for stage in stages:
+            shutil.copytree(trained_out / stage, out / stage)
+        fits.clear()
+        with pinned("one"):  # every fit in this process, where the spy sees it
+            runs[name] = grid_outputs(config, out, capsys)
+        runs[name] += (len(fits),)
+    checkpoint = tmp_path / "reused" / "train" / "model.ckpt"
+    labels = ["static+ts+attention", "ts+attention", "ts", "static+ts", "static", "all"]
+    assert runs["reused"][1] == [f"note: {label}: {note}" for label, note in zip(
+        labels, [f"reused {checkpoint}", *["trained (another config)"] * 4,
+                 f"reused {checkpoint}"])]
+    assert runs["fresh"][1] == [f"note: {label}: trained (no train manifest)"
+                                for label in labels]
+    assert runs["reused"][0] == runs["fresh"][0]
+    assert len(runs["reused"][2]) == 5 and runs["reused"][2] == runs["fresh"][2]
+    assert (runs["reused"][3], runs["fresh"][3]) == (5 + 4 - 2, 5 + 4)
+
+
+@pytest.mark.parametrize("change, reason", [
+    ("epochs", "another config"),
+    ("ablation", "another config"),
+    ("data", "another data"),
+    ("manifest", "no train manifest"),
+    ("checkpoint", "checkpoint changed"),
+])
+def test_ablate_and_locexp_retrain_unless_train_wrote_their_model(trained, tmp_path, capsys,
+                                                                  change, reason):
+    """Another ``[train] epochs``, a ``train`` under another ``[ablation]``,
+    a re-ingest of other data, no manifest, or one flipped parameter byte in
+    ``model.ckpt`` (a file that still parses) each make ``ablate`` and
+    ``locexp`` retrain, with the reason on stderr."""
+    config, trained_out = trained
+    out = tmp_path / "out"
+    for stage in ("ingest", "train"):
+        shutil.copytree(trained_out / stage, out / stage)
+    extra = ["--set", "train.epochs=1"] if change == "epochs" else []
+    if change == "ablation":
+        assert run_cli(config, out, "train", "--set", "ablation.use_static=false") == 0
+    elif change == "data":
+        assert run_cli(config, out, "ingest", "--set", "data.val_fraction=0.25") == 0
+    elif change == "manifest":
+        (out / "train" / "manifest.json").unlink()
+    elif change == "checkpoint":
+        blob = bytearray((out / "train" / "model.ckpt").read_bytes())
+        blob[-8] ^= 1  # the lowest byte of the last parameter
+        (out / "train" / "model.ckpt").write_bytes(blob)
+        cli.load_checkpoint(out / "train" / "model.ckpt")  # the file still parses
+    _, notes, _ = grid_outputs(config, out, capsys, *extra)
+    assert f"note: static+ts+attention: trained ({reason})" in notes
+    assert f"note: all: trained ({reason})" in notes
+    assert not [note for note in notes if "reused" in note]
+
+
 def test_introspect_emits_figures(trained):
     config, out = trained
     assert run_cli(config, out, "introspect") == 0
@@ -476,7 +658,7 @@ def test_every_command_writes_utf8_text_under_an_ascii_locale(tmp_path):
     assert not [path for path in written if path.suffix == ".tmp"]
     texts = {path: path.read_bytes().decode("utf-8") for path in written
              if path.suffix not in BINARY_ARTIFACTS}
-    assert len(texts) == 27  # seven resolved configs and 20 tables, reports and figures
+    assert len(texts) == 28  # seven resolved configs, a manifest, 20 tables, reports and figures
     assert "textura_ñ" in texts[out / "ingest" / "resolved_config.ini"]
     assert "textura_ñ" in texts[out / "ingest" / "categories.csv"]
     assert texts[out / "introspect" / "tsne.csv"].startswith(
