@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import pickle
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -29,7 +28,7 @@ from . import data as dp
 from .config import RunConfig, config_help_text, load_config
 from .errors import ConfigError, DataError, FormatError, NumericError, SchemaError
 from .introspection import collect_attention, emit_figures, export_embeddings, tsne
-from .layers import cpu_count, lstm_threads
+from .layers import lstm_threads
 from .metrics import (
     WEEKLY_COLUMNS,
     cross_validate,
@@ -46,6 +45,7 @@ from .training import (
     history_csv,
     load_checkpoint,
     predict,
+    run_pool,
     save_checkpoint,
 )
 
@@ -215,8 +215,7 @@ def _trained(cfg: RunConfig, config: ModelConfig, ablation: AblationConfig, seed
         return model, [], note
     model, history = fit(HybridModel(config, ablation, seed), train, val, run, schedule)
     if out is not None:
-        save_checkpoint(model, out / "model.ckpt")
-        digest = load_checkpoint(out / "model.ckpt").sha256.hex()  # of the bytes written
+        digest = save_checkpoint(model, out / "model.ckpt").hex()
         dp.write_file(out / "manifest.json", [json.dumps(
             {**key, "checkpoint_sha256": digest}, indent=2, sort_keys=True) + "\n"])
     return model, history, note
@@ -241,75 +240,6 @@ def _reused(cfg: RunConfig, key: dict) -> tuple[HybridModel | None, str]:
     if model is None or model.sha256.hex() != digest:
         return None, "trained (checkpoint changed)"
     return model, f"reused {path / 'model.ckpt'}"
-
-
-def _grid(fn, jobs, layers: int):
-    """Yield ``fn(job)`` for each job in order up to the first that raises,
-    then raise its error.  ``w = min(len(jobs), CPUs // lstm_threads(layers))``
-    processes take the next job when free, each to its first error: this one
-    and ``w - 1`` children, forked with no other thread alive and reaped
-    before the first yield, which pickle their results into a pipe.  The
-    next job number is the one 8-byte record of a shared pipe, which a
-    process reads and writes back plus one.  Process i is pinned to CPUs i,
-    i + w, ...: a scheduler may otherwise keep a forked worker on its
-    parent's CPU.  Where no process can be pinned, w is 1."""
-    workers = (min(len(jobs), cpu_count() // lstm_threads(layers))
-               if hasattr(os, "sched_setaffinity") else 1)
-    every = sorted(os.sched_getaffinity(0)) if workers > 1 else []
-    take, give = os.pipe()
-
-    def hand(job: int) -> None:
-        os.write(give, job.to_bytes(8, "little"))
-
-    def run(i: int) -> list:
-        """(job, error, result) of each job this process takes, to its first error."""
-        if every:
-            os.sched_setaffinity(0, every[i::workers])
-        done = []
-        while (job := int.from_bytes(os.read(take, 8), "little")) < len(jobs):
-            hand(job + 1)
-            try:
-                done.append((job, None, fn(jobs[job])))
-            except Exception as exc:
-                return done + [(job, exc, None)]
-        hand(job)  # past the last job: the next process to read it stops too
-        return done
-
-    hand(0)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []
-    try:
-        for i in range(1, workers):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child: whatever happens, it ends here
-                try:
-                    blob = pickle.dumps(run(i))
-                    while blob:
-                        blob = blob[os.write(write, blob):]
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, read))
-        done = run(0)
-        for pid, read in children:
-            if not (blob := b"".join(iter(lambda: os.read(read, 1 << 16), b""))):
-                raise RuntimeError(f"grid worker {pid} ended without sending its results")
-            done += pickle.loads(blob)
-    finally:
-        if every:
-            os.sched_setaffinity(0, every)
-        for pid, read in children:
-            os.close(read)
-            os.kill(pid, 9)  # SIGKILL: a worker this process no longer waits for
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-        os.close(take)
-        os.close(give)
-    for _, error, result in sorted(done, key=lambda row: row[0]):
-        if error is not None:
-            raise error
-        yield result
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -358,7 +288,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         model, _, note = _trained(cfg, base_config, ABLATION_SETTINGS[i], cfg.seed + i, train, val)
         return note, evaluate(model, test)[0]
 
-    reports = _grid(setting, range(len(ABLATION_SETTINGS)), base_config.lstm_layers)
+    reports = run_pool(setting, range(len(ABLATION_SETTINGS)),
+                       lstm_threads(base_config.lstm_layers))
     for ablation, (note, report) in zip(ABLATION_SETTINGS, reports):
         label = ablation.label()
         if note:
@@ -390,7 +321,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     primary, baseline = cross_validate(
         pool, folds, [trainer(_from_section(cfg, AblationConfig, "ablation")),
                       trainer(_from_section(cfg, AblationConfig, "cv", "baseline_"))],
-        lambda fold, jobs: _grid(fold, jobs, base_config.lstm_layers), seed=cfg.seed)
+        partial(run_pool, cpus_per_job=lstm_threads(base_config.lstm_layers)), seed=cfg.seed)
 
     dp.write_file(out / "cv_folds_primary.csv", [primary.folds_csv()])
     dp.write_file(out / "cv_summary_primary.csv", [primary.summary_csv()])
@@ -438,7 +369,8 @@ def cmd_locexp(cfg: RunConfig) -> int:
         model, _, note = _trained(cfg, base_config, ablation, cfg.seed + 100 * i, *rows[:2])
         return note, [evaluate(model, test)[0] for test in rows[2:]]
 
-    results = _grid(reports, range(len(states) + 1), base_config.lstm_layers)
+    results = run_pool(reports, range(len(states) + 1),
+                       lstm_threads(base_config.lstm_layers))
     note, first = next(results)
     if note:
         print(f"note: all: {note}", file=sys.stderr)

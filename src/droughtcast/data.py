@@ -163,32 +163,36 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def write_file(path, chunks) -> None:
+def write_file(path, chunks) -> bytes:
     """The one way the package writes a file: the chunks go to ``<path>.tmp``,
     which is renamed into place, or removed on failure so that an existing
     ``path`` is left as it was; a ``str`` chunk as UTF-8 whatever the
-    locale, "\\n" kept as is, and a bytes-like chunk unchanged."""
-    tmp = Path(f"{path}.tmp")
+    locale, "\\n" kept as is, and a bytes-like chunk unchanged.  Returns
+    the sha256 of the bytes written."""
+    tmp, digest = Path(f"{path}.tmp"), hashlib.sha256()
     try:
         with tmp.open("wb") as fh:
             for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+                chunk = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
+                digest.update(chunk)
+                fh.write(chunk)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.digest()
 
 
 _ARTIFACT_PREFIX = struct.Struct("<7sxQ")  # magic, a pad byte, the header length
 
 
-def write_artifact(path, magic: bytes, header: bytes, arrays) -> None:
-    """Binary artifact (:func:`write_file`): the 7-byte ``magic``, a pad
-    byte, the uint64 header length, the ``header`` zero-padded to 8 bytes,
-    then the bytes of each array in C order, which the caller gives the
-    dtype it will read."""
-    write_file(path, chain([_ARTIFACT_PREFIX.pack(magic, len(header)), header,
-                            bytes(-len(header) % 8)], map(np.ascontiguousarray, arrays)))
+def write_artifact(path, magic: bytes, header: bytes, arrays) -> bytes:
+    """Binary artifact (:func:`write_file`, whose digest it returns): the
+    7-byte ``magic``, a pad byte, the uint64 header length, the ``header``
+    zero-padded to 8 bytes, then the bytes of each array in C order, which
+    the caller gives the dtype it will read."""
+    return write_file(path, chain([_ARTIFACT_PREFIX.pack(magic, len(header)), header,
+                                   bytes(-len(header) % 8)], map(np.ascontiguousarray, arrays)))
 
 
 def read_artifact(path, magic: bytes, what: str, remedy: str):

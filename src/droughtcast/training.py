@@ -10,7 +10,9 @@ runs the model's forward in training mode, the loss, which returns its
 value and its gradient with respect to the predictions, then
 :meth:`HybridModel.backward`, which writes the model's gradient vector for
 the AdamW update.  Inference runs the forward in eval mode, which keeps no
-caches for a backward pass.
+caches for a backward pass.  :func:`run_pool` runs independent jobs in
+forked, pinned processes: :func:`predict`'s blocks, and the CLI's grid of
+fits.
 
 A checkpoint is a :func:`~droughtcast.data.write_artifact` file with magic
 ``HMCKPT3``.  Its header is UTF-8 text: one ``model.<field>=`` or
@@ -25,6 +27,10 @@ size against that layout before it allocates, and draws no init.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import astuple, dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -36,6 +42,7 @@ from .autodiff import RngState
 from .config import format_value, parse_as
 from .data import SampleSet, csv_text, read_artifact, write_artifact
 from .errors import ConfigError, DataError, FormatError, NumericError
+from .layers import cpu_count
 from .model import LOSSES, AblationConfig, HybridModel, ModelConfig, parameter_layout
 
 
@@ -149,9 +156,83 @@ backward = HybridModel.backward
 PREDICT_BLOCK = 256  # rows per eval-mode forward
 
 
+def run_pool(fn, jobs, cpus_per_job: int):
+    """Yield ``fn(job)`` for each job in order up to the first that raises,
+    then raise its error.  ``w = min(len(jobs), CPUs // cpus_per_job)``
+    processes take the next job when free, each to its first error: this
+    one, which takes job 0, and ``w - 1`` children, forked before it and
+    reaped before the first yield, which pickle their results into a pipe.
+    The next job number is the one 8-byte record of a shared pipe, which a
+    process reads and writes back plus one.  Process i is pinned to CPUs i,
+    i + w, ...: a scheduler may otherwise keep a forked worker on its
+    parent's CPU.  Where no process can be pinned, or another thread is
+    alive (a fork would copy its locks but not the thread), w is 1."""
+    workers = (min(len(jobs), cpu_count() // cpus_per_job)
+               if hasattr(os, "sched_setaffinity") and threading.active_count() == 1 else 1)
+    every = sorted(os.sched_getaffinity(0)) if workers > 1 else []
+    take, give = os.pipe()
+
+    def next_job() -> int:
+        """The job number read from the shared pipe, written back plus one;
+        past the last job, the next process to read it stops too."""
+        job = int.from_bytes(os.read(take, 8), "little")
+        os.write(give, min(job + 1, len(jobs)).to_bytes(8, "little"))
+        return job
+
+    def run(i: int, job: int) -> list:
+        """(job, error, result) of ``job`` and of each next job this process
+        takes, to its first error."""
+        if every:
+            os.sched_setaffinity(0, every[i::workers])
+        done = []
+        while job < len(jobs):
+            try:
+                done.append((job, None, fn(jobs[job])))
+            except Exception as exc:
+                return done + [(job, exc, None)]
+            job = next_job()
+        return done
+
+    os.write(give, min(1, len(jobs)).to_bytes(8, "little"))
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for i in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: whatever happens, it ends here
+                try:
+                    blob = pickle.dumps(run(i, next_job()))
+                    while blob:
+                        blob = blob[os.write(write, blob):]
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        done = run(0, 0)
+        for pid, read in children:
+            if not (blob := b"".join(iter(lambda: os.read(read, 1 << 16), b""))):
+                raise RuntimeError(f"pool worker {pid} ended without sending its results")
+            done += pickle.loads(blob)
+    finally:
+        if every:
+            os.sched_setaffinity(0, every)
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, 9)  # SIGKILL: a worker this process no longer waits for
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        os.close(take)
+        os.close(give)
+    for _, error, result in sorted(done, key=lambda row: row[0]):
+        if error is not None:
+            raise error
+        yield result
+
+
 def predict(model: HybridModel, samples: SampleSet) -> tuple[np.ndarray, np.ndarray | None]:
     """Eval-mode forward over the sample set, ``PREDICT_BLOCK`` rows at a
-    time.
+    time, the blocks run by :func:`run_pool` at one CPU each.
 
     Returns ``(predictions (N, 6), attention (N, T))``; the attention is
     ``None`` when the model has no attention path.
@@ -159,13 +240,14 @@ def predict(model: HybridModel, samples: SampleSet) -> tuple[np.ndarray, np.ndar
     if not samples:
         raise DataError("no samples to predict")
     model.check(samples)
-    predictions, attention = [], []
-    for i in range(0, len(samples), PREDICT_BLOCK):
-        out = model.forward(batch_from_samples(samples, slice(i, i + PREDICT_BLOCK)))
-        predictions.append(out.predictions)
-        if out.attention is not None:
-            attention.append(out.attention)
-    return np.concatenate(predictions), (np.concatenate(attention) if attention else None)
+
+    def block(start: int) -> tuple[np.ndarray, np.ndarray | None]:
+        out = model.forward(batch_from_samples(samples, slice(start, start + PREDICT_BLOCK)))
+        return out.predictions, out.attention
+
+    predictions, attention = zip(*run_pool(block, range(0, len(samples), PREDICT_BLOCK), 1))
+    return (np.concatenate(predictions),
+            None if attention[0] is None else np.concatenate(attention))
 
 
 def validation_mae(model: HybridModel, samples: SampleSet) -> float:
@@ -276,10 +358,11 @@ def _parse_config_text(blob: bytes) -> tuple[ModelConfig, AblationConfig, int, l
     return configs[0], configs[1], seed, value("tensors", str).split(",")
 
 
-def save_checkpoint(model: HybridModel, path) -> None:
-    """Configs and the parameter vector as one atomic :func:`write_artifact`."""
-    write_artifact(path, _CKPT_MAGIC, _config_text(model).encode(),
-                   [np.asarray(model.params, "<f8")])
+def save_checkpoint(model: HybridModel, path) -> bytes:
+    """Configs and the parameter vector as one atomic :func:`write_artifact`;
+    returns the sha256 of the bytes written."""
+    return write_artifact(path, _CKPT_MAGIC, _config_text(model).encode(),
+                          [np.asarray(model.params, "<f8")])
 
 
 def load_checkpoint(path) -> HybridModel:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import os
 import struct
 import threading
 from datetime import date, timedelta
@@ -110,6 +112,41 @@ def spy_opens(monkeypatch, before_open=lambda path: None):
 
     monkeypatch.setattr(Path, "open", spy_open)
     return opened
+
+
+def spy_forks(monkeypatch):
+    """The ``os.fork`` calls made from now on, one entry each."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@contextlib.contextmanager
+def pinned(cpus: str):
+    """This thread on its first CPU for ``"one"``, on its first two for
+    ``"two"``, on every CPU it has for ``"every"``; its CPUs are restored on
+    the way out.  Where the platform cannot pin, every process pool runs
+    inline, as on one CPU, and this does nothing."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    every = os.sched_getaffinity(0)
+    if cpus != "every":
+        os.sched_setaffinity(0, sorted(every)[:{"one": 1, "two": 2}[cpus]])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, every)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    or len(os.sched_getaffinity(0)) < 2, reason="the host cannot fork or allows only one CPU")
 
 
 def uniform(rng, fan_in, *shape):

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import hashlib
 import json
@@ -6,7 +5,6 @@ import os
 import re
 import resource
 import shutil
-import signal
 import subprocess
 import sys
 import time
@@ -21,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import edit_header, spy_opens
+from conftest import edit_header, needs_two_cpus, pinned, spy_forks, spy_opens
 import droughtcast
 import droughtcast.cli as cli
 from droughtcast import errors
@@ -77,37 +75,6 @@ def dataset(tmp_path_factory):
 
 def run_cli(config, out, command, *extra):
     return main(["--config", str(config), "--out", str(out), command, *extra])
-
-
-def spy_forks(monkeypatch):
-    """The ``os.fork`` calls made from now on, one entry each."""
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-@contextlib.contextmanager
-def pinned(cpus: str):
-    """This thread on its first CPU for ``"one"``, on its first two for
-    ``"two"``, on every CPU it has for ``"every"``; its CPUs are restored on
-    the way out."""
-    every = os.sched_getaffinity(0)
-    if cpus != "every":
-        os.sched_setaffinity(0, sorted(every)[:{"one": 1, "two": 2}[cpus]])
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, every)
-
-
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-    or len(os.sched_getaffinity(0)) < 2, reason="the host cannot fork or allows only one CPU")
 
 
 @pytest.fixture(scope="module")
@@ -294,13 +261,13 @@ def test_cv_runs_both_settings_folds_as_one_grid(trained, tmp_path, monkeypatch)
     config, trained_out = trained
     out = tmp_path / "out"
     shutil.copytree(trained_out / "ingest", out / "ingest")
-    grids, grid = [], cli._grid
+    grids, grid = [], cli.run_pool
 
-    def spy(fn, jobs, layers):
+    def spy(fn, jobs, cpus_per_job):
         grids.append(len(jobs))
-        return grid(fn, jobs, layers)
+        return grid(fn, jobs, cpus_per_job)
 
-    monkeypatch.setattr(cli, "_grid", spy)
+    monkeypatch.setattr(cli, "run_pool", spy)
     assert run_cli(config, out, "cv") == 0
     assert grids == [2 * 3]  # two settings of three folds
 
@@ -391,77 +358,6 @@ def test_a_failing_grid_job_ends_the_command_after_the_jobs_before_it(
     assert bool(forks) == (cpus == "every")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def logged_grid(tmp_path, jobs, layers: int, fn=lambda job: job):
-    """``_grid``'s results of ``fn`` over ``jobs``, and (job, pid, CPUs) of
-    each job, in the order the jobs started, as each process appended it to
-    one log file."""
-    log = os.open(tmp_path / "grid.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-
-    def logged(job):
-        cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
-        os.write(log, f"{job} {os.getpid()} {cpus}\n".encode())
-        return fn(job)
-
-    try:
-        results = list(cli._grid(logged, jobs, layers))
-    finally:
-        os.close(log)
-    rows = [line.split() for line in (tmp_path / "grid.log").read_text().splitlines()]
-    return results, [(int(job), int(pid), [int(cpu) for cpu in cpus.split(",")])
-                     for job, pid, cpus in rows]
-
-
-@needs_two_cpus
-@pytest.mark.parametrize("layers", [1, 2])
-def test_each_grid_job_runs_once_on_one_of_w_disjoint_cpu_sets(tmp_path, layers):
-    """Every job runs exactly once, in a process pinned to one of w disjoint
-    CPU sets that together cover the caller's CPUs, one set per process;
-    results come back in job order, and the caller gets its CPUs back.  With
-    two LSTM layers on two CPUs, w is 1 and nothing is pinned."""
-    every = sorted(os.sched_getaffinity(0))
-    workers = min(6, len(every) // min(layers, len(every)))
-    shares = [every[i::workers] for i in range(workers)]
-    assert sorted(sum(shares, [])) == every  # disjoint, and covering every CPU
-    results, log = logged_grid(tmp_path, range(6), layers, lambda job: job * job)
-    assert results == [job * job for job in range(6)]
-    assert sorted(job for job, _, _ in log) == list(range(6))
-    cpus_of = {}
-    for _, pid, cpus in log:
-        assert cpus in shares
-        assert cpus_of.setdefault(pid, cpus) == cpus
-    assert len({tuple(cpus) for cpus in cpus_of.values()}) == len(cpus_of)
-    assert sorted(os.sched_getaffinity(0)) == every
-
-
-@needs_two_cpus
-def test_a_free_process_takes_every_job_while_the_other_runs_a_slow_one(tmp_path):
-    """On two CPUs, job 0 sleeps for a second: the process that took it runs
-    no other job, and the other process runs all the rest, where fixed
-    shares would have left it every second job."""
-    with pinned("two"):
-        results, log = logged_grid(tmp_path, range(8), 1,
-                                   lambda job: time.sleep(1) if job == 0 else job)
-    assert results == [None, *range(1, 8)]
-    pid = {job: pid for job, pid, _ in log}
-    assert pid[0] not in {pid[job] for job in range(1, 8)}
-    assert len({pid[job] for job in range(1, 8)}) == 1
-
-
-def test_a_grid_of_more_jobs_than_a_pipe_buffer_holds_runs_each_once():
-    """20,000 no-op jobs, more 8-byte job numbers than a 64 KiB pipe buffer
-    holds: no hand-out blocks, and each job runs once, in order."""
-    def hung(*_):
-        raise TimeoutError("the grid hung")
-
-    handler = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(120)
-    try:
-        assert list(cli._grid(lambda job: job, range(20_000), 1)) == list(range(20_000))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
 
 
 @needs_two_cpus

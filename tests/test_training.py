@@ -2,9 +2,11 @@ import itertools
 import math
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import Packed, edit_header, window_set
+from conftest import Packed, edit_header, needs_two_cpus, pinned, spy_forks, window_set
 from droughtcast import training
 from droughtcast.autodiff import RngState, Tensor
 from droughtcast.cli import ABLATION_SETTINGS
@@ -29,6 +31,7 @@ from droughtcast.training import (
     history_csv,
     load_checkpoint,
     predict,
+    run_pool,
     save_checkpoint,
     validation_mae,
 )
@@ -284,8 +287,9 @@ def test_fit_and_predict_cut_every_batch_with_batch_from_samples(monkeypatch):
     monkeypatch.setattr(training, "batch_from_samples", spy_cut)
     monkeypatch.setattr(HybridModel, "forward", spy_forward)
     monkeypatch.setattr(training, "PREDICT_BLOCK", 4)
-    fit(model, samples, samples[:6], TrainRunConfig(batch_size=4, epochs=1, seed=27),
-        LrSchedule())
+    with pinned("one"):  # the spies see only this process's calls: no block may run in a child
+        fit(model, samples, samples[:6], TrainRunConfig(batch_size=4, epochs=1, seed=27),
+            LrSchedule())
     order = RngState(27).split("shuffle:0").permutation(10)
     assert [rows.tolist() for rows in cuts[:3]] == [order[:4].tolist(), order[4:8].tolist(),
                                                    order[8:].tolist()]
@@ -310,6 +314,160 @@ def test_predict_joins_blocks_into_one_pass(monkeypatch):
         predict(model, samples[:0])
 
 
+@needs_two_cpus
+def test_a_multi_block_predict_has_the_same_bytes_on_one_cpu_and_on_two(monkeypatch):
+    """Seven blocks of 8 rows: on one CPU the caller runs them all, on two
+    it shares them with a forked, pinned child.  The predictions, the
+    attention and ``validation_mae``'s float have the same bytes either
+    way, and the caller itself cuts the first block."""
+    monkeypatch.setattr(training, "PREDICT_BLOCK", 8)
+    samples = make_linear_samples(n=50, seed=31)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=32)
+    cuts, cut = [], training.batch_from_samples
+
+    def spy_cut(samples, rows):
+        cuts.append(rows)
+        return cut(samples, rows)
+
+    monkeypatch.setattr(training, "batch_from_samples", spy_cut)
+    forks = spy_forks(monkeypatch)
+    outputs, blocks = {}, [slice(i, i + 8) for i in range(0, 50, 8)]
+    for cpus in ("one", "two"):
+        cuts.clear()
+        forks.clear()
+        with pinned(cpus):
+            predictions, attention = predict(model, samples)
+            mae = validation_mae(model, samples)
+        outputs[cpus] = predictions.tobytes(), attention.tobytes(), struct.pack("<d", mae)
+        if cpus == "one":
+            assert forks == [] and cuts == blocks + blocks
+        else:
+            assert len(forks) == 2 and cuts[0] == slice(0, 8) and slice(0, 8) in cuts[1:]
+    assert predictions.shape == (50, 6)
+    assert outputs["one"] == outputs["two"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("cpus", ["one", "two"])
+def test_the_lowest_failing_block_raises_its_error_and_leaves_no_child(monkeypatch, cpus):
+    """Blocks 3 and 5 of seven raise: on one CPU and on two, ``predict``
+    raises block 3's error, and no child is left behind."""
+    monkeypatch.setattr(training, "PREDICT_BLOCK", 8)
+    samples = make_linear_samples(n=50, seed=31)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=32)
+    forward = HybridModel.forward
+
+    def failing(self, batch, *args, **kwargs):
+        block = next(k for k in range(7) if np.array_equal(batch.y, samples.y[8 * k:8 * k + 8]))
+        if block in (3, 5):
+            raise NumericError(f"planted failure in block {block}")
+        return forward(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(HybridModel, "forward", failing)
+    forks = spy_forks(monkeypatch)
+    with pinned(cpus), pytest.raises(NumericError, match="planted failure in block 3"):
+        predict(model, samples)
+    assert bool(forks) == (cpus == "two")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_predict_runs_inline_while_another_thread_is_alive(monkeypatch):
+    """A fork would copy another thread's locks but not the thread, so with
+    one alive, every block runs in the calling process."""
+    monkeypatch.setattr(training, "PREDICT_BLOCK", 8)
+    samples = make_linear_samples(n=50, seed=31)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=32)
+    forks, release = spy_forks(monkeypatch), threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        predictions, _ = predict(model, samples)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+    with pinned("one"):
+        assert predictions.tobytes() == predict(model, samples)[0].tobytes()
+
+
+def logged_pool(tmp_path, jobs, cpus_per_job: int, fn=lambda job: job):
+    """``run_pool``'s results of ``fn`` over ``jobs``, and (job, pid, CPUs) of
+    each job, in the order the jobs started, as each process appended it to
+    one log file."""
+    log = os.open(tmp_path / "pool.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(job):
+        cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+        os.write(log, f"{job} {os.getpid()} {cpus}\n".encode())
+        return fn(job)
+
+    try:
+        results = list(run_pool(logged, jobs, cpus_per_job))
+    finally:
+        os.close(log)
+    rows = [line.split() for line in (tmp_path / "pool.log").read_text().splitlines()]
+    return results, [(int(job), int(pid), [int(cpu) for cpu in cpus.split(",")])
+                     for job, pid, cpus in rows]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("cpus_per_job", [1, 2])
+def test_each_pool_job_runs_once_on_one_of_w_disjoint_cpu_sets(tmp_path, cpus_per_job):
+    """Every job runs exactly once, in a process pinned to one of w disjoint
+    CPU sets that together cover the caller's CPUs, one set per process;
+    results come back in job order, and the caller gets its CPUs back.  With
+    two CPUs per job on two CPUs, w is 1 and nothing is pinned."""
+    every = sorted(os.sched_getaffinity(0))
+    workers = min(6, len(every) // cpus_per_job)
+    shares = [every[i::workers] for i in range(workers)]
+    assert sorted(sum(shares, [])) == every  # disjoint, and covering every CPU
+    results, log = logged_pool(tmp_path, range(6), cpus_per_job, lambda job: job * job)
+    assert results == [job * job for job in range(6)]
+    assert sorted(job for job, _, _ in log) == list(range(6))
+    cpus_of = {}
+    for _, pid, cpus in log:
+        assert cpus in shares
+        assert cpus_of.setdefault(pid, cpus) == cpus
+    assert len({tuple(cpus) for cpus in cpus_of.values()}) == len(cpus_of)
+    assert sorted(os.sched_getaffinity(0)) == every
+
+
+@needs_two_cpus
+def test_a_free_process_takes_every_job_while_the_other_runs_a_slow_one(tmp_path):
+    """On two CPUs, job 0 sleeps for a second: the calling process, which
+    takes job 0, runs no other job, and the other process runs all the
+    rest, where fixed shares would have left it every second job."""
+    with pinned("two"):
+        results, log = logged_pool(tmp_path, range(8), 1,
+                                   lambda job: time.sleep(1) if job == 0 else job)
+    assert results == [None, *range(1, 8)]
+    pid = {job: pid for job, pid, _ in log}
+    assert pid[0] == os.getpid()
+    assert pid[0] not in {pid[job] for job in range(1, 8)}
+    assert len({pid[job] for job in range(1, 8)}) == 1
+
+
+def test_a_pool_of_more_jobs_than_a_pipe_buffer_holds_runs_each_once():
+    """20,000 no-op jobs, more 8-byte job numbers than a 64 KiB pipe buffer
+    holds: no hand-out blocks, and each job runs once, in order."""
+    def hung(*_):
+        raise TimeoutError("the pool hung")
+
+    handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        assert list(run_pool(lambda job: job, range(20_000), 1)) == list(range(20_000))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+
 def test_checkpoint_round_trip(tmp_path):
     config = overfit_config()
     model = HybridModel.build(config, AblationConfig(), seed=21)
@@ -317,10 +475,11 @@ def test_checkpoint_round_trip(tmp_path):
     before = model.forward(samples).predictions
 
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    digest = save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     after = loaded.forward(samples).predictions
     np.testing.assert_array_equal(before, after)
+    assert loaded.sha256 == digest  # of the bytes written
     assert loaded.config == model.config
     assert loaded.ablation == model.ablation
 
