@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
-from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -95,9 +94,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
     ts_path = _require_file(cfg, "data", "timeseries")
     statics_path = _require_file(cfg, "data", "statics")
     categorical = cfg.get_list("data", "categorical_columns")
-    window = cfg.get_int("data", "window_days")
+    window = cfg.get_as("data", "window_days", int)
     phase = cfg.get("data", "target_phase")
-    max_gap = cfg.get_int("data", "max_gap_days")
+    max_gap = cfg.get_as("data", "max_gap_days", int)
 
     messages: list[str] = []
     statics, encoder = dp.load_statics(statics_path, categorical)
@@ -128,8 +127,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
                 splits.append((built, slice(0)))
     else:
         split = dp.split_fractions(
-            len(built), cfg.get_float("data", "val_fraction"),
-            cfg.get_float("data", "test_fraction"), seed=cfg.seed,
+            len(built), cfg.get_as("data", "val_fraction", float),
+            cfg.get_as("data", "test_fraction", float), seed=cfg.seed,
         )
         splits = [(built, index) for index in split]
         messages.append("random split: {} train / {} val / {} test".format(*map(len, split)))
@@ -182,11 +181,12 @@ def _model_config(cfg: RunConfig, ingest: Path, samples: dp.SampleSet) -> ModelC
 
 
 def _schedule(cfg: RunConfig, n_train: int) -> LrSchedule:
-    max_lr = cfg.get_float("train", "max_lr")
-    base_lr = cfg.get_float("train", "base_lr") if cfg.get("train", "base_lr") else max_lr / 10.0
-    batch = cfg.get_int("train", "batch_size")
+    max_lr = cfg.get_as("train", "max_lr", float)
+    base_lr = (cfg.get_as("train", "base_lr", float) if cfg.get("train", "base_lr")
+               else max_lr / 10.0)
+    batch = cfg.get_as("train", "batch_size", int)
     steps_per_epoch = max(1, -(-n_train // batch))
-    cycle_epochs = cfg.get_int("train", "cycle_epochs")
+    cycle_epochs = cfg.get_as("train", "cycle_epochs", int)
     if cycle_epochs < 1:
         raise ConfigError(f"[train] cycle_epochs must be at least 1, got {cycle_epochs}")
     cycle = max(2, cycle_epochs * steps_per_epoch)
@@ -202,18 +202,17 @@ def _trained(cfg: RunConfig, config: ModelConfig, ablation: AblationConfig, seed
     its key in ``manifest.json`` go there; without, :func:`_reused` may load
     ``train``'s model in place of the fit."""
     given = {"epochs": epochs} if epochs is not None else {}
-    run = _from_section(cfg, TrainRunConfig, "train", seed=seed, **given,
-                        checkpoint_dir=str(out) if out else None)
+    run = _from_section(cfg, TrainRunConfig, "train", seed=seed, **given)
     schedule = _schedule(cfg, len(train))
     key = None if train.sha256 is None or val.sha256 is None else json.loads(json.dumps({
         "samples_sha256": {"train": train.sha256.hex(), "val": val.sha256.hex()},
         "model": asdict(config), "ablation": asdict(ablation), "schedule": asdict(schedule),
-        "train": {k: v for k, v in asdict(run).items() if k != "checkpoint_dir"},
+        "train": asdict(run),
         "seed": seed, "version": __version__}))  # a derived set has no digest: no key
     model, note = _reused(cfg, key) if key is not None and out is None else (None, None)
     if model is not None:
         return model, [], note
-    model, history = fit(HybridModel(config, ablation, seed), train, val, run, schedule)
+    model, history = fit(HybridModel(config, ablation, seed), train, val, run, schedule, out)
     if out is not None:
         digest = save_checkpoint(model, out / "model.ckpt").hex()
         dp.write_file(out / "manifest.json", [json.dumps(
@@ -310,8 +309,8 @@ def cmd_cv(cfg: RunConfig) -> int:
     train, val = _load_sets(ingest, "train", "val")
     pool = train + val
     base_config = _model_config(cfg, ingest, pool)
-    folds = cfg.get_int("cv", "folds")
-    epochs = cfg.get_int("cv", "epochs") if cfg.get("cv", "epochs") else None
+    folds = cfg.get_as("cv", "folds", int)
+    epochs = cfg.get_as("cv", "epochs", int) if cfg.get("cv", "epochs") else None
 
     def trainer(ablation):
         return lambda train, val, seed: _trained(cfg, base_config, ablation, seed, train, val,
@@ -321,7 +320,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     primary, baseline = cross_validate(
         pool, folds, [trainer(_from_section(cfg, AblationConfig, "ablation")),
                       trainer(_from_section(cfg, AblationConfig, "cv", "baseline_"))],
-        partial(run_pool, cpus_per_job=lstm_threads(base_config.lstm_layers)), seed=cfg.seed)
+        lstm_threads(base_config.lstm_layers), seed=cfg.seed)
 
     dp.write_file(out / "cv_folds_primary.csv", [primary.folds_csv()])
     dp.write_file(out / "cv_summary_primary.csv", [primary.summary_csv()])
@@ -426,9 +425,9 @@ def cmd_introspect(cfg: RunConfig) -> int:
     alpha, source = _test_attention(cfg, model)
     profile = collect_attention(alpha)
     export = export_embeddings(model, statics, encoder)
-    perplexity = cfg.get_float("introspect", "perplexity")
+    perplexity = cfg.get_as("introspect", "perplexity", float)
     projection = tsne(export.vectors, perplexity=perplexity,
-                      iterations=cfg.get_int("introspect", "iterations"), seed=cfg.seed)
+                      iterations=cfg.get_as("introspect", "iterations", int), seed=cfg.seed)
     if projection.perplexity_used != perplexity:
         print(f"note: perplexity {perplexity} too large for {len(export.vectors)} points; "
               f"t-SNE used {projection.perplexity_used:.2f}", file=sys.stderr)

@@ -115,12 +115,6 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} must be {_KIND_NAMES[kind]}, "
                               f"got {raw!r}") from None
 
-    def get_int(self, section: str, key: str) -> int:
-        return self.get_as(section, key, int)
-
-    def get_float(self, section: str, key: str) -> float:
-        return self.get_as(section, key, float)
-
     def get_list(self, section: str, key: str) -> list[str]:
         raw = self.get(section, key)
         return [item.strip() for item in raw.split(",") if item.strip()]
@@ -130,7 +124,7 @@ class RunConfig:
         raw = self.get("run", "seed")
         if raw == "":
             raise ConfigError("a run seed is mandatory (set [run] seed or pass --seed)")
-        seed = self.get_int("run", "seed")
+        seed = self.get_as("run", "seed", int)
         if seed < 0:
             raise ConfigError(f"[run] seed must be >= 0, got {seed}")
         return seed

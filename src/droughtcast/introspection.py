@@ -110,46 +110,36 @@ def _pairwise_sq_dists(points: np.ndarray, out: np.ndarray | None = None,
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _conditional_row(d2_row: np.ndarray, beta: float, i: int) -> tuple[np.ndarray, float]:
-    """Row of conditional affinities at precision beta plus its entropy (nats)."""
-    p = np.exp(-d2_row * beta)
-    p[i] = 0.0
-    total = p.sum()
-    if total <= 0.0:
-        p[:] = 0.0
-        return p, 0.0
-    p /= total
-    nz = p > 0
-    entropy = float(-(p[nz] * np.log(p[nz])).sum())
-    return p, entropy
-
-
-def _search_beta(d2_row: np.ndarray, i: int, target_entropy: float) -> tuple[np.ndarray, float]:
-    beta, beta_min, beta_max = 1.0, 0.0, np.inf
-    p, entropy = _conditional_row(d2_row, beta, i)
-    for _ in range(BETA_SEARCH_STEPS):
-        if abs(entropy - target_entropy) <= ENTROPY_TOL:
-            break
-        if entropy > target_entropy:  # too spread out: raise precision
-            beta_min = beta
-            beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-        else:
-            beta_max = beta
-            beta = beta / 2.0 if beta_min == 0.0 else (beta + beta_min) / 2.0
-        p, entropy = _conditional_row(d2_row, beta, i)
-    return p, beta
-
-
 def conditional_affinities(d2: np.ndarray, perplexity: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-row conditional affinities of the points whose pairwise squared
-    distances are ``d2``, with entropies matched to log(perplexity) within
-    1e-3; returns (P_conditional, sigmas)."""
+    distances are ``d2``, each row's precision bisected until its entropy is
+    within ``ENTROPY_TOL`` of log(perplexity); returns (P_conditional, sigmas)."""
     n = d2.shape[0]
     target = float(np.log(perplexity))
     p = np.zeros((n, n))
     betas = np.empty(n)
     for i in range(n):
-        p[i], betas[i] = _search_beta(d2[i], i, target)
+        beta, beta_min, beta_max = 1.0, 0.0, np.inf
+        for step in range(BETA_SEARCH_STEPS + 1):
+            row = np.exp(-d2[i] * beta)
+            row[i] = 0.0
+            total = row.sum()
+            if total <= 0.0:
+                row[:] = 0.0
+                entropy = 0.0
+            else:
+                row /= total
+                nz = row > 0
+                entropy = float(-(row[nz] * np.log(row[nz])).sum())
+            if abs(entropy - target) <= ENTROPY_TOL or step == BETA_SEARCH_STEPS:
+                break
+            if entropy > target:  # too spread out: raise precision
+                beta_min = beta
+                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
+            else:
+                beta_max = beta
+                beta = beta / 2.0 if beta_min == 0.0 else (beta + beta_min) / 2.0
+        p[i], betas[i] = row, beta
     sigmas = np.sqrt(1.0 / (2.0 * betas))
     return p, sigmas
 

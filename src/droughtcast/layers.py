@@ -42,24 +42,24 @@ def lstm_threads(layers: int) -> int:
     return min(layers, cpu_count())
 
 
-def dropout(x: np.ndarray, p: float, training: bool,
-            rng: RngState) -> tuple[np.ndarray, np.ndarray | None]:
+def dropout(x: np.ndarray, p: float, rng: RngState | None,
+            key: str) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout: each entry zeroed with probability ``p``, the rest
-    scaled by 1/(1-p).  Returns the output and the mask that scales the
-    gradient on the way back, or ``x`` itself and ``None`` when nothing is
-    dropped."""
-    if not training or p == 0.0:
+    scaled by 1/(1-p), the mask drawn from ``rng.split(key)``.  Returns the
+    output and the mask that scales the gradient on the way back, or ``x``
+    itself and ``None`` when nothing is dropped: in eval (no ``rng``) or
+    at ``p`` 0."""
+    if rng is None or p == 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
+    mask = (rng.split(key).random(x.shape) >= p).astype(np.float64) / (1.0 - p)
     return x * mask, mask
 
 
 @dataclass
 class EmbeddingTable:
-    """Dense vectors for one categorical feature; row 0 is the reserved
-    unknown/unseen code."""
+    """Dense vectors for one categorical feature, one row per code; row 0
+    is the reserved unknown/unseen code."""
 
-    vocab_size: int
     weights: Tensor
 
     def backward(self, grad: np.ndarray, codes: np.ndarray) -> None:
@@ -71,7 +71,7 @@ class EmbeddingTable:
 
 def embed(table: EmbeddingTable, codes: np.ndarray) -> np.ndarray:
     """Rows of the table for integer codes, which the caller has checked
-    lie in ``[0, vocab_size)``."""
+    lie within its rows."""
     return table.weights.data[codes]
 
 
@@ -377,16 +377,17 @@ class LstmStack:
         graph.run(self.num_layers)
 
 
-def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
-                training: bool) -> tuple[np.ndarray, list | None]:
-    """Run the stack over a ``(B, T, in)`` window.  Returns the top layer's
-    hidden state at every step, ``(B, T, h)``, and in training mode the
-    cache for :meth:`LstmStack.backward` (``None`` otherwise).
+def lstm_states(stack: LstmStack, x: np.ndarray,
+                rng: RngState | None) -> tuple[np.ndarray, list | None]:
+    """Run the stack over a ``(B, T, in)`` window, in training mode when
+    given the stream ``rng`` (eval mode when ``None``).  Returns the top
+    layer's hidden state at every step, ``(B, T, h)``, and in training mode
+    the cache for :meth:`LstmStack.backward` (``None`` otherwise).
 
     Initial hidden/cell states are zero.  The sequence travels time-major
     between layers: each layer's :class:`LstmForward` reads the ``output``
     of the layer below, which in training mode is its states times the
-    inter-layer dropout mask, drawn from the stream ``lstm_dropout{li}``;
+    inter-layer dropout mask, drawn from ``rng.split(f"lstm_dropout{li}")``;
     the top layer's writes the stack's output.  Their tasks run as one
     :class:`_Graph`, added block by block with the edges that
     :class:`LstmForward` names, the eval-only ones included.  The keys
@@ -394,6 +395,7 @@ def lstm_states(stack: LstmStack, x: np.ndarray, rng: RngState,
     arXiv:1604.01946): by block plus layer, the upper layer first, a
     projection before its step.
     """
+    training = rng is not None
     seq = x.transpose(1, 0, 2).copy()
     top = stack.num_layers - 1
     out = np.empty((len(x), len(seq), stack.hidden_size))

@@ -20,7 +20,7 @@ from .data import TARGET_WEEKS, csv_text, kfold_split
 from .errors import DataError, NumericError
 from .model import HybridModel
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
-from .training import batch_from_samples, predict  # noqa: F401
+from .training import batch_from_samples, predict, run_pool  # noqa: F401
 
 N_CATEGORIES = 6
 # the per-week columns of the wide CSVs, in the order of MetricsReport.weekly_cells
@@ -312,11 +312,11 @@ def summarize_folds(values) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def cross_validate(samples, k, trainers, run, seed: int = 0) -> list[FoldResults]:
+def cross_validate(samples, k, trainers, cpus_per_job: int, seed: int = 0) -> list[FoldResults]:
     """Per trainer, MAE/RMSE/F1 per fold of the model that the trainer,
     called as ``train(train_samples, val_samples, fold_seed)``, returns,
-    fresh and seeded per fold; ``run(fold, jobs)`` yields ``fold(job)`` of each job,
-    every trainer's folds in one call, in order, as ``map`` does."""
+    fresh and seeded per fold; every trainer's folds are the jobs of one
+    :func:`~droughtcast.training.run_pool` at ``cpus_per_job`` CPUs each."""
     def fold(job) -> dict[str, float]:
         train, i, (fit_rows, val_rows) = job
         model = train(samples[fit_rows], samples[val_rows], seed + 1000 * (i + 1))
@@ -324,7 +324,8 @@ def cross_validate(samples, k, trainers, run, seed: int = 0) -> list[FoldResults
         return {"mae": report.mae, "rmse": report.rmse, "f1": report.f1}
 
     splits = list(enumerate(kfold_split(len(samples), k=k, seed=seed)))
-    results = iter(run(fold, [(train, *split) for train in trainers for split in splits]))
+    results = run_pool(fold, [(train, *split) for train in trainers for split in splits],
+                       cpus_per_job)
     return [FoldResults(["mae", "rmse", "f1"], [next(results) for _ in splits])
             for _ in trainers]
 

@@ -190,8 +190,8 @@ class HybridModel:
         def affine(prefix: str, relu: bool = False) -> AffineLayer:
             return AffineLayer(p[f"{prefix}.weight"], p[f"{prefix}.bias"], relu)
 
-        self.embeddings = [EmbeddingTable(v, p[f"embed{i}.weights"])
-                           for i, v in enumerate(config.categorical_vocab_sizes)
+        self.embeddings = [EmbeddingTable(p[f"embed{i}.weights"])
+                           for i in range(len(config.categorical_vocab_sizes))
                            if ablation.use_static]
         self.reducer = affine("reducer", relu=True) if self.embeddings else None
         self.lstm = None
@@ -238,7 +238,7 @@ class HybridModel:
         for i, layer in enumerate(self.mlp.layers):
             affine(layer, init.split("mlp").split(f"mlp{i}"))
 
-    # the constructor under another name: only perfbench/workload.py and the tests call it
+    # the constructor under another name, which only perfbench calls
     @classmethod
     def build(cls, config: ModelConfig, ablation: AblationConfig, seed: int) -> "HybridModel":
         return cls(config, ablation, seed)
@@ -257,10 +257,10 @@ class HybridModel:
             raise self._mismatch(f"expected {len(self.embeddings)} categorical features, "
                                  f"got {s_d.shape[1]}")
         for j, table in enumerate(self.embeddings):
-            low, high = s_d[:, j].min(), s_d[:, j].max()
-            if low < 0 or high >= table.vocab_size:
+            low, high, size = s_d[:, j].min(), s_d[:, j].max(), len(table.weights.data)
+            if low < 0 or high >= size:
                 raise self._mismatch(f"categorical feature {j} has codes {low}..{high}, "
-                                     f"expected 0..{table.vocab_size - 1}")
+                                     f"expected 0..{size - 1}")
 
     def check(self, samples: SampleSet) -> None:
         """Raise ``DataError`` naming :attr:`source` unless the non-empty
@@ -286,15 +286,18 @@ class HybridModel:
     def forward(self, batch: SampleSet, training: bool = False,
                 rng: RngState | None = None) -> BatchOutput:
         """Predictions for a slice of a sample set that passed :meth:`check`.
-        In training mode dropout is active and the output carries the cache
-        :meth:`backward` reads."""
-        rng = rng or RngState(self.seed).split("forward")
+        In training mode, which needs the stream ``rng``, dropout draws from
+        it and the output carries the cache :meth:`backward` reads; eval
+        mode draws nothing."""
+        if training and rng is None:
+            raise TypeError("a training forward needs its random stream rng")
+        rng = rng if training else None
         cache: dict = {"s_d": batch.s_d}
         pieces: list[np.ndarray] = []
         alpha = None
 
         if self.lstm is not None:
-            hidden, cache["lstm"] = lstm_states(self.lstm, batch.x, rng, training)  # (B, T, h)
+            hidden, cache["lstm"] = lstm_states(self.lstm, batch.x, rng)  # (B, T, h)
             cache["hidden_shape"] = hidden.shape
             if self.attention is not None:
                 context, alpha, cache["attention"] = attend_batched(self.attention, hidden)
@@ -303,8 +306,7 @@ class HybridModel:
 
         if self.embeddings:
             merged, cache["embed_mask"] = dropout(self._embedded(batch.s_d),
-                                                  self.config.embed_dropout, training,
-                                                  rng.split("embed_drop"))
+                                                  self.config.embed_dropout, rng, "embed_drop")
             reduced, cache["reducer"] = self.reducer(merged)
             pieces.append(reduced)
         if self.ablation.use_static and self.config.numeric_static_count:
@@ -312,7 +314,7 @@ class HybridModel:
 
         cache["widths"] = [piece.shape[1] for piece in pieces]
         fused, cache["fuse_mask"] = dropout(np.concatenate(pieces, axis=1), self.config.dropout,
-                                            training, rng.split("fuse_drop"))
+                                            rng, "fuse_drop")
         predictions, cache["mlp"] = self.mlp(fused)
         return BatchOutput(predictions, alpha, cache if training else None)
 

@@ -117,7 +117,6 @@ class TrainRunConfig:
     weight_decay: float = 0.01
     loss: str = "mse"
     selection: str = "best"  # best validation MAE, or "last" epoch
-    checkpoint_dir: str | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -259,13 +258,16 @@ def validation_mae(model: HybridModel, samples: SampleSet) -> float:
 
 
 def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
-        run: TrainRunConfig, schedule: LrSchedule) -> tuple[HybridModel, list[HistoryRow]]:
+        run: TrainRunConfig, schedule: LrSchedule,
+        checkpoint_dir: Path | None = None) -> tuple[HybridModel, list[HistoryRow]]:
     """Train in place; returns the selected model plus the per-epoch history.
 
     Both sample sets are checked against the model before the first step;
-    ``val_samples`` may be empty.  Shuffling, dropout, and initialization
-    all derive from ``run.seed``.  On divergence (non-finite loss) the last
-    good checkpoint is kept and ``NumericError`` raised.
+    ``val_samples`` may be empty.  Shuffling and dropout derive from
+    ``run.seed``.  Given ``checkpoint_dir``, each new best epoch is saved
+    there as ``best.ckpt`` and the last as ``final.ckpt``.  On divergence
+    (non-finite loss) the last good checkpoint is kept and ``NumericError``
+    raised.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -278,9 +280,8 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
     history: list[HistoryRow] = []
     best_mae = float("inf")
     best_params: np.ndarray | None = None
-    ckpt_dir = Path(run.checkpoint_dir) if run.checkpoint_dir else None
-    if ckpt_dir:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
+    if checkpoint_dir is not None:
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     global_step = 0
     for epoch in range(run.epochs):
@@ -306,11 +307,11 @@ def fit(model: HybridModel, train_samples: SampleSet, val_samples: SampleSet,
         if val_samples and val_mae < best_mae:
             best_mae = val_mae
             best_params = model.params.copy()
-            if ckpt_dir:
-                save_checkpoint(model, ckpt_dir / "best.ckpt")
+            if checkpoint_dir is not None:
+                save_checkpoint(model, checkpoint_dir / "best.ckpt")
 
-    if ckpt_dir:
-        save_checkpoint(model, ckpt_dir / "final.ckpt")
+    if checkpoint_dir is not None:
+        save_checkpoint(model, checkpoint_dir / "final.ckpt")
     if run.selection == "best" and best_params is not None:
         np.copyto(model.params, best_params)
     return model, history

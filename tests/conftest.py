@@ -157,7 +157,7 @@ def uniform(rng, fan_in, *shape):
 
 
 def new_table(vocab_size, dim, rng):
-    return EmbeddingTable(vocab_size, uniform(rng, dim, vocab_size, dim))
+    return EmbeddingTable(uniform(rng, dim, vocab_size, dim))
 
 
 def new_affine(in_size, out_size, rng, relu=False):

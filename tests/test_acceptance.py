@@ -73,7 +73,7 @@ def test_criterion_01_full_model_gradients():
         lstm_layers=2, hidden_size=8, embed_dim=3, reduced_dim=2,
         mlp_layers=2, mlp_hidden=8, dropout=0.1, embed_dropout=0.4,
     )
-    model = HybridModel.build(config, AblationConfig(), seed=17)
+    model = HybridModel(config, AblationConfig(), seed=17)
     batch = _tiny_batch(config, b=2, t=5, seed=18)
 
     def loss_fn():
@@ -172,7 +172,7 @@ def test_criterion_05_overfit_sanity():
         lstm_layers=2, hidden_size=12, embed_dim=4, reduced_dim=2,
         mlp_layers=2, mlp_hidden=32, dropout=0.0, embed_dropout=0.0,
     )
-    model = HybridModel.build(config, AblationConfig(), seed=1)
+    model = HybridModel(config, AblationConfig(), seed=1)
     run = TrainRunConfig(batch_size=32, epochs=500, seed=2, weight_decay=0.0)
     schedule = LrSchedule(base_lr=5e-3, max_lr=5e-3, cycle_length=100)
     model, history = fit(model, samples, [], run, schedule)
@@ -209,7 +209,7 @@ def test_criterion_06_ablation_harness(tmp_path):
     reports = {}
     models = {}
     for i, ablation in enumerate(settings):
-        model = HybridModel.build(config, ablation, seed=50 + i)
+        model = HybridModel(config, ablation, seed=50 + i)
         run = TrainRunConfig(batch_size=16, epochs=1, seed=60 + i)
         model, _ = fit(model, train, val, run, LrSchedule(base_lr=1e-3, max_lr=1e-3, cycle_length=10))
         reports[ablation.label()] = evaluate(model, test)[0]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import edit_header, needs_two_cpus, pinned, spy_forks, spy_opens
 import droughtcast
 import droughtcast.cli as cli
-from droughtcast import errors
+from droughtcast import errors, metrics
 from droughtcast.cli import COMMANDS, main
 from droughtcast.config import CONFIG_KEYS, parse_as
 from droughtcast.data import CategoricalEncoder, EvalPredictions, load_samples
@@ -261,13 +261,13 @@ def test_cv_runs_both_settings_folds_as_one_grid(trained, tmp_path, monkeypatch)
     config, trained_out = trained
     out = tmp_path / "out"
     shutil.copytree(trained_out / "ingest", out / "ingest")
-    grids, grid = [], cli.run_pool
+    grids, grid = [], metrics.run_pool
 
     def spy(fn, jobs, cpus_per_job):
         grids.append(len(jobs))
         return grid(fn, jobs, cpus_per_job)
 
-    monkeypatch.setattr(cli, "run_pool", spy)
+    monkeypatch.setattr(metrics, "run_pool", spy)
     assert run_cli(config, out, "cv") == 0
     assert grids == [2 * 3]  # two settings of three folds
 
@@ -340,10 +340,10 @@ def test_a_failing_grid_job_ends_the_command_after_the_jobs_before_it(
     every_line = capsys.readouterr().out.splitlines()
     fit, seed = cli.fit, 11 + failing  # job i trains with the run seed 11 plus i
 
-    def fit_failing(model, train, val, run, schedule):
+    def fit_failing(model, train, val, run, schedule, checkpoint_dir):
         if run.seed == seed:
             raise errors.NumericError(f"planted failure at seed {seed}")
-        return fit(model, train, val, run, schedule)
+        return fit(model, train, val, run, schedule, checkpoint_dir)
 
     monkeypatch.setattr(cli, "fit", fit_failing)
     forks = spy_forks(monkeypatch)

@@ -751,7 +751,7 @@ def artifacts(tmp_path_factory):
     config = ModelConfig(input_channels=4, numeric_static_count=2,
                          categorical_vocab_sizes=[3, 5], lstm_layers=2, hidden_size=16,
                          embed_dim=4, reduced_dim=2, mlp_layers=2, mlp_hidden=256)
-    save_checkpoint(HybridModel.build(config, AblationConfig(), seed=1), root / "HMCKPT3")
+    save_checkpoint(HybridModel(config, AblationConfig(), seed=1), root / "HMCKPT3")
     _eval_predictions(300, 40).save(root / "HMPRED1")
     return root
 

@@ -105,7 +105,7 @@ def test_seeded_training_is_bit_identical_to_the_recorded_run(index):
     ablation = ABLATION_SETTINGS[index]
     train, val = _samples(12, seed=1), _samples(5, seed=2)
     schedule = LrSchedule(base_lr=1e-3, max_lr=1e-2, cycle_length=4)
-    model = HybridModel.build(CONFIG, ablation, seed=3 + index)
+    model = HybridModel(CONFIG, ablation, seed=3 + index)
     digests = []
     for loss in ("mse", "mae"):  # 12 samples in batches of 4: three steps each
         run = TrainRunConfig(batch_size=4, epochs=1, seed=10 + index, loss=loss)
@@ -131,7 +131,7 @@ PREDICT_GOLDEN = {
 
 @pytest.mark.parametrize("steps", sorted(PREDICT_GOLDEN))
 def test_predict_is_bit_identical_to_the_recorded_run(steps):
-    model = HybridModel.build(CONFIG, ABLATION_SETTINGS[0], seed=5)
+    model = HybridModel(CONFIG, ABLATION_SETTINGS[0], seed=5)
     predictions, attention = predict(model, _samples(259, seed=4, steps=steps))
     assert _digest([("predictions", predictions), ("attention", attention)]) \
         == PREDICT_GOLDEN[steps]
@@ -144,7 +144,7 @@ CHECKPOINT_GOLDEN = "e08fcc8fa9a39f23398c7189b2649c380e359b232896592b09f1f3a1766
 
 
 def test_checkpoint_file_is_bit_identical_to_the_recorded_run(tmp_path):
-    model = HybridModel.build(CONFIG, ABLATION_SETTINGS[0], seed=3)
+    model = HybridModel(CONFIG, ABLATION_SETTINGS[0], seed=3)
     fit(model, _samples(12, seed=1), _samples(5, seed=2),
         TrainRunConfig(batch_size=4, epochs=3, seed=10),
         LrSchedule(base_lr=1e-3, max_lr=0.1, cycle_length=4))
@@ -281,7 +281,7 @@ def lstm_stack_digests(layers: int, steps: int) -> tuple[str, str, str]:
     """The three digests of ``LSTM_STACK_GOLDEN[layers, steps]``."""
     stack = new_lstm(layers, 4, 7, RngState(90 + layers), dropout_p=0.4)
     x = RngState(91).uniform(-2, 2, (3, steps, 4))
-    out, cache = lstm_states(stack, x, RngState(92), training=True)
+    out, cache = lstm_states(stack, x, RngState(92))
     arrays = [("out", out)]
     for li, (layer_cache, mask) in enumerate(cache):
         arrays += [(f"{li}.{name}", a) for name, a in zip(("x", "w", "gates", "hs", "cs"),
@@ -290,7 +290,7 @@ def lstm_stack_digests(layers: int, steps: int) -> tuple[str, str, str]:
     trained = _digest(arrays)
     stack.backward(RngState(93).uniform(-1, 1, out.shape), cache)
     grads = _digest((name, t.grad) for name, t in tensors(stack).items())
-    out, _ = lstm_states(stack, x, RngState(94), training=False)
+    out, _ = lstm_states(stack, x, None)
     return trained, grads, _digest([("out", out)])
 
 

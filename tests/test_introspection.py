@@ -27,7 +27,7 @@ def small_model(seed=0, **overrides):
         mlp_layers=2, mlp_hidden=8, dropout=0.0, embed_dropout=0.0,
     )
     base.update(overrides)
-    return HybridModel.build(ModelConfig(**base), AblationConfig(), seed=seed)
+    return HybridModel(ModelConfig(**base), AblationConfig(), seed=seed)
 
 
 def small_samples(n=6, t=10, seed=0):
@@ -77,7 +77,7 @@ def test_collect_attention_requires_attention_path():
         lstm_layers=1, hidden_size=6, embed_dim=4, reduced_dim=2,
         mlp_layers=2, mlp_hidden=8,
     )
-    model = HybridModel.build(config, AblationConfig(use_attention=False), seed=0)
+    model = HybridModel(config, AblationConfig(use_attention=False), seed=0)
     with pytest.raises(ConfigError):
         collect_attention(predict(model, small_samples(n=2))[1])
 
@@ -124,7 +124,7 @@ def test_export_requires_static_path():
         lstm_layers=1, hidden_size=6, embed_dim=4, reduced_dim=2,
         mlp_layers=2, mlp_hidden=8,
     )
-    model = HybridModel.build(config, AblationConfig(use_static=False), seed=0)
+    model = HybridModel(config, AblationConfig(use_static=False), seed=0)
     with pytest.raises(ConfigError):
         export_embeddings(model, _statics(), _encoder())
 

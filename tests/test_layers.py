@@ -47,7 +47,7 @@ def _sigmoid(x):
 def lstm_sequence(stack, x):
     """Top-layer hidden states ``(T, h)`` of one ``(T, in)`` sequence: the
     production batched path at B=1."""
-    return lstm_states(stack, np.asarray(x)[None], RngState(0), training=False)[0][0]
+    return lstm_states(stack, np.asarray(x)[None], None)[0][0]
 
 
 def attend(head, hidden):
@@ -72,12 +72,12 @@ def sum_with_backward(forward, backward):
 
 
 def test_embed_lookup_identity():
-    table = EmbeddingTable(3, Tensor(np.eye(3)))
+    table = EmbeddingTable(Tensor(np.eye(3)))
     np.testing.assert_array_equal(embed(table, np.array([2])), [[0.0, 0.0, 1.0]])
 
 
 def test_embed_repeated_code_gradient():
-    table = EmbeddingTable(3, Tensor(np.zeros((3, 2))))
+    table = EmbeddingTable(Tensor(np.zeros((3, 2))))
     table.backward(np.ones((2, 2)), np.array([1, 1]))
     expected = np.zeros((3, 2))
     expected[1] = 2.0
@@ -129,16 +129,16 @@ def test_affine_input_gradient_matches_finite_differences():
 
 def test_dropout_identity_cases():
     x = np.ones(8)
-    for p, training in ((0.0, True), (0.7, False)):
-        out, mask = dropout(x, p, training, RngState(3))
+    for p, rng in ((0.0, RngState(3)), (0.7, None)):
+        out, mask = dropout(x, p, rng, "drop")
         assert out is x and mask is None
 
 
 def test_dropout_preserves_mean_and_is_reproducible():
     x = np.ones(100_000)
-    out, mask = dropout(x, 0.5, True, RngState(11))
+    out, mask = dropout(x, 0.5, RngState(11), "drop")
     assert abs(out.mean() - 1.0) < 0.02
-    np.testing.assert_array_equal(out, dropout(x, 0.5, True, RngState(11))[0])
+    np.testing.assert_array_equal(out, dropout(x, 0.5, RngState(11), "drop")[0])
     np.testing.assert_array_equal(mask, out)  # the mask that scales the gradient back
 
 
@@ -182,7 +182,7 @@ def test_lstm_batched_matches_per_sample():
     stack = new_lstm(2, 3, 5, RngState(8))
     rng = RngState(9)
     x_batch = rng.uniform(-1, 1, (4, 6, 3))
-    batched, _ = lstm_states(stack, x_batch, RngState(0), training=False)
+    batched, _ = lstm_states(stack, x_batch, None)
     for b in range(4):
         single = lstm_sequence(stack, x_batch[b])
         np.testing.assert_allclose(batched[b], single, atol=1e-12)
@@ -362,7 +362,7 @@ def test_lstm_gradients_pass_check_at_small_dims(layers, steps):
     # 17 and 33 steps cross one and two block boundaries of the backward's tasks
     stack = new_lstm(layers, 2, 3, RngState(50), dropout_p=0.3)
     x = RngState(51).uniform(-1, 1, (2, steps, 2))
-    forward = lambda: lstm_states(stack, x, RngState(52), training=True)
+    forward = lambda: lstm_states(stack, x, RngState(52))
     report = grad_check(sum_with_backward(forward, stack.backward), tensors(stack),
                         tolerance=1e-4)
     assert report.ok, report.per_input
@@ -388,7 +388,7 @@ def test_lstm_dropout_mask_is_successive_per_step_draws():
     steps, batch, hidden, p = 4, 3, 5, 0.5
     stack = new_lstm(2, 2, hidden, RngState(60), dropout_p=p)
     x = RngState(61).uniform(-1, 1, (batch, steps, 2))
-    out, _ = lstm_states(stack, x, RngState(62), training=True)
+    out, _ = lstm_states(stack, x, RngState(62))
 
     stream = RngState(62).split("lstm_dropout0")
     mask = np.stack([(stream.random((batch, hidden)) >= p) / (1.0 - p) for _ in range(steps)])
@@ -398,15 +398,16 @@ def test_lstm_dropout_mask_is_successive_per_step_draws():
     np.testing.assert_array_equal(out, upper.transpose(1, 0, 2))
 
 
-def layer_by_layer(stack, x, rng, training):
+def layer_by_layer(stack, x, rng):
     """:func:`lstm_states` without the task graph: each layer's tasks run
     in order on this thread, then the dropout of its whole output, before
-    the layer above starts."""
+    the layer above starts; in training mode when given the stream ``rng``."""
+    training = rng is not None
     seq, cache = x.transpose(1, 0, 2).copy(), []
     for li, layer in enumerate(stack.layers):
         seq, layer_cache = drain_layer(seq, layer.w.data, layer.b.data, training)
         p = stack.dropout_p if li < stack.num_layers - 1 else 0.0
-        seq, mask = dropout(seq, p, training, rng.split(f"lstm_dropout{li}"))
+        seq, mask = dropout(seq, p, rng, f"lstm_dropout{li}")
         cache.append((layer_cache, mask))
     return seq.transpose(1, 0, 2).copy(), (cache if training else None)
 
@@ -451,13 +452,13 @@ def test_task_graph_matches_the_layers_one_after_another_bit_for_bit(layers, ste
                                                                      short_switch_interval):
     stack = new_lstm(layers, 3, 4, RngState(70 + layers), dropout_p=0.4)
     x = RngState(71).uniform(-2, 2, (batch, steps, 3))
-    out, cache = lstm_states(stack, x, RngState(72), training=False)
-    reference, _ = layer_by_layer(stack, x, RngState(72), training=False)
+    out, cache = lstm_states(stack, x, None)
+    reference, _ = layer_by_layer(stack, x, None)
     assert cache is None
     assert_same_bits(out, reference)
 
-    out, cache = lstm_states(stack, x, RngState(73), training=True)
-    reference, reference_cache = layer_by_layer(stack, x, RngState(73), training=True)
+    out, cache = lstm_states(stack, x, RngState(73))
+    reference, reference_cache = layer_by_layer(stack, x, RngState(73))
     assert_same_bits(out, reference)
     for (layer_cache, mask), (want_cache, want_mask) in zip(cache, reference_cache):
         assert_same_bits(mask, want_mask)
@@ -479,7 +480,7 @@ def test_task_graph_matches_the_layers_one_after_another_bit_for_bit(layers, ste
 def forward_and_backward(stack, x):
     """A training forward of ``stack`` over ``x`` and its backward from a
     seeded output gradient; returns the output and every gradient."""
-    out, cache = lstm_states(stack, x, RngState(0), training=True)
+    out, cache = lstm_states(stack, x, RngState(0))
     stack.backward(RngState(1).uniform(-1, 1, out.shape), cache)
     return [out] + [t.grad.copy() for t in tensors(stack).values()]
 
@@ -500,9 +501,9 @@ def test_task_graph_starts_at_most_one_thread_per_spare_cpu(monkeypatch):
     before = threading.active_count()
     for stack in (new_lstm(1, 3, 4, RngState(76), dropout_p=0.4),
                   new_lstm(3, 3, 4, RngState(77), dropout_p=0.4)):
-        lstm_states(stack, x, RngState(0), training=False)
+        lstm_states(stack, x, None)
         assert not live_workers()
-        out, cache = lstm_states(stack, x, RngState(0), training=True)
+        out, cache = lstm_states(stack, x, RngState(0))
         assert not live_workers()
         stack.backward(RngState(1).uniform(-1, 1, out.shape), cache)
         assert not live_workers()
@@ -517,11 +518,11 @@ def test_task_graph_starts_at_most_one_thread_per_spare_cpu(monkeypatch):
 def test_a_forked_child_runs_the_task_graph_without_the_parents_threads():
     stack = new_lstm(2, 3, 4, RngState(78), dropout_p=0.4)
     x = RngState(79).uniform(-1, 1, (2, 40, 3))
-    want, _ = lstm_states(stack, x, RngState(0), training=False)  # helper threads ran here
+    want, _ = lstm_states(stack, x, None)  # helper threads ran here
     want_trained = forward_and_backward(stack, x)
     pid = os.fork()
     if pid == 0:
-        got, _ = lstm_states(stack, x, RngState(0), training=False)
+        got, _ = lstm_states(stack, x, None)
         got_trained = forward_and_backward(stack, x)
         same = np.array_equal(got, want) and all(
             np.array_equal(a, b) for a, b in zip(got_trained, want_trained))
@@ -586,12 +587,12 @@ def test_a_task_failing_on_a_worker_reaches_the_caller_and_leaves_the_pool_worki
 
     before = threading.active_count()
     for attempt in range(50):  # until a step raises on the chosen thread
-        out, cache = lstm_states(stack, x, RngState(0), training=True)
+        out, cache = lstm_states(stack, x, RngState(0))
         monkeypatch.setattr(runner, "step", fails_on_a_worker(stack.layers[attempt % 2].w)
                             if raiser == "worker" else fails_on_the_caller)
         try:
             if pass_ == "forward":
-                lstm_states(stack, x, RngState(0), training=True)
+                lstm_states(stack, x, RngState(0))
             else:
                 stack.backward(RngState(1).uniform(-1, 1, out.shape), cache)
         except RuntimeError as exc:
@@ -665,8 +666,8 @@ def lstm_bits(stack, x, run_graph):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Graph, "run", run)
-        evaluated, _ = lstm_states(stack, x, RngState(0), training=False)
-        out, cache = lstm_states(stack, x, RngState(1), training=True)
+        evaluated, _ = lstm_states(stack, x, None)
+        out, cache = lstm_states(stack, x, RngState(1))
         stack.backward(RngState(2).uniform(-1, 1, out.shape), cache)
     return [evaluated, out, *dxs] + [t.grad.copy() for t in tensors(stack).values()]
 

@@ -97,7 +97,7 @@ def test_config_validation():
 
 
 def test_forward_shapes_and_attention_simplex():
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=1)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=1)
     out = model.forward(tiny_batch(b=2, t=5))
     assert out.predictions.shape == (2, 6)
     assert out.attention.shape == (2, 5)
@@ -106,7 +106,7 @@ def test_forward_shapes_and_attention_simplex():
 
 def test_statics_only_ignores_time_series():
     config = tiny_config()
-    model = HybridModel.build(
+    model = HybridModel(
         config, AblationConfig(use_timeseries=False, use_attention=False), seed=2
     )
     batch = tiny_batch(b=3, seed=5, config=config)
@@ -119,7 +119,7 @@ def test_statics_only_ignores_time_series():
 
 def test_identical_statics_give_identical_predictions():
     config = tiny_config()
-    model = HybridModel.build(
+    model = HybridModel(
         config, AblationConfig(use_timeseries=False, use_attention=False), seed=2
     )
     batch = tiny_batch(b=2, seed=3, config=config)
@@ -131,7 +131,7 @@ def test_identical_statics_give_identical_predictions():
 
 def test_timeseries_only_ignores_statics():
     config = tiny_config()
-    model = HybridModel.build(config, AblationConfig(use_static=False), seed=4)
+    model = HybridModel(config, AblationConfig(use_static=False), seed=4)
     batch = tiny_batch(b=2, seed=6, config=config)
     first = model.forward(batch).predictions
     batch.s_n[...] = 123.0
@@ -142,12 +142,12 @@ def test_timeseries_only_ignores_statics():
 
 
 def test_ablated_attention_has_no_attention_parameters():
-    model = HybridModel.build(tiny_config(), AblationConfig(use_attention=False), seed=0)
+    model = HybridModel(tiny_config(), AblationConfig(use_attention=False), seed=0)
     assert not any(name.startswith("attention.") for name in model.named_parameters())
 
 
 def test_eval_forward_deterministic():
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=7)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=7)
     batch = tiny_batch(seed=8)
     a = model.forward(batch).predictions
     b = model.forward(batch).predictions
@@ -155,7 +155,7 @@ def test_eval_forward_deterministic():
 
 
 def test_batch_permutation_equivariance():
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=9)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=9)
     batch = tiny_batch(b=4, seed=10)
     preds = model.forward(batch).predictions
     perm = np.array([2, 0, 3, 1])
@@ -166,8 +166,8 @@ def test_batch_permutation_equivariance():
 
 def test_attention_off_equivalence_with_constructed_weights():
     config = tiny_config()
-    on = HybridModel.build(config, AblationConfig(), seed=11)
-    off = HybridModel.build(config, AblationConfig(use_attention=False), seed=11)
+    on = HybridModel(config, AblationConfig(), seed=11)
+    off = HybridModel(config, AblationConfig(use_attention=False), seed=11)
 
     shared = off.named_parameters()
     for name, t in on.named_parameters().items():
@@ -211,7 +211,7 @@ def test_mae_loss_value_and_gradient():
 
 def test_full_model_gradients_match_finite_differences():
     config = tiny_config(hidden_size=4, mlp_hidden=4, dropout=0.0, embed_dropout=0.0)
-    model = HybridModel.build(config, AblationConfig(), seed=13)
+    model = HybridModel(config, AblationConfig(), seed=13)
     batch = tiny_batch(b=2, t=3, seed=14, config=config)
 
     def fn():
@@ -227,7 +227,7 @@ def test_full_model_gradients_match_finite_differences():
 @pytest.mark.parametrize("ablation", ABLATION_SETTINGS, ids=lambda a: a.label())
 def test_gradients_through_every_ablation_and_dropout_mask(ablation):
     config = tiny_config(hidden_size=4, mlp_hidden=4, dropout=0.3, embed_dropout=0.4)
-    model = HybridModel.build(config, ablation, seed=15)
+    model = HybridModel(config, ablation, seed=15)
     batch = tiny_batch(b=3, t=4, seed=16, config=config)
 
     def fn():
@@ -253,7 +253,7 @@ def test_parameters_and_gradients_are_views_that_tile_two_vectors(ablation, load
     order with no gap or overlap, before and after a backward pass (which
     writes into the views instead of rebinding them), whether the model was
     built or loaded from a checkpoint."""
-    model = HybridModel.build(tiny_config(), ablation, seed=0)
+    model = HybridModel(tiny_config(), ablation, seed=0)
     if loaded:
         save_checkpoint(model, tmp_path / "model.ckpt")
         model = load_checkpoint(tmp_path / "model.ckpt")
@@ -278,7 +278,7 @@ def test_parameters_and_gradients_are_views_that_tile_two_vectors(ablation, load
 
 
 def test_backward_releases_the_training_cache():
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=9)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=9)
     batch = tiny_batch(b=2, t=4, seed=10)
     out = model.forward(batch, training=True, rng=RngState(11))
     lstm_cache = out.cache["lstm"]
@@ -290,7 +290,7 @@ def test_backward_releases_the_training_cache():
 
 
 def test_eval_callers_keep_no_cache(monkeypatch):
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=6)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=6)
     outputs = []
     forward = HybridModel.forward
 
@@ -305,6 +305,24 @@ def test_eval_callers_keep_no_cache(monkeypatch):
     assert len(outputs) == 2
     assert all(out.cache is None for out in outputs)
     assert model.forward(samples, training=True, rng=RngState(8)).cache is not None
+
+
+def test_dropout_draws_only_from_the_stream_a_training_forward_is_given(monkeypatch):
+    """A training forward without a stream is a ``TypeError``, not a run
+    with a fixed mask, and an eval forward constructs no ``RngState``."""
+    model = HybridModel(tiny_config(dropout=0.5, embed_dropout=0.5), AblationConfig(), seed=3)
+    batch = tiny_batch(b=4, seed=4)
+    with pytest.raises(TypeError, match="rng"):
+        model.forward(batch, training=True)
+    built, init = [], RngState.__init__
+
+    def spy(self, seed):
+        built.append(seed)
+        init(self, seed)
+
+    monkeypatch.setattr(RngState, "__init__", spy)
+    model.forward(batch)
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["dropout", "embed_dropout"])
@@ -343,14 +361,14 @@ def stale_batch(columns):
 
 @pytest.mark.parametrize("columns, message", STALE_SAMPLES)
 def test_inputs_the_model_was_not_built_for_raise_data_error(columns, message):
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=0)
     with pytest.raises(DataError, match=r"^model does not fit these samples: ") as exc:
         predict(model, stale_batch(columns))
     assert message in str(exc.value)
 
 
 def test_predict_checks_the_sample_set_once(monkeypatch):
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=0)
     checked = []
     monkeypatch.setattr(model, "check", checked.append)
     monkeypatch.setattr("droughtcast.training.PREDICT_BLOCK", 2)
@@ -361,7 +379,7 @@ def test_predict_checks_the_sample_set_once(monkeypatch):
 
 @pytest.mark.parametrize("columns, message", STALE_SAMPLES)
 def test_fit_rejects_a_stale_val_set_before_the_first_step(columns, message):
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=0)
     before = {name: t.data.copy() for name, t in model.named_parameters().items()}
     train = tiny_batch(b=4, seed=1)
     run = TrainRunConfig(batch_size=2, epochs=1, seed=0)
@@ -376,7 +394,7 @@ def test_fit_rejects_a_stale_val_set_before_the_first_step(columns, message):
 def test_check_reads_only_the_enabled_paths(ablation):
     """A column no enabled path reads may have any width; one that is read
     may not."""
-    model = HybridModel.build(tiny_config(), ablation, seed=0)
+    model = HybridModel(tiny_config(), ablation, seed=0)
     batch = tiny_batch()
     if not ablation.use_timeseries:
         model.check(with_windows(batch, np.zeros((2, 0, 6))))
@@ -387,7 +405,7 @@ def test_check_reads_only_the_enabled_paths(ablation):
 
 
 def test_reduced_static_embedding_rejects_unknown_codes():
-    model = HybridModel.build(tiny_config(), AblationConfig(), seed=0)
+    model = HybridModel(tiny_config(), AblationConfig(), seed=0)
     assert model.reduced_static_embedding(np.array([[2, 3]])).shape == (1, 2)
     with pytest.raises(DataError, match="categorical feature 0 has codes 3..3"):
         model.reduced_static_embedding(np.array([[3, 0]]))

@@ -175,7 +175,7 @@ def test_lr_schedule_bounded_and_continuous(step):
 
 def test_overfit_tiny_linear_dataset():
     samples = make_linear_samples()
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=1)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=1)
     run = TrainRunConfig(batch_size=32, epochs=500, seed=2, weight_decay=0.0)
     sched = LrSchedule(base_lr=5e-3, max_lr=5e-3, cycle_length=100)
     model, history = fit(model, samples, [], run, sched)
@@ -188,7 +188,7 @@ def test_fit_is_bit_reproducible():
     config = overfit_config(dropout=0.1, embed_dropout=0.2)
     histories = []
     for _ in range(2):
-        model = HybridModel.build(config, AblationConfig(), seed=5)
+        model = HybridModel(config, AblationConfig(), seed=5)
         run = TrainRunConfig(batch_size=4, epochs=3, seed=7)
         sched = LrSchedule(base_lr=1e-3, max_lr=1e-2, cycle_length=6)
         _, history = fit(model, samples, samples[:4], run, sched)
@@ -217,7 +217,7 @@ from droughtcast.training import LrSchedule, TrainRunConfig, fit, predict
 
 helpers = record_task_threads(pytest.MonkeyPatch())
 samples = make_linear_samples(n=24, t=40, seed=3)
-model = HybridModel.build(overfit_config(dropout=0.1, embed_dropout=0.2), AblationConfig(), seed=5)
+model = HybridModel(overfit_config(dropout=0.1, embed_dropout=0.2), AblationConfig(), seed=5)
 model, _ = fit(model, samples, samples[:8], TrainRunConfig(batch_size=8, epochs=2, seed=7),
                LrSchedule(base_lr=1e-3, max_lr=1e-2, cycle_length=6))
 predictions, attention = predict(model, samples)
@@ -249,7 +249,7 @@ def test_fit_rejects_zero_epochs():
 def test_fit_on_an_empty_training_set_is_a_data_error():
     """An empty sample set is a DataError (exit 3) in fit, as in predict."""
     samples = make_linear_samples()
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=1)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=1)
     with pytest.raises(DataError, match="empty training set"):
         fit(model, samples[:0], samples, TrainRunConfig(),
             LrSchedule(base_lr=1e-5, max_lr=1e-4))
@@ -257,11 +257,10 @@ def test_fit_on_an_empty_training_set_is_a_data_error():
 
 def test_fit_tracks_best_validation(tmp_path):
     samples = make_linear_samples(n=16, seed=9)
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=11)
-    run = TrainRunConfig(batch_size=8, epochs=5, seed=13,
-                         checkpoint_dir=str(tmp_path), weight_decay=0.0)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=11)
+    run = TrainRunConfig(batch_size=8, epochs=5, seed=13, weight_decay=0.0)
     sched = LrSchedule(base_lr=1e-3, max_lr=1e-3, cycle_length=10)
-    _, history = fit(model, samples, samples[:4], run, sched)
+    _, history = fit(model, samples, samples[:4], run, sched, checkpoint_dir=tmp_path)
     assert (tmp_path / "best.ckpt").exists()
     assert (tmp_path / "final.ckpt").exists()
     assert len(history) == 5
@@ -301,14 +300,14 @@ def test_fit_and_predict_cut_every_batch_with_batch_from_samples(monkeypatch):
 
 def test_predict_joins_blocks_into_one_pass(monkeypatch):
     samples = make_linear_samples(n=7, seed=23)
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=24)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=24)
     whole = model.forward(samples)
     monkeypatch.setattr(training, "PREDICT_BLOCK", 3)
     predictions, attention = predict(model, samples)
     np.testing.assert_allclose(predictions, whole.predictions, atol=1e-12)
     np.testing.assert_allclose(attention, whole.attention, atol=1e-12)
     assert validation_mae(model, samples) == pytest.approx(np.abs(predictions - samples.y).mean())
-    no_attention = HybridModel.build(overfit_config(), AblationConfig(use_attention=False), seed=24)
+    no_attention = HybridModel(overfit_config(), AblationConfig(use_attention=False), seed=24)
     assert predict(no_attention, samples)[1] is None
     with pytest.raises(DataError):
         predict(model, samples[:0])
@@ -470,7 +469,7 @@ def test_a_pool_of_more_jobs_than_a_pipe_buffer_holds_runs_each_once():
 
 def test_checkpoint_round_trip(tmp_path):
     config = overfit_config()
-    model = HybridModel.build(config, AblationConfig(), seed=21)
+    model = HybridModel(config, AblationConfig(), seed=21)
     samples = make_linear_samples(n=4, seed=22)
     before = model.forward(samples).predictions
 
@@ -488,7 +487,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     tiny = overfit_config(input_channels=2, numeric_static_count=1, categorical_vocab_sizes=[2],
                           lstm_layers=1, hidden_size=1, embed_dim=2, reduced_dim=1,
                           mlp_layers=1, mlp_hidden=1)
-    model = HybridModel.build(tiny, AblationConfig(), seed=1)
+    model = HybridModel(tiny, AblationConfig(), seed=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()
@@ -507,7 +506,7 @@ def test_checkpoint_truncation_detected(tmp_path):
 
 
 def test_checkpoint_layout(tmp_path):
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=3)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()
@@ -527,7 +526,7 @@ def test_checkpoint_layout(tmp_path):
 @pytest.mark.parametrize("version", [b"HMCKPT1", b"HMCKPT2"])
 def test_old_checkpoint_names_version_and_asks_to_retrain(tmp_path, version):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(HybridModel.build(overfit_config(), AblationConfig(), seed=3), path)
+    save_checkpoint(HybridModel(overfit_config(), AblationConfig(), seed=3), path)
     old = tmp_path / "old.ckpt"
     old.write_bytes(version + path.read_bytes()[len(b"HMCKPT3"):])
     with pytest.raises(FormatError, match=f"'{version.decode()}' is not supported "
@@ -557,7 +556,7 @@ def test_old_checkpoint_names_version_and_asks_to_retrain(tmp_path, version):
 ])
 def test_corrupt_checkpoint_header_raises_format_error(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(HybridModel.build(overfit_config(), AblationConfig(), seed=3), path)
+    save_checkpoint(HybridModel(overfit_config(), AblationConfig(), seed=3), path)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(edit_header(path.read_bytes(), edit))
     started = time.perf_counter()
@@ -594,7 +593,7 @@ VALID_ABLATIONS = [AblationConfig(*flags) for flags in itertools.product([True, 
        seed=st.integers(0, 2 ** 31))
 def test_checkpoint_round_trips_any_config(tmp_path_factory, config, ablation, seed):
     try:
-        model = HybridModel.build(config, ablation, seed)
+        model = HybridModel(config, ablation, seed)
     except ConfigError:  # the static path alone with no static inputs
         assume(False)
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
@@ -609,7 +608,7 @@ def test_checkpoint_round_trips_any_config(tmp_path_factory, config, ablation, s
 @given(config=model_configs(), ablation=st.sampled_from(ABLATION_SETTINGS))
 def test_model_parameters_follow_the_layout(config, ablation):
     try:
-        model = HybridModel.build(config, ablation, seed=0)
+        model = HybridModel(config, ablation, seed=0)
     except ConfigError:  # the static path alone with no static inputs
         assume(False)
     layout = list(parameter_layout(config, ablation))
@@ -633,7 +632,7 @@ def test_parameter_layout_is_lazy():
 
 
 def test_load_checkpoint_draws_no_init(tmp_path, monkeypatch):
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=3)
+    model = HybridModel(overfit_config(), AblationConfig(), seed=3)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
 
@@ -644,12 +643,12 @@ def test_load_checkpoint_draws_no_init(tmp_path, monkeypatch):
     loaded = load_checkpoint(path)
     np.testing.assert_array_equal(loaded.params, model.params)
     with pytest.raises(AssertionError, match="drew an init"):
-        HybridModel.build(overfit_config(), AblationConfig(), seed=3)
+        HybridModel(overfit_config(), AblationConfig(), seed=3)
 
 
 def test_checkpoint_preserves_ablation_contract(tmp_path):
     config = overfit_config()
-    model = HybridModel.build(config, AblationConfig(use_static=False), seed=2)
+    model = HybridModel(config, AblationConfig(use_static=False), seed=2)
     path = tmp_path / "ablated.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -664,10 +663,10 @@ def test_checkpoint_preserves_ablation_contract(tmp_path):
 
 def test_divergence_aborts_with_numeric_error(tmp_path):
     samples = make_linear_samples(n=8, seed=31)
-    model = HybridModel.build(overfit_config(), AblationConfig(), seed=32)
-    run = TrainRunConfig(batch_size=8, epochs=3, seed=33, checkpoint_dir=str(tmp_path))
+    model = HybridModel(overfit_config(), AblationConfig(), seed=32)
+    run = TrainRunConfig(batch_size=8, epochs=3, seed=33)
     sched = LrSchedule(base_lr=1e-3, max_lr=1e-3, cycle_length=10)
     # poison the inputs after the first epoch via a NaN target
     samples.y[0, 0] = np.nan
     with pytest.raises(NumericError, match="diverged"):
-        fit(model, samples, [], run, sched)
+        fit(model, samples, [], run, sched, checkpoint_dir=tmp_path)
