@@ -36,6 +36,7 @@ from .metrics import (
     paired_t_test,
 )
 from .model import AblationConfig, HybridModel, ModelConfig
+from .pool import run_pool
 from .training import (
     HistoryRow,
     LrSchedule,
@@ -44,7 +45,6 @@ from .training import (
     history_csv,
     load_checkpoint,
     predict,
-    run_pool,
     save_checkpoint,
 )
 

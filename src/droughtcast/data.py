@@ -18,10 +18,11 @@ window (the preceding ``window_days`` days plus the same days one year
 earlier, doubling the channel count) and a full six-week score future.
 Candidates lacking either are dropped and counted, never fatal.
 
-Ingest works on columns from the parse on.  :func:`load_timeseries` reads
-the CSV in chunks of rows and turns each chunk into arrays at once, so no
-cell text outlives its chunk; one stable sort by (county, date) then makes
-one :class:`DailySeries` of every county's days.  A fault of the file's
+Ingest works on columns from the parse on.  :func:`load_timeseries` cuts
+the CSV into line-aligned ranges, which the process pool parses, each in
+chunks of rows that it turns into arrays at once, so no cell text outlives
+its chunk; one stable sort by (county, date) then makes one
+:class:`DailySeries` of every county's days.  A fault of the file's
 form (cell count, an unreadable file, a date) is named at its earliest
 line; otherwise the first county in file order with a faulty value is
 named, at its first calendar fault, else its first bad channel cell, else
@@ -49,6 +50,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from itertools import accumulate, chain, compress, islice
 from pathlib import Path
 
@@ -56,6 +58,7 @@ import numpy as np
 
 from .autodiff import RngState
 from .errors import ConfigError, DataError, FormatError, SchemaError
+from .pool import run_pool
 
 WINDOW_DAYS = 180
 YEAR_SHIFT_DAYS = 365
@@ -233,11 +236,14 @@ def read_artifact(path, magic: bytes, what: str, remedy: str):
             hashlib.sha256(blob).digest())
 
 
-def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(path: Path, error: type[DataError],
+              span: tuple[int, int | None] | None = None) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of the header and then each non-blank row of a
     UTF-8 CSV, read as a stream, a leading byte-order mark dropped; an
     unreadable or empty file, a header naming a column twice, or a row
-    whose cell count differs from the header's, raises ``error``."""
+    whose cell count differs from the header's, raises ``error``.  With a
+    ``span`` of :func:`_ranges`, the rows are those of that range alone,
+    their lines numbered from its start."""
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -248,6 +254,9 @@ def _csv_rows(path: Path, error: type[DataError]) -> Iterator[tuple[int, list[st
             if repeated:
                 raise error(f"{path}: header repeats column names {repeated}")
             yield reader.line_num, header
+            if span is not None:
+                fh.seek(span[0])
+                reader = csv.reader(islice(fh, span[1]))
             for row in reader:
                 if not row:
                     continue
@@ -356,6 +365,7 @@ def _interpolate_column(values: np.ndarray, present: np.ndarray, max_gap: int,
 
 
 _CHUNK_ROWS = 512  # rows converted at a time: no cell string outlives its chunk
+_RANGE_CHARS = 1 << 20  # characters of data rows per parse job of the process pool
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
@@ -419,43 +429,54 @@ def _data_row(path: Path, index: int) -> tuple[int, list[str]]:
         rows.close()
 
 
-def load_timeseries(path, max_gap_days: int = 14,
-                    report: list[str] | None = None) -> DailySeries:
-    """Parse the daily time-series CSV into one :class:`DailySeries`.
+def _ranges(path: Path) -> list[tuple[int, int | None] | None]:
+    """The data rows of the file cut at line ends into ranges of about
+    ``_RANGE_CHARS`` characters, each as (text-mode position, lines), the
+    last one's lines ``None``: to the end of the file.  ``[None]``, the
+    whole file as one range, when that cuts fewer than two ranges, or the
+    file holds a ``"`` (a quoted cell may hold a line end) or a byte that is
+    not UTF-8 (which the one-range parse names)."""
+    if path.stat().st_size <= _RANGE_CHARS:  # no more characters than bytes: one range
+        return [None]
+    ranges = []
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            quoted = '"' in fh.readline()  # the header
+            while not quoted:
+                position = fh.tell()
+                if not (text := fh.read(_RANGE_CHARS)):
+                    break
+                text += fh.readline()
+                quoted = '"' in text
+                # the lines a text-mode read with newline="" ends at "\n", "\r\n" or "\r"
+                lines = text.count("\n")
+                if "\r" in text:
+                    lines += text.count("\r") - text.count("\r\n")
+                ranges.append((position, lines))
+    except UnicodeDecodeError:
+        return [None]
+    if quoted or len(ranges) < 2:
+        return [None]
+    ranges[-1] = (ranges[-1][0], None)
+    return ranges
 
-    Channel names and count come from the header; per-county rows must form
-    a contiguous daily calendar.  Counties whose measurement gaps exceed
-    ``max_gap_days`` are dropped and reported.
 
-    The rows are converted in chunks as they are read: FIPS codes to ids in
-    order of first appearance, dates to day numbers (each distinct text
-    parsed once), and each channel and the scores to floats.  One stable
-    sort by (county, day) then groups every county's days; a fault is found
-    on the sorted arrays and named with its line, read again from the file.
-    """
-    if max_gap_days < 0:
-        raise ConfigError(f"max_gap_days must be >= 0, got {max_gap_days}")
-    path = Path(path)
-    lines = _csv_rows(path, SchemaError)
-    _, header = next(lines)
-    required = {"fips", "date", "score"}
-    missing = required - set(header)
-    if missing:
-        raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-    fips_col = header.index("fips")
-    date_col = header.index("date")
-    score_col = header.index("score")
-    channel_cols = [i for i, name in enumerate(header)
-                    if i not in (fips_col, date_col, score_col)]
-    channel_names = [header[i] for i in channel_cols]
-    if not channel_names:
-        raise SchemaError(f"{path}: no measurement channels")
-
+def _parse_range(path: Path, layout: tuple[int, int, int, list[int]],
+                 span: tuple[int, int | None] | None):
+    """The rows of one range of :func:`_ranges` (``None``: the whole file),
+    converted in chunks as they are read: the FIPS codes in order of first
+    appearance, and per row the index of its code among them, its day
+    number (each distinct date text parsed once), its channels and its
+    score as floats.  ``layout`` holds the columns of the FIPS code, the
+    date, the score and the channels."""
+    fips_col, date_col, score_col, channel_cols = layout
+    lines = _csv_rows(path, SchemaError, span)
+    next(lines)  # the header, checked by the caller
     county_of: dict[str, int] = {}  # FIPS -> id, in order of first appearance
     day_of: dict[str, int] = {}  # date text -> day number
-    # per chunk; an empty first array lets a file without rows concatenate
+    # per chunk; an empty first array lets a range without rows concatenate
     ids, days = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    measurements, scores = [np.empty((0, len(channel_names)))], [np.empty(0)]
+    measurements, scores = [np.empty((0, len(channel_cols)))], [np.empty(0)]
     first = 0  # data row index of the chunk's first row
     for chunk in _row_chunks(lines, _CHUNK_ROWS):
         columns = list(zip(*chunk))
@@ -473,17 +494,76 @@ def load_timeseries(path, max_gap_days: int = 14,
         measurements.append(np.stack([_column_values(columns[i]) for i in channel_cols], axis=1))
         scores.append(_column_values(columns[score_col]))
         first += len(chunk)
+    return (list(county_of), np.concatenate(ids), np.concatenate(days),
+            np.concatenate(measurements), np.concatenate(scores))
+
+
+def load_timeseries(path, max_gap_days: int = 14,
+                    report: list[str] | None = None) -> DailySeries:
+    """Parse the daily time-series CSV into one :class:`DailySeries`.
+
+    Channel names and count come from the header; per-county rows must form
+    a contiguous daily calendar.  Counties whose measurement gaps exceed
+    ``max_gap_days`` are dropped and reported.
+
+    The data rows are cut into line-aligned ranges (:func:`_ranges`), which
+    :func:`_parse_range` converts as jobs of :func:`~droughtcast.pool.run_pool`
+    at one CPU each; a range that raises has the file parsed again as one
+    range, so that the fault is named at its line in the file.  The FIPS
+    codes become county ids in order of first appearance across the ranges,
+    which are joined in file order.  One stable sort by (county, day) then
+    groups every county's days, unless the rows come so ordered; a fault is
+    found on the sorted arrays and named with its line, read again from the
+    file.
+    """
+    if max_gap_days < 0:
+        raise ConfigError(f"max_gap_days must be >= 0, got {max_gap_days}")
+    path = Path(path)
+    lines = _csv_rows(path, SchemaError)
+    _, header = next(lines)
+    lines.close()
+    required = {"fips", "date", "score"}
+    missing = required - set(header)
+    if missing:
+        raise SchemaError(f"{path}: missing columns {sorted(missing)}")
+    fips_col = header.index("fips")
+    date_col = header.index("date")
+    score_col = header.index("score")
+    channel_cols = [i for i, name in enumerate(header)
+                    if i not in (fips_col, date_col, score_col)]
+    channel_names = [header[i] for i in channel_cols]
+    if not channel_names:
+        raise SchemaError(f"{path}: no measurement channels")
+
+    parse = partial(_parse_range, path, (fips_col, date_col, score_col, channel_cols))
+    spans = _ranges(path)
+    try:
+        parts = list(run_pool(parse, spans, 1))
+    except DataError:
+        if len(spans) == 1:
+            raise
+        # a range numbers its lines from its own start, so the fault it
+        # found is named by parsing the file again as one range
+        parts = [parse(None)]
+    codes, county, day, measurements, scores = zip(*parts)
+    del parts  # so that joining the ranges frees their own arrays
+    county_of: dict[str, int] = {}  # FIPS -> id, in order of first appearance
+    county = [np.array([county_of.setdefault(code, len(county_of)) for code in range_codes],
+                       np.int64)[ids] for range_codes, ids in zip(codes, county)]
+    county, day, measurements, scores = (arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+                                         for arrays in (county, day, measurements, scores))
 
     # each county's rows, counties in order of first appearance, then by
-    # date; a stable sort keeps a repeated date's rows in file order
-    county, day = np.concatenate(ids), np.concatenate(days)
-    measurements, scores = np.concatenate(measurements), np.concatenate(scores)
-    del ids, days  # free the chunks' arrays before the sorted copies are made
-    order = np.lexsort((day, county))
-    county = county[order]
-    day = day[order]
-    measurements = measurements[order]
-    scores = scores[order]
+    # date; a stable sort keeps a repeated date's rows in file order, so
+    # rows that come in that order, as the synthetic files' do, keep it
+    order = None
+    step = np.diff(county)
+    if not ((step > 0) | ((step == 0) & (np.diff(day) >= 0))).all():
+        order = np.lexsort((day, county))
+        county = county[order]
+        day = day[order]
+        measurements = measurements[order]
+        scores = scores[order]
 
     # the first county with a fault: its first calendar fault, else its
     # first bad channel cell, else its first bad score
@@ -496,7 +576,7 @@ def load_timeseries(path, max_gap_days: int = 14,
     names = list(county_of)
     if faults:
         _, kind, r = min(faults)
-        line, row = _data_row(path, int(order[r]))
+        line, row = _data_row(path, int(r if order is None else order[r]))
         where = f"{path}: line {line}: county {names[county[r]]}:"
         today = date.fromordinal(int(day[r]))
         if kind == 0:
@@ -527,11 +607,13 @@ def load_timeseries(path, max_gap_days: int = 14,
         raise DataError(f"{path}: no usable counties")
 
     kept.sort(key=names.__getitem__)  # FIPS order
-    rows = np.concatenate([np.arange(start[c], start[c + 1]) for c in kept])
+    if kept != list(range(len(names))):  # else every county is kept, in FIPS order already
+        rows = np.concatenate([np.arange(start[c], start[c + 1]) for c in kept])
+        measurements, scores = measurements[rows], scores[rows]
     return DailySeries(channel_names, np.array([names[c] for c in kept]),
                        (day[start[kept]] - _EPOCH_ORDINAL).astype("datetime64[D]"),
                        np.concatenate([[0], np.cumsum(np.diff(start)[kept])]),
-                       measurements[rows], scores[rows])
+                       measurements, scores)
 
 
 def load_statics(path, categorical_columns: list[str],

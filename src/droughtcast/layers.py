@@ -20,7 +20,6 @@ the affine forward, ``(x.T @ g).T`` for its weight gradient, and
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -29,11 +28,7 @@ import numpy as np
 
 from .autodiff import RngState, Tensor
 from .errors import NumericError
-
-
-def cpu_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+from .pool import cpu_count
 
 
 def lstm_threads(layers: int) -> int:

@@ -19,8 +19,9 @@ import numpy as np
 from .data import TARGET_WEEKS, csv_text, kfold_split
 from .errors import DataError, NumericError
 from .model import HybridModel
+from .pool import run_pool
 # batch_from_samples stays importable here: perfbench/tracing.py wraps this lookup site
-from .training import batch_from_samples, predict, run_pool  # noqa: F401
+from .training import batch_from_samples, predict  # noqa: F401
 
 N_CATEGORIES = 6
 # the per-week columns of the wide CSVs, in the order of MetricsReport.weekly_cells
@@ -316,7 +317,7 @@ def cross_validate(samples, k, trainers, cpus_per_job: int, seed: int = 0) -> li
     """Per trainer, MAE/RMSE/F1 per fold of the model that the trainer,
     called as ``train(train_samples, val_samples, fold_seed)``, returns,
     fresh and seeded per fold; every trainer's folds are the jobs of one
-    :func:`~droughtcast.training.run_pool` at ``cpus_per_job`` CPUs each."""
+    :func:`~droughtcast.pool.run_pool` at ``cpus_per_job`` CPUs each."""
     def fold(job) -> dict[str, float]:
         train, i, (fit_rows, val_rows) = job
         model = train(samples[fit_rows], samples[val_rows], seed + 1000 * (i + 1))

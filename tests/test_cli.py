@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import edit_header, needs_two_cpus, pinned, spy_forks, spy_opens
 import droughtcast
 import droughtcast.cli as cli
-from droughtcast import errors, metrics
+from droughtcast import errors, metrics, pool
 from droughtcast.cli import COMMANDS, main
 from droughtcast.config import CONFIG_KEYS, parse_as
 from droughtcast.data import CategoricalEncoder, EvalPredictions, load_samples
@@ -261,7 +261,7 @@ def test_cv_runs_both_settings_folds_as_one_grid(trained, tmp_path, monkeypatch)
     config, trained_out = trained
     out = tmp_path / "out"
     shutil.copytree(trained_out / "ingest", out / "ingest")
-    grids, grid = [], metrics.run_pool
+    grids, grid = [], pool.run_pool
 
     def spy(fn, jobs, cpus_per_job):
         grids.append(len(jobs))

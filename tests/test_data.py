@@ -38,8 +38,11 @@ from droughtcast.training import load_checkpoint, predict, save_checkpoint
 
 from conftest import (
     load_normalizer,
+    needs_two_cpus,
+    pinned,
     scored_days,
     series_fixture,
+    spy_forks,
     spy_opens,
     statics_fixture,
     window_set,
@@ -214,6 +217,130 @@ def test_load_timeseries_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
         tracemalloc.stop()
     assert series.measurements.shape == (40_000, 3)
     assert peak < 4 * ts_path.stat().st_size
+
+
+def series_bits(series) -> list:
+    """Every field of a ``DailySeries``: the channel names, then each
+    array's dtype, shape and bytes."""
+    return [series.channel_names] + [
+        (array.dtype, array.shape, array.tobytes())
+        for array in (series.fips, series.first_day, series.start, series.measurements,
+                      series.scores)]
+
+
+@pytest.mark.parametrize("counties", [3, 6])  # first appearance in FIPS order, and not
+def test_sorted_and_shuffled_rows_give_the_same_series(tmp_path, monkeypatch, counties):
+    """Rows that come sorted by (county, date), as ``make_dataset`` writes
+    them, skip the sort; a shuffled copy is sorted, and both give the same
+    bits.  Three counties appear in FIPS order, so every kept county is
+    already in place; six do not."""
+    ts_path, _ = make_dataset(tmp_path, n_counties=counties, days=60, seed=4)
+    header, *rows = ts_path.read_text().splitlines()
+    shuffled = tmp_path / "shuffled.csv"
+    order = np.random.default_rng(5).permutation(len(rows))
+    shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+    sorts, lexsort = [], np.lexsort
+
+    def spy(keys):
+        sorts.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    in_order = load_timeseries(ts_path)
+    assert sorts == []
+    assert series_bits(load_timeseries(shuffled)) == series_bits(in_order)
+    assert sorts == [len(rows)]
+
+
+def spy_ranges(monkeypatch) -> list[int]:
+    """The number of jobs of each process pool that ``load_timeseries`` runs
+    from now on."""
+    pools, pool = [], data.run_pool
+
+    def spy(fn, jobs, cpus_per_job):
+        pools.append(len(jobs))
+        return pool(fn, jobs, cpus_per_job)
+
+    monkeypatch.setattr(data, "run_pool", spy)
+    return pools
+
+
+@pytest.mark.parametrize("cpus", ["one", pytest.param("two", marks=needs_two_cpus)])
+def test_a_file_cut_into_ranges_parses_to_the_bits_of_one_range(tmp_path, monkeypatch, cpus):
+    """About 30 ranges of a 60-county file, in the calling process on one
+    CPU and in two pinned processes on two, give the one-range parse's
+    bits.  The file is rotated in the middle of a county's rows, so that
+    county's days come at both ends and the rows need the sort."""
+    ts_path, _ = make_dataset(tmp_path, n_counties=60, days=40, seed=6)
+    header, *rows = ts_path.read_text().splitlines()
+    ts_path.write_text("\n".join([header] + rows[1210:] + rows[:1210]) + "\n")
+    whole = series_bits(load_timeseries(ts_path))
+    monkeypatch.setattr(data, "_RANGE_CHARS", ts_path.stat().st_size // 30)
+    pools, forks = spy_ranges(monkeypatch), spy_forks(monkeypatch)
+    with pinned(cpus):
+        assert series_bits(load_timeseries(ts_path)) == whole
+    assert len(pools) == 1 and 28 <= pools[0] <= 32
+    assert len(forks) == {"one": 0, "two": 1}[cpus]
+
+
+@pytest.mark.parametrize("range_chars", [1, 30])  # ranges of one line and of two
+@pytest.mark.parametrize("case", TIMESERIES_FAULTS)
+def test_a_fault_in_a_file_cut_into_ranges_is_named_at_its_line(tmp_path, monkeypatch, case,
+                                                                 range_chars):
+    edits, error, message = TIMESERIES_FAULTS[case]
+    lines = _fault_lines()
+    for edit in edits:
+        edit(lines)
+    path = tmp_path / "ts.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data, "_RANGE_CHARS", range_chars)
+    pools = spy_ranges(monkeypatch)
+    with pytest.raises(error) as raised:
+        load_timeseries(path)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{path}: {message}"
+    if '"' in path.read_text():
+        assert pools == [1]
+    else:
+        assert pools[0] >= 6
+
+
+def test_a_file_with_a_quote_is_one_range(tmp_path, monkeypatch):
+    ts_path, _ = make_dataset(tmp_path, n_counties=3, days=60, seed=7)
+    plain = series_bits(load_timeseries(ts_path))
+    header, first, *rows = ts_path.read_text().splitlines()
+    ts_path.write_text("\n".join([header, '"' + first.replace(",", '",', 1)] + rows) + "\n")
+    monkeypatch.setattr(data, "_RANGE_CHARS", 100)
+    pools = spy_ranges(monkeypatch)
+    assert series_bits(load_timeseries(ts_path)) == plain
+    assert pools == [1]
+
+
+@pytest.mark.parametrize("range_chars", [1, 29, 500])
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_a_file_with_a_bom_and_cr_line_ends_cut_into_ranges_gives_the_bits_of_the_lf_file(
+        tmp_path, monkeypatch, range_chars, end):
+    """With blank lines among the rows, where a range may end inside a blank
+    "\\r\\n" line, between its "\\r" and its "\\n"; and with no line end
+    after the last row, which the last range reads all the same."""
+    ts_path, _ = make_dataset(tmp_path, n_counties=3, days=60, seed=8)
+    lines = ts_path.read_text().splitlines()
+    for at in (50, 40, 2):
+        lines[at:at] = ["", ""]
+    ts_path.write_bytes("\n".join(lines).encode() + b"\n")
+    other = tmp_path / "cr.csv"
+    other.write_bytes(("\ufeff" + end.join(lines)).encode())
+    lf = series_bits(load_timeseries(ts_path))
+    monkeypatch.setattr(data, "_RANGE_CHARS", range_chars)
+    pools = spy_ranges(monkeypatch)
+    assert series_bits(load_timeseries(other)) == lf
+    assert pools[0] >= 2
+
+
+def test_the_peak_memory_file_spans_several_ranges(tmp_path):
+    """The file of the peak memory test above is cut into ranges."""
+    ts_path, _ = make_dataset(tmp_path, n_counties=50, days=800, channels=3, seed=1)
+    assert len(data._ranges(ts_path)) >= 2
 
 
 def test_load_statics_encoding(tmp_path):

@@ -22,6 +22,7 @@ from droughtcast.cli import ABLATION_SETTINGS
 from droughtcast.data import SampleSet
 from droughtcast.errors import ConfigError, DataError, FormatError, NumericError
 from droughtcast.model import AblationConfig, HybridModel, ModelConfig, parameter_layout
+from droughtcast.pool import run_pool
 from droughtcast.training import (
     LrSchedule,
     OptimizerState,
@@ -31,7 +32,6 @@ from droughtcast.training import (
     history_csv,
     load_checkpoint,
     predict,
-    run_pool,
     save_checkpoint,
     validation_mae,
 )
